@@ -60,15 +60,7 @@ sys::ShardedCampaignConfig bench_campaign(std::size_t shards,
 }
 
 const char* sync_name(sim::SyncMode m) {
-  switch (m) {
-    case sim::SyncMode::kConservative:
-      return "conservative";
-    case sim::SyncMode::kAdaptive:
-      return "adaptive";
-    case sim::SyncMode::kOptimistic:
-      return "optimistic";
-  }
-  return "?";
+  return m == sim::SyncMode::kConservative ? "conservative" : "adaptive";
 }
 
 struct Sample {
@@ -78,7 +70,6 @@ struct Sample {
   double wall_secs = 0.0;
   std::uint64_t windows = 0;
   std::uint64_t windows_skipped = 0;
-  std::uint64_t rollbacks = 0;
   std::uint64_t cross_posts = 0;
   // Per-shard barrier accounting: windows a shard participated in, windows
   // where it had nothing to run, and wall seconds it sat idle at barriers.
@@ -98,7 +89,6 @@ Sample run_once(std::size_t shards, std::size_t scale, sim::SyncMode sync) {
   s.wall_secs = r.wall_secs;
   s.windows = r.windows;
   s.windows_skipped = r.windows_skipped;
-  s.rollbacks = r.rollbacks;
   s.cross_posts = r.cross_posts;
   s.shard_windows = r.shard_windows;
   s.shard_empty_windows = r.shard_empty_windows;
@@ -139,12 +129,11 @@ int main(int argc, char** argv) {
 
   // Best-of-3: parallel speedups on shared CI runners are noisy, and the
   // 4-shard sample feeds a hard gate. Multi-shard counts additionally run
-  // the adaptive and optimistic sync modes — results are bitwise identical
+  // the adaptive sync mode — results are bitwise identical
   // (tests/sync_equivalence_test.cpp), so the deltas are pure barrier cost.
   const std::vector<std::size_t> shard_counts{1, 2, 4, 8};
   const sim::SyncMode modes[] = {sim::SyncMode::kConservative,
-                                 sim::SyncMode::kAdaptive,
-                                 sim::SyncMode::kOptimistic};
+                                 sim::SyncMode::kAdaptive};
   std::vector<Sample> samples;
   for (const std::size_t k : shard_counts) {
     for (const sim::SyncMode m : modes) {
@@ -157,14 +146,14 @@ int main(int argc, char** argv) {
 
   const double base = samples[0].events_per_sec();
   sys::Table t({"shards", "sync", "events", "wall(s)", "events/s", "speedup",
-                "windows", "skipped", "rollbacks", "cross_posts"});
+                "windows", "skipped", "cross_posts"});
   for (const auto& s : samples) {
     t.row({std::to_string(s.shards), sync_name(s.sync),
            std::to_string(s.events), sys::fmt(s.wall_secs, 3),
            sys::fmt(s.events_per_sec() / 1e6, 2) + "M",
            sys::fmt(s.events_per_sec() / base, 2) + "x",
            std::to_string(s.windows), std::to_string(s.windows_skipped),
-           std::to_string(s.rollbacks), std::to_string(s.cross_posts)});
+           std::to_string(s.cross_posts)});
   }
   t.print("Sharded simulator core: aggregate throughput vs shard count");
 
@@ -185,7 +174,7 @@ int main(int argc, char** argv) {
                    "\"events\": %llu, "
                    "\"wall_secs\": %.6f, \"events_per_sec\": %.0f, "
                    "\"speedup\": %.3f, \"windows\": %llu, "
-                   "\"windows_skipped\": %llu, \"rollbacks\": %llu, "
+                   "\"windows_skipped\": %llu, "
                    "\"cross_posts\": %llu,\n     \"per_shard\": [",
                    s.shards, sync_name(s.sync),
                    static_cast<unsigned long long>(s.events),
@@ -193,7 +182,6 @@ int main(int argc, char** argv) {
                    s.events_per_sec() / base,
                    static_cast<unsigned long long>(s.windows),
                    static_cast<unsigned long long>(s.windows_skipped),
-                   static_cast<unsigned long long>(s.rollbacks),
                    static_cast<unsigned long long>(s.cross_posts));
       for (std::size_t p = 0; p < s.shard_windows.size(); ++p) {
         std::fprintf(
@@ -213,8 +201,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- gate: >= 3x at 4 shards (best sync mode), where the hardware can
-  // express it. The adaptive/optimistic modes exist to push past the
-  // barrier ceiling, so the gate holds the best of the three to the floor.
+  // express it. The adaptive mode exists to push past the barrier ceiling,
+  // so the gate holds the better of the two to the floor.
   double speedup4 = 0.0;
   const char* mode4 = "";
   for (const auto& s : samples) {

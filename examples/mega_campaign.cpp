@@ -48,13 +48,11 @@
 // (scored/cluster learn per-tier completion telemetry and steer away from
 // straggler tiers). The summary then adds a per-tier participation table.
 //
-// With `--sync-mode=conservative|adaptive|optimistic` the sharded core
-// picks its barrier discipline (src/sim/sharded_simulator): fixed
-// conservative windows, promise-widened adaptive windows that skip the
-// empty barriers of diurnal troughs, or optimistic speculation with
-// rollback-replay on straggling cross-posts. Results are bitwise identical
-// across all three and across shard counts; the summary reports windows
-// skipped and rollbacks taken.
+// With `--sync-mode=conservative|adaptive` the sharded core picks its
+// barrier discipline (src/sim/sharded_simulator): fixed conservative
+// windows, or promise-widened adaptive windows that skip the empty
+// barriers of diurnal troughs. Results are bitwise identical across both
+// and across shard counts; the summary reports windows skipped.
 //
 // With `--trace=FILE.json` the run records a sim-time trace (round spans,
 // aggregator lifecycle, upload sessions, barrier windows) into per-shard
@@ -335,11 +333,8 @@ int run_sharded(const CampaignConfig& cfg, std::size_t shards,
 
   const bool planned = mode == sys::HierarchyMode::kPlanned;
   const bool is_async = mode == sys::HierarchyMode::kAsync;
-  const char* sync_name = sync == sim::SyncMode::kConservative
-                              ? "conservative"
-                              : sync == sim::SyncMode::kAdaptive
-                                    ? "adaptive"
-                                    : "optimistic";
+  const char* sync_name =
+      sync == sim::SyncMode::kConservative ? "conservative" : "adaptive";
   std::printf(
       "Sharded mega campaign: %zu mobile clients, %zu node groups on %zu "
       "shard threads, %zu %s x %zu uploads, %s hierarchy%s, %s sync\n\n",
@@ -404,9 +399,8 @@ int run_sharded(const CampaignConfig& cfg, std::size_t shards,
       static_cast<unsigned long long>(r.windows),
       static_cast<unsigned long long>(r.cross_posts));
   if (sync != sim::SyncMode::kConservative) {
-    std::printf("%s sync: %llu windows skipped, %llu rollbacks\n", sync_name,
-                static_cast<unsigned long long>(r.windows_skipped),
-                static_cast<unsigned long long>(r.rollbacks));
+    std::printf("%s sync: %llu windows skipped\n", sync_name,
+                static_cast<unsigned long long>(r.windows_skipped));
   }
   if (planned || is_async) {
     std::printf(
@@ -512,7 +506,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s [population >= 1000] [--shards=K] "
                  "[--hierarchy=fixed|planned|async] [--replan-interval=SECS] "
-                 "[--sync-mode=conservative|adaptive|optimistic] "
+                 "[--sync-mode=conservative|adaptive] "
                  "[--reuse=0|1] [--checkpoint=PATH] [--resume=PATH] "
                  "[--checkpoint-every=SECS] [--async-deadline=SECS] "
                  "[--stragglers=FRACTION] [--straggler-delay=SECS] "
@@ -549,8 +543,6 @@ int main(int argc, char** argv) {
         sync = sim::SyncMode::kConservative;
       } else if (std::strcmp(argv[a] + 12, "adaptive") == 0) {
         sync = sim::SyncMode::kAdaptive;
-      } else if (std::strcmp(argv[a] + 12, "optimistic") == 0) {
-        sync = sim::SyncMode::kOptimistic;
       } else {
         return usage();
       }

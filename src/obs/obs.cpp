@@ -19,7 +19,6 @@ Ids Ids::intern(Registry& r) {
   ids.upload_disconnects = r.counter("upload_disconnects");
   ids.upload_resumes = r.counter("upload_resumes");
   ids.ckpt_marks = r.counter("ckpt_marks");
-  ids.rollbacks = r.counter("sync_rollbacks");
   ids.skipped_windows = r.counter("sync_windows_skipped");
   ids.windows = r.counter("shard_windows");
   ids.empty_windows = r.counter("shard_empty_windows");

@@ -29,7 +29,7 @@ struct Ids {
   CounterId crashes, recoveries, refolds, replans, quorum_seals;
   CounterId upload_retries, upload_disconnects, upload_resumes;
   CounterId ckpt_marks;                   // campaign slot
-  CounterId rollbacks, skipped_windows;   // campaign slot (sync modes)
+  CounterId skipped_windows;              // campaign slot (adaptive sync)
   CounterId windows, empty_windows;       // shard slots
   // Gauges.
   GaugeId barrier_idle_secs;              // shard slots (wall, not sim)

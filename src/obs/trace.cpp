@@ -46,8 +46,6 @@ const char* ev_name(Ev kind) {
       return "upload_resume";
     case Ev::kWindow:
       return "window";
-    case Ev::kRollback:
-      return "rollback";
     case Ev::kCount_:
       break;
   }

@@ -50,9 +50,6 @@ enum class Ev : std::uint8_t {
   kUploadResume,    ///< instant: session resumed; a=client
   // Shard tracks.
   kWindow,          ///< instant: barrier window opened; a=window, b=drained
-  // Campaign track (optimistic synchronization).
-  kRollback,        ///< instant: speculation invalidated by a straggling
-                    ///< cross-post; a=rollback index, b=receiving shard
   kCount_           ///< number of kinds (not an event)
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -14,35 +15,26 @@ namespace {
 /// the blocking fallback keeps oversubscribed machines (fewer cores than
 /// shards) from melting down.
 constexpr int kSpinIters = 4096;
-/// Optimistic speculation opens only while the busiest (src,dst) pair's
-/// cross-post EWMA sits below this: with `calib::kEwmaAlpha` = 0.7, a
-/// single drained post lifts the EWMA to 0.3, so any traffic in the last
-/// few windows keeps speculation shut.
-constexpr double kSpecQuietEwma = 0.125;
+/// Cap on adaptive horizon widening, in lookaheads past the conservative
+/// horizon. It keeps every window finite (idle tails and daemon chains
+/// would otherwise run unbounded) and bounds how far a window can straddle
+/// a `run_to` mark.
+constexpr double kMaxWidenLookaheads = 256.0;
 }  // namespace
 
 ShardedSimulator::ShardedSimulator(Config cfg)
-    : lookahead_(cfg.lookahead),
-      sync_(cfg.sync),
-      spec_max_(cfg.spec_max_lookaheads),
-      fence_(cfg.spec_fence) {
+    : lookahead_(cfg.lookahead), sync_(cfg.sync) {
   if (cfg.shards == 0) {
     throw std::invalid_argument("ShardedSimulator: shards must be >= 1");
   }
   if (!(lookahead_ > 0.0)) {
     throw std::invalid_argument("ShardedSimulator: lookahead must be > 0");
   }
-  if (spec_max_ == 0) {
-    throw std::invalid_argument(
-        "ShardedSimulator: spec_max_lookaheads must be >= 1");
-  }
   shards_.resize(cfg.shards);
   for (auto& cell : shards_) cell.sim = std::make_unique<Simulator>();
   mail_.resize(cfg.shards * cfg.shards);
   promises_.resize(cfg.shards);
   promised_.assign(cfg.shards, 0.0);
-  pair_count_.assign(cfg.shards * cfg.shards, 0);
-  pair_ewma_.assign(cfg.shards * cfg.shards, 0.0);
 }
 
 void ShardedSimulator::post(std::size_t from, std::size_t to, SimTime t,
@@ -58,10 +50,26 @@ void ShardedSimulator::post(std::size_t from, std::size_t to, SimTime t,
     src.schedule_at(t, std::move(cb));
     return;
   }
+  // A coordinator-side post between runs (workers parked, so the
+  // receiver's clock is safe to read) can name a receiver that already ran
+  // past `t`; the sender clamp above cannot catch that. Inside a window the
+  // receiver's clock belongs to its worker, and the window protocol
+  // guarantees `t` clears it (audited at the next drain).
+  if (!in_window_) {
+    const SimTime receiver_now = shards_[to].sim->now();
+    if (t <= receiver_now) {
+      throw std::invalid_argument(
+          "ShardedSimulator: cross-shard post at t=" + std::to_string(t) +
+          " lands at or before receiver shard " + std::to_string(to) +
+          "'s clock " + std::to_string(receiver_now) + " (sender shard " +
+          std::to_string(from) + " is at " + std::to_string(src.now()) +
+          ")");
+    }
+  }
   // Promise enforcement: the adaptive horizon trusted this shard not to
   // deliver before `promised_[from]`. A post below that bound means the
-  // installed promise was unsound — a model bug, not a speculation miss —
-  // so fail loudly (worker-thread throws ride the record_error path).
+  // installed promise was unsound — a model bug — so fail loudly
+  // (worker-thread throws ride the record_error path).
   if (t < promised_[from]) {
     throw std::logic_error(
         "ShardedSimulator: cross-shard post below the shard's outbound "
@@ -97,37 +105,18 @@ std::size_t ShardedSimulator::drain_mailboxes() {
               return x.seq < y.seq;
             });
   // Causality audit before injection (`schedule_at` would silently clamp
-  // a past delivery to the receiver's clock). A delivery at or below the
-  // receiver's clock is impossible under conservative/adaptive horizons
-  // (every shard ran strictly below a bound no delivery undercuts), so
-  // outside optimistic mode it is an internal invariant failure. Under
-  // speculation it is the expected miss: collect the *maximum* violated
-  // receiver clock across all stragglers in this drain — the replay fence
-  // must clear every one of them at once — and report the first straggler
-  // in (t, src, seq) order so the error is deterministic.
-  const std::size_t k = shards_.size();
-  if (k > 1) {
-    const CrossEvent* first = nullptr;
-    SimTime fence = 0.0;
-    for (const CrossEvent& e : drain_scratch_) {
-      ++pair_count_[e.src * k + e.dst];
-      const SimTime now = shards_[e.dst].sim->now();
-      if (e.t <= now) {
-        if (sync_ != SyncMode::kOptimistic) {
-          throw std::logic_error(
-              "ShardedSimulator: non-speculative window admitted a "
-              "cross-shard post into a receiver's past");
-        }
-        if (first == nullptr) first = &e;
-        fence = std::max(fence, now);
-      }
-    }
-    if (first != nullptr) {
-      throw CausalityViolation(first->t, fence, first->src, first->dst);
-    }
-  }
+  // a past delivery to the receiver's clock). Every shard ran strictly
+  // below a horizon no delivery undercuts, so a delivery at or below the
+  // receiver's clock is an internal invariant failure of the window
+  // protocol.
   for (CrossEvent& e : drain_scratch_) {
-    shards_[e.dst].sim->schedule_at(e.t, std::move(e.cb));
+    Simulator& dst = *shards_[e.dst].sim;
+    if (e.t <= dst.now()) {
+      throw std::logic_error(
+          "ShardedSimulator: window protocol admitted a cross-shard post "
+          "into a receiver's past");
+    }
+    dst.schedule_at(e.t, std::move(e.cb));
   }
   const std::size_t drained = drain_scratch_.size();
   drain_scratch_.clear();
@@ -239,22 +228,9 @@ void ShardedSimulator::worker_loop(std::size_t s, std::uint64_t base_epoch) {
   }
 }
 
-SimTime ShardedSimulator::plan_window(SimTime t_min, std::size_t drained) {
+SimTime ShardedSimulator::plan_window(SimTime t_min) {
   const SimTime conservative = t_min + lookahead_;
   if (sync_ == SyncMode::kConservative) return conservative;
-
-  // Tick the per-pair traffic EWMA once per opened window. `run_to`
-  // pauses never reach here (the mark check breaks first), so slicing a
-  // run leaves the EWMA — and with it every speculation decision — on the
-  // exact trajectory of the unsliced run.
-  double busiest = 0.0;
-  for (std::size_t p = 0; p < pair_ewma_.size(); ++p) {
-    pair_ewma_[p] = calib::kEwmaAlpha * pair_ewma_[p] +
-                    (1.0 - calib::kEwmaAlpha) *
-                        static_cast<double>(pair_count_[p]);
-    pair_count_[p] = 0;
-    busiest = std::max(busiest, pair_ewma_[p]);
-  }
 
   // Sound horizon: each shard caps the window at the earliest cross-shard
   // delivery it may still cause — the conservative `next event + lookahead`
@@ -276,25 +252,8 @@ SimTime ShardedSimulator::plan_window(SimTime t_min, std::size_t drained) {
   // The cap keeps the window finite when every shard promises forever
   // (the rest of the run is shard-local) and bounds the straddle past a
   // `run_to` mark.
-  const SimTime cap =
-      conservative + static_cast<double>(spec_max_) * lookahead_;
-  SimTime horizon = std::max(conservative, std::min(sound, cap));
-
-  if (sync_ == SyncMode::kOptimistic) {
-    if (t_min < fence_) {
-      // Replaying through a rolled-back region: stay sound below the
-      // fence so the straggler that invalidated the last attempt is
-      // delivered conservatively this time.
-      spec_bonus_ = 0;
-    } else if (drained == 0 && busiest < kSpecQuietEwma) {
-      spec_bonus_ =
-          spec_bonus_ == 0 ? 1 : std::min(spec_bonus_ * 2, spec_max_);
-      horizon += static_cast<double>(spec_bonus_) * lookahead_;
-    } else {
-      spec_bonus_ = 0;
-    }
-  }
-
+  const SimTime cap = conservative + kMaxWidenLookaheads * lookahead_;
+  const SimTime horizon = std::max(conservative, std::min(sound, cap));
   windows_skipped_ +=
       static_cast<std::uint64_t>((horizon - conservative) / lookahead_);
   return horizon;
@@ -345,7 +304,7 @@ std::uint64_t ShardedSimulator::run_impl(SimTime mark) {
     // horizon, so the window sequence — and with it the event order — is
     // the same whether or not the run was paused here.
     if (bounded && t_min >= mark) break;
-    window_end_ = plan_window(t_min, drained);
+    window_end_ = plan_window(t_min);
     ++windows_;
     if (trace_ != nullptr) {
       obs::ShardTrace* ring = trace_->coordinator();
@@ -358,6 +317,7 @@ std::uint64_t ShardedSimulator::run_impl(SimTime mark) {
 
     // ---- parallel phase: all shards execute events below the horizon.
     done_.store(0, std::memory_order_release);
+    in_window_ = true;
     {
       std::lock_guard<std::mutex> lock(mu_);
       epoch_.fetch_add(1, std::memory_order_acq_rel);
@@ -375,6 +335,7 @@ std::uint64_t ShardedSimulator::run_impl(SimTime mark) {
         });
       }
     }
+    in_window_ = false;
     // Barrier-idle accounting (serial phase again; workers parked): each
     // shard was idle from its own finish until the slowest shard's.
     std::chrono::steady_clock::time_point last = shards_[0].done_at;

@@ -9,7 +9,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -31,37 +30,8 @@ enum class SyncMode : std::uint8_t {
   /// Widen the horizon using per-shard outbound *promises* ("no
   /// cross-shard delivery before T"): provably-empty barriers are
   /// skipped, results stay bitwise identical to conservative. Sound.
+  /// Widening is capped at 256 lookaheads past the conservative horizon.
   kAdaptive,
-  /// Adaptive, plus speculation: when the cross-post traffic EWMA says
-  /// the mailboxes are idle, run past the sound horizon. A straggling
-  /// post landing in a receiver's past raises `CausalityViolation`; the
-  /// driver rolls back to its last commit and replays deterministically.
-  kOptimistic,
-};
-
-/// Raised by a multi-shard run in `kOptimistic` mode when a speculatively
-/// executed window is invalidated: a cross-shard post surfaced at a
-/// barrier with a delivery time at or before its receiver's clock. The
-/// simulator's state is torn past the violation — the caller must discard
-/// it, restore its model from the last commit, and replay with
-/// `Config::spec_fence = receiver_now` (speculation stays disabled below
-/// the fence, so the replay is sound through the violated region).
-class CausalityViolation : public std::runtime_error {
- public:
-  CausalityViolation(SimTime post_time, SimTime receiver_now,
-                     std::size_t src, std::size_t dst)
-      : std::runtime_error(
-            "ShardedSimulator: speculative window invalidated by a "
-            "straggling cross-shard post"),
-        post_time(post_time),
-        receiver_now(receiver_now),
-        src(src),
-        dst(dst) {}
-
-  SimTime post_time;      ///< delivery time of the straggling post
-  SimTime receiver_now;   ///< max clock over all violated receivers
-  std::size_t src;        ///< posting shard of the first violator
-  std::size_t dst;        ///< receiving shard of the first violator
 };
 
 /// A sharded discrete-event simulator: K independent `Simulator` cores, one
@@ -90,14 +60,10 @@ class CausalityViolation : public std::runtime_error {
 /// shard, and delivery order of cross events is independent of the shard
 /// count.
 ///
-/// `Config::sync` relaxes the horizon beyond the conservative bound:
-/// adaptive mode widens H using per-shard outbound promises
-/// (`set_promise`) — still provably sound, so results stay bitwise equal —
-/// and optimistic mode additionally speculates past the sound horizon
-/// when the cross-post EWMA says the mailboxes are idle, detecting any
-/// resulting causality violation at the next drain and surfacing it as
-/// `CausalityViolation` for the driver to roll back and replay (see
-/// docs/ARCHITECTURE.md, "Shard synchronization").
+/// `Config::sync = kAdaptive` widens H beyond the conservative bound using
+/// per-shard outbound promises (`set_promise`) — still provably sound, so
+/// results stay bitwise equal (see docs/ARCHITECTURE.md, "Shard
+/// synchronization").
 ///
 /// Determinism: with one shard, `run()` degenerates to the plain
 /// single-threaded `Simulator::run()` (no threads, no barriers — bit
@@ -120,23 +86,12 @@ class ShardedSimulator {
     SimTime lookahead = calib::kCrossShardLatencySecs;
     /// Window synchronization mode (see `SyncMode`).
     SyncMode sync = SyncMode::kConservative;
-    /// Caps both the adaptive widening and the optimistic speculation
-    /// bonus, in lookaheads per window. The cap keeps every window
-    /// finite (idle tails and daemon chains would otherwise run
-    /// unbounded) and bounds how far a window can straddle a `run_to`
-    /// mark.
-    std::uint32_t spec_max_lookaheads = 256;
-    /// Speculation fence for optimistic rollback-replay: windows whose
-    /// minimum next-event time lies below the fence never speculate, so
-    /// a replay is sound through the region that was invalidated.
-    SimTime spec_fence = 0.0;
   };
 
-  /// Always-on per-shard barrier accounting (the optimistic-sync roadmap
-  /// item's baseline data). `idle_wall_secs` is real wall time the shard
-  /// spent finished at a window barrier waiting for the slowest shard —
-  /// it never feeds back into the simulation, so recording it keeps
-  /// results bitwise identical.
+  /// Always-on per-shard barrier accounting. `idle_wall_secs` is real wall
+  /// time the shard spent finished at a window barrier waiting for the
+  /// slowest shard — it never feeds back into the simulation, so recording
+  /// it keeps results bitwise identical.
   struct WindowStats {
     std::uint64_t windows = 0;        ///< windows this shard executed
     std::uint64_t empty_windows = 0;  ///< windows with zero events to run
@@ -162,7 +117,9 @@ class ShardedSimulator {
   /// the clamp is identical whether or not `from == to`, so a model's
   /// timing does not depend on how its groups map onto shards. Same-shard
   /// posts schedule directly; cross-shard posts ride the mailbox and are
-  /// injected at the next window barrier.
+  /// injected at the next window barrier. A coordinator-side cross-shard
+  /// post whose (clamped) time is at or before `shard(to).now()` would land
+  /// in the receiver's past and throws `std::invalid_argument`.
   void post(std::size_t from, std::size_t to, SimTime t, Task cb);
 
   /// Run until no regular (non-daemon) events remain on any shard and all
@@ -195,29 +152,27 @@ class ShardedSimulator {
   std::uint64_t cross_posts() const noexcept;
   /// Window barriers executed by multi-shard `run()` calls.
   std::uint64_t windows() const noexcept { return windows_; }
-  /// Conservative barriers provably skipped by adaptive/optimistic
-  /// horizon widening (an estimate: each opened window adds the number of
-  /// whole lookaheads it ran beyond the conservative horizon). Zero in
-  /// conservative mode.
+  /// Conservative barriers provably skipped by adaptive horizon widening
+  /// (an estimate: each opened window adds the number of whole lookaheads
+  /// it ran beyond the conservative horizon). Zero in conservative mode.
   std::uint64_t windows_skipped() const noexcept { return windows_skipped_; }
   /// The configured synchronization mode.
   SyncMode sync_mode() const noexcept { return sync_; }
 
-  /// Install shard `s`'s outbound promise for adaptive/optimistic
-  /// horizons (an empty function uninstalls it). The function must return
-  /// a lower bound on the delivery time of any cross-shard `post` shard
-  /// `s` will make from events it has not yet executed — considering the
-  /// shard's *entire* future behavior from its current state, not just
-  /// its next event. Return 0 for "no promise" (the shard contributes its
-  /// conservative bound only) and +infinity for "this shard will never
-  /// post again this run". The coordinator evaluates promises in the
-  /// serial phase of every opened window, with all workers parked at the
-  /// barrier, so the function may freely read the model state of shard
-  /// `s` (and, with care, of other shards). Promises must be pure reads:
-  /// evaluating one must not change model state, or `run_to` pausing
-  /// stops being bit-transparent. A promise that is later contradicted by
-  /// an actual post below the promised bound is a model bug and raises
-  /// `std::logic_error` at the offending `post`.
+  /// Install shard `s`'s outbound promise for adaptive horizons (an empty
+  /// function uninstalls it). The function must return a lower bound on the
+  /// delivery time of any cross-shard `post` shard `s` will make from events it
+  /// has not yet executed — considering the shard's *entire* future behavior
+  /// from its current state, not just its next event. Return 0 for "no promise"
+  /// (the shard contributes its conservative bound only) and +infinity for
+  /// "this shard will never post again this run". The coordinator evaluates
+  /// promises in the serial phase of every opened window, with all workers
+  /// parked at the barrier, so the function may freely read the model state of
+  /// shard `s` (and, with care, of other shards). Promises must be pure reads:
+  /// evaluating one must not change model state, or `run_to` pausing stops
+  /// being bit-transparent. A promise that is later contradicted by an actual
+  /// post below the promised bound is a model bug and raises `std::logic_error`
+  /// at the offending `post`.
   void set_promise(std::size_t s, std::function<SimTime()> fn) {
     promises_[s] = std::move(fn);
   }
@@ -271,12 +226,11 @@ class ShardedSimulator {
   /// event time reaches `mark` (+infinity for an unbounded run).
   std::uint64_t run_impl(SimTime mark);
   /// Pick the horizon of the window about to open (serial phase):
-  /// conservative `t_min + lookahead`, widened by promises in adaptive /
-  /// optimistic mode, plus the speculation bonus when the traffic EWMA
-  /// says the mailboxes are idle. Also ticks the EWMA and the
-  /// skipped-window estimate — called exactly once per *opened* window,
-  /// after the `run_to` mark check, so pausing stays bit-transparent.
-  SimTime plan_window(SimTime t_min, std::size_t drained);
+  /// conservative `t_min + lookahead`, widened by promises in adaptive
+  /// mode. Also ticks the skipped-window estimate — called exactly once
+  /// per *opened* window, after the `run_to` mark check, so pausing stays
+  /// bit-transparent.
+  SimTime plan_window(SimTime t_min);
   /// Spawn the K-1 worker threads on first multi-shard use; they persist —
   /// parked on the epoch wait — across run/run_to calls (a mark-sliced
   /// checkpointed round would otherwise pay a thread create/join per
@@ -296,8 +250,6 @@ class ShardedSimulator {
 
   SimTime lookahead_;
   SyncMode sync_ = SyncMode::kConservative;
-  std::uint32_t spec_max_ = 256;
-  SimTime fence_ = 0.0;
   std::vector<ShardCell> shards_;
   std::vector<Mailbox> mail_;
   std::vector<CrossEvent> drain_scratch_;
@@ -306,7 +258,7 @@ class ShardedSimulator {
   std::uint64_t windows_skipped_ = 0;
   obs::TraceRecorder* trace_ = nullptr;  ///< passive; not owned
 
-  // ---- adaptive/optimistic horizon state (coordinator-owned) ----------
+  // ---- adaptive horizon state (coordinator-owned) ---------------------
   /// Per-shard outbound promise functions (empty = no promise).
   std::vector<std::function<SimTime()>> promises_;
   /// Promise bounds cached at window open; `post` enforces them (a post
@@ -314,14 +266,6 @@ class ShardedSimulator {
   /// the coordinator in the serial phase, read by workers during the
   /// window — the barrier orders the accesses. Reset to 0 between runs.
   std::vector<SimTime> promised_;
-  /// Per-(src,dst)-pair cross events drained since the last opened
-  /// window, and the EWMA of that rate (`calib::kEwmaAlpha`); the
-  /// busiest-pair EWMA gates optimistic speculation.
-  std::vector<std::uint64_t> pair_count_;
-  std::vector<double> pair_ewma_;
-  /// Current speculation bonus in lookaheads: doubles every quiet window
-  /// up to `spec_max_`, collapses to 0 on any cross traffic.
-  std::uint32_t spec_bonus_ = 0;
 
   // ---- window barrier (used only when shard_count() > 1) --------------
   // The coordinator publishes `window_end_` then bumps `epoch_`; workers
@@ -336,6 +280,11 @@ class ShardedSimulator {
   std::atomic<bool> failed_{false};
   std::exception_ptr error_;  ///< first callback exception (guarded by mu_)
   SimTime window_end_ = 0.0;
+  /// True from the epoch bump to the end of the barrier wait, i.e. while
+  /// shard callbacks may run; `post` checks receiver clocks only outside.
+  /// Written by the coordinator; the epoch/done handshake orders the
+  /// workers' reads.
+  bool in_window_ = false;
 };
 
 }  // namespace lifl::sim

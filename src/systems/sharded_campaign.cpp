@@ -570,8 +570,8 @@ double wall_since(const std::chrono::steady_clock::time_point& t0) {
       .count();
 }
 
-/// Config validation, run once before the first attempt (bad configs must
-/// throw before the observability bundle or any side effects exist).
+/// Config validation (bad configs must throw before the observability
+/// bundle or any side effects exist).
 void validate_config(const ShardedCampaignConfig& cfg) {
   if (cfg.groups == 0) {
     throw std::invalid_argument("sharded campaign: groups must be >= 1");
@@ -738,21 +738,6 @@ void validate_config(const ShardedCampaignConfig& cfg) {
     throw std::invalid_argument(
         "sharded campaign: async_min_quota exceeds uploads_per_round()");
   }
-  if (cfg.sync_mode == sim::SyncMode::kOptimistic) {
-    if (cfg.quorum < 1.0) {
-      throw std::invalid_argument(
-          "sharded campaign: optimistic sync replays rounds from their "
-          "boundary commit through the checkpoint codec, which quorum "
-          "sealing is incompatible with — use conservative or adaptive "
-          "sync with quorum < 1");
-    }
-    if (!(cfg.spec_commit_every_secs > 0.0) ||
-        !std::isfinite(cfg.spec_commit_every_secs)) {
-      throw std::invalid_argument(
-          "sharded campaign: spec_commit_every_secs must be positive and "
-          "finite");
-    }
-  }
 }
 
 /// Lower bound on the delivery time of group `g`'s next cross-shard post —
@@ -831,8 +816,8 @@ double async_top_bound(const CampaignState& st) {
   return arrival + cross_latency_secs(st.cfg->model_bytes);
 }
 
-/// Install the per-shard outbound promises that widen adaptive/optimistic
-/// barrier windows: campaign-level knowledge the sharded core cannot see.
+/// Install the per-shard outbound promises that widen adaptive barrier
+/// windows: campaign-level knowledge the sharded core cannot see.
 /// The core only *verifies* (a cross post below its shard's promise throws)
 /// and plans windows with the published bounds. Posts between co-located
 /// groups never cross shards, so a group living on the top's shard
@@ -856,66 +841,33 @@ void install_promises(CampaignState& st, sim::ShardedSimulator& sharded) {
   }
 }
 
-/// State carried across optimistic rollback attempts of one campaign call.
-/// Everything that must survive a `sim::CausalityViolation` — the straggler
-/// that invalidates a speculative window throws the whole attempt away and
-/// replays from the latest commit with the speculation fence raised.
-struct AttemptCtx {
-  /// Observability bundle, created once: rings and registry outlive
-  /// rollbacks (see docs/ARCHITECTURE.md on trace passivity — results are
-  /// bitwise under rollbacks, traces are not).
-  std::shared_ptr<obs::CampaignObs> obs;
-  std::vector<std::uint8_t> commit;  ///< latest rollback anchor blob
-  double fence = 0.0;          ///< replay fence: max violated receiver clock
-  std::uint64_t rollbacks = 0;
-  // User checkpoint-emission accounting, cross-attempt: blobs the process
-  // already handed out (files written, on_checkpoint fired) are never
-  // re-emitted nor re-counted by a replay.
-  std::uint64_t ckpt_written = 0;
-  std::uint64_t ckpt_bytes = 0;
-  double encode_secs = 0.0;
-  std::uint32_t em_round = 0;  ///< high-water of emitted marks: round ...
-  double em_mark = -1.0;       ///< ... and mark within that round
-};
+}  // namespace
 
-/// One execution attempt of the campaign. Under conservative/adaptive sync
-/// this runs exactly once; under optimistic sync a straggling cross-post
-/// aborts it with sim::CausalityViolation and the caller re-enters with
-/// `ax.commit` as the resume anchor and `ax.fence` raised.
-ShardedCampaignResult run_attempt(const ShardedCampaignConfig& cfg,
-                                  AttemptCtx& ax) {
+ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
+  validate_config(cfg);
+  const auto wall0 = std::chrono::steady_clock::now();
   const bool planned = cfg.hierarchy == HierarchyMode::kPlanned;
   const bool async = cfg.hierarchy == HierarchyMode::kAsync;
   const bool orchestrated = planned || async;
   const bool tiered = cfg.device_tiers.enabled();
   const bool lc_on = cfg.lifecycle.enabled();
   const bool ck = cfg.checkpoint_every_secs > 0.0;
-  /// Optimistic multi-shard runs journal rollback anchors; a 1-shard run
-  /// never speculates, so it never pays for commits either.
-  const bool commits =
-      cfg.sync_mode == sim::SyncMode::kOptimistic && cfg.shards > 1;
-  const bool internal = !ax.commit.empty();  // resuming from a rollback
-  const bool resume =
-      internal || cfg.resume_blob != nullptr || !cfg.resume_path.empty();
-  /// Marks whose user checkpoint was already emitted (by the pre-crash
-  /// process under user resume, by an earlier attempt under rollback).
-  const auto already_emitted = [&ax](std::uint32_t round, double m) {
-    return round < ax.em_round || (round == ax.em_round && m <= ax.em_mark);
-  };
+  const bool resume = cfg.resume_blob != nullptr || !cfg.resume_path.empty();
 
   sim::ShardedSimulator::Config scfg;
   scfg.shards = cfg.shards;
   scfg.lookahead = calib::kCrossShardLatencySecs;
   scfg.sync = cfg.sync_mode;
-  scfg.spec_max_lookaheads = cfg.spec_max_lookaheads;
-  scfg.spec_fence = ax.fence;
   sim::ShardedSimulator sharded(scfg);
 
-  // Observability bundle (passive): rings + registry live on the attempt
-  // context (and then the result's shared_ptr) so they outlive rollbacks
-  // and this call; the sharded core only holds a borrowed recorder pointer
-  // for the duration of the run.
-  const std::shared_ptr<obs::CampaignObs>& campaign_obs = ax.obs;
+  // Observability bundle (passive): rings + registry live in the result's
+  // shared_ptr so they outlive this call; the sharded core only holds a
+  // borrowed recorder pointer for the duration of the run.
+  std::shared_ptr<obs::CampaignObs> campaign_obs;
+  if (cfg.obs.enabled()) {
+    campaign_obs =
+        std::make_shared<obs::CampaignObs>(cfg.obs, cfg.shards, cfg.groups);
+  }
   if (campaign_obs && cfg.obs.trace) {
     sharded.set_trace(&campaign_obs->trace());
   }
@@ -1060,27 +1012,69 @@ ShardedCampaignResult run_attempt(const ShardedCampaignConfig& cfg,
   // in-flight event bit-exactly. See src/systems/campaign_checkpoint.hpp.
   CheckpointCut cut;
   if (resume) {
-    // A rollback anchor (internal) outranks the user's resume source: it
-    // was cut later in the same timeline, under the identical config.
     const std::vector<std::uint8_t> blob =
-        internal ? ax.commit
-        : cfg.resume_blob != nullptr
+        cfg.resume_blob != nullptr
             ? *cfg.resume_blob
             : CampaignCheckpoint::read_file(cfg.resume_path);
     cut = CampaignCheckpoint::restore(blob, st, result);
-    // Marks at or before this cut already emitted their user checkpoints
-    // (pre-crash process or earlier attempt) — replay must not re-emit.
-    if (cut.round > ax.em_round) {
-      ax.em_round = cut.round;
-      ax.em_mark = cut.mark;
-    } else if (cut.round == ax.em_round) {
-      ax.em_mark = std::max(ax.em_mark, cut.mark);
-    }
   }
   if (ck) {
     st.ckpt = std::make_unique<fl::CheckpointManager>(*st.groups[0].cluster,
                                                       0, cfg.checkpoint_cost);
   }
+
+  // The durable part of every snapshot `round` emits. Encoding is
+  // deterministic, so a resume replaying the round re-derives the
+  // identical bytes (and billing size).
+  const auto encode_round_boundary = [&](std::uint32_t round) {
+    const auto enc0 = std::chrono::steady_clock::now();
+    std::vector<std::uint8_t> boundary =
+        CampaignCheckpoint::encode_boundary(st, result, round);
+    result.checkpoint_encode_secs += wall_since(enc0);
+    st.ckpt_blob_bytes =
+        boundary.size() + CampaignCheckpoint::cut_trailer_bytes();
+    return boundary;
+  };
+
+  // Run `round` (the whole stream in async mode) to completion across all
+  // shards. With checkpointing on, the in-sim pulse bills the cost model at
+  // exact grid points and the coordinator pauses at the same grid
+  // (bit-transparent — see ShardedSimulator::run_to) purely to emit blobs
+  // while the round is in flight. On resume-replay, marks at or before the
+  // cut are re-billed (the uninterrupted timeline paid them too) but their
+  // blobs were already emitted by the pre-crash process and are not
+  // re-emitted. A trailing `run()` drains stragglers, in-flight checkpoint
+  // persistence, and the pulse's final (no-op) fire at the next mark.
+  const auto run_round = [&](std::uint32_t round, double epoch,
+                             const std::vector<std::uint8_t>& boundary) {
+    if (ck) {
+      const double every = cfg.checkpoint_every_secs;
+      const double first = first_mark_after(epoch, every);
+      st.groups[0].sim->schedule_at(first, CkptPulse{&st, first});
+      for (double m = first;; m += every) {
+        sharded.run_to(m);
+        if (st.round_done || sharded.pending_regular() == 0) break;
+        if (round < cut.round || (round == cut.round && m <= cut.mark)) {
+          continue;
+        }
+        const auto enc0 = std::chrono::steady_clock::now();
+        const std::vector<std::uint8_t> blob =
+            CampaignCheckpoint::with_cut(boundary, m);
+        result.checkpoint_encode_secs += wall_since(enc0);
+        ++result.checkpoints_written;
+        result.checkpoint_bytes += blob.size();
+        st.coord_obs.instant(
+            m, obs::Ev::kCkptEncode,
+            static_cast<std::uint32_t>(result.checkpoints_written),
+            blob.size());
+        if (!cfg.checkpoint_path.empty()) {
+          CampaignCheckpoint::write_file(cfg.checkpoint_path, blob);
+        }
+        if (cfg.on_checkpoint) cfg.on_checkpoint(blob, round, m);
+      }
+    }
+    sharded.run();
+  };
 
   if (async) {
     // ---- asynchronous mode: ONE continuous stream, no round barrier.
@@ -1103,17 +1097,8 @@ ShardedCampaignResult run_attempt(const ShardedCampaignConfig& cfg,
     std::uint64_t spawned = 0;
     std::uint64_t reused = 0;
 
-    std::vector<std::uint8_t> boundary;
-    if (ck || commits) {
-      const auto enc0 = std::chrono::steady_clock::now();
-      boundary = CampaignCheckpoint::encode_boundary(st, result, 1);
-      if (ck) ax.encode_secs += wall_since(enc0);
-      st.ckpt_blob_bytes =
-          boundary.size() + CampaignCheckpoint::cut_trailer_bytes();
-      // Rollback anchor at the stream boundary (mark -1 = "round start"):
-      // a violation before the first commit mark replays from here.
-      if (commits) ax.commit = CampaignCheckpoint::with_cut(boundary, -1.0);
-    }
+    const std::vector<std::uint8_t> boundary =
+        ck ? encode_round_boundary(1) : std::vector<std::uint8_t>{};
 
     // The recurring top on group 0: a version-cadence buffer, re-targeted
     // by on_version after every emission. expected_version stays 0 — any
@@ -1153,47 +1138,9 @@ ShardedCampaignResult run_attempt(const ShardedCampaignConfig& cfg,
       arm_arrivals(st, st.groups[gi], 1, epoch, per_group_stream);
     }
 
-    // ---- run the stream, emitting checkpoints and/or rollback commits on
-    // the mark grid (same pulse + pause machinery as the synchronous
-    // rounds). The in-sim billing pulse runs only for user checkpoints —
-    // internal commits must leave the simulated timeline untouched, or a
-    // non-checkpointed optimistic run would diverge from conservative.
-    if (ck || commits) {
-      const double every =
-          ck ? cfg.checkpoint_every_secs : cfg.spec_commit_every_secs;
-      const double first = first_mark_after(epoch, every);
-      if (ck) st.groups[0].sim->schedule_at(first, CkptPulse{&st, first});
-      double m = first;
-      for (;;) {
-        sharded.run_to(m);
-        if (st.round_done || sharded.pending_regular() == 0) break;
-        const bool emit = ck && !already_emitted(1, m);
-        if (emit || commits) {
-          const auto enc0 = std::chrono::steady_clock::now();
-          std::vector<std::uint8_t> blob =
-              CampaignCheckpoint::with_cut(boundary, m);
-          if (emit) {
-            ax.encode_secs += wall_since(enc0);
-            ++ax.ckpt_written;
-            ax.ckpt_bytes += blob.size();
-            st.coord_obs.instant(m, obs::Ev::kCkptEncode,
-                                 static_cast<std::uint32_t>(ax.ckpt_written),
-                                 blob.size());
-            if (!cfg.checkpoint_path.empty()) {
-              CampaignCheckpoint::write_file(cfg.checkpoint_path, blob);
-            }
-            if (cfg.on_checkpoint) cfg.on_checkpoint(blob, 1, m);
-            ax.em_round = 1;
-            ax.em_mark = m;
-          }
-          if (commits) ax.commit = std::move(blob);
-        }
-        m += every;
-      }
-      sharded.run();
-    } else {
-      sharded.run();
-    }
+    // ---- run the stream, emitting checkpoints on the mark grid (same
+    // pulse + pause machinery as the synchronous rounds).
+    run_round(1, epoch, boundary);
     if (!st.round_done) {
       throw std::runtime_error(
           "sharded campaign: async stream did not complete");
@@ -1230,8 +1177,8 @@ ShardedCampaignResult run_attempt(const ShardedCampaignConfig& cfg,
     result.reused_total += reused;
   }
 
-  for (std::uint32_t round = resume ? cut.round : 1;
-       !async && round <= cfg.rounds; ++round) {
+  for (std::uint32_t round = cut.round; !async && round <= cfg.rounds;
+       ++round) {
     // Round epoch: the latest group clock — identical for every shard
     // count (each group's event times are shard-count independent).
     double epoch = 0.0;
@@ -1242,19 +1189,9 @@ ShardedCampaignResult run_attempt(const ShardedCampaignConfig& cfg,
     std::uint64_t spawned = 0;
     std::uint64_t reused = 0;
 
-    // The round's boundary image: the durable part of every snapshot this
-    // round emits. Encoding is deterministic, so a resume replaying this
-    // round re-derives the identical bytes (and billing size).
-    std::vector<std::uint8_t> boundary;
-    if (ck || commits) {
-      const auto enc0 = std::chrono::steady_clock::now();
-      boundary = CampaignCheckpoint::encode_boundary(st, result, round);
-      if (ck) ax.encode_secs += wall_since(enc0);
-      st.ckpt_blob_bytes =
-          boundary.size() + CampaignCheckpoint::cut_trailer_bytes();
-      // Rollback anchor at the round boundary (mark -1 = "round start").
-      if (commits) ax.commit = CampaignCheckpoint::with_cut(boundary, -1.0);
-    }
+    // The round's boundary image (see `encode_round_boundary`).
+    const std::vector<std::uint8_t> boundary =
+        ck ? encode_round_boundary(round) : std::vector<std::uint8_t>{};
 
     if (planned) {
       // ---- streaming orchestrator: the coordinator plans at the round
@@ -1298,53 +1235,7 @@ ShardedCampaignResult run_attempt(const ShardedCampaignConfig& cfg,
     }
 
     // ---- run the round to completion across all shards.
-    if (ck || commits) {
-      // Snapshot marks: the in-sim pulse bills the cost model at exact grid
-      // points; the coordinator pauses at the same grid (bit-transparent —
-      // see ShardedSimulator::run_to) purely to emit blobs while the round
-      // is in flight. On resume-replay, marks at or before the cut are
-      // re-billed (the uninterrupted timeline paid them too) but their
-      // blobs are not re-emitted. Internal rollback commits ride the same
-      // grid but never bill in-sim nor fire user sinks — a
-      // non-checkpointed optimistic run must stay on the conservative
-      // timeline bitwise.
-      const double every =
-          ck ? cfg.checkpoint_every_secs : cfg.spec_commit_every_secs;
-      const double first = first_mark_after(epoch, every);
-      if (ck) st.groups[0].sim->schedule_at(first, CkptPulse{&st, first});
-      double m = first;
-      for (;;) {
-        sharded.run_to(m);
-        if (st.round_done || sharded.pending_regular() == 0) break;
-        const bool emit = ck && !already_emitted(round, m);
-        if (emit || commits) {
-          const auto enc0 = std::chrono::steady_clock::now();
-          std::vector<std::uint8_t> blob =
-              CampaignCheckpoint::with_cut(boundary, m);
-          if (emit) {
-            ax.encode_secs += wall_since(enc0);
-            ++ax.ckpt_written;
-            ax.ckpt_bytes += blob.size();
-            st.coord_obs.instant(m, obs::Ev::kCkptEncode,
-                                 static_cast<std::uint32_t>(ax.ckpt_written),
-                                 blob.size());
-            if (!cfg.checkpoint_path.empty()) {
-              CampaignCheckpoint::write_file(cfg.checkpoint_path, blob);
-            }
-            if (cfg.on_checkpoint) cfg.on_checkpoint(blob, round, m);
-            ax.em_round = round;
-            ax.em_mark = m;
-          }
-          if (commits) ax.commit = std::move(blob);
-        }
-        m += every;
-      }
-      // Trailing drain: stragglers, in-flight checkpoint persistence, and
-      // the pulse's final (no-op) fire at the next mark.
-      sharded.run();
-    } else {
-      sharded.run();
-    }
+    run_round(round, epoch, boundary);
     if (!st.round_done) {
       throw std::runtime_error("sharded campaign: round " +
                                std::to_string(round) + " did not complete");
@@ -1454,63 +1345,15 @@ ShardedCampaignResult run_attempt(const ShardedCampaignConfig& cfg,
       reg.set(slot, ids.barrier_idle_secs, ws.idle_wall_secs);
     }
   }
-  result.obs = ax.obs;
+  result.obs = campaign_obs;
   result.checkpoint_marks = st.ckpt_marks;
-  // Cross-attempt accounting: emissions that already happened (files
-  // written, sinks fired) survive a rollback even though the attempt's
-  // result object did not.
-  result.checkpoints_written = ax.ckpt_written;
-  result.checkpoint_bytes = ax.ckpt_bytes;
-  result.checkpoint_encode_secs = ax.encode_secs;
   result.windows_skipped = sharded.windows_skipped();
-  result.rollbacks = ax.rollbacks;
   if (result.windows_skipped > 0) {
     st.coord_obs.count_id(&obs::Ids::skipped_windows, result.windows_skipped);
   }
   result.sim_secs = sim_end;
+  result.wall_secs = wall_since(wall0);
   return result;
-}
-
-}  // namespace
-
-ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
-  validate_config(cfg);
-  const auto wall0 = std::chrono::steady_clock::now();
-  AttemptCtx ax;
-  if (cfg.obs.enabled()) {
-    ax.obs = std::make_shared<obs::CampaignObs>(cfg.obs, cfg.shards,
-                                                cfg.groups);
-  }
-  // Optimistic rollback loop: a straggling cross-post that invalidated a
-  // speculative window aborts the attempt; re-enter from the latest commit
-  // with the speculation fence raised to the violated receiver clock.
-  // Every violation's fence lies strictly above the commit it replays from
-  // (commits cut at quiescent marks below any in-flight post), so the
-  // fence strictly increases and the loop terminates; the cap is a
-  // backstop against an unsound promise/commit interaction, not a tuning
-  // knob.
-  constexpr std::uint64_t kMaxRollbacks = 1000;
-  for (;;) {
-    try {
-      ShardedCampaignResult result = run_attempt(cfg, ax);
-      result.wall_secs = wall_since(wall0);
-      return result;
-    } catch (const sim::CausalityViolation& v) {
-      if (++ax.rollbacks > kMaxRollbacks) {
-        throw std::runtime_error(
-            "sharded campaign: optimistic sync exceeded the rollback cap — "
-            "the speculation fence is not making progress");
-      }
-      ax.fence = v.receiver_now;
-      if (ax.obs) {
-        obs::GroupObs co = ax.obs->coordinator_obs();
-        co.instant(v.post_time, obs::Ev::kRollback,
-                   static_cast<std::uint32_t>(ax.rollbacks),
-                   static_cast<std::uint64_t>(v.dst));
-        co.count_id(&obs::Ids::rollbacks);
-      }
-    }
-  }
 }
 
 }  // namespace lifl::sys

@@ -192,26 +192,11 @@ struct ShardedCampaignConfig {
   /// fixed-lookahead barrier; `kAdaptive` widens barrier windows through
   /// campaign-aware outbound promises (each shard publishes a lower bound
   /// on its next cross-group delivery derived from its groups' arrival
-  /// chains), collapsing the empty windows of diurnal troughs; and
-  /// `kOptimistic` additionally speculates past even those bounds when the
-  /// mailboxes have been quiet, journaling rollback commits through the
-  /// checkpoint codec and replaying deterministically when a straggling
-  /// cross-post lands in a shard's past. All three produce bitwise
-  /// identical results for any shard count (tests/sync_equivalence_test);
-  /// with `shards == 1` they are the same code path. Optimistic mode is
-  /// incompatible with `quorum < 1` (rollback replays a round from its
-  /// boundary commit, and quorum runs reject the checkpoint machinery the
-  /// commits reuse).
+  /// chains), collapsing the empty windows of diurnal troughs. Both
+  /// produce bitwise identical results for any shard count
+  /// (tests/sync_equivalence_test); with `shards == 1` they are the same
+  /// code path.
   sim::SyncMode sync_mode = sim::SyncMode::kConservative;
-  /// Speculation/widening cap in lookahead quanta past the conservative
-  /// horizon (see sim::ShardedSimulator::Config::spec_max_lookaheads).
-  std::uint32_t spec_max_lookaheads = 256;
-  /// Optimistic mode: simulated-seconds cadence of the internal rollback
-  /// commits (round boundaries always commit). Denser commits mean less
-  /// replay per rollback but more encode wall time. When checkpointing is
-  /// on (`checkpoint_every_secs > 0`), commits ride the checkpoint marks
-  /// instead and this knob is ignored.
-  double spec_commit_every_secs = 60.0;
 
   // ---- observability (src/obs) -----------------------------------------
   /// Sim-time tracing + typed metrics. Strictly passive: recording never
@@ -272,13 +257,10 @@ struct ShardedCampaignResult {
   std::uint64_t events = 0;       ///< dispatched across all shards
   std::uint64_t cross_posts = 0;  ///< cross-shard mailbox traffic
   std::uint64_t windows = 0;      ///< barrier windows actually run
-  /// Barrier windows proven empty and skipped by adaptive/optimistic
-  /// horizon widening, in conservative-window units (0 under
-  /// kConservative). `windows + windows_skipped` ≈ the conservative count.
+  /// Barrier windows proven empty and skipped by adaptive horizon
+  /// widening, in conservative-window units (0 under kConservative).
+  /// `windows + windows_skipped` ≈ the conservative count.
   std::uint64_t windows_skipped = 0;
-  /// Optimistic speculation windows invalidated by a straggling cross-post
-  /// and rolled back + replayed (0 unless sync_mode == kOptimistic).
-  std::uint64_t rollbacks = 0;
   /// Snapshot marks whose cost model was billed in-sim. Deterministic and
   /// part of the snapshot itself, so a resumed run reports the same total
   /// as the uninterrupted one.

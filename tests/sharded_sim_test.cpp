@@ -27,6 +27,7 @@ namespace {
 using lifl::sim::ShardedSimulator;
 using lifl::sim::SimTime;
 using lifl::sim::Simulator;
+using lifl::sim::SyncMode;
 
 // ---------------------------------------------------------------------------
 // Plain-simulator window primitives used by the sharded protocol.
@@ -136,6 +137,40 @@ TEST(ShardedSim, PostClampsToLookahead) {
   EXPECT_EQ(delivered_at, 1.5);
 }
 
+TEST(ShardedSim, CoordinatorPostIntoReceiversPastIsRejected) {
+  // Between runs the shards' clocks differ: shard 0 stopped at t=1, shard 1
+  // at t=5. A coordinator-side post from shard 0 clears the sender clamp
+  // (1 + lookahead) but lands in shard 1's past; it must be rejected at
+  // the call, naming both clocks, not surface later as a window-protocol
+  // failure.
+  ShardedSimulator sharded(ShardedSimulator::Config{2, 0.5});
+  sharded.shard(0).schedule_at(1.0, [] {});
+  sharded.shard(1).schedule_at(5.0, [] {});
+  sharded.run();
+  ASSERT_EQ(sharded.shard(0).now(), 1.0);
+  ASSERT_EQ(sharded.shard(1).now(), 5.0);
+
+  bool delivered = false;
+  try {
+    sharded.post(0, 1, 1.5, [&] { delivered = true; });
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("5.000000"), std::string::npos) << what;
+    EXPECT_NE(what.find("1.000000"), std::string::npos) << what;
+  }
+  // Exactly at the receiver's clock is its past too (it already ran t=5).
+  EXPECT_THROW(sharded.post(0, 1, 5.0, [] {}), std::invalid_argument);
+  EXPECT_EQ(sharded.cross_posts(), 0u);
+
+  // A post beyond the receiver's clock is accepted and delivered on time.
+  double delivered_at = -1.0;
+  sharded.post(0, 1, 6.0, [&] { delivered_at = sharded.shard(1).now(); });
+  sharded.run();
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(delivered_at, 6.0);
+}
+
 TEST(ShardedSim, CallbackExceptionPropagatesFromThreadedRun) {
   // A model error on a worker shard must surface as an exception on the
   // caller, exactly like 1-shard mode — not std::terminate.
@@ -207,13 +242,10 @@ TEST(ShardedSim, MailboxDeliversInTimestampOrderAcrossWindows) {
 // ---------------------------------------------------------------------------
 // Adversarial churn stress: ~50k events across 8 logical groups whose
 // cross-posts land exactly on window-boundary grid points, exactly at the
-// conservative horizon (now + lookahead), and one tick inside the
-// speculation horizon — the three places a sync-mode bug would first
-// corrupt delivery order. Every (shard count x sync mode) combination must
-// reproduce the 1-shard oracle's per-group delivery log bitwise; the
-// optimistic runs recover from real rollbacks by whole-model replay with
-// the fence raised (the toy equivalent of the campaign driver's
-// commit-restore loop, with t = 0 as the only commit).
+// conservative horizon (now + lookahead), and one tick past it — the three
+// places a sync-mode bug would first corrupt delivery order. Every (shard
+// count x sync mode) combination must reproduce the 1-shard oracle's
+// per-group delivery log bitwise.
 
 struct ChurnStep {
   double at;        ///< group-local event time
@@ -238,7 +270,7 @@ std::vector<std::vector<ChurnStep>> churn_plans() {
     double t = rng.uniform(0.0, 0.02);
     for (int i = 0; i < 4500; ++i) {
       // Dense bursts on a lookahead-aligned grid, with occasional idle
-      // troughs long enough for the optimistic speculation bonus to ramp.
+      // troughs long enough for adaptive windows to widen.
       const double u = rng.uniform(0.0, 1.0);
       if (u < 0.5) {
         t += kChurnLookahead *
@@ -292,13 +324,11 @@ struct ChurnDelivery {
 /// execution order.
 std::vector<std::vector<ChurnDelivery>> churn_run(
     const std::vector<std::vector<ChurnStep>>& plans, std::size_t shards,
-    lifl::sim::SyncMode sync, double fence, std::uint64_t* dispatched,
-    std::uint64_t* skipped) {
+    SyncMode sync, std::uint64_t* dispatched) {
   ShardedSimulator::Config cfg;
   cfg.shards = shards;
   cfg.lookahead = kChurnLookahead;
   cfg.sync = sync;
-  cfg.spec_fence = fence;
   ShardedSimulator sharded(cfg);
   std::vector<std::vector<ChurnDelivery>> logs(kChurnGroups);
   const auto shard_of = [shards](std::size_t g) { return g % shards; };
@@ -321,8 +351,7 @@ std::vector<std::vector<ChurnDelivery>> churn_run(
     }
   }
   sharded.run();
-  if (dispatched != nullptr) *dispatched = sharded.dispatched();
-  if (skipped != nullptr) *skipped = sharded.windows_skipped();
+  *dispatched = sharded.dispatched();
   return logs;
 }
 
@@ -333,8 +362,8 @@ TEST(ShardedSim, AdversarialChurnMatchesOneShardOracleAcrossSyncModes) {
   }
   const auto plans = churn_plans();
   std::uint64_t oracle_events = 0;
-  const auto oracle = churn_run(plans, 1, lifl::sim::SyncMode::kConservative,
-                                0.0, &oracle_events, nullptr);
+  const auto oracle =
+      churn_run(plans, 1, SyncMode::kConservative, &oracle_events);
   EXPECT_GE(oracle_events, 50'000u);
 
   const auto expect_match = [&oracle](
@@ -354,37 +383,12 @@ TEST(ShardedSim, AdversarialChurnMatchesOneShardOracleAcrossSyncModes) {
 
   for (const std::size_t shards : {std::size_t{2}, multi}) {
     std::uint64_t events = 0;
-    expect_match(churn_run(plans, shards, lifl::sim::SyncMode::kConservative,
-                           0.0, &events, nullptr),
+    expect_match(churn_run(plans, shards, SyncMode::kConservative, &events),
                  "conservative K=" + std::to_string(shards));
     EXPECT_EQ(events, oracle_events);
-    expect_match(churn_run(plans, shards, lifl::sim::SyncMode::kAdaptive, 0.0,
-                           &events, nullptr),
+    expect_match(churn_run(plans, shards, SyncMode::kAdaptive, &events),
                  "adaptive K=" + std::to_string(shards));
     EXPECT_EQ(events, oracle_events);
-
-    // Optimistic: replay the whole model with the fence raised after each
-    // CausalityViolation — fences only grow, so the loop terminates.
-    double fence = 0.0;
-    int rollbacks = 0;
-    for (;; ++rollbacks) {
-      ASSERT_LT(rollbacks, 200) << "optimistic churn failed to converge";
-      try {
-        std::uint64_t skipped = 0;
-        expect_match(churn_run(plans, shards, lifl::sim::SyncMode::kOptimistic,
-                               fence, &events, &skipped),
-                     "optimistic K=" + std::to_string(shards));
-        EXPECT_EQ(events, oracle_events);
-        break;
-      } catch (const lifl::sim::CausalityViolation& v) {
-        EXPECT_GT(v.receiver_now, fence);  // progress, or the loop spins
-        fence = v.receiver_now;
-      }
-    }
-    if (shards == 2) {
-      // The boundary-hugging schedule really does trip speculation.
-      EXPECT_GT(rollbacks, 0) << "stress never exercised a rollback";
-    }
   }
 }
 

@@ -136,7 +136,7 @@ ShardedSimulator::Config adaptive_cfg(std::size_t shards, SyncMode sync) {
   return cfg;
 }
 
-TEST(SyncAdaptive, RandomSchedulesNeverAdmitACausalityViolation) {
+TEST(SyncAdaptive, RandomSchedulesNeverDeliverIntoAReceiversPast) {
   // 20 random schedules x 3 shards. For each: the adaptive run must
   // deliver every post exactly at its requested time (a late delivery
   // would mean a widened window admitted a post into a receiver's past —

@@ -1,20 +1,15 @@
-// The speculation differential harness: adaptive and optimistic shard
-// synchronization must be invisible in the results. A seeded matrix of
-// campaigns (3 hierarchy modes x faults on/off x flaky clients on/off x
-// shards {1,2,4} x all three sync modes) is checked bitwise against the
-// 1-shard conservative oracle, and targeted unit tests drive
-// `sim::ShardedSimulator` straight into the rollback path: a straggling
-// post exactly at the horizon, two stragglers in one window, a rollback
-// spanning a checkpoint mark, and a rollback while a trace ring is
-// mid-overwrite.
+// The sync differential harness: adaptive shard synchronization must be
+// invisible in the results. A seeded matrix of campaigns (3 hierarchy
+// modes x faults on/off x flaky clients on/off x shards {1,2,4} x both
+// sync modes) is checked bitwise against the 1-shard conservative oracle,
+// and adaptive runs with checkpoints at K > 1 must emit the conservative
+// run's checkpoint cut sequence and resume bitwise from a middle blob.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <string>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "src/sim/sharded_simulator.hpp"
@@ -25,8 +20,6 @@ namespace {
 
 namespace sys = lifl::sys;
 namespace wl = lifl::wl;
-using lifl::sim::CausalityViolation;
-using lifl::sim::ShardedSimulator;
 using lifl::sim::SyncMode;
 
 std::size_t env_shards() {
@@ -106,7 +99,6 @@ sys::ShardedCampaignConfig matrix_campaign(const Scenario& sc,
     cfg.lifecycle.offline_cap_secs = 1.0;
   }
   cfg.sync_mode = sync;
-  cfg.spec_commit_every_secs = 5.0;
   return cfg;
 }
 
@@ -191,8 +183,7 @@ TEST(SyncEquivalence, MatrixBitwiseEqualToOneShardConservative) {
       shard_counts.end()) {
     shard_counts.push_back(env);
   }
-  const SyncMode modes[] = {SyncMode::kConservative, SyncMode::kAdaptive,
-                            SyncMode::kOptimistic};
+  const SyncMode modes[] = {SyncMode::kConservative, SyncMode::kAdaptive};
   std::uint64_t total_skipped = 0;
   for (const Scenario& sc : kScenarios) {
     const auto oracle = sys::run_sharded_campaign(
@@ -204,9 +195,7 @@ TEST(SyncEquivalence, MatrixBitwiseEqualToOneShardConservative) {
         const std::string label =
             std::string(sc.name) + " shards=" + std::to_string(shards) +
             " sync=" +
-            (sync == SyncMode::kConservative ? "conservative"
-             : sync == SyncMode::kAdaptive   ? "adaptive"
-                                             : "optimistic");
+            (sync == SyncMode::kConservative ? "conservative" : "adaptive");
         const auto r =
             sys::run_sharded_campaign(matrix_campaign(sc, shards, sync));
         expect_bitwise(oracle, r, label);
@@ -214,14 +203,9 @@ TEST(SyncEquivalence, MatrixBitwiseEqualToOneShardConservative) {
           // Sync modes are a no-op without barriers.
           EXPECT_EQ(r.windows, 0u) << label;
           EXPECT_EQ(r.windows_skipped, 0u) << label;
-          EXPECT_EQ(r.rollbacks, 0u) << label;
         } else if (sync == SyncMode::kConservative) {
           EXPECT_EQ(r.windows_skipped, 0u) << label;
-          EXPECT_EQ(r.rollbacks, 0u) << label;
         } else {
-          if (sync == SyncMode::kAdaptive) {
-            EXPECT_EQ(r.rollbacks, 0u) << label;  // adaptive is sound
-          }
           total_skipped += r.windows_skipped;
         }
       }
@@ -232,118 +216,9 @@ TEST(SyncEquivalence, MatrixBitwiseEqualToOneShardConservative) {
 }
 
 // ---------------------------------------------------------------------------
-// Targeted rollback units, driving the sharded core directly.
+// Adaptive sync composed with checkpointing at K > 1.
 
-ShardedSimulator::Config toy(std::size_t shards, double fence = 0.0) {
-  ShardedSimulator::Config cfg;
-  cfg.shards = shards;
-  cfg.lookahead = 0.5;
-  cfg.sync = SyncMode::kOptimistic;
-  cfg.spec_fence = fence;
-  return cfg;
-}
-
-// A post whose delivery time t satisfies t <= receiver-clock is a
-// violation even at exact equality: the receiver already executed its
-// event *at* t, so injecting another one there would reorder history.
-TEST(SyncRollback, LatePostExactlyAtTheHorizonRaisesViolation) {
-  // First quiet window speculates one lookahead past the sound horizon
-  // (t_min 1.0, conservative 1.5, speculative 2.0): shard 0 runs its
-  // event at 1.6 before the barrier surfaces shard 1's delivery at 1.6.
-  bool delivered = false;
-  {
-    ShardedSimulator sharded(toy(2));
-    sharded.shard(0).schedule_at(1.0, [] {});
-    sharded.shard(0).schedule_at(1.6, [] {});
-    sharded.shard(1).schedule_at(1.1, [&] {
-      sharded.post(1, 0, 1.6, [&] { delivered = true; });
-    });
-    try {
-      sharded.run();
-      FAIL() << "expected CausalityViolation";
-    } catch (const CausalityViolation& v) {
-      EXPECT_EQ(v.post_time, 1.6);
-      EXPECT_EQ(v.receiver_now, 1.6);
-      EXPECT_EQ(v.src, 1u);
-      EXPECT_EQ(v.dst, 0u);
-      // The speculative window must not have delivered the straggler.
-      EXPECT_FALSE(delivered);
-    }
-  }
-  // Replay with the fence raised to the violated clock: windows below the
-  // fence never speculate, so the same model now runs to completion and
-  // the straggler lands exactly at its posted time.
-  double delivered_at = -1.0;
-  ShardedSimulator replay(toy(2, /*fence=*/1.6));
-  replay.shard(0).schedule_at(1.0, [] {});
-  replay.shard(0).schedule_at(1.6, [] {});
-  replay.shard(1).schedule_at(1.1, [&] {
-    replay.post(1, 0, 1.6, [&] { delivered_at = replay.shard(0).now(); });
-  });
-  replay.run();
-  EXPECT_EQ(delivered_at, 1.6);
-}
-
-TEST(SyncRollback, TwoStragglersInOneWindowFenceIsMaxViolatedClock) {
-  // Shard 2 posts into the past of BOTH other shards in the same
-  // speculative window. The violation must report the first straggler in
-  // (t, src, seq) order but carry the maximum violated receiver clock —
-  // a fence that only cleared the first would just violate again on the
-  // second during replay.
-  ShardedSimulator sharded(toy(3));
-  sharded.shard(0).schedule_at(1.0, [] {});
-  sharded.shard(0).schedule_at(1.8, [] {});
-  sharded.shard(1).schedule_at(1.05, [] {});
-  sharded.shard(1).schedule_at(1.9, [] {});
-  sharded.shard(2).schedule_at(1.1, [&] {
-    sharded.post(2, 0, 1.6, [] {});
-    sharded.post(2, 1, 1.65, [] {});
-  });
-  try {
-    sharded.run();
-    FAIL() << "expected CausalityViolation";
-  } catch (const CausalityViolation& v) {
-    EXPECT_EQ(v.post_time, 1.6);  // first straggler in sort order...
-    EXPECT_EQ(v.src, 2u);
-    EXPECT_EQ(v.dst, 0u);
-    EXPECT_EQ(v.receiver_now, 1.9);  // ...but the max violated clock
-  }
-
-  // One replay with that fence clears both stragglers at once.
-  std::vector<std::pair<double, int>> landed;
-  ShardedSimulator replay(toy(3, /*fence=*/1.9));
-  replay.shard(0).schedule_at(1.0, [] {});
-  replay.shard(0).schedule_at(1.8, [] {});
-  replay.shard(1).schedule_at(1.05, [] {});
-  replay.shard(1).schedule_at(1.9, [] {});
-  replay.shard(2).schedule_at(1.1, [&] {
-    replay.post(2, 0, 1.6,
-                [&] { landed.emplace_back(replay.shard(0).now(), 0); });
-    replay.post(2, 1, 1.65,
-                [&] { landed.emplace_back(replay.shard(1).now(), 1); });
-  });
-  replay.run();
-  ASSERT_EQ(landed.size(), 2u);
-  EXPECT_EQ(landed[0], (std::pair<double, int>{1.6, 0}));
-  EXPECT_EQ(landed[1], (std::pair<double, int>{1.65, 1}));
-}
-
-// ---------------------------------------------------------------------------
-// Campaign-level rollbacks composed with checkpointing and tracing.
-
-/// A planned campaign tuned so optimistic multi-shard runs actually roll
-/// back: sparse cross traffic (one relay per group per round) and diurnal
-/// troughs let the speculation bonus ramp, then a relay lands in the top
-/// shard's past.
-sys::ShardedCampaignConfig rollback_campaign(std::size_t shards,
-                                             SyncMode sync) {
-  Scenario sc{"planned", sys::HierarchyMode::kPlanned, false, false};
-  auto cfg = matrix_campaign(sc, shards, sync);
-  cfg.rounds = 3;
-  return cfg;
-}
-
-TEST(SyncRollback, RollbackSpanningACheckpointMarkKeepsBlobsAndResume) {
+TEST(SyncEquivalence, AdaptiveCheckpointCutsMatchConservativeAndResume) {
   struct Cut {
     std::uint32_t round;
     double mark;
@@ -353,7 +228,9 @@ TEST(SyncRollback, RollbackSpanningACheckpointMarkKeepsBlobsAndResume) {
   auto with_ck = [&](std::size_t shards, SyncMode sync,
                      std::vector<Cut>* cuts,
                      std::vector<std::vector<std::uint8_t>>* blobs) {
-    auto cfg = rollback_campaign(shards, sync);
+    Scenario sc{"planned", sys::HierarchyMode::kPlanned, false, false};
+    auto cfg = matrix_campaign(sc, shards, sync);
+    cfg.rounds = 3;
     cfg.checkpoint_every_secs = every;
     cfg.on_checkpoint = [cuts, blobs](const std::vector<std::uint8_t>& blob,
                                       std::uint32_t round, double mark) {
@@ -371,58 +248,37 @@ TEST(SyncRollback, RollbackSpanningACheckpointMarkKeepsBlobsAndResume) {
   const auto mono = sys::run_sharded_campaign(
       with_ck(env_shards(), SyncMode::kConservative, &mono_cuts, nullptr));
 
-  std::vector<Cut> opt_cuts;
-  std::vector<std::vector<std::uint8_t>> opt_blobs;
-  const auto opt = sys::run_sharded_campaign(
-      with_ck(env_shards(), SyncMode::kOptimistic, &opt_cuts, &opt_blobs));
+  std::vector<Cut> ad_cuts;
+  std::vector<std::vector<std::uint8_t>> ad_blobs;
+  const auto ad = sys::run_sharded_campaign(
+      with_ck(env_shards(), SyncMode::kAdaptive, &ad_cuts, &ad_blobs));
 
-  expect_bitwise(mono, opt, "optimistic+checkpoints");
-  EXPECT_GT(opt.rollbacks, 0u);
-  EXPECT_GT(opt.checkpoint_marks, 0u);
+  expect_bitwise(mono, ad, "adaptive+checkpoints");
+  EXPECT_GT(ad.checkpoint_marks, 0u);
 
-  // Rollbacks must not duplicate or drop checkpoint emissions: the blob
-  // stream is exactly the oracle's cut sequence, strictly increasing.
-  ASSERT_EQ(opt_cuts.size(), mono_cuts.size());
-  for (std::size_t i = 0; i < opt_cuts.size(); ++i) {
-    EXPECT_EQ(opt_cuts[i].round, mono_cuts[i].round) << "blob " << i;
-    EXPECT_EQ(opt_cuts[i].mark, mono_cuts[i].mark) << "blob " << i;
+  // Widened windows straddle marks, but pausing is bit-transparent: the
+  // blob stream is exactly the oracle's cut sequence, strictly increasing
+  // (no mark emitted twice, none dropped).
+  ASSERT_EQ(ad_cuts.size(), mono_cuts.size());
+  for (std::size_t i = 0; i < ad_cuts.size(); ++i) {
+    EXPECT_EQ(ad_cuts[i].round, mono_cuts[i].round) << "blob " << i;
+    EXPECT_EQ(ad_cuts[i].mark, mono_cuts[i].mark) << "blob " << i;
     if (i > 0) {
-      EXPECT_TRUE(opt_cuts[i - 1].round < opt_cuts[i].round ||
-                  (opt_cuts[i - 1].round == opt_cuts[i].round &&
-                   opt_cuts[i - 1].mark < opt_cuts[i].mark))
+      EXPECT_TRUE(ad_cuts[i - 1].round < ad_cuts[i].round ||
+                  (ad_cuts[i - 1].round == ad_cuts[i].round &&
+                   ad_cuts[i - 1].mark < ad_cuts[i].mark))
           << "duplicate or reordered emission at blob " << i;
     }
   }
 
-  // Resuming an optimistic run from a mid-campaign user blob replays the
-  // tail — rollbacks and all — to the same bitwise result.
-  ASSERT_GE(opt_blobs.size(), 2u);
-  const auto& middle = opt_blobs[opt_blobs.size() / 2];
-  auto rcfg = with_ck(env_shards(), SyncMode::kOptimistic, nullptr, nullptr);
+  // Resuming an adaptive run from a mid-campaign user blob replays the
+  // tail to the same bitwise result.
+  ASSERT_GE(ad_blobs.size(), 2u);
+  const auto& middle = ad_blobs[ad_blobs.size() / 2];
+  auto rcfg = with_ck(env_shards(), SyncMode::kAdaptive, nullptr, nullptr);
   rcfg.resume_blob = &middle;
   const auto resumed = sys::run_sharded_campaign(rcfg);
-  expect_bitwise(mono, resumed, "optimistic resume from mid-campaign blob");
-}
-
-TEST(SyncRollback, RollbackWhileTraceRingIsMidOverwriteStaysPassive) {
-  // A deliberately tiny ring (1 KiB per shard) wraps long before the
-  // first rollback, so the rollback's squashed window had already
-  // overwritten live ring slots. Results must stay bitwise — the rings
-  // are wall-side observers, never inputs.
-  const auto mono =
-      sys::run_sharded_campaign(rollback_campaign(1, SyncMode::kConservative));
-
-  auto cfg = rollback_campaign(env_shards(), SyncMode::kOptimistic);
-  cfg.obs.trace = true;
-  cfg.obs.trace_ring_kb = 1;
-  const auto traced = sys::run_sharded_campaign(cfg);
-
-  expect_bitwise(mono, traced, "optimistic+tiny-trace-ring");
-  EXPECT_GT(traced.rollbacks, 0u);
-  ASSERT_NE(traced.obs, nullptr);
-  // The ring really was mid-overwrite: more events were recorded than a
-  // 1 KiB ring holds.
-  EXPECT_GT(traced.obs->trace().dropped_events(), 0u);
+  expect_bitwise(mono, resumed, "adaptive resume from mid-campaign blob");
 }
 
 }  // namespace
