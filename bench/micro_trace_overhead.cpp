@@ -1,5 +1,5 @@
 // Trace-overhead microbench: wall-clock cost of full observability
-// (sim-time trace rings + typed metric registry) on the million-client
+// (sim-time trace rings + histogram registry) on the million-client
 // planned-mode campaign, traced vs untraced.
 //
 // The workload is the mega-campaign mix of micro_shard_scaling — 8 node
@@ -8,14 +8,15 @@
 // comparison is not confounded by barrier scheduling noise. Observability
 // is strictly passive (tests/obs_campaign_test.cpp proves results bitwise
 // identical), so the only legitimate cost is the emit path itself: a null
-// check plus a 32-byte ring store per event, and interned-id registry
-// bumps. This bench holds that cost to a ceiling.
+// check plus a 32-byte ring store per event, and interned-id histogram
+// observes. This bench holds that cost to a ceiling.
 //
 // Emits BENCH_trace_overhead.json plus trace_sample.json (the traced
 // run's Perfetto-loadable trace; CI uploads both as artifacts). The bench
 // fails if the best-of-N traced wall exceeds the best-of-N untraced wall
 // by more than 2%, or if the trace does not reconcile with the campaign
-// result (round spans vs rounds, registry spawns vs spawned_total).
+// result (round spans vs rounds; spawn/re-arm/re-plan events vs
+// spawned_total/reused_total/replans).
 // LIFL_TRACE_BENCH_GATE=0 disables the overhead gate (the reconciliation
 // checks always run).
 //
@@ -115,26 +116,26 @@ int main(int argc, char** argv) {
   if (co.trace().dropped_events() != 0) {
     return fail("default ring dropped events on the bench workload");
   }
-  std::uint64_t round_spans = 0;
+  std::uint64_t round_spans = 0, spawns = 0, rearms = 0, replans = 0;
   for (const auto& e : co.trace().merged()) {
     if (e.kind == obs::Ev::kRound && e.dur >= 0.0) ++round_spans;
+    if (e.kind == obs::Ev::kAggSpawn) ++spawns;
+    if (e.kind == obs::Ev::kAggRearm) ++rearms;
+    if (e.kind == obs::Ev::kReplan) ++replans;
   }
   if (round_spans != on.last.round_started_at.size()) {
     return fail("trace round spans != campaign rounds");
   }
   // Group-path churn vs campaign totals. The driver-side top runtime is
-  // not on the group emit path, so the registry may undercount by at most
+  // not on the group emit path, so the trace may undercount by at most
   // one spawn/re-arm per round.
-  const obs::Registry& reg = co.registry();
   const std::uint64_t rounds = on.last.round_started_at.size();
-  const std::uint64_t spawns = reg.counter_total(co.ids().spawns);
-  const std::uint64_t rearms = reg.counter_total(co.ids().rearms);
   if (spawns > on.last.spawned_total ||
       on.last.spawned_total - spawns > rounds ||
       rearms > on.last.reused_total ||
       on.last.reused_total - rearms > rounds ||
-      reg.counter_total(co.ids().replans) != on.last.replans) {
-    return fail("registry churn counters != campaign result totals");
+      replans != on.last.replans) {
+    return fail("trace churn events != campaign result totals");
   }
   // Passivity spot check (the full matrix lives in obs_campaign_test).
   for (std::size_t r = 0; r < on.last.round_completed_at.size(); ++r) {
@@ -144,7 +145,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "reconciled: %llu trace events, %llu round spans, churn counters "
+      "reconciled: %llu trace events, %llu round spans, churn events "
       "match result; traced rounds bitwise equal untraced\n",
       static_cast<unsigned long long>(co.trace().recorded_events()),
       static_cast<unsigned long long>(round_spans));

@@ -109,9 +109,9 @@ void NodeAgent::start_metrics_loop() {
             wtick = std::weak_ptr<std::function<void()>>(tick_)]() {
     if (!*alive) return;
     auto& m = plane_.env(cfg_.node).metrics;
-    const double arrivals = m.drain(dp::metric_keys::kArrivals);
-    const double exec_sum = m.drain(dp::metric_keys::kAggExecSum);
-    const double exec_count = m.drain(dp::metric_keys::kAggExecCount);
+    const double arrivals = m.drain(dp::MetricsMap::kArrivals);
+    const double exec_sum = m.drain(dp::MetricsMap::kAggExecSum);
+    const double exec_count = m.drain(dp::MetricsMap::kAggExecCount);
     metrics_->report(cfg_.node, arrivals, cfg_.metrics_poll_secs, exec_sum,
                      exec_count);
     if (auto t = wtick.lock()) {

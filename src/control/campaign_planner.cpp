@@ -79,7 +79,6 @@ std::optional<std::uint32_t> CampaignPlanner::replan(std::size_t g,
   if (st.leaves > 0 && d >= lo && d <= hi) return std::nullopt;
   if (desired == st.leaves) return std::nullopt;
   st.leaves = desired;
-  ++st.replans;
   return desired;
 }
 

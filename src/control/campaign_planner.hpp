@@ -94,25 +94,20 @@ class CampaignPlanner {
   void set_current(std::size_t g, std::uint32_t leaves);
 
   /// Restore a checkpointed group slot bit-exactly (EWMA value, its
-  /// initialized flag, the applied leaf count and the re-plan counter) —
-  /// the carried estimate is what sizes the next round's initial tree, so
-  /// a resumed campaign must plan from the identical bits.
+  /// initialized flag and the applied leaf count) — the carried estimate
+  /// is what sizes the next round's initial tree, so a resumed campaign
+  /// must plan from the identical bits.
   void restore_group(std::size_t g, double estimate, bool initialized,
-                     std::uint32_t leaves, std::uint64_t replans) {
+                     std::uint32_t leaves) {
     GroupState& s = groups_.at(g);
     s.est.restore(estimate, initialized);
     s.leaves = leaves;
-    s.replans = replans;
   }
 
   std::uint32_t current(std::size_t g) const { return groups_.at(g).leaves; }
   double estimate(std::size_t g) const { return groups_.at(g).est.value(); }
   bool estimate_initialized(std::size_t g) const {
     return groups_.at(g).est.initialized();
-  }
-  /// Re-plans fired for group `g` so far (group-local counter).
-  std::uint64_t replans(std::size_t g) const {
-    return groups_.at(g).replans;
   }
 
   // ---- server-version vector (asynchronous campaigns) ------------------
@@ -148,7 +143,6 @@ class CampaignPlanner {
   struct alignas(64) GroupState {
     Ewma est;
     std::uint32_t leaves = 0;
-    std::uint64_t replans = 0;
     /// The group's view of the global model version (async campaigns).
     std::uint32_t version = 0;
     GroupState(double alpha) : est(alpha) {}

@@ -1,164 +1,51 @@
 #pragma once
 
-#include <algorithm>
 #include <array>
-#include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
+#include <cstddef>
 
 namespace lifl::dp {
 
-/// In-kernel, key-value metrics table written by the eBPF sidecar (§4.3).
+/// In-kernel metrics table written by the eBPF sidecar (§4.3).
 ///
-/// Mirrors a BPF map: the sidecar program updates entries at event time
-/// (send() invocations) with no userspace involvement; the per-node LIFL
-/// agent periodically drains it and feeds the metrics server. Keys are
-/// free-form metric names (e.g. "agg_exec_sum", "arrivals").
-///
-/// The well-known sidecar keys are *interned*: event-time writers on the
-/// gateway/aggregator hot paths call `add(Id)` — a flat array index, no
-/// string hashing — while the string API (the agent/metrics-server path)
-/// keeps working unchanged for every key, well-known or not. The two
-/// views are one store: a fast slot surfaces under its string key in
-/// `get`/`drain`/`sorted_entries` exactly as the hashed entry used to,
-/// so checkpoint encodings are byte-identical to the pre-interned map.
+/// Mirrors a BPF array map: the sidecar program updates its fixed slots at
+/// event time (send() invocations, gateway arrivals, aggregator
+/// executions) with no userspace involvement; the per-node LIFL agent
+/// periodically drains it and feeds the metrics server. Every write is a
+/// flat array index — no string hashing on the hot path.
 class MetricsMap {
  public:
-  /// Interned ids of the well-known hot-path metrics.
+  /// The sidecar's slots.
   enum Id : std::size_t {
     kArrivals = 0,
     kAggExecSum,
     kAggExecCount,
     kSends,
     kSendBytes,
-    kIdCount  // number of interned ids (not a metric)
+    kIdCount  // number of slots (not a metric)
   };
+  using Slots = std::array<double, kIdCount>;
 
-  /// Hot path: add `delta` to an interned metric (creating it at zero).
-  void add(Id id, double delta = 1.0) {
-    fast_[id] += delta;
-    touched_[id] = true;
-  }
+  /// Add `delta` to a slot.
+  void add(Id id, double delta = 1.0) { slots_[id] += delta; }
 
-  /// Add `delta` to the metric (creating it at zero).
-  void increment(const std::string& key, double delta = 1.0) {
-    const int f = fast_index(key);
-    if (f >= 0) {
-      add(static_cast<Id>(f), delta);
-    } else {
-      values_[key] += delta;
-    }
-  }
+  /// Read a slot.
+  double get(Id id) const { return slots_[id]; }
 
-  /// Overwrite a metric.
-  void set(const std::string& key, double value) {
-    const int f = fast_index(key);
-    if (f >= 0) {
-      fast_[static_cast<std::size_t>(f)] = value;
-      touched_[static_cast<std::size_t>(f)] = true;
-    } else {
-      values_[key] = value;
-    }
-  }
-
-  /// Read a metric; 0.0 if absent.
-  double get(const std::string& key) const {
-    const int f = fast_index(key);
-    if (f >= 0) return fast_[static_cast<std::size_t>(f)];
-    auto it = values_.find(key);
-    return it == values_.end() ? 0.0 : it->second;
-  }
-
-  /// Read a metric and reset it to zero (the agent's poll-and-drain).
-  double drain(const std::string& key) {
-    const int f = fast_index(key);
-    if (f >= 0) {
-      const double v = fast_[static_cast<std::size_t>(f)];
-      fast_[static_cast<std::size_t>(f)] = 0.0;
-      return v;  // stays touched: a drained entry still exists, at zero
-    }
-    auto it = values_.find(key);
-    if (it == values_.end()) return 0.0;
-    const double v = it->second;
-    it->second = 0.0;
+  /// Read a slot and reset it to zero (the agent's poll-and-drain).
+  double drain(Id id) {
+    const double v = slots_[id];
+    slots_[id] = 0.0;
     return v;
   }
 
-  std::size_t size() const noexcept {
-    std::size_t n = values_.size();
-    for (const bool t : touched_) n += t ? 1 : 0;
-    return n;
-  }
+  /// Every slot, in `Id` order (checkpoint encoding).
+  const Slots& slots() const noexcept { return slots_; }
 
-  /// Deterministic (key-sorted) view of the map, for checkpoint encoding.
-  std::vector<std::pair<std::string, double>> sorted_entries() const {
-    std::vector<std::pair<std::string, double>> out(values_.begin(),
-                                                    values_.end());
-    for (std::size_t i = 0; i < kIdCount; ++i) {
-      if (touched_[i]) out.emplace_back(fast_key(i), fast_[i]);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
-  /// Replace the map's contents with a checkpointed view.
-  void restore(const std::vector<std::pair<std::string, double>>& entries) {
-    values_.clear();
-    fast_.fill(0.0);
-    touched_.fill(false);
-    for (const auto& kv : entries) {
-      const int f = fast_index(kv.first);
-      if (f >= 0) {
-        fast_[static_cast<std::size_t>(f)] = kv.second;
-        touched_[static_cast<std::size_t>(f)] = true;
-      } else {
-        values_[kv.first] = kv.second;
-      }
-    }
-  }
+  /// Replace every slot with a checkpointed image.
+  void restore(const Slots& slots) { slots_ = slots; }
 
  private:
-  static const char* fast_key(std::size_t id);
-  static int fast_index(const std::string& key);
-
-  std::array<double, kIdCount> fast_{};
-  std::array<bool, kIdCount> touched_{};
-  std::unordered_map<std::string, double> values_;
+  Slots slots_{};
 };
-
-/// Metric keys shared between the sidecar/gateway writers and the agent.
-namespace metric_keys {
-inline constexpr const char* kArrivals = "arrivals";
-inline constexpr const char* kAggExecSum = "agg_exec_sum";
-inline constexpr const char* kAggExecCount = "agg_exec_count";
-inline constexpr const char* kSends = "sends";
-inline constexpr const char* kSendBytes = "send_bytes";
-}  // namespace metric_keys
-
-inline const char* MetricsMap::fast_key(std::size_t id) {
-  switch (static_cast<Id>(id)) {
-    case kArrivals:
-      return metric_keys::kArrivals;
-    case kAggExecSum:
-      return metric_keys::kAggExecSum;
-    case kAggExecCount:
-      return metric_keys::kAggExecCount;
-    case kSends:
-      return metric_keys::kSends;
-    case kSendBytes:
-      return metric_keys::kSendBytes;
-    case kIdCount:
-      break;
-  }
-  return "";
-}
-
-inline int MetricsMap::fast_index(const std::string& key) {
-  for (std::size_t i = 0; i < kIdCount; ++i) {
-    if (key == fast_key(i)) return static_cast<int>(i);
-  }
-  return -1;
-}
 
 }  // namespace lifl::dp

@@ -103,7 +103,6 @@ struct Session : std::enable_shared_from_this<Session> {
     if (cfg.counters != nullptr) ++cfg.counters->disconnects;
     cfg.obs.instant(sim().now(), obs::Ev::kUploadDisconnect,
                     static_cast<std::uint32_t>(update.producer), drops);
-    cfg.obs.count_id(&obs::Ids::upload_disconnects);
     if (cfg.on_disconnect) cfg.on_disconnect();
     const double offline =
         cfg.plan->offline_secs(cfg.group, cfg.seq, attempt);
@@ -117,7 +116,6 @@ struct Session : std::enable_shared_from_this<Session> {
     if (cfg.counters != nullptr) ++cfg.counters->resumes;
     cfg.obs.instant(sim().now(), obs::Ev::kUploadResume,
                     static_cast<std::uint32_t>(update.producer), attempt);
-    cfg.obs.count_id(&obs::Ids::upload_resumes);
     if (cfg.on_resume) cfg.on_resume();
     start_attempt();
   }

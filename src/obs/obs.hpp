@@ -1,6 +1,6 @@
 #pragma once
 
-// Campaign observability bundle: the interned metric id set, the
+// Campaign observability bundle: the interned histogram id set, the
 // per-emitter handle (`GroupObs`) threaded through subsystem configs,
 // and the `CampaignObs` aggregate a campaign run owns.
 
@@ -16,24 +16,14 @@ namespace lifl::obs {
 /// campaign with default `Config` allocates nothing and emits nothing.
 struct Config {
   bool trace = false;    ///< record sim-time trace events
-  bool metrics = false;  ///< typed registry + per-round JSONL rows
+  bool metrics = false;  ///< histogram registry (JSONL summary "hists")
   std::size_t trace_ring_kb = 4096;  ///< per-shard ring cap (KiB)
 
   bool enabled() const { return trace || metrics; }
 };
 
-/// Every metric the campaign stack emits, interned once at setup.
+/// Every histogram the campaign stack emits, interned once at setup.
 struct Ids {
-  // Counters (group slots unless noted).
-  CounterId spawns, rearms, claims, folds, seals, drains;
-  CounterId crashes, recoveries, refolds, replans, quorum_seals;
-  CounterId upload_retries, upload_disconnects, upload_resumes;
-  CounterId ckpt_marks;                   // campaign slot
-  CounterId skipped_windows;              // campaign slot (adaptive sync)
-  CounterId windows, empty_windows;       // shard slots
-  // Gauges.
-  GaugeId barrier_idle_secs;              // shard slots (wall, not sim)
-  // Histograms.
   HistId round_secs;                      // campaign slot
   HistId fold_secs, gateway_wait_secs;    // group slots
   HistId retry_depth, upload_session_secs;
@@ -63,17 +53,8 @@ struct GroupObs {
             std::uint64_t b = 0) const {
     if (ring != nullptr) ring->span(t0, t1, kind, track, a, b);
   }
-  void count(CounterId id, std::uint64_t delta = 1) const {
-    if (reg != nullptr) reg->add(slot, id, delta);
-  }
-  void observe(HistId id, double v) const {
-    if (reg != nullptr) reg->observe(slot, id, v);
-  }
-  /// Pointer-to-member forms, safe to call on a disabled handle (the id
+  /// Pointer-to-member form, safe to call on a disabled handle (the id
   /// set is only dereferenced once the registry is known non-null).
-  void count_id(CounterId Ids::*m, std::uint64_t delta = 1) const {
-    if (reg != nullptr && ids != nullptr) reg->add(slot, ids->*m, delta);
-  }
   void observe_id(HistId Ids::*m, double v) const {
     if (reg != nullptr && ids != nullptr) reg->observe(slot, ids->*m, v);
   }
@@ -99,15 +80,12 @@ class CampaignObs {
   const Registry& registry() const { return registry_; }
   const Ids& ids() const { return ids_; }
 
-  // Slot layout: groups first, then shards, campaign last.
+  // Slot layout: one per group, campaign last.
   std::uint32_t group_slot(std::size_t g) const {
     return static_cast<std::uint32_t>(g);
   }
-  std::uint32_t shard_slot(std::size_t s) const {
-    return static_cast<std::uint32_t>(groups_ + s);
-  }
   std::uint32_t campaign_slot() const {
-    return static_cast<std::uint32_t>(groups_ + shards_);
+    return static_cast<std::uint32_t>(groups_);
   }
 
   /// Handle for node group `g`, which lives on shard `shard`.

@@ -1,15 +1,17 @@
 #pragma once
 
-// Typed metrics behind interned integer IDs: counters, gauges, and
-// log2-bucketed histograms, each with one slot per emitting entity
-// (node group, shard, campaign). Interning allocates and happens once
-// at campaign setup; hot-path writes are two array indexes — no string
-// hashing, no locks (each slot has a single writer, mirroring the
-// per-shard trace rings).
+// Log2-bucketed histograms behind interned integer IDs, each with one
+// slot per emitting entity (node group, shard, campaign). Interning
+// allocates and happens once at campaign setup; hot-path writes are two
+// array indexes — no string hashing, no locks (each slot has a single
+// writer, mirroring the per-shard trace rings).
 //
-// The paper-facing `dp::MetricsMap` (§4.3 eBPF mirror) is unchanged by
-// this layer: it keeps its string keys for the agent/metrics-server
-// path, while campaign-level telemetry lands here.
+// Counts do not live here: every count a campaign keeps has one home on
+// `sys::ShardedCampaignResult` (and the group/hierarchy state it is
+// harvested from), which is what the checkpoint restores. The registry
+// holds only the distributions nothing else records. The paper-facing
+// `dp::MetricsMap` (§4.3 eBPF mirror) is separate: five fixed sidecar
+// slots the node agent drains.
 
 #include <array>
 #include <cmath>
@@ -23,14 +25,6 @@ namespace lifl::obs {
 
 inline constexpr std::uint32_t kInvalidId = 0xFFFFFFFFu;
 
-struct CounterId {
-  std::uint32_t v = kInvalidId;
-  bool valid() const { return v != kInvalidId; }
-};
-struct GaugeId {
-  std::uint32_t v = kInvalidId;
-  bool valid() const { return v != kInvalidId; }
-};
 struct HistId {
   std::uint32_t v = kInvalidId;
   bool valid() const { return v != kInvalidId; }
@@ -78,24 +72,14 @@ struct Hist {
   double mean() const { return count == 0 ? 0.0 : sum / count; }
 };
 
-/// The metrics registry. Intern every metric before the hot phase; the
-/// write side then never allocates.
+/// The histogram registry. Intern every histogram before the hot phase;
+/// the write side then never allocates.
 class Registry {
  public:
   explicit Registry(std::size_t slots = 0) : slots_(slots) {}
 
   std::size_t slots() const { return slots_; }
 
-  CounterId counter(std::string name) {
-    counter_names_.push_back(std::move(name));
-    counters_.emplace_back(slots_, 0);
-    return CounterId{static_cast<std::uint32_t>(counters_.size() - 1)};
-  }
-  GaugeId gauge(std::string name) {
-    gauge_names_.push_back(std::move(name));
-    gauges_.emplace_back(slots_, 0.0);
-    return GaugeId{static_cast<std::uint32_t>(gauges_.size() - 1)};
-  }
   HistId hist(std::string name) {
     hist_names_.push_back(std::move(name));
     hists_.emplace_back(slots_);
@@ -103,54 +87,29 @@ class Registry {
   }
 
   // ---- hot path (array indexing only) ----
-  void add(std::size_t slot, CounterId id, std::uint64_t delta = 1) {
-    counters_[id.v][slot] += delta;
-  }
-  void set(std::size_t slot, GaugeId id, double v) { gauges_[id.v][slot] = v; }
   void observe(std::size_t slot, HistId id, double v) {
     hists_[id.v][slot].observe(v);
   }
 
   // ---- read side ----
-  std::uint64_t counter_value(std::size_t slot, CounterId id) const {
-    return counters_[id.v][slot];
-  }
-  double gauge_value(std::size_t slot, GaugeId id) const {
-    return gauges_[id.v][slot];
-  }
   const Hist& hist_value(std::size_t slot, HistId id) const {
     return hists_[id.v][slot];
   }
 
-  std::uint64_t counter_total(CounterId id) const {
-    std::uint64_t t = 0;
-    for (const auto v : counters_[id.v]) t += v;
-    return t;
-  }
   Hist hist_total(HistId id) const {
     Hist t;
     for (const auto& h : hists_[id.v]) t.merge(h);
     return t;
   }
 
-  const std::string& counter_name(CounterId id) const {
-    return counter_names_[id.v];
-  }
-  const std::string& gauge_name(GaugeId id) const { return gauge_names_[id.v]; }
   const std::string& hist_name(HistId id) const { return hist_names_[id.v]; }
 
-  std::size_t counter_count() const { return counters_.size(); }
-  std::size_t gauge_count() const { return gauges_.size(); }
   std::size_t hist_count() const { return hists_.size(); }
 
  private:
   std::size_t slots_;
-  std::vector<std::string> counter_names_;
-  std::vector<std::string> gauge_names_;
   std::vector<std::string> hist_names_;
-  std::vector<std::vector<std::uint64_t>> counters_;  // [id][slot]
-  std::vector<std::vector<double>> gauges_;           // [id][slot]
-  std::vector<std::vector<Hist>> hists_;              // [id][slot]
+  std::vector<std::vector<Hist>> hists_;  // [id][slot]
 };
 
 /// POD observer handle: a (registry, slot, histogram) triple that lower

@@ -126,9 +126,9 @@ void AggregationService::on_global(fl::ModelUpdate u) {
   if (on_complete_) on_complete_(pending_);
 }
 
-fl::AggregatorRuntime& AggregationService::spawn_leaf(
-    sim::NodeId node, std::uint32_t goal, fl::ParticipantId consumer,
-    bool promote_wiring) {
+void AggregationService::spawn_leaf(sim::NodeId node, std::uint32_t goal,
+                                    fl::ParticipantId consumer,
+                                    bool promote_wiring) {
   fl::AggregatorRuntime::Config lc;
   lc.id = fresh_id();
   lc.role = fl::AggRole::kLeaf;
@@ -151,10 +151,7 @@ fl::AggregatorRuntime& AggregationService::spawn_leaf(
   }
   const bool allow_reuse =
       cfg_.reuse || cfg_.scaling == ScalingMode::kAlwaysOn;
-  auto& rt = agents_.at(node)->spawn(lc, allow_reuse);
-  batch_instances_.push_back(&rt);
-  tag_.add_vertex({lc.id, ctrl::TagRole::kAggregator, node});
-  return rt;
+  batch_instances_.push_back(&agents_.at(node)->spawn(lc, allow_reuse));
 }
 
 void AggregationService::arm(const std::vector<std::uint32_t>& counts_per_node,
@@ -184,7 +181,6 @@ void AggregationService::arm(const std::vector<std::uint32_t>& counts_per_node,
   top_id_ = 0;
   model_version_ = model_version;
   update_bytes_ = update_bytes;
-  tag_ = ctrl::Tag{};
 
   const sim::NodeId top_node = choose_top_node(counts_per_node);
 
@@ -225,7 +221,6 @@ void AggregationService::arm(const std::vector<std::uint32_t>& counts_per_node,
     top_ = &rt;
     top_id_ = tc.id;
     pending_.nodes_used = 1;
-    tag_.add_vertex({tc.id, ctrl::TagRole::kAggregator, top_node});
     return;
   }
 
@@ -267,28 +262,23 @@ void AggregationService::arm_static(const ctrl::HierarchyPlan& plan,
   auto& top_rt = agents_.at(top_node)->spawn(tc, allow_reuse);
   batch_instances_.push_back(&top_rt);
   top_ = &top_rt;
-  tag_.add_vertex({top_id_, ctrl::TagRole::kAggregator, top_node});
 
   // ---- Per-node trees: leaves + middle (optional). Leaves spawn first —
   // they are what the incoming load creates — so the middle's placement
   // decision sees the cluster as the control plane would.
   for (const auto& np : plan.per_node) {
-    const std::string group = "node" + std::to_string(np.node);
     // Pre-assign the middle's identity so leaves can be wired to it; the
     // actual pod is placed after them.
     const fl::ParticipantId parent = np.middle ? fresh_id() : top_id_;
 
     std::uint32_t remaining = np.expected_updates;
-    std::vector<fl::ParticipantId> leaf_ids;
     for (std::uint32_t l = 0; l < np.leaves; ++l) {
       const std::uint32_t take =
           std::min<std::uint32_t>(plan.updates_per_leaf, remaining);
       remaining -= take;
-      auto& lrt = spawn_leaf(np.node, take, parent, /*promote_wiring=*/false);
-      leaf_ids.push_back(lrt.config().id);
+      spawn_leaf(np.node, take, parent, /*promote_wiring=*/false);
     }
 
-    sim::NodeId parent_node = top_node;
     if (np.middle) {
       // Where the middle pod actually lands depends on whether the control
       // plane is locality-aware (§5.1): BestFit keeps it with its leaves,
@@ -304,22 +294,8 @@ void AggregationService::arm_static(const ctrl::HierarchyPlan& plan,
       mc.expected_version = model_version_;
       auto& mrt = agents_.at(mnode)->spawn(mc, allow_reuse);
       batch_instances_.push_back(&mrt);
-      parent_node = mnode;
       node_batches_[np.node].middle_id = mc.id;
       node_batches_[np.node].middle = &mrt;
-      tag_.add_vertex({mc.id, ctrl::TagRole::kAggregator, mnode});
-      tag_.add_channel({mc.id, top_id_,
-                        mnode == top_node
-                            ? ctrl::ChannelKind::kIntraNodeShm
-                            : ctrl::ChannelKind::kInterNodeKernel,
-                        group});
-    }
-    for (const auto leaf_id : leaf_ids) {
-      tag_.add_channel({leaf_id, parent,
-                        np.node == parent_node
-                            ? ctrl::ChannelKind::kIntraNodeShm
-                            : ctrl::ChannelKind::kInterNodeKernel,
-                        group});
     }
   }
 }
@@ -371,7 +347,6 @@ void AggregationService::on_leaf_output(sim::NodeId node,
     leaf.convert_role(mc);
     nb.middle_id = mc.id;
     nb.middle = &leaf;
-    tag_.add_vertex({mc.id, ctrl::TagRole::kAggregator, node});
     // The promoted instance already holds its own aggregate: no transfer.
     leaf.inject(std::move(u));
     return;
@@ -403,7 +378,6 @@ void AggregationService::on_intermediate_output(sim::NodeId node,
     agg.convert_role(tc);
     top_id_ = tc.id;
     top_ = &agg;
-    tag_.add_vertex({tc.id, ctrl::TagRole::kAggregator, node});
     agg.inject(std::move(u));
     return;
   }

@@ -8,7 +8,6 @@
 #include "src/control/hierarchy.hpp"
 #include "src/control/metrics_server.hpp"
 #include "src/control/placement.hpp"
-#include "src/control/tag.hpp"
 #include "src/dataplane/dataplane.hpp"
 #include "src/fl/aggregator_runtime.hpp"
 #include "src/systems/system_config.hpp"
@@ -74,9 +73,6 @@ class AggregationService {
            std::uint32_t model_version, std::size_t update_bytes,
            CompletionFn on_complete);
 
-  /// The TAG describing the currently armed hierarchy (Appendix D).
-  const ctrl::Tag& current_tag() const noexcept { return tag_; }
-
   /// Pre-create warm instances per node (serverful static fleets; warm
   /// pools for reuse experiments).
   void prewarm(const std::vector<std::uint32_t>& per_node);
@@ -110,9 +106,8 @@ class AggregationService {
   void on_intermediate_output(sim::NodeId node, fl::AggregatorRuntime& agg,
                               fl::ModelUpdate u);
   void on_global(fl::ModelUpdate u);
-  fl::AggregatorRuntime& spawn_leaf(sim::NodeId node, std::uint32_t goal,
-                                    fl::ParticipantId consumer,
-                                    bool promote_wiring);
+  void spawn_leaf(sim::NodeId node, std::uint32_t goal,
+                  fl::ParticipantId consumer, bool promote_wiring);
 
   sim::Cluster& cluster_;
   dp::DataPlane& plane_;
@@ -121,7 +116,6 @@ class AggregationService {
   ctrl::HierarchyPlanner planner_;
   ctrl::MetricsServer metrics_;
   std::vector<std::unique_ptr<ctrl::NodeAgent>> agents_;
-  ctrl::Tag tag_;
 
   // Current batch.
   struct NodeBatch {

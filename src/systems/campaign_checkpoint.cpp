@@ -64,38 +64,6 @@ void load_resource(sim::Deserializer& d, sim::Resource& r) {
   r.restore_stats_image(img);
 }
 
-void save_hier_stats(sim::Serializer& s, const StreamingHierarchy::Stats& h) {
-  s.u64(h.spawned);
-  s.u64(h.reused);
-  s.u64(h.replans);
-  s.u64(h.drains);
-  s.u32(h.peak_leaves);
-  s.u64(h.leaf_crashes);
-  s.u64(h.middle_crashes);
-  s.u64(h.refolded);
-  s.u64(h.reinjected);
-  s.u64(h.quorum_seals);
-  s.u64(h.quorum_abandoned);
-  s.f64(h.recovery_secs);
-}
-
-StreamingHierarchy::Stats load_hier_stats(sim::Deserializer& d) {
-  StreamingHierarchy::Stats h;
-  h.spawned = d.u64();
-  h.reused = d.u64();
-  h.replans = d.u64();
-  h.drains = d.u64();
-  h.peak_leaves = d.u32();
-  h.leaf_crashes = d.u64();
-  h.middle_crashes = d.u64();
-  h.refolded = d.u64();
-  h.reinjected = d.u64();
-  h.quorum_seals = d.u64();
-  h.quorum_abandoned = d.u64();
-  h.recovery_secs = d.f64();
-  return h;
-}
-
 /// Every queue the campaign model owns must be quiescent at a round
 /// boundary: a snapshot cannot carry in-flight work (only the cut replay
 /// can re-create it), so anything non-idle here is a driver bug.
@@ -254,6 +222,12 @@ std::vector<std::uint8_t> CampaignCheckpoint::encode_boundary(
   s.u64(partial.quorum_seals);
   s.u64(partial.quorum_abandoned);
   s.f64(partial.recovery_secs);
+  // v5: the barrier totals so far (this process's windows and posts on top
+  // of any restored base), so a resumed run reports the uninterrupted
+  // run's totals.
+  s.u64(partial.windows + st.sharded->windows());
+  s.u64(partial.windows_skipped + st.sharded->windows_skipped());
+  s.u64(partial.cross_posts + st.sharded->cross_posts());
   s.u64(st.top_crashes);
   s.f64(st.top_recovery_secs);
   s.u64(st.ckpt_marks);
@@ -337,12 +311,7 @@ std::vector<std::uint8_t> CampaignCheckpoint::encode_boundary(
     }
     s.f64(node.cpu().total_cycles());
 
-    const auto metrics = env.metrics.sorted_entries();
-    s.u64(metrics.size());
-    for (const auto& kv : metrics) {
-      s.str(kv.first);
-      s.f64(kv.second);
-    }
+    for (const double v : env.metrics.slots()) s.f64(v);
 
     s.u64(env.broker.bytes_buffered());
     s.u64(env.broker.peak_bytes());
@@ -355,7 +324,6 @@ std::vector<std::uint8_t> CampaignCheckpoint::encode_boundary(
     if (orchestrated) {
       s.u64(g.hier->warm_pool_size());
       s.u64(g.hier->leaf_slot_count());
-      save_hier_stats(s, g.hier->total_stats());
     }
   }
   s.end_section();
@@ -367,7 +335,6 @@ std::vector<std::uint8_t> CampaignCheckpoint::encode_boundary(
                                                  : 0.0);
       s.boolean(st.planner->estimate_initialized(gi));
       s.u32(st.planner->current(gi));
-      s.u64(st.planner->replans(gi));
       s.u32(st.planner->version(gi));
     }
     s.end_section();
@@ -455,6 +422,9 @@ CheckpointCut CampaignCheckpoint::restore(
   partial.quorum_seals = d.u64();
   partial.quorum_abandoned = d.u64();
   partial.recovery_secs = d.f64();
+  partial.windows = d.u64();
+  partial.windows_skipped = d.u64();
+  partial.cross_posts = d.u64();
   st.top_crashes = d.u64();
   st.top_recovery_secs = d.f64();
   st.ckpt_marks = d.u64();
@@ -541,14 +511,8 @@ CheckpointCut CampaignCheckpoint::restore(
     const double total = d.f64();
     node.cpu().restore(cycles, total);
 
-    const std::uint64_t nmetrics = d.u64();
-    std::vector<std::pair<std::string, double>> metrics;
-    metrics.reserve(static_cast<std::size_t>(nmetrics));
-    for (std::uint64_t m = 0; m < nmetrics; ++m) {
-      std::string key = d.str();
-      const double value = d.f64();
-      metrics.emplace_back(std::move(key), value);
-    }
+    dp::MetricsMap::Slots metrics{};
+    for (double& v : metrics) v = d.f64();
     env.metrics.restore(metrics);
 
     const std::uint64_t bbuf = d.u64();
@@ -565,9 +529,8 @@ CheckpointCut CampaignCheckpoint::restore(
     if (orchestrated) {
       const std::uint64_t pool_n = d.u64();
       const std::uint64_t slot_n = d.u64();
-      const StreamingHierarchy::Stats total_stats = load_hier_stats(d);
       g.hier->restore_warm(static_cast<std::size_t>(pool_n),
-                           static_cast<std::size_t>(slot_n), total_stats);
+                           static_cast<std::size_t>(slot_n));
     }
   }
   d.end_section();
@@ -578,8 +541,7 @@ CheckpointCut CampaignCheckpoint::restore(
       const double est = d.f64();
       const bool init = d.boolean();
       const std::uint32_t leaves = d.u32();
-      const std::uint64_t replans = d.u64();
-      st.planner->restore_group(gi, est, init, leaves, replans);
+      st.planner->restore_group(gi, est, init, leaves);
       st.planner->set_version(gi, d.u32());
     }
     d.end_section();

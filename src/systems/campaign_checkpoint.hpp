@@ -62,7 +62,13 @@ class CampaignCheckpoint {
   /// the group section; the auto-quota EWMA in the result section; and the
   /// tier-mix, lifecycle, selector and auto-quota config fields folded
   /// into the digest.
-  static constexpr std::uint32_t kVersion = 4;
+  /// v5: the group section drops the streaming hierarchy's cumulative
+  /// stats and the planner section its per-group re-plan counters (the
+  /// result section is the counts' one home); the eBPF metrics map is its
+  /// five fixed slots as raw f64s instead of (name, value) pairs; and the
+  /// result section carries the barrier window / skipped-window /
+  /// cross-shard-post totals.
+  static constexpr std::uint32_t kVersion = 5;
 
   /// Digest of every config field that shapes the simulation (not the
   /// paths/sinks). A blob only restores under the digest it was cut from.

@@ -2,6 +2,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "src/obs/obs.hpp"
 #include "src/systems/sharded_campaign.hpp"
@@ -74,22 +75,35 @@ void write_campaign_metrics_jsonl(const ShardedCampaignResult& result,
                  result.shard_idle_secs[s]);
   }
 
-  // Summary row: campaign totals, plus registry aggregates when the run
-  // was metered and ring accounting when it was traced.
-  std::fprintf(
-      f,
-      "{\"type\": \"summary\", \"rounds\": %zu, \"events\": %llu, "
-      "\"cross_posts\": %llu, \"windows\": %llu, \"spawned_total\": %llu, "
-      "\"reused_total\": %llu, \"replans\": %llu, \"sim_secs\": %.9f, "
-      "\"wall_secs\": %.6f",
-      result.round_started_at.size(),
-      static_cast<unsigned long long>(result.events),
-      static_cast<unsigned long long>(result.cross_posts),
-      static_cast<unsigned long long>(result.windows),
-      static_cast<unsigned long long>(result.spawned_total),
-      static_cast<unsigned long long>(result.reused_total),
-      static_cast<unsigned long long>(result.replans), result.sim_secs,
-      result.wall_secs);
+  // Summary row: every campaign count once, under its result field name,
+  // then ring accounting when the run was traced and the registry's
+  // histograms when it was metered.
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"rounds", result.round_started_at.size()},
+      {"events", result.events},
+      {"cross_posts", result.cross_posts},
+      {"windows", result.windows},
+      {"windows_skipped", result.windows_skipped},
+      {"spawned_total", result.spawned_total},
+      {"reused_total", result.reused_total},
+      {"replans", result.replans},
+      {"leaf_drains", result.leaf_drains},
+      {"leaf_crashes", result.leaf_crashes},
+      {"middle_crashes", result.middle_crashes},
+      {"refolded_updates", result.refolded_updates},
+      {"quorum_seals", result.quorum_seals},
+      {"upload_retries", result.upload_retries},
+      {"disconnects", result.disconnects},
+      {"resumed_uploads", result.resumed_uploads},
+      {"checkpoint_marks", result.checkpoint_marks},
+  };
+  std::fprintf(f, "{\"type\": \"summary\"");
+  for (const auto& [key, value] : counts) {
+    std::fprintf(f, ", \"%s\": %llu", key,
+                 static_cast<unsigned long long>(value));
+  }
+  std::fprintf(f, ", \"sim_secs\": %.9f, \"wall_secs\": %.6f",
+               result.sim_secs, result.wall_secs);
   if (result.obs) {
     const obs::CampaignObs& co = *result.obs;
     if (co.config().trace) {
@@ -100,15 +114,7 @@ void write_campaign_metrics_jsonl(const ShardedCampaignResult& result,
     }
     if (co.config().metrics) {
       const obs::Registry& reg = co.registry();
-      std::fprintf(f, ", \"counters\": {");
-      for (std::size_t i = 0; i < reg.counter_count(); ++i) {
-        const obs::CounterId id{static_cast<std::uint32_t>(i)};
-        std::fprintf(
-            f, "%s\"%s\": %llu", i == 0 ? "" : ", ",
-            reg.counter_name(id).c_str(),
-            static_cast<unsigned long long>(reg.counter_total(id)));
-      }
-      std::fprintf(f, "}, \"hists\": {");
+      std::fprintf(f, ", \"hists\": {");
       for (std::size_t i = 0; i < reg.hist_count(); ++i) {
         const obs::HistId id{static_cast<std::uint32_t>(i)};
         const obs::Hist h = reg.hist_total(id);

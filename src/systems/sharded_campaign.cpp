@@ -100,7 +100,6 @@ void attempt_upload(CampaignState* st, Group* g, fl::ModelUpdate u,
     ++g->upload_retries;
     g->obs.instant(g->sim->now(), obs::Ev::kUploadRetry,
                    static_cast<std::uint32_t>(again.producer), attempt + 1);
-    g->obs.count_id(&obs::Ids::upload_retries);
     g->obs.observe_id(&obs::Ids::retry_depth,
                       static_cast<double>(attempt + 1));
     const double d = fp.backoff_secs(g->id, seq, attempt);
@@ -433,7 +432,6 @@ struct CkptPulse {
     st->camp_obs.instant(at, obs::Ev::kCkptMark,
                          static_cast<std::uint32_t>(st->ckpt_marks),
                          st->ckpt_blob_bytes);
-    st->camp_obs.count_id(&obs::Ids::ckpt_marks);
     const double next = at + st->cfg->checkpoint_every_secs;
     st->groups[0].sim->schedule_at(next, CkptPulse{st, next});
   }
@@ -1326,8 +1324,9 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
                            result.upload_corruptions +
                            result.overflow_rejects + result.outage_rejects;
   result.events = sharded.dispatched();
-  result.cross_posts = sharded.cross_posts();
-  result.windows = sharded.windows();
+  // Barrier totals add to the base a resumed run restored from its blob.
+  result.cross_posts += sharded.cross_posts();
+  result.windows += sharded.windows();
   // Per-shard barrier report (always on — the core counts windows whether
   // or not tracing is enabled; zero for the 1-shard fast path, which never
   // runs the window barrier).
@@ -1336,21 +1335,10 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     result.shard_windows.push_back(ws.windows);
     result.shard_empty_windows.push_back(ws.empty_windows);
     result.shard_idle_secs.push_back(ws.idle_wall_secs);
-    if (campaign_obs && cfg.obs.metrics) {
-      obs::Registry& reg = campaign_obs->registry();
-      const obs::Ids& ids = campaign_obs->ids();
-      const std::uint32_t slot = campaign_obs->shard_slot(s);
-      reg.add(slot, ids.windows, ws.windows);
-      reg.add(slot, ids.empty_windows, ws.empty_windows);
-      reg.set(slot, ids.barrier_idle_secs, ws.idle_wall_secs);
-    }
   }
   result.obs = campaign_obs;
   result.checkpoint_marks = st.ckpt_marks;
-  result.windows_skipped = sharded.windows_skipped();
-  if (result.windows_skipped > 0) {
-    st.coord_obs.count_id(&obs::Ids::skipped_windows, result.windows_skipped);
-  }
+  result.windows_skipped += sharded.windows_skipped();
   result.sim_secs = sim_end;
   result.wall_secs = wall_since(wall0);
   return result;

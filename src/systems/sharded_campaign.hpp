@@ -199,7 +199,7 @@ struct ShardedCampaignConfig {
   sim::SyncMode sync_mode = sim::SyncMode::kConservative;
 
   // ---- observability (src/obs) -----------------------------------------
-  /// Sim-time tracing + typed metrics. Strictly passive: recording never
+  /// Sim-time tracing + histograms. Strictly passive: recording never
   /// schedules sim events, so enabling it leaves campaign results bitwise
   /// identical (tests/obs_campaign_test.cpp) for every shard count. Trace
   /// state is not checkpointed — a resumed run re-emits from the cut.
@@ -254,6 +254,8 @@ struct ShardedCampaignResult {
   std::uint64_t replans = 0;      ///< mid-round plan changes applied
   std::uint64_t leaf_drains = 0;  ///< partial accumulators drained on shrink
   std::uint32_t peak_leaves = 0;  ///< max concurrent leaves in any group
+  // Barrier totals (events, cross_posts, windows, windows_skipped) are part
+  // of the snapshot, so a resumed run reports the uninterrupted run's.
   std::uint64_t events = 0;       ///< dispatched across all shards
   std::uint64_t cross_posts = 0;  ///< cross-shard mailbox traffic
   std::uint64_t windows = 0;      ///< barrier windows actually run
@@ -320,12 +322,13 @@ struct ShardedCampaignResult {
   /// Per-shard barrier telemetry, always filled (the sharded core counts
   /// windows regardless of tracing): conservative windows run, windows in
   /// which the shard dispatched nothing, and wall seconds the shard spent
-  /// parked at barriers waiting for the slowest shard.
+  /// parked at barriers waiting for the slowest shard. Process-local, like
+  /// the idle wall time it reports: a resumed run covers its own windows.
   std::vector<std::uint64_t> shard_windows;
   std::vector<std::uint64_t> shard_empty_windows;
   std::vector<double> shard_idle_secs;
-  /// The run's trace rings + metric registry when `cfg.obs` enabled them;
-  /// null otherwise. Shared so the result stays copy/move friendly.
+  /// The run's trace rings + histogram registry when `cfg.obs` enabled
+  /// them; null otherwise. Shared so the result stays copy/move friendly.
   std::shared_ptr<obs::CampaignObs> obs;
 
   double wall_secs = 0.0;
@@ -341,9 +344,10 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg);
 void write_campaign_trace(const ShardedCampaignResult& result,
                           const std::string& path);
 
-/// Write the per-round/per-version timeseries plus a final summary row
-/// (registry counters/histograms, per-shard window stats) as JSON lines.
-/// Works for any run — registry fields appear only when metrics were on.
+/// Write the per-round/per-version timeseries, per-shard window stats and a
+/// final summary row as JSON lines. The summary row writes every campaign
+/// count once, under its field name above; registry histograms appear only
+/// when metrics were on, ring accounting only when the run was traced.
 void write_campaign_metrics_jsonl(const ShardedCampaignResult& result,
                                   const std::string& path);
 

@@ -40,18 +40,14 @@ std::unique_ptr<fl::AggregatorRuntime> StreamingHierarchy::acquire(
     pool_.pop_back();
     rt->rearm(std::move(rc));
     ++round_.reused;
-    ++total_.reused;
     cfg_.obs.instant(sim().now(), obs::Ev::kAggRearm, id);
-    cfg_.obs.count_id(&obs::Ids::rearms);
     return rt;
   }
   if (cfg_.cold_start_spawns) apply_lifl_cold_start(rc);
   auto rt = std::make_unique<fl::AggregatorRuntime>(plane_, std::move(rc));
   rt->start();
   ++round_.spawned;
-  ++total_.spawned;
   cfg_.obs.instant(sim().now(), obs::Ev::kAggSpawn, id);
-  cfg_.obs.count_id(&obs::Ids::spawns);
   return rt;
 }
 
@@ -92,7 +88,6 @@ void StreamingHierarchy::seal_middles() {
   if (!middles_.empty()) {
     cfg_.obs.instant(sim().now(), obs::Ev::kAggSeal,
                      static_cast<std::uint32_t>(middles_.size()), claimed_);
-    cfg_.obs.count_id(&obs::Ids::seals);
   }
 }
 
@@ -178,10 +173,8 @@ bool StreamingHierarchy::activate_leaf() {
   arm_leaf_deadline(*s);
   cfg_.obs.instant(sim().now(), obs::Ev::kAggClaim,
                    static_cast<std::uint32_t>(leaf_id(*s)), b);
-  cfg_.obs.count_id(&obs::Ids::claims);
   ++active_;
   round_.peak_leaves = std::max(round_.peak_leaves, active_);
-  total_.peak_leaves = std::max(total_.peak_leaves, active_);
   return true;
 }
 
@@ -243,10 +236,8 @@ void StreamingHierarchy::flush_leaf(LeafSlot* s, std::uint64_t gen) {
   claimed_ -= unfilled;
   s->batch = have;
   ++round_.drains;
-  ++total_.drains;
   cfg_.obs.instant(sim().now(), obs::Ev::kAggDrain,
                    static_cast<std::uint32_t>(leaf_id(*s)), have);
-  cfg_.obs.count_id(&obs::Ids::drains);
   s->rt->drain();
 }
 
@@ -272,10 +263,8 @@ void StreamingHierarchy::retire_leaf(LeafSlot& s) {
     park_leaf(s);
   } else if (unfilled > 0) {
     ++round_.drains;
-    ++total_.drains;
     cfg_.obs.instant(sim().now(), obs::Ev::kAggDrain,
                      static_cast<std::uint32_t>(leaf_id(s)), have);
-    cfg_.obs.count_id(&obs::Ids::drains);
     s.rt->drain();  // may complete (and park via on_leaf_batch) synchronously
   }
   // else: the batch is fully received and mid-fold — it completes through
@@ -299,7 +288,6 @@ void StreamingHierarchy::on_leaf_batch(LeafSlot* s, fl::ModelUpdate u) {
     const double t0 = first >= 0.0 ? first : t1;
     cfg_.obs.span(t0, t1, obs::Ev::kAggFold,
                   static_cast<std::uint32_t>(leaf_id(*s)), s->batch);
-    cfg_.obs.count_id(&obs::Ids::folds);
     cfg_.obs.observe_id(&obs::Ids::fold_secs, t1 - t0);
   }
   const fl::ParticipantId parent =
@@ -323,7 +311,6 @@ void StreamingHierarchy::on_leaf_batch(LeafSlot* s, fl::ModelUpdate u) {
   arm_leaf_deadline(*s);
   cfg_.obs.instant(sim().now(), obs::Ev::kAggClaim,
                    static_cast<std::uint32_t>(leaf_id(*s)), b);
-  cfg_.obs.count_id(&obs::Ids::claims);
 }
 
 void StreamingHierarchy::apply_leaf_target(std::uint32_t target) {
@@ -331,9 +318,7 @@ void StreamingHierarchy::apply_leaf_target(std::uint32_t target) {
   if (claimed_ < target_) target = std::max(target, 1u);
   if (target == active_) return;
   ++round_.replans;
-  ++total_.replans;
   cfg_.obs.instant(sim().now(), obs::Ev::kReplan, active_, target);
-  cfg_.obs.count_id(&obs::Ids::replans);
   if (target > active_) {
     while (active_ < target && activate_leaf()) {
     }
@@ -372,17 +357,13 @@ bool StreamingHierarchy::sampler_tick() {
 
 void StreamingHierarchy::recover_leaf(LeafSlot* s) {
   ++round_.leaf_crashes;
-  ++total_.leaf_crashes;
   cfg_.obs.instant(sim().now(), obs::Ev::kAggCrash,
                    static_cast<std::uint32_t>(leaf_id(*s)));
-  cfg_.obs.count_id(&obs::Ids::crashes);
   auto& pool = plane_.env(cfg_.node).pool;
   // Abort the dead instance's leases: every client update it accepted but
   // never emitted comes back, in acceptance order.
   std::vector<fl::ModelUpdate> lost = pool.lease_abort(leaf_id(*s));
   round_.refolded += lost.size();
-  total_.refolded += lost.size();
-  cfg_.obs.count_id(&obs::Ids::refolds, lost.size());
   // The corpse cannot be destroyed here — we are inside its crash
   // callback — so it waits in the graveyard until the round ends.
   graveyard_.push_back(std::move(s->rt));
@@ -394,12 +375,10 @@ void StreamingHierarchy::recover_leaf(LeafSlot* s) {
   s->rt = acquire(leaf_config(*s));
   if (cold && cfg_.cold_start_spawns) {
     round_.recovery_secs += calib::kLiflColdStartSecs;
-    total_.recovery_secs += calib::kLiflColdStartSecs;
   }
   arm_leaf_deadline(*s);
   cfg_.obs.instant(sim().now(), obs::Ev::kAggRecover,
                    static_cast<std::uint32_t>(leaf_id(*s)), lost.size());
-  cfg_.obs.count_id(&obs::Ids::recoveries);
   // Re-queue the recovered updates: the replacement's pool pulls (or any
   // other live leaf's) re-claim and re-fold them — zero samples lost.
   for (auto& u : lost) pool.push(std::move(u));
@@ -407,15 +386,12 @@ void StreamingHierarchy::recover_leaf(LeafSlot* s) {
 
 void StreamingHierarchy::recover_middle(std::size_t mi) {
   ++round_.middle_crashes;
-  ++total_.middle_crashes;
   Middle& m = middles_[mi];
   cfg_.obs.instant(sim().now(), obs::Ev::kAggCrash,
                    static_cast<std::uint32_t>(m.id));
-  cfg_.obs.count_id(&obs::Ids::crashes);
   auto& pool = plane_.env(cfg_.node).pool;
   std::vector<fl::ModelUpdate> lost = pool.lease_abort(m.id);
   round_.reinjected += lost.size();
-  total_.reinjected += lost.size();
   graveyard_.push_back(std::move(m.rt));
   // Rebuild with the goal state the round has reached: still open while
   // batches are being assigned, sealed at the routed count afterwards.
@@ -428,11 +404,9 @@ void StreamingHierarchy::recover_middle(std::size_t mi) {
   m.rt = acquire(std::move(mc));
   if (cold && cfg_.cold_start_spawns) {
     round_.recovery_secs += calib::kLiflColdStartSecs;
-    total_.recovery_secs += calib::kLiflColdStartSecs;
   }
   cfg_.obs.instant(sim().now(), obs::Ev::kAggRecover,
                    static_cast<std::uint32_t>(m.id), lost.size());
-  cfg_.obs.count_id(&obs::Ids::recoveries);
   // Re-inject the retained leaf partials directly: they are folded
   // *messages* of this middle, not pool entries — routing them through the
   // group pool would hand whole partials to message-counting leaves.
@@ -462,7 +436,6 @@ void StreamingHierarchy::quorum_check(std::uint32_t round) {
 void StreamingHierarchy::seal_quorum() {
   quorum_sealed_ = true;
   ++round_.quorum_seals;
-  ++total_.quorum_seals;
   // Retire every active leaf: partial buffers drain upward, unfilled
   // claims release and stay released (the mop-up reactivation is
   // suppressed) — the round finishes with what it has.
@@ -471,9 +444,7 @@ void StreamingHierarchy::seal_quorum() {
   }
   const std::uint64_t abandoned = target_ - claimed_;
   round_.quorum_abandoned += abandoned;
-  total_.quorum_abandoned += abandoned;
   cfg_.obs.instant(sim().now(), obs::Ev::kQuorumSeal, round_num_, abandoned);
-  cfg_.obs.count_id(&obs::Ids::quorum_seals);
   target_ = claimed_;
   if (!sealed_) {
     sealed_ = true;
@@ -651,8 +622,7 @@ void StreamingHierarchy::begin_stream(std::uint64_t target,
   }
 }
 
-void StreamingHierarchy::restore_warm(std::size_t pool_n, std::size_t slot_n,
-                                      const Stats& total) {
+void StreamingHierarchy::restore_warm(std::size_t pool_n, std::size_t slot_n) {
   if (relay_ || !middles_.empty() || !slots_.empty() || !pool_.empty()) {
     throw std::logic_error(
         "StreamingHierarchy::restore_warm: engine is not fresh");
@@ -672,7 +642,6 @@ void StreamingHierarchy::restore_warm(std::size_t pool_n, std::size_t slot_n,
     slots_.push_back(std::make_unique<LeafSlot>());
     slots_.back()->idx = i;
   }
-  total_ = total;
 }
 
 void StreamingHierarchy::end_round() {

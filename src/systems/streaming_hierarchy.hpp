@@ -142,7 +142,10 @@ class StreamingHierarchy {
     obs::GroupObs obs;
   };
 
-  /// Spawn/reuse/re-plan accounting; `round_stats` resets at begin_round.
+  /// Spawn/reuse/re-plan accounting of the current round (or stream);
+  /// reset at begin_round/begin_stream. `run_sharded_campaign` harvests it
+  /// into `ShardedCampaignResult` at every round epilogue — the counts'
+  /// one cumulative home.
   struct Stats {
     std::uint64_t spawned = 0;   ///< runtimes constructed (cold)
     std::uint64_t reused = 0;    ///< runtimes re-armed warm (activations
@@ -202,15 +205,14 @@ class StreamingHierarchy {
 
   /// Re-materialize the cross-round warm state from a checkpoint onto a
   /// freshly constructed engine (coordinator thread, before any round):
-  /// `pool_n` parked warm runtimes, `slot_n` stable leaf slots, and the
-  /// cumulative stats. A parked runtime is stateless under `rearm`, so only
-  /// the pool *size* and the slot count (which pins leaf participant ids)
-  /// are needed to make the resumed rounds' spawn/reuse decisions — and
-  /// their telemetry — bitwise identical. The materialized instances are
-  /// not counted as spawns: their cold starts were paid (and billed) by the
-  /// run that wrote the checkpoint.
-  void restore_warm(std::size_t pool_n, std::size_t slot_n,
-                    const Stats& total);
+  /// `pool_n` parked warm runtimes and `slot_n` stable leaf slots. A parked
+  /// runtime is stateless under `rearm`, so only the pool *size* and the
+  /// slot count (which pins leaf participant ids) are needed to make the
+  /// resumed rounds' spawn/reuse decisions — and their telemetry — bitwise
+  /// identical. The materialized instances are not counted as spawns: their
+  /// cold starts were paid (and billed) by the run that wrote the
+  /// checkpoint.
+  void restore_warm(std::size_t pool_n, std::size_t slot_n);
 
   /// Apply a leaf-count target now (the re-plan pulse uses this; tests use
   /// it to force grow/shrink at chosen instants). Clamped to >= 1 while
@@ -220,7 +222,6 @@ class StreamingHierarchy {
   bool round_done() const noexcept { return relay_done_; }
   std::uint32_t active_leaves() const noexcept { return active_; }
   std::uint64_t claimed() const noexcept { return claimed_; }
-  const Stats& total_stats() const noexcept { return total_; }
   const Stats& round_stats() const noexcept { return round_; }
   std::size_t warm_pool_size() const noexcept { return pool_.size(); }
   /// Stable leaf slots ever materialized (slot index pins the leaf's
@@ -301,7 +302,7 @@ class StreamingHierarchy {
   dp::DataPlane& plane_;
   ctrl::CampaignPlanner& planner_;
   Config cfg_;
-  Stats total_, round_;
+  Stats round_;
 
   std::unique_ptr<fl::AggregatorRuntime> relay_;
   std::vector<Middle> middles_;

@@ -341,8 +341,8 @@ TEST(AggregatorRuntime, SidecarObservesExecutionTimes) {
   w.plane.env(0).pool.push(w.update());
   w.plane.env(0).pool.push(w.update());
   w.sim.run();
-  EXPECT_EQ(w.plane.env(0).metrics.get(dp::metric_keys::kAggExecCount), 2.0);
-  EXPECT_GT(w.plane.env(0).metrics.get(dp::metric_keys::kAggExecSum), 0.0);
+  EXPECT_EQ(w.plane.env(0).metrics.get(dp::MetricsMap::kAggExecCount), 2.0);
+  EXPECT_GT(w.plane.env(0).metrics.get(dp::MetricsMap::kAggExecSum), 0.0);
 }
 
 TEST(AggregatorRuntime, InvalidGoalCombinationsThrow) {

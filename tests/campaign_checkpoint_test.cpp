@@ -220,14 +220,18 @@ TEST(CampaignCheckpoint, TruncatedBlobsAreRejected) {
 
 TEST(CampaignCheckpoint, VersionMismatchIsRejected) {
   const auto base = churny_campaign(1);
-  auto blob = one_blob(base);
-  // The version field sits right after the 8-byte magic.
-  std::uint32_t bad = 0xfeedu;
-  std::memcpy(blob.data() + 8, &bad, sizeof bad);
-  auto cfg = base;
-  cfg.resume_blob = &blob;
-  EXPECT_THROW((void)sys::run_sharded_campaign(cfg),
-               lifl::sim::SnapshotError);
+  const auto good = one_blob(base);
+  // A garbage version and the previous format (v4) are both refused.
+  for (const std::uint32_t bad : {0xfeedu, 4u}) {
+    auto blob = good;
+    // The version field sits right after the 8-byte magic.
+    std::memcpy(blob.data() + 8, &bad, sizeof bad);
+    auto cfg = base;
+    cfg.resume_blob = &blob;
+    EXPECT_THROW((void)sys::run_sharded_campaign(cfg),
+                 lifl::sim::SnapshotError)
+        << "version " << bad;
+  }
 }
 
 TEST(CampaignCheckpoint, ConfigDriftIsRejected) {

@@ -9,7 +9,6 @@
 #include "src/control/hierarchy.hpp"
 #include "src/control/metrics_server.hpp"
 #include "src/control/placement.hpp"
-#include "src/control/tag.hpp"
 
 namespace lifl::ctrl {
 namespace {
@@ -290,83 +289,6 @@ TEST(MetricsServer, ObserveQueueDirect) {
 TEST(MetricsServer, InvalidWindowThrows) {
   MetricsServer ms(1);
   EXPECT_THROW(ms.report(0, 1.0, 0.0, 0.0, 0.0), std::invalid_argument);
-}
-
-// ------------------------------------------------------------------- TAG
-TEST(Tag, ValidTwoLevelTree) {
-  Tag tag;
-  tag.add_vertex({1, TagRole::kAggregator, 0});  // top
-  tag.add_vertex({2, TagRole::kAggregator, 0});  // leaf
-  tag.add_vertex({3, TagRole::kAggregator, 0});  // leaf
-  tag.add_channel({2, 1, ChannelKind::kIntraNodeShm, "node0"});
-  tag.add_channel({3, 1, ChannelKind::kIntraNodeShm, "node0"});
-  EXPECT_TRUE(tag.validate());
-  EXPECT_EQ(tag.root(), std::make_optional<fl::ParticipantId>(1));
-}
-
-TEST(Tag, TwoSinksIsInvalid) {
-  Tag tag;
-  tag.add_vertex({1, TagRole::kAggregator, 0});
-  tag.add_vertex({2, TagRole::kAggregator, 0});
-  EXPECT_FALSE(tag.root().has_value());
-  EXPECT_FALSE(tag.validate());
-}
-
-TEST(Tag, CycleIsInvalid) {
-  Tag tag;
-  tag.add_vertex({1, TagRole::kAggregator, 0});
-  tag.add_vertex({2, TagRole::kAggregator, 0});
-  tag.add_vertex({3, TagRole::kAggregator, 0});
-  tag.add_channel({1, 2, ChannelKind::kIntraNodeShm, ""});
-  tag.add_channel({2, 1, ChannelKind::kIntraNodeShm, ""});
-  tag.add_channel({2, 3, ChannelKind::kIntraNodeShm, ""});
-  EXPECT_FALSE(tag.validate());
-}
-
-TEST(Tag, DisconnectedProducerIsInvalid) {
-  Tag tag;
-  tag.add_vertex({1, TagRole::kAggregator, 0});
-  tag.add_vertex({2, TagRole::kAggregator, 0});
-  tag.add_vertex({3, TagRole::kClient, 0});
-  tag.add_channel({2, 1, ChannelKind::kIntraNodeShm, ""});
-  // Client 3 has no path to the root.
-  EXPECT_FALSE(tag.validate());
-}
-
-TEST(Tag, GroupByCollectsAffinityMembers) {
-  Tag tag;
-  tag.add_vertex({1, TagRole::kAggregator, 0});
-  tag.add_vertex({2, TagRole::kAggregator, 0});
-  tag.add_vertex({3, TagRole::kAggregator, 1});
-  tag.add_channel({2, 1, ChannelKind::kIntraNodeShm, "g0"});
-  tag.add_channel({3, 1, ChannelKind::kInterNodeKernel, "g1"});
-  const auto g0 = tag.group_members("g0");
-  EXPECT_EQ(g0.size(), 2u);
-  const auto g1 = tag.group_members("g1");
-  EXPECT_EQ(g1.size(), 2u);
-}
-
-TEST(Tag, DuplicateVertexRejected) {
-  Tag tag;
-  EXPECT_TRUE(tag.add_vertex({1, TagRole::kAggregator, 0}));
-  EXPECT_FALSE(tag.add_vertex({1, TagRole::kAggregator, 1}));
-}
-
-TEST(Tag, ChannelWithUnknownEndpointThrows) {
-  Tag tag;
-  tag.add_vertex({1, TagRole::kAggregator, 0});
-  EXPECT_THROW(tag.add_channel({1, 99, ChannelKind::kIntraNodeShm, ""}),
-               std::invalid_argument);
-}
-
-TEST(Tag, ConsumersOfFollowsChannels) {
-  Tag tag;
-  tag.add_vertex({1, TagRole::kAggregator, 0});
-  tag.add_vertex({2, TagRole::kAggregator, 0});
-  tag.add_channel({2, 1, ChannelKind::kIntraNodeShm, ""});
-  const auto consumers = tag.consumers_of(2);
-  ASSERT_EQ(consumers.size(), 1u);
-  EXPECT_EQ(consumers[0], 1u);
 }
 
 }  // namespace

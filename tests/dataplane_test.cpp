@@ -315,8 +315,8 @@ TEST(DataPlaneSidecar, EbpfSidecarWritesMetricsOnSend) {
   u.logical_bytes = 777;
   w.plane.send(4, 0, 5, u);
   w.sim.run();
-  EXPECT_EQ(w.plane.env(0).metrics.get(metric_keys::kSends), 1.0);
-  EXPECT_EQ(w.plane.env(0).metrics.get(metric_keys::kSendBytes), 777.0);
+  EXPECT_EQ(w.plane.env(0).metrics.get(MetricsMap::kSends), 1.0);
+  EXPECT_EQ(w.plane.env(0).metrics.get(MetricsMap::kSendBytes), 777.0);
 }
 
 TEST(DataPlaneSidecar, EbpfSidecarCostsNothingWhenIdle) {
@@ -331,9 +331,9 @@ TEST(DataPlaneSidecar, RecordAggExecFeedsMetricsMap) {
   World w(lifl_plane());
   w.plane.record_agg_exec(0, 0.25);
   w.plane.record_agg_exec(0, 0.35);
-  EXPECT_NEAR(w.plane.env(0).metrics.get(metric_keys::kAggExecSum), 0.6,
+  EXPECT_NEAR(w.plane.env(0).metrics.get(MetricsMap::kAggExecSum), 0.6,
               1e-12);
-  EXPECT_EQ(w.plane.env(0).metrics.get(metric_keys::kAggExecCount), 2.0);
+  EXPECT_EQ(w.plane.env(0).metrics.get(MetricsMap::kAggExecCount), 2.0);
 }
 
 // ---- Gateway vertical scaling (§4.2).

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -133,8 +135,9 @@ TEST(ObsCampaign, TraceIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// Reconciliation: the trace's lifecycle events and the registry's typed
-// counters must agree with the campaign result's own telemetry.
+// Reconciliation: the trace's lifecycle events must agree with the
+// campaign result's counts, and the registry's histograms must have seen
+// what the run did.
 
 TEST(ObsCampaign, TraceReconcilesWithResult) {
   auto cfg = small_campaign(HierarchyMode::kPlanned, 1);
@@ -169,13 +172,11 @@ TEST(ObsCampaign, TraceReconcilesWithResult) {
   EXPECT_GE(spawns + 2, r.spawned_total);  // top spawn/rearm per run
   EXPECT_GE(rearms + 2, r.reused_total);
 
-  // Typed counters mirror the trace.
+  EXPECT_EQ(by_kind[Ev::kReplan], r.replans);
+
   const auto& reg = r.obs->registry();
   const auto& ids = r.obs->ids();
-  EXPECT_EQ(reg.counter_total(ids.spawns), spawns);
-  EXPECT_EQ(reg.counter_total(ids.rearms), rearms);
-  EXPECT_EQ(reg.counter_total(ids.folds), by_kind[Ev::kAggFold]);
-  EXPECT_EQ(reg.counter_total(ids.replans), r.replans);
+  EXPECT_EQ(reg.hist_total(ids.fold_secs).count, by_kind[Ev::kAggFold]);
   EXPECT_EQ(reg.hist_total(ids.round_secs).count, r.round_completed_at.size());
   EXPECT_GT(reg.hist_total(ids.gateway_wait_secs).count, 0u);
 }
@@ -190,25 +191,55 @@ TEST(ObsCampaign, FaultEventsReconcile) {
   const auto r = lifl::sys::run_sharded_campaign(cfg);
   ASSERT_GT(r.leaf_crashes, 0u);
   ASSERT_EQ(r.obs->trace().dropped_events(), 0u);
-  std::uint64_t crashes = 0, recoveries = 0;
+  // Only leaves crash here, so every recovery's `b` (the updates its
+  // aborted leases handed back) is a re-folded client update.
+  ASSERT_EQ(r.reinjected_partials, 0u);
+  std::uint64_t crashes = 0, recoveries = 0, recovered_updates = 0;
   for (const TraceEvent& e : r.obs->trace().merged()) {
     if (e.kind == Ev::kAggCrash) ++crashes;
-    if (e.kind == Ev::kAggRecover) ++recoveries;
+    if (e.kind == Ev::kAggRecover) {
+      ++recoveries;
+      recovered_updates += e.b;
+    }
   }
   EXPECT_EQ(crashes, r.leaf_crashes + r.middle_crashes);
   EXPECT_EQ(recoveries, crashes);
-  const auto& reg = r.obs->registry();
-  const auto& ids = r.obs->ids();
-  EXPECT_EQ(reg.counter_total(ids.crashes), crashes);
-  EXPECT_EQ(reg.counter_total(ids.refolds), r.refolded_updates);
+  EXPECT_EQ(recovered_updates, r.refolded_updates);
 }
 
 // ---------------------------------------------------------------------------
 // Checkpoint/resume composition: obs is not snapshotted; a traced resumed
-// run completes and still matches the uninterrupted results bitwise.
+// run completes, still matches the uninterrupted results bitwise, and its
+// JSONL summary row reports the uninterrupted run's counts — each count
+// has one home (the result), and the checkpoint restores it.
+
+/// The summary row's top-level scalar fields (key -> value text), written
+/// through `write_campaign_metrics_jsonl`. The nested "hists" object is cut
+/// off: it holds only what this process observed.
+std::map<std::string, std::string> summary_fields(
+    const ShardedCampaignResult& r, const std::string& path) {
+  lifl::sys::write_campaign_metrics_jsonl(r, path);
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  std::string last;
+  if (f != nullptr) {
+    char buf[65536];
+    while (std::fgets(buf, sizeof buf, f) != nullptr) last = buf;
+    std::fclose(f);
+  }
+  std::remove(path.c_str());
+  const std::size_t hists = last.find(", \"hists\"");
+  if (hists != std::string::npos) last.resize(hists);
+  std::map<std::string, std::string> fields;
+  const std::regex kv("\"(\\w+)\": ([^,{}\\n]+)");
+  for (auto it = std::sregex_iterator(last.begin(), last.end(), kv);
+       it != std::sregex_iterator(); ++it) {
+    fields[(*it)[1]] = (*it)[2];
+  }
+  return fields;
+}
 
 TEST(ObsCampaign, TracedResumeMatchesUninterrupted) {
-  auto cfg = small_campaign(HierarchyMode::kPlanned, 1);
+  auto cfg = small_campaign(HierarchyMode::kPlanned, test_shards());
   cfg.checkpoint_every_secs = 1.0;
   std::vector<std::uint8_t> blob;
   cfg.on_checkpoint = [&blob](const std::vector<std::uint8_t>& b,
@@ -230,6 +261,31 @@ TEST(ObsCampaign, TracedResumeMatchesUninterrupted) {
     EXPECT_EQ(full.round_samples[r], resumed.round_samples[r]);
   }
   EXPECT_GT(resumed.obs->trace().recorded_events(), 0u);
+
+  const std::string dir = testing::TempDir();
+  auto want = summary_fields(full, dir + "obs_full.jsonl");
+  auto got = summary_fields(resumed, dir + "obs_resumed.jsonl");
+  // Wall time and ring accounting are process-local by design.
+  for (const char* k : {"wall_secs", "trace_recorded", "trace_dropped"}) {
+    want.erase(k);
+    got.erase(k);
+  }
+  for (const char* k :
+       {"events", "cross_posts", "windows", "windows_skipped",
+        "spawned_total", "reused_total", "replans", "leaf_drains",
+        "leaf_crashes", "middle_crashes", "refolded_updates", "quorum_seals",
+        "upload_retries", "disconnects", "resumed_uploads",
+        "checkpoint_marks"}) {
+    ASSERT_EQ(want.count(k), 1u) << "summary row lacks " << k;
+  }
+  EXPECT_NE(want["checkpoint_marks"], "0");
+  EXPECT_NE(want["windows"], "0");  // test_shards() > 1: barriers ran
+  for (const auto& [key, value] : want) {
+    const auto it = got.find(key);
+    ASSERT_NE(it, got.end()) << "resumed summary lacks " << key;
+    EXPECT_EQ(it->second, value) << "summary key " << key;
+  }
+  EXPECT_EQ(got.size(), want.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -294,7 +350,8 @@ TEST(ObsCampaign, MetricsJsonlWritesRows) {
   ASSERT_EQ(lines.size(), r.round_completed_at.size() + 1 + 1);
   EXPECT_NE(lines.front().find("\"type\": \"round\""), std::string::npos);
   EXPECT_NE(lines.back().find("\"type\": \"summary\""), std::string::npos);
-  EXPECT_NE(lines.back().find("\"counters\""), std::string::npos);
+  EXPECT_NE(lines.back().find("\"replans\": "), std::string::npos);
+  EXPECT_NE(lines.back().find("\"hists\""), std::string::npos);
   for (const auto& l : lines) {
     EXPECT_EQ(l.front(), '{');
     EXPECT_EQ(l[l.size() - 2], '}');  // trailing newline

@@ -1,7 +1,7 @@
 // Unit tests for the observability layer (src/obs): trace ring overflow
 // accounting, deterministic merged ordering, the Chrome-JSON exporter's
-// structure, the log2 histogram / registry, and the MetricsMap interned
-// fast slots staying byte-compatible with the string-keyed map.
+// structure, the log2 histogram / registry, and the MetricsMap sidecar
+// slots.
 
 #include <gtest/gtest.h>
 
@@ -176,23 +176,20 @@ TEST(HistTest, Log2BucketsAndMoments) {
   EXPECT_DOUBLE_EQ(h.max, 1024.0);
 }
 
-TEST(RegistryTest, SlottedCountersGaugesHists) {
+TEST(RegistryTest, SlottedHists) {
   lifl::obs::Registry reg(/*slots=*/3);
-  const auto c = reg.counter("folds");
-  const auto g = reg.gauge("idle");
   const auto h = reg.hist("secs");
-  reg.add(0, c);
-  reg.add(0, c, 4);
-  reg.add(2, c, 10);
-  reg.set(1, g, 2.5);
+  const auto d = reg.hist("depth");
   reg.observe(1, h, 0.25);
-  EXPECT_EQ(reg.counter_value(0, c), 5u);
-  EXPECT_EQ(reg.counter_value(1, c), 0u);
-  EXPECT_EQ(reg.counter_total(c), 15u);
-  EXPECT_DOUBLE_EQ(reg.gauge_value(1, g), 2.5);
+  reg.observe(2, h, 0.5);
+  reg.observe(0, d, 3.0);
+  EXPECT_EQ(reg.hist_value(0, h).count, 0u);
   EXPECT_EQ(reg.hist_value(1, h).count, 1u);
-  EXPECT_EQ(reg.hist_total(h).count, 1u);
-  EXPECT_EQ(reg.counter_name(c), "folds");
+  EXPECT_EQ(reg.hist_total(h).count, 2u);
+  EXPECT_DOUBLE_EQ(reg.hist_total(h).sum, 0.75);
+  EXPECT_EQ(reg.hist_total(d).count, 1u);
+  EXPECT_EQ(reg.hist_name(d), "depth");
+  EXPECT_EQ(reg.hist_count(), 2u);
 }
 
 TEST(GroupObsTest, DisabledHandleIsInert) {
@@ -201,7 +198,6 @@ TEST(GroupObsTest, DisabledHandleIsInert) {
   lifl::obs::GroupObs o;
   o.instant(1.0, Ev::kAggSpawn, 1);
   o.span(1.0, 2.0, Ev::kAggFold, 1);
-  o.count_id(&lifl::obs::Ids::folds);
   o.observe_id(&lifl::obs::Ids::fold_secs, 0.5);
   EXPECT_FALSE(o.tracing());
   EXPECT_FALSE(o.metering());
@@ -215,16 +211,15 @@ TEST(CampaignObsTest, SlotAndTrackLayout) {
   cfg.trace_ring_kb = 1;
   lifl::obs::CampaignObs co(cfg, /*shards=*/2, /*groups=*/4);
   EXPECT_EQ(co.group_slot(3), 3u);
-  EXPECT_EQ(co.shard_slot(1), 5u);
-  EXPECT_EQ(co.campaign_slot(), 6u);
-  EXPECT_EQ(co.registry().slots(), 7u);
+  EXPECT_EQ(co.campaign_slot(), 4u);
+  EXPECT_EQ(co.registry().slots(), 5u);
 
   auto g = co.group_obs(2, /*shard=*/1);
   EXPECT_TRUE(g.tracing());
   EXPECT_TRUE(g.metering());
   EXPECT_EQ(g.track, 2);
-  g.count_id(&lifl::obs::Ids::folds, 3);
-  EXPECT_EQ(co.registry().counter_value(2, co.ids().folds), 3u);
+  g.observe_id(&lifl::obs::Ids::fold_secs, 0.5);
+  EXPECT_EQ(co.registry().hist_value(2, co.ids().fold_secs).count, 1u);
 
   auto coord = co.coordinator_obs();
   EXPECT_EQ(coord.track, lifl::obs::kCampaignTrack);
@@ -233,53 +228,30 @@ TEST(CampaignObsTest, SlotAndTrackLayout) {
 }
 
 // ---------------------------------------------------------------------------
-// MetricsMap: the interned fast slots must be indistinguishable from the
-// old string-hashed entries through every public API.
+// MetricsMap: five fixed sidecar slots; drain reads and zeroes one, and a
+// checkpointed image restores every slot.
 
-TEST(MetricsMapTest, InternedAndStringApisAreOneStore) {
+TEST(MetricsMapTest, AddGetDrain) {
   lifl::dp::MetricsMap m;
   m.add(lifl::dp::MetricsMap::kSends);
+  m.add(lifl::dp::MetricsMap::kSends);
   m.add(lifl::dp::MetricsMap::kSendBytes, 100.0);
-  m.increment("sends");         // string API routes to the same slot
-  m.increment("custom_key", 2.0);
-  EXPECT_DOUBLE_EQ(m.get("sends"), 2.0);
-  EXPECT_DOUBLE_EQ(m.get("send_bytes"), 100.0);
-  EXPECT_DOUBLE_EQ(m.get("custom_key"), 2.0);
-  EXPECT_EQ(m.size(), 3u);
+  EXPECT_DOUBLE_EQ(m.get(lifl::dp::MetricsMap::kSends), 2.0);
+  EXPECT_DOUBLE_EQ(m.get(lifl::dp::MetricsMap::kSendBytes), 100.0);
+  EXPECT_DOUBLE_EQ(m.get(lifl::dp::MetricsMap::kArrivals), 0.0);
+  EXPECT_DOUBLE_EQ(m.drain(lifl::dp::MetricsMap::kSends), 2.0);
+  EXPECT_DOUBLE_EQ(m.get(lifl::dp::MetricsMap::kSends), 0.0);
+  EXPECT_DOUBLE_EQ(m.get(lifl::dp::MetricsMap::kSendBytes), 100.0);
 }
 
-TEST(MetricsMapTest, DrainKeepsEntryAtZero) {
-  lifl::dp::MetricsMap m;
-  m.add(lifl::dp::MetricsMap::kArrivals, 7.0);
-  EXPECT_DOUBLE_EQ(m.drain("arrivals"), 7.0);
-  EXPECT_DOUBLE_EQ(m.get("arrivals"), 0.0);
-  // The drained entry still exists (at zero), exactly like the old
-  // unordered_map behaviour — sorted_entries must include it.
-  EXPECT_EQ(m.size(), 1u);
-  const auto entries = m.sorted_entries();
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].first, "arrivals");
-  EXPECT_DOUBLE_EQ(entries[0].second, 0.0);
-}
-
-TEST(MetricsMapTest, SortedEntriesAndRestoreRoundTrip) {
+TEST(MetricsMapTest, SlotsRestoreRoundTrip) {
   lifl::dp::MetricsMap m;
   m.add(lifl::dp::MetricsMap::kAggExecSum, 1.5);
   m.add(lifl::dp::MetricsMap::kAggExecCount, 3.0);
-  m.increment("zz_custom", 9.0);
-  m.set("agg_exec_sum", 2.5);  // string set overwrites the fast slot
-  const auto entries = m.sorted_entries();
-  ASSERT_EQ(entries.size(), 3u);
-  // Key-sorted, fast and slow entries interleaved by name.
-  EXPECT_EQ(entries[0].first, "agg_exec_count");
-  EXPECT_EQ(entries[1].first, "agg_exec_sum");
-  EXPECT_DOUBLE_EQ(entries[1].second, 2.5);
-  EXPECT_EQ(entries[2].first, "zz_custom");
-
   lifl::dp::MetricsMap m2;
-  m2.restore(entries);
-  EXPECT_EQ(m2.sorted_entries(), entries);
-  EXPECT_DOUBLE_EQ(m2.get("agg_exec_count"), 3.0);
+  m2.restore(m.slots());
+  EXPECT_EQ(m2.slots(), m.slots());
+  EXPECT_DOUBLE_EQ(m2.get(lifl::dp::MetricsMap::kAggExecCount), 3.0);
 }
 
 }  // namespace
