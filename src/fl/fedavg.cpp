@@ -1,5 +1,6 @@
 #include "src/fl/fedavg.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/ml/kernels.hpp"
@@ -56,55 +57,41 @@ void FedAvgAccumulator::add_tensor_weighted(
     const std::shared_ptr<const ml::Tensor>& params, float weight) {
   const std::size_t n = params->size();
   std::size_t have = n;
-  if (pending_) {
-    have = pending_->size();
+  if (parked_ > 0) {
+    have = ring_[0]->size();
   } else if (sum_) {
     have = sum_->size();
   }
   if (n != have) {
     throw std::invalid_argument("FedAvg: tensor size mismatch");
   }
-  const float w = weight;
-  if (!pending_) {
-    // Park the update zero-copy (a shared_ptr to the shm-resident tensor)
-    // until a partner arrives: two updates then fold in ONE accumulator
-    // sweep instead of two.
-    pending_ = params;
-    pending_weight_ = w;
-    return;
-  }
+  // Park the update zero-copy (a shared_ptr to the shm-resident tensor);
+  // a full ring folds in ONE accumulator sweep.
+  ring_[parked_] = params;
+  ring_weights_[parked_] = weight;
+  if (++parked_ == kFoldSlots) flush_ring();
+}
+
+void FedAvgAccumulator::flush_ring() {
+  if (parked_ == 0) return;
+  std::array<const float*, kFoldSlots> xs;
+  for (std::size_t j = 0; j < parked_; ++j) xs[j] = ring_[j]->data();
+  const std::size_t n = ring_[0]->size();
   const k::Ops& ops = k::ops();
   if (!sum_) {
     sum_ = ml::TensorPool::global().acquire(n);
-    ops.axpby_into(sum_->data(), pending_weight_, pending_->data(), w,
-                   params->data(), n);
+    ops.axpyn_into(sum_->data(), ring_weights_.data(), xs.data(), parked_, n);
   } else {
-    ops.axpy2(sum_->data(), pending_weight_, pending_->data(), w,
-              params->data(), n);
+    ops.axpyn(sum_->data(), ring_weights_.data(), xs.data(), parked_, n);
   }
-  pending_.reset();
-  pending_weight_ = 0.0f;
-}
-
-void FedAvgAccumulator::flush_pending() {
-  if (!pending_) return;
-  const k::Ops& ops = k::ops();
-  if (!sum_) {
-    sum_ = ml::TensorPool::global().acquire(pending_->size());
-    ops.scale_into(sum_->data(), pending_weight_, pending_->data(),
-                   pending_->size());
-  } else {
-    ops.axpy(sum_->data(), pending_weight_, pending_->data(),
-             pending_->size());
-  }
-  pending_.reset();
-  pending_weight_ = 0.0f;
+  for (std::size_t j = 0; j < parked_; ++j) ring_[j].reset();
+  parked_ = 0;
 }
 
 void FedAvgAccumulator::finalize() const {
   if (finalized_) return;
   auto* self = const_cast<FedAvgAccumulator*>(this);
-  self->flush_pending();
+  self->flush_ring();
   if (!sum_ || total_weight_ <= 0.0) return;
   // Divide by the *effective* weight total. With unit scales this is the
   // exact integer sample total (integer sums are exact in double), so the
@@ -142,8 +129,8 @@ void FedAvgAccumulator::reset() {
   // Dropping the pooled handles recycles the buffers (unless a consumer
   // still holds the finalized average — then it recycles when they drop).
   sum_.reset();
-  pending_.reset();
-  pending_weight_ = 0.0f;
+  for (std::size_t j = 0; j < parked_; ++j) ring_[j].reset();
+  parked_ = 0;
   finalized_.reset();
   total_samples_ = 0;
   total_weight_ = 0.0;
@@ -163,19 +150,16 @@ ml::Tensor FedAvgAccumulator::batch_average(
     total += static_cast<double>(c);
   }
   const k::Ops& ops = k::ops();
-  std::size_t i = 0;
-  for (; i + 2 <= updates.size(); i += 2) {
-    const auto& [t0, c0] = updates[i];
-    const auto& [t1, c1] = updates[i + 1];
-    ops.axpy2(out.data(),
-              static_cast<float>(static_cast<double>(c0) / total), t0->data(),
-              static_cast<float>(static_cast<double>(c1) / total), t1->data(),
-              n);
-  }
-  for (; i < updates.size(); ++i) {
-    const auto& [t, c] = updates[i];
-    ops.axpy(out.data(), static_cast<float>(static_cast<double>(c) / total),
-             t->data(), n);
+  std::array<float, kFoldSlots> ws;
+  std::array<const float*, kFoldSlots> xs;
+  for (std::size_t i = 0; i < updates.size(); i += kFoldSlots) {
+    const std::size_t fan = std::min(kFoldSlots, updates.size() - i);
+    for (std::size_t j = 0; j < fan; ++j) {
+      const auto& [t, c] = updates[i + j];
+      ws[j] = static_cast<float>(static_cast<double>(c) / total);
+      xs[j] = t->data();
+    }
+    ops.axpyn(out.data(), ws.data(), xs.data(), fan, n);
   }
   return out;
 }

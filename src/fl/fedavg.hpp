@@ -1,10 +1,13 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "src/fl/model_update.hpp"
+#include "src/ml/kernels.hpp"
 #include "src/ml/tensor.hpp"
 #include "src/ml/tensor_pool.hpp"
 
@@ -17,12 +20,21 @@ namespace lifl::fl {
 ///
 /// The seed kept the running *mean* instead, which costs a full `scale`
 /// sweep plus a full `axpy` sweep per fold (2× the memory traffic of the
-/// fused form) and a per-fold rescaling rounding step. Sum form folds with
-/// ONE fused pass (`kernels::axpy`), and — because the accumulator parks
-/// each arriving tensor until a second one shows up — usually folds two
-/// updates per read-modify-write sweep of the accumulator
-/// (`kernels::axpy2`), halving accumulator traffic again. Parking is free:
-/// it holds a `shared_ptr` to the shm-resident update, zero copies.
+/// fused form) and a per-fold rescaling rounding step. Sum form folds
+/// with fused passes, and the accumulator batches them: each arriving
+/// tensor is parked in a ring of `kFoldSlots` (tensor, weight) slots, and
+/// a full ring folds in ONE read-modify-write sweep of the accumulator
+/// (`kernels::axpyn`: 5 bytes per parameter per fold at k = 8, where a
+/// two-update sweep moves 8). `result()` flushes a partial ring. Parking
+/// costs no copy: a slot holds a `shared_ptr` to the shm-resident update,
+/// so the buffer is not recycled while parked. The price is held memory:
+/// between sweeps up to `kFoldSlots - 1` = 7 parked handles stay alive.
+///
+/// Rounding: a sweep sums the k weighted terms in slot (arrival) order
+/// and then adds that sum to the accumulator, so the float grouping
+/// depends on where the ring boundaries fall. The fold order, and hence
+/// the grouping, is a function of arrival order alone: fixed-order folds
+/// are bitwise deterministic.
 ///
 /// Eager == lazy still holds (addition commutes), and mixed logical/real
 /// mode is now *exact*: a logical-only update (no tensor) contributes its
@@ -31,7 +43,7 @@ namespace lifl::fl {
 ///
 /// **Staleness weighting** (FedAsync-style async aggregation): `add` takes
 /// an optional `scale` multiplied into the update's effective weight; the
-/// scaled coefficient rides the same fused `axpy`/`axpy2` sweep, so a
+/// scaled coefficient rides the same `axpyn` sweep, so a
 /// staleness-discounted fold costs exactly the same memory traffic as an
 /// unweighted one. The divisor becomes the *effective* weight total
 /// `total_weight()` (a double; integer sample counts are exact in it, so
@@ -43,6 +55,9 @@ namespace lifl::fl {
 /// allocations.
 class FedAvgAccumulator {
  public:
+  /// Ring size: updates folded per accumulator sweep.
+  static constexpr std::size_t kFoldSlots = ml::kernels::kMaxFan;
+
   /// Fold one update into the running aggregate. `scale` discounts the
   /// update's effective weight (1 = plain FedAvg; async mode passes the
   /// FedAsync staleness factor 1/(1+staleness)).
@@ -86,16 +101,16 @@ class FedAvgAccumulator {
  private:
   void add_tensor_weighted(const std::shared_ptr<const ml::Tensor>& params,
                            float weight);
-  /// Fold the parked update (if any) into the sum — called before finalize
-  /// so observable state is always complete.
-  void flush_pending();
+  /// Fold the parked ring (if any) into the sum in one sweep.
+  void flush_ring();
   /// Compute (and cache) the finalized average.
   void finalize() const;
 
   std::shared_ptr<ml::Tensor> sum_;  ///< pooled Σ c_i·w_i
-  /// One update parked zero-copy, waiting to pair into a dual fold.
-  std::shared_ptr<const ml::Tensor> pending_;
-  float pending_weight_ = 0.0f;
+  /// Updates parked zero-copy, in arrival order, until the ring fills.
+  std::array<std::shared_ptr<const ml::Tensor>, kFoldSlots> ring_;
+  std::array<float, kFoldSlots> ring_weights_{};
+  std::size_t parked_ = 0;  ///< occupied prefix of `ring_`
   mutable std::shared_ptr<const ml::Tensor> finalized_;  ///< cached average
   std::uint64_t total_samples_ = 0;
   double total_weight_ = 0.0;  ///< Σ effective weights — the divisor

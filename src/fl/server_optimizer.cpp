@@ -35,10 +35,12 @@ void ServerOptimizer::step(ml::Tensor& global, const ml::Tensor& round_avg) {
   const ml::kernels::Ops& ops = ml::kernels::ops();
 
   // Pseudo-gradient of the round, in a pooled scratch buffer (released back
-  // to the pool when `delta` drops at the end of the step).
+  // to the pool when `delta` drops at the end of the step): avg − global
+  // as a write-only 2-slot sweep.
   auto delta = ml::TensorPool::global().acquire(n);
-  ops.axpby_into(delta->data(), 1.0f, round_avg.data(), -1.0f, global.data(),
-                 n);
+  const float signs[2] = {1.0f, -1.0f};
+  const float* terms[2] = {round_avg.data(), global.data()};
+  ops.axpyn_into(delta->data(), signs, terms, 2, n);
 
   if (momentum_.size() != n) momentum_ = ml::Tensor(n, 0.0f);
   const auto beta1 = static_cast<float>(cfg_.beta1);

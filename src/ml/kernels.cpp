@@ -45,14 +45,18 @@ void axpby_scalar(float* acc, float a, float b, const float* x,
   for (std::size_t i = 0; i < n; ++i) acc[i] = a * acc[i] + b * x[i];
 }
 
-void axpy2_scalar(float* acc, float a, const float* x, float b,
-                  const float* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += a * x[i] + b * y[i];
-}
-
-void axpby_into_scalar(float* out, float a, const float* x, float b,
-                       const float* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = a * x[i] + b * y[i];
+template <bool kInto>
+void axpyn_scalar(float* out, const float* w, const float* const* xs,
+                  std::size_t k, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    float s = w[0] * xs[0][i];
+    for (std::size_t j = 1; j < k; ++j) s += w[j] * xs[j][i];
+    if constexpr (kInto) {
+      out[i] = s;
+    } else {
+      out[i] += s;
+    }
+  }
 }
 
 double dot_scalar(const float* x, const float* y, std::size_t n) {
@@ -68,14 +72,18 @@ double nrm2_scalar(const float* x, std::size_t n) {
 }
 
 constexpr Ops kScalarOps = {fill_scalar, scale_scalar, scale_into_scalar,
-                            axpy_scalar, axpby_scalar, axpy2_scalar,
-                            axpby_into_scalar, dot_scalar, nrm2_scalar};
+                            axpy_scalar, axpby_scalar, axpyn_scalar<false>,
+                            axpyn_scalar<true>, dot_scalar, nrm2_scalar};
 
 // ------------------------------------------------------------------ wide
 // One loop-body set, stamped out per ISA. The bodies are plain `__restrict`
 // loops the compiler auto-vectorizes; the reductions carry four independent
 // accumulators so the float->double converts and adds pipeline instead of
 // serializing on a single register.
+//
+// The k-way fold (`axpyn`) is stamped once per fan-in k = 1..kMaxFan with k
+// a template argument, so the slot loop unrolls and the element loop
+// vectorizes over k+1 streams; a switch on the runtime k picks the body.
 //
 // `ATTRS` is a function attribute list: empty for the baseline-ISA build,
 // `target("avx2,fma")` / `target("avx512f,fma")` for the multi-versioned
@@ -100,15 +108,40 @@ constexpr Ops kScalarOps = {fill_scalar, scale_scalar, scale_into_scalar,
                             const float* __restrict x, std::size_t n) {       \
     for (std::size_t i = 0; i < n; ++i) acc[i] = a * acc[i] + b * x[i];       \
   }                                                                           \
-  ATTRS void axpy2_##SUFFIX(float* __restrict acc, float a,                   \
-                            const float* __restrict x, float b,               \
-                            const float* __restrict y, std::size_t n) {       \
-    for (std::size_t i = 0; i < n; ++i) acc[i] += a * x[i] + b * y[i];        \
+  template <std::size_t K, bool kInto>                                        \
+  ATTRS void fan_##SUFFIX(float* __restrict out, const float* w,              \
+                          const float* const* xs, std::size_t n) {            \
+    float c[K];                                                               \
+    const float* x[K];                                                        \
+    for (std::size_t j = 0; j < K; ++j) {                                     \
+      c[j] = w[j];                                                            \
+      x[j] = xs[j];                                                           \
+    }                                                                         \
+    for (std::size_t i = 0; i < n; ++i) {                                     \
+      float s = c[0] * x[0][i];                                               \
+      for (std::size_t j = 1; j < K; ++j) s += c[j] * x[j][i];                \
+      if constexpr (kInto) {                                                  \
+        out[i] = s;                                                           \
+      } else {                                                                \
+        out[i] += s;                                                          \
+      }                                                                       \
+    }                                                                         \
   }                                                                           \
-  ATTRS void axpby_into_##SUFFIX(float* __restrict out, float a,              \
-                                 const float* __restrict x, float b,          \
-                                 const float* __restrict y, std::size_t n) {  \
-    for (std::size_t i = 0; i < n; ++i) out[i] = a * x[i] + b * y[i];         \
+  template <bool kInto>                                                       \
+  ATTRS void axpyn_##SUFFIX(float* out, const float* w,                       \
+                            const float* const* xs, std::size_t k,            \
+                            std::size_t n) {                                  \
+    switch (k) {                                                              \
+      case 1: return fan_##SUFFIX<1, kInto>(out, w, xs, n);                   \
+      case 2: return fan_##SUFFIX<2, kInto>(out, w, xs, n);                   \
+      case 3: return fan_##SUFFIX<3, kInto>(out, w, xs, n);                   \
+      case 4: return fan_##SUFFIX<4, kInto>(out, w, xs, n);                   \
+      case 5: return fan_##SUFFIX<5, kInto>(out, w, xs, n);                   \
+      case 6: return fan_##SUFFIX<6, kInto>(out, w, xs, n);                   \
+      case 7: return fan_##SUFFIX<7, kInto>(out, w, xs, n);                   \
+      case 8: return fan_##SUFFIX<8, kInto>(out, w, xs, n);                   \
+      default: return;                                                        \
+    }                                                                         \
   }                                                                           \
   ATTRS double dot_##SUFFIX(const float* __restrict x,                        \
                             const float* __restrict y, std::size_t n) {       \
@@ -143,8 +176,8 @@ constexpr Ops kScalarOps = {fill_scalar, scale_scalar, scale_into_scalar,
   }                                                                           \
   constexpr Ops k##SUFFIX##Table = {                                          \
       fill_##SUFFIX, scale_##SUFFIX, scale_into_##SUFFIX,                     \
-      axpy_##SUFFIX, axpby_##SUFFIX, axpy2_##SUFFIX,                          \
-      axpby_into_##SUFFIX, dot_##SUFFIX, nrm2_##SUFFIX};
+      axpy_##SUFFIX, axpby_##SUFFIX, axpyn_##SUFFIX<false>,                   \
+      axpyn_##SUFFIX<true>, dot_##SUFFIX, nrm2_##SUFFIX};
 
 LIFL_DEFINE_WIDE_KERNELS(Wide, )
 

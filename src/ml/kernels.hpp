@@ -26,6 +26,9 @@ namespace lifl::ml::kernels {
 /// level at runtime (used by tests and by `bench/micro_agg_kernels`).
 enum class Level : int { kScalar = 0, kWide = 1, kAvx2 = 2, kAvx512 = 3 };
 
+/// Widest fan-in of `Ops::axpyn` / `Ops::axpyn_into`.
+inline constexpr std::size_t kMaxFan = 8;
+
 /// The fused aggregation-kernel operation table.
 ///
 /// These are the single-pass primitives the FedAvg hot path is built from.
@@ -44,13 +47,16 @@ struct Ops {
   /// acc[i] = a * acc[i] + b * x[i] — the seed's scale+axpy pair in ONE
   /// read-modify-write pass (streaming-mean form folds, server momentum).
   void (*axpby)(float* acc, float a, float b, const float* x, std::size_t n);
-  /// acc[i] += a * x[i] + b * y[i] — dual fold: one RMW pass over the
-  /// accumulator folds TWO updates, halving accumulator traffic.
-  void (*axpy2)(float* acc, float a, const float* x, float b, const float* y,
-                std::size_t n);
-  /// out[i] = a * x[i] + b * y[i] — write-only dual "first fold".
-  void (*axpby_into)(float* out, float a, const float* x, float b,
-                     const float* y, std::size_t n);
+  /// acc[i] += Σ_j w[j] * xs[j][i], j < k, for 1 <= k <= kMaxFan — the
+  /// k-way fold: one read-modify-write pass over the accumulator folds k
+  /// updates. The k products are summed first, in slot order, and the sum
+  /// is then added to acc[i]. Slots may repeat a pointer; none may alias
+  /// `acc`.
+  void (*axpyn)(float* acc, const float* w, const float* const* xs,
+                std::size_t k, std::size_t n);
+  /// out[i] = Σ_j w[j] * xs[j][i] — the write-only k-way "first fold".
+  void (*axpyn_into)(float* out, const float* w, const float* const* xs,
+                     std::size_t k, std::size_t n);
   /// Dot product accumulated in double.
   double (*dot)(const float* x, const float* y, std::size_t n);
   /// Euclidean norm accumulated in double.

@@ -52,7 +52,6 @@ TEST(AggKernels, AllLevelsMatchScalarOnEveryOp) {
     for (const std::size_t n : kSizes) {
       sim::Rng rng(17 + static_cast<std::uint64_t>(n));
       const auto x = random_vec(rng, n);
-      const auto y = random_vec(rng, n);
       const auto base = random_vec(rng, n);
       const float a = 0.75f, b = -1.25f;
 
@@ -86,18 +85,82 @@ TEST(AggKernels, AllLevelsMatchScalarOnEveryOp) {
       ops.axpby(got.data(), a, b, x.data(), n);
       ref.axpby(want.data(), a, b, x.data(), n);
       expect_close(got, want, "axpby", level, n);
+    }
+  }
+}
 
-      got = base;
-      want = base;
-      ops.axpy2(got.data(), a, x.data(), b, y.data(), n);
-      ref.axpy2(want.data(), a, x.data(), b, y.data(), n);
-      expect_close(got, want, "axpy2", level, n);
+/// k-way fold inputs: `kMaxFan` distinct random rows, then slot sets that
+/// are either all distinct or alias rows across slots. fold-real's pattern
+/// is the aliased one (each node sees 2 distinct tensors in every sweep).
+struct FanInputs {
+  std::vector<std::vector<float>> rows;
+  float w[kMaxFan];
+  const float* distinct[kMaxFan];
+  const float* aliased[kMaxFan];
+};
 
-      got.assign(n, -9.0f);
-      want.assign(n, -9.0f);
-      ops.axpby_into(got.data(), a, x.data(), b, y.data(), n);
-      ref.axpby_into(want.data(), a, x.data(), b, y.data(), n);
-      expect_close(got, want, "axpby_into", level, n);
+FanInputs fan_inputs(sim::Rng& rng, std::size_t n) {
+  FanInputs in;
+  for (std::size_t j = 0; j < kMaxFan; ++j) {
+    in.rows.push_back(random_vec(rng, n));
+    in.w[j] = static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  for (std::size_t j = 0; j < kMaxFan; ++j) {
+    in.distinct[j] = in.rows[j].data();
+    in.aliased[j] = in.rows[j % 2].data();
+  }
+  return in;
+}
+
+TEST(AggKernels, AxpynMatchesScalarForEveryFanIn) {
+  const Ops& ref = ops_for(Level::kScalar);
+  for (const Level level : available_levels()) {
+    const Ops& ops = ops_for(level);
+    for (const std::size_t n : kSizes) {
+      sim::Rng rng(23 + static_cast<std::uint64_t>(n));
+      const FanInputs in = fan_inputs(rng, n);
+      const auto base = random_vec(rng, n);
+      for (const float* const* xs : {in.distinct, in.aliased}) {
+        for (std::size_t k = 1; k <= kMaxFan; ++k) {
+          auto got = base, want = base;
+          ops.axpyn(got.data(), in.w, xs, k, n);
+          ref.axpyn(want.data(), in.w, xs, k, n);
+          expect_close(got, want, "axpyn", level, n);
+
+          got.assign(n, -9.0f);
+          want.assign(n, -9.0f);
+          ops.axpyn_into(got.data(), in.w, xs, k, n);
+          ref.axpyn_into(want.data(), in.w, xs, k, n);
+          expect_close(got, want, "axpyn_into", level, n);
+        }
+      }
+    }
+  }
+}
+
+TEST(AggKernels, AxpynEqualsRepeatedAxpy) {
+  // One k-way sweep folds the same terms as k single-update `axpy` sweeps;
+  // only the float grouping differs. Aliased slots count once per slot.
+  const std::size_t n = 257;
+  for (const Level level : available_levels()) {
+    const Ops& ops = ops_for(level);
+    sim::Rng rng(53);
+    const FanInputs in = fan_inputs(rng, n);
+    for (const float* const* xs : {in.distinct, in.aliased}) {
+      for (std::size_t k = 1; k <= kMaxFan; ++k) {
+        std::vector<float> fan(n, 0.0f), seq(n, 0.0f), into(n, -9.0f);
+        ops.axpyn(fan.data(), in.w, xs, k, n);
+        ops.axpyn_into(into.data(), in.w, xs, k, n);
+        for (std::size_t j = 0; j < k; ++j) {
+          ops.axpy(seq.data(), in.w[j], xs[j], n);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_NEAR(fan[i], seq[i], 1e-5f * (1.0f + std::abs(seq[i])))
+              << "level=" << level_name(level) << " k=" << k << " i=" << i;
+          EXPECT_EQ(into[i], fan[i])
+              << "level=" << level_name(level) << " k=" << k << " i=" << i;
+        }
+      }
     }
   }
 }

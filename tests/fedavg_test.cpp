@@ -357,5 +357,147 @@ TEST_P(FedAvgSumFormProperty, MixedLogicalWeightInvariant) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FedAvgSumFormProperty,
                          ::testing::Range(1, 21));
 
+// ---- The k-slot ring: updates park in `kFoldSlots` slots and a full ring
+// folds in one sweep. Ring boundaries must not change what is computed.
+
+std::vector<std::shared_ptr<const ml::Tensor>> random_tensors(
+    sim::Rng& rng, std::size_t count, std::size_t dim) {
+  std::vector<std::shared_ptr<const ml::Tensor>> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    ml::Tensor t(dim);
+    for (std::size_t j = 0; j < dim; ++j) {
+      t[j] = static_cast<float>(rng.normal(0.0, 2.0));
+    }
+    out.push_back(std::make_shared<const ml::Tensor>(std::move(t)));
+  }
+  return out;
+}
+
+ml::Tensor batch_of(const std::vector<std::shared_ptr<const ml::Tensor>>& ts,
+                    const std::vector<std::uint64_t>& ws, std::size_t count) {
+  std::vector<std::pair<const ml::Tensor*, std::uint64_t>> batch;
+  for (std::size_t i = 0; i < count; ++i) {
+    batch.emplace_back(ts[i].get(), ws[i]);
+  }
+  return FedAvgAccumulator::batch_average(batch);
+}
+
+TEST(FedAvgRing, EveryCountAcrossRingFillsMatchesBatch) {
+  static_assert(FedAvgAccumulator::kFoldSlots == 8);
+  sim::Rng rng(71);
+  const std::size_t dim = 37;  // not a multiple of any vector width
+  const auto tensors = random_tensors(rng, 25, dim);
+  std::vector<std::uint64_t> weights;
+  for (std::size_t i = 0; i < 25; ++i) {
+    weights.push_back(1 + rng.uniform_index(1000));
+  }
+  for (std::size_t count = 1; count <= 25; ++count) {
+    FedAvgAccumulator acc;
+    for (std::size_t i = 0; i < count; ++i) acc.add(tensors[i], weights[i]);
+    ASSERT_TRUE(acc.result()) << count;
+    EXPECT_LT(ml::Tensor::max_abs_diff(*acc.result(),
+                                       batch_of(tensors, weights, count)),
+              1e-4)
+        << count << " updates";
+    EXPECT_EQ(acc.updates_folded(), count);
+  }
+}
+
+TEST(FedAvgRing, ResultMidRingThenMoreAddsStaysCorrect) {
+  sim::Rng rng(72);
+  const auto tensors = random_tensors(rng, 24, 19);
+  std::vector<std::uint64_t> weights;
+  for (std::size_t i = 0; i < 24; ++i) {
+    weights.push_back(1 + rng.uniform_index(500));
+  }
+  FedAvgAccumulator acc;
+  std::size_t added = 0;
+  // A read flushes the ring. These land with 3 and 5 updates parked, then
+  // right after a full sweep (8 adds since the last read).
+  for (const std::size_t upto : {11u, 16u, 24u}) {
+    for (; added < upto; ++added) acc.add(tensors[added], weights[added]);
+    const auto mid = acc.result();
+    ASSERT_TRUE(mid);
+    EXPECT_LT(ml::Tensor::max_abs_diff(*mid, batch_of(tensors, weights, upto)),
+              1e-4)
+        << upto << " updates";
+    EXPECT_EQ(acc.result(), mid);  // cached until the next add
+  }
+}
+
+TEST(FedAvgRing, ResetWithPartialRingDropsEveryParkedHandle) {
+  sim::Rng rng(73);
+  const auto tensors = random_tensors(rng, 13, 8);
+  FedAvgAccumulator acc;
+  // 13 = one full sweep (8 released) + 5 still parked.
+  for (const auto& t : tensors) acc.add(t, 10);
+  std::size_t parked = 0;
+  for (const auto& t : tensors) parked += t.use_count() > 1 ? 1 : 0;
+  EXPECT_EQ(parked, 13 % FedAvgAccumulator::kFoldSlots);
+  acc.reset();
+  for (std::size_t i = 0; i < tensors.size(); ++i) {
+    EXPECT_EQ(tensors[i].use_count(), 1) << i;
+  }
+  EXPECT_EQ(acc.total_samples(), 0u);
+  EXPECT_FALSE(acc.result());
+}
+
+TEST(FedAvgRing, SizeMismatchThrowsWithParkedRingAndWithSumOnly) {
+  const auto wide = tensor_of({1.0f, 2.0f});
+  const auto narrow = tensor_of({1.0f});
+
+  FedAvgAccumulator ringed;  // one update parked, no sum yet
+  ringed.add(wide, 1);
+  EXPECT_THROW(ringed.add(narrow, 1), std::invalid_argument);
+  EXPECT_EQ(ringed.total_samples(), 1u);
+
+  FedAvgAccumulator summed;  // one full sweep: a sum, an empty ring
+  for (std::size_t i = 0; i < FedAvgAccumulator::kFoldSlots; ++i) {
+    summed.add(wide, 1);
+  }
+  EXPECT_EQ(wide.use_count(), 2);  // the caller's and `ringed`'s slot
+  EXPECT_THROW(summed.add(narrow, 1), std::invalid_argument);
+  // A rejected update leaves the aggregate untouched.
+  ASSERT_TRUE(summed.result());
+  EXPECT_NEAR((*summed.result())[1], 2.0f, 1e-6);
+  EXPECT_EQ(summed.total_samples(), FedAvgAccumulator::kFoldSlots);
+}
+
+TEST(FedAvgRing, LogicalAndScaledUpdatesInterleaveWithPartialRings) {
+  sim::Rng rng(74);
+  const std::size_t dim = 23;
+  const std::size_t count = 30;
+  const auto tensors = random_tensors(rng, count, dim);
+  FedAvgAccumulator acc;
+  std::vector<double> ref(dim, 0.0);
+  double divisor = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    ModelUpdate u;
+    u.sample_count = 1 + rng.uniform_index(400);
+    // Every third update is logical-only; a real one carries its tensor.
+    if (i % 3 != 1) u.tensor = tensors[i];
+    const double scale =
+        1.0 / (1.0 + static_cast<double>(rng.uniform_index(5)));
+    acc.add(u, scale);
+    const double eff = static_cast<double>(u.sample_count) * scale;
+    divisor += eff;
+    if (u.tensor) {
+      for (std::size_t j = 0; j < dim; ++j) {
+        ref[j] += static_cast<double>(static_cast<float>(eff)) *
+                  static_cast<double>((*u.tensor)[j]);
+      }
+    }
+    // Read at a few points so later folds start from a flushed ring.
+    if (i == 4 || i == 12) ASSERT_TRUE(acc.result());
+  }
+  EXPECT_DOUBLE_EQ(acc.total_weight(), divisor);
+  const auto got = acc.result();
+  ASSERT_TRUE(got);
+  for (std::size_t j = 0; j < dim; ++j) {
+    const double want = ref[j] / divisor;
+    EXPECT_NEAR((*got)[j], want, 1e-5 * (1.0 + std::abs(want))) << j;
+  }
+}
+
 }  // namespace
 }  // namespace lifl::fl
