@@ -20,6 +20,11 @@ std::string to_string(AggRole role) {
   return "unknown";
 }
 
+double AggregatorRuntime::agg_cycles(std::size_t logical_bytes) noexcept {
+  return calib::kAggregateCyclesPerByte * static_cast<double>(logical_bytes) +
+         calib::kAggregateFixedCycles;
+}
+
 AggregatorRuntime::AggregatorRuntime(dp::DataPlane& plane, Config cfg)
     : plane_(plane),
       sim_(plane.cluster().sim()),
@@ -340,9 +345,7 @@ void AggregatorRuntime::on_recv_done() {
   busy_secs_ += step_secs_;
 
   // ---- Agg step: fold into the cumulative weighted average.
-  step_cycles_ = calib::kAggregateCyclesPerByte *
-                     static_cast<double>(in_flight_->logical_bytes) +
-                 calib::kAggregateFixedCycles;
+  step_cycles_ = agg_cycles(in_flight_->logical_bytes);
   step_secs_ = step_cycles_ / node.config().cpu_hz;
   node.cores().acquire(step_secs_, AggDone{ctx_});
 }

@@ -151,6 +151,12 @@ class AggregatorRuntime {
   AggregatorRuntime(const AggregatorRuntime&) = delete;
   AggregatorRuntime& operator=(const AggregatorRuntime&) = delete;
 
+  /// CPU cycles of the Agg step that folds an update of `logical_bytes`.
+  /// Over the node's clock rate it is the least time a fold takes
+  /// (waiting for a core only adds to it) — the unit emission floors count
+  /// in.
+  static double agg_cycles(std::size_t logical_bytes) noexcept;
+
   /// Register routes and begin operating (subject to cold start).
   void start();
 

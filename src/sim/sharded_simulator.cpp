@@ -35,6 +35,7 @@ ShardedSimulator::ShardedSimulator(Config cfg)
   mail_.resize(cfg.shards * cfg.shards);
   promises_.resize(cfg.shards);
   promised_.assign(cfg.shards, 0.0);
+  next_at_.resize(cfg.shards);
 }
 
 void ShardedSimulator::post(std::size_t from, std::size_t to, SimTime t,
@@ -228,7 +229,8 @@ void ShardedSimulator::worker_loop(std::size_t s, std::uint64_t base_epoch) {
   }
 }
 
-SimTime ShardedSimulator::plan_window(SimTime t_min) {
+SimTime ShardedSimulator::plan_window(SimTime t_min,
+                                      const std::vector<SimTime>& next_at) {
   const SimTime conservative = t_min + lookahead_;
   if (sync_ == SyncMode::kConservative) return conservative;
 
@@ -240,7 +242,7 @@ SimTime ShardedSimulator::plan_window(SimTime t_min) {
   // to enforce during the window.
   SimTime sound = std::numeric_limits<SimTime>::infinity();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const SimTime next = shards_[s].sim->next_event_time();
+    const SimTime next = next_at[s];
     SimTime bound = next == std::numeric_limits<SimTime>::infinity()
                         ? next
                         : next + lookahead_;
@@ -295,8 +297,9 @@ std::uint64_t ShardedSimulator::run_impl(SimTime mark) {
     for (const auto& cell : shards_) regular += cell.sim->pending_regular();
     if (regular == 0) break;
     SimTime t_min = std::numeric_limits<SimTime>::infinity();
-    for (const auto& cell : shards_) {
-      t_min = std::min(t_min, cell.sim->next_event_time());
+    for (std::size_t s = 0; s < k; ++s) {
+      next_at_[s] = shards_[s].sim->next_event_time();
+      t_min = std::min(t_min, next_at_[s]);
     }
     if (t_min == std::numeric_limits<SimTime>::infinity()) break;
     // Bounded run: pause at the barrier once every pending event sits at or
@@ -304,7 +307,7 @@ std::uint64_t ShardedSimulator::run_impl(SimTime mark) {
     // horizon, so the window sequence — and with it the event order — is
     // the same whether or not the run was paused here.
     if (bounded && t_min >= mark) break;
-    window_end_ = plan_window(t_min);
+    window_end_ = plan_window(t_min, next_at_);
     ++windows_;
     if (trace_ != nullptr) {
       obs::ShardTrace* ring = trace_->coordinator();

@@ -167,8 +167,15 @@ class ShardedSimulator {
   /// (the shard contributes its conservative bound only) and +infinity for
   /// "this shard will never post again this run". The coordinator evaluates
   /// promises in the serial phase of every opened window, with all workers
-  /// parked at the barrier, so the function may freely read the model state of
-  /// shard `s` (and, with care, of other shards). Promises must be pure reads:
+  /// parked at the barrier and every mailbox drained into its receiver, so
+  /// the function may freely read the model state of shard `s` — and of any
+  /// other shard: nothing runs during the serial phase, and the barrier
+  /// orders those reads after every write of the previous window. A
+  /// cross-shard read is only valid there; a promise that chains another
+  /// shard's state (e.g. a top aggregator bounding its next emission by the
+  /// emission floors of the groups feeding it) may rely on that state only
+  /// through what the other shard's own future events can do from it, since
+  /// those events run in the window being planned. Promises must be pure reads:
   /// evaluating one must not change model state, or `run_to` pausing stops
   /// being bit-transparent. A promise that is later contradicted by an actual
   /// post below the promised bound is a model bug and raises `std::logic_error`
@@ -227,10 +234,11 @@ class ShardedSimulator {
   std::uint64_t run_impl(SimTime mark);
   /// Pick the horizon of the window about to open (serial phase):
   /// conservative `t_min + lookahead`, widened by promises in adaptive
-  /// mode. Also ticks the skipped-window estimate — called exactly once
-  /// per *opened* window, after the `run_to` mark check, so pausing stays
-  /// bit-transparent.
-  SimTime plan_window(SimTime t_min);
+  /// mode. `next_at[s]` is shard `s`'s next event time, already queried
+  /// for `t_min`. Also ticks the skipped-window estimate — called exactly
+  /// once per *opened* window, after the `run_to` mark check, so pausing
+  /// stays bit-transparent.
+  SimTime plan_window(SimTime t_min, const std::vector<SimTime>& next_at);
   /// Spawn the K-1 worker threads on first multi-shard use; they persist —
   /// parked on the epoch wait — across run/run_to calls (a mark-sliced
   /// checkpointed round would otherwise pay a thread create/join per
@@ -253,6 +261,9 @@ class ShardedSimulator {
   std::vector<ShardCell> shards_;
   std::vector<Mailbox> mail_;
   std::vector<CrossEvent> drain_scratch_;
+  /// Per-shard next event times of the window being planned (serial
+  /// phase scratch).
+  std::vector<SimTime> next_at_;
   std::vector<std::thread> workers_;
   std::uint64_t windows_ = 0;
   std::uint64_t windows_skipped_ = 0;

@@ -747,8 +747,12 @@ void validate_config(const ShardedCampaignConfig& cfg) {
 /// never exceed launched uploads (leases make refolds exactly-once), and
 /// arrivals launch one at a time — so while `launched < needed` the relay
 /// cannot fire before the next scheduled arrival at `epoch + next_rel`,
-/// and its post delivers a cross-group latency after that. Pure reads of
-/// group-local state, evaluated only while the shards are parked.
+/// and its post delivers a cross-group latency after that. An async relay
+/// additionally waits on leaf seals once its arrivals have landed: its
+/// emission floor (`StreamingHierarchy::relay_emit_floor`) plus the same
+/// latency also bounds the post, and the later of the two bounds holds.
+/// Pure reads of group-local state, evaluated only while the shards are
+/// parked.
 double group_outbound_bound(const CampaignState& st, const Group& g) {
   const ShardedCampaignConfig& cfg = *st.cfg;
   const double inf = std::numeric_limits<double>::infinity();
@@ -786,32 +790,61 @@ double group_outbound_bound(const CampaignState& st, const Group& g) {
       break;
     }
   }
-  if (g.launched >= needed) return 0.0;
-  const double relay =
-      g.epoch + g.next_rel + cross_latency_secs(cfg.model_bytes);
-  return std::min(relay, deadline);
+  const double latency = cross_latency_secs(cfg.model_bytes);
+  double bound = 0.0;
+  if (g.launched < needed) {
+    bound = std::min(g.epoch + g.next_rel + latency, deadline);
+  }
+  if (cfg.hierarchy == HierarchyMode::kAsync) {
+    bound = std::max(bound, g.hier->relay_emit_floor() + latency);
+  }
+  return bound;
 }
 
 /// Lower bound on the next VersionApply broadcast out of the top's shard
-/// (async mode): the next version needs `async_folded + goal` cumulative
-/// folds, folds never exceed launched uploads, so while the fleet has not
-/// launched that many the emission waits for the earliest next arrival.
+/// (async mode), the later of two bounds:
+///  - arrivals: the next version needs `async_folded + goal` cumulative
+///    folds, folds never exceed launched uploads, so while the fleet has
+///    not launched that many the emission waits for the earliest next
+///    arrival;
+///  - the floor chain: the top holds or has in transit every unit the
+///    relays forwarded minus what it already emitted. While that cannot
+///    meet its goal, the next version needs a new relay emission — no
+///    earlier than the least group emission floor — one cross-group hop
+///    and one top Agg step later, and its broadcast lands one more hop
+///    after that. Under faults every group floor is 0, and so is the
+///    chain's contribution.
+/// Reads every group's hierarchy, so it may only run in the serial phase
+/// (see `ShardedSimulator::set_promise`).
 double async_top_bound(const CampaignState& st) {
   const double inf = std::numeric_limits<double>::infinity();
   if (st.round_done) return inf;  // stream over: no more broadcasts
+  const double latency = cross_latency_secs(st.cfg->model_bytes);
   const std::uint64_t need =
       st.async_folded +
       std::min(st.async_quota, st.async_total - st.async_folded);
   std::uint64_t launched = 0;
   for (const Group& g : st.groups) launched += g.launched;
-  if (launched >= need) return 0.0;
-  double arrival = inf;
-  for (const Group& g : st.groups) {
-    if (g.launched >= g.target) continue;
-    arrival = std::min(arrival, g.epoch + g.next_rel);
+  double bound = 0.0;
+  if (launched < need) {
+    double arrival = inf;
+    for (const Group& g : st.groups) {
+      if (g.launched >= g.target) continue;
+      arrival = std::min(arrival, g.epoch + g.next_rel);
+    }
+    if (arrival != inf) bound = arrival + latency;
   }
-  if (arrival == inf) return 0.0;
-  return arrival + cross_latency_secs(st.cfg->model_bytes);
+  std::uint64_t forwarded = 0;
+  for (const Group& g : st.groups) forwarded += g.hier->forwarded();
+  if (forwarded - st.async_folded >= st.top->config().goal) return bound;
+  double relay = inf;
+  for (const Group& g : st.groups) {
+    relay = std::min(relay, g.hier->relay_emit_floor());
+  }
+  const double top_step =
+      fl::AggregatorRuntime::agg_cycles(st.cfg->model_bytes) /
+      st.groups[0].cluster->node(0).config().cpu_hz;
+  return std::max(bound, relay + latency + top_step + latency);
 }
 
 /// Install the per-shard outbound promises that widen adaptive barrier

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -207,11 +208,12 @@ double StreamingHierarchy::leaf_deadline_secs() const {
 
 void StreamingHierarchy::arm_leaf_deadline(LeafSlot& s) {
   ++s.gen;  // invalidates any timer of the previous activation
+  s.deadline_at = std::numeric_limits<double>::infinity();
   if (!cfg_.async || cfg_.seal_deadline_secs <= 0.0) return;
   LeafSlot* sp = &s;
   const std::uint64_t gen = s.gen;
-  sim().schedule_after(leaf_deadline_secs(),
-                       [this, sp, gen] { flush_leaf(sp, gen); });
+  s.deadline_at = sim().now() + leaf_deadline_secs();
+  sim().schedule_at(s.deadline_at, [this, sp, gen] { flush_leaf(sp, gen); });
 }
 
 void StreamingHierarchy::flush_leaf(LeafSlot* s, std::uint64_t gen) {
@@ -223,8 +225,8 @@ void StreamingHierarchy::flush_leaf(LeafSlot* s, std::uint64_t gen) {
   const std::uint32_t have = s->rt->received();
   if (have == 0) {
     // Empty buffer: nothing to seal; push the deadline back.
-    sim().schedule_after(leaf_deadline_secs(),
-                         [this, s, gen] { flush_leaf(s, gen); });
+    s->deadline_at = sim().now() + leaf_deadline_secs();
+    sim().schedule_at(s->deadline_at, [this, s, gen] { flush_leaf(s, gen); });
     return;
   }
   if (have >= s->batch) return;  // full — the count seal is already firing
@@ -292,6 +294,7 @@ void StreamingHierarchy::on_leaf_batch(LeafSlot* s, fl::ModelUpdate u) {
   }
   const fl::ParticipantId parent =
       s->middle == kNoMiddle ? cfg_.relay_id : middles_[s->middle].id;
+  sent_up_ += u.updates_folded;
   plane_.send(leaf_id(*s), cfg_.node, parent, std::move(u));
   if (s->retiring) {
     park_leaf(*s);
@@ -337,8 +340,46 @@ void StreamingHierarchy::apply_leaf_target(std::uint32_t target) {
   planner_.set_current(cfg_.group, active_);
 }
 
+void StreamingHierarchy::arm_replan_pulse(double anchor) {
+  next_tick_ = std::numeric_limits<double>::infinity();
+  if (cfg_.replan_interval <= 0.0 || relay_done_) return;
+  next_tick_ = anchor + cfg_.replan_interval;
+  sim::schedule_every(sim(), next_tick_, cfg_.replan_interval,
+                      [this] { return sampler_tick(); });
+}
+
+double StreamingHierarchy::relay_emit_floor() const {
+  if (relay_done_) return std::numeric_limits<double>::infinity();
+  const bool faulty = cfg_.faults != nullptr && cfg_.faults->enabled();
+  if (!cfg_.async || faulty || !middles_.empty() || !relay_) return 0.0;
+  // Units the relay holds (folded, mid-step, queued) or has in transit:
+  // everything the leaves sent up minus what it already forwarded.
+  if (sent_up_ - forwarded_ >= relay_->config().goal) return 0.0;
+  sim::Cluster& cluster = plane_.cluster();
+  const double now = cluster.sim().now();
+  const double cpu_hz = cluster.node(cfg_.node).config().cpu_hz;
+  // A leaf seals by count once it folded its goal — for a retiring
+  // (draining) leaf, the updates it had accepted — and a fold costs at
+  // least the fixed Agg cycles whatever the client payload (one may already
+  // be mid-step, hence `goal - done - 1`); the relay folds a partial of
+  // exactly `result_bytes`.
+  const double leaf_step = fl::AggregatorRuntime::agg_cycles(0) / cpu_hz;
+  const double relay_step =
+      fl::AggregatorRuntime::agg_cycles(cfg_.result_bytes) / cpu_hz;
+  double seal = next_tick_;
+  for (const auto& s : slots_) {
+    if (!s->rt) continue;
+    const std::uint32_t goal = s->rt->config().goal;
+    const std::uint32_t done = s->rt->aggregated();
+    const double left = goal > done + 1 ? goal - done - 1 : 0;
+    seal = std::min({seal, s->deadline_at, now + left * leaf_step});
+  }
+  return seal + relay_step;
+}
+
 bool StreamingHierarchy::sampler_tick() {
   if (relay_done_) return false;
+  next_tick_ += cfg_.replan_interval;  // the pulse's own `at += interval`
   auto& pool = plane_.env(cfg_.node).pool;
   const std::uint64_t pushed = pool.total_pushed();
   const double arrivals = static_cast<double>(pushed - last_pushed_);
@@ -473,6 +514,7 @@ void StreamingHierarchy::begin_round(std::uint32_t round,
   target_ = target;
   claimed_ = 0;
   forwarded_ = 0;
+  sent_up_ = 0;
   sealed_ = false;
   relay_done_ = false;
   quorum_sealed_ = false;
@@ -530,11 +572,7 @@ void StreamingHierarchy::begin_round(std::uint32_t round,
   // ---- mid-round re-planning: a deterministic group-local pulse; it ends
   // itself once the group's relay completed, so it cannot keep the
   // simulation alive past the round.
-  if (cfg_.replan_interval > 0.0 && !relay_done_) {
-    sim::schedule_every(sim(), anchor + cfg_.replan_interval,
-                        cfg_.replan_interval,
-                        [this] { return sampler_tick(); });
-  }
+  arm_replan_pulse(anchor);
 
   // ---- graceful degradation: after the round deadline, seal at quorum
   // instead of stalling on stragglers. The probe carries the round number
@@ -554,6 +592,7 @@ void StreamingHierarchy::begin_stream(std::uint64_t target,
   target_ = target;
   claimed_ = 0;
   forwarded_ = 0;
+  sent_up_ = 0;
   sealed_ = false;
   relay_done_ = false;
   quorum_sealed_ = false;
@@ -615,11 +654,7 @@ void StreamingHierarchy::begin_stream(std::uint64_t target,
   // ---- buffer-pressure re-planning: same deterministic group-local pulse
   // as a round; the sampled signal (pool depth + arrival flux) *is* the
   // leaf-buffer pressure here.
-  if (cfg_.replan_interval > 0.0 && !relay_done_) {
-    sim::schedule_every(sim(), anchor + cfg_.replan_interval,
-                        cfg_.replan_interval,
-                        [this] { return sampler_tick(); });
-  }
+  arm_replan_pulse(anchor);
 }
 
 void StreamingHierarchy::restore_warm(std::size_t pool_n, std::size_t slot_n) {

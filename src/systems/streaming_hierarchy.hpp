@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -219,6 +220,23 @@ class StreamingHierarchy {
   /// unclaimed work remains.
   void apply_leaf_target(std::uint32_t target);
 
+  /// Lower bound on the simulated time of the relay's next emission
+  /// (`on_relay_result`) in an async stream — the *emission floor* a
+  /// sharded campaign builds its outbound promises from. Partial aggregates
+  /// move upward only at seal events, so when the units the relay holds or
+  /// has in transit cannot meet its goal, its next flush waits on a new
+  /// leaf seal, which cannot happen before the earliest of the next re-plan
+  /// tick, any live leaf's armed deadline, or the time a live leaf needs to
+  /// fold the rest of its goal (a retiring leaf's goal is what it had
+  /// accepted); one relay Agg step follows. +inf once the stream is
+  /// forwarded; 0 (no bound) when the relay may flush from what it already
+  /// has, outside async streams, and under faults (a crashed leaf re-folds
+  /// through the pool). Re-plans forced through `apply_leaf_target` outside
+  /// the tick are not covered. A pure read of group-local state.
+  double relay_emit_floor() const;
+  /// Async: client updates the relay has forwarded upward so far.
+  std::uint64_t forwarded() const noexcept { return forwarded_; }
+
   bool round_done() const noexcept { return relay_done_; }
   std::uint32_t active_leaves() const noexcept { return active_; }
   std::uint64_t claimed() const noexcept { return claimed_; }
@@ -241,6 +259,8 @@ class StreamingHierarchy {
     /// Activation generation: bumped at every (re)arm so a parked deadline
     /// timer from an earlier activation recognizes it is stale.
     std::uint64_t gen = 0;
+    /// Fire time of the current activation's seal deadline (+inf: none).
+    sim::SimTime deadline_at = std::numeric_limits<sim::SimTime>::infinity();
   };
   struct Middle {
     fl::ParticipantId id = 0;
@@ -273,6 +293,9 @@ class StreamingHierarchy {
   void park_leaf(LeafSlot& s);
   void on_leaf_batch(LeafSlot* s, fl::ModelUpdate u);
   bool sampler_tick();
+  /// Start the re-plan pulse at `anchor + replan_interval` (if enabled) and
+  /// record its next tick for `relay_emit_floor`.
+  void arm_replan_pulse(double anchor);
   /// Lossless leaf recovery: abort the dead instance's leases back into the
   /// group pool, move the dead sandbox to the graveyard, and re-arm the
   /// slot with a warm (or cold-spawned) replacement that re-claims and
@@ -317,6 +340,12 @@ class StreamingHierarchy {
   std::uint64_t target_ = 0;
   std::uint64_t claimed_ = 0;
   std::uint64_t forwarded_ = 0;  ///< async: client updates relayed upward
+  /// Client updates the leaves have sent to their parents (folded units of
+  /// every leaf partial); minus `forwarded_`, what the relay holds or has
+  /// in transit.
+  std::uint64_t sent_up_ = 0;
+  /// Fire time of the next re-plan tick (+inf: no re-plan pulse).
+  sim::SimTime next_tick_ = std::numeric_limits<sim::SimTime>::infinity();
   bool sealed_ = false;      ///< the round's batches are fully assigned
   bool relay_done_ = false;
   bool quorum_sealed_ = false;   ///< this round was sealed at quorum

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -45,6 +46,7 @@ struct GroupWorld {
   sys::StreamingHierarchy hier;
   fl::ModelUpdate relay_out;
   bool relay_got = false;
+  std::vector<double> relay_at;  ///< simulated time of every relay emission
 
   GroupWorld(ctrl::CampaignPlanner::Config pcfg,
              sys::StreamingHierarchy::Config hcfg, bool real_payloads = false)
@@ -55,6 +57,7 @@ struct GroupWorld {
           hcfg.on_relay_result = [this](fl::ModelUpdate u) {
             relay_out = std::move(u);
             relay_got = true;
+            relay_at.push_back(sim.now());
           };
           return hcfg;
         }()) {}
@@ -209,6 +212,131 @@ TEST(StreamingHierarchy, GrowActivatesParkedLeavesMidRound) {
   ASSERT_TRUE(w.relay_got);
   EXPECT_EQ(w.relay_out.updates_folded, n);
   EXPECT_GE(w.hier.round_stats().peak_leaves, 6u);
+}
+
+// ---------------------------------------------------------------------------
+// Emission floor soundness. A sharded campaign promises no cross-shard post
+// before a group's `relay_emit_floor()`, but `post()` only checks promises
+// at window barriers. Here the floor is recorded before *every* event of a
+// one-group async stream and checked against the relay emission that
+// actually follows.
+
+sys::StreamingHierarchy::Config async_hier() {
+  sys::StreamingHierarchy::Config h = small_hier();
+  h.async = true;
+  return h;
+}
+
+struct FloorTrace {
+  std::size_t evaluated = 0;
+  /// Floors beyond the next pending event (the floor engaged).
+  std::size_t ahead = 0;
+  /// Active leaves after each event.
+  std::vector<std::uint32_t> leaves;
+};
+
+/// Step `w` to quiescence, recording the floor before each event; every
+/// floor must be <= the next relay emission, and +inf once none follows.
+FloorTrace step_checking_floor(GroupWorld& w) {
+  FloorTrace tr;
+  std::vector<double> open;  // floors since the last emission
+  while (w.sim.pending_regular() > 0) {
+    const double floor = w.hier.relay_emit_floor();
+    ++tr.evaluated;
+    if (floor > w.sim.next_event_time()) ++tr.ahead;
+    open.push_back(floor);
+    const std::size_t before = w.relay_at.size();
+    w.sim.step();
+    tr.leaves.push_back(w.hier.active_leaves());
+    if (w.relay_at.size() > before) {
+      const double at = w.relay_at[before];
+      for (double f : open) EXPECT_LE(f, at) << "emission " << before;
+      open.clear();
+    }
+  }
+  EXPECT_TRUE(w.hier.round_done());
+  for (double f : open) EXPECT_EQ(f, std::numeric_limits<double>::infinity());
+  return tr;
+}
+
+TEST(StreamingHierarchy, EmitFloorHoldsUnderFixedSealDeadline) {
+  sys::StreamingHierarchy::Config h = async_hier();
+  h.seal_deadline_secs = 0.05;
+  GroupWorld w(small_planner(), h);
+  const std::uint32_t n = 200;
+  ctrl::GroupPlan plan;
+  plan.leaves = 3;
+  w.hier.begin_stream(n, plan);
+  w.seed_arrivals(1, n, 0.01);
+  const FloorTrace tr = step_checking_floor(w);
+  EXPECT_EQ(w.hier.forwarded(), n);
+  EXPECT_EQ(w.relay_at.size(), 5u);  // 200 updates / 40-update flushes
+  EXPECT_GT(w.hier.round_stats().drains, 0u);  // deadline seals fired
+  EXPECT_GT(tr.ahead, tr.evaluated / 2);
+}
+
+TEST(StreamingHierarchy, EmitFloorHoldsUnderAdaptiveSealDeadline) {
+  sys::StreamingHierarchy::Config h = async_hier();
+  h.seal_deadline_secs = 0.2;
+  h.adaptive_deadline = true;
+  h.replan_interval = 0.1;
+  GroupWorld w(small_planner(), h);
+  const std::uint32_t n = 300;
+  w.hier.begin_stream(n, w.planner.plan_round({double(n)}).groups[0]);
+  w.seed_arrivals(1, n, 0.004);
+  const FloorTrace tr = step_checking_floor(w);
+  EXPECT_EQ(w.hier.forwarded(), n);
+  EXPECT_GT(w.hier.round_stats().drains, 0u);
+  EXPECT_GT(tr.ahead, tr.evaluated / 2);
+}
+
+TEST(StreamingHierarchy, EmitFloorHoldsAcrossRetireThenGrowReplans) {
+  // 30-update batches, so a count seal is up to ~20 ms of folds away and
+  // the next re-plan tick is often the binding part of the floor; a
+  // one-update flush makes every leaf seal (a retiring leaf's drain
+  // included) an immediate relay emission.
+  ctrl::CampaignPlanner::Config p = small_planner();
+  p.updates_per_leaf = 30;
+  sys::StreamingHierarchy::Config h = async_hier();
+  h.updates_per_leaf = 30;
+  h.flush_updates = 1;
+  h.seal_deadline_secs = 0.5;
+  h.replan_interval = 0.1;
+  GroupWorld w(p, h);
+  // Burst, lull, burst: the re-plan pulse shrinks the leaf set (retiring
+  // leaves drain) in the lull and grows it again for the second burst.
+  const std::uint32_t n = 2360;
+  w.hier.begin_stream(n, w.planner.plan_round({double(n)}).groups[0]);
+  w.seed_arrivals(1, 980, 0.0003);
+  w.seed_arrivals(1, 400, 0.002, 0.344);
+  w.seed_arrivals(1, 980, 0.0003, 1.194);
+  const FloorTrace tr = step_checking_floor(w);
+  EXPECT_EQ(w.hier.forwarded(), n);
+  bool shrank = false, regrew = false;
+  for (std::size_t i = 1; i < tr.leaves.size(); ++i) {
+    if (tr.leaves[i] < tr.leaves[i - 1]) shrank = true;
+    if (shrank && tr.leaves[i] > tr.leaves[i - 1]) regrew = true;
+  }
+  EXPECT_TRUE(shrank);
+  EXPECT_TRUE(regrew);
+  EXPECT_GE(w.hier.round_stats().replans, 2u);
+  EXPECT_GT(tr.ahead, tr.evaluated / 2);
+}
+
+TEST(StreamingHierarchy, EmitFloorHoldsThroughFlushRemainderTail) {
+  sys::StreamingHierarchy::Config h = async_hier();
+  h.seal_deadline_secs = 0.05;
+  h.flush_updates = 15;
+  GroupWorld w(small_planner(), h);
+  const std::uint32_t n = 95;  // 15-update flushes, then a short tail
+  ctrl::GroupPlan plan;
+  plan.leaves = 2;
+  w.hier.begin_stream(n, plan);
+  w.seed_arrivals(1, n, 0.01);
+  const FloorTrace tr = step_checking_floor(w);
+  EXPECT_EQ(w.hier.forwarded(), n);
+  EXPECT_LT(w.relay_out.updates_folded, 15u);  // the tail flushed short
+  EXPECT_GT(tr.ahead, tr.evaluated / 2);
 }
 
 // ---------------------------------------------------------------------------

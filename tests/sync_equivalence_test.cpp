@@ -1,9 +1,10 @@
 // The sync differential harness: adaptive shard synchronization must be
 // invisible in the results. A seeded matrix of campaigns (3 hierarchy
-// modes x faults on/off x flaky clients on/off x shards {1,2,4} x both
-// sync modes) is checked bitwise against the 1-shard conservative oracle,
-// and adaptive runs with checkpoints at K > 1 must emit the conservative
-// run's checkpoint cut sequence and resume bitwise from a middle blob.
+// modes x faults on/off x flaky clients on/off, plus an edge-client async
+// cell, x shards {1,2,4} x both sync modes) is checked bitwise against the
+// 1-shard conservative oracle, and adaptive runs with checkpoints at K > 1
+// must emit the conservative run's checkpoint cut sequence and resume
+// bitwise from a middle blob.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/control/selection.hpp"
 #include "src/sim/sharded_simulator.hpp"
 #include "src/systems/sharded_campaign.hpp"
 #include "src/workload/device_tier.hpp"
@@ -37,6 +39,10 @@ struct Scenario {
   sys::HierarchyMode hierarchy;
   bool faults;
   bool flaky;
+  /// The benchmark's async edge-client knobs at test scale: scored
+  /// selection over the tier mix, stragglers, adaptive seal deadlines and
+  /// the auto-tuned version quota.
+  bool edge = false;
 };
 
 /// Every valid cell of hierarchy x faults x flaky. Faults require the
@@ -53,6 +59,7 @@ const Scenario kScenarios[] = {
     {"async+faults", sys::HierarchyMode::kAsync, true, false},
     {"async+flaky", sys::HierarchyMode::kAsync, false, true},
     {"async+faults+flaky", sys::HierarchyMode::kAsync, true, true},
+    {"async+edge", sys::HierarchyMode::kAsync, false, true, true},
 };
 
 sys::ShardedCampaignConfig matrix_campaign(const Scenario& sc,
@@ -97,6 +104,14 @@ sys::ShardedCampaignConfig matrix_campaign(const Scenario& sc,
     cfg.lifecycle.chunk_bytes = 10'000;
     cfg.lifecycle.offline_base_secs = 0.05;
     cfg.lifecycle.offline_cap_secs = 1.0;
+  }
+  if (sc.edge) {
+    cfg.selector = lifl::ctrl::SelectorPolicy::kScored;
+    cfg.straggler_fraction = 0.1;
+    cfg.straggler_delay_secs = 1.0;
+    cfg.async_deadline_secs = 0.2;
+    cfg.async_adaptive_deadline = true;
+    cfg.async_auto_quota = true;
   }
   cfg.sync_mode = sync;
   return cfg;
@@ -186,6 +201,7 @@ TEST(SyncEquivalence, MatrixBitwiseEqualToOneShardConservative) {
   const SyncMode modes[] = {SyncMode::kConservative, SyncMode::kAdaptive};
   std::uint64_t total_skipped = 0;
   for (const Scenario& sc : kScenarios) {
+    std::uint64_t windows_at_4[2] = {0, 0};  // conservative, adaptive
     const auto oracle = sys::run_sharded_campaign(
         matrix_campaign(sc, 1, SyncMode::kConservative));
     EXPECT_EQ(oracle.windows, 0u) << sc.name;
@@ -199,6 +215,9 @@ TEST(SyncEquivalence, MatrixBitwiseEqualToOneShardConservative) {
         const auto r =
             sys::run_sharded_campaign(matrix_campaign(sc, shards, sync));
         expect_bitwise(oracle, r, label);
+        if (shards == 4) {
+          windows_at_4[sync == SyncMode::kAdaptive ? 1 : 0] = r.windows;
+        }
         if (shards == 1) {
           // Sync modes are a no-op without barriers.
           EXPECT_EQ(r.windows, 0u) << label;
@@ -210,9 +229,47 @@ TEST(SyncEquivalence, MatrixBitwiseEqualToOneShardConservative) {
         }
       }
     }
+    // Fault-free async streams: the emission floors (leaf seal -> relay ->
+    // top) let adaptive sync skip the barriers between seal events. At this
+    // scale a 10-update leaf fills in a few arrivals, so seals are only
+    // milliseconds apart: the floors cut windows below 3/8 of
+    // conservative's, under the 0.40-0.45 that arrival bounds alone reach.
+    // AsyncSealFloorsOpenATenthOfConservativeWindows covers the
+    // seal-dominated regime.
+    if (sc.hierarchy == sys::HierarchyMode::kAsync && !sc.faults) {
+      EXPECT_LE(windows_at_4[1] * 8, windows_at_4[0] * 3) << sc.name;
+    }
   }
   // The widening actually engaged somewhere in the matrix.
   EXPECT_GT(total_skipped, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The benchmark's regime: leaf batches much larger than the arrivals a seal
+// deadline collects, so partial aggregates move upward only at deadline
+// seals and the relays spend most of the stream waiting on them. The
+// emission floors skip those waits: adaptive sync opens at most a tenth of
+// conservative's windows, with results bitwise equal to the 1-shard run.
+
+TEST(SyncEquivalence, AsyncSealFloorsOpenATenthOfConservativeWindows) {
+  const Scenario edge{"async+edge", sys::HierarchyMode::kAsync, false, true,
+                      true};
+  const auto campaign = [&](std::size_t shards, SyncMode sync) {
+    sys::ShardedCampaignConfig cfg = matrix_campaign(edge, shards, sync);
+    cfg.updates_per_leaf = 100;
+    cfg.async_deadline_secs = 1.0;
+    return cfg;
+  };
+  const auto oracle =
+      sys::run_sharded_campaign(campaign(1, SyncMode::kConservative));
+  const auto conservative =
+      sys::run_sharded_campaign(campaign(4, SyncMode::kConservative));
+  const auto adaptive =
+      sys::run_sharded_campaign(campaign(4, SyncMode::kAdaptive));
+  expect_bitwise(oracle, conservative, "seal regime conservative");
+  expect_bitwise(oracle, adaptive, "seal regime adaptive");
+  EXPECT_EQ(adaptive.cross_posts, conservative.cross_posts);
+  EXPECT_LE(adaptive.windows * 10, conservative.windows);
 }
 
 // ---------------------------------------------------------------------------
@@ -224,61 +281,69 @@ TEST(SyncEquivalence, AdaptiveCheckpointCutsMatchConservativeAndResume) {
     double mark;
   };
   const double every = 0.5;  // several marks inside each ~1.4 s round
-
-  auto with_ck = [&](std::size_t shards, SyncMode sync,
-                     std::vector<Cut>* cuts,
-                     std::vector<std::vector<std::uint8_t>>* blobs) {
-    Scenario sc{"planned", sys::HierarchyMode::kPlanned, false, false};
-    auto cfg = matrix_campaign(sc, shards, sync);
-    cfg.rounds = 3;
-    cfg.checkpoint_every_secs = every;
-    cfg.on_checkpoint = [cuts, blobs](const std::vector<std::uint8_t>& blob,
-                                      std::uint32_t round, double mark) {
-      if (cuts != nullptr) cuts->push_back(Cut{round, mark});
-      if (blobs != nullptr) blobs->push_back(blob);
-    };
-    return cfg;
+  // Planned rounds, and an async stream whose promises chain the emission
+  // floors through every group's hierarchy.
+  const Scenario scenarios[] = {
+      {"planned", sys::HierarchyMode::kPlanned, false, false},
+      {"async+edge", sys::HierarchyMode::kAsync, false, true, true},
   };
+  for (const Scenario& sc : scenarios) {
+    auto with_ck = [&](std::size_t shards, SyncMode sync,
+                       std::vector<Cut>* cuts,
+                       std::vector<std::vector<std::uint8_t>>* blobs) {
+      auto cfg = matrix_campaign(sc, shards, sync);
+      cfg.rounds = 3;
+      cfg.checkpoint_every_secs = every;
+      cfg.on_checkpoint = [cuts, blobs](const std::vector<std::uint8_t>& blob,
+                                        std::uint32_t round, double mark) {
+        if (cuts != nullptr) cuts->push_back(Cut{round, mark});
+        if (blobs != nullptr) blobs->push_back(blob);
+      };
+      return cfg;
+    };
+    const std::string name = sc.name;
 
-  // Oracle: conservative sync at the SAME shard count. Checkpoint blobs
-  // serialize one clock entry per shard, so their size — and with it the
-  // in-sim marshal billing on group 0's node — legitimately depends on K;
-  // cross-K equivalence without checkpoints is the matrix test's job.
-  std::vector<Cut> mono_cuts;
-  const auto mono = sys::run_sharded_campaign(
-      with_ck(env_shards(), SyncMode::kConservative, &mono_cuts, nullptr));
+    // Oracle: conservative sync at the SAME shard count. Checkpoint blobs
+    // serialize one clock entry per shard, so their size — and with it the
+    // in-sim marshal billing on group 0's node — legitimately depends on K;
+    // cross-K equivalence without checkpoints is the matrix test's job.
+    std::vector<Cut> mono_cuts;
+    const auto mono = sys::run_sharded_campaign(
+        with_ck(env_shards(), SyncMode::kConservative, &mono_cuts, nullptr));
 
-  std::vector<Cut> ad_cuts;
-  std::vector<std::vector<std::uint8_t>> ad_blobs;
-  const auto ad = sys::run_sharded_campaign(
-      with_ck(env_shards(), SyncMode::kAdaptive, &ad_cuts, &ad_blobs));
+    std::vector<Cut> ad_cuts;
+    std::vector<std::vector<std::uint8_t>> ad_blobs;
+    const auto ad = sys::run_sharded_campaign(
+        with_ck(env_shards(), SyncMode::kAdaptive, &ad_cuts, &ad_blobs));
 
-  expect_bitwise(mono, ad, "adaptive+checkpoints");
-  EXPECT_GT(ad.checkpoint_marks, 0u);
+    expect_bitwise(mono, ad, name + " adaptive+checkpoints");
+    EXPECT_GT(ad.checkpoint_marks, 0u) << name;
 
-  // Widened windows straddle marks, but pausing is bit-transparent: the
-  // blob stream is exactly the oracle's cut sequence, strictly increasing
-  // (no mark emitted twice, none dropped).
-  ASSERT_EQ(ad_cuts.size(), mono_cuts.size());
-  for (std::size_t i = 0; i < ad_cuts.size(); ++i) {
-    EXPECT_EQ(ad_cuts[i].round, mono_cuts[i].round) << "blob " << i;
-    EXPECT_EQ(ad_cuts[i].mark, mono_cuts[i].mark) << "blob " << i;
-    if (i > 0) {
-      EXPECT_TRUE(ad_cuts[i - 1].round < ad_cuts[i].round ||
-                  (ad_cuts[i - 1].round == ad_cuts[i].round &&
-                   ad_cuts[i - 1].mark < ad_cuts[i].mark))
-          << "duplicate or reordered emission at blob " << i;
+    // Widened windows straddle marks, but pausing is bit-transparent: the
+    // blob stream is exactly the oracle's cut sequence, strictly increasing
+    // (no mark emitted twice, none dropped).
+    ASSERT_EQ(ad_cuts.size(), mono_cuts.size()) << name;
+    for (std::size_t i = 0; i < ad_cuts.size(); ++i) {
+      EXPECT_EQ(ad_cuts[i].round, mono_cuts[i].round) << name << " blob " << i;
+      EXPECT_EQ(ad_cuts[i].mark, mono_cuts[i].mark) << name << " blob " << i;
+      if (i > 0) {
+        EXPECT_TRUE(ad_cuts[i - 1].round < ad_cuts[i].round ||
+                    (ad_cuts[i - 1].round == ad_cuts[i].round &&
+                     ad_cuts[i - 1].mark < ad_cuts[i].mark))
+            << name << ": duplicate or reordered emission at blob " << i;
+      }
     }
-  }
 
-  // Resuming an adaptive run from a mid-campaign user blob replays the
-  // tail to the same bitwise result.
-  ASSERT_GE(ad_blobs.size(), 2u);
-  const auto& middle = ad_blobs[ad_blobs.size() / 2];
-  auto rcfg = with_ck(env_shards(), SyncMode::kAdaptive, nullptr, nullptr);
-  rcfg.resume_blob = &middle;
-  const auto resumed = sys::run_sharded_campaign(rcfg);
-  expect_bitwise(mono, resumed, "adaptive resume from mid-campaign blob");
+    // Resuming an adaptive run from a mid-campaign user blob replays the
+    // tail to the same bitwise result.
+    ASSERT_GE(ad_blobs.size(), 2u) << name;
+    const auto& middle = ad_blobs[ad_blobs.size() / 2];
+    auto rcfg = with_ck(env_shards(), SyncMode::kAdaptive, nullptr, nullptr);
+    rcfg.resume_blob = &middle;
+    const auto resumed = sys::run_sharded_campaign(rcfg);
+    expect_bitwise(mono, resumed,
+                   name + " adaptive resume from mid-campaign blob");
+  }
 }
 
 }  // namespace
