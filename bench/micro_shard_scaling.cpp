@@ -5,7 +5,7 @@
 // (src/systems/sharded_campaign): 8 node groups of LIFL data plane + leaf
 // hierarchy ingesting a dense client-upload wave (the fan-in regime of
 // §5/Fig. 9), with leaf aggregates crossing groups through the
-// conservative-window mailboxes. The *same* wiring runs at every shard
+// promise-widened window mailboxes. The *same* wiring runs at every shard
 // count — results are bitwise identical (tests/sharded_sim_test.cpp) — so
 // the sweep isolates pure execution scaling: 1 shard is the single-threaded
 // calendar core, K shards run K event loops under time-window barriers.
@@ -37,8 +37,7 @@ using namespace lifl;
 namespace {
 
 sys::ShardedCampaignConfig bench_campaign(std::size_t shards,
-                                          std::size_t scale,
-                                          sim::SyncMode sync) {
+                                          std::size_t scale) {
   sys::ShardedCampaignConfig cfg;
   cfg.shards = shards;
   cfg.groups = 8;
@@ -55,17 +54,11 @@ sys::ShardedCampaignConfig bench_campaign(std::size_t shards,
   cfg.seed = 4242;
   cfg.gateway_cores = 4;
   cfg.gateway_queues = 0;  // one RSS queue per gateway core
-  cfg.sync_mode = sync;
   return cfg;
-}
-
-const char* sync_name(sim::SyncMode m) {
-  return m == sim::SyncMode::kConservative ? "conservative" : "adaptive";
 }
 
 struct Sample {
   std::size_t shards = 0;
-  sim::SyncMode sync = sim::SyncMode::kConservative;
   std::uint64_t events = 0;
   double wall_secs = 0.0;
   std::uint64_t windows = 0;
@@ -79,12 +72,10 @@ struct Sample {
   double events_per_sec() const { return events / wall_secs; }
 };
 
-Sample run_once(std::size_t shards, std::size_t scale, sim::SyncMode sync) {
-  const auto r =
-      sys::run_sharded_campaign(bench_campaign(shards, scale, sync));
+Sample run_once(std::size_t shards, std::size_t scale) {
+  const auto r = sys::run_sharded_campaign(bench_campaign(shards, scale));
   Sample s;
   s.shards = shards;
-  s.sync = sync;
   s.events = r.events;
   s.wall_secs = r.wall_secs;
   s.windows = r.windows;
@@ -97,11 +88,10 @@ Sample run_once(std::size_t shards, std::size_t scale, sim::SyncMode sync) {
 }
 
 /// Best of `reps` (CI runners are noisy; parallel speedups doubly so).
-Sample best_of(int reps, std::size_t shards, std::size_t scale,
-               sim::SyncMode sync) {
-  Sample best = run_once(shards, scale, sync);
+Sample best_of(int reps, std::size_t shards, std::size_t scale) {
+  Sample best = run_once(shards, scale);
   for (int i = 1; i < reps; ++i) {
-    const Sample s = run_once(shards, scale, sync);
+    const Sample s = run_once(shards, scale);
     if (s.events_per_sec() > best.events_per_sec()) best = s;
   }
   return best;
@@ -128,28 +118,18 @@ int main(int argc, char** argv) {
       scale, hw);
 
   // Best-of-3: parallel speedups on shared CI runners are noisy, and the
-  // 4-shard sample feeds a hard gate. Multi-shard counts additionally run
-  // the adaptive sync mode — results are bitwise identical
-  // (tests/sync_equivalence_test.cpp), so the deltas are pure barrier cost.
-  const std::vector<std::size_t> shard_counts{1, 2, 4, 8};
-  const sim::SyncMode modes[] = {sim::SyncMode::kConservative,
-                                 sim::SyncMode::kAdaptive};
+  // 4-shard sample feeds a hard gate.
   std::vector<Sample> samples;
-  for (const std::size_t k : shard_counts) {
-    for (const sim::SyncMode m : modes) {
-      if (k == 1 && m != sim::SyncMode::kConservative) {
-        continue;  // sync modes are a no-op without barriers
-      }
-      samples.push_back(best_of(3, k, scale, m));
-    }
+  for (const std::size_t k : {1, 2, 4, 8}) {
+    samples.push_back(best_of(3, k, scale));
   }
 
   const double base = samples[0].events_per_sec();
-  sys::Table t({"shards", "sync", "events", "wall(s)", "events/s", "speedup",
+  sys::Table t({"shards", "events", "wall(s)", "events/s", "speedup",
                 "windows", "skipped", "cross_posts"});
   for (const auto& s : samples) {
-    t.row({std::to_string(s.shards), sync_name(s.sync),
-           std::to_string(s.events), sys::fmt(s.wall_secs, 3),
+    t.row({std::to_string(s.shards), std::to_string(s.events),
+           sys::fmt(s.wall_secs, 3),
            sys::fmt(s.events_per_sec() / 1e6, 2) + "M",
            sys::fmt(s.events_per_sec() / base, 2) + "x",
            std::to_string(s.windows), std::to_string(s.windows_skipped),
@@ -170,14 +150,12 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < samples.size(); ++i) {
       const auto& s = samples[i];
       std::fprintf(out,
-                   "    {\"shards\": %zu, \"sync\": \"%s\", "
-                   "\"events\": %llu, "
+                   "    {\"shards\": %zu, \"events\": %llu, "
                    "\"wall_secs\": %.6f, \"events_per_sec\": %.0f, "
                    "\"speedup\": %.3f, \"windows\": %llu, "
                    "\"windows_skipped\": %llu, "
                    "\"cross_posts\": %llu,\n     \"per_shard\": [",
-                   s.shards, sync_name(s.sync),
-                   static_cast<unsigned long long>(s.events),
+                   s.shards, static_cast<unsigned long long>(s.events),
                    s.wall_secs, s.events_per_sec(),
                    s.events_per_sec() / base,
                    static_cast<unsigned long long>(s.windows),
@@ -200,17 +178,8 @@ int main(int argc, char** argv) {
     std::printf("\nwrote BENCH_shard_scaling.json\n");
   }
 
-  // ---- gate: >= 3x at 4 shards (best sync mode), where the hardware can
-  // express it. The adaptive mode exists to push past the barrier ceiling,
-  // so the gate holds the better of the two to the floor.
-  double speedup4 = 0.0;
-  const char* mode4 = "";
-  for (const auto& s : samples) {
-    if (s.shards == 4 && s.events_per_sec() / base > speedup4) {
-      speedup4 = s.events_per_sec() / base;
-      mode4 = sync_name(s.sync);
-    }
-  }
+  // ---- gate: >= 3x at 4 shards, where the hardware can express it.
+  const double speedup4 = samples[2].events_per_sec() / base;  // 4 shards
   bool gate = hw >= 4;
   if (const char* env = std::getenv("LIFL_SHARD_BENCH_GATE")) {
     gate = std::strcmp(env, "0") != 0;
@@ -229,7 +198,6 @@ int main(int argc, char** argv) {
                  speedup4);
     return 1;
   }
-  std::printf("gate OK: 4-shard speedup %.2fx (%s sync) >= 3x\n", speedup4,
-              mode4);
+  std::printf("gate OK: 4-shard speedup %.2fx >= 3x\n", speedup4);
   return 0;
 }

@@ -15,7 +15,7 @@ namespace {
 /// the blocking fallback keeps oversubscribed machines (fewer cores than
 /// shards) from melting down.
 constexpr int kSpinIters = 4096;
-/// Cap on adaptive horizon widening, in lookaheads past the conservative
+/// Cap on promise-widened horizons, in lookaheads past the conservative
 /// horizon. It keeps every window finite (idle tails and daemon chains
 /// would otherwise run unbounded) and bounds how far a window can straddle
 /// a `run_to` mark.
@@ -23,7 +23,7 @@ constexpr double kMaxWidenLookaheads = 256.0;
 }  // namespace
 
 ShardedSimulator::ShardedSimulator(Config cfg)
-    : lookahead_(cfg.lookahead), sync_(cfg.sync) {
+    : lookahead_(cfg.lookahead) {
   if (cfg.shards == 0) {
     throw std::invalid_argument("ShardedSimulator: shards must be >= 1");
   }
@@ -67,7 +67,7 @@ void ShardedSimulator::post(std::size_t from, std::size_t to, SimTime t,
           ")");
     }
   }
-  // Promise enforcement: the adaptive horizon trusted this shard not to
+  // Promise enforcement: the widened horizon trusted this shard not to
   // deliver before `promised_[from]`. A post below that bound means the
   // installed promise was unsound — a model bug — so fail loudly
   // (worker-thread throws ride the record_error path).
@@ -232,14 +232,13 @@ void ShardedSimulator::worker_loop(std::size_t s, std::uint64_t base_epoch) {
 SimTime ShardedSimulator::plan_window(SimTime t_min,
                                       const std::vector<SimTime>& next_at) {
   const SimTime conservative = t_min + lookahead_;
-  if (sync_ == SyncMode::kConservative) return conservative;
-
   // Sound horizon: each shard caps the window at the earliest cross-shard
   // delivery it may still cause — the conservative `next event + lookahead`
   // or its installed promise, whichever is later. An empty shard can only
   // react to future deliveries (themselves at or beyond any horizon we
   // pick), so it contributes no cap; the promises are cached for `post`
-  // to enforce during the window.
+  // to enforce during the window. With no promise installed anywhere the
+  // minimum is `t_min + lookahead`, the conservative horizon itself.
   SimTime sound = std::numeric_limits<SimTime>::infinity();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const SimTime next = next_at[s];

@@ -20,20 +20,6 @@
 
 namespace lifl::sim {
 
-/// How multi-shard window barriers are synchronized. 1-shard mode ignores
-/// the knob entirely (no barriers run), so every mode is trivially
-/// bit-identical to the plain core at K = 1.
-enum class SyncMode : std::uint8_t {
-  /// Every window runs to `t_min + lookahead` — the classic bounded-lag
-  /// horizon, one barrier per lookahead of simulated time under load.
-  kConservative = 0,
-  /// Widen the horizon using per-shard outbound *promises* ("no
-  /// cross-shard delivery before T"): provably-empty barriers are
-  /// skipped, results stay bitwise identical to conservative. Sound.
-  /// Widening is capped at 256 lookaheads past the conservative horizon.
-  kAdaptive,
-};
-
 /// A sharded discrete-event simulator: K independent `Simulator` cores, one
 /// per worker thread, synchronized with conservative time windows.
 ///
@@ -60,10 +46,10 @@ enum class SyncMode : std::uint8_t {
 /// shard, and delivery order of cross events is independent of the shard
 /// count.
 ///
-/// `Config::sync = kAdaptive` widens H beyond the conservative bound using
-/// per-shard outbound promises (`set_promise`) — still provably sound, so
-/// results stay bitwise equal (see docs/ARCHITECTURE.md, "Shard
-/// synchronization").
+/// Installed per-shard outbound promises (`set_promise`) widen H beyond
+/// that bound — still provably sound, so results stay bitwise equal; a
+/// shard with no promise contributes exactly the bound above (see
+/// docs/ARCHITECTURE.md, "Shard synchronization").
 ///
 /// Determinism: with one shard, `run()` degenerates to the plain
 /// single-threaded `Simulator::run()` (no threads, no barriers — bit
@@ -84,8 +70,6 @@ class ShardedSimulator {
     /// Conservative window lookahead — must be a lower bound on the
     /// delivery delay of every `post` (post clamps to it).
     SimTime lookahead = calib::kCrossShardLatencySecs;
-    /// Window synchronization mode (see `SyncMode`).
-    SyncMode sync = SyncMode::kConservative;
   };
 
   /// Always-on per-shard barrier accounting. `idle_wall_secs` is real wall
@@ -152,14 +136,15 @@ class ShardedSimulator {
   std::uint64_t cross_posts() const noexcept;
   /// Window barriers executed by multi-shard `run()` calls.
   std::uint64_t windows() const noexcept { return windows_; }
-  /// Conservative barriers provably skipped by adaptive horizon widening
-  /// (an estimate: each opened window adds the number of whole lookaheads
-  /// it ran beyond the conservative horizon). Zero in conservative mode.
+  /// Whole lookaheads that promise widening added beyond each opened
+  /// window's conservative horizon `t_min + lookahead`, summed over the
+  /// windows. Not a count of skipped conservative windows: widening moves
+  /// every later window, so `windows() + windows_skipped()` can land far
+  /// above or below the run's promise-free window count. Zero when no
+  /// promise is installed.
   std::uint64_t windows_skipped() const noexcept { return windows_skipped_; }
-  /// The configured synchronization mode.
-  SyncMode sync_mode() const noexcept { return sync_; }
 
-  /// Install shard `s`'s outbound promise for adaptive horizons (an empty
+  /// Install shard `s`'s outbound promise for widened horizons (an empty
   /// function uninstalls it). The function must return a lower bound on the
   /// delivery time of any cross-shard `post` shard `s` will make from events it
   /// has not yet executed — considering the shard's *entire* future behavior
@@ -233,11 +218,11 @@ class ShardedSimulator {
   /// event time reaches `mark` (+infinity for an unbounded run).
   std::uint64_t run_impl(SimTime mark);
   /// Pick the horizon of the window about to open (serial phase):
-  /// conservative `t_min + lookahead`, widened by promises in adaptive
-  /// mode. `next_at[s]` is shard `s`'s next event time, already queried
-  /// for `t_min`. Also ticks the skipped-window estimate — called exactly
-  /// once per *opened* window, after the `run_to` mark check, so pausing
-  /// stays bit-transparent.
+  /// conservative `t_min + lookahead`, widened by installed promises.
+  /// `next_at[s]` is shard `s`'s next event time, already queried for
+  /// `t_min`. Also ticks `windows_skipped_` — called exactly once per
+  /// *opened* window, after the `run_to` mark check, so pausing stays
+  /// bit-transparent.
   SimTime plan_window(SimTime t_min, const std::vector<SimTime>& next_at);
   /// Spawn the K-1 worker threads on first multi-shard use; they persist —
   /// parked on the epoch wait — across run/run_to calls (a mark-sliced
@@ -257,7 +242,6 @@ class ShardedSimulator {
   void record_error() noexcept;
 
   SimTime lookahead_;
-  SyncMode sync_ = SyncMode::kConservative;
   std::vector<ShardCell> shards_;
   std::vector<Mailbox> mail_;
   std::vector<CrossEvent> drain_scratch_;
@@ -269,7 +253,7 @@ class ShardedSimulator {
   std::uint64_t windows_skipped_ = 0;
   obs::TraceRecorder* trace_ = nullptr;  ///< passive; not owned
 
-  // ---- adaptive horizon state (coordinator-owned) ---------------------
+  // ---- promise-widened horizon state (coordinator-owned) --------------
   /// Per-shard outbound promise functions (empty = no promise).
   std::vector<std::function<SimTime()>> promises_;
   /// Promise bounds cached at window open; `post` enforces them (a post

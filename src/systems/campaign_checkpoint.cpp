@@ -129,11 +129,7 @@ std::uint64_t CampaignCheckpoint::config_digest(
   d.mix(static_cast<std::uint64_t>(cfg.reuse));
   d.mix(cfg.replan_interval_secs);
   d.mix(static_cast<std::uint64_t>(cfg.middle_fanin));
-  d.mix(cfg.ewma_alpha);
-  d.mix(cfg.replan_hysteresis);
-  d.mix(static_cast<std::uint64_t>(cfg.cold_start_spawns));
   d.mix(cfg.async_deadline_secs);
-  d.mix(static_cast<std::uint64_t>(cfg.async_flush_updates));
   d.mix(cfg.straggler_fraction);
   d.mix(cfg.straggler_delay_secs);
   // The fault schedule and degradation knobs shape every event time, so a
@@ -154,11 +150,9 @@ std::uint64_t CampaignCheckpoint::config_digest(
   d.mix(cfg.quorum);
   d.mix(cfg.round_deadline_secs);
   d.mix(static_cast<std::uint64_t>(cfg.async_adaptive_deadline));
-  // The mark grid and the persistence cost model shape simulated time, so
-  // a blob only resumes under the identical checkpointing regime.
+  // The mark grid shapes simulated time, so a blob only resumes under the
+  // identical checkpointing regime.
   d.mix(cfg.checkpoint_every_secs);
-  d.mix(cfg.checkpoint_cost.storage_bytes_per_sec);
-  d.mix(cfg.checkpoint_cost.marshal_cycles_per_byte);
   // v4: tier mix, client-lifecycle plan, selector policy and auto-quota all
   // shape selection draws and session event times.
   d.mix(cfg.device_tiers.flagship);

@@ -56,7 +56,7 @@ struct Group {
   std::uint64_t total_uploads = 0;
   /// Cross-shard relay posts this group's hierarchy has made in the
   /// current round (stream, in async mode). Feeds the shard's outbound
-  /// promise under adaptive sync; re-armed with the round, and
+  /// promise at K > 1 shards; re-armed with the round, and
   /// never serialized — resume replay re-derives it from the boundary.
   std::uint64_t relays_done = 0;
 

@@ -376,7 +376,7 @@ void on_version(CampaignState& st, fl::ModelUpdate u) {
     // staleness next version); a clean stream keeps the full quota.
     const double raw = static_cast<double>(u.sample_count);
     const double ratio = raw > 0.0 ? u.weight / raw : 1.0;
-    const double a = st.cfg->ewma_alpha;
+    const double a = calib::kEwmaAlpha;
     if (!st.quota_ratio_init) {
       st.quota_ratio = ratio;
       st.quota_ratio_init = true;
@@ -442,12 +442,6 @@ double first_mark_after(double t, double every) {
   return every * (std::floor(t / every) + 1.0);
 }
 
-/// Apply the configured cold-start model to a to-be-spawned runtime.
-void spawn_cold(fl::AggregatorRuntime::Config& c,
-                const ShardedCampaignConfig& cfg) {
-  if (cfg.cold_start_spawns) apply_lifl_cold_start(c);
-}
-
 /// The planned-mode top aggregator's config at a given folded-count goal —
 /// shared by the round arming and by crashed-top recovery, so a
 /// replacement is indistinguishable from the original.
@@ -488,10 +482,8 @@ void recover_top(CampaignState& st, std::uint32_t round) {
   st.graveyard.push_back(std::move(st.top_rt));
   fl::AggregatorRuntime::Config tc =
       planned_top_config(st, round, st.top_goal);
-  spawn_cold(tc, *st.cfg);
-  if (st.cfg->cold_start_spawns) {
-    st.top_recovery_secs += calib::kLiflColdStartSecs;
-  }
+  apply_lifl_cold_start(tc);
+  st.top_recovery_secs += calib::kLiflColdStartSecs;
   st.top_rt = std::make_unique<fl::AggregatorRuntime>(*st.groups[0].plane,
                                                       std::move(tc));
   st.top_rt->start();
@@ -532,7 +524,7 @@ std::uint64_t arm_fixed_round(CampaignState& st, std::uint32_t round) {
     st.round_samples = u.sample_count;
     st.round_weight = u.weight;
   };
-  spawn_cold(tc, cfg);
+  apply_lifl_cold_start(tc);
   Group& g0 = st.groups[0];
   g0.aggs.push_back(std::make_unique<fl::AggregatorRuntime>(*g0.plane, tc));
   g0.aggs.back()->start();
@@ -554,7 +546,7 @@ std::uint64_t arm_fixed_round(CampaignState& st, std::uint32_t round) {
       lc.pull_from_pool = true;
       lc.expected_version = round;
       lc.on_result = GroupRelay{&st, gi};
-      spawn_cold(lc, cfg);
+      apply_lifl_cold_start(lc);
       g.aggs.push_back(std::make_unique<fl::AggregatorRuntime>(*g.plane, lc));
       g.aggs.back()->start();
       ++spawned;
@@ -779,11 +771,7 @@ double group_outbound_bound(const CampaignState& st, const Group& g) {
     case HierarchyMode::kAsync: {
       // Recurring relay: flushes every `flush` folded updates, remainder
       // last; `g.target` is the group's whole-stream upload share.
-      const std::uint64_t flush =
-          cfg.async_flush_updates > 0
-              ? cfg.async_flush_updates
-              : static_cast<std::uint64_t>(cfg.middle_fanin) *
-                    cfg.updates_per_leaf;
+      const std::uint64_t flush = g.hier->relay_flush();
       const std::uint64_t done = g.relays_done * flush;
       if (done >= g.target) return inf;
       needed = std::min(done + flush, g.target);
@@ -847,7 +835,7 @@ double async_top_bound(const CampaignState& st) {
   return std::max(bound, relay + latency + top_step + latency);
 }
 
-/// Install the per-shard outbound promises that widen adaptive barrier
+/// Install the per-shard outbound promises that widen the barrier
 /// windows: campaign-level knowledge the sharded core cannot see.
 /// The core only *verifies* (a cross post below its shard's promise throws)
 /// and plans windows with the published bounds. Posts between co-located
@@ -888,7 +876,6 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
   sim::ShardedSimulator::Config scfg;
   scfg.shards = cfg.shards;
   scfg.lookahead = calib::kCrossShardLatencySecs;
-  scfg.sync = cfg.sync_mode;
   sim::ShardedSimulator sharded(scfg);
 
   // Observability bundle (passive): rings + registry live in the result's
@@ -936,8 +923,6 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     pcfg.min_leaves = 1;
     pcfg.max_leaves = static_cast<std::uint32_t>(
         std::max<std::size_t>(1, cfg.leaves_per_group));
-    pcfg.ewma_alpha = cfg.ewma_alpha;
-    pcfg.hysteresis = cfg.replan_hysteresis;
     st.planner = std::make_unique<ctrl::CampaignPlanner>(pcfg, cfg.groups);
   }
 
@@ -1003,7 +988,6 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
       hcfg.result_bytes = cfg.model_bytes;
       hcfg.reuse = cfg.reuse;
       hcfg.replan_interval = cfg.replan_interval_secs;
-      hcfg.cold_start_spawns = cfg.cold_start_spawns;
       hcfg.obs = g.obs;
       hcfg.on_relay_result = GroupRelay{&st, gi};
       if (st.faults.enabled()) hcfg.faults = &st.faults;
@@ -1023,7 +1007,6 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
         hcfg.async = true;
         hcfg.seal_deadline_secs = cfg.async_deadline_secs;
         hcfg.adaptive_deadline = cfg.async_adaptive_deadline;
-        hcfg.flush_updates = cfg.async_flush_updates;
         hcfg.live_version = st.planner->version_ptr(gi);
       }
       g.hier = std::make_unique<StreamingHierarchy>(*g.plane, *st.planner,
@@ -1031,9 +1014,7 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     }
   }
 
-  if (cfg.sync_mode != sim::SyncMode::kConservative && cfg.shards > 1) {
-    install_promises(st, sharded);
-  }
+  if (cfg.shards > 1) install_promises(st, sharded);
 
   ShardedCampaignResult result;
 
@@ -1050,8 +1031,8 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     cut = CampaignCheckpoint::restore(blob, st, result);
   }
   if (ck) {
-    st.ckpt = std::make_unique<fl::CheckpointManager>(*st.groups[0].cluster,
-                                                      0, cfg.checkpoint_cost);
+    st.ckpt = std::make_unique<fl::CheckpointManager>(
+        *st.groups[0].cluster, 0, fl::CheckpointManager::Config{});
   }
 
   // The durable part of every snapshot `round` emits. Encoding is
@@ -1145,7 +1126,7 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     tc.recurring = true;
     tc.result_bytes = cfg.model_bytes;
     tc.on_result = [&st](fl::ModelUpdate u) { on_version(st, std::move(u)); };
-    spawn_cold(tc, cfg);
+    apply_lifl_cold_start(tc);
     st.top_rt = std::make_unique<fl::AggregatorRuntime>(*st.groups[0].plane,
                                                         std::move(tc));
     st.top_rt->start();
@@ -1242,7 +1223,7 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
         st.top_rt->rearm(std::move(tc));
         ++reused;
       } else {
-        spawn_cold(tc, cfg);
+        apply_lifl_cold_start(tc);
         st.top_rt = std::make_unique<fl::AggregatorRuntime>(
             *st.groups[0].plane, std::move(tc));
         st.top_rt->start();

@@ -9,14 +9,22 @@
 
 #include "src/control/selection.hpp"
 #include "src/fl/aggregator_runtime.hpp"
-#include "src/fl/checkpoint.hpp"
 #include "src/obs/obs.hpp"
-#include "src/sim/calibration.hpp"
 #include "src/sim/fault_plan.hpp"
-#include "src/sim/sharded_simulator.hpp"
 #include "src/sim/time.hpp"
 #include "src/workload/device_tier.hpp"
 #include "src/workload/lifecycle.hpp"
+
+namespace lifl::sim {
+
+/// Inert stub: shard synchronization has one protocol (promise-widened
+/// windows; see ShardedSimulator::set_promise), so this enum has one value.
+/// It exists only because the benchmark's workload definitions
+/// (perfbench/workloads.cpp) assign `ShardedCampaignConfig::sync_mode`;
+/// the enum and the field go once that assignment does.
+enum class SyncMode : std::uint8_t { kAdaptive };
+
+}  // namespace lifl::sim
 
 namespace lifl::sys {
 
@@ -83,22 +91,17 @@ struct ShardedCampaignConfig {
   /// disables — the round-boundary plan then holds for the whole round).
   double replan_interval_secs = 5.0;
   /// Leaf batches per middle aggregator; also the relay fan-in threshold
-  /// above which the planner inserts the middle level.
+  /// above which the planner inserts the middle level, and (async) the
+  /// relay flush threshold in leaf batches. The planner keeps its default
+  /// §5.2 EWMA smoothing and hysteresis band; every spawned runtime pays
+  /// the LIFL function cold start (warm re-arms never do).
   std::uint32_t middle_fanin = 8;
-  double ewma_alpha = sim::calib::kEwmaAlpha;   ///< §5.2 smoothing
-  double replan_hysteresis = 0.25;  ///< dead band around the current size
-  /// Spawned aggregator runtimes pay the LIFL function cold start (both
-  /// modes; warm re-arms never do).
-  bool cold_start_spawns = true;
 
   // ---- asynchronous mode (hierarchy == kAsync) -------------------------
   /// Leaf-buffer seal deadline in simulated seconds (0 = seal on count
   /// only): a buffer holding at least one update this long is force-sealed
   /// so delayed stragglers cannot pin a partial batch.
   double async_deadline_secs = 0.0;
-  /// Relay flush threshold in folded client updates (0 = one middle's
-  /// worth: middle_fanin × updates_per_leaf).
-  std::uint32_t async_flush_updates = 0;
 
   // ---- fault domain (orchestrated modes) -------------------------------
   /// Deterministic fault schedule (`sim::FaultPlan`): leaf/middle/top
@@ -183,20 +186,11 @@ struct ShardedCampaignConfig {
   /// The blob's config digest and shard count must match this config.
   std::string resume_path;
   const std::vector<std::uint8_t>* resume_blob = nullptr;
-  /// Cost model for the snapshot writes (cadence field is ignored — the
-  /// mark grid above decides when).
-  fl::CheckpointManager::Config checkpoint_cost;
 
-  // ---- shard synchronization (src/sim/sharded_simulator.hpp) -----------
-  /// How the worker shards synchronize. `kConservative` is the classic
-  /// fixed-lookahead barrier; `kAdaptive` widens barrier windows through
-  /// campaign-aware outbound promises (each shard publishes a lower bound
-  /// on its next cross-group delivery derived from its groups' arrival
-  /// chains), collapsing the empty windows of diurnal troughs. Both
-  /// produce bitwise identical results for any shard count
-  /// (tests/sync_equivalence_test); with `shards == 1` they are the same
-  /// code path.
-  sim::SyncMode sync_mode = sim::SyncMode::kConservative;
+  /// Inert: see `sim::SyncMode`. With `shards > 1` the campaign always
+  /// installs its outbound promises (each shard publishes a lower bound on
+  /// its next cross-group delivery), which widen the barrier windows.
+  sim::SyncMode sync_mode = sim::SyncMode::kAdaptive;
 
   // ---- observability (src/obs) -----------------------------------------
   /// Sim-time tracing + histograms. Strictly passive: recording never
@@ -238,10 +232,10 @@ struct ShardedCampaignResult {
   /// run with no stale folds; the gap is exactly the staleness discount.
   std::vector<double> round_weight;
   /// Aggregator-runtime churn per round, across all groups plus the top:
-  /// `spawned` counts constructions (each pays the cold start when
-  /// `cold_start_spawns`), `reused` counts warm in-place re-arms. With the
-  /// orchestrator (planned mode + reuse), steady-state rounds spawn zero
-  /// new runtimes — see tests/streaming_hierarchy_test.cpp.
+  /// `spawned` counts constructions (each pays the cold start), `reused`
+  /// counts warm in-place re-arms. With the orchestrator (planned mode +
+  /// reuse), steady-state rounds spawn zero new runtimes — see
+  /// tests/streaming_hierarchy_test.cpp.
   std::vector<std::uint64_t> round_spawned;
   std::vector<std::uint64_t> round_reused;
   /// Client updates re-folded from aborted leases per round (async: total
@@ -259,9 +253,11 @@ struct ShardedCampaignResult {
   std::uint64_t events = 0;       ///< dispatched across all shards
   std::uint64_t cross_posts = 0;  ///< cross-shard mailbox traffic
   std::uint64_t windows = 0;      ///< barrier windows actually run
-  /// Barrier windows proven empty and skipped by adaptive horizon
-  /// widening, in conservative-window units (0 under kConservative).
-  /// `windows + windows_skipped` ≈ the conservative count.
+  /// Whole lookaheads the outbound promises widened each opened window
+  /// beyond its conservative horizon, summed over the windows (see
+  /// `ShardedSimulator::windows_skipped`). Not a count of conservative
+  /// windows avoided: `windows + windows_skipped` is no estimate of the
+  /// promise-free window count. 0 with one shard.
   std::uint64_t windows_skipped = 0;
   /// Snapshot marks whose cost model was billed in-sim. Deterministic and
   /// part of the snapshot itself, so a resumed run reports the same total

@@ -236,6 +236,9 @@ class StreamingHierarchy {
   double relay_emit_floor() const;
   /// Async: client updates the relay has forwarded upward so far.
   std::uint64_t forwarded() const noexcept { return forwarded_; }
+  /// Relay flush threshold (async): Config::flush_updates or one middle's
+  /// worth (planner middle_fanin × updates_per_leaf).
+  std::uint32_t relay_flush() const;
 
   bool round_done() const noexcept { return relay_done_; }
   std::uint32_t active_leaves() const noexcept { return active_; }
@@ -313,9 +316,6 @@ class StreamingHierarchy {
   /// Effective seal deadline for the next buffer (fixed, or sized from the
   /// arrival EWMA under Config::adaptive_deadline).
   double leaf_deadline_secs() const;
-  /// Relay flush threshold (async): Config::flush_updates or one middle's
-  /// worth.
-  std::uint32_t relay_flush() const;
   /// Bump the slot generation and, in async mode, start its seal deadline.
   void arm_leaf_deadline(LeafSlot& s);
   /// Deadline fire: force-seal the slot's partial buffer (if still on the

@@ -27,7 +27,6 @@ namespace {
 using lifl::sim::ShardedSimulator;
 using lifl::sim::SimTime;
 using lifl::sim::Simulator;
-using lifl::sim::SyncMode;
 
 // ---------------------------------------------------------------------------
 // Plain-simulator window primitives used by the sharded protocol.
@@ -243,9 +242,9 @@ TEST(ShardedSim, MailboxDeliversInTimestampOrderAcrossWindows) {
 // Adversarial churn stress: ~50k events across 8 logical groups whose
 // cross-posts land exactly on window-boundary grid points, exactly at the
 // conservative horizon (now + lookahead), and one tick past it — the three
-// places a sync-mode bug would first corrupt delivery order. Every (shard
-// count x sync mode) combination must reproduce the 1-shard oracle's
-// per-group delivery log bitwise.
+// places a window-protocol bug would first corrupt delivery order. Every
+// shard count must reproduce the 1-shard oracle's per-group delivery log
+// bitwise.
 
 struct ChurnStep {
   double at;        ///< group-local event time
@@ -270,7 +269,7 @@ std::vector<std::vector<ChurnStep>> churn_plans() {
     double t = rng.uniform(0.0, 0.02);
     for (int i = 0; i < 4500; ++i) {
       // Dense bursts on a lookahead-aligned grid, with occasional idle
-      // troughs long enough for adaptive windows to widen.
+      // troughs spanning many windows.
       const double u = rng.uniform(0.0, 1.0);
       if (u < 0.5) {
         t += kChurnLookahead *
@@ -324,11 +323,10 @@ struct ChurnDelivery {
 /// execution order.
 std::vector<std::vector<ChurnDelivery>> churn_run(
     const std::vector<std::vector<ChurnStep>>& plans, std::size_t shards,
-    SyncMode sync, std::uint64_t* dispatched) {
+    std::uint64_t* dispatched) {
   ShardedSimulator::Config cfg;
   cfg.shards = shards;
   cfg.lookahead = kChurnLookahead;
-  cfg.sync = sync;
   ShardedSimulator sharded(cfg);
   std::vector<std::vector<ChurnDelivery>> logs(kChurnGroups);
   const auto shard_of = [shards](std::size_t g) { return g % shards; };
@@ -355,15 +353,14 @@ std::vector<std::vector<ChurnDelivery>> churn_run(
   return logs;
 }
 
-TEST(ShardedSim, AdversarialChurnMatchesOneShardOracleAcrossSyncModes) {
+TEST(ShardedSim, AdversarialChurnMatchesOneShardOracle) {
   std::size_t multi = 2;
   if (const char* env = std::getenv("LIFL_TEST_SHARDS")) {
     multi = std::max<std::size_t>(2, std::strtoul(env, nullptr, 10));
   }
   const auto plans = churn_plans();
   std::uint64_t oracle_events = 0;
-  const auto oracle =
-      churn_run(plans, 1, SyncMode::kConservative, &oracle_events);
+  const auto oracle = churn_run(plans, 1, &oracle_events);
   EXPECT_GE(oracle_events, 50'000u);
 
   const auto expect_match = [&oracle](
@@ -383,11 +380,8 @@ TEST(ShardedSim, AdversarialChurnMatchesOneShardOracleAcrossSyncModes) {
 
   for (const std::size_t shards : {std::size_t{2}, multi}) {
     std::uint64_t events = 0;
-    expect_match(churn_run(plans, shards, SyncMode::kConservative, &events),
-                 "conservative K=" + std::to_string(shards));
-    EXPECT_EQ(events, oracle_events);
-    expect_match(churn_run(plans, shards, SyncMode::kAdaptive, &events),
-                 "adaptive K=" + std::to_string(shards));
+    expect_match(churn_run(plans, shards, &events),
+                 "K=" + std::to_string(shards));
     EXPECT_EQ(events, oracle_events);
   }
 }

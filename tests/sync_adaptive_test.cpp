@@ -1,4 +1,4 @@
-// Property tests for adaptive horizon widening: under randomized
+// Property tests for promise-widened horizons: under randomized
 // cross-post schedules with honest outbound promises, the widened windows
 // must never admit a causality violation (every delivery lands exactly at
 // its posted time, in nondecreasing order per receiver), and the
@@ -24,7 +24,6 @@ namespace {
 namespace sys = lifl::sys;
 using lifl::sim::Rng;
 using lifl::sim::ShardedSimulator;
-using lifl::sim::SyncMode;
 
 constexpr double kLookahead = 0.01;
 
@@ -128,52 +127,51 @@ void arm(ShardedSimulator& sharded, std::vector<ShardPlan>& plans,
   }
 }
 
-ShardedSimulator::Config adaptive_cfg(std::size_t shards, SyncMode sync) {
+ShardedSimulator::Config sharded_cfg(std::size_t shards) {
   ShardedSimulator::Config cfg;
   cfg.shards = shards;
   cfg.lookahead = kLookahead;
-  cfg.sync = sync;
   return cfg;
 }
 
 TEST(SyncAdaptive, RandomSchedulesNeverDeliverIntoAReceiversPast) {
-  // 20 random schedules x 3 shards. For each: the adaptive run must
-  // deliver every post exactly at its requested time (a late delivery
-  // would mean a widened window admitted a post into a receiver's past —
-  // the sharded core would throw, but the exactness check also rules out
-  // silent clamping), in nondecreasing order per receiver, and produce
-  // the identical delivery sequence to the conservative oracle.
+  // 20 random schedules x 3 shards, each run on one Config with and
+  // without promises installed. The promised run must deliver every post
+  // exactly at its requested time (a late delivery would mean a widened
+  // window admitted a post into a receiver's past — the sharded core
+  // would throw, but the exactness check also rules out silent clamping),
+  // in nondecreasing order per receiver, and produce the identical
+  // delivery sequence to the promise-free (conservative) oracle.
   const std::size_t kShards = 3;
   std::uint64_t skipped_total = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     auto plans = make_plans(kShards, seed);
-    Logs conservative_log(kShards);
+    Logs oracle_log(kShards);
     {
-      ShardedSimulator sharded(
-          adaptive_cfg(kShards, SyncMode::kConservative));
+      ShardedSimulator sharded(sharded_cfg(kShards));
       auto p = plans;
-      arm(sharded, p, &conservative_log, /*with_promises=*/false);
+      arm(sharded, p, &oracle_log, /*with_promises=*/false);
       sharded.run();
       EXPECT_EQ(sharded.windows_skipped(), 0u);
     }
-    Logs adaptive_log(kShards);
-    ShardedSimulator sharded(adaptive_cfg(kShards, SyncMode::kAdaptive));
-    arm(sharded, plans, &adaptive_log, /*with_promises=*/true);
+    Logs promised_log(kShards);
+    ShardedSimulator sharded(sharded_cfg(kShards));
+    arm(sharded, plans, &promised_log, /*with_promises=*/true);
     sharded.run();
     skipped_total += sharded.windows_skipped();
 
     for (std::size_t dst = 0; dst < kShards; ++dst) {
-      ASSERT_EQ(adaptive_log[dst].size(), conservative_log[dst].size())
+      ASSERT_EQ(promised_log[dst].size(), oracle_log[dst].size())
           << "seed " << seed << " dst " << dst;
       double last = 0.0;
-      for (std::size_t i = 0; i < adaptive_log[dst].size(); ++i) {
-        const Delivery& d = adaptive_log[dst][i];
+      for (std::size_t i = 0; i < promised_log[dst].size(); ++i) {
+        const Delivery& d = promised_log[dst][i];
         EXPECT_EQ(d.receiver_now, d.posted)
             << "seed " << seed << " dst " << dst << " post " << i;
         EXPECT_GE(d.receiver_now, last)
             << "seed " << seed << " dst " << dst << " post " << i;
         last = d.receiver_now;
-        EXPECT_TRUE(d == conservative_log[dst][i])
+        EXPECT_TRUE(d == oracle_log[dst][i])
             << "seed " << seed << " dst " << dst << " post " << i;
       }
     }
@@ -195,7 +193,7 @@ TEST(SyncAdaptive, EmptyWindowSkippingIsIdempotentUnderPausing) {
     std::uint64_t unsliced_events = 0;
     std::uint64_t unsliced_skipped = 0;
     {
-      ShardedSimulator sharded(adaptive_cfg(kShards, SyncMode::kAdaptive));
+      ShardedSimulator sharded(sharded_cfg(kShards));
       auto p = plans;
       arm(sharded, p, &unsliced_log, /*with_promises=*/true);
       sharded.run();
@@ -203,7 +201,7 @@ TEST(SyncAdaptive, EmptyWindowSkippingIsIdempotentUnderPausing) {
       unsliced_skipped = sharded.windows_skipped();
     }
     Logs sliced_log(kShards);
-    ShardedSimulator sharded(adaptive_cfg(kShards, SyncMode::kAdaptive));
+    ShardedSimulator sharded(sharded_cfg(kShards));
     arm(sharded, plans, &sliced_log, /*with_promises=*/true);
     for (double mark = 0.5; sharded.pending_regular() > 0; mark += 0.5) {
       sharded.run_to(mark);
@@ -223,7 +221,7 @@ TEST(SyncAdaptive, EmptyWindowSkippingIsIdempotentUnderPausing) {
 }
 
 TEST(SyncAdaptive, CampaignResumeReproducesSkippingBitwise) {
-  // Campaign-level half: an adaptive multi-shard run with checkpoints
+  // Campaign-level half: a promise-widened multi-shard run with checkpoints
   // resumed from a mid-campaign blob reproduces the uninterrupted run —
   // results AND the window-skipping telemetry the promises drove.
   sys::ShardedCampaignConfig cfg;
@@ -240,7 +238,6 @@ TEST(SyncAdaptive, CampaignResumeReproducesSkippingBitwise) {
   cfg.hierarchy = sys::HierarchyMode::kPlanned;
   cfg.replan_interval_secs = 0.5;
   cfg.middle_fanin = 4;
-  cfg.sync_mode = lifl::sim::SyncMode::kAdaptive;
   cfg.checkpoint_every_secs = 0.5;
 
   std::vector<std::vector<std::uint8_t>> blobs;

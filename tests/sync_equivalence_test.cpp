@@ -1,10 +1,10 @@
-// The sync differential harness: adaptive shard synchronization must be
-// invisible in the results. A seeded matrix of campaigns (3 hierarchy
-// modes x faults on/off x flaky clients on/off, plus an edge-client async
-// cell, x shards {1,2,4} x both sync modes) is checked bitwise against the
-// 1-shard conservative oracle, and adaptive runs with checkpoints at K > 1
-// must emit the conservative run's checkpoint cut sequence and resume
-// bitwise from a middle blob.
+// The sync differential harness: promise-widened shard synchronization
+// must be invisible in the results. A seeded matrix of campaigns (3
+// hierarchy modes x faults on/off x flaky clients on/off, plus an
+// edge-client async cell, x shards {1,2,4}) is checked bitwise against the
+// 1-shard oracle, and checkpointed runs at K > 1 must emit the 1-shard
+// run's checkpoint cut sequence, match it bitwise up to the per-shard
+// snapshot marshal cost, and resume bitwise from a middle blob.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "src/control/selection.hpp"
-#include "src/sim/sharded_simulator.hpp"
+#include "src/fl/checkpoint.hpp"
 #include "src/systems/sharded_campaign.hpp"
 #include "src/workload/device_tier.hpp"
 
@@ -22,7 +22,6 @@ namespace {
 
 namespace sys = lifl::sys;
 namespace wl = lifl::wl;
-using lifl::sim::SyncMode;
 
 std::size_t env_shards() {
   if (const char* env = std::getenv("LIFL_TEST_SHARDS")) {
@@ -63,8 +62,7 @@ const Scenario kScenarios[] = {
 };
 
 sys::ShardedCampaignConfig matrix_campaign(const Scenario& sc,
-                                           std::size_t shards,
-                                           SyncMode sync) {
+                                           std::size_t shards) {
   sys::ShardedCampaignConfig cfg;
   cfg.shards = shards;
   cfg.groups = 4;
@@ -113,13 +111,12 @@ sys::ShardedCampaignConfig matrix_campaign(const Scenario& sc,
     cfg.async_adaptive_deadline = true;
     cfg.async_auto_quota = true;
   }
-  cfg.sync_mode = sync;
   return cfg;
 }
 
 /// The full bitwise claim: everything a result reports that is produced by
 /// simulated-event order must be *identical* — exact ==, not ULP — across
-/// shard counts and sync modes. Process-local wall/window telemetry is the
+/// shard counts. Process-local wall/window telemetry is the
 /// only thing allowed to differ.
 void expect_bitwise(const sys::ShardedCampaignResult& a,
                     const sys::ShardedCampaignResult& b,
@@ -191,53 +188,50 @@ void expect_bitwise(const sys::ShardedCampaignResult& a,
   EXPECT_EQ(a.gate_wait_secs, b.gate_wait_secs) << what;
 }
 
-TEST(SyncEquivalence, MatrixBitwiseEqualToOneShardConservative) {
+// Barrier windows of the fault-free async cells at 4 shards with no
+// promises installed (the conservative `t_min + lookahead` protocol),
+// measured with the matrix configs above at commit ece249c, the last one
+// that could still run them. The window-ratio checks compare against these.
+constexpr std::uint64_t kPromiseFreeWindowsAsync = 1504;
+constexpr std::uint64_t kPromiseFreeWindowsAsyncFlaky = 2221;
+constexpr std::uint64_t kPromiseFreeWindowsAsyncEdge = 2186;
+
+TEST(SyncEquivalence, MatrixBitwiseEqualToOneShard) {
   const std::size_t env = env_shards();
-  std::vector<std::size_t> shard_counts = {1, 2, 4};
+  std::vector<std::size_t> shard_counts = {2, 4};
   if (std::find(shard_counts.begin(), shard_counts.end(), env) ==
       shard_counts.end()) {
     shard_counts.push_back(env);
   }
-  const SyncMode modes[] = {SyncMode::kConservative, SyncMode::kAdaptive};
   std::uint64_t total_skipped = 0;
   for (const Scenario& sc : kScenarios) {
-    std::uint64_t windows_at_4[2] = {0, 0};  // conservative, adaptive
-    const auto oracle = sys::run_sharded_campaign(
-        matrix_campaign(sc, 1, SyncMode::kConservative));
+    std::uint64_t windows_at_4 = 0;
+    const auto oracle = sys::run_sharded_campaign(matrix_campaign(sc, 1));
+    // One shard runs no barriers.
     EXPECT_EQ(oracle.windows, 0u) << sc.name;
+    EXPECT_EQ(oracle.windows_skipped, 0u) << sc.name;
     for (const std::size_t shards : shard_counts) {
-      for (const SyncMode sync : modes) {
-        if (shards == 1 && sync == SyncMode::kConservative) continue;
-        const std::string label =
-            std::string(sc.name) + " shards=" + std::to_string(shards) +
-            " sync=" +
-            (sync == SyncMode::kConservative ? "conservative" : "adaptive");
-        const auto r =
-            sys::run_sharded_campaign(matrix_campaign(sc, shards, sync));
-        expect_bitwise(oracle, r, label);
-        if (shards == 4) {
-          windows_at_4[sync == SyncMode::kAdaptive ? 1 : 0] = r.windows;
-        }
-        if (shards == 1) {
-          // Sync modes are a no-op without barriers.
-          EXPECT_EQ(r.windows, 0u) << label;
-          EXPECT_EQ(r.windows_skipped, 0u) << label;
-        } else if (sync == SyncMode::kConservative) {
-          EXPECT_EQ(r.windows_skipped, 0u) << label;
-        } else {
-          total_skipped += r.windows_skipped;
-        }
-      }
+      const std::string label =
+          std::string(sc.name) + " shards=" + std::to_string(shards);
+      const auto r = sys::run_sharded_campaign(matrix_campaign(sc, shards));
+      expect_bitwise(oracle, r, label);
+      if (shards == 4) windows_at_4 = r.windows;
+      total_skipped += r.windows_skipped;
     }
     // Fault-free async streams: the emission floors (leaf seal -> relay ->
-    // top) let adaptive sync skip the barriers between seal events. At this
+    // top) let the promises skip the barriers between seal events. At this
     // scale a 10-update leaf fills in a few arrivals, so seals are only
-    // milliseconds apart: the floors cut windows below 3/8 of
-    // conservative's, under the 0.40-0.45 that arrival bounds alone reach.
-    // AsyncSealFloorsOpenATenthOfConservativeWindows covers the
+    // milliseconds apart: the floors cut windows below 3/8 of the
+    // conservative count, under the 0.40-0.45 that arrival bounds alone
+    // reach. AsyncSealFloorsOpenATenthOfConservativeWindows covers the
     // seal-dominated regime.
-    if (sc.hierarchy == sys::HierarchyMode::kAsync && !sc.faults) {
-      EXPECT_LE(windows_at_4[1] * 8, windows_at_4[0] * 3) << sc.name;
+    const std::string name = sc.name;
+    std::uint64_t conservative = 0;
+    if (name == "async") conservative = kPromiseFreeWindowsAsync;
+    if (name == "async+flaky") conservative = kPromiseFreeWindowsAsyncFlaky;
+    if (name == "async+edge") conservative = kPromiseFreeWindowsAsyncEdge;
+    if (conservative > 0) {
+      EXPECT_LE(windows_at_4 * 8, conservative * 3) << sc.name;
     }
   }
   // The widening actually engaged somewhere in the matrix.
@@ -248,50 +242,58 @@ TEST(SyncEquivalence, MatrixBitwiseEqualToOneShardConservative) {
 // The benchmark's regime: leaf batches much larger than the arrivals a seal
 // deadline collects, so partial aggregates move upward only at deadline
 // seals and the relays spend most of the stream waiting on them. The
-// emission floors skip those waits: adaptive sync opens at most a tenth of
-// conservative's windows, with results bitwise equal to the 1-shard run.
+// emission floors skip those waits: the promised run opens at most a tenth
+// of the conservative protocol's windows, with results bitwise equal to the
+// 1-shard run.
+
+// Barrier windows of this test's campaign at 4 shards with no promises
+// installed, measured at commit ece249c (the last one that could run it).
+constexpr std::uint64_t kPromiseFreeWindowsSealRegime = 22101;
 
 TEST(SyncEquivalence, AsyncSealFloorsOpenATenthOfConservativeWindows) {
   const Scenario edge{"async+edge", sys::HierarchyMode::kAsync, false, true,
                       true};
-  const auto campaign = [&](std::size_t shards, SyncMode sync) {
-    sys::ShardedCampaignConfig cfg = matrix_campaign(edge, shards, sync);
+  const auto campaign = [&](std::size_t shards) {
+    sys::ShardedCampaignConfig cfg = matrix_campaign(edge, shards);
     cfg.updates_per_leaf = 100;
     cfg.async_deadline_secs = 1.0;
     return cfg;
   };
-  const auto oracle =
-      sys::run_sharded_campaign(campaign(1, SyncMode::kConservative));
-  const auto conservative =
-      sys::run_sharded_campaign(campaign(4, SyncMode::kConservative));
-  const auto adaptive =
-      sys::run_sharded_campaign(campaign(4, SyncMode::kAdaptive));
-  expect_bitwise(oracle, conservative, "seal regime conservative");
-  expect_bitwise(oracle, adaptive, "seal regime adaptive");
-  EXPECT_EQ(adaptive.cross_posts, conservative.cross_posts);
-  EXPECT_LE(adaptive.windows * 10, conservative.windows);
+  const auto oracle = sys::run_sharded_campaign(campaign(1));
+  const auto promised = sys::run_sharded_campaign(campaign(4));
+  expect_bitwise(oracle, promised, "seal regime");
+  EXPECT_LE(promised.windows * 10, kPromiseFreeWindowsSealRegime);
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive sync composed with checkpointing at K > 1.
+// Promise-widened windows composed with checkpointing at K > 1.
 
-TEST(SyncEquivalence, AdaptiveCheckpointCutsMatchConservativeAndResume) {
+TEST(SyncEquivalence, CheckpointCutsMatchOneShardAndResume) {
   struct Cut {
     std::uint32_t round;
     double mark;
   };
   const double every = 0.5;  // several marks inside each ~1.4 s round
+  // A blob carries one clock entry per shard (f64 time + u64 dispatch
+  // count), so its size — and with it the in-sim marshal billing on group
+  // 0's node — grows with K by exactly this much per extra shard.
+  const double kShardSnapshotBytes = 16.0;
+  const double marshal_cycles_per_byte =
+      lifl::fl::CheckpointManager::Config{}.marshal_cycles_per_byte;
   // Planned rounds, and an async stream whose promises chain the emission
   // floors through every group's hierarchy.
   const Scenario scenarios[] = {
       {"planned", sys::HierarchyMode::kPlanned, false, false},
       {"async+edge", sys::HierarchyMode::kAsync, false, true, true},
   };
+  std::vector<std::size_t> shard_counts = {2, 4};
+  if (env_shards() != 2 && env_shards() != 4) {
+    shard_counts.push_back(env_shards());
+  }
   for (const Scenario& sc : scenarios) {
-    auto with_ck = [&](std::size_t shards, SyncMode sync,
-                       std::vector<Cut>* cuts,
+    auto with_ck = [&](std::size_t shards, std::vector<Cut>* cuts,
                        std::vector<std::vector<std::uint8_t>>* blobs) {
-      auto cfg = matrix_campaign(sc, shards, sync);
+      auto cfg = matrix_campaign(sc, shards);
       cfg.rounds = 3;
       cfg.checkpoint_every_secs = every;
       cfg.on_checkpoint = [cuts, blobs](const std::vector<std::uint8_t>& blob,
@@ -303,46 +305,50 @@ TEST(SyncEquivalence, AdaptiveCheckpointCutsMatchConservativeAndResume) {
     };
     const std::string name = sc.name;
 
-    // Oracle: conservative sync at the SAME shard count. Checkpoint blobs
-    // serialize one clock entry per shard, so their size — and with it the
-    // in-sim marshal billing on group 0's node — legitimately depends on K;
-    // cross-K equivalence without checkpoints is the matrix test's job.
+    // Oracle: the 1-shard checkpointed run.
     std::vector<Cut> mono_cuts;
-    const auto mono = sys::run_sharded_campaign(
-        with_ck(env_shards(), SyncMode::kConservative, &mono_cuts, nullptr));
+    const auto mono =
+        sys::run_sharded_campaign(with_ck(1, &mono_cuts, nullptr));
 
-    std::vector<Cut> ad_cuts;
-    std::vector<std::vector<std::uint8_t>> ad_blobs;
-    const auto ad = sys::run_sharded_campaign(
-        with_ck(env_shards(), SyncMode::kAdaptive, &ad_cuts, &ad_blobs));
+    for (const std::size_t k : shard_counts) {
+      const std::string label = name + " K=" + std::to_string(k);
+      std::vector<Cut> cuts;
+      std::vector<std::vector<std::uint8_t>> blobs;
+      const auto multi = sys::run_sharded_campaign(with_ck(k, &cuts, &blobs));
+      EXPECT_GT(multi.checkpoint_marks, 0u) << label;
 
-    expect_bitwise(mono, ad, name + " adaptive+checkpoints");
-    EXPECT_GT(ad.checkpoint_marks, 0u) << name;
+      // Bitwise equal to the oracle, except that group 0's node marshalled
+      // the extra shard clocks of every billed mark.
+      auto expected = mono;
+      expected.groups[0].cpu_cycles +=
+          static_cast<double>(k - 1) * kShardSnapshotBytes *
+          marshal_cycles_per_byte *
+          static_cast<double>(mono.checkpoint_marks);
+      expect_bitwise(expected, multi, label);
 
-    // Widened windows straddle marks, but pausing is bit-transparent: the
-    // blob stream is exactly the oracle's cut sequence, strictly increasing
-    // (no mark emitted twice, none dropped).
-    ASSERT_EQ(ad_cuts.size(), mono_cuts.size()) << name;
-    for (std::size_t i = 0; i < ad_cuts.size(); ++i) {
-      EXPECT_EQ(ad_cuts[i].round, mono_cuts[i].round) << name << " blob " << i;
-      EXPECT_EQ(ad_cuts[i].mark, mono_cuts[i].mark) << name << " blob " << i;
-      if (i > 0) {
-        EXPECT_TRUE(ad_cuts[i - 1].round < ad_cuts[i].round ||
-                    (ad_cuts[i - 1].round == ad_cuts[i].round &&
-                     ad_cuts[i - 1].mark < ad_cuts[i].mark))
-            << name << ": duplicate or reordered emission at blob " << i;
+      // Widened windows straddle marks, but pausing is bit-transparent: the
+      // blob stream is exactly the oracle's cut sequence, strictly
+      // increasing (no mark emitted twice, none dropped).
+      ASSERT_EQ(cuts.size(), mono_cuts.size()) << label;
+      for (std::size_t i = 0; i < cuts.size(); ++i) {
+        EXPECT_EQ(cuts[i].round, mono_cuts[i].round) << label << " blob " << i;
+        EXPECT_EQ(cuts[i].mark, mono_cuts[i].mark) << label << " blob " << i;
+        if (i > 0) {
+          EXPECT_TRUE(cuts[i - 1].round < cuts[i].round ||
+                      (cuts[i - 1].round == cuts[i].round &&
+                       cuts[i - 1].mark < cuts[i].mark))
+              << label << ": duplicate or reordered emission at blob " << i;
+        }
       }
-    }
 
-    // Resuming an adaptive run from a mid-campaign user blob replays the
-    // tail to the same bitwise result.
-    ASSERT_GE(ad_blobs.size(), 2u) << name;
-    const auto& middle = ad_blobs[ad_blobs.size() / 2];
-    auto rcfg = with_ck(env_shards(), SyncMode::kAdaptive, nullptr, nullptr);
-    rcfg.resume_blob = &middle;
-    const auto resumed = sys::run_sharded_campaign(rcfg);
-    expect_bitwise(mono, resumed,
-                   name + " adaptive resume from mid-campaign blob");
+      // Resuming the K-shard run from a mid-campaign user blob replays the
+      // tail to the same bitwise result.
+      ASSERT_GE(blobs.size(), 2u) << label;
+      auto rcfg = with_ck(k, nullptr, nullptr);
+      rcfg.resume_blob = &blobs[blobs.size() / 2];
+      const auto resumed = sys::run_sharded_campaign(rcfg);
+      expect_bitwise(multi, resumed, label + " resume from mid-campaign blob");
+    }
   }
 }
 

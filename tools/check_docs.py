@@ -5,6 +5,10 @@
    an existing file or directory (anchors and external URLs are ignored).
 2. Every bench target (`bench/*.cpp`) is mentioned in docs/BENCHMARKS.md,
    so the bench catalogue cannot silently drift from the tree.
+3. Every `--flag` that README.md, docs/*.md or the verify skill quotes
+   after `mega_campaign` (in an inline code span or a fenced command line)
+   appears in mega_campaign's usage string, so a removed flag cannot
+   linger in the docs.
 
 Exits non-zero with one line per violation.
 """
@@ -20,8 +24,19 @@ DOCS = [
     REPO / "docs" / "BENCHMARKS.md",
 ]
 
+# Documents whose quoted mega_campaign command lines are checked.
+FLAG_DOCS = [
+    REPO / "README.md",
+    *sorted((REPO / "docs").glob("*.md")),
+    REPO / ".claude" / "skills" / "verify" / "SKILL.md",
+]
+MEGA_CAMPAIGN = REPO / "examples" / "mega_campaign.cpp"
+
 # [text](target) — excluding images and in-page/external targets.
 LINK_RE = re.compile(r"(?<!!)\[[^\]]+\]\(([^)\s]+)\)")
+FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
+FENCE_RE = re.compile(r"^\s*```")
+SPAN_RE = re.compile(r"`([^`]+)`")
 
 
 def check_links(doc: pathlib.Path) -> list[str]:
@@ -54,6 +69,66 @@ def check_bench_catalogue() -> list[str]:
     return errors
 
 
+def usage_flags() -> set[str]:
+    """The flags named in mega_campaign's usage string literal."""
+    src = MEGA_CAMPAIGN.read_text()
+    start = src.find('"usage: ')
+    end = src.find("argv[0]", start)
+    if start < 0 or end < 0:
+        return set()
+    literal = "".join(re.findall(r'"((?:[^"\\]|\\.)*)"', src[start:end]))
+    return set(FLAG_RE.findall(literal))
+
+
+def quoted_commands(doc: pathlib.Path):
+    """Yield (line number, text) for every fenced command line (backslash
+    continuations joined) and every inline code span outside fences."""
+    prose = []
+    in_fence = False
+    pending = None  # (line number, text) of a continued fenced command
+    for lineno, line in enumerate(doc.read_text().splitlines(), start=1):
+        if FENCE_RE.match(line):
+            in_fence = not in_fence
+            prose.append("")
+            continue
+        if in_fence:
+            prose.append("")
+            text = line.split(" #", 1)[0].rstrip()
+            if pending is not None:
+                text = pending[1] + " " + text
+            start = pending[0] if pending is not None else lineno
+            if text.endswith("\\"):
+                pending = (start, text[:-1])
+            else:
+                pending = None
+                yield start, text
+            continue
+        prose.append(line)
+    text = "\n".join(prose)
+    for m in SPAN_RE.finditer(text):
+        yield text.count("\n", 0, m.start()) + 1, m.group(1)
+
+
+def check_mega_campaign_flags(known: set[str]) -> list[str]:
+    errors = []
+    if not known:
+        return [f"{MEGA_CAMPAIGN.relative_to(REPO)}: no usage string found"]
+    for doc in FLAG_DOCS:
+        if not doc.exists():
+            continue
+        for lineno, text in quoted_commands(doc):
+            at = text.find("mega_campaign")
+            if at < 0:
+                continue
+            for flag in FLAG_RE.findall(text[at:]):
+                if flag not in known:
+                    errors.append(
+                        f"{doc.relative_to(REPO)}:{lineno}: mega_campaign "
+                        f"flag '{flag}' is not in its usage string"
+                    )
+    return errors
+
+
 def main() -> int:
     errors = []
     for doc in DOCS:
@@ -62,11 +137,12 @@ def main() -> int:
             continue
         errors.extend(check_links(doc))
     errors.extend(check_bench_catalogue())
+    errors.extend(check_mega_campaign_flags(usage_flags()))
     for err in errors:
         print(err, file=sys.stderr)
     if not errors:
         print(f"docs OK: {len(DOCS)} documents, links resolve, "
-              "bench catalogue complete")
+              "bench catalogue complete, mega_campaign flags documented")
     return 1 if errors else 0
 
 
