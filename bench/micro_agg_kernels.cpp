@@ -4,28 +4,33 @@
 //   baseline — the seed's streaming-mean fold: a deep copy to start, then a
 //              full `scale` sweep plus a full `axpy` sweep per folded
 //              update (two read-modify-write passes over the accumulator).
-//   fused    — the production path: sum-form `FedAvgAccumulator`, which
-//              parks updates in an 8-slot ring and folds a full ring in
-//              ONE accumulator sweep (`axpyn`), pooled zero-alloc
-//              buffers, and ONE finalize divide per aggregation goal.
+//   fused    — the production fold arithmetic on the calling thread:
+//              sum form, an 8-slot ring folded in ONE accumulator sweep
+//              (`axpyn`), pooled zero-alloc buffers, and ONE finalize
+//              divide per aggregation goal, each a direct `ops()` call.
+//   pooled   — the production `FedAvgAccumulator` itself, which runs the
+//              same calls through `ml::parallel_sweep` on the sweep pool.
+//              Reported, not gated: its speedup depends on the core count.
 //
-// Both paths run on the same dispatched ISA level (`LIFL_KERNEL` selects
-// it), so the comparison isolates the *fusion*, not the instruction set.
-// A second table A/Bs the dispatch levels themselves on the raw kernels.
+// Baseline and fused run on the same dispatched ISA level (`LIFL_KERNEL`
+// selects it) and on one thread, so the gated comparison isolates the
+// *fusion*, not the instruction set or the core count. A second table
+// A/Bs the dispatch levels themselves on the raw kernels.
 //
-// Both paths cycle through the same 4 update tensors, so an 8-slot sweep
+// All three paths cycle through the same 4 update tensors, so an 8-slot sweep
 // reads each of them twice; the second read of a row hits cache. A fold
 // over 8 distinct tensors moves more bytes (5 per parameter per fold).
 //
 // Emits BENCH_agg_kernels.json. CI uploads it as an artifact and the bench
 // fails if the fused path folds < 2x the baseline at either size (1M and
 // 25M params); set LIFL_AGG_BENCH_GATE=0 to disable the gate (it is on by
-// default — the fold path is single-threaded, so the floor needs no
-// minimum core count).
+// default — both gated paths run on the calling thread, so the floor needs
+// no minimum core count).
 //
 // Build & run:  cmake -B build && cmake --build build -j
 //               ./build/bench/micro_agg_kernels
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -57,11 +62,13 @@ struct FoldSample {
   std::uint32_t folds = 0;
   double baseline_secs = 0.0;
   double fused_secs = 0.0;
+  double pooled_secs = 0.0;
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
 
   double baseline_folds_per_sec() const { return folds / baseline_secs; }
   double fused_folds_per_sec() const { return folds / fused_secs; }
+  double pooled_folds_per_sec() const { return folds / pooled_secs; }
   double speedup() const { return baseline_secs / fused_secs; }
   /// Update-payload bytes folded per second (the figure-of-merit the
   /// aggregation plane is sized by).
@@ -95,10 +102,46 @@ double run_baseline(const std::vector<std::shared_ptr<const ml::Tensor>>& xs,
   return now_secs() - t0;
 }
 
-/// The production fold path: sum-form accumulator, k-slot ring folded by
-/// `axpyn`, pooled buffers, one finalize per goal.
+/// The production fold arithmetic, unsplit: sum form, a k-slot ring folded
+/// by one `axpyn` call, pooled buffers, one `scale_into` finalize.
 double run_fused(const std::vector<std::shared_ptr<const ml::Tensor>>& xs,
                  std::uint32_t folds) {
+  constexpr std::size_t kSlots = fl::FedAvgAccumulator::kFoldSlots;
+  const k::Ops& ops = k::ops();
+  const std::size_t n = xs[0]->size();
+  const double t0 = now_secs();
+  std::shared_ptr<ml::Tensor> sum;
+  std::array<const float*, kSlots> ring;
+  std::array<float, kSlots> w;
+  std::size_t parked = 0;
+  double total = 0.0;
+  const auto flush = [&] {
+    if (parked == 0) return;
+    if (!sum) {
+      sum = ml::TensorPool::global().acquire(n);
+      ops.axpyn_into(sum->data(), w.data(), ring.data(), parked, n);
+    } else {
+      ops.axpyn(sum->data(), w.data(), ring.data(), parked, n);
+    }
+    parked = 0;
+  };
+  for (std::uint32_t i = 0; i < folds; ++i) {
+    ring[parked] = xs[i % xs.size()]->data();
+    w[parked] = 600.0f;
+    total += 600.0;
+    if (++parked == kSlots) flush();
+  }
+  flush();
+  auto avg = ml::TensorPool::global().acquire(n);
+  ops.scale_into(avg->data(), static_cast<float>(1.0 / total), sum->data(), n);
+  volatile float sink = (*avg)[folds % n];
+  (void)sink;
+  return now_secs() - t0;
+}
+
+/// The production accumulator: the same folds split across the sweep pool.
+double run_pooled(const std::vector<std::shared_ptr<const ml::Tensor>>& xs,
+                  std::uint32_t folds) {
   const double t0 = now_secs();
   fl::FedAvgAccumulator acc;
   for (std::uint32_t i = 0; i < folds; ++i) {
@@ -121,15 +164,19 @@ FoldSample measure_folds(std::size_t params, std::uint32_t folds, int reps) {
   FoldSample s;
   s.params = params;
   s.folds = folds;
-  // Warm both paths once (page faults, pool population), then best-of-reps.
+  // Warm every path once (page faults, pool population, sweep workers),
+  // then best-of-reps.
   (void)run_baseline(xs, std::max<std::uint32_t>(folds / 4, 2));
   (void)run_fused(xs, std::max<std::uint32_t>(folds / 4, 2));
+  (void)run_pooled(xs, std::max<std::uint32_t>(folds / 4, 2));
   const ml::TensorPoolStats before = ml::TensorPool::global().stats();
   s.baseline_secs = run_baseline(xs, folds);
   s.fused_secs = run_fused(xs, folds);
+  s.pooled_secs = run_pooled(xs, folds);
   for (int r = 1; r < reps; ++r) {
     s.baseline_secs = std::min(s.baseline_secs, run_baseline(xs, folds));
     s.fused_secs = std::min(s.fused_secs, run_fused(xs, folds));
+    s.pooled_secs = std::min(s.pooled_secs, run_pooled(xs, folds));
   }
   const ml::TensorPoolStats after = ml::TensorPool::global().stats();
   s.pool_hits = after.pool_hits - before.pool_hits;
@@ -199,16 +246,19 @@ int main(int argc, char** argv) {
       measure_folds(25'000'000, std::max<std::uint32_t>(folds_1m / 8, 4), 2));
 
   sys::Table t({"params", "folds", "seed folds/s", "fused folds/s", "speedup",
-                "seed GB/s", "fused GB/s", "pool hit/miss"});
+                "seed GB/s", "fused GB/s", "pooled folds/s", "pool hit/miss"});
   for (const auto& s : samples) {
     t.row({std::to_string(s.params), std::to_string(s.folds),
            sys::fmt(s.baseline_folds_per_sec(), 1),
            sys::fmt(s.fused_folds_per_sec(), 1), sys::fmt(s.speedup(), 2) + "x",
            sys::fmt(s.baseline_gb_per_sec(), 2),
            sys::fmt(s.fused_gb_per_sec(), 2),
+           sys::fmt(s.pooled_folds_per_sec(), 1),
            std::to_string(s.pool_hits) + "/" + std::to_string(s.pool_misses)});
   }
-  t.print("FedAvg fold path: seed scale+axpy vs fused sum-form kernels");
+  t.print(
+      "FedAvg fold path: seed scale+axpy vs fused sum-form kernels (one "
+      "thread); pooled = FedAvgAccumulator on the sweep pool");
 
   // ---- raw-kernel ISA ladder at 1M params.
   std::vector<LevelSample> levels;
@@ -238,11 +288,12 @@ int main(int argc, char** argv) {
           "    {\"params\": %zu, \"folds\": %u, "
           "\"baseline_folds_per_sec\": %.2f, \"fused_folds_per_sec\": %.2f, "
           "\"speedup\": %.3f, \"baseline_gb_per_sec\": %.3f, "
-          "\"fused_gb_per_sec\": %.3f, \"pool_hits\": %llu, "
-          "\"pool_misses\": %llu}%s\n",
+          "\"fused_gb_per_sec\": %.3f, \"pooled_folds_per_sec\": %.2f, "
+          "\"pool_hits\": %llu, \"pool_misses\": %llu}%s\n",
           s.params, s.folds, s.baseline_folds_per_sec(),
           s.fused_folds_per_sec(), s.speedup(), s.baseline_gb_per_sec(),
-          s.fused_gb_per_sec(), static_cast<unsigned long long>(s.pool_hits),
+          s.fused_gb_per_sec(), s.pooled_folds_per_sec(),
+          static_cast<unsigned long long>(s.pool_hits),
           static_cast<unsigned long long>(s.pool_misses),
           i + 1 < samples.size() ? "," : "");
     }

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "src/ml/kernels.hpp"
+#include "src/ml/sweep_pool.hpp"
 
 namespace lifl::fl {
 
@@ -78,12 +79,15 @@ void FedAvgAccumulator::flush_ring() {
   for (std::size_t j = 0; j < parked_; ++j) xs[j] = ring_[j]->data();
   const std::size_t n = ring_[0]->size();
   const k::Ops& ops = k::ops();
-  if (!sum_) {
-    sum_ = ml::TensorPool::global().acquire(n);
-    ops.axpyn_into(sum_->data(), ring_weights_.data(), xs.data(), parked_, n);
-  } else {
-    ops.axpyn(sum_->data(), ring_weights_.data(), xs.data(), parked_, n);
-  }
+  // The first sweep writes the sum, every later one accumulates into it.
+  const auto fold = sum_ ? ops.axpyn : ops.axpyn_into;
+  if (!sum_) sum_ = ml::TensorPool::global().acquire(n);
+  float* acc = sum_->data();
+  ml::parallel_sweep(n, [&](std::size_t lo, std::size_t hi) {
+    std::array<const float*, kFoldSlots> at;
+    for (std::size_t j = 0; j < parked_; ++j) at[j] = xs[j] + lo;
+    fold(acc + lo, ring_weights_.data(), at.data(), parked_, hi - lo);
+  });
   for (std::size_t j = 0; j < parked_; ++j) ring_[j].reset();
   parked_ = 0;
 }
@@ -98,8 +102,12 @@ void FedAvgAccumulator::finalize() const {
   // synchronous path produces bit-identical averages to the historical
   // integer-divisor code.
   const auto inv = static_cast<float>(1.0 / total_weight_);
-  auto avg = ml::TensorPool::global().acquire(sum_->size());
-  k::ops().scale_into(avg->data(), inv, sum_->data(), sum_->size());
+  const std::size_t n = sum_->size();
+  auto avg = ml::TensorPool::global().acquire(n);
+  const auto scale_into = k::ops().scale_into;
+  ml::parallel_sweep(n, [&](std::size_t lo, std::size_t hi) {
+    scale_into(avg->data() + lo, inv, sum_->data() + lo, hi - lo);
+  });
   finalized_ = std::move(avg);
 }
 

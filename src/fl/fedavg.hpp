@@ -36,6 +36,14 @@ namespace lifl::fl {
 /// the grouping, is a function of arrival order alone: fixed-order folds
 /// are bitwise deterministic.
 ///
+/// Threads: the ring sweep and the finalize divide run through
+/// `ml::parallel_sweep`, so a tensor of at least `ml::kSweepMinSplit`
+/// floats is swept in 16K-float chunks by the calling thread and the
+/// parked sweep-pool workers. The kernels are element-wise, so the result
+/// is bitwise the single-call result; smaller tensors, and callers that
+/// find the pool busy, sweep inline. An accumulator is used by one
+/// thread at a time.
+///
 /// Eager == lazy still holds (addition commutes), and mixed logical/real
 /// mode is now *exact*: a logical-only update (no tensor) contributes its
 /// weight to the divisor and nothing to the sum — exactly the "carries a

@@ -1,0 +1,55 @@
+#pragma once
+
+#include <cstddef>
+#include <memory>
+#include <type_traits>
+
+namespace lifl::ml {
+
+/// Chunk size of a split sweep, in elements (16K floats = 64 KB).
+inline constexpr std::size_t kSweepChunk = std::size_t{1} << 14;
+/// Sweeps shorter than this run inline on the calling thread (64K floats).
+inline constexpr std::size_t kSweepMinSplit = std::size_t{1} << 16;
+/// Most worker threads the pool starts, besides the calling thread.
+inline constexpr std::size_t kSweepMaxWorkers = 7;
+
+namespace detail {
+using SweepFn = void (*)(void* ctx, std::size_t lo, std::size_t hi);
+void split_sweep(std::size_t n, SweepFn fn, void* ctx);
+}  // namespace detail
+
+/// Run `fn(lo, hi)` over `[0, n)` in fixed `kSweepChunk`-element chunks,
+/// on the calling thread plus the process-wide sweep pool.
+///
+/// Chunk boundaries are multiples of `kSweepChunk`, whichever thread claims
+/// a chunk, so an element-wise `fn` (every BLAS-1 fold kernel) computes the
+/// same bits as one `fn(0, n)` call. `fn` must not throw and must only
+/// touch elements of its own chunk.
+///
+/// The pool is `hardware_concurrency() - 1` parked worker threads (at most
+/// `kSweepMaxWorkers`), started lazily by the first sweep of at least
+/// `kSweepMinSplit` elements. The caller claims chunks too and returns only
+/// once every chunk is done. The sweep runs inline, as one `fn(0, n)`
+/// call, when it is shorter than `kSweepMinSplit`, on a one-thread host,
+/// on hosts without futexes, and when another sweep already holds the pool
+/// (so concurrent callers never wait on each other).
+template <class F>
+void parallel_sweep(std::size_t n, F&& fn) {
+  if (n < kSweepMinSplit) {
+    fn(std::size_t{0}, n);
+    return;
+  }
+  using Fn = std::remove_reference_t<F>;
+  const detail::SweepFn thunk = [](void* p, std::size_t lo, std::size_t hi) {
+    (*static_cast<Fn*>(p))(lo, hi);
+  };
+  void* ctx = const_cast<void*>(static_cast<const void*>(std::addressof(fn)));
+  detail::split_sweep(n, thunk, ctx);
+}
+
+/// Worker threads the sweep pool has started in this process (0 until the
+/// first split sweep; tests use it to prove small and logical-payload runs
+/// start none).
+std::size_t sweep_workers_started() noexcept;
+
+}  // namespace lifl::ml

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "src/fl/fedavg.hpp"
+#include "src/ml/kernels.hpp"
+#include "src/ml/sweep_pool.hpp"
 #include "src/sim/random.hpp"
 
 namespace lifl::fl {
@@ -488,7 +493,9 @@ TEST(FedAvgRing, LogicalAndScaledUpdatesInterleaveWithPartialRings) {
       }
     }
     // Read at a few points so later folds start from a flushed ring.
-    if (i == 4 || i == 12) ASSERT_TRUE(acc.result());
+    if (i == 4 || i == 12) {
+      ASSERT_TRUE(acc.result());
+    }
   }
   EXPECT_DOUBLE_EQ(acc.total_weight(), divisor);
   const auto got = acc.result();
@@ -496,6 +503,79 @@ TEST(FedAvgRing, LogicalAndScaledUpdatesInterleaveWithPartialRings) {
   for (std::size_t j = 0; j < dim; ++j) {
     const double want = ref[j] / divisor;
     EXPECT_NEAR((*got)[j], want, 1e-5 * (1.0 + std::abs(want))) << j;
+  }
+}
+
+// ---- Split sweeps: tensors of at least `ml::kSweepMinSplit` floats fold
+// and finalize on the sweep pool. The result must be bitwise the serial
+// kernel calls, whatever thread ran which chunk.
+
+/// Serial oracle: the average of the first `count` updates when the ring is
+/// additionally flushed after each update count in `reads`, computed by
+/// direct whole-tensor `ops()` calls on the calling thread.
+std::vector<float> serial_fedavg(const std::vector<const float*>& xs,
+                                 const std::vector<std::uint64_t>& ws,
+                                 std::size_t count, std::size_t n,
+                                 const std::vector<std::size_t>& reads) {
+  const ml::kernels::Ops& ops = ml::kernels::ops();
+  std::vector<float> sum(n), avg(n);
+  bool started = false;
+  std::vector<const float*> ring;
+  std::vector<float> rw;
+  double total = 0.0;
+  const auto flush = [&] {
+    if (ring.empty()) return;
+    const auto fold = started ? ops.axpyn : ops.axpyn_into;
+    fold(sum.data(), rw.data(), ring.data(), ring.size(), n);
+    started = true;
+    ring.clear();
+    rw.clear();
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    ring.push_back(xs[i]);
+    rw.push_back(static_cast<float>(ws[i]));
+    total += static_cast<double>(ws[i]);
+    if (ring.size() == FedAvgAccumulator::kFoldSlots ||
+        std::find(reads.begin(), reads.end(), i + 1) != reads.end()) {
+      flush();
+    }
+  }
+  flush();
+  ops.scale_into(avg.data(), static_cast<float>(1.0 / total), sum.data(), n);
+  return avg;
+}
+
+bool bitwise_equal(const ml::Tensor& got, const std::vector<float>& want) {
+  if (got.size() != want.size()) return false;
+  return std::memcmp(got.data(), want.data(), got.bytes()) == 0;
+}
+
+TEST(FedAvgSplit, LargeFoldsAreBitwiseTheSerialKernelsAcrossReset) {
+  const std::size_t n = std::size_t{1} << 18;  // fold-real's tensor size
+  static_assert((std::size_t{1} << 18) >= ml::kSweepMinSplit);
+  sim::Rng rng(75);
+  // Two distinct tensors, aliased across ring slots as fold-real's 16
+  // tensors are across its uploads.
+  const auto tensors = random_tensors(rng, 2, n);
+  std::vector<const float*> xs;
+  std::vector<std::uint64_t> ws;
+  for (std::size_t i = 0; i < 32; ++i) {
+    xs.push_back(tensors[i % 2]->data());
+    ws.push_back(1 + rng.uniform_index(900));
+  }
+
+  FedAvgAccumulator acc;
+  for (int use = 0; use < 2; ++use) {
+    // A read after 20 updates flushes a partial ring of 4.
+    for (std::size_t i = 0; i < 20; ++i) acc.add(tensors[i % 2], ws[i]);
+    ASSERT_TRUE(acc.result());
+    const auto after20 = serial_fedavg(xs, ws, 20, n, {});
+    EXPECT_TRUE(bitwise_equal(*acc.result(), after20)) << "use " << use;
+    for (std::size_t i = 20; i < 32; ++i) acc.add(tensors[i % 2], ws[i]);
+    ASSERT_TRUE(acc.result());
+    const auto after32 = serial_fedavg(xs, ws, 32, n, {20});
+    EXPECT_TRUE(bitwise_equal(*acc.result(), after32)) << "use " << use;
+    acc.reset();
   }
 }
 

@@ -233,7 +233,9 @@ TEST(ShardedSim, MailboxDeliversInTimestampOrderAcrossWindows) {
     // Delivered exactly at the requested timestamp...
     EXPECT_EQ(log[i].t, log[i].posted);
     // ...and in nondecreasing timestamp order.
-    if (i > 0) EXPECT_GE(log[i].t, log[i - 1].t);
+    if (i > 0) {
+      EXPECT_GE(log[i].t, log[i - 1].t);
+    }
   }
   EXPECT_GT(sharded.windows(), 10u);
 }
