@@ -1,11 +1,13 @@
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <vector>
 
+#include "src/fl/model_update.hpp"
 #include "src/sim/cpu_accounting.hpp"
 #include "src/sim/node.hpp"
 #include "src/sim/resource.hpp"
+#include "src/sim/task.hpp"
 
 namespace lifl::dp {
 
@@ -22,64 +24,87 @@ enum class StepResource : std::uint8_t {
 /// One step of a data-plane pipeline: a service time on a resource plus the
 /// CPU cycles it bills. Transfers are sequences of steps executed
 /// store-and-forward, so queueing/contention at any hop shows up end to end
-/// (this is what reproduces Fig. 4).
+/// (this is what reproduces Fig. 4). A kGateway step executes on the RSS
+/// queue of its flight's flow (see `StepRunner::Flight`).
 struct CostStep {
   StepResource where = StepResource::kCores;
   sim::NodeId node = 0;
   double seconds = 0.0;  ///< service time on the resource
   sim::CostTag tag = sim::CostTag::kKernelNet;
   double cycles = 0.0;   ///< billed to the node's CPU ledger
-  /// Flow key for RSS-steered resources (kGateway): the client/participant
-  /// id whose queue this step must execute on.
-  std::uint64_t flow = 0;
 };
 
 /// Convenience: make a CPU-type step from cycles (service time = cycles/hz).
 CostStep cpu_step(StepResource where, const sim::Node& node, double cycles,
-                  sim::CostTag tag, std::uint64_t flow = 0);
+                  sim::CostTag tag);
 
-/// Runs `steps` sequentially on the cluster's resources, then `done`.
+/// An immutable step list (one interned pipeline of `DataPlane`).
+struct Route {
+  const CostStep* steps = nullptr;
+  std::uint32_t size = 0;
+};
+
+/// Runs flights — a route's steps, executed sequentially on the cluster's
+/// resources — then their completions.
 ///
-/// The gateway and broker resources are external to `sim::Node`, so callers
-/// provide resolvers mapping StepResource::kGateway (per node and flow —
-/// the gateway is an RSS multi-queue) and StepResource::kBroker
-/// (cluster-wide) to the right Resource.
+/// Flights live in a slab with a free list: the continuation each Resource
+/// holds is a 16-byte {runner, index} trampoline (Task-inline), and the
+/// steps are an interned `Route`, so a transfer allocates nothing once the
+/// slab has grown to the in-flight high-water mark.
 class StepRunner {
  public:
-  using GatewayResolver =
-      std::function<sim::Resource&(sim::NodeId, std::uint64_t flow)>;
-  using BrokerResolver = std::function<sim::Resource&()>;
+  /// Completion hook that takes a flight's cargo (Task-inline functors).
+  using Arrival = sim::TaskFn<fl::ModelUpdate>;
 
-  StepRunner(sim::Cluster& cluster, GatewayResolver gateways,
-             BrokerResolver broker)
-      : cluster_(cluster),
-        gateways_(std::move(gateways)),
-        broker_(std::move(broker)) {}
+  /// One transfer. The per-transfer fields — RSS flow, client wire time and
+  /// the carried update — ride on the flight; everything else is the route.
+  struct Flight {
+    Route route;
+    /// RSS flow key every kGateway step steers by (client / participant id).
+    std::uint64_t flow = 0;
+    /// Leading pure-latency step of `wire_secs` before the route: the
+    /// client's uplink, which is not a cluster resource.
+    bool wire = false;
+    double wire_secs = 0.0;
+    fl::ModelUpdate cargo;  ///< handed to `arrive` at the end
+    Arrival arrive;         ///< fires first on completion (if set)
+    sim::Task done;         ///< fires after `arrive` (if set)
+  };
 
-  void run(std::vector<CostStep> steps, sim::Task done);
+  /// `broker` serves kBroker steps; `gateways[node]` serves kGateway steps.
+  StepRunner(sim::Cluster& cluster, sim::Resource& broker)
+      : cluster_(cluster), broker_(broker) {}
+
+  void set_gateways(std::vector<sim::MultiQueueResource*> gateways) {
+    gateways_ = std::move(gateways);
+  }
+
+  void run(Flight&& f);
+
+  /// Flights not yet completed.
+  std::size_t in_flight() const noexcept { return in_flight_; }
 
  private:
-  /// One in-flight pipeline: a single allocation carries the steps and the
-  /// completion across every hop (the continuation each Resource holds is
-  /// a 16-byte {runner, flight} trampoline — Task-inline, so a transfer
-  /// costs one allocation total instead of one per step).
-  struct Flight {
-    std::vector<CostStep> steps;
-    std::size_t i = 0;
-    sim::Task done;
+  struct Slot {
+    Flight f;
+    std::uint32_t i = 0;  ///< next route step
   };
   struct NextFn {
     StepRunner* r;
-    std::shared_ptr<Flight> f;
-    void operator()() const { r->advance(f); }
+    std::uint32_t slot;
+    void operator()() const { r->advance(slot); }
   };
 
-  void advance(const std::shared_ptr<Flight>& f);
-  void dispatch(const std::shared_ptr<Flight>& f);
+  void advance(std::uint32_t slot);
+  void dispatch(std::uint32_t slot);
+  void finish(std::uint32_t slot);
 
   sim::Cluster& cluster_;
-  GatewayResolver gateways_;
-  BrokerResolver broker_;
+  sim::Resource& broker_;
+  std::vector<sim::MultiQueueResource*> gateways_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  std::size_t in_flight_ = 0;
 };
 
 }  // namespace lifl::dp

@@ -14,18 +14,16 @@ DataPlane::DataPlane(sim::Cluster& cluster, DataPlaneConfig cfg, sim::Rng rng)
     : cluster_(cluster),
       cfg_(cfg),
       broker_svc_(cluster.sim(), "broker", cfg.broker_cores),
-      runner_(
-          cluster,
-          [this](sim::NodeId id, std::uint64_t flow) -> sim::Resource& {
-            return env(id).gateway.queue_for(flow);
-          },
-          [this]() -> sim::Resource& { return broker_svc_; }) {
+      runner_(cluster, broker_svc_) {
   envs_.reserve(cluster.size());
+  std::vector<sim::MultiQueueResource*> gateways;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     envs_.push_back(std::make_unique<NodeEnv>(
         cluster.sim(), static_cast<sim::NodeId>(i), rng.split(i),
         cfg_.gateway_cores, cfg_.gateway_queues));
+    gateways.push_back(&envs_.back()->gateway);
   }
+  runner_.set_gateways(std::move(gateways));
   if (cfg_.use_broker) {
     // The broker is the single stateful, always-on component of the plane
     // (Fig. 2(b)); it lives on — and draws idle CPU from — the broker node.
@@ -76,25 +74,64 @@ double DataPlane::recv_cycles(const fl::ModelUpdate& update) const noexcept {
 }
 
 void DataPlane::attach_shm_lease(sim::NodeId node, fl::ModelUpdate& update) {
-  auto& store = env(node).store;
-  shm::ObjectKey key;
-  if (cfg_.real_payloads && update.tensor) {
-    key = store.put<ml::Tensor>(update.tensor, update.logical_bytes);
-  } else {
-    key = store.put_logical(update.logical_bytes);
-  }
   // RAII recycle: when the last copy of the update drops, the reference is
   // released and the buffer returns to the store's pool. The lease may
   // legally outlive the store (closures parked in simulator queues during
-  // teardown), so it releases through the store's liveness token.
-  update.lease = std::shared_ptr<const void>(
-      new shm::ObjectKey(key),
-      [token = store.liveness()](const shm::ObjectKey* k) {
-        if (const auto store_ptr = token.lock()) {
-          (*store_ptr)->release(*k);
-        }
-        delete k;
-      });
+  // teardown); it then releases nothing.
+  auto& store = env(node).store;
+  if (cfg_.real_payloads && update.tensor) {
+    update.lease = store.put_leased<ml::Tensor>(update.tensor,
+                                                update.logical_bytes);
+  } else {
+    update.lease = store.put_leased<int>(nullptr, update.logical_bytes);
+  }
+}
+
+std::size_t DataPlane::RouteKeyHash::operator()(
+    const RouteKey& k) const noexcept {
+  std::uint64_t h = k.bytes * 0x9e3779b97f4a7c15ull;
+  h ^= (static_cast<std::uint64_t>(k.src) << 40) ^
+       (static_cast<std::uint64_t>(k.dst) << 8) ^
+       static_cast<std::uint64_t>(k.kind);
+  return static_cast<std::size_t>(sim::MultiQueueResource::mix(h));
+}
+
+Route DataPlane::route(PathKind kind, sim::NodeId src, sim::NodeId dst,
+                       std::size_t bytes) {
+  if (kind == PathKind::kIngest || kind == PathKind::kConsume) src = dst;
+  const RouteKey key{kind, src, dst, bytes};
+  auto it = routes_.find(key);
+  if (it != routes_.end()) return it->second;
+  // Routes are keyed by payload size, so a caller streaming many distinct
+  // sizes could grow the table without bound: start over once it is large
+  // and no flight holds a route.
+  constexpr std::size_t kMaxRoutes = 4096;
+  if (routes_.size() >= kMaxRoutes && runner_.in_flight() == 0) {
+    routes_.clear();
+    route_steps_.clear();
+  }
+  std::vector<CostStep> steps;
+  sim::Node& snode = cluster_.node(src);
+  sim::Node& dnode = cluster_.node(dst);
+  switch (kind) {
+    case PathKind::kIngest:
+      steps = ingest_steps(dnode, bytes);
+      break;
+    case PathKind::kIntraNode:
+      steps = intra_node_steps(snode, bytes);
+      break;
+    case PathKind::kInterNode:
+      steps = inter_node_steps(snode, dnode, bytes);
+      break;
+    case PathKind::kConsume:
+      steps = consume_steps(dnode, bytes);
+      break;
+  }
+  route_steps_.push_back(std::move(steps));
+  const std::vector<CostStep>& v = route_steps_.back();
+  const Route r{v.data(), static_cast<std::uint32_t>(v.size())};
+  routes_.emplace(key, r);
+  return r;
 }
 
 void DataPlane::append_broker_leg(std::vector<CostStep>& steps, sim::Node& src,
@@ -185,8 +222,7 @@ std::vector<CostStep> DataPlane::intra_node_steps(sim::Node& node,
 
 std::vector<CostStep> DataPlane::inter_node_steps(sim::Node& src,
                                                   sim::Node& dst,
-                                                  std::size_t bytes,
-                                                  std::uint64_t flow) {
+                                                  std::size_t bytes) {
   const auto b = static_cast<double>(bytes);
   std::vector<CostStep> steps;
   const bool lifl = cfg_.plane == PlaneKind::kLifl;
@@ -198,7 +234,7 @@ std::vector<CostStep> DataPlane::inter_node_steps(sim::Node& src,
                               calib::kGatewayTransformCyclesPerByte +
                               calib::kSerializeCyclesPerByte) *
                                  b,
-                             CostTag::kGateway, flow));
+                             CostTag::kGateway));
   } else {
     steps.push_back(cpu_step(StepResource::kCores, src,
                              calib::kSerializeCyclesPerByte * b,
@@ -240,7 +276,7 @@ std::vector<CostStep> DataPlane::inter_node_steps(sim::Node& src,
                               calib::kGatewayTransformCyclesPerByte +
                               calib::kShmWriteCyclesPerByte) *
                                  b,
-                             CostTag::kGateway, flow));
+                             CostTag::kGateway));
     steps.push_back(cpu_step(
         StepResource::kKernelNet, dst,
         calib::kSkmsgNotifyCycles + calib::kEbpfSidecarEventCycles,
@@ -254,8 +290,7 @@ std::vector<CostStep> DataPlane::inter_node_steps(sim::Node& src,
 }
 
 std::vector<CostStep> DataPlane::ingest_steps(sim::Node& node,
-                                              std::size_t bytes,
-                                              std::uint64_t flow) {
+                                              std::size_t bytes) {
   const auto b = static_cast<double>(bytes);
   std::vector<CostStep> steps;
   switch (cfg_.plane) {
@@ -274,7 +309,7 @@ std::vector<CostStep> DataPlane::ingest_steps(sim::Node& node,
                                 calib::kDeserializeCyclesPerByte +
                                 calib::kShmWriteCyclesPerByte) *
                                    b,
-                               CostTag::kGateway, flow));
+                               CostTag::kGateway));
       break;
     case PlaneKind::kServerful:
     case PlaneKind::kServerless:
@@ -309,149 +344,11 @@ std::vector<CostStep> DataPlane::ingest_steps(sim::Node& node,
   return steps;
 }
 
-void DataPlane::send(fl::ParticipantId src, sim::NodeId src_node,
-                     fl::ParticipantId dst, fl::ModelUpdate update,
-                     sim::Task on_delivered) {
-  auto it = consumers_.find(dst);
-  if (it == consumers_.end()) {
-    throw std::invalid_argument("DataPlane::send: unknown destination " +
-                                std::to_string(dst));
-  }
-  const sim::NodeId dst_node = it->second;
-  const std::size_t bytes = update.logical_bytes;
-  update.hops += 1;
-  update.producer = src;
-
-  sim::Node& snode = cluster_.node(src_node);
-  sim::Node& dnode = cluster_.node(dst_node);
-  NodeEnv& senv = env(src_node);
-
-  // Event-driven sidecar bookkeeping on send (§4.3) — interned ids, no
-  // string hashing on the per-send path.
-  if (cfg_.sidecar == SidecarKind::kEbpf) {
-    senv.metrics.add(MetricsMap::kSends);
-    senv.metrics.add(MetricsMap::kSendBytes, static_cast<double>(bytes));
-  }
-
-  std::vector<CostStep> steps;
-  if (src_node == dst_node) {
-    if (cfg_.plane == PlaneKind::kLifl) {
-      attach_shm_lease(src_node, update);
-      ++shm_deliveries_;
-    }
-    steps = intra_node_steps(snode, bytes);
-  } else {
-    inter_node_bytes_ += bytes;
-    if (cfg_.plane == PlaneKind::kLifl) {
-      // The payload is re-materialized in the destination node's store by
-      // the remote gateway (Appendix A).
-      attach_shm_lease(dst_node, update);
-    }
-    // Gateway hops steer by the destination participant: one aggregator's
-    // inbound transfers stay ordered on one queue.
-    steps = inter_node_steps(snode, dnode, bytes, dst);
-  }
-  if (cfg_.use_broker) {
-    env(cfg_.broker_node).broker.buffer(bytes);
-  }
-
-  runner_.run(std::move(steps),
-              [this, dst_node, dst, u = std::move(update), bytes,
-               done = std::move(on_delivered)]() mutable {
-                if (cfg_.use_broker) {
-                  env(cfg_.broker_node).broker.unbuffer(bytes);
-                }
-                deliver(dst_node, dst, std::move(u), std::move(done));
-              });
-}
-
-void DataPlane::deliver(sim::NodeId dst_node, fl::ParticipantId dst,
-                        fl::ModelUpdate update, sim::Task done) {
-  Sockmap::DeliverFn* sock = env(dst_node).sockmap.lookup(dst);
-  if (sock == nullptr) {
-    // Destination disappeared mid-flight (scale-down / failure): the update
-    // falls back into the node pool so a successor can aggregate it.
-    env(dst_node).pool.push(std::move(update));
-    if (done) done();
-    return;
-  }
-  (*sock)(std::move(update));
-  if (done) done();
-}
-
-void DataPlane::client_upload(sim::NodeId dst_node, fl::ModelUpdate update,
-                              double uplink_bytes_per_sec,
-                              sim::Task on_enqueued) {
-  const std::size_t bytes = update.logical_bytes;
-  sim::Node& dnode = cluster_.node(dst_node);
-  // Gateways and brokers terminate the client stream; on a bare serverful
-  // plane the consuming aggregator pays that cost in its Recv step.
-  update.from_client =
-      cfg_.plane != PlaneKind::kLifl && !cfg_.use_broker;
-
-  std::vector<CostStep> steps;
-  // Wire time from the client to the cluster ingress (pure latency: the
-  // client's uplink is not a cluster resource).
-  CostStep wire;
-  wire.where = StepResource::kLatency;
-  wire.node = dst_node;
-  wire.seconds = static_cast<double>(bytes) / uplink_bytes_per_sec;
-  steps.push_back(wire);
-  auto ingest = ingest_steps(dnode, bytes, update.producer);
-  steps.insert(steps.end(), ingest.begin(), ingest.end());
-
-  // A brokered upload rests in the broker's buffers until a consumer drains
-  // it (`consume` unbuffers); LIFL/serverful planes buffer nothing here.
-  if (cfg_.use_broker) env(cfg_.broker_node).broker.buffer(bytes);
-
-  runner_.run(std::move(steps), [this, dst_node,
-                                 u = std::move(update),
-                                 done = std::move(on_enqueued)]() mutable {
-    NodeEnv& e = env(dst_node);
-    if (cfg_.plane == PlaneKind::kLifl) {
-      attach_shm_lease(dst_node, u);
-      ++shm_deliveries_;
-    }
-    // Arrival-rate metric for the control plane (k_{i,t} of §5.1).
-    e.metrics.add(MetricsMap::kArrivals);
-    e.pool.push(std::move(u));
-    if (done) done();
-  });
-}
-
-void DataPlane::client_upload_chunk(sim::NodeId dst_node, std::uint64_t flow,
-                                    std::size_t bytes,
-                                    double uplink_bytes_per_sec,
-                                    sim::Task on_acked) {
-  sim::Node& dnode = cluster_.node(dst_node);
-  std::vector<CostStep> steps;
-  // Wire time from the client to the cluster ingress (pure latency, as in
-  // `client_upload`).
-  CostStep wire;
-  wire.where = StepResource::kLatency;
-  wire.node = dst_node;
-  wire.seconds = static_cast<double>(bytes) / uplink_bytes_per_sec;
-  steps.push_back(wire);
-  auto ingest = ingest_steps(dnode, bytes, flow);
-  steps.insert(steps.end(), ingest.begin(), ingest.end());
-  runner_.run(std::move(steps), std::move(on_acked));
-}
-
-void DataPlane::consume(sim::NodeId node, const fl::ModelUpdate& update,
-                        sim::Task ready) {
-  if (!cfg_.use_broker) {
-    // LIFL: the consumer receives the 16-byte key; the payload stays put in
-    // shm. SF monolith: the queue is the aggregator's own in-memory queue.
-    ready();
-    return;
-  }
-  const std::size_t bytes = update.logical_bytes;
+std::vector<CostStep> DataPlane::consume_steps(sim::Node& dst,
+                                               std::size_t bytes) {
   const auto b = static_cast<double>(bytes);
-  sim::Node& broker = cluster_.node(cfg_.broker_node);
-  sim::Node& dst = cluster_.node(node);
-  env(cfg_.broker_node).broker.unbuffer(bytes);
-
   std::vector<CostStep> steps;
+  sim::Node& broker = cluster_.node(cfg_.broker_node);
   // Dequeue processing on the broker's worker threads.
   steps.push_back(cpu_step(StepResource::kBroker, broker,
                            calib::kBrokerCyclesPerByte * b, CostTag::kBroker));
@@ -474,7 +371,145 @@ void DataPlane::consume(sim::NodeId node, const fl::ModelUpdate& update,
                              calib::kContainerSidecarCyclesPerByte * b,
                              CostTag::kSidecarContainer));
   }
-  runner_.run(std::move(steps), std::move(ready));
+  return steps;
+}
+
+void DataPlane::send(fl::ParticipantId src, sim::NodeId src_node,
+                     fl::ParticipantId dst, fl::ModelUpdate update,
+                     sim::Task on_delivered) {
+  auto it = consumers_.find(dst);
+  if (it == consumers_.end()) {
+    throw std::invalid_argument("DataPlane::send: unknown destination " +
+                                std::to_string(dst));
+  }
+  const sim::NodeId dst_node = it->second;
+  const std::size_t bytes = update.logical_bytes;
+  update.hops += 1;
+  update.producer = src;
+
+  NodeEnv& senv = env(src_node);
+
+  // Event-driven sidecar bookkeeping on send (§4.3) — interned ids, no
+  // string hashing on the per-send path.
+  if (cfg_.sidecar == SidecarKind::kEbpf) {
+    senv.metrics.add(MetricsMap::kSends);
+    senv.metrics.add(MetricsMap::kSendBytes, static_cast<double>(bytes));
+  }
+
+  StepRunner::Flight f;
+  if (src_node == dst_node) {
+    if (cfg_.plane == PlaneKind::kLifl) {
+      attach_shm_lease(src_node, update);
+      ++shm_deliveries_;
+    }
+    f.route = route(PathKind::kIntraNode, src_node, dst_node, bytes);
+  } else {
+    inter_node_bytes_ += bytes;
+    if (cfg_.plane == PlaneKind::kLifl) {
+      // The payload is re-materialized in the destination node's store by
+      // the remote gateway (Appendix A).
+      attach_shm_lease(dst_node, update);
+    }
+    f.route = route(PathKind::kInterNode, src_node, dst_node, bytes);
+  }
+  if (cfg_.use_broker) {
+    env(cfg_.broker_node).broker.buffer(bytes);
+  }
+  // Gateway hops steer by the destination participant: one aggregator's
+  // inbound transfers stay ordered on one queue.
+  f.flow = dst;
+  f.cargo = std::move(update);
+  f.arrive = DeliverFn{this, dst, dst_node};
+  f.done = std::move(on_delivered);
+  runner_.run(std::move(f));
+}
+
+void DataPlane::DeliverFn::operator()(fl::ModelUpdate u) const {
+  if (plane->cfg_.use_broker) {
+    plane->env(plane->cfg_.broker_node).broker.unbuffer(u.logical_bytes);
+  }
+  plane->deliver(dst_node, dst, std::move(u));
+}
+
+void DataPlane::deliver(sim::NodeId dst_node, fl::ParticipantId dst,
+                        fl::ModelUpdate update) {
+  Sockmap::DeliverFn* sock = env(dst_node).sockmap.lookup(dst);
+  if (sock == nullptr) {
+    // Destination disappeared mid-flight (scale-down / failure): the update
+    // falls back into the node pool so a successor can aggregate it.
+    env(dst_node).pool.push(std::move(update));
+    return;
+  }
+  (*sock)(std::move(update));
+}
+
+void DataPlane::client_upload(sim::NodeId dst_node, fl::ModelUpdate update,
+                              double uplink_bytes_per_sec,
+                              sim::Task on_enqueued) {
+  const std::size_t bytes = update.logical_bytes;
+  // Gateways and brokers terminate the client stream; on a bare serverful
+  // plane the consuming aggregator pays that cost in its Recv step.
+  update.from_client =
+      cfg_.plane != PlaneKind::kLifl && !cfg_.use_broker;
+
+  // Wire time from the client to the cluster ingress (pure latency: the
+  // client's uplink is not a cluster resource), then the ingest pipeline,
+  // whose gateway step steers by the uploading client.
+  StepRunner::Flight f;
+  f.route = route(PathKind::kIngest, dst_node, dst_node, bytes);
+  f.flow = update.producer;
+  f.wire = true;
+  f.wire_secs = static_cast<double>(bytes) / uplink_bytes_per_sec;
+
+  // A brokered upload rests in the broker's buffers until a consumer drains
+  // it (`consume` unbuffers); LIFL/serverful planes buffer nothing here.
+  if (cfg_.use_broker) env(cfg_.broker_node).broker.buffer(bytes);
+
+  f.cargo = std::move(update);
+  f.arrive = EnqueueFn{this, dst_node};
+  f.done = std::move(on_enqueued);
+  runner_.run(std::move(f));
+}
+
+void DataPlane::EnqueueFn::operator()(fl::ModelUpdate u) const {
+  NodeEnv& e = plane->env(node);
+  if (plane->cfg_.plane == PlaneKind::kLifl) {
+    plane->attach_shm_lease(node, u);
+    ++plane->shm_deliveries_;
+  }
+  // Arrival-rate metric for the control plane (k_{i,t} of §5.1).
+  e.metrics.add(MetricsMap::kArrivals);
+  e.pool.push(std::move(u));
+}
+
+void DataPlane::client_upload_chunk(sim::NodeId dst_node, std::uint64_t flow,
+                                    std::size_t bytes,
+                                    double uplink_bytes_per_sec,
+                                    sim::Task on_acked) {
+  // Wire time, then ingest, as in `client_upload`.
+  StepRunner::Flight f;
+  f.route = route(PathKind::kIngest, dst_node, dst_node, bytes);
+  f.flow = flow;
+  f.wire = true;
+  f.wire_secs = static_cast<double>(bytes) / uplink_bytes_per_sec;
+  f.done = std::move(on_acked);
+  runner_.run(std::move(f));
+}
+
+void DataPlane::consume(sim::NodeId node, const fl::ModelUpdate& update,
+                        sim::Task ready) {
+  if (!cfg_.use_broker) {
+    // LIFL: the consumer receives the 16-byte key; the payload stays put in
+    // shm. SF monolith: the queue is the aggregator's own in-memory queue.
+    ready();
+    return;
+  }
+  const std::size_t bytes = update.logical_bytes;
+  env(cfg_.broker_node).broker.unbuffer(bytes);
+  StepRunner::Flight f;
+  f.route = route(PathKind::kConsume, node, node, bytes);
+  f.done = std::move(ready);
+  runner_.run(std::move(f));
 }
 
 void DataPlane::seed_update(sim::NodeId node, fl::ModelUpdate update) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -22,6 +21,25 @@ namespace lifl::dp {
 /// Handle for a registered always-on idle CPU draw.
 using IdleHandle = std::uint64_t;
 
+/// Which pipeline a route prices.
+enum class PathKind : std::uint8_t {
+  kIngest,     ///< client upload into the ingress node (after the wire)
+  kIntraNode,  ///< aggregator to aggregator on one node
+  kInterNode,  ///< aggregator to aggregator across nodes
+  kConsume,    ///< broker delivery of a queued update (brokered planes)
+};
+
+class ResumableUpload;
+
+namespace detail {
+/// Storage of resumable-upload sessions (src/dataplane/resumable_upload.cpp).
+struct SessionSlab;
+/// Releases the plane's hold on the slab; live sessions keep it alive.
+struct SessionSlabOrphan {
+  void operator()(SessionSlab* slab) const noexcept;
+};
+}  // namespace detail
+
 /// The cluster data plane: moves model updates between clients, gateways and
 /// aggregators, with costs determined by the configured architecture.
 ///
@@ -40,6 +58,8 @@ using IdleHandle = std::uint64_t;
 /// Transfers are sequences of `CostStep`s executed on the owning node's
 /// resources, so kernel-stack contention (Fig. 4), gateway saturation and
 /// NIC serialization all emerge from queueing rather than being scripted.
+/// Each pipeline is built once per (path, src node, dst node, bytes) and
+/// interned (`route`); a transfer is a pooled `StepRunner` flight over it.
 class DataPlane {
  public:
   /// Everything the plane keeps per worker node.
@@ -153,6 +173,13 @@ class DataPlane {
   /// brokered message transits (Fig. 2(b)).
   sim::Resource& broker_service() noexcept { return broker_svc_; }
 
+  /// The interned pipeline of `kind` for `bytes` from `src` to `dst`, built
+  /// on first use. `src` is ignored for kIngest (the client) and kConsume
+  /// (the broker). Gateway steps steer by the flight's flow at run time.
+  /// Valid while flights are in the air; an idle plane may re-intern.
+  Route route(PathKind kind, sim::NodeId src, sim::NodeId dst,
+              std::size_t bytes);
+
   /// Total data moved across nodes (bytes), for locality accounting.
   std::uint64_t inter_node_bytes() const noexcept { return inter_node_bytes_; }
   /// Total intra-node update hand-offs served by shared memory.
@@ -166,17 +193,46 @@ class DataPlane {
   }
 
  private:
+  friend class ResumableUpload;  // owns the contents of `sessions_`
+
+  /// Arrival hook of a `send` flight: unbuffer at the broker, then hand the
+  /// update to the destination's socket (24 bytes, Task-inline).
+  struct DeliverFn {
+    DataPlane* plane;
+    fl::ParticipantId dst;
+    sim::NodeId dst_node;
+    void operator()(fl::ModelUpdate u) const;
+  };
+  /// Arrival hook of a `client_upload` flight: deposit into the node pool.
+  struct EnqueueFn {
+    DataPlane* plane;
+    sim::NodeId node;
+    void operator()(fl::ModelUpdate u) const;
+  };
+  struct RouteKey {
+    PathKind kind;
+    sim::NodeId src;
+    sim::NodeId dst;
+    std::size_t bytes;
+    bool operator==(const RouteKey& o) const noexcept {
+      return kind == o.kind && src == o.src && dst == o.dst &&
+             bytes == o.bytes;
+    }
+  };
+  struct RouteKeyHash {
+    std::size_t operator()(const RouteKey& k) const noexcept;
+  };
+
   void deliver(sim::NodeId dst_node, fl::ParticipantId dst,
-               fl::ModelUpdate update, sim::Task done);
+               fl::ModelUpdate update);
   /// Put the update payload into `node`'s store and attach a release lease.
   void attach_shm_lease(sim::NodeId node, fl::ModelUpdate& update);
 
   std::vector<CostStep> intra_node_steps(sim::Node& node, std::size_t bytes);
   std::vector<CostStep> inter_node_steps(sim::Node& src, sim::Node& dst,
-                                         std::size_t bytes,
-                                         std::uint64_t flow);
-  std::vector<CostStep> ingest_steps(sim::Node& node, std::size_t bytes,
-                                     std::uint64_t flow);
+                                         std::size_t bytes);
+  std::vector<CostStep> ingest_steps(sim::Node& node, std::size_t bytes);
+  std::vector<CostStep> consume_steps(sim::Node& dst, std::size_t bytes);
   /// Appends the broker leg of a brokered path: hop to the broker node if
   /// needed, broker processing on the broker service threads, then the hop
   /// from the broker to `dst` (Fig. 2(b) indirection).
@@ -202,6 +258,13 @@ class DataPlane {
 
   std::uint64_t inter_node_bytes_ = 0;
   std::uint64_t shm_deliveries_ = 0;
+
+  /// Interned routes. The step vectors never change once built, so their
+  /// buffers stay put while `route_steps_` grows.
+  std::unordered_map<RouteKey, Route, RouteKeyHash> routes_;
+  std::vector<std::vector<CostStep>> route_steps_;
+  /// Resumable-upload session storage, created on the first launch.
+  std::unique_ptr<detail::SessionSlab, detail::SessionSlabOrphan> sessions_;
 };
 
 }  // namespace lifl::dp

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "src/dataplane/dataplane.hpp"
 #include "src/fl/model_update.hpp"
@@ -27,6 +26,11 @@ namespace lifl::dp {
 /// All randomness comes from the plan's stateless hashes of
 /// (group, seq, attempt); the session itself is event-driven on the group's
 /// simulator, so flaky campaigns keep bitwise 1-vs-K-shard equivalence.
+///
+/// Sessions live in a per-plane slab. Exactly one pending event — the
+/// start, a chunk ack, the disconnect or the reconnect — owns a session at
+/// any time, through an 8-byte owning handle, so every callback is
+/// Task-inline and a session costs no allocation once the slab is warm.
 class ResumableUpload {
  public:
   /// Aggregated session telemetry (owned by the campaign group).
@@ -52,15 +56,18 @@ class ResumableUpload {
     /// identical. Default-constructed == disabled.
     obs::GroupObs obs;
     /// Fires when the update is deposited: (upload duration in sim seconds
-    /// from launch, number of disconnects the session survived).
-    std::function<void(double, std::uint32_t)> on_complete;
+    /// from launch, number of disconnects the session survived). 24 bytes
+    /// of capture stay inline.
+    sim::TaskFn<double, std::uint32_t> on_complete;
     sim::Task on_disconnect;  ///< fires at each mid-upload drop (parking)
     sim::Task on_resume;      ///< fires at each reconnect (un-parking)
   };
 
-  /// Start a session; it owns itself and frees on completion. Throws
+  /// Start a session `start_after` sim seconds from now (0 = at once); it
+  /// returns to the plane's slab on completion. Throws
   /// `std::invalid_argument` if `cfg.plan` is null.
-  static void launch(DataPlane& plane, fl::ModelUpdate update, Config cfg);
+  static void launch(DataPlane& plane, fl::ModelUpdate update, Config cfg,
+                     double start_after = 0.0);
 };
 
 }  // namespace lifl::dp

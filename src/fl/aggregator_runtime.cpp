@@ -65,8 +65,13 @@ void AggregatorRuntime::PoolWaiter::operator()(ModelUpdate u) const {
     c->plane->env(c->node).pool.push(std::move(u));
     return;
   }
-  // Taking the update out of the queue is a broker delivery on brokered
-  // planes and free under LIFL's in-place queuing (§4.2).
+  // Taking the update out of the queue is free under LIFL's in-place
+  // queuing (§4.2) and on a serverful monolith: deliver directly.
+  if (!c->plane->config().use_broker) {
+    c->rt->deliver(std::move(u));
+    return;
+  }
+  // On brokered planes it is a broker delivery.
   auto shared = std::make_shared<ModelUpdate>(std::move(u));
   c->plane->consume(c->node, *shared, ConsumeReady{c, shared});
 }
@@ -199,7 +204,9 @@ std::uint32_t AggregatorRuntime::drain() {
   } else {
     have = acc_.updates_folded();
     if (in_flight_.has_value()) have += in_flight_->updates_folded;
-    for (const auto& u : fifo_) have += u.updates_folded;
+    for (std::size_t i = 0; i < fifo_.size(); ++i) {
+      have += fifo_[i].updates_folded;
+    }
   }
   if (have == 0) return 0;
   set_goal(have, /*open=*/false);
@@ -403,8 +410,8 @@ void AggregatorRuntime::do_send() {
     aggregated_ = 0;
     received_ = static_cast<std::uint32_t>(fifo_.size());
     version_ = 0;
-    for (const auto& f : fifo_) {
-      version_ = std::max(version_, f.model_version);
+    for (std::size_t i = 0; i < fifo_.size(); ++i) {
+      version_ = std::max(version_, fifo_[i].model_version);
     }
     if (fifo_.empty()) first_arrival_at_ = -1.0;
     // Pool waiters for consumed updates were used up; re-arm enough for

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -10,6 +9,7 @@
 #include "src/dataplane/dataplane.hpp"
 #include "src/fl/fedavg.hpp"
 #include "src/fl/model_update.hpp"
+#include "src/sim/fifo.hpp"
 #include "src/sim/time.hpp"
 
 namespace lifl::fl {
@@ -282,7 +282,7 @@ class AggregatorRuntime {
   sim::Simulator& sim_;
   Config cfg_;
   FedAvgAccumulator acc_;
-  std::deque<ModelUpdate> fifo_;
+  sim::Fifo<ModelUpdate> fifo_;
   std::optional<ModelUpdate> in_flight_;  ///< update mid-Recv/Agg
   std::shared_ptr<Ctx> ctx_;  ///< guards pool waiters across stop()
 

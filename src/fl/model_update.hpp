@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "src/ml/tensor.hpp"
+#include "src/shm/object_store.hpp"
 #include "src/sim/time.hpp"
 
 namespace lifl::fl {
@@ -48,11 +49,11 @@ struct ModelUpdate {
   sim::SimTime created_at = 0.0;
   std::uint32_t hops = 0;
 
-  /// Opaque RAII lease on backing resources (e.g. the shared-memory object
-  /// holding this update). The data plane attaches a deleter that releases
-  /// the shm reference when the last copy of the update is dropped — the
-  /// recycle step of the store's allocate/recycle/destroy lifecycle.
-  std::shared_ptr<const void> lease;
+  /// RAII lease on the shared-memory object holding this update (LIFL
+  /// plane). Copies of the update share it; dropping the last copy
+  /// releases the shm reference — the recycle step of the store's
+  /// allocate/recycle/destroy lifecycle. Empty off the LIFL plane.
+  shm::Lease lease;
 };
 
 }  // namespace lifl::fl

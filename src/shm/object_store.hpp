@@ -1,10 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
+#include <vector>
 
 #include "src/shm/object_key.hpp"
 #include "src/sim/random.hpp"
@@ -22,6 +23,90 @@ struct ObjectStoreStats {
   std::size_t pool_bytes = 0;        ///< recycled-buffer pool size
 };
 
+class ObjectStore;
+
+namespace detail {
+
+/// The part of a store its leases touch: per-slot handle counts and
+/// generations. Heap-allocated once per store; it outlives the store while
+/// any lease is still out, so a lease may legally be dropped after its
+/// store is gone (e.g. a closure parked in a simulator queue when the world
+/// is torn down).
+struct LeaseSlab {
+  struct Slot {
+    std::uint32_t gen = 0;      ///< bumped whenever the slot's object dies
+    std::uint32_t handles = 0;  ///< live `Lease` copies on this slot
+  };
+  ObjectStore* store = nullptr;  ///< null once the store is destroyed
+  std::vector<Slot> slots;       ///< parallel to the store's entry slab
+  std::uint64_t handles = 0;     ///< live `Lease` copies, every slot
+};
+
+}  // namespace detail
+
+/// RAII handle on one reference of a stored object: {store, slot,
+/// generation} with an intrusive, non-atomic copy count. Copying a lease
+/// costs an increment; when the last copy drops, the object's reference is
+/// released and its buffer recycles — the store's allocate/recycle/destroy
+/// lifecycle with no heap traffic per object. A lease stays on the thread
+/// of its store: cross-shard hand-offs detach it first.
+class Lease {
+ public:
+  Lease() noexcept = default;
+  Lease(const Lease& o) noexcept
+      : slab_(o.slab_), slot_(o.slot_), gen_(o.gen_) {
+    retain();
+  }
+  Lease(Lease&& o) noexcept : slab_(o.slab_), slot_(o.slot_), gen_(o.gen_) {
+    o.slab_ = nullptr;
+  }
+  Lease& operator=(const Lease& o) noexcept {
+    if (this != &o) {
+      reset();
+      slab_ = o.slab_;
+      slot_ = o.slot_;
+      gen_ = o.gen_;
+      retain();
+    }
+    return *this;
+  }
+  Lease& operator=(Lease&& o) noexcept {
+    if (this != &o) {
+      reset();
+      slab_ = o.slab_;
+      slot_ = o.slot_;
+      gen_ = o.gen_;
+      o.slab_ = nullptr;
+    }
+    return *this;
+  }
+  ~Lease() { reset(); }
+
+  /// Drop this copy (releasing the object's reference if it was the last).
+  void reset() noexcept {
+    if (slab_ != nullptr) drop();
+  }
+
+  explicit operator bool() const noexcept { return slab_ != nullptr; }
+
+ private:
+  friend class ObjectStore;
+  Lease(detail::LeaseSlab* slab, std::uint32_t slot, std::uint32_t gen) noexcept
+      : slab_(slab), slot_(slot), gen_(gen) {
+    retain();
+  }
+  void retain() noexcept {
+    if (slab_ == nullptr) return;
+    ++slab_->slots[slot_].handles;
+    ++slab_->handles;
+  }
+  void drop() noexcept;
+
+  detail::LeaseSlab* slab_ = nullptr;
+  std::uint32_t slot_ = 0;
+  std::uint32_t gen_ = 0;
+};
+
 /// Per-node shared-memory object store (§4.1).
 ///
 /// Objects are immutable once written — the invariant LIFL relies on to share
@@ -31,54 +116,47 @@ struct ObjectStoreStats {
 /// and `release`s it when done. Fully released buffers are recycled into a
 /// bounded pool, matching the agent's allocate/recycle/destroy role.
 ///
-/// Values are held as `shared_ptr<const T>`: handing out a key copies
-/// nothing, which is exactly the zero-copy discipline of the paper. The
-/// `logical_bytes` of an object may exceed the bytes actually held in this
-/// process (e.g. a ResNet-152 update is 240 MB logically but carries no real
-/// tensor in pure system-level simulations).
+/// Objects live in a slab with a free list, indexed by key through an
+/// open-addressing table, so a put/release cycle allocates nothing once the
+/// slab has grown to the live-object high-water mark. Values are held as
+/// `shared_ptr<const T>`: handing out a key copies nothing, which is exactly
+/// the zero-copy discipline of the paper. The `logical_bytes` of an object
+/// may exceed the bytes actually held in this process (e.g. a ResNet-152
+/// update is 240 MB logically but carries no real tensor in pure
+/// system-level simulations).
 ///
 /// The store's recycle pool accounts *logical* bytes; its physical
 /// counterpart for real tensor payloads is `ml::TensorPool` — a pooled
 /// tensor `put` here recycles into that pool automatically when its last
-/// shm lease drops (the shared_ptr deleter is the recycler), so the two
-/// pools describe the same allocate/recycle/destroy lifecycle at the two
-/// levels the platform models.
+/// reference drops (the tensor's shared_ptr deleter is the recycler), so
+/// the two pools describe the same allocate/recycle/destroy lifecycle at
+/// the two levels the platform models.
 class ObjectStore {
  public:
   explicit ObjectStore(sim::Rng rng,
                        std::size_t pool_capacity_bytes = 2ull << 30)
-      : rng_(rng), pool_capacity_(pool_capacity_bytes) {}
+      : rng_(rng), pool_capacity_(pool_capacity_bytes) {
+    slab_->store = this;
+  }
 
   ObjectStore(const ObjectStore&) = delete;
   ObjectStore& operator=(const ObjectStore&) = delete;
 
-  /// Liveness token for deferred releases. A lease against this store may
-  /// legally outlive it — e.g. a closure parked in a simulator queue when
-  /// the world is torn down. Lease deleters lock the token and skip the
-  /// release once the store is gone instead of touching freed memory.
-  std::weak_ptr<ObjectStore*> liveness() const noexcept { return self_; }
+  /// Outstanding leases keep the lease slab (not the objects) alive.
+  ~ObjectStore() {
+    slab_->store = nullptr;
+    if (slab_->handles == 0) delete slab_;
+  }
 
   /// Store an immutable object; returns its freshly generated key.
   /// `refs` is the number of consumers expected to release it.
   template <typename T>
   ObjectKey put(std::shared_ptr<const T> value, std::size_t logical_bytes,
                 std::uint32_t refs = 1) {
-    if (refs == 0) throw std::invalid_argument("ObjectStore::put: refs == 0");
-    ObjectKey key = ObjectKey::generate(rng_);
-    while (objects_.count(key) != 0) key = ObjectKey::generate(rng_);
-    Entry e;
-    e.data = std::static_pointer_cast<const void>(std::move(value));
-    e.bytes = logical_bytes;
-    e.refs = refs;
-    objects_.emplace(key, std::move(e));
-    ++stats_.puts;
-    if (stats_.pool_bytes >= logical_bytes) {
-      stats_.pool_bytes -= logical_bytes;
-      ++stats_.recycled_buffers;
-    }
-    stats_.bytes_in_use += logical_bytes;
-    stats_.peak_bytes = std::max(stats_.peak_bytes, stats_.bytes_in_use);
-    return key;
+    return entries_[insert(std::static_pointer_cast<const void>(
+                               std::move(value)),
+                           logical_bytes, refs)]
+        .key;
   }
 
   /// Store a size-only object (no real payload behind it).
@@ -86,58 +164,62 @@ class ObjectStore {
     return put<int>(nullptr, logical_bytes, refs);
   }
 
+  /// Store an object with one reference, owned by the returned lease:
+  /// dropping the lease's last copy releases it.
+  template <typename T>
+  Lease put_leased(std::shared_ptr<const T> value, std::size_t logical_bytes) {
+    const std::uint32_t slot = insert(
+        std::static_pointer_cast<const void>(std::move(value)), logical_bytes,
+        1);
+    return Lease(slab_, slot, slab_->slots[slot].gen);
+  }
+
   /// True if the key addresses a live object.
   bool contains(const ObjectKey& key) const noexcept {
-    return objects_.count(key) != 0;
+    return find(key) != kNone;
   }
 
   /// Read an object (zero copy). Throws if the key is unknown.
   template <typename T>
   std::shared_ptr<const T> get(const ObjectKey& key) {
-    auto it = objects_.find(key);
-    if (it == objects_.end()) {
+    const std::uint32_t slot = find(key);
+    if (slot == kNone) {
       throw std::out_of_range("ObjectStore::get: unknown key " + key.to_hex());
     }
     ++stats_.gets;
-    return std::static_pointer_cast<const T>(it->second.data);
+    return std::static_pointer_cast<const T>(entries_[slot].data);
   }
 
   /// Logical size of an object in bytes. Throws if the key is unknown.
   std::size_t size_of(const ObjectKey& key) const {
-    auto it = objects_.find(key);
-    if (it == objects_.end()) {
+    const std::uint32_t slot = find(key);
+    if (slot == kNone) {
       throw std::out_of_range("ObjectStore::size_of: unknown key");
     }
-    return it->second.bytes;
+    return entries_[slot].bytes;
   }
 
   /// Add consumers to an existing object (e.g. fan-out routing).
   void add_refs(const ObjectKey& key, std::uint32_t extra) {
-    auto it = objects_.find(key);
-    if (it == objects_.end()) {
+    const std::uint32_t slot = find(key);
+    if (slot == kNone) {
       throw std::out_of_range("ObjectStore::add_refs: unknown key");
     }
-    it->second.refs += extra;
+    entries_[slot].refs += extra;
   }
 
   /// Drop one reference; when the count reaches zero the buffer is recycled
   /// into the pool (up to the pool capacity). Throws on unknown key.
   void release(const ObjectKey& key) {
-    auto it = objects_.find(key);
-    if (it == objects_.end()) {
+    const std::uint32_t slot = find(key);
+    if (slot == kNone) {
       throw std::out_of_range("ObjectStore::release: unknown key");
     }
-    ++stats_.releases;
-    if (--it->second.refs == 0) {
-      stats_.bytes_in_use -= it->second.bytes;
-      stats_.pool_bytes =
-          std::min(pool_capacity_, stats_.pool_bytes + it->second.bytes);
-      objects_.erase(it);
-    }
+    release_slot(slot);
   }
 
   /// Number of live objects.
-  std::size_t size() const noexcept { return objects_.size(); }
+  std::size_t size() const noexcept { return live_; }
 
   const ObjectStoreStats& stats() const noexcept { return stats_; }
 
@@ -150,7 +232,7 @@ class ObjectStore {
   /// survive a process boundary, which is exactly why snapshots are taken
   /// at quiescent points.
   void restore(const sim::Rng::State& rng, const ObjectStoreStats& stats) {
-    if (!objects_.empty()) {
+    if (live_ != 0) {
       throw std::logic_error(
           "ObjectStore::restore: store holds live objects");
     }
@@ -159,18 +241,146 @@ class ObjectStore {
   }
 
  private:
+  friend class Lease;
+
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
   struct Entry {
+    ObjectKey key;
     std::shared_ptr<const void> data;
     std::size_t bytes = 0;
-    std::uint32_t refs = 0;
+    std::uint32_t refs = 0;  ///< 0 = dead (slot free or awaiting leases)
   };
+
+  /// Create an object in a free slot and index it; returns the slot. Keys
+  /// are drawn exactly as before the slab existed (re-drawn on collision),
+  /// so the generator stream — and every checkpointed `rng_state()` — is
+  /// unchanged.
+  std::uint32_t insert(std::shared_ptr<const void> data,
+                       std::size_t logical_bytes, std::uint32_t refs) {
+    if (refs == 0) throw std::invalid_argument("ObjectStore::put: refs == 0");
+    ObjectKey key = ObjectKey::generate(rng_);
+    while (find(key) != kNone) key = ObjectKey::generate(rng_);
+    std::uint32_t slot;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(entries_.size());
+      entries_.emplace_back();
+      slab_->slots.emplace_back();
+    }
+    Entry& e = entries_[slot];
+    e.key = key;
+    e.data = std::move(data);
+    e.bytes = logical_bytes;
+    e.refs = refs;
+    index_insert(slot);
+    ++live_;
+    ++stats_.puts;
+    if (stats_.pool_bytes >= logical_bytes) {
+      stats_.pool_bytes -= logical_bytes;
+      ++stats_.recycled_buffers;
+    }
+    stats_.bytes_in_use += logical_bytes;
+    stats_.peak_bytes = std::max(stats_.peak_bytes, stats_.bytes_in_use);
+    return slot;
+  }
+
+  void release_slot(std::uint32_t slot) {
+    Entry& e = entries_[slot];
+    ++stats_.releases;
+    if (--e.refs != 0) return;
+    stats_.bytes_in_use -= e.bytes;
+    stats_.pool_bytes = std::min(pool_capacity_, stats_.pool_bytes + e.bytes);
+    index_erase(slot);
+    e.data.reset();
+    --live_;
+    // A dead slot is reusable once no lease names it; the generation bump
+    // tells any such lease its object is gone.
+    detail::LeaseSlab::Slot& ls = slab_->slots[slot];
+    ++ls.gen;
+    if (ls.handles == 0) free_.push_back(slot);
+  }
+
+  /// The last copy of a lease on `slot` dropped.
+  void lease_dropped(std::uint32_t slot, std::uint32_t gen) {
+    if (slab_->slots[slot].gen == gen) {
+      release_slot(slot);
+    } else {
+      free_.push_back(slot);  // its object already died by key
+    }
+  }
+
+  // ---- key index: open addressing, linear probing, backward-shift erase.
+  // Cells hold slot + 1 (0 = empty); the table stays at most half full.
+
+  std::size_t home(const ObjectKey& key) const noexcept {
+    return key.hash() & (index_.size() - 1);
+  }
+
+  std::uint32_t find(const ObjectKey& key) const noexcept {
+    if (index_.empty()) return kNone;
+    for (std::size_t i = home(key);; i = (i + 1) & (index_.size() - 1)) {
+      const std::uint32_t c = index_[i];
+      if (c == 0) return kNone;
+      if (entries_[c - 1].key == key) return c - 1;
+    }
+  }
+
+  void index_insert(std::uint32_t slot) {
+    if (2 * (live_ + 1) > index_.size()) {
+      std::vector<std::uint32_t> old(
+          std::max<std::size_t>(16, 2 * index_.size()), 0);
+      old.swap(index_);
+      for (const std::uint32_t c : old) {
+        if (c != 0) place(c);
+      }
+    }
+    place(slot + 1);
+  }
+
+  void place(std::uint32_t cell) noexcept {
+    std::size_t i = home(entries_[cell - 1].key);
+    while (index_[i] != 0) i = (i + 1) & (index_.size() - 1);
+    index_[i] = cell;
+  }
+
+  void index_erase(std::uint32_t slot) noexcept {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = home(entries_[slot].key);
+    while (index_[i] != slot + 1) i = (i + 1) & mask;
+    // Shift later members of the probe run back over the hole.
+    for (std::size_t j = (i + 1) & mask; index_[j] != 0; j = (j + 1) & mask) {
+      const std::size_t h = home(entries_[index_[j] - 1].key);
+      if (((j - h) & mask) >= ((j - i) & mask)) {
+        index_[i] = index_[j];
+        i = j;
+      }
+    }
+    index_[i] = 0;
+  }
 
   sim::Rng rng_;
   std::size_t pool_capacity_;
-  std::unordered_map<ObjectKey, Entry, ObjectKeyHash> objects_;
+  std::vector<Entry> entries_;        ///< object slab
+  std::vector<std::uint32_t> free_;   ///< reusable slots
+  std::vector<std::uint32_t> index_;  ///< key -> slot + 1
+  std::size_t live_ = 0;
   ObjectStoreStats stats_;
-  std::shared_ptr<ObjectStore*> self_{
-      std::make_shared<ObjectStore*>(this)};
+  detail::LeaseSlab* slab_ = new detail::LeaseSlab;
 };
+
+inline void Lease::drop() noexcept {
+  detail::LeaseSlab* s = slab_;
+  slab_ = nullptr;
+  --s->handles;
+  if (--s->slots[slot_].handles != 0) return;
+  if (s->store != nullptr) {
+    s->store->lease_dropped(slot_, gen_);
+  } else if (s->handles == 0) {
+    delete s;  // the store went first; the last lease frees the slab
+  }
+}
 
 }  // namespace lifl::shm

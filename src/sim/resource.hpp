@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/sim/fifo.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/sim/task.hpp"
 #include "src/sim/time.hpp"
@@ -105,7 +105,7 @@ class Resource {
   std::string name_;
   std::uint32_t capacity_;
   std::uint32_t busy_ = 0;
-  std::deque<Job> queue_;
+  Fifo<Job> queue_;
   std::uint64_t completed_ = 0;
 
   // Slab of in-service completion callbacks, indexed by FinishFn::slot.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -14,9 +15,12 @@ namespace lifl::sim {
 /// a heap allocation, and every queue move pays an indirect manager call.
 /// `TaskFn` widens the inline window to 24 bytes while keeping the whole
 /// callable at 32 — an event slab record stays one cache line — and moves
-/// and invokes through a single static vtable. `Task` (the nullary alias)
-/// is the simulator's event callback; `TaskFn<fl::ModelUpdate>` is the
-/// update-pool waiter.
+/// and invokes through a single static vtable. Trivially copyable inline
+/// callables (the {object, slot} trampolines of the event core) and every
+/// heap-stored callable relocate by plain copy, and trivially destructible
+/// ones skip the destroy call, so queueing them costs no indirect calls.
+/// `Task` (the nullary alias) is the simulator's event callback;
+/// `TaskFn<fl::ModelUpdate>` is the update-pool waiter.
 template <typename... Args>
 class TaskFn {
  public:
@@ -69,9 +73,22 @@ class TaskFn {
 
   struct VTable {
     void (*invoke)(void*, Args&&...);
-    void (*relocate)(void* dst, void* src);  ///< move into dst, destroy src
-    void (*destroy)(void*);
+    /// Move into dst, destroy src; null = relocate by copying the buffer.
+    void (*relocate)(void* dst, void* src);
+    void (*destroy)(void*);  ///< null = nothing to destroy
   };
+
+  template <typename Fn>
+  static void relocate_inline(void* dst, void* src) {
+    Fn* s = std::launder(reinterpret_cast<Fn*>(src));
+    ::new (dst) Fn(std::move(*s));
+    s->~Fn();
+  }
+
+  template <typename Fn>
+  static void destroy_inline(void* p) {
+    std::launder(reinterpret_cast<Fn*>(p))->~Fn();
+  }
 
   template <typename Fn>
   static const VTable* inline_vtable() noexcept {
@@ -80,12 +97,8 @@ class TaskFn {
           (*std::launder(reinterpret_cast<Fn*>(p)))(
               std::forward<Args>(args)...);
         },
-        [](void* dst, void* src) {
-          Fn* s = std::launder(reinterpret_cast<Fn*>(src));
-          ::new (dst) Fn(std::move(*s));
-          s->~Fn();
-        },
-        [](void* p) { std::launder(reinterpret_cast<Fn*>(p))->~Fn(); }};
+        std::is_trivially_copyable_v<Fn> ? nullptr : &relocate_inline<Fn>,
+        std::is_trivially_destructible_v<Fn> ? nullptr : &destroy_inline<Fn>};
     return &vt;
   }
 
@@ -95,9 +108,7 @@ class TaskFn {
         [](void* p, Args&&... args) {
           (**reinterpret_cast<Fn**>(p))(std::forward<Args>(args)...);
         },
-        [](void* dst, void* src) {
-          *reinterpret_cast<Fn**>(dst) = *reinterpret_cast<Fn**>(src);
-        },
+        nullptr,  // the buffer holds just the owning pointer
         [](void* p) { delete *reinterpret_cast<Fn**>(p); }};
     return &vt;
   }
@@ -105,14 +116,18 @@ class TaskFn {
   void move_from(TaskFn& other) noexcept {
     vt_ = other.vt_;
     if (vt_ != nullptr) {
-      vt_->relocate(buf_, other.buf_);
+      if (vt_->relocate != nullptr) {
+        vt_->relocate(buf_, other.buf_);
+      } else {
+        std::memcpy(buf_, other.buf_, kInlineBytes);
+      }
       other.vt_ = nullptr;
     }
   }
 
   void reset() noexcept {
     if (vt_ != nullptr) {
-      vt_->destroy(buf_);
+      if (vt_->destroy != nullptr) vt_->destroy(buf_);
       vt_ = nullptr;
     }
   }

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/control/campaign_planner.hpp"
@@ -13,6 +12,7 @@
 #include "src/dataplane/resumable_upload.hpp"
 #include "src/fl/aggregator_runtime.hpp"
 #include "src/fl/checkpoint.hpp"
+#include "src/sim/count_map.hpp"
 #include "src/sim/node.hpp"
 #include "src/sim/random.hpp"
 #include "src/sim/sharded_simulator.hpp"
@@ -90,8 +90,8 @@ struct Group {
   /// offline queue at pick time) and currently parked (offline) sessions
   /// per index. Transient event-driven state: empty at every quiescent
   /// round boundary, so never serialized.
-  std::unordered_map<std::uint64_t, std::uint32_t> live_sessions;
-  std::unordered_map<std::uint64_t, std::uint32_t> parked;
+  sim::CountMap live_sessions;
+  sim::CountMap parked;
 };
 
 /// Whole-campaign runtime state, owned by `run_sharded_campaign` for the

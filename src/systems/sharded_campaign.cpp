@@ -151,8 +151,7 @@ std::size_t pick_client(CampaignState* st, Group* g, std::uint64_t seq) {
   const std::uint32_t cap =
       static_cast<std::uint32_t>(st->cfg->lifecycle.offline_queue_cap);
   const auto has_room = [&](std::size_t i) {
-    auto it = g->live_sessions.find(i);
-    return it == g->live_sessions.end() || it->second < cap;
+    return g->live_sessions.get(i) < cap;
   };
   std::size_t idx = 0;
   for (std::uint64_t probe = 0; probe < 64; ++probe) {
@@ -179,9 +178,11 @@ void launch_session(CampaignState* st, Group* g, fl::ModelUpdate u,
                     const wl::ClientProfile& profile, std::size_t idx,
                     std::uint64_t seq, bool straggler) {
   const ShardedCampaignConfig& cfg = *st->cfg;
-  const auto ti = static_cast<std::size_t>(profile.tier);
+  // Packed so every callback below stays within a Task's inline bytes.
+  const auto i = static_cast<std::uint32_t>(idx);
+  const auto ti = static_cast<std::uint32_t>(profile.tier);
   const double selected_at = g->sim->now();
-  ++g->live_sessions[idx];
+  g->live_sessions.increment(i);
 
   dp::ResumableUpload::Config rc;
   rc.node = 0;
@@ -192,26 +193,20 @@ void launch_session(CampaignState* st, Group* g, fl::ModelUpdate u,
   rc.rate_scale = wl::tier_traits(profile.tier).disconnect_scale;
   rc.counters = &g->lifecycle;
   rc.obs = g->obs;
-  rc.on_complete = [g, idx, ti, selected_at](double, std::uint32_t) {
+  rc.on_complete = [g, i, ti, selected_at](double, std::uint32_t) {
     ++g->tier_completed[ti];
     if (g->strategy) {
       g->strategy->report(static_cast<wl::DeviceTier>(ti),
                           g->sim->now() - selected_at, /*success=*/true);
     }
-    auto it = g->live_sessions.find(idx);
-    if (it != g->live_sessions.end() && --it->second == 0) {
-      g->live_sessions.erase(it);
-    }
+    g->live_sessions.decrement(i);
   };
-  rc.on_disconnect = [g, idx, ti]() {
+  rc.on_disconnect = [g, i, ti]() {
     ++g->tier_disconnects[ti];
-    const std::uint32_t parked = ++g->parked[idx];
+    const std::uint32_t parked = g->parked.increment(i);
     g->offline_peak = std::max(g->offline_peak, parked);
   };
-  rc.on_resume = [g, idx]() {
-    auto it = g->parked.find(idx);
-    if (it != g->parked.end() && --it->second == 0) g->parked.erase(it);
-  };
+  rc.on_resume = [g, i]() { g->parked.decrement(i); };
 
   double delay = 0.0;
   if (cfg.lifecycle.session_gates) {
@@ -219,15 +214,7 @@ void launch_session(CampaignState* st, Group* g, fl::ModelUpdate u,
     g->gate_wait_secs += delay;
   }
   if (straggler) delay += cfg.straggler_delay_secs;
-  if (delay > 0.0) {
-    dp::DataPlane* plane = g->plane.get();
-    g->sim->schedule_after(
-        delay, [plane, u = std::move(u), rc = std::move(rc)]() mutable {
-          dp::ResumableUpload::launch(*plane, std::move(u), std::move(rc));
-        });
-  } else {
-    dp::ResumableUpload::launch(*g->plane, std::move(u), std::move(rc));
-  }
+  dp::ResumableUpload::launch(*g->plane, std::move(u), std::move(rc), delay);
 }
 
 /// One open-loop arrival: upload a lazily derived client's update into the

@@ -152,7 +152,9 @@ TEST(LifecyclePlan, OfflineBackoffIsCappedAndGrows) {
     const double d = plan.offline_secs(1, 7, attempt);
     EXPECT_GE(d, cfg.offline_base_secs);
     EXPECT_LE(d, cfg.offline_cap_secs * (1.0 + cfg.offline_jitter));
-    if (attempt >= 1 && attempt <= 5) EXPECT_GT(d, prev * 1.2);  // doubling
+    if (attempt >= 1 && attempt <= 5) {
+      EXPECT_GT(d, prev * 1.2);  // doubling
+    }
     prev = d;
   }
 }

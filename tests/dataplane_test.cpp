@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "src/dataplane/dataplane.hpp"
 #include "src/dataplane/probe.hpp"
+#include "src/dataplane/resumable_upload.hpp"
 #include "src/fl/model_spec.hpp"
 #include "src/sim/calibration.hpp"
 
@@ -378,6 +381,339 @@ TEST(DataPlaneGateway, MoreGatewayCoresSpeedUpConcurrentIngest) {
     return w.sim.now();
   };
   EXPECT_GT(run_ingest(1), run_ingest(8) * 1.5);
+}
+
+
+// ---- interned routes -------------------------------------------------
+//
+// Reference builders: the per-transfer step lists the data plane built
+// before routes were interned, kept verbatim (flow included) so the
+// interned tables are checked against them bit for bit.
+
+struct RefStep {
+  StepResource where;
+  sim::NodeId node;
+  double seconds;
+  sim::CostTag tag;
+  double cycles;
+  std::uint64_t flow;
+};
+
+RefStep ref_cpu(StepResource where, const sim::Node& node, double cycles,
+                sim::CostTag tag, std::uint64_t flow = 0) {
+  return {where, node.id(), cycles / node.config().cpu_hz, tag, cycles, flow};
+}
+
+RefStep ref_wire(const sim::Node& from, double b) {
+  return {StepResource::kNic, from.id(), b / from.config().nic_bytes_per_sec,
+          sim::CostTag::kKernelNet, 0.0, 0};
+}
+
+using sim::CostTag;
+
+void ref_broker_leg(std::vector<RefStep>& steps, const DataPlaneConfig& cfg,
+                    sim::Cluster& c, sim::Node& src, sim::Node& dst,
+                    double b) {
+  sim::Node& broker = c.node(cfg.broker_node);
+  if (src.id() != broker.id()) steps.push_back(ref_wire(src, b));
+  steps.push_back(ref_cpu(StepResource::kKernelNet, broker,
+                          calib::kKernelRxCyclesPerByte * b,
+                          CostTag::kKernelNet));
+  steps.push_back(ref_cpu(StepResource::kBroker, broker,
+                          (calib::kBrokerCyclesPerByte + 0.0) * b,
+                          CostTag::kBroker));
+  steps.push_back(ref_cpu(
+      StepResource::kKernelNet, broker,
+      calib::kKernelTxCyclesPerByte * b + calib::kKernelFixedCycles,
+      CostTag::kKernelNet));
+  if (broker.id() != dst.id()) steps.push_back(ref_wire(broker, b));
+  steps.push_back(ref_cpu(StepResource::kKernelNet, dst,
+                          calib::kKernelRxCyclesPerByte * b,
+                          CostTag::kKernelNet));
+}
+
+std::vector<RefStep> ref_intra(const DataPlaneConfig& cfg, sim::Cluster& c,
+                               sim::Node& node, double b) {
+  std::vector<RefStep> steps;
+  if (cfg.plane == PlaneKind::kLifl) {
+    steps.push_back(ref_cpu(StepResource::kCores, node,
+                            calib::kShmWriteCyclesPerByte * b,
+                            CostTag::kSerialization));
+    steps.push_back(ref_cpu(
+        StepResource::kKernelNet, node,
+        calib::kSkmsgNotifyCycles + calib::kEbpfSidecarEventCycles,
+        CostTag::kSidecarEbpf));
+    return steps;
+  }
+  const bool container = cfg.sidecar == SidecarKind::kContainer;
+  steps.push_back(ref_cpu(StepResource::kCores, node,
+                          calib::kSerializeCyclesPerByte * b,
+                          CostTag::kSerialization));
+  if (container) {
+    steps.push_back(ref_cpu(StepResource::kCores, node,
+                            calib::kContainerSidecarCyclesPerByte * b,
+                            CostTag::kSidecarContainer));
+  }
+  steps.push_back(ref_cpu(
+      StepResource::kKernelNet, node,
+      calib::kKernelTxCyclesPerByte * b + calib::kKernelFixedCycles,
+      CostTag::kKernelNet));
+  if (cfg.use_broker) {
+    ref_broker_leg(steps, cfg, c, node, node, b);
+  } else {
+    steps.push_back(ref_cpu(StepResource::kKernelNet, node,
+                            calib::kKernelRxCyclesPerByte * b,
+                            CostTag::kKernelNet));
+  }
+  if (container) {
+    steps.push_back(ref_cpu(StepResource::kCores, node,
+                            calib::kContainerSidecarCyclesPerByte * b,
+                            CostTag::kSidecarContainer));
+  }
+  return steps;
+}
+
+std::vector<RefStep> ref_inter(const DataPlaneConfig& cfg, sim::Cluster& c,
+                               sim::Node& src, sim::Node& dst, double b,
+                               std::uint64_t flow) {
+  std::vector<RefStep> steps;
+  const bool lifl = cfg.plane == PlaneKind::kLifl;
+  if (lifl) {
+    steps.push_back(ref_cpu(StepResource::kGateway, src,
+                            (calib::kShmReadCyclesPerByte +
+                             calib::kGatewayTransformCyclesPerByte +
+                             calib::kSerializeCyclesPerByte) *
+                                b,
+                            CostTag::kGateway, flow));
+  } else {
+    steps.push_back(ref_cpu(StepResource::kCores, src,
+                            calib::kSerializeCyclesPerByte * b,
+                            CostTag::kSerialization));
+    if (cfg.sidecar == SidecarKind::kContainer) {
+      steps.push_back(ref_cpu(StepResource::kCores, src,
+                              calib::kContainerSidecarCyclesPerByte * b,
+                              CostTag::kSidecarContainer));
+    }
+  }
+  steps.push_back(ref_cpu(
+      StepResource::kKernelNet, src,
+      calib::kKernelTxCyclesPerByte * b + calib::kKernelFixedCycles,
+      CostTag::kKernelNet));
+  if (!lifl && cfg.use_broker) {
+    ref_broker_leg(steps, cfg, c, src, dst, b);
+  } else {
+    steps.push_back(ref_wire(src, b));
+    steps.push_back(ref_cpu(StepResource::kKernelNet, dst,
+                            calib::kKernelRxCyclesPerByte * b,
+                            CostTag::kKernelNet));
+  }
+  if (lifl) {
+    steps.push_back(ref_cpu(StepResource::kGateway, dst,
+                            (calib::kDeserializeCyclesPerByte +
+                             calib::kGatewayTransformCyclesPerByte +
+                             calib::kShmWriteCyclesPerByte) *
+                                b,
+                            CostTag::kGateway, flow));
+    steps.push_back(ref_cpu(
+        StepResource::kKernelNet, dst,
+        calib::kSkmsgNotifyCycles + calib::kEbpfSidecarEventCycles,
+        CostTag::kSidecarEbpf));
+  } else if (cfg.sidecar == SidecarKind::kContainer) {
+    steps.push_back(ref_cpu(StepResource::kCores, dst,
+                            calib::kContainerSidecarCyclesPerByte * b,
+                            CostTag::kSidecarContainer));
+  }
+  return steps;
+}
+
+std::vector<RefStep> ref_ingest(const DataPlaneConfig& cfg, sim::Cluster& c,
+                                sim::Node& node, double b,
+                                std::uint64_t flow) {
+  std::vector<RefStep> steps;
+  if (cfg.plane == PlaneKind::kLifl) {
+    steps.push_back(ref_cpu(
+        StepResource::kKernelNet, node,
+        calib::kKernelRxCyclesPerByte * b + calib::kKernelFixedCycles,
+        CostTag::kKernelNet));
+    steps.push_back(ref_cpu(StepResource::kGateway, node,
+                            (calib::kClientStreamExtraCyclesPerByte +
+                             calib::kDeserializeCyclesPerByte +
+                             calib::kShmWriteCyclesPerByte) *
+                                b,
+                            CostTag::kGateway, flow));
+  } else if (cfg.use_broker) {
+    sim::Node& broker = c.node(cfg.broker_node);
+    steps.push_back(ref_cpu(
+        StepResource::kKernelNet, broker,
+        calib::kKernelRxCyclesPerByte * b + calib::kKernelFixedCycles,
+        CostTag::kKernelNet));
+    steps.push_back(ref_cpu(StepResource::kBroker, broker,
+                            (calib::kBrokerCyclesPerByte +
+                             calib::kClientStreamExtraCyclesPerByte) *
+                                b,
+                            CostTag::kBroker));
+  } else {
+    steps.push_back(ref_cpu(
+        StepResource::kKernelNet, node,
+        calib::kKernelRxCyclesPerByte * b + calib::kKernelFixedCycles,
+        CostTag::kKernelNet));
+    if (cfg.sidecar == SidecarKind::kContainer) {
+      steps.push_back(ref_cpu(StepResource::kCores, node,
+                              calib::kContainerSidecarCyclesPerByte * b,
+                              CostTag::kSidecarContainer));
+    }
+  }
+  return steps;
+}
+
+std::vector<RefStep> ref_consume(const DataPlaneConfig& cfg, sim::Cluster& c,
+                                 sim::Node& dst, double b) {
+  std::vector<RefStep> steps;
+  sim::Node& broker = c.node(cfg.broker_node);
+  steps.push_back(ref_cpu(StepResource::kBroker, broker,
+                          calib::kBrokerCyclesPerByte * b, CostTag::kBroker));
+  steps.push_back(ref_cpu(
+      StepResource::kKernelNet, broker,
+      calib::kKernelTxCyclesPerByte * b + calib::kKernelFixedCycles,
+      CostTag::kKernelNet));
+  if (broker.id() != dst.id()) steps.push_back(ref_wire(broker, b));
+  steps.push_back(ref_cpu(StepResource::kKernelNet, dst,
+                          calib::kKernelRxCyclesPerByte * b,
+                          CostTag::kKernelNet));
+  if (cfg.sidecar == SidecarKind::kContainer) {
+    steps.push_back(ref_cpu(StepResource::kCores, dst,
+                            calib::kContainerSidecarCyclesPerByte * b,
+                            CostTag::kSidecarContainer));
+  }
+  return steps;
+}
+
+std::uint64_t bits(double d) {
+  std::uint64_t u;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+/// Interned route vs reference steps, field by field; a gateway step runs
+/// on the RSS queue of the flight's flow, every other step on no flow.
+void expect_route_matches(Route r, const std::vector<RefStep>& ref,
+                          std::uint64_t flow, const std::string& what) {
+  ASSERT_EQ(r.size, ref.size()) << what;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    const CostStep& s = r.steps[i];
+    const RefStep& e = ref[i];
+    EXPECT_EQ(s.where, e.where) << what << " step " << i;
+    EXPECT_EQ(s.node, e.node) << what << " step " << i;
+    EXPECT_EQ(bits(s.seconds), bits(e.seconds)) << what << " step " << i;
+    EXPECT_EQ(s.tag, e.tag) << what << " step " << i;
+    EXPECT_EQ(bits(s.cycles), bits(e.cycles)) << what << " step " << i;
+    EXPECT_EQ(s.where == StepResource::kGateway ? flow : 0, e.flow)
+        << what << " step " << i;
+  }
+}
+
+TEST(DataPlaneRoutes, InternedStepsEqualPerTransferBuilders) {
+  struct Plane {
+    const char* name;
+    DataPlaneConfig cfg;
+  };
+  const Plane planes[] = {{"lifl", lifl_plane()},
+                          {"serverful", serverful_plane()},
+                          {"serverful_micro", serverful_micro_plane()},
+                          {"serverless", serverless_plane()}};
+  const std::size_t sizes[] = {1, 12'345, 100'000, 50'000'000};
+  for (const Plane& p : planes) {
+    World w(p.cfg, 3);  // broker on node 0; nodes 1 and 2 are plain
+    sim::Cluster& c = w.cluster;
+    for (const std::size_t bytes : sizes) {
+      const double b = static_cast<double>(bytes);
+      for (sim::NodeId n : {0u, 2u}) {
+        const std::string at = std::string(p.name) + " node " +
+                               std::to_string(n) + " bytes " +
+                               std::to_string(bytes);
+        const std::uint64_t flow = 1'000'003 + n;
+        expect_route_matches(w.plane.route(PathKind::kIngest, n, n, bytes),
+                             ref_ingest(p.cfg, c, c.node(n), b, flow), flow,
+                             "ingest " + at);
+        expect_route_matches(
+            w.plane.route(PathKind::kIntraNode, n, n, bytes),
+            ref_intra(p.cfg, c, c.node(n), b), flow, "intra " + at);
+        expect_route_matches(w.plane.route(PathKind::kConsume, n, n, bytes),
+                             ref_consume(p.cfg, c, c.node(n), b), flow,
+                             "consume " + at);
+      }
+      for (const auto& [src, dst] :
+           {std::pair<sim::NodeId, sim::NodeId>{0, 1}, {1, 0}, {1, 2}}) {
+        const std::uint64_t flow = 77;
+        expect_route_matches(
+            w.plane.route(PathKind::kInterNode, src, dst, bytes),
+            ref_inter(p.cfg, c, c.node(src), c.node(dst), b, flow), flow,
+            std::string("inter ") + p.name + " " + std::to_string(src) +
+                "->" + std::to_string(dst) + " bytes " +
+                std::to_string(bytes));
+      }
+    }
+  }
+}
+
+TEST(DataPlaneRoutes, RepeatedLookupsShareOneTable) {
+  World w(lifl_plane());
+  const Route a = w.plane.route(PathKind::kInterNode, 0, 1, 4096);
+  const Route b = w.plane.route(PathKind::kInterNode, 0, 1, 4096);
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_NE(w.plane.route(PathKind::kInterNode, 1, 0, 4096).steps, a.steps);
+}
+
+// ---- teardown ----------------------------------------------------------
+
+TEST(DataPlaneTeardown, PlaneDiesWithWorkInFlight) {
+  // The plane goes first while its simulator still holds flights, a parked
+  // pool wake, resumable sessions and leased updates; the simulator's
+  // queued events are destroyed afterwards, and a lease escapes both.
+  // Under ASan/LSan this must neither touch freed memory nor leak.
+  sim::Simulator sim;
+  sim::Cluster cluster(sim, 2);
+  auto plane = std::make_unique<DataPlane>(cluster, lifl_plane(),
+                                           sim::Rng(9));
+  wl::LifecyclePlan::Config pcfg;
+  pcfg.disconnect_rate = 0.9;
+  pcfg.chunk_bytes = 10'000;
+  const wl::LifecyclePlan lifecycle(pcfg);
+  bool woke = false;
+  plane->env(0).pool.pop_async([&woke](fl::ModelUpdate) { woke = true; });
+  fl::ModelUpdate escaped;
+  int delivered = 0;
+  plane->register_consumer(7, 1, [&escaped, &delivered](fl::ModelUpdate u) {
+    ++delivered;
+    escaped = std::move(u);
+  });
+  for (int i = 0; i < 16; ++i) {
+    fl::ModelUpdate u;
+    u.producer = 100 + static_cast<fl::ParticipantId>(i);
+    u.sample_count = 1;
+    u.logical_bytes = 40'000;
+    plane->client_upload(0, u, 1e6);
+    plane->send(u.producer, 0, 7, u);
+    ResumableUpload::Config rc;
+    rc.plan = &lifecycle;
+    rc.seq = static_cast<std::uint64_t>(i);
+    rc.uplink_bytes_per_sec = 1e6;
+    ResumableUpload::launch(*plane, u, std::move(rc), i % 2 == 0 ? 0.0 : 0.5);
+  }
+  // Run until some uploads have landed (one woke the parked waiter, whose
+  // wake is then parked as an event) and a send delivered, but stop well
+  // before the sessions finish.
+  sim.run_until(0.045);
+  ASSERT_TRUE(escaped.lease);
+  plane->env(0).pool.pop_async([](fl::ModelUpdate) {});
+  fl::ModelUpdate pending;
+  pending.logical_bytes = 10;
+  plane->seed_update(0, pending);  // parks a wake for the waiter above
+  ASSERT_GT(sim.pending(), 0u);
+  plane.reset();
+  escaped = fl::ModelUpdate{};  // lease outlives its store
+  EXPECT_TRUE(woke);
+  EXPECT_GE(delivered, 1);
 }
 
 }  // namespace

@@ -297,6 +297,29 @@ TEST(FlakyCampaign, CheckpointResumeIsBitwiseInAllModes) {
   }
 }
 
+// ------------------------------------------------------------ teardown
+
+TEST(FlakyCampaign, AbortMidStreamReleasesEverything) {
+  // A checkpoint sink that throws unwinds the campaign mid-stream: the
+  // planes die first, then the sharded core with its queued events —
+  // flights, parked pool wakes, live sessions and leased updates. Under
+  // ASan/LSan this must neither touch freed memory nor leak.
+  struct Abort {};
+  auto cfg = flaky_campaign(env_shards());
+  cfg.hierarchy = sys::HierarchyMode::kAsync;
+  cfg.async_deadline_secs = 2.0;
+  cfg.selector = ctrl::SelectorPolicy::kScored;
+  cfg.straggler_fraction = 0.1;
+  cfg.checkpoint_every_secs = 1.0;
+  int marks = 0;
+  cfg.on_checkpoint = [&marks](const std::vector<std::uint8_t>&,
+                               std::uint32_t, double) {
+    if (++marks == 2) throw Abort{};
+  };
+  EXPECT_THROW(sys::run_sharded_campaign(cfg), Abort);
+  EXPECT_EQ(marks, 2);
+}
+
 // -------------------------------------------------------- validation
 
 TEST(FlakyCampaign, InvalidConfigsAreRejected) {

@@ -1,10 +1,16 @@
-// Unit tests for the in-place message queue (§4.2) and the node update pool.
+// Unit tests for the in-place message queue (§4.2), the node update pool,
+// and the allocation-free containers under them (ring FIFO, count map).
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <unordered_map>
 
 #include "src/dataplane/update_pool.hpp"
 #include "src/shm/inplace_queue.hpp"
 #include "src/shm/object_store.hpp"
+#include "src/sim/count_map.hpp"
+#include "src/sim/fifo.hpp"
 #include "src/sim/random.hpp"
 
 namespace lifl {
@@ -176,22 +182,64 @@ TEST(UpdatePool, LeaseReleasedWhenUpdateDropped) {
   shm::ObjectStore store{sim::Rng(42)};
   {
     fl::ModelUpdate u = update_of(1);
-    const ObjectKey key = store.put_logical(64);
-    auto* sp = &store;
-    u.lease = std::shared_ptr<const void>(
-        new ObjectKey(key), [sp](const ObjectKey* k) {
-          sp->release(*k);
-          delete k;
-        });
+    u.lease = store.put_leased<int>(nullptr, 64);
+    fl::ModelUpdate copy = u;  // copies share the one store reference
     pool.push(std::move(u));
     EXPECT_EQ(store.size(), 1u);
     fl::ModelUpdate out;
     pool.try_pop(out);
-    // `out` still holds the lease here.
+    // `out` and `copy` still hold the lease here.
+    EXPECT_EQ(store.size(), 1u);
+    out = fl::ModelUpdate{};
     EXPECT_EQ(store.size(), 1u);
   }
   // All copies gone => object released.
   EXPECT_EQ(store.size(), 0u);
+}
+
+
+TEST(Fifo, KeepsOrderAcrossWrapAndGrowth) {
+  sim::Fifo<std::unique_ptr<int>> q;
+  int next_in = 0, next_out = 0;
+  // Interleave pushes and pops so the ring wraps before each growth.
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 5 + 7 * round; ++i) {
+      q.push_back(std::make_unique<int>(next_in++));
+    }
+    for (int i = 0; i < 3 + 5 * round; ++i) {
+      ASSERT_EQ(*q.front(), next_out++);
+      q.pop_front();
+    }
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      EXPECT_EQ(*q[i], next_out + static_cast<int>(i));
+    }
+  }
+  q.clear();
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CountMap, MatchesAReferenceMapUnderChurn) {
+  sim::CountMap m;
+  std::unordered_map<std::uint64_t, std::uint32_t> ref;
+  sim::Rng rng(17);
+  for (int i = 0; i < 20'000; ++i) {
+    // A small key range keeps probe runs long, so erases shift entries.
+    const std::uint64_t key = rng.uniform_index(300) * 1'000'003;
+    if (rng.uniform() < 0.55) {
+      EXPECT_EQ(m.increment(key), ++ref[key]);
+    } else {
+      m.decrement(key);
+      auto it = ref.find(key);
+      if (it != ref.end() && --it->second == 0) ref.erase(it);
+    }
+    if (i % 97 == 0) {
+      for (std::uint64_t k = 0; k < 300; ++k) {
+        const auto it = ref.find(k * 1'000'003);
+        ASSERT_EQ(m.get(k * 1'000'003), it == ref.end() ? 0u : it->second);
+      }
+    }
+  }
+  EXPECT_EQ(m.empty(), ref.empty());
 }
 
 }  // namespace

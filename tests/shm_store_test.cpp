@@ -172,5 +172,78 @@ TEST(ObjectStore, ManyObjectsIndependentLifetimes) {
   for (int i = 1; i < 100; i += 2) EXPECT_TRUE(store.contains(keys[i]));
 }
 
+
+// ---- leases ------------------------------------------------------------
+
+TEST(Lease, LastCopyReleasesTheObject) {
+  auto store = make_store();
+  auto t = std::make_shared<const ml::Tensor>(4, 1.0f);
+  Lease a = store.put_leased<ml::Tensor>(t, 64);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(t.use_count(), 2);  // the store holds the payload
+  Lease b = a;
+  Lease c = std::move(b);
+  EXPECT_FALSE(b);
+  a.reset();
+  EXPECT_EQ(store.size(), 1u);
+  c = Lease{};
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(t.use_count(), 1);
+  EXPECT_EQ(store.stats().releases, 1u);
+  EXPECT_EQ(store.stats().bytes_in_use, 0u);
+}
+
+TEST(Lease, KeysAndLeasesDrawTheSameKeyStream) {
+  // A leased put consumes the generator exactly like a keyed put, so the
+  // checkpointed rng_state() cannot tell them apart.
+  auto keyed = make_store();
+  auto leased = make_store();
+  for (int i = 0; i < 50; ++i) {
+    keyed.release(keyed.put_logical(10));
+    Lease l = leased.put_leased<int>(nullptr, 10);
+  }
+  const sim::Rng::State a = keyed.rng_state();
+  const sim::Rng::State b = leased.rng_state();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(a.s[i], b.s[i]);
+  EXPECT_EQ(keyed.stats().recycled_buffers, leased.stats().recycled_buffers);
+  EXPECT_EQ(keyed.stats().pool_bytes, leased.stats().pool_bytes);
+}
+
+TEST(Lease, SlotsAreRecycledWithoutConfusingOldLeases) {
+  auto store = make_store();
+  std::vector<Lease> live;
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 64; ++i) {
+      live.push_back(store.put_leased<int>(nullptr, 1));
+    }
+    EXPECT_EQ(store.size(), 64u);
+    live.clear();
+    EXPECT_EQ(store.size(), 0u);
+  }
+  EXPECT_EQ(store.stats().puts, 256u);
+  EXPECT_EQ(store.stats().releases, 256u);
+}
+
+TEST(Lease, StoreDestroyedBeforeItsLeases) {
+  // A lease parked somewhere at teardown may outlive its store: dropping it
+  // afterwards must neither touch the dead store nor leak (run under ASan).
+  auto t = std::make_shared<const ml::Tensor>(4, 1.0f);
+  std::vector<Lease> survivors;
+  {
+    ObjectStore store{sim::Rng(3)};
+    Lease a = store.put_leased<ml::Tensor>(t, 64);
+    survivors.push_back(a);
+    survivors.push_back(a);
+    survivors.push_back(store.put_leased<int>(nullptr, 8));
+    (void)store.put_leased<int>(nullptr, 8);  // dropped while alive
+  }
+  EXPECT_EQ(t.use_count(), 1);  // the dead store released the payload
+  survivors.pop_back();
+  Lease moved = std::move(survivors.front());
+  survivors.clear();
+  moved.reset();
+  SUCCEED();
+}
+
 }  // namespace
 }  // namespace lifl::shm
