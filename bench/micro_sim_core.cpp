@@ -14,6 +14,13 @@
 //              firing: the adversarial all-pending-at-once shape.
 //   ring     — a pure zero-delay storm (the ingest fast path: every
 //              UpdatePool delivery is a same-instant wake-up).
+//   front    — report-only: the small, nearly sorted pending sets campaign
+//              shards actually hold. A few hop chains re-arm a short delay
+//              behind a band of long timers, so a new event lands a few
+//              ranks from the front: 28 pending at a mean rank of ~2.8
+//              (`async-edge-4shard` per shard at 4 shards), and 109 pending
+//              at ~11.8 (the same workload on 1 shard). Rank counts the
+//              pending events due before the new one.
 //
 // Throughput counts core operations (schedule + cancel + dispatch) over the
 // full mix, identical for both cores. Emits BENCH_sim_core.json; CI uploads
@@ -255,6 +262,55 @@ Run ring_mix(std::size_t n) {
   return r;
 }
 
+/// Shared state of one front-mix run.
+template <typename Sim>
+struct FrontCtx {
+  Sim sim;
+  lifl::sim::Rng rng{11};
+  std::uint64_t scheduled = 0;
+  std::uint64_t budget = 0;  ///< dispatches after which nothing re-arms
+};
+
+/// A hop chain (re-arms within ~1 time unit) or a long timer (~1000).
+template <typename Sim>
+struct FrontEvent {
+  FrontCtx<Sim>* c;
+  bool hop;
+  void operator()() const {
+    if (c->sim.dispatched() >= c->budget) return;
+    ++c->scheduled;
+    const double dt =
+        hop ? c->rng.uniform(0.0, 2.0) : c->rng.uniform(500.0, 1500.0);
+    c->sim.schedule_after(dt, FrontEvent{c, hop});
+  }
+};
+
+/// A steady pending set of `chains + timers` events over `n` dispatches;
+/// the chain count sets how far from the front new events land.
+template <typename Sim>
+Run front_mix(std::size_t n, std::size_t chains, std::size_t timers) {
+  auto ctx = std::make_unique<FrontCtx<Sim>>();
+  ctx->budget = n;
+
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < chains; ++i) {
+    ctx->sim.schedule_after(ctx->rng.uniform(0.0, 2.0),
+                            FrontEvent<Sim>{ctx.get(), true});
+  }
+  for (std::size_t i = 0; i < timers; ++i) {
+    ctx->sim.schedule_after(ctx->rng.uniform(0.0, 1500.0),
+                            FrontEvent<Sim>{ctx.get(), false});
+  }
+  ctx->scheduled += chains + timers;
+  ctx->sim.run();
+  const auto t1 = std::chrono::steady_clock::now();
+
+  Run r;
+  r.ops = ctx->scheduled + ctx->sim.dispatched();
+  r.secs = std::chrono::duration<double>(t1 - t0).count();
+  return r;
+}
+
 /// Best of `reps` runs (single-core CI runners are noisy).
 template <typename Fn>
 Run best_of(int reps, Fn fn) {
@@ -294,9 +350,21 @@ int main(int argc, char** argv) {
   const Run r_new =
       best_of(2, [&] { return ring_mix<lifl::sim::Simulator>(n); });
 
+  // Front mixes: {hop chains, long timers} giving 28 and 109 pending.
+  const Run f28_old =
+      best_of(3, [&] { return front_mix<LegacySimulator>(n, 5, 23); });
+  const Run f28_new =
+      best_of(3, [&] { return front_mix<lifl::sim::Simulator>(n, 5, 23); });
+  const Run f109_old =
+      best_of(3, [&] { return front_mix<LegacySimulator>(n, 18, 91); });
+  const Run f109_new =
+      best_of(3, [&] { return front_mix<lifl::sim::Simulator>(n, 18, 91); });
+
   const double c_speedup = c_new.ops_per_sec() / c_old.ops_per_sec();
   const double h_speedup = h_new.ops_per_sec() / h_old.ops_per_sec();
   const double r_speedup = r_new.ops_per_sec() / r_old.ops_per_sec();
+  const double f28_speedup = f28_new.ops_per_sec() / f28_old.ops_per_sec();
+  const double f109_speedup = f109_new.ops_per_sec() / f109_old.ops_per_sec();
 
   std::printf("campaign: legacy %9.0f op/s | new %9.0f op/s | %.2fx\n",
               c_old.ops_per_sec(), c_new.ops_per_sec(), c_speedup);
@@ -304,6 +372,10 @@ int main(int argc, char** argv) {
               h_old.ops_per_sec(), h_new.ops_per_sec(), h_speedup);
   std::printf("ring:     legacy %9.0f op/s | new %9.0f op/s | %.2fx\n",
               r_old.ops_per_sec(), r_new.ops_per_sec(), r_speedup);
+  std::printf("front28:  legacy %9.0f op/s | new %9.0f op/s | %.2fx (report)\n",
+              f28_old.ops_per_sec(), f28_new.ops_per_sec(), f28_speedup);
+  std::printf("front109: legacy %9.0f op/s | new %9.0f op/s | %.2fx (report)\n",
+              f109_old.ops_per_sec(), f109_new.ops_per_sec(), f109_speedup);
 
   FILE* out = std::fopen("BENCH_sim_core.json", "w");
   if (out != nullptr) {
@@ -318,11 +390,17 @@ int main(int argc, char** argv) {
         "  \"churn\": {\"legacy_ops_per_sec\": %.0f, "
         "\"new_ops_per_sec\": %.0f, \"speedup\": %.3f},\n"
         "  \"ring\": {\"legacy_ops_per_sec\": %.0f, "
+        "\"new_ops_per_sec\": %.0f, \"speedup\": %.3f},\n"
+        "  \"front28\": {\"pending\": 28, \"legacy_ops_per_sec\": %.0f, "
+        "\"new_ops_per_sec\": %.0f, \"speedup\": %.3f},\n"
+        "  \"front109\": {\"pending\": 109, \"legacy_ops_per_sec\": %.0f, "
         "\"new_ops_per_sec\": %.0f, \"speedup\": %.3f}\n"
         "}\n",
         n, c_old.ops_per_sec(), c_new.ops_per_sec(), c_speedup,
         h_old.ops_per_sec(), h_new.ops_per_sec(), h_speedup,
-        r_old.ops_per_sec(), r_new.ops_per_sec(), r_speedup);
+        r_old.ops_per_sec(), r_new.ops_per_sec(), r_speedup,
+        f28_old.ops_per_sec(), f28_new.ops_per_sec(), f28_speedup,
+        f109_old.ops_per_sec(), f109_new.ops_per_sec(), f109_speedup);
     std::fclose(out);
     std::printf("\nwrote BENCH_sim_core.json\n");
   }

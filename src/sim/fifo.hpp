@@ -31,9 +31,14 @@ class Fifo {
   /// The `i`-th element from the front.
   T& operator[](std::size_t i) noexcept { return data_[wrap(head_ + i)]; }
 
-  void push_back(T v) {
+  void push_back(T v) { emplace_back(std::move(v)); }
+
+  /// Construct the new back element in place from `args`.
+  template <typename... A>
+  void emplace_back(A&&... args) {
     if (size_ == cap_) grow();
-    ::new (static_cast<void*>(data_ + wrap(head_ + size_))) T(std::move(v));
+    ::new (static_cast<void*>(data_ + wrap(head_ + size_)))
+        T(std::forward<A>(args)...);
     ++size_;
   }
 

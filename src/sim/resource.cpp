@@ -18,39 +18,24 @@ void Resource::account() noexcept {
   last_change_ = now;
 }
 
-void Resource::acquire(SimTime service_time, Callback on_complete) {
-  Job job{service_time < 0 ? 0 : service_time, sim_.now(),
-          std::move(on_complete)};
-  if (busy_ < capacity_) {
-    start(std::move(job));
-  } else {
-    queue_.push_back(std::move(job));
-  }
-}
-
-std::uint32_t Resource::park(Callback done) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    in_service_[slot] = std::move(done);
-  } else {
-    slot = static_cast<std::uint32_t>(in_service_.size());
-    in_service_.push_back(std::move(done));
-  }
-  return slot;
-}
-
-void Resource::start(Job job) {
+void Resource::start(SimTime service, SimTime enqueued_at,
+                     std::uint32_t slot) {
   account();
   ++busy_;
-  total_wait_ += sim_.now() - job.enqueued_at;
-  // Park the completion in the slab; the scheduled event is a 12-byte
+  total_wait_ += sim_.now() - enqueued_at;
+  // The completion is parked in the slab; the scheduled event is a 12-byte
   // trampoline (always Task-inline), so the hot path never heap-allocates.
   // `this` outlives the simulation by construction (resources are owned by
   // nodes/the cluster).
-  const std::uint32_t slot = park(std::move(job.done));
-  sim_.schedule_after(job.service, FinishFn{this, slot});
+  sim_.schedule_after(service, FinishFn{this, slot});
+}
+
+void Resource::start_queued() {
+  while (busy_ < capacity_ && !queue_.empty()) {
+    Job& next = queue_.front();
+    start(next.service, next.enqueued_at, park(std::move(next.done)));
+    queue_.pop_front();
+  }
 }
 
 void Resource::on_finish(std::uint32_t slot) {
@@ -59,22 +44,14 @@ void Resource::on_finish(std::uint32_t slot) {
   account();
   --busy_;
   ++completed_;
-  while (busy_ < capacity_ && !queue_.empty()) {
-    Job next = std::move(queue_.front());
-    queue_.pop_front();
-    start(std::move(next));
-  }
+  start_queued();
   if (done) done();
 }
 
 void Resource::set_capacity(std::uint32_t capacity) {
   account();
   capacity_ = capacity;
-  while (busy_ < capacity_ && !queue_.empty()) {
-    Job next = std::move(queue_.front());
-    queue_.pop_front();
-    start(std::move(next));
-  }
+  start_queued();
 }
 
 SimTime Resource::busy_time() const noexcept {

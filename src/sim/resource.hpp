@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/fifo.hpp"
@@ -21,10 +22,11 @@ namespace lifl::sim {
 /// Utilization and waiting statistics are tracked exactly (piecewise-constant
 /// integrals), which the benches use for CPU-utilization figures.
 ///
-/// Completion callbacks are `sim::Task`s parked in a slab: the event the
-/// simulator carries is a 12-byte {resource, slot} trampoline, so submitting
-/// a job performs no per-job heap allocation however large the caller's
-/// capture is (beyond the Task's own inline/heap policy).
+/// Completion callbacks are `sim::Task`s built in place — in the slab of
+/// in-service callbacks, or in the queued job — and the event the simulator
+/// carries is a 12-byte {resource, slot} trampoline, so submitting a job
+/// performs no per-job heap allocation however large the caller's capture
+/// is (beyond the Task's own inline/heap policy).
 class Resource {
  public:
   using Callback = Task;
@@ -35,8 +37,17 @@ class Resource {
 
   /// Submit a job needing `service_time` seconds of a server; `on_complete`
   /// fires when the job finishes service. Zero-duration jobs still respect
-  /// FIFO order.
-  void acquire(SimTime service_time, Callback on_complete);
+  /// FIFO order. Like `Simulator::schedule_*`, takes any callable by
+  /// forwarding reference (an lvalue `Task` does not compile).
+  template <typename F, Simulator::IfCallback<F> = 0>
+  void acquire(SimTime service_time, F&& on_complete) {
+    const SimTime service = service_time < 0 ? 0 : service_time;
+    if (busy_ < capacity_) {
+      start(service, sim_.now(), park(std::forward<F>(on_complete)));
+    } else {
+      queue_.emplace_back(service, sim_.now(), std::forward<F>(on_complete));
+    }
+  }
 
   /// Change the number of servers (vertical scaling). Growing starts queued
   /// jobs immediately; shrinking lets in-service jobs finish (no preemption).
@@ -84,6 +95,10 @@ class Resource {
 
  private:
   struct Job {
+    template <typename F>
+    Job(SimTime s, SimTime at, F&& f)
+        : service(s), enqueued_at(at), done(std::forward<F>(f)) {}
+
     SimTime service;
     SimTime enqueued_at;
     Callback done;
@@ -96,10 +111,24 @@ class Resource {
     void operator()() const { r->on_finish(slot); }
   };
 
-  void start(Job job);
+  /// Put a parked job (`slot`) in service.
+  void start(SimTime service, SimTime enqueued_at, std::uint32_t slot);
+  /// Start queued jobs while servers are free.
+  void start_queued();
   void on_finish(std::uint32_t slot);
   void account() noexcept;
-  std::uint32_t park(Callback done);
+  /// Build `done` in a free slot of the in-service slab; returns the slot.
+  template <typename F>
+  std::uint32_t park(F&& done) {
+    if (free_slots_.empty()) {
+      free_slots_.push_back(static_cast<std::uint32_t>(in_service_.size()));
+      in_service_.emplace_back();
+    }
+    const std::uint32_t slot = free_slots_.back();
+    in_service_[slot].emplace(std::forward<F>(done));
+    free_slots_.pop_back();
+    return slot;
+  }
 
   Simulator& sim_;
   std::string name_;
@@ -155,8 +184,9 @@ class MultiQueueResource {
 
   /// Submit a job on behalf of `flow` (client / participant id): steered to
   /// queue hash(flow) % queues, FIFO within the queue.
-  void acquire(std::uint64_t flow, SimTime service_time, Task on_complete) {
-    queue_for(flow).acquire(service_time, std::move(on_complete));
+  template <typename F, Simulator::IfCallback<F> = 0>
+  void acquire(std::uint64_t flow, SimTime service_time, F&& on_complete) {
+    queue_for(flow).acquire(service_time, std::forward<F>(on_complete));
   }
 
   /// The queue a flow steers to.

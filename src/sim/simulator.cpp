@@ -8,63 +8,78 @@
 namespace lifl::sim {
 
 namespace {
-/// Near-heap size that triggers the first calendar build.
-constexpr std::size_t kCalendarBuildThreshold = 2048;
 /// Rebuild (grow the bucket array) past this average bucket occupancy.
 constexpr std::size_t kMaxAvgOccupancy = 8;
 /// Fruitless window advances before jumping straight to the earliest event.
 constexpr std::size_t kJumpAfterEmptyWindows = 64;
 }  // namespace
 
-std::uint32_t Simulator::alloc_slot(Callback cb, bool daemon) {
-  std::uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-    Slot& s = slots_[slot];
-    s.cb = std::move(cb);
-    s.daemon = daemon;
-    s.next = kNil;
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-    slots_.back().cb = std::move(cb);
-    slots_.back().daemon = daemon;
-  }
-  return slot;
+void Simulator::grow_slots() {
+  free_.push_back(static_cast<std::uint32_t>(slots_.size()));
+  slots_.emplace_back();
 }
 
-void Simulator::near_push(TimedEntry e) {
-  near_.push_back(e);
-  std::size_t i = near_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!entry_later(near_[parent], near_[i])) break;
-    std::swap(near_[parent], near_[i]);
-    i = parent;
+void Simulator::near_push(SimTime t, std::uint64_t seq, std::uint32_t slot) {
+  const TimedEntry e{t, seq, slot};
+  if (!near_heap_ && near_.size() == kNearRunCap) {
+    // Ascending order is a valid min-heap.
+    std::reverse(near_.begin(), near_.end());
+    near_heap_ = true;
   }
+  std::size_t i = near_.size();
+  near_.emplace_back();
+  if (!near_heap_) {
+    // Latest-first run: shift the entries due before `e` one step back.
+    while (i > 0 && entry_later(e, near_[i - 1])) {
+      near_[i] = near_[i - 1];
+      --i;
+    }
+  } else {
+    // Sift the hole up.
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!entry_later(near_[parent], e)) break;
+      near_[i] = near_[parent];
+      i = parent;
+    }
+  }
+  near_[i] = e;
 }
 
 void Simulator::near_pop() {
-  near_[0] = near_.back();
+  if (!near_heap_) {
+    near_.pop_back();
+    return;
+  }
+  const TimedEntry last = near_.back();
   near_.pop_back();
   const std::size_t n = near_.size();
+  if (n < kNearRunCap / 2) {
+    // Drained: back to a run. The root is already gone, so `last` simply
+    // joins the rest before sorting.
+    if (n > 0) near_[0] = last;
+    std::sort(near_.begin(), near_.end(), entry_later);
+    near_heap_ = false;
+    return;
+  }
+  // Sift the hole at the root down, then drop `last` into it.
   std::size_t i = 0;
   for (;;) {
     const std::size_t l = 2 * i + 1;
     if (l >= n) break;
     const std::size_t r = l + 1;
     std::size_t next = (r < n && entry_later(near_[l], near_[r])) ? r : l;
-    if (!entry_later(near_[i], near_[next])) break;
-    std::swap(near_[i], near_[next]);
+    if (!entry_later(last, near_[next])) break;
+    near_[i] = near_[next];
     i = next;
   }
+  near_[i] = last;
 }
 
 void Simulator::calendar_insert(std::uint32_t slot) {
   const Slot& s = slots_[slot];
   if (buckets_.empty() || s.t < win_end_) {
-    near_push(TimedEntry{s.t, s.seq, slot});
+    near_push(s.t, s.seq, slot);
     if (buckets_.empty() && near_.size() > kCalendarBuildThreshold) {
       rebuild_calendar();
     }
@@ -90,6 +105,7 @@ void Simulator::rebuild_calendar() {
     }
   }
   near_.clear();
+  near_heap_ = false;
   for (std::uint32_t head : buckets_) {
     while (head != kNil) {
       const std::uint32_t next = slots_[head].next;
@@ -118,7 +134,7 @@ void Simulator::rebuild_calendar() {
   win_end_ = static_cast<SimTime>(cur_window_ + 1) * bucket_width_;
   for (const std::uint32_t s : live) {
     if (slots_[s].t < win_end_) {
-      near_push(TimedEntry{slots_[s].t, slots_[s].seq, s});
+      near_push(slots_[s].t, slots_[s].seq, s);
     } else {
       std::uint32_t& head = buckets_[bucket_of(slots_[s].t)];
       slots_[s].next = head;
@@ -143,7 +159,7 @@ void Simulator::open_windows() {
       if (slots_[chain].tombstone) {
         free_slot(chain);
       } else if (slots_[chain].t < win_end_) {
-        near_push(TimedEntry{slots_[chain].t, slots_[chain].seq, chain});
+        near_push(slots_[chain].t, slots_[chain].seq, chain);
       } else {
         slots_[chain].next = kept;  // a later "year" of this bucket
         kept = chain;
@@ -184,10 +200,11 @@ void Simulator::ring_push(RingEntry e) {
   ++ring_size_;
 }
 
-EventId Simulator::schedule_impl(SimTime t, Callback cb, bool daemon) {
+EventId Simulator::enqueue(std::uint32_t slot, SimTime t, bool daemon) {
   if (t < now_) t = now_;
-  const std::uint32_t slot = alloc_slot(std::move(cb), daemon);
   Slot& s = slots_[slot];
+  s.daemon = daemon;
+  s.next = kNil;
   s.t = t;
   s.seq = next_seq_++;
   if (t == now_) {
@@ -227,8 +244,8 @@ void Simulator::skim_tombstones() {
     ring_pop();
   }
   for (;;) {
-    while (!near_.empty() && slots_[near_[0].slot].tombstone) {
-      free_slot(near_[0].slot);
+    while (!near_.empty() && slots_[near_front().slot].tombstone) {
+      free_slot(near_front().slot);
       near_pop();
     }
     if (!near_.empty() || timed_live_ == 0 || buckets_.empty()) break;
@@ -248,7 +265,8 @@ bool Simulator::dispatch_next(SimTime limit, bool bounded, bool strict) {
   // at the same instant, the smaller sequence number was scheduled first.
   bool use_ring;
   if (ring_ok && near_ok) {
-    use_ring = near_[0].t > now_ || ring_[ring_head_].seq < near_[0].seq;
+    const TimedEntry& front = near_front();
+    use_ring = front.t > now_ || ring_[ring_head_].seq < front.seq;
   } else {
     use_ring = ring_ok;
   }
@@ -259,12 +277,12 @@ bool Simulator::dispatch_next(SimTime limit, bool bounded, bool strict) {
     slot = ring_[ring_head_].slot;
     ring_pop();
   } else {
-    if (bounded &&
-        (near_[0].t > limit || (strict && near_[0].t >= limit))) {
+    const TimedEntry& front = near_front();
+    if (bounded && (front.t > limit || (strict && front.t >= limit))) {
       return false;
     }
-    slot = near_[0].slot;
-    now_ = near_[0].t;
+    slot = front.slot;
+    now_ = front.t;
     near_pop();
     --timed_live_;
   }
@@ -316,7 +334,7 @@ void Simulator::restore_clock(SimTime t, std::uint64_t dispatched) {
 SimTime Simulator::next_event_time() {
   skim_tombstones();
   if (ring_size_ > 0) return now_;  // ring entries are always due at now()
-  if (!near_.empty()) return near_[0].t;
+  if (!near_.empty()) return near_front().t;
   return std::numeric_limits<SimTime>::infinity();
 }
 

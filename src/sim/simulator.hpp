@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/sim/task.hpp"
@@ -22,14 +24,18 @@ namespace lifl::sim {
 ///
 /// The core is built for million-event campaigns:
 ///  - Every event is one slab record (callback, time, sequence number)
-///    allocated off a free list: scheduling performs no per-event heap
-///    allocation and no map insert/erase.
-///  - Timed events run through a two-stage calendar queue. Far events sit
-///    in intrusive bucket chains (a `next` index threaded through the
-///    slab, one O(1) pointer splice per event); when a time window opens,
-///    its chain is moved into a small binary heap ("near") that serves
-///    dispatch, so the heap stays cache-resident instead of growing to the
-///    full pending population.
+///    allocated off a free list, with the callable built in place:
+///    scheduling performs no per-event heap allocation and no map
+///    insert/erase.
+///  - Timed events run through a two-stage queue. The near stage serves
+///    dispatch: a latest-first sorted run while it holds at most
+///    `kNearRunCap` events (campaign shards hold ~30-110 pending, and a new
+///    event lands a few ranks from the front), a binary min-heap above
+///    that. Only past `kCalendarBuildThreshold` pending does the calendar
+///    stage build: far events then sit in intrusive bucket chains (a `next`
+///    index threaded through the slab, one O(1) splice per event), and
+///    each opening time window moves its chain into the near stage, which
+///    so stays cache-resident instead of growing to the full population.
 ///  - Zero-delay events (`schedule_now`, or any schedule that lands exactly
 ///    at `now()`) take a FIFO ring fast-path that bypasses the calendar
 ///    entirely; cross-queue ordering is preserved by comparing sequence
@@ -48,37 +54,52 @@ class Simulator {
   /// Current simulated time (seconds).
   SimTime now() const noexcept { return now_; }
 
+  // Every `schedule_*` takes the callable by forwarding reference and builds
+  // it directly in its event slot (`TaskFn::emplace`): a lambda or functor
+  // is constructed once, a `Task` rvalue relocated once. An lvalue `Task`
+  // does not compile (`TaskFn::accepts_v`); std::move it in.
+  template <typename F>
+  using IfCallback = std::enable_if_t<Callback::accepts_v<F>, int>;
+
   /// Schedule `cb` at absolute time `t` (clamped to `now()` if in the past).
-  EventId schedule_at(SimTime t, Callback cb) {
-    return schedule_impl(t, std::move(cb), /*daemon=*/false);
+  template <typename F, IfCallback<F> = 0>
+  EventId schedule_at(SimTime t, F&& cb) {
+    return schedule_impl(t, std::forward<F>(cb), /*daemon=*/false);
   }
 
   /// Schedule `cb` after a relative delay `dt >= 0`.
-  EventId schedule_after(SimTime dt, Callback cb) {
-    return schedule_at(now_ + (dt > 0 ? dt : 0), std::move(cb));
+  template <typename F, IfCallback<F> = 0>
+  EventId schedule_after(SimTime dt, F&& cb) {
+    return schedule_impl(now_ + (dt > 0 ? dt : 0), std::forward<F>(cb),
+                         /*daemon=*/false);
   }
 
   /// Schedule `cb` at the current instant, after all events already
   /// scheduled for this instant (same semantics as `schedule_after(0, cb)`
   /// but guaranteed to take the heap-free fast path).
-  EventId schedule_now(Callback cb) {
-    return schedule_impl(now_, std::move(cb), /*daemon=*/false);
+  template <typename F, IfCallback<F> = 0>
+  EventId schedule_now(F&& cb) {
+    return schedule_impl(now_, std::forward<F>(cb), /*daemon=*/false);
   }
 
   /// Schedule a daemon event: runs like a normal event but does not keep
   /// `run()` going once all regular events have drained.
-  EventId schedule_daemon_at(SimTime t, Callback cb) {
-    return schedule_impl(t, std::move(cb), /*daemon=*/true);
+  template <typename F, IfCallback<F> = 0>
+  EventId schedule_daemon_at(SimTime t, F&& cb) {
+    return schedule_impl(t, std::forward<F>(cb), /*daemon=*/true);
   }
 
   /// Daemon variant of `schedule_after`.
-  EventId schedule_daemon_after(SimTime dt, Callback cb) {
-    return schedule_daemon_at(now_ + (dt > 0 ? dt : 0), std::move(cb));
+  template <typename F, IfCallback<F> = 0>
+  EventId schedule_daemon_after(SimTime dt, F&& cb) {
+    return schedule_impl(now_ + (dt > 0 ? dt : 0), std::forward<F>(cb),
+                         /*daemon=*/true);
   }
 
   /// Daemon variant of `schedule_now`.
-  EventId schedule_daemon_now(Callback cb) {
-    return schedule_impl(now_, std::move(cb), /*daemon=*/true);
+  template <typename F, IfCallback<F> = 0>
+  EventId schedule_daemon_now(F&& cb) {
+    return schedule_impl(now_, std::forward<F>(cb), /*daemon=*/true);
   }
 
   /// Cancel a pending event. Returns false if it already ran or was cancelled.
@@ -127,11 +148,16 @@ class Simulator {
   /// Total events dispatched so far.
   std::uint64_t dispatched() const noexcept { return dispatched_; }
 
+  /// Largest near stage kept as a sorted run (a heap above it).
+  static constexpr std::size_t kNearRunCap = 64;
+  /// Near-stage size that triggers the first calendar build.
+  static constexpr std::size_t kCalendarBuildThreshold = 2048;
+
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
   /// One event record. A slot is owned by exactly one queue entry (bucket
-  /// chain link, near-heap handle, or ring handle) from schedule until that
+  /// chain link, near-stage handle, or ring handle) from schedule until that
   /// entry surfaces, so cancellation only tombstones it here and the
   /// surfacing code recycles it. Exactly one cache line: the chain link is
   /// written while the line is already open for the callback store, so
@@ -146,19 +172,31 @@ class Simulator {
     bool timed = false;      ///< calendar/near (vs ring)
     bool tombstone = false;  ///< cancelled; recycle on surface
   };
-  /// Near-heap handle: plain data, cheap to sift.
+  /// Near-stage handle: plain data, cheap to shift and sift.
   struct TimedEntry {
     SimTime t;
     std::uint64_t seq;
     std::uint32_t slot;
   };
 
-  EventId schedule_impl(SimTime t, Callback cb, bool daemon);
+  template <typename F>
+  EventId schedule_impl(SimTime t, F&& cb, bool daemon) {
+    // Take the slot off the free list only once the callable is built in
+    // it, so a throwing constructor leaks nothing.
+    if (free_.empty()) grow_slots();
+    const std::uint32_t slot = free_.back();
+    slots_[slot].cb.emplace(std::forward<F>(cb));
+    free_.pop_back();
+    return enqueue(slot, t, daemon);
+  }
+  /// Queue a slot whose callback is already in place.
+  EventId enqueue(std::uint32_t slot, SimTime t, bool daemon);
+  /// Append one empty slot to the slab and free list.
+  void grow_slots();
   /// Dispatch the earliest event. `bounded` restricts dispatch to events at
   /// or below `limit`; `strict` tightens that to strictly below.
   bool dispatch_next(SimTime limit, bool bounded, bool strict = false);
 
-  std::uint32_t alloc_slot(Callback cb, bool daemon);
   void free_slot(std::uint32_t slot) {
     ++slots_[slot].gen;
     slots_[slot].tombstone = false;
@@ -169,7 +207,11 @@ class Simulator {
     if (a.t != b.t) return a.t > b.t;
     return a.seq > b.seq;  // FIFO among equal timestamps
   }
-  void near_push(TimedEntry e);
+  /// The earliest near entry (the run's back, or the heap's root).
+  const TimedEntry& near_front() const noexcept {
+    return near_heap_ ? near_.front() : near_.back();
+  }
+  void near_push(SimTime t, std::uint64_t seq, std::uint32_t slot);
   void near_pop();
 
   // Calendar stage.
@@ -177,7 +219,7 @@ class Simulator {
     return static_cast<std::size_t>(t / bucket_width_) & (buckets_.size() - 1);
   }
   void calendar_insert(std::uint32_t slot);
-  /// Move the window forward until the near heap holds a live event (or no
+  /// Move the window forward until the near stage holds a live event (or no
   /// timed events remain). Never touches `now_`.
   void open_windows();
   /// Resize/re-anchor the calendar for the current live population/spread.
@@ -200,14 +242,21 @@ class Simulator {
   std::uint64_t dispatched_ = 0;
   std::size_t pending_ = 0;
   std::size_t regular_pending_ = 0;
-  std::size_t timed_live_ = 0;  ///< live events in near heap + calendar
+  std::size_t timed_live_ = 0;  ///< live events in near stage + calendar
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
 
-  // Near stage: binary min-heap on (t, seq) for events with t < win_end_.
-  // May hold tombstoned handles; `skim_tombstones` recycles them at the top.
+  // Near stage: the events with t < win_end_, in one of two forms. Up to
+  // `kNearRunCap` entries it is a run sorted latest-first, so the earliest
+  // event is near_.back(): a pop is pop_back, and an insert shifts only the
+  // entries earlier than the new one (campaign inserts land a few ranks from
+  // the front). Past the cap it becomes a binary min-heap on (t, seq) — the
+  // reversed run already is one — and it returns to a run once it drains
+  // below half the cap, which bounds an insert at O(cap). May hold
+  // tombstoned handles; `skim_tombstones` recycles them at the front.
   std::vector<TimedEntry> near_;
+  bool near_heap_ = false;
   // Calendar stage: chain heads, one per bucket of width bucket_width_; an
   // event at t chains into bucket (t / width) mod nbuckets, so far-future
   // "years" share buckets with the current rotation and are filtered out by

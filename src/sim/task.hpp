@@ -32,16 +32,7 @@ class TaskFn {
                 !std::is_same_v<std::decay_t<F>, TaskFn> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&, Args...>>>
   TaskFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      vt_ = inline_vtable<Fn>();
-    } else {
-      *reinterpret_cast<Fn**>(buf_) = new Fn(std::forward<F>(f));
-      vt_ = heap_vtable<Fn>();
-    }
+    construct(std::forward<F>(f));
   }
 
   TaskFn(TaskFn&& other) noexcept { move_from(other); }
@@ -61,6 +52,33 @@ class TaskFn {
   TaskFn& operator=(const TaskFn&) = delete;
 
   ~TaskFn() { reset(); }
+
+  /// Replace the held callable with one built in place from `f`, so a
+  /// callable travels from the caller straight into its final slot with no
+  /// intermediate `TaskFn`. An rvalue `TaskFn` is relocated, not wrapped;
+  /// `accepts_v` (below) keeps lvalue `TaskFn`s out of forwarding APIs.
+  template <typename F>
+  void emplace(F&& f) {
+    reset();
+    if constexpr (std::is_same_v<std::decay_t<F>, TaskFn>) {
+      static_assert(accepts_v<F>,
+                    "emplace would steal an lvalue TaskFn; std::move it");
+      move_from(f);
+    } else {
+      construct(std::forward<F>(f));
+    }
+  }
+
+  /// Whether `F&&` may be consumed into a `TaskFn`: a constructible callable
+  /// of the right signature, or an rvalue `TaskFn`. An lvalue `TaskFn` is
+  /// refused, so `schedule_*(t, task)` fails to compile instead of silently
+  /// emptying the caller's `task`.
+  template <typename F>
+  static constexpr bool accepts_v =
+      std::is_same_v<F, TaskFn> ||
+      (!std::is_same_v<std::decay_t<F>, TaskFn> &&
+       std::is_invocable_r_v<void, std::decay_t<F>&, Args...> &&
+       std::is_constructible_v<std::decay_t<F>, F>);
 
   explicit operator bool() const noexcept { return vt_ != nullptr; }
 
@@ -111,6 +129,20 @@ class TaskFn {
         nullptr,  // the buffer holds just the owning pointer
         [](void* p) { delete *reinterpret_cast<Fn**>(p); }};
     return &vt;
+  }
+
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (sizeof(Fn) <= kInlineBytes &&
+                  alignof(Fn) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<Fn>) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      vt_ = inline_vtable<Fn>();
+    } else {
+      *reinterpret_cast<Fn**>(buf_) = new Fn(std::forward<F>(f));
+      vt_ = heap_vtable<Fn>();
+    }
   }
 
   void move_from(TaskFn& other) noexcept {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/sim/resource.hpp"
@@ -232,6 +234,75 @@ TEST(MultiQueueResource, ScaleDownNarrowsSteeringAndDrains) {
   live_busy = mq.busy();
   EXPECT_EQ(live_busy, 1u);  // one live queue, one server
   sim.run();
+}
+
+// Lvalue guard: the scheduling and acquire entry points take callables by
+// forwarding reference and build them in place. An lvalue `Task` must not
+// compile there — it would silently empty the caller's callback — while
+// rvalue Tasks and lambdas/functors (copied when passed as lvalues) must.
+template <template <typename> class Expr, typename F, typename = void>
+struct Detect : std::false_type {};
+template <template <typename> class Expr, typename F>
+struct Detect<Expr, F, std::void_t<Expr<F>>> : std::true_type {};
+
+template <typename F>
+using ScheduleAt =
+    decltype(std::declval<Simulator&>().schedule_at(0.0, std::declval<F>()));
+template <typename F>
+using ScheduleNow =
+    decltype(std::declval<Simulator&>().schedule_now(std::declval<F>()));
+template <typename F>
+using Acquire =
+    decltype(std::declval<Resource&>().acquire(0.0, std::declval<F>()));
+using Mqr = MultiQueueResource;
+template <typename F>
+using AcquireFlow =
+    decltype(std::declval<Mqr&>().acquire(0u, 0.0, std::declval<F>()));
+
+struct Noop {
+  void operator()() const {}
+};
+[[maybe_unused]] auto kLambda = [] {};
+using Lambda = decltype(kLambda);
+struct TakesArg {
+  void operator()(int) const {}
+};
+
+static_assert(!Detect<ScheduleAt, Task&>::value);
+static_assert(!Detect<ScheduleAt, const Task&>::value);
+static_assert(!Detect<ScheduleNow, Task&>::value);
+static_assert(!Detect<Acquire, Task&>::value);
+static_assert(!Detect<Acquire, const Task&>::value);
+static_assert(!Detect<AcquireFlow, Task&>::value);
+static_assert(Detect<ScheduleAt, Task>::value);
+static_assert(Detect<ScheduleNow, Task>::value);
+static_assert(Detect<Acquire, Task>::value);
+static_assert(Detect<AcquireFlow, Task>::value);
+static_assert(Detect<ScheduleAt, Noop>::value);
+static_assert(Detect<ScheduleAt, Noop&>::value);
+static_assert(Detect<ScheduleAt, const Noop&>::value);
+static_assert(Detect<ScheduleAt, Lambda>::value);
+static_assert(Detect<ScheduleNow, Lambda&>::value);
+static_assert(Detect<Acquire, Noop&>::value);
+static_assert(Detect<Acquire, Lambda>::value);
+static_assert(Detect<AcquireFlow, const Noop&>::value);
+static_assert(!Detect<ScheduleAt, TakesArg>::value);
+static_assert(!Detect<Acquire, TakesArg>::value);
+
+TEST(Resource, ForwardedCallablesRunOnceAndLvaluesAreCopied) {
+  Simulator sim;
+  Resource r(sim, "r", 1);
+  int runs = 0;
+  auto bump = [&runs] { ++runs; };
+  r.acquire(1.0, bump);  // copied: `bump` stays usable
+  r.acquire(1.0, bump);  // queued behind the first, built in the queue
+  Task moved = [&runs] { runs += 10; };
+  r.acquire(1.0, std::move(moved));
+  sim.schedule_after(0.5, bump);
+  bump();
+  sim.run();
+  EXPECT_EQ(runs, 1 + 1 + 1 + 1 + 10);
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
 }
 
 }  // namespace

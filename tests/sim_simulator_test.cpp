@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.hpp"
@@ -379,6 +386,187 @@ TEST(Simulator, LargeChurnDispatchOrderIsStableSort) {
       EXPECT_LT(fired[i - 1].second, fired[i].second);
     }
   }
+}
+
+// Differential order check of the near stage's two forms (sorted run and
+// heap) and the calendar, against a std::map reference model keyed by
+// (time, schedule order). Unlike the sweeps above, the pending set changes
+// shape mid-run: fired events schedule 0-3 follow-ups (zero-delay, a few
+// ranks from the front, or far out), cancel the model's front and back and
+// random events, and the pending count oscillates across `kNearRunCap` many
+// times and once past `kCalendarBuildThreshold`. The driver mixes `step`,
+// `run_window`, `run_until` and external schedules. Every dispatch must be
+// the model's front, at the model's time.
+class ReferenceModelHarness {
+ public:
+  using Key = std::pair<SimTime, std::uint64_t>;  // (t, schedule order)
+
+  void add(SimTime dt) {
+    const Key k{sim.now() + dt, order_++};
+    model_.emplace(k, sim.schedule_after(dt, Fire{this, k}));
+  }
+
+  void add_follow_ups() {
+    // Growing: 1-3 follow-ups (mean 2). Draining: mean ~0.56. Times are
+    // multiples of 1/64, so equal timestamps are common.
+    const std::uint64_t n =
+        growing_ ? 1 + rnd(3) : (rnd(8) < 5 ? 0 : 1 + rnd(2));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t kind = rnd(10);
+      if (kind < 3) {
+        add(0.0);  // zero-delay: the ring
+      } else if (kind < 7) {
+        add(static_cast<double>(1 + rnd(4)) / 64.0);  // near the front
+      } else {
+        add(static_cast<double>(64 + rnd(64 * 64)) / 64.0);  // far out
+      }
+    }
+  }
+
+  void cancel(std::map<Key, EventId>::iterator it) {
+    if (!sim.cancel(it->second)) ++errors;
+    model_.erase(it);
+    ++cancels;
+  }
+
+  void maybe_cancel() {
+    if (model_.empty() || rnd(8) != 0) return;
+    switch (rnd(3)) {
+      case 0:
+        cancel(model_.begin());
+        break;
+      case 1:
+        cancel(std::prev(model_.end()));
+        break;
+      default: {
+        auto it = model_.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(rnd(model_.size())));
+        cancel(it);
+      }
+    }
+  }
+
+  void on_fire(const Key& k) {
+    ++fired;
+    if (model_.empty() || model_.begin()->first != k || sim.now() != k.first) {
+      ++errors;
+      model_.erase(k);
+    } else {
+      model_.erase(model_.begin());
+    }
+    add_follow_ups();
+    maybe_cancel();
+    track();
+  }
+
+  /// Flip growth direction at the phase bounds and count cap crossings.
+  void track() {
+    const std::size_t n = sim.pending();
+    max_pending = std::max(max_pending, n);
+    const bool above = n > Simulator::kNearRunCap;
+    if (above && !above_) ++crossings_up;
+    if (!above && above_) ++crossings_down;
+    above_ = above;
+    if (growing_ && n > hi) growing_ = false;
+    if (!growing_ && n < lo) growing_ = true;
+  }
+
+  /// Model and core agree on what is pending and when it is next due.
+  bool consistent() {
+    return sim.pending() == model_.size() &&
+           sim.next_event_time() == model_front();
+  }
+  SimTime model_front() const {
+    return model_.empty() ? std::numeric_limits<SimTime>::infinity()
+                          : model_.begin()->first.first;
+  }
+
+  std::uint64_t rnd(std::uint64_t n) {
+    x_ = x_ * 6364136223846793005ull + 1442695040888963407ull;
+    return (x_ >> 33) % n;
+  }
+
+  Simulator sim;
+  std::size_t lo = 20;
+  std::size_t hi = 100;
+  std::size_t errors = 0;
+  std::size_t fired = 0;
+  std::size_t cancels = 0;
+  std::size_t crossings_up = 0;
+  std::size_t crossings_down = 0;
+  std::size_t max_pending = 0;
+
+ private:
+  struct Fire {
+    ReferenceModelHarness* h;
+    Key k;
+    void operator()() const { h->on_fire(k); }
+  };
+
+  std::map<Key, EventId> model_;
+  std::uint64_t order_ = 0;
+  std::uint64_t x_ = 0x5EEDF00Dull;
+  bool growing_ = true;
+  bool above_ = false;
+};
+
+TEST(Simulator, DispatchMatchesReferenceModelAcrossNearStageForms) {
+  ReferenceModelHarness h;
+  Simulator& sim = h.sim;
+  // Phases: oscillate across the run cap, make one excursion past the
+  // calendar threshold, oscillate again (now over a built calendar), drain.
+  struct Phase {
+    std::size_t lo, hi, cycles;
+  };
+  const Phase phases[] = {
+      {20, 100, 100},
+      {20, Simulator::kCalendarBuildThreshold + 500, 1},
+      {20, 100, 100},
+  };
+  std::size_t budget = 1'000'000;  // driver steps; a stuck core fails here
+  for (const auto& ph : phases) {
+    h.lo = ph.lo;
+    h.hi = ph.hi;
+    const std::size_t target = h.crossings_down + ph.cycles;
+    while (h.crossings_down < target) {
+      ASSERT_GT(budget--, 0u) << "pending count stopped oscillating";
+      if (sim.pending() == 0) h.add(1.0 / 64.0);
+      const SimTime span = static_cast<double>(1 + h.rnd(32)) / 64.0;
+      switch (h.rnd(5)) {
+        case 0: {
+          const SimTime end = sim.now() + span;
+          sim.run_window(end);
+          if (h.model_front() < end) ++h.errors;
+          break;
+        }
+        case 1: {
+          const SimTime until = sim.now() + span;
+          sim.run_until(until);
+          if (h.model_front() <= until || sim.now() != until) ++h.errors;
+          break;
+        }
+        case 2:
+          h.add(span);  // external schedule between runs
+          h.track();
+          break;
+        default:
+          for (std::uint64_t i = 0, n = 1 + h.rnd(16); i < n; ++i) sim.step();
+      }
+      ASSERT_TRUE(h.consistent());
+      ASSERT_EQ(h.errors, 0u) << "after " << h.fired << " dispatches";
+    }
+  }
+  h.lo = 0;
+  h.hi = 0;  // drain: follow-ups become rare, then the queue empties
+  while (sim.pending() > 0) {
+    ASSERT_TRUE(sim.step()) << "events pending but none dispatchable";
+    ASSERT_EQ(h.errors, 0u) << "after " << h.fired << " dispatches";
+  }
+  EXPECT_TRUE(h.consistent());
+  EXPECT_GE(h.crossings_up, 200u);
+  EXPECT_GE(h.crossings_down, 200u);
+  EXPECT_GT(h.max_pending, Simulator::kCalendarBuildThreshold);
+  EXPECT_GT(h.cancels, 1000u);
 }
 
 }  // namespace
