@@ -94,6 +94,7 @@ class StepRunner {
     std::uint32_t slot;
     void operator()() const { r->advance(slot); }
   };
+  static_assert(sim::is_hot_callable_v<NextFn>);
 
   void advance(std::uint32_t slot);
   void dispatch(std::uint32_t slot);

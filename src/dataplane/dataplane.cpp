@@ -496,20 +496,37 @@ void DataPlane::client_upload_chunk(sim::NodeId dst_node, std::uint64_t flow,
   runner_.run(std::move(f));
 }
 
-void DataPlane::consume(sim::NodeId node, const fl::ModelUpdate& update,
-                        sim::Task ready) {
+void DataPlane::consume(sim::NodeId node, fl::ModelUpdate update,
+                        StepRunner::Arrival ready) {
   if (!cfg_.use_broker) {
     // LIFL: the consumer receives the 16-byte key; the payload stays put in
     // shm. SF monolith: the queue is the aggregator's own in-memory queue.
-    ready();
+    ready(std::move(update));
     return;
   }
   const std::size_t bytes = update.logical_bytes;
   env(cfg_.broker_node).broker.unbuffer(bytes);
   StepRunner::Flight f;
   f.route = route(PathKind::kConsume, node, node, bytes);
-  f.done = std::move(ready);
+  f.cargo = std::move(update);
+  f.arrive = std::move(ready);
   runner_.run(std::move(f));
+}
+
+RuntimeRecord* DataPlane::acquire_runtime_record() {
+  if (free_runtime_records_.empty()) {
+    runtime_records_.emplace_back();
+    runtime_records_.back().plane = this;
+    return &runtime_records_.back();
+  }
+  RuntimeRecord* rec = free_runtime_records_.back();
+  free_runtime_records_.pop_back();
+  return rec;
+}
+
+void DataPlane::release_runtime_record(RuntimeRecord* rec) noexcept {
+  rec->retire();
+  free_runtime_records_.push_back(rec);
 }
 
 void DataPlane::seed_update(sim::NodeId node, fl::ModelUpdate update) {

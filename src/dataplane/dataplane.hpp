@@ -1,5 +1,6 @@
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -16,7 +17,35 @@
 #include "src/sim/node.hpp"
 #include "src/sim/random.hpp"
 
+namespace lifl::fl {
+class AggregatorRuntime;
+}  // namespace lifl::fl
+
 namespace lifl::dp {
+
+class DataPlane;
+
+/// Liveness record of one `fl::AggregatorRuntime`, in its plane's slab.
+/// The runtime's parked continuations hold {record, generation, node}
+/// handles instead of shared pointers: freeing or re-arming the runtime
+/// retires the record (bumps `gen`), so an older handle reads the runtime
+/// as gone, yet can still reach the plane (and its node's pool) through the
+/// record, which lives as long as the plane.
+struct RuntimeRecord {
+  fl::AggregatorRuntime* rt = nullptr;  ///< null while stopped or failed
+  DataPlane* plane = nullptr;
+  std::uint32_t gen = 0;
+  /// The runtime as seen by a handle taken under generation `g`: null once
+  /// the record was retired since, or while the runtime is stopped.
+  fl::AggregatorRuntime* live(std::uint32_t g) const noexcept {
+    return g == gen ? rt : nullptr;
+  }
+  /// Make every handle taken so far stale for good.
+  void retire() noexcept {
+    rt = nullptr;
+    ++gen;
+  }
+};
 
 /// Handle for a registered always-on idle CPU draw.
 using IdleHandle = std::uint64_t;
@@ -34,8 +63,8 @@ class ResumableUpload;
 namespace detail {
 /// Storage of resumable-upload sessions (src/dataplane/resumable_upload.cpp).
 struct SessionSlab;
-/// Releases the plane's hold on the slab; live sessions keep it alive.
-struct SessionSlabOrphan {
+/// Destroys the slab and every session still live in it.
+struct SessionSlabDelete {
   void operator()(SessionSlab* slab) const noexcept;
 };
 }  // namespace detail
@@ -141,16 +170,25 @@ class DataPlane {
   double recv_cycles(const fl::ModelUpdate& update) const noexcept;
 
   /// A consumer on `node` takes one queued update out of the node's pending
-  /// pool; `ready` fires when the payload is at the consumer. On the LIFL
-  /// plane this is free — the update already sits in shared memory and the
-  /// consumer holds its key (§4.2 in-place queuing). On a bare serverful
+  /// pool; `ready` receives it when the payload is at the consumer (the
+  /// transfer carries the update, so `ready` need not capture it). On the
+  /// LIFL plane this is free — the update already sits in shared memory and
+  /// the consumer holds its key (§4.2 in-place queuing). On a bare serverful
   /// plane the queue is in the aggregator's own memory (Fig. 5 monolith) —
   /// also free. On brokered planes the queue lives in the broker, so every
   /// consumption is a real broker delivery: dequeue processing on the broker
   /// service plus kernel/wire hops to the consumer — the "inefficient
   /// message queuing" overhead of §2.3.
-  void consume(sim::NodeId node, const fl::ModelUpdate& update,
-               sim::Task ready);
+  void consume(sim::NodeId node, fl::ModelUpdate update,
+               StepRunner::Arrival ready);
+
+  // ------------------------------------------------ aggregator runtimes
+  /// A liveness record for a new runtime, recycled from a freed one when
+  /// there is one. Its address is stable for the plane's lifetime.
+  RuntimeRecord* acquire_runtime_record();
+  /// Free a runtime's record: retire it, so every handle to it goes stale,
+  /// and recycle it (the next acquire returns it first).
+  void release_runtime_record(RuntimeRecord* rec) noexcept;
 
   /// Record an aggregation-task execution time observed by the sidecar
   /// attached to an aggregator on `node` (§4.3): event-driven metric write.
@@ -263,8 +301,13 @@ class DataPlane {
   /// buffers stay put while `route_steps_` grows.
   std::unordered_map<RouteKey, Route, RouteKeyHash> routes_;
   std::vector<std::vector<CostStep>> route_steps_;
-  /// Resumable-upload session storage, created on the first launch.
-  std::unique_ptr<detail::SessionSlab, detail::SessionSlabOrphan> sessions_;
+  /// Runtime liveness records (stable addresses) and the recycled ones.
+  std::deque<RuntimeRecord> runtime_records_;
+  std::vector<RuntimeRecord*> free_runtime_records_;
+  /// Resumable-upload sessions, created on the first launch. Declared
+  /// last, so live sessions die first, while the stores their updates
+  /// lease from still exist.
+  std::unique_ptr<detail::SessionSlab, detail::SessionSlabDelete> sessions_;
 };
 
 }  // namespace lifl::dp

@@ -63,12 +63,11 @@ inline void measure_ingest(DataPlane& plane, sim::NodeId node_id,
         // Consuming the queued update is a broker delivery on brokered
         // planes (free under in-place queuing) — same path the
         // AggregatorRuntime takes.
-        auto shared = std::make_shared<fl::ModelUpdate>(std::move(got));
-        plane.consume(node_id, *shared,
-                      [&plane, node_id, t0, shared,
-                       done = std::move(done)]() mutable {
+        plane.consume(node_id, std::move(got),
+                      [&plane, node_id, t0, done = std::move(done)](
+                          fl::ModelUpdate u) mutable {
           sim::Node& node = plane.cluster().node(node_id);
-          const double recv_cycles = plane.recv_cycles(*shared);
+          const double recv_cycles = plane.recv_cycles(u);
           node.cores().acquire(
               recv_cycles / node.config().cpu_hz,
               [&plane, &node, t0, recv_cycles, done = std::move(done)]() {

@@ -9,23 +9,21 @@
 
 namespace lifl::dp {
 
+namespace {
+struct Session;
+}  // namespace
+
 namespace detail {
 
-/// Free list of session storage for one plane. The plane drops its hold
-/// when it is destroyed; live sessions (owned by events still parked in
-/// the simulator) keep the slab alive until the last one is released.
+/// One plane's resumable-upload sessions. The slab owns every session:
+/// a finished session returns its cell to `free`, and the sessions still
+/// live when the plane dies (their events parked in the simulator, which
+/// hold plain handles and never run again) are destroyed with the slab.
 struct SessionSlab {
-  std::vector<void*> free;  ///< raw storage of released sessions
-  std::size_t live = 0;     ///< sessions constructed, not yet released
-  bool orphaned = false;    ///< the owning plane is gone
+  std::vector<void*> cells;         ///< raw storage of one session each
+  std::vector<std::uint32_t> free;  ///< indices of released cells
+  ~SessionSlab();
 };
-
-void SessionSlabOrphan::operator()(SessionSlab* slab) const noexcept {
-  for (void* p : slab->free) ::operator delete(p);
-  slab->free.clear();
-  slab->orphaned = true;
-  if (slab->live == 0) delete slab;
-}
 
 }  // namespace detail
 
@@ -35,39 +33,21 @@ using detail::SessionSlab;
 using wl::ClientEvent;
 using wl::ClientState;
 
-struct Session;
-
-/// Owning session handle (8 bytes). Moving it hands the session to the
-/// next event; dropping it — when the last event ran, or when an event is
-/// destroyed unrun at teardown — returns the session to its slab.
-class Owner {
- public:
-  explicit Owner(Session* s) noexcept : s_(s) {}
-  Owner(Owner&& o) noexcept : s_(o.s_) { o.s_ = nullptr; }
-  Owner& operator=(Owner&&) = delete;
-  Owner(const Owner&) = delete;
-  ~Owner();
-  Session* get() const noexcept { return s_; }
-
- private:
-  Session* s_;
-};
-
-/// A session event: runs `M` with the handle the event owned.
-template <void (Session::*M)(Owner)>
+/// A session event: runs `M` on the session. The handle is a plain pointer
+/// (the slab owns the session), so the event is trivially copyable and
+/// dropping it unrun at teardown costs nothing.
+template <void (Session::*M)()>
 struct Call {
-  Owner self;
-  void operator()() {
-    Session* s = self.get();
-    (s->*M)(std::move(self));
-  }
+  Session* s;
+  void operator()() const { (s->*M)(); }
 };
 
-/// One live upload session, owned by exactly one pending event at a time
-/// (see `Owner`). Because only one event is ever pending, the chunk in
-/// flight is session state, not callback capture.
+/// One live upload session. Exactly one event — the start, a chunk ack,
+/// the disconnect or the reconnect — is pending for it at a time, so the
+/// chunk in flight is session state, not callback capture.
 struct Session {
   SessionSlab* slab;
+  std::uint32_t cell;  ///< index of this session's cell in the slab
   DataPlane& plane;
   fl::ModelUpdate update;
   ResumableUpload::Config cfg;
@@ -84,33 +64,29 @@ struct Session {
   std::uint32_t die_at = 0;  ///< 1-based dying chunk of the attempt; 0 = none
   bool chunk_resend = false;  ///< the chunk in flight re-sends a partial one
 
-  Session(SessionSlab* s, DataPlane& p, fl::ModelUpdate&& u,
-          ResumableUpload::Config&& c)
-      : slab(s), plane(p), update(std::move(u)), cfg(std::move(c)) {}
+  Session(SessionSlab* s, std::uint32_t c, DataPlane& p, fl::ModelUpdate&& u,
+          ResumableUpload::Config&& cf)
+      : slab(s), cell(c), plane(p), update(std::move(u)), cfg(std::move(cf)) {}
 
-  static Owner make(SessionSlab* slab, DataPlane& plane, fl::ModelUpdate&& u,
-                    ResumableUpload::Config&& c) {
-    void* mem;
-    if (!slab->free.empty()) {
-      mem = slab->free.back();
-      slab->free.pop_back();
-    } else {
-      mem = ::operator new(sizeof(Session));
+  static Session* make(SessionSlab* slab, DataPlane& plane,
+                       fl::ModelUpdate&& u, ResumableUpload::Config&& c) {
+    if (slab->free.empty()) {
+      slab->free.push_back(static_cast<std::uint32_t>(slab->cells.size()));
+      slab->cells.push_back(::operator new(sizeof(Session)));
     }
-    ++slab->live;
-    return Owner(new (mem) Session(slab, plane, std::move(u), std::move(c)));
+    const std::uint32_t i = slab->free.back();
+    Session* s = new (slab->cells[i])
+        Session(slab, i, plane, std::move(u), std::move(c));
+    slab->free.pop_back();
+    return s;
   }
 
+  /// Destroy a finished session and recycle its cell.
   static void release(Session* s) noexcept {
     SessionSlab* slab = s->slab;
+    const std::uint32_t i = s->cell;
     s->~Session();
-    --slab->live;
-    if (!slab->orphaned) {
-      slab->free.push_back(s);
-      return;
-    }
-    ::operator delete(s);
-    if (slab->live == 0) delete slab;
+    slab->free.push_back(i);
   }
 
   sim::Simulator& sim() { return plane.cluster().sim(); }
@@ -133,7 +109,7 @@ struct Session {
     return std::min<std::uint64_t>(cb, total - index * cb);
   }
 
-  void begin(Owner self) {
+  void begin() {
     if (cfg.counters != nullptr) ++cfg.counters->sessions;
     const std::uint64_t cb = cfg.plan->config().chunk_bytes;
     total_chunks =
@@ -144,22 +120,22 @@ struct Session {
     // full idle → training → uploading → ... → done trace.
     step(ClientEvent::kSelected);
     step(ClientEvent::kTrained);
-    start_attempt(std::move(self));
+    start_attempt();
   }
 
   /// Begin (or resume) a connected transmission attempt: draw this
   /// attempt's disconnect point over the remaining chunks, then send.
-  void start_attempt(Owner self) {
+  void start_attempt() {
     const std::uint64_t left = total_chunks - acked;
     die_at = cfg.plan->disconnect_chunk(cfg.group, cfg.seq, attempt, left,
                                         cfg.rate_scale);
     sent_this_attempt = 0;
-    send_chunk(std::move(self));
+    send_chunk();
   }
 
   /// Send the next chunk; the chunk numbered `die_at` within this attempt
   /// disconnects mid-transmission.
-  void send_chunk(Owner self) {
+  void send_chunk() {
     const std::uint64_t bytes = chunk_size(acked);
     if (die_at != 0 && sent_this_attempt + 1 == die_at) {
       // This chunk dies on the wire: bill the partially transmitted bytes
@@ -169,8 +145,7 @@ struct Session {
           cfg.plan->partial_fraction(cfg.group, cfg.seq, attempt);
       const double partial_secs = frac * static_cast<double>(bytes) /
                                   cfg.uplink_bytes_per_sec;
-      sim().schedule_after(partial_secs,
-                           Call<&Session::disconnect>{std::move(self)});
+      sim().schedule_after(partial_secs, Call<&Session::disconnect>{this});
       return;
     }
     chunk_resend = resend_pending;
@@ -178,25 +153,26 @@ struct Session {
     plane.client_upload_chunk(cfg.node, update.producer,
                               static_cast<std::size_t>(bytes),
                               cfg.uplink_bytes_per_sec,
-                              Call<&Session::on_ack>{std::move(self)});
+                              Call<&Session::on_ack>{this});
   }
 
-  void on_ack(Owner self) {
+  void on_ack() {
     if (cfg.counters != nullptr) {
       ++cfg.counters->chunks_sent;
       if (chunk_resend) ++cfg.counters->chunks_resent;
     }
     ++acked;
     if (acked == total_chunks) {
-      finish(std::move(self));
+      finish();
+      release(this);
       return;
     }
     step(ClientEvent::kChunkAcked);
     ++sent_this_attempt;
-    send_chunk(std::move(self));
+    send_chunk();
   }
 
-  void disconnect(Owner self) {
+  void disconnect() {
     step(ClientEvent::kDisconnect);
     ++drops;
     // The partial chunk must be re-sent in full after the reconnect.
@@ -207,22 +183,22 @@ struct Session {
     if (cfg.on_disconnect) cfg.on_disconnect();
     const double offline =
         cfg.plan->offline_secs(cfg.group, cfg.seq, attempt);
-    sim().schedule_after(offline, Call<&Session::reconnect>{std::move(self)});
+    sim().schedule_after(offline, Call<&Session::reconnect>{this});
   }
 
-  void reconnect(Owner self) {
+  void reconnect() {
     step(ClientEvent::kReconnect);
     ++attempt;
     if (cfg.counters != nullptr) ++cfg.counters->resumes;
     cfg.obs.instant(sim().now(), obs::Ev::kUploadResume,
                     static_cast<std::uint32_t>(update.producer), attempt);
     if (cfg.on_resume) cfg.on_resume();
-    start_attempt(std::move(self));
+    start_attempt();
   }
 
-  /// Deposit the update. The handle drops after this returns, releasing
-  /// the session.
-  void finish(Owner /*self*/) {
+  /// Deposit the update. The caller releases the session after this
+  /// returns.
+  void finish() {
     step(ClientEvent::kComplete);
     const double duration = sim().now() - t0;
     if (cfg.counters != nullptr) ++cfg.counters->completed;
@@ -237,11 +213,32 @@ struct Session {
   }
 };
 
-Owner::~Owner() {
-  if (s_ != nullptr) Session::release(s_);
-}
+static_assert(sim::is_hot_callable_v<Call<&Session::begin>> &&
+              sim::is_hot_callable_v<Call<&Session::on_ack>> &&
+              sim::is_hot_callable_v<Call<&Session::disconnect>> &&
+              sim::is_hot_callable_v<Call<&Session::reconnect>>);
 
 }  // namespace
+
+namespace detail {
+
+SessionSlab::~SessionSlab() {
+  // A cell not on the free list holds a live session.
+  std::vector<bool> released(cells.size());
+  for (std::uint32_t i : free) released[i] = true;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (!released[i]) {
+      std::launder(static_cast<Session*>(cells[i]))->~Session();
+    }
+    ::operator delete(cells[i]);
+  }
+}
+
+void SessionSlabDelete::operator()(SessionSlab* slab) const noexcept {
+  delete slab;
+}
+
+}  // namespace detail
 
 void ResumableUpload::launch(DataPlane& plane, fl::ModelUpdate update,
                              Config cfg, double start_after) {
@@ -249,15 +246,14 @@ void ResumableUpload::launch(DataPlane& plane, fl::ModelUpdate update,
     throw std::invalid_argument("ResumableUpload: cfg.plan is required");
   }
   if (!plane.sessions_) plane.sessions_.reset(new SessionSlab);
-  Owner s = Session::make(plane.sessions_.get(), plane, std::move(update),
-                          std::move(cfg));
+  Session* s = Session::make(plane.sessions_.get(), plane, std::move(update),
+                             std::move(cfg));
   if (start_after > 0.0) {
     plane.cluster().sim().schedule_after(start_after,
-                                         Call<&Session::begin>{std::move(s)});
+                                         Call<&Session::begin>{s});
     return;
   }
-  Session* p = s.get();
-  p->begin(std::move(s));
+  s->begin();
 }
 
 }  // namespace lifl::dp

@@ -27,10 +27,13 @@ namespace lifl::dp {
 /// (group, seq, attempt); the session itself is event-driven on the group's
 /// simulator, so flaky campaigns keep bitwise 1-vs-K-shard equivalence.
 ///
-/// Sessions live in a per-plane slab. Exactly one pending event — the
-/// start, a chunk ack, the disconnect or the reconnect — owns a session at
-/// any time, through an 8-byte owning handle, so every callback is
-/// Task-inline and a session costs no allocation once the slab is warm.
+/// Sessions live in a per-plane slab, which owns them: a session returns
+/// to it when its update is deposited, and the plane destroys the ones
+/// still live at teardown. Exactly one event — the start, a chunk ack, the
+/// disconnect or the reconnect — is pending per session at any time, and
+/// it carries a plain 8-byte session handle, so every session event is
+/// trivially copyable and a session costs no allocation once the slab is
+/// warm.
 class ResumableUpload {
  public:
   /// Aggregated session telemetry (owned by the campaign group).

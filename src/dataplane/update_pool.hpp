@@ -26,7 +26,7 @@ namespace lifl::dp {
 class UpdatePool {
  public:
   /// Consumer callback. A `sim::TaskFn` (24-byte inline, move-only): the
-  /// aggregator's pool waiter is a 16-byte {ctx} functor, so parking and
+  /// aggregator's pool waiter is a 16-byte runtime handle, so parking and
   /// waking a consumer never heap-allocates for the callable itself.
   using Waiter = sim::TaskFn<fl::ModelUpdate>;
 

@@ -29,7 +29,8 @@ AggregatorRuntime::AggregatorRuntime(dp::DataPlane& plane, Config cfg)
     : plane_(plane),
       sim_(plane.cluster().sim()),
       cfg_(std::move(cfg)),
-      ctx_(std::make_shared<Ctx>(Ctx{this, &plane, cfg_.node})) {
+      rec_(plane.acquire_runtime_record()) {
+  rec_->rt = this;
   validate_config();
 }
 
@@ -60,46 +61,60 @@ bool AggregatorRuntime::goal_reached() const noexcept {
 }
 
 void AggregatorRuntime::PoolWaiter::operator()(ModelUpdate u) const {
-  if (c->rt == nullptr) {
+  AggregatorRuntime* rt = h.live();
+  if (rt == nullptr) {
     // Instance went away; put the update back for a successor.
-    c->plane->env(c->node).pool.push(std::move(u));
+    h.plane().env(h.node).pool.push(std::move(u));
     return;
   }
   // Taking the update out of the queue is free under LIFL's in-place
   // queuing (§4.2) and on a serverful monolith: deliver directly.
-  if (!c->plane->config().use_broker) {
-    c->rt->deliver(std::move(u));
+  if (!h.plane().config().use_broker) {
+    rt->deliver(std::move(u));
     return;
   }
   // On brokered planes it is a broker delivery.
-  auto shared = std::make_shared<ModelUpdate>(std::move(u));
-  c->plane->consume(c->node, *shared, ConsumeReady{c, shared});
+  h.plane().consume(h.node, std::move(u), ConsumeReady{h});
 }
 
-void AggregatorRuntime::ConsumeReady::operator()() const {
-  if (c->rt == nullptr) {
-    c->plane->env(c->node).pool.push(std::move(*u));
+void AggregatorRuntime::ConsumeReady::operator()(ModelUpdate u) const {
+  AggregatorRuntime* rt = h.live();
+  if (rt == nullptr) {
+    h.plane().env(h.node).pool.push(std::move(u));
     return;
   }
-  c->rt->deliver(std::move(*u));
+  rt->deliver(std::move(u));
 }
 
 void AggregatorRuntime::RecvDone::operator()() const {
-  if (c->rt != nullptr) c->rt->on_recv_done();
+  if (AggregatorRuntime* rt = h.live()) rt->on_recv_done();
 }
 
 void AggregatorRuntime::AggDone::operator()() const {
-  if (c->rt != nullptr) c->rt->on_agg_done();
+  if (AggregatorRuntime* rt = h.live()) rt->on_agg_done();
+}
+
+void AggregatorRuntime::ColdStartDone::operator()() const {
+  AggregatorRuntime* rt = h.live();
+  if (rt == nullptr) return;
+  rt->plane_.cluster().node(rt->cfg_.node).cpu().add(
+      CostTag::kStartup, rt->cfg_.cold_start_cycles);
+  rt->on_ready();
+}
+
+void AggregatorRuntime::DepthReached::operator()() const {
+  if (AggregatorRuntime* rt = h.live()) rt->maybe_pull();
 }
 
 AggregatorRuntime::~AggregatorRuntime() {
   if (started_) stop();
+  plane_.release_runtime_record(rec_);
 }
 
 void AggregatorRuntime::start() {
   if (started_) return;
   started_ = true;
-  ctx_->rt = this;
+  rec_->rt = this;
   // Register the socket so producers can reach us even before we're ready:
   // updates delivered during cold start buffer in the FIFO, exactly like
   // messages queueing while a function boots.
@@ -128,13 +143,7 @@ void AggregatorRuntime::begin_cold_start() {
     on_ready();
     return;
   }
-  sim_.schedule_after(cfg_.cold_start_secs, [c = ctx_]() {
-    if (c->rt == nullptr) return;
-    AggregatorRuntime& rt = *c->rt;
-    rt.plane_.cluster().node(rt.cfg_.node).cpu().add(
-        CostTag::kStartup, rt.cfg_.cold_start_cycles);
-    rt.on_ready();
-  });
+  sim_.schedule_after(cfg_.cold_start_secs, ColdStartDone{handle()});
 }
 
 void AggregatorRuntime::on_ready() {
@@ -146,7 +155,7 @@ void AggregatorRuntime::stop() {
   if (!started_) return;
   started_ = false;
   ready_ = false;
-  ctx_->rt = nullptr;  // invalidates in-flight pool waiters and timers
+  rec_->rt = nullptr;  // invalidates in-flight pool waiters and timers
   plane_.unregister_consumer(cfg_.id);
   // Return unprocessed updates to the node pool: the runtime is stateless,
   // so a replacement can pick them up with no state synchronization. An
@@ -172,7 +181,7 @@ void AggregatorRuntime::fail() {
   failed_ = true;
   started_ = false;
   ready_ = false;
-  ctx_->rt = nullptr;  // invalidates in-flight waiters, timers, step events
+  rec_->rt = nullptr;  // invalidates in-flight waiters, timers, step events
   plane_.unregister_consumer(cfg_.id);
   // The sandbox is gone: buffered and mid-step updates die with it — no
   // pool pushes, no lease acks. The retained lease copies are the single
@@ -224,7 +233,9 @@ void AggregatorRuntime::rearm(Config cfg) {
   if (started_) {
     plane_.unregister_consumer(cfg_.id);
   }
-  ctx_->rt = nullptr;  // invalidate any stale waiters/timers of the old role
+  // Invalidate any stale waiters/timers of the old role for good: start()
+  // below revives only handles taken under the new generation.
+  rec_->retire();
   // Stateless: drop all aggregation state; keep the warm sandbox. Updates
   // still buffered (none, if the caller honored idle()) go back to the pool.
   while (!fifo_.empty()) {
@@ -251,7 +262,6 @@ void AggregatorRuntime::rearm(Config cfg) {
   started_ = false;
   cold_start_begun_ = false;
   ready_ = false;
-  ctx_ = std::make_shared<Ctx>(Ctx{this, &plane_, cfg_.node});
   start();
 }
 
@@ -263,14 +273,12 @@ void AggregatorRuntime::maybe_pull() {
     // Lazy just-in-time consumption (Fig. 1): updates queue in the message
     // broker / shm pool until the aggregation task's whole batch is there,
     // then the task drains it. (Eager tasks consume per arrival instead.)
-    pool.when_depth(cfg_.goal, [c = ctx_]() {
-      if (c->rt != nullptr) c->rt->maybe_pull();
-    });
+    pool.when_depth(cfg_.goal, DepthReached{handle()});
     return;
   }
   while (pulled_ < cfg_.goal) {
     ++pulled_;
-    pool.pop_async(PoolWaiter{ctx_});
+    pool.pop_async(PoolWaiter{handle()});
   }
 }
 
@@ -343,7 +351,7 @@ void AggregatorRuntime::process_one(ModelUpdate u) {
   // at a time), so the completion is a 16-byte functor — no allocation.
   step_cycles_ = plane_.recv_cycles(*in_flight_);
   step_secs_ = step_cycles_ / node.config().cpu_hz;
-  node.cores().acquire(step_secs_, RecvDone{ctx_});
+  node.cores().acquire(step_secs_, RecvDone{handle()});
 }
 
 void AggregatorRuntime::on_recv_done() {
@@ -354,7 +362,7 @@ void AggregatorRuntime::on_recv_done() {
   // ---- Agg step: fold into the cumulative weighted average.
   step_cycles_ = agg_cycles(in_flight_->logical_bytes);
   step_secs_ = step_cycles_ / node.config().cpu_hz;
-  node.cores().acquire(step_secs_, AggDone{ctx_});
+  node.cores().acquire(step_secs_, AggDone{handle()});
 }
 
 void AggregatorRuntime::on_agg_done() {

@@ -10,6 +10,7 @@
 #include "src/fl/fedavg.hpp"
 #include "src/fl/model_update.hpp"
 #include "src/sim/fifo.hpp"
+#include "src/sim/task.hpp"
 #include "src/sim/time.hpp"
 
 namespace lifl::fl {
@@ -233,38 +234,62 @@ class AggregatorRuntime {
   sim::SimTime busy_secs() const noexcept { return busy_secs_; }
 
  private:
-  /// Shared liveness + routing context for callbacks parked in simulator
-  /// queues. `rt` is nulled on stop()/convert_role(); `plane`/`node` stay
-  /// valid (the plane outlives every runtime), so a late callback can still
-  /// recycle its update into the node pool. Hot-path callbacks capture one
-  /// shared_ptr to this block (16 bytes — `sim::Task`-inline), replacing
-  /// the `std::function` closures that used to heap-allocate per step.
-  struct Ctx {
-    AggregatorRuntime* rt;
-    dp::DataPlane* plane;
+  /// What every continuation the runtime parks in simulator or pool
+  /// queues holds: 16 bytes, trivially copyable and trivially destructible
+  /// (`sim::is_hot_callable_v`), so parking, moving and dropping one costs
+  /// no refcount and no indirect call. It names the runtime's liveness
+  /// record in the plane's slab and the record generation it was taken
+  /// under. `stop()`/`fail()` null the record's runtime and `start()` sets
+  /// it again (a restarted runtime revives its own parked waiters);
+  /// `rearm()` and destruction bump the generation, so older handles stay
+  /// dead. Either way a dead handle still reaches the plane, so a late
+  /// continuation can recycle its update into `node`'s pool.
+  struct Handle {
+    dp::RuntimeRecord* rec;
+    std::uint32_t gen;
     sim::NodeId node;
+    /// The runtime, or null when it is gone for this handle.
+    AggregatorRuntime* live() const noexcept { return rec->live(gen); }
+    dp::DataPlane& plane() const noexcept { return *rec->plane; }
   };
-  /// Pool-waiter callback (16 bytes; UpdatePool waiter slot stays inline).
+  /// Pool-waiter callback.
   struct PoolWaiter {
-    std::shared_ptr<Ctx> c;
+    Handle h;
     void operator()(ModelUpdate u) const;
   };
-  /// Broker-consume continuation (carries the drained update).
+  /// Broker-consume continuation: the consume flight carries the update.
   struct ConsumeReady {
-    std::shared_ptr<Ctx> c;
-    std::shared_ptr<ModelUpdate> u;
-    void operator()() const;
+    Handle h;
+    void operator()(ModelUpdate u) const;
   };
-  /// Recv / Agg step completions (16 bytes; core-pool slab stays inline).
+  /// Recv / Agg step completions (ride in the core pool's finish events).
   struct RecvDone {
-    std::shared_ptr<Ctx> c;
+    Handle h;
     void operator()() const;
   };
   struct AggDone {
-    std::shared_ptr<Ctx> c;
+    Handle h;
     void operator()() const;
   };
+  /// Cold-start completion and lazy-batch depth wake.
+  struct ColdStartDone {
+    Handle h;
+    void operator()() const;
+  };
+  struct DepthReached {
+    Handle h;
+    void operator()() const;
+  };
+  static_assert(sim::is_hot_callable_v<PoolWaiter> &&
+                sim::is_hot_callable_v<ConsumeReady> &&
+                sim::is_hot_callable_v<RecvDone> &&
+                sim::is_hot_callable_v<AggDone> &&
+                sim::is_hot_callable_v<ColdStartDone> &&
+                sim::is_hot_callable_v<DepthReached>);
 
+  Handle handle() const noexcept {
+    return Handle{rec_, rec_->gen, cfg_.node};
+  }
   void validate_config() const;
   bool goal_reached() const noexcept;
   void maybe_complete();
@@ -284,7 +309,7 @@ class AggregatorRuntime {
   FedAvgAccumulator acc_;
   sim::Fifo<ModelUpdate> fifo_;
   std::optional<ModelUpdate> in_flight_;  ///< update mid-Recv/Agg
-  std::shared_ptr<Ctx> ctx_;  ///< guards pool waiters across stop()
+  dp::RuntimeRecord* rec_;  ///< liveness record in the plane's slab
 
   // Cost of the step currently in service on the node cores (the runtime
   // is a single-threaded pipeline: at most one step is in flight).

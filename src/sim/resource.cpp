@@ -18,11 +18,15 @@ void Resource::account() noexcept {
   last_change_ = now;
 }
 
-void Resource::start(SimTime service, SimTime enqueued_at,
-                     std::uint32_t slot) {
+void Resource::begin(SimTime enqueued_at) {
   account();
   ++busy_;
   total_wait_ += sim_.now() - enqueued_at;
+}
+
+void Resource::start(SimTime service, SimTime enqueued_at,
+                     std::uint32_t slot) {
+  begin(enqueued_at);
   // The completion is parked in the slab; the scheduled event is a 12-byte
   // trampoline (always Task-inline), so the hot path never heap-allocates.
   // `this` outlives the simulation by construction (resources are owned by
@@ -38,13 +42,17 @@ void Resource::start_queued() {
   }
 }
 
-void Resource::on_finish(std::uint32_t slot) {
-  Callback done = std::move(in_service_[slot]);
-  free_slots_.push_back(slot);
+void Resource::release() {
   account();
   --busy_;
   ++completed_;
   start_queued();
+}
+
+void Resource::on_finish(std::uint32_t slot) {
+  Callback done = std::move(in_service_[slot]);
+  free_slots_.push_back(slot);
+  release();
   if (done) done();
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -22,11 +23,14 @@ namespace lifl::sim {
 /// Utilization and waiting statistics are tracked exactly (piecewise-constant
 /// integrals), which the benches use for CPU-utilization figures.
 ///
-/// Completion callbacks are `sim::Task`s built in place — in the slab of
-/// in-service callbacks, or in the queued job — and the event the simulator
-/// carries is a 12-byte {resource, slot} trampoline, so submitting a job
-/// performs no per-job heap allocation however large the caller's capture
-/// is (beyond the Task's own inline/heap policy).
+/// A job that starts at once with a small trivially copyable completion
+/// (the 16-byte handles of the upload path) carries it in its finish event,
+/// a {resource, completion} pair inside `Task`'s inline bytes, so nothing
+/// is parked or moved out again. Any other completion is a `sim::Task`
+/// built in place — in the slab of in-service callbacks, or in the queued
+/// job — behind a 12-byte {resource, slot} finish event. Either way,
+/// submitting a job performs no per-job heap allocation however large the
+/// caller's capture is (beyond the Task's own inline/heap policy).
 class Resource {
  public:
   using Callback = Task;
@@ -43,7 +47,14 @@ class Resource {
   void acquire(SimTime service_time, F&& on_complete) {
     const SimTime service = service_time < 0 ? 0 : service_time;
     if (busy_ < capacity_) {
-      start(service, sim_.now(), park(std::forward<F>(on_complete)));
+      using Fn = std::decay_t<F>;
+      if constexpr (is_hot_callable_v<CarriedFinish<Fn>>) {
+        begin(sim_.now());
+        sim_.schedule_after(
+            service, CarriedFinish<Fn>{this, Fn(std::forward<F>(on_complete))});
+      } else {
+        start(service, sim_.now(), park(std::forward<F>(on_complete)));
+      }
     } else {
       queue_.emplace_back(service, sim_.now(), std::forward<F>(on_complete));
     }
@@ -104,17 +115,35 @@ class Resource {
     Callback done;
   };
 
-  /// Completion trampoline: 12 bytes — always inline in a `sim::Task`.
+  /// Completion trampoline of a parked job: 12 bytes — always inline in a
+  /// `sim::Task`.
   struct FinishFn {
     Resource* r;
     std::uint32_t slot;
     void operator()() const { r->on_finish(slot); }
   };
+  static_assert(is_hot_callable_v<FinishFn>);
 
+  /// Finish event that carries its completion (`acquire`'s fast path,
+  /// taken whenever this event is itself a hot callable).
+  template <typename Fn>
+  struct CarriedFinish {
+    Resource* r;
+    Fn done;
+    void operator()() {
+      r->release();
+      done();
+    }
+  };
+
+  /// Take a server for a job that queued since `enqueued_at`.
+  void begin(SimTime enqueued_at);
   /// Put a parked job (`slot`) in service.
   void start(SimTime service, SimTime enqueued_at, std::uint32_t slot);
   /// Start queued jobs while servers are free.
   void start_queued();
+  /// Free the server of a finished job and start queued ones.
+  void release();
   void on_finish(std::uint32_t slot);
   void account() noexcept;
   /// Build `done` in a free slot of the in-service slab; returns the slot.

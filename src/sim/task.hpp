@@ -8,6 +8,9 @@
 
 namespace lifl::sim {
 
+/// Bytes of callable a `TaskFn` holds inline.
+inline constexpr std::size_t kTaskInlineBytes = 24;
+
 /// Move-only callable with 24 bytes of inline storage — the event-core
 /// replacement for `std::function<void(Args...)>`.
 ///
@@ -87,7 +90,7 @@ class TaskFn {
   }
 
  private:
-  static constexpr std::size_t kInlineBytes = 24;
+  static constexpr std::size_t kInlineBytes = kTaskInlineBytes;
 
   struct VTable {
     void (*invoke)(void*, Args&&...);
@@ -170,5 +173,14 @@ class TaskFn {
 
 /// The simulator's nullary event callback.
 using Task = TaskFn<>;
+
+/// The shape of a hot-path continuation: it fits `TaskFn`'s inline bytes,
+/// relocates by plain copy and needs no destructor call, so queueing,
+/// moving and dropping it cost no indirect call. Per-upload callbacks are
+/// checked against it where they are defined.
+template <typename F>
+inline constexpr bool is_hot_callable_v =
+    std::is_trivially_copyable_v<F> && std::is_trivially_destructible_v<F> &&
+    sizeof(F) <= kTaskInlineBytes && alignof(F) <= alignof(std::max_align_t);
 
 }  // namespace lifl::sim

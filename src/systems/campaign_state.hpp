@@ -29,8 +29,10 @@ namespace lifl::sys::detail {
 /// coordinator between rounds). Shared between the campaign driver
 /// (sharded_campaign.cpp) and the checkpoint subsystem
 /// (campaign_checkpoint.cpp), which snapshots/restores the cross-round
-/// durable fields — everything else is re-armed per round.
-struct Group {
+/// durable fields — everything else is re-armed per round. Groups sit side
+/// by side in `CampaignState::groups` while neighbours run on different
+/// shards, so each starts on its own cache line.
+struct alignas(64) Group {
   std::size_t id = 0;
   std::size_t shard = 0;
   sim::Simulator* sim = nullptr;
@@ -93,6 +95,7 @@ struct Group {
   sim::CountMap live_sessions;
   sim::CountMap parked;
 };
+static_assert(alignof(Group) >= 64);
 
 /// Whole-campaign runtime state, owned by `run_sharded_campaign` for the
 /// duration of one call.

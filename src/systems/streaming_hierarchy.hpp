@@ -61,7 +61,9 @@ void apply_lifl_cold_start(fl::AggregatorRuntime::Config& cfg);
 /// Every decision is made in group-local event order (the planner slot,
 /// the pool, the claims), so results are bitwise identical for any shard
 /// count, and the *final model* is invariant under the number of re-plans.
-class StreamingHierarchy {
+/// Its state is written on every arrival and seal by the group's shard, so
+/// it occupies whole cache lines of its own.
+class alignas(64) StreamingHierarchy {
  public:
   struct Config {
     std::size_t group = 0;       ///< planner slot this engine owns

@@ -322,6 +322,53 @@ TEST(AggregatorRuntime, SuccessorCompletesAfterPredecessorFailure) {
   EXPECT_EQ(out.sample_count, 30u);
 }
 
+TEST(AggregatorRuntime, StaleHandlesSkipTheirRecordsNextRuntime) {
+  // A leaf dies with pool waiters parked and a Recv step in service; its
+  // successor reuses the same liveness record. The dead leaf's waiters and
+  // its step completion must read the record's new generation as "gone":
+  // waiters bounce their updates back into the pool, the step completion
+  // is ignored, and only the successor's own pulls deliver.
+  World w;
+  // Name the record the plane hands out next (its free list is LIFO).
+  dp::RuntimeRecord* rec = w.plane.acquire_runtime_record();
+  w.plane.release_runtime_record(rec);
+  auto doomed = std::make_unique<AggregatorRuntime>(w.plane, leaf_cfg(1, 4));
+  ASSERT_EQ(rec->rt, doomed.get());
+  doomed->start();
+  auto& pool = w.plane.env(0).pool;
+  pool.push(w.update(1, 10));
+  w.sim.run_until(0.0);  // delivered; its Recv step is now in service
+  ASSERT_FALSE(doomed->idle());
+  ASSERT_EQ(pool.waiter_count(), 3u);
+  ASSERT_GT(w.sim.pending(), 0u);
+  doomed.reset();  // the update mid-Recv returns to the pool
+  ASSERT_EQ(rec->rt, nullptr);
+
+  ModelUpdate out;
+  int sends = 0;
+  AggregatorRuntime::Config c = leaf_cfg(2, 3);
+  c.on_result = [&](ModelUpdate u) {
+    out = std::move(u);
+    ++sends;
+  };
+  AggregatorRuntime successor(w.plane, c);
+  ASSERT_EQ(rec->rt, &successor);  // the dead leaf's record, recycled
+  successor.start();
+  for (int i = 0; i < 3; ++i) pool.push(w.update(1, 20));
+  w.sim.run();
+
+  EXPECT_EQ(sends, 1);
+  EXPECT_EQ(successor.received(), 3u);
+  EXPECT_EQ(successor.aggregated(), 3u);
+  EXPECT_EQ(out.updates_folded, 3u);
+  EXPECT_EQ(pool.waiter_count(), 0u);
+  // Folds are conserved: every sample is in the aggregate or still queued.
+  ASSERT_EQ(pool.depth(), 1u);
+  ModelUpdate left;
+  ASSERT_TRUE(pool.try_pop(left));
+  EXPECT_EQ(out.sample_count + left.sample_count, 70u);
+}
+
 TEST(AggregatorRuntime, RecvAggBillsCpuTags) {
   World w;
   AggregatorRuntime::Config c = leaf_cfg(1, 1);

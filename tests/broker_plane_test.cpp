@@ -51,7 +51,7 @@ TEST(BrokerPlane, ConsumeIsFreeOnLiflAndServerfulPlanes) {
     ASSERT_TRUE(w.plane.env(0).pool.try_pop(got));
     bool ready = false;
     const double t0 = w.sim.now();
-    w.plane.consume(0, got, [&] { ready = true; });
+    w.plane.consume(0, got, [&](fl::ModelUpdate) { ready = true; });
     w.sim.run();
     EXPECT_TRUE(ready);
     EXPECT_DOUBLE_EQ(w.sim.now(), t0);  // zero simulated time
@@ -64,7 +64,7 @@ TEST(BrokerPlane, ConsumeCostsTimeOnBrokeredPlanes) {
   fl::ModelUpdate got;
   ASSERT_TRUE(w.plane.env(0).pool.try_pop(got));
   bool ready = false;
-  w.plane.consume(0, got, [&] { ready = true; });
+  w.plane.consume(0, got, [&](fl::ModelUpdate) { ready = true; });
   w.sim.run();
   EXPECT_TRUE(ready);
   EXPECT_GT(w.sim.now(), 0.01);  // dequeue + kernel + sidecar legs
@@ -78,7 +78,8 @@ TEST(BrokerPlane, CrossNodeConsumePaysTheWire) {
     World w(cfg);
     fl::ModelUpdate u = update(100'000'000);
     bool ready = false;
-    w.plane.consume(consumer_node, u, [&] { ready = true; });
+    w.plane.consume(consumer_node, u,
+                    [&](fl::ModelUpdate) { ready = true; });
     w.sim.run();
     EXPECT_TRUE(ready);
     return w.sim.now();
@@ -134,7 +135,7 @@ TEST_P(BrokerCapacitySweep, DrainScalesWithWorkerThreads) {
   std::vector<fl::ModelUpdate> popped(kBurst);
   for (int i = 0; i < kBurst; ++i) {
     ASSERT_TRUE(w.plane.env(0).pool.try_pop(popped[i]));
-    w.plane.consume(0, popped[i], [&] { ++ready; });
+    w.plane.consume(0, popped[i], [&](fl::ModelUpdate) { ++ready; });
   }
   w.sim.run();
   EXPECT_EQ(ready, kBurst);

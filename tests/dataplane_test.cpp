@@ -269,7 +269,7 @@ TEST(DataPlaneBroker, BrokerBuffersWholePayloads) {
   fl::ModelUpdate queued;
   ASSERT_TRUE(w.plane.env(0).pool.try_pop(queued));
   bool delivered = false;
-  w.plane.consume(0, queued, [&] { delivered = true; });
+  w.plane.consume(0, queued, [&](fl::ModelUpdate) { delivered = true; });
   w.sim.run();
   EXPECT_TRUE(delivered);
   EXPECT_EQ(w.plane.env(0).broker.bytes_buffered(), 0u);
