@@ -2,6 +2,7 @@
 
 // Shared helpers for the figure-reproduction benches.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -36,6 +37,13 @@ inline std::size_t peak_rss_bytes() {
 #else
   return 0;
 #endif
+}
+
+/// Median of `v` (the mean of the two middle values for an even count).
+inline double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 /// Run-wide metadata every BENCH_*.json records, so the perf trajectory

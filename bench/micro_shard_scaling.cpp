@@ -44,6 +44,7 @@
 #include "src/systems/table.hpp"
 
 using namespace lifl;
+using bench::median;
 
 namespace {
 
@@ -96,12 +97,6 @@ Sample run_once(std::size_t shards, std::size_t scale) {
   s.shard_empty_windows = r.shard_empty_windows;
   s.shard_idle_secs = r.shard_idle_secs;
   return s;
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 /// Campaign wall seconds each shard count is sampled for, at least.

@@ -12,20 +12,25 @@
 // observes. This bench holds that cost to a ceiling.
 //
 // Emits BENCH_trace_overhead.json plus trace_sample.json (the traced
-// run's Perfetto-loadable trace; CI uploads both as artifacts). The bench
-// fails if the best-of-N traced wall exceeds the best-of-N untraced wall
-// by more than 2%, or if the trace does not reconcile with the campaign
-// result (round spans vs rounds; spawn/re-arm/re-plan events vs
-// spawned_total/reused_total/replans).
+// run's Perfetto-loadable trace; CI uploads both as artifacts). Traced and
+// untraced runs go as interleaved pairs, alternating which runs first, so
+// a slow host phase hits both halves of a pair; pairs continue until each
+// variant has run for 10 s. The bench fails if the median traced/untraced
+// pair ratio exceeds 1.02 (2% overhead), or if the trace does not
+// reconcile with the campaign result (round spans vs rounds;
+// spawn/re-arm/re-plan events vs spawned_total/reused_total/replans).
 // LIFL_TRACE_BENCH_GATE=0 disables the overhead gate (the reconciliation
 // checks always run).
 //
 // Build & run:  cmake -B build && cmake --build build -j
 //               ./build/bench/micro_trace_overhead
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "src/obs/obs.hpp"
@@ -57,12 +62,11 @@ sys::ShardedCampaignConfig bench_campaign(std::size_t scale, bool traced) {
   return cfg;
 }
 
-/// Best-of-`reps` wall seconds for one variant (alternation happens in
-/// main so thermal/cache drift hits both variants evenly).
-struct Variant {
-  double best_wall = 1e300;
-  sys::ShardedCampaignResult last;
-};
+/// Campaign wall each variant is sampled for, at least, and the fewest
+/// pairs. Short back-to-back runs see the same host phase, and enough
+/// pairs hold the median ratio well inside the 2% gate on a shared host.
+constexpr double kMinSampleSecs = 10.0;
+constexpr std::size_t kMinPairs = 15;
 
 int fail(const char* what) {
   std::fprintf(stderr, "FAIL: %s\n", what);
@@ -72,7 +76,7 @@ int fail(const char* what) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t scale = 300;  // updates per leaf => ~298k uploads total
+  std::size_t scale = 100;  // updates per leaf => ~99k uploads total
   if (argc > 1) {
     char* end = nullptr;
     scale = std::strtoul(argv[1], &end, 10);
@@ -83,36 +87,41 @@ int main(int argc, char** argv) {
   }
 
   const bench::BenchMeta meta;
-  const int reps = 7;
   std::printf(
       "trace-overhead microbench: planned-mode mega-campaign mix, "
-      "1M-client population, %zu updates/leaf, best of %d\n\n",
-      scale, reps);
+      "1M-client population, %zu updates/leaf, interleaved pairs for "
+      ">= %.0f s per variant\n\n",
+      scale, kMinSampleSecs);
 
-  // Interleave traced/untraced reps so machine drift hits both variants
-  // alike, then compare best-of walls: scheduler/frequency noise on a
-  // shared runner only ever adds time, so each variant's minimum over the
-  // reps is the estimate of its noise-free floor.
-  Variant off;
-  Variant on;
-  double off_worst = 0.0;
-  for (int i = 0; i < reps; ++i) {
-    auto r_off = sys::run_sharded_campaign(bench_campaign(scale, false));
-    if (r_off.wall_secs < off.best_wall) off.best_wall = r_off.wall_secs;
-    if (r_off.wall_secs > off_worst) off_worst = r_off.wall_secs;
-    auto r_on = sys::run_sharded_campaign(bench_campaign(scale, true));
-    if (r_on.wall_secs < on.best_wall) on.best_wall = r_on.wall_secs;
-    std::printf("  rep %d: untraced %.4fs  traced %.4fs\n", i + 1,
-                r_off.wall_secs, r_on.wall_secs);
-    if (i + 1 == reps) {
-      off.last = std::move(r_off);
-      on.last = std::move(r_on);
-    }
+  // The gate reads the median of the per-pair traced/untraced wall ratios.
+  // Host drift slower than one pair cancels inside each ratio, and the
+  // median discards the pairs a burst of contention split.
+  std::vector<double> off_walls, on_walls, ratios;
+  double off_total = 0.0, on_total = 0.0;
+  sys::ShardedCampaignResult off, on;
+  while (off_total < kMinSampleSecs || on_total < kMinSampleSecs ||
+         ratios.size() < kMinPairs) {
+    const bool traced_first = ratios.size() % 2 == 1;
+    sys::ShardedCampaignResult first =
+        sys::run_sharded_campaign(bench_campaign(scale, traced_first));
+    sys::ShardedCampaignResult second =
+        sys::run_sharded_campaign(bench_campaign(scale, !traced_first));
+    if (traced_first) std::swap(first, second);
+    off_walls.push_back(first.wall_secs);
+    on_walls.push_back(second.wall_secs);
+    off_total += first.wall_secs;
+    on_total += second.wall_secs;
+    ratios.push_back(second.wall_secs / first.wall_secs);
+    std::printf("  pair %zu: untraced %.4fs  traced %.4fs  ratio %.4f\n",
+                ratios.size(), first.wall_secs, second.wall_secs,
+                ratios.back());
+    off = std::move(first);
+    on = std::move(second);
   }
 
   // ---- reconciliation: the trace must agree with the result -----------
-  if (!on.last.obs) return fail("traced run surfaced no obs state");
-  const obs::CampaignObs& co = *on.last.obs;
+  if (!on.obs) return fail("traced run surfaced no obs state");
+  const obs::CampaignObs& co = *on.obs;
   if (co.trace().dropped_events() != 0) {
     return fail("default ring dropped events on the bench workload");
   }
@@ -123,24 +132,24 @@ int main(int argc, char** argv) {
     if (e.kind == obs::Ev::kAggRearm) ++rearms;
     if (e.kind == obs::Ev::kReplan) ++replans;
   }
-  if (round_spans != on.last.round_started_at.size()) {
+  if (round_spans != on.round_started_at.size()) {
     return fail("trace round spans != campaign rounds");
   }
   // Group-path churn vs campaign totals. The driver-side top runtime is
   // not on the group emit path, so the trace may undercount by at most
   // one spawn/re-arm per round.
-  const std::uint64_t rounds = on.last.round_started_at.size();
-  if (spawns > on.last.spawned_total ||
-      on.last.spawned_total - spawns > rounds ||
-      rearms > on.last.reused_total ||
-      on.last.reused_total - rearms > rounds ||
-      replans != on.last.replans) {
+  const std::uint64_t rounds = on.round_started_at.size();
+  if (spawns > on.spawned_total ||
+      on.spawned_total - spawns > rounds ||
+      rearms > on.reused_total ||
+      on.reused_total - rearms > rounds ||
+      replans != on.replans) {
     return fail("trace churn events != campaign result totals");
   }
   // Passivity spot check (the full matrix lives in obs_campaign_test).
-  for (std::size_t r = 0; r < on.last.round_completed_at.size(); ++r) {
-    if (on.last.round_completed_at[r] != off.last.round_completed_at[r] ||
-        on.last.round_samples[r] != off.last.round_samples[r]) {
+  for (std::size_t r = 0; r < on.round_completed_at.size(); ++r) {
+    if (on.round_completed_at[r] != off.round_completed_at[r] ||
+        on.round_samples[r] != off.round_samples[r]) {
       return fail("traced round telemetry diverged from untraced");
     }
   }
@@ -150,18 +159,22 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(co.trace().recorded_events()),
       static_cast<unsigned long long>(round_spans));
 
-  sys::write_campaign_trace(on.last, "trace_sample.json");
+  sys::write_campaign_trace(on, "trace_sample.json");
   std::printf("wrote trace_sample.json (open in https://ui.perfetto.dev)\n");
 
-  const double overhead_pct = (on.best_wall / off.best_wall - 1.0) * 100.0;
-  sys::Table t({"variant", "best_wall(s)", "events", "trace_events"});
-  t.row({"untraced", sys::fmt(off.best_wall, 4),
-         std::to_string(off.last.events), "0"});
-  t.row({"traced", sys::fmt(on.best_wall, 4),
-         std::to_string(on.last.events),
+  const double ratio = bench::median(ratios);
+  const double overhead_pct = (ratio - 1.0) * 100.0;
+  sys::Table t({"variant", "median_wall(s)", "events", "trace_events"});
+  t.row({"untraced", sys::fmt(bench::median(off_walls), 4),
+         std::to_string(off.events), "0"});
+  t.row({"traced", sys::fmt(bench::median(on_walls), 4),
+         std::to_string(on.events),
          std::to_string(co.trace().recorded_events())});
   t.print("Full observability (trace + metrics) vs off");
-  std::printf("overhead (best of %d each): %+.2f%%\n", reps, overhead_pct);
+  std::printf(
+      "overhead (median of %zu pair ratios, range %.4f-%.4f): %+.2f%%\n",
+      ratios.size(), *std::min_element(ratios.begin(), ratios.end()),
+      *std::max_element(ratios.begin(), ratios.end()), overhead_pct);
 
   FILE* out = std::fopen("BENCH_trace_overhead.json", "w");
   if (out != nullptr) {
@@ -171,40 +184,29 @@ int main(int argc, char** argv) {
         out,
         "  \"bench\": \"trace_overhead\",\n"
         "  \"updates_per_leaf\": %zu,\n"
-        "  \"reps\": %d,\n"
+        "  \"pairs\": %zu,\n"
         "  \"untraced_wall_secs\": %.6f,\n"
         "  \"traced_wall_secs\": %.6f,\n"
+        "  \"median_pair_ratio\": %.5f,\n"
         "  \"overhead_pct\": %.3f,\n"
         "  \"sim_events\": %llu,\n"
         "  \"trace_events\": %llu,\n"
         "  \"trace_dropped\": %llu\n"
         "}\n",
-        scale, reps, off.best_wall, on.best_wall, overhead_pct,
-        static_cast<unsigned long long>(on.last.events),
+        scale, ratios.size(), bench::median(off_walls),
+        bench::median(on_walls), ratio,
+        overhead_pct, static_cast<unsigned long long>(on.events),
         static_cast<unsigned long long>(co.trace().recorded_events()),
         static_cast<unsigned long long>(co.trace().dropped_events()));
     std::fclose(out);
     std::printf("wrote BENCH_trace_overhead.json\n");
   }
 
-  // The gate compares wall clocks, so it is only meaningful when the
-  // machine's own run-to-run spread is below the 2% threshold — the
-  // spread of the untraced reps estimates that noise floor.
-  const double noise_pct = (off_worst / off.best_wall - 1.0) * 100.0;
-  bool gate = noise_pct <= 2.0;
   if (const char* env = std::getenv("LIFL_TRACE_BENCH_GATE")) {
     if (std::strcmp(env, "0") == 0) {
       std::printf("gate SKIPPED (LIFL_TRACE_BENCH_GATE=0)\n");
       return 0;
     }
-    gate = true;
-  }
-  if (!gate) {
-    std::printf(
-        "gate SKIPPED: untraced run-to-run spread %.2f%% swamps the 2%% "
-        "threshold (set LIFL_TRACE_BENCH_GATE=1 to force)\n",
-        noise_pct);
-    return 0;
   }
   if (overhead_pct > 2.0) {
     std::fprintf(stderr,

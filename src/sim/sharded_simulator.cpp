@@ -16,10 +16,15 @@ namespace {
 /// shards) from melting down.
 constexpr int kSpinIters = 4096;
 /// Cap on promise-widened horizons, in lookaheads past the conservative
-/// horizon. It keeps every window finite (idle tails and daemon chains
-/// would otherwise run unbounded) and bounds how far a window can straddle
-/// a `run_to` mark.
-constexpr double kMaxWidenLookaheads = 256.0;
+/// horizon (2.05 s of simulated time at the campaign's 0.5 ms lookahead).
+/// It keeps every window finite (idle tails and daemon chains would
+/// otherwise run unbounded) and bounds how far a window can straddle a
+/// `run_to` mark: a window opens only while t_min < mark, so its horizon
+/// stays below mark + (kMaxWidenLookaheads + 1) lookaheads. It is sized so
+/// that async emission floors, which often promise seconds ahead, rarely
+/// hit it. The cap never reads the mark, which keeps pausing
+/// bit-transparent.
+constexpr double kMaxWidenLookaheads = 4096.0;
 }  // namespace
 
 ShardedSimulator::ShardedSimulator(Config cfg)
@@ -38,17 +43,26 @@ ShardedSimulator::ShardedSimulator(Config cfg)
   next_at_.resize(cfg.shards);
 }
 
-void ShardedSimulator::post(std::size_t from, std::size_t to, SimTime t,
-                            Task cb) {
-  Simulator& src = *shards_[from].sim;
+void ShardedSimulator::post(std::size_t from, std::size_t to,
+                            std::uint32_t lane, SimTime t, Task cb) {
+  ShardCell& cell = shards_[from];
+  Simulator& src = *cell.sim;
   // Conservative-window invariant: a cross-shard delivery can never land
   // closer than `lookahead` ahead of the sender's clock. The clamp applies
   // to same-shard posts too, so timing is independent of the group->shard
   // mapping.
   const SimTime tmin = src.now() + lookahead_;
   if (t < tmin) t = tmin;
+  if (lane >= kMaxLanes) {
+    throw std::invalid_argument("ShardedSimulator: post lane " +
+                                std::to_string(lane) + " out of range");
+  }
+  // The lane's posts all come from this shard, so the shard's post count
+  // orders them in the lane's own post order.
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(lane) << kLaneShift) | cell.post_seq++;
   if (from == to) {
-    src.schedule_at(t, std::move(cb));
+    src.schedule_delivery(t, key, std::move(cb));
     return;
   }
   // A coordinator-side post between runs (workers parked, so the
@@ -76,10 +90,9 @@ void ShardedSimulator::post(std::size_t from, std::size_t to, SimTime t,
         "ShardedSimulator: cross-shard post below the shard's outbound "
         "promise (unsound promise function)");
   }
+  ++cell.posted;
   mailbox(from, to).events.push_back(
-      CrossEvent{t, static_cast<std::uint32_t>(from),
-                 static_cast<std::uint32_t>(to), shards_[from].posted++,
-                 std::move(cb)});
+      CrossEvent{t, key, static_cast<std::uint32_t>(to), std::move(cb)});
 }
 
 std::uint64_t ShardedSimulator::cross_posts() const noexcept {
@@ -89,38 +102,26 @@ std::uint64_t ShardedSimulator::cross_posts() const noexcept {
 }
 
 std::size_t ShardedSimulator::drain_mailboxes() {
-  // Gather into the persistent scratch (capacity survives clear(), so a
-  // steady-state barrier allocates nothing).
-  drain_scratch_.clear();
+  // Injection order is free: each delivery carries its lane key, which
+  // fixes its place among the receiver's events of its instant.
+  std::size_t drained = 0;
   for (auto& box : mail_) {
-    for (auto& e : box.events) drain_scratch_.push_back(std::move(e));
+    for (CrossEvent& e : box.events) {
+      // Causality audit (`schedule_delivery` requires a future instant).
+      // Every shard ran strictly below a horizon no delivery undercuts, so
+      // a delivery at or below the receiver's clock is an internal
+      // invariant failure of the window protocol.
+      Simulator& dst = *shards_[e.dst].sim;
+      if (e.t <= dst.now()) {
+        throw std::logic_error(
+            "ShardedSimulator: window protocol admitted a cross-shard post "
+            "into a receiver's past");
+      }
+      dst.schedule_delivery(e.t, e.key, std::move(e.cb));
+    }
+    drained += box.events.size();
     box.events.clear();
   }
-  // Deterministic injection order — (time, source shard, source sequence) —
-  // so the delivery order of cross events never depends on the shard
-  // count or on thread timing.
-  std::sort(drain_scratch_.begin(), drain_scratch_.end(),
-            [](const CrossEvent& x, const CrossEvent& y) {
-              if (x.t != y.t) return x.t < y.t;
-              if (x.src != y.src) return x.src < y.src;
-              return x.seq < y.seq;
-            });
-  // Causality audit before injection (`schedule_at` would silently clamp
-  // a past delivery to the receiver's clock). Every shard ran strictly
-  // below a horizon no delivery undercuts, so a delivery at or below the
-  // receiver's clock is an internal invariant failure of the window
-  // protocol.
-  for (CrossEvent& e : drain_scratch_) {
-    Simulator& dst = *shards_[e.dst].sim;
-    if (e.t <= dst.now()) {
-      throw std::logic_error(
-          "ShardedSimulator: window protocol admitted a cross-shard post "
-          "into a receiver's past");
-    }
-    dst.schedule_at(e.t, std::move(e.cb));
-  }
-  const std::size_t drained = drain_scratch_.size();
-  drain_scratch_.clear();
   return drained;
 }
 

@@ -35,16 +35,18 @@ namespace lifl::sim {
 /// after the sender's clock — `lookahead` is the minimum cross-shard
 /// latency of the model (`calib::kCrossShardLatencySecs`: no network hop
 /// between node groups can complete faster). Each window the coordinator
-///   1. drains all mailboxes into the destination shards, in deterministic
-///      (time, source shard, source sequence) order,
+///   1. drains all mailboxes into the destination shards,
 ///   2. computes the horizon H = min over shards of the next event time,
 ///      plus `lookahead`,
 ///   3. releases all shards to execute events with t < H in parallel.
 /// Any event posted during the window happens at a time >= the window's
 /// minimum, so its delivery lands at or beyond H — never in a receiver's
 /// past. Events therefore always execute in nondecreasing time order per
-/// shard, and delivery order of cross events is independent of the shard
-/// count.
+/// shard. Every post names its sender's *lane* (a model partition, e.g. a
+/// node group), and deliveries tied at an instant run in (lane, the lane's
+/// post order) order, ahead of the receiver's other events of that instant
+/// (`Simulator::schedule_delivery`), so no tie resolves differently under
+/// another group->shard mapping.
 ///
 /// Installed per-shard outbound promises (`set_promise`) widen H beyond
 /// that bound — still provably sound, so results stay bitwise equal; a
@@ -96,15 +98,26 @@ class ShardedSimulator {
 
   /// Schedule `cb` on shard `to` at absolute time `t`, called from shard
   /// `from` (i.e. from within one of its callbacks during `run()`, or from
-  /// the coordinator thread between runs). `t` is clamped up to
-  /// `shard(from).now() + lookahead()` — the conservative-window invariant;
-  /// the clamp is identical whether or not `from == to`, so a model's
-  /// timing does not depend on how its groups map onto shards. Same-shard
-  /// posts schedule directly; cross-shard posts ride the mailbox and are
-  /// injected at the next window barrier. A coordinator-side cross-shard
-  /// post whose (clamped) time is at or before `shard(to).now()` would land
-  /// in the receiver's past and throws `std::invalid_argument`.
-  void post(std::size_t from, std::size_t to, SimTime t, Task cb);
+  /// the coordinator thread between runs) on behalf of `lane`: the model
+  /// partition that posts, which lives on shard `from` and makes its posts
+  /// in the same order for every shard count (the campaign's node groups,
+  /// plus one lane for the top). Lanes are below `kMaxLanes`. `t` is
+  /// clamped up to `shard(from).now() + lookahead()` — the
+  /// conservative-window invariant; the clamp is identical whether or not
+  /// `from == to`, so a model's timing does not depend on how its groups
+  /// map onto shards. Deliveries that land on one shard at one instant run
+  /// before its other events of that instant, ordered by lane and then by
+  /// the lane's post order. Same-shard posts schedule directly; cross-shard
+  /// posts ride the mailbox and are injected at the next window barrier. A
+  /// coordinator-side cross-shard post whose (clamped) time is at or before
+  /// `shard(to).now()` would land in the receiver's past and throws
+  /// `std::invalid_argument`.
+  void post(std::size_t from, std::size_t to, std::uint32_t lane, SimTime t,
+            Task cb);
+  /// Lanes `post` accepts: a delivery key is the lane above a 40-bit
+  /// per-shard post count, below `Simulator::kLocalSeqBase`.
+  static constexpr unsigned kLaneShift = 40;
+  static constexpr std::uint32_t kMaxLanes = 1u << (63 - kLaneShift);
 
   /// Run until no regular (non-daemon) events remain on any shard and all
   /// mailboxes are empty. Returns the number of events dispatched across
@@ -114,12 +127,14 @@ class ShardedSimulator {
   /// Run like `run()` but stop at the first quiescent point — a window
   /// barrier (K > 1) or the dispatch loop (K = 1) — at which every pending
   /// event is at or beyond `mark`. Pausing is *bit-transparent*: the window
-  /// horizons depend only on next-event times, so interleaving `run_to`
-  /// calls (and a final `run()`) dispatches exactly the event sequence an
-  /// uninterrupted `run()` would — the property campaign checkpointing
-  /// rests on. Two caveats, both inherited from the window protocol: with
-  /// K > 1 a window whose horizon straddles the mark finishes (a handful of
-  /// events at/after `mark` may run before the pause), and in K = 1 mode
+  /// horizons depend only on next-event times and promises, never on the
+  /// mark, so interleaving `run_to` calls (and a final `run()`) dispatches
+  /// exactly the event sequence an uninterrupted `run()` would — the
+  /// property campaign checkpointing rests on. Two caveats, both inherited
+  /// from the window protocol: with K > 1 a window whose horizon straddles
+  /// the mark finishes, so events up to the widen cap past it may run
+  /// before the pause (the horizon stays below mark + 4,097 lookaheads,
+  /// 2.05 s of simulated time at the campaign lookahead), and in K = 1 mode
   /// daemon events below the mark run even past the last regular event
   /// (plain `run()` would stop at it) — models that keep cross-K
   /// equivalence must not let daemon tails feed measured state, as already
@@ -185,18 +200,18 @@ class ShardedSimulator {
  private:
   struct CrossEvent {
     SimTime t;
-    std::uint32_t src;
+    std::uint64_t key;  ///< delivery key: lane, then the sender's post count
     std::uint32_t dst;
-    std::uint64_t seq;  ///< per-source post counter (FIFO tie-break)
     Task cb;
   };
 
-  /// Per-shard state, cache-line separated: `sim` and `posted` (the
-  /// per-source cross-post sequence, which doubles as the cross-post
-  /// counter) are touched by the owning worker thread during a window, by
-  /// the coordinator only between windows.
+  /// Per-shard state, cache-line separated: `sim`, `post_seq` (every post
+  /// the shard made, the low bits of its delivery keys) and `posted` (its
+  /// cross-shard posts) are touched by the owning worker thread during a
+  /// window, by the coordinator only between windows.
   struct alignas(64) ShardCell {
     std::unique_ptr<Simulator> sim;
+    std::uint64_t post_seq = 0;
     std::uint64_t posted = 0;
     /// `windows`/`empty_windows` are written by the owning thread inside
     /// `run_shard_window`; `idle_wall_secs` and `done_at` are reconciled
@@ -229,7 +244,7 @@ class ShardedSimulator {
   /// checkpointed round would otherwise pay a thread create/join per
   /// slice) and are joined by the destructor.
   void ensure_workers();
-  /// Sort all mailboxes by (t, src, seq) and schedule into the targets.
+  /// Schedule every mailbox event into its target as a keyed delivery.
   /// Returns the number of cross events delivered.
   std::size_t drain_mailboxes();
   std::size_t mail_pending() const;
@@ -244,7 +259,6 @@ class ShardedSimulator {
   SimTime lookahead_;
   std::vector<ShardCell> shards_;
   std::vector<Mailbox> mail_;
-  std::vector<CrossEvent> drain_scratch_;
   /// Per-shard next event times of the window being planned (serial
   /// phase scratch).
   std::vector<SimTime> next_at_;

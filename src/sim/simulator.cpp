@@ -200,13 +200,14 @@ void Simulator::ring_push(RingEntry e) {
   ++ring_size_;
 }
 
-EventId Simulator::enqueue(std::uint32_t slot, SimTime t, bool daemon) {
+EventId Simulator::enqueue(std::uint32_t slot, SimTime t, bool daemon,
+                           std::uint64_t seq) {
   if (t < now_) t = now_;
   Slot& s = slots_[slot];
   s.daemon = daemon;
   s.next = kNil;
   s.t = t;
-  s.seq = next_seq_++;
+  s.seq = seq;
   if (t == now_) {
     s.timed = false;
     ring_push(RingEntry{s.seq, slot});

@@ -16,7 +16,9 @@ namespace lifl::sim {
 /// Events scheduled for the same instant run in scheduling order (FIFO
 /// tie-breaking on a monotonically increasing sequence number), which makes
 /// runs fully deterministic. Callbacks may schedule or cancel further events,
-/// including at the current instant.
+/// including at the current instant. *Keyed deliveries*
+/// (`schedule_delivery`) are the one exception: at their instant they run
+/// before every other event, in key order.
 ///
 /// *Daemon* events model background periodic work (metrics polling,
 /// samplers): they execute normally while regular events exist, but do not
@@ -68,14 +70,15 @@ class alignas(64) Simulator {
   /// Schedule `cb` at absolute time `t` (clamped to `now()` if in the past).
   template <typename F, IfCallback<F> = 0>
   EventId schedule_at(SimTime t, F&& cb) {
-    return schedule_impl(t, std::forward<F>(cb), /*daemon=*/false);
+    return schedule_impl(t, std::forward<F>(cb), /*daemon=*/false,
+                         next_seq_++);
   }
 
   /// Schedule `cb` after a relative delay `dt >= 0`.
   template <typename F, IfCallback<F> = 0>
   EventId schedule_after(SimTime dt, F&& cb) {
     return schedule_impl(now_ + (dt > 0 ? dt : 0), std::forward<F>(cb),
-                         /*daemon=*/false);
+                         /*daemon=*/false, next_seq_++);
   }
 
   /// Schedule `cb` at the current instant, after all events already
@@ -83,28 +86,45 @@ class alignas(64) Simulator {
   /// but guaranteed to take the heap-free fast path).
   template <typename F, IfCallback<F> = 0>
   EventId schedule_now(F&& cb) {
-    return schedule_impl(now_, std::forward<F>(cb), /*daemon=*/false);
+    return schedule_impl(now_, std::forward<F>(cb), /*daemon=*/false,
+                         next_seq_++);
   }
 
   /// Schedule a daemon event: runs like a normal event but does not keep
   /// `run()` going once all regular events have drained.
   template <typename F, IfCallback<F> = 0>
   EventId schedule_daemon_at(SimTime t, F&& cb) {
-    return schedule_impl(t, std::forward<F>(cb), /*daemon=*/true);
+    return schedule_impl(t, std::forward<F>(cb), /*daemon=*/true,
+                         next_seq_++);
   }
 
   /// Daemon variant of `schedule_after`.
   template <typename F, IfCallback<F> = 0>
   EventId schedule_daemon_after(SimTime dt, F&& cb) {
     return schedule_impl(now_ + (dt > 0 ? dt : 0), std::forward<F>(cb),
-                         /*daemon=*/true);
+                         /*daemon=*/true, next_seq_++);
   }
 
   /// Daemon variant of `schedule_now`.
   template <typename F, IfCallback<F> = 0>
   EventId schedule_daemon_now(F&& cb) {
-    return schedule_impl(now_, std::forward<F>(cb), /*daemon=*/true);
+    return schedule_impl(now_, std::forward<F>(cb), /*daemon=*/true,
+                         next_seq_++);
   }
+
+  /// Schedule a keyed delivery at `t`, which must lie after `now()`. Among
+  /// the events of one instant, keyed deliveries run first, in `key` order,
+  /// and all other events after them in scheduling order. `key` must be
+  /// below `kLocalSeqBase` and unique among the deliveries pending for `t`.
+  /// The sharded core schedules every `post` this way, so that deliveries
+  /// tied at an instant run in an order no shard mapping can change.
+  template <typename F, IfCallback<F> = 0>
+  EventId schedule_delivery(SimTime t, std::uint64_t key, F&& cb) {
+    return schedule_impl(t, std::forward<F>(cb), /*daemon=*/false, key);
+  }
+  /// Sequence numbers of ordinary events start here; delivery keys lie
+  /// below, so they sort first among equal timestamps.
+  static constexpr std::uint64_t kLocalSeqBase = std::uint64_t{1} << 63;
 
   /// Cancel a pending event. Returns false if it already ran or was cancelled.
   bool cancel(EventId id);
@@ -183,18 +203,21 @@ class alignas(64) Simulator {
     std::uint32_t slot;
   };
 
+  /// `seq` orders the event among those of its instant: the next ordinary
+  /// sequence number, or a delivery key.
   template <typename F>
-  EventId schedule_impl(SimTime t, F&& cb, bool daemon) {
+  EventId schedule_impl(SimTime t, F&& cb, bool daemon, std::uint64_t seq) {
     // Take the slot off the free list only once the callable is built in
     // it, so a throwing constructor leaks nothing.
     if (free_.empty()) grow_slots();
     const std::uint32_t slot = free_.back();
     slots_[slot].cb.emplace(std::forward<F>(cb));
     free_.pop_back();
-    return enqueue(slot, t, daemon);
+    return enqueue(slot, t, daemon, seq);
   }
   /// Queue a slot whose callback is already in place.
-  EventId enqueue(std::uint32_t slot, SimTime t, bool daemon);
+  EventId enqueue(std::uint32_t slot, SimTime t, bool daemon,
+                  std::uint64_t seq);
   /// Append one empty slot to the slab and free list.
   void grow_slots();
   /// Dispatch the earliest event. `bounded` restricts dispatch to events at
@@ -242,7 +265,7 @@ class alignas(64) Simulator {
   void skim_tombstones();
 
   SimTime now_ = 0.0;
-  std::uint64_t next_seq_ = 1;
+  std::uint64_t next_seq_ = kLocalSeqBase;
   std::uint64_t dispatched_ = 0;
   std::size_t pending_ = 0;
   std::size_t regular_pending_ = 0;

@@ -65,7 +65,8 @@ struct GroupRelay {
     Group& g = st->groups[group];
     ++g.relays_done;  // feeds the shard's outbound promise (sync modes)
     const double t = g.sim->now() + cross_latency_secs(u.logical_bytes);
-    st->sharded->post(g.shard, st->groups[0].shard, t,
+    st->sharded->post(g.shard, st->groups[0].shard,
+                      static_cast<std::uint32_t>(group), t,
                       TopInject{st, std::move(u)});
   }
 };
@@ -396,7 +397,9 @@ void on_version(CampaignState& st, fl::ModelUpdate u) {
   for (std::size_t gi = 0; gi < st.groups.size(); ++gi) {
     const double t =
         now + cross_latency_secs(st.cfg->model_bytes);
-    st.sharded->post(st.groups[0].shard, st.groups[gi].shard, t,
+    // The top posts in its own lane, after the groups' lanes.
+    st.sharded->post(st.groups[0].shard, st.groups[gi].shard,
+                     static_cast<std::uint32_t>(st.groups.size()), t,
                      VersionApply{&st, gi, st.async_version});
   }
 }
@@ -986,7 +989,8 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
           // top's own event order (shard-count invariant).
           Group& g = st.groups[gi];
           const double t = g.sim->now() + cross_latency_secs(0);
-          st.sharded->post(g.shard, st.groups[0].shard, t,
+          st.sharded->post(g.shard, st.groups[0].shard,
+                           static_cast<std::uint32_t>(gi), t,
                            TopShrink{&st, abandoned});
         };
       }

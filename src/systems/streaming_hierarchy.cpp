@@ -167,6 +167,7 @@ bool StreamingHierarchy::activate_leaf() {
     s = slots_.back().get();
     s->idx = slots_.size() - 1;
   }
+  seal_floors_.reserve(slots_.size());  // relay_emit_floor never allocates
   s->batch = b;
   s->middle = assign_parent(b);
   s->retiring = false;
@@ -354,7 +355,8 @@ double StreamingHierarchy::relay_emit_floor() const {
   if (!cfg_.async || faulty || !middles_.empty() || !relay_) return 0.0;
   // Units the relay holds (folded, mid-step, queued) or has in transit:
   // everything the leaves sent up minus what it already forwarded.
-  if (sent_up_ - forwarded_ >= relay_->config().goal) return 0.0;
+  const std::uint64_t held = sent_up_ - forwarded_;
+  if (held >= relay_->config().goal) return 0.0;
   sim::Cluster& cluster = plane_.cluster();
   const double now = cluster.sim().now();
   const double cpu_hz = cluster.node(cfg_.node).config().cpu_hz;
@@ -366,15 +368,48 @@ double StreamingHierarchy::relay_emit_floor() const {
   const double leaf_step = fl::AggregatorRuntime::agg_cycles(0) / cpu_hz;
   const double relay_step =
       fl::AggregatorRuntime::agg_cycles(cfg_.result_bytes) / cpu_hz;
-  double seal = next_tick_;
+  seal_floors_.clear();
   for (const auto& s : slots_) {
     if (!s->rt) continue;
     const std::uint32_t goal = s->rt->config().goal;
     const std::uint32_t done = s->rt->aggregated();
     const double left = goal > done + 1 ? goal - done - 1 : 0;
-    seal = std::min({seal, s->deadline_at, now + left * leaf_step});
+    seal_floors_.emplace_back(std::min(s->deadline_at, now + left * leaf_step),
+                              goal);
   }
-  return seal + relay_step;
+  std::sort(seal_floors_.begin(), seal_floors_.end());
+  // The flush needs `deficit` more units, and units reach the relay only in
+  // leaf seals. Until the next tick the live leaves are the only sealers (a
+  // re-plan is what activates or retires leaves). Leaf s seals first no
+  // earlier than its floor f_s, carrying at most its goal; it then re-arms
+  // and seals only units it folds afterwards, one fold (>= leaf_step) at a
+  // time. So by time T the leaves have sent up at most
+  //   sum over f_s <= T of goal_s + (T - f_s) / leaf_step
+  // units (the fractional term over-counts, which only moves the floor
+  // earlier). Scanning the floors in order, the first T at which that sum
+  // reaches the deficit is the earliest the flush's last unit can leave a
+  // leaf; with a deficit of at most the earliest leaf's goal it is that
+  // leaf's floor — the single-seal bound.
+  const double deficit = static_cast<double>(relay_->config().goal - held);
+  double carried = 0.0;  // goals of the leaves whose first seal is <= T
+  double floors = 0.0;   // sum of their first-seal floors
+  double reach = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < seal_floors_.size(); ++i) {
+    const auto [at, goal] = seal_floors_[i];
+    carried += goal;
+    floors += at;
+    const double sealers = static_cast<double>(i + 1);
+    if (carried + (sealers * at - floors) / leaf_step >= deficit) {
+      reach = at;
+      break;
+    }
+    const double t = ((deficit - carried) * leaf_step + floors) / sealers;
+    if (i + 1 == seal_floors_.size() || t < seal_floors_[i + 1].first) {
+      reach = t;
+      break;
+    }
+  }
+  return std::min(next_tick_, reach) + relay_step;
 }
 
 bool StreamingHierarchy::sampler_tick() {

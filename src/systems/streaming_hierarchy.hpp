@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/control/campaign_planner.hpp"
@@ -226,15 +227,20 @@ class alignas(64) StreamingHierarchy {
   /// (`on_relay_result`) in an async stream — the *emission floor* a
   /// sharded campaign builds its outbound promises from. Partial aggregates
   /// move upward only at seal events, so when the units the relay holds or
-  /// has in transit cannot meet its goal, its next flush waits on a new
-  /// leaf seal, which cannot happen before the earliest of the next re-plan
-  /// tick, any live leaf's armed deadline, or the time a live leaf needs to
-  /// fold the rest of its goal (a retiring leaf's goal is what it had
-  /// accepted); one relay Agg step follows. +inf once the stream is
-  /// forwarded; 0 (no bound) when the relay may flush from what it already
-  /// has, outside async streams, and under faults (a crashed leaf re-folds
-  /// through the pool). Re-plans forced through `apply_leaf_target` outside
-  /// the tick are not covered. A pure read of group-local state.
+  /// has in transit cannot meet its goal, its next flush waits on as many
+  /// leaf seals as it takes to carry the missing units. A live leaf's first
+  /// seal comes no earlier than the earlier of its armed deadline and the
+  /// time it needs to fold the rest of its goal, and carries at most that
+  /// goal (a retiring leaf's goal is what it had accepted); after it the
+  /// leaf adds at most one unit per fold. The floor is the earliest time
+  /// those seals can carry the deficit, capped at the next re-plan tick (a
+  /// re-plan changes the leaf set), plus one relay Agg step. +inf once the
+  /// stream is forwarded; 0 (no bound) when the relay may flush from what
+  /// it already has, outside async streams, with middles, and under faults
+  /// (a crashed leaf re-folds through the pool). Re-plans forced through
+  /// `apply_leaf_target` outside the tick are not covered. Reads only
+  /// group-local state; allocates nothing (it sorts into a member buffer
+  /// sized when leaves activate).
   double relay_emit_floor() const;
   /// Async: client updates the relay has forwarded upward so far.
   std::uint64_t forwarded() const noexcept { return forwarded_; }
@@ -348,6 +354,11 @@ class alignas(64) StreamingHierarchy {
   std::uint64_t sent_up_ = 0;
   /// Fire time of the next re-plan tick (+inf: no re-plan pulse).
   sim::SimTime next_tick_ = std::numeric_limits<sim::SimTime>::infinity();
+  /// `relay_emit_floor` working buffer: (first-seal floor, goal) of each
+  /// live leaf. Reserved to the slot count whenever a leaf activates, so
+  /// the floor never allocates; mutable because the floor is a logical
+  /// read.
+  mutable std::vector<std::pair<sim::SimTime, std::uint32_t>> seal_floors_;
   bool sealed_ = false;      ///< the round's batches are fully assigned
   bool relay_done_ = false;
   bool quorum_sealed_ = false;   ///< this round was sealed at quorum

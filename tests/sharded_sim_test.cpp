@@ -8,9 +8,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <functional>
-#include <limits>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -112,7 +110,7 @@ TEST(ShardedSim, CrossShardPostDeliversAtPostedTime) {
   ShardedSimulator sharded(ShardedSimulator::Config{2, 0.5});
   std::vector<double> delivered_at;
   sharded.shard(1).schedule_at(1.0, [&] {
-    sharded.post(1, 0, 2.0, [&] {
+    sharded.post(1, 0, 1, 2.0, [&] {
       delivered_at.push_back(sharded.shard(0).now());
     });
   });
@@ -129,7 +127,7 @@ TEST(ShardedSim, PostClampsToLookahead) {
   double delivered_at = -1.0;
   sharded.shard(1).schedule_at(1.0, [&] {
     // Posted "now": must be pushed out to now + lookahead.
-    sharded.post(1, 0, 1.0, [&] { delivered_at = sharded.shard(0).now(); });
+    sharded.post(1, 0, 1, 1.0, [&] { delivered_at = sharded.shard(0).now(); });
   });
   sharded.shard(0).schedule_at(9.0, [] {});
   sharded.run();
@@ -151,7 +149,7 @@ TEST(ShardedSim, CoordinatorPostIntoReceiversPastIsRejected) {
 
   bool delivered = false;
   try {
-    sharded.post(0, 1, 1.5, [&] { delivered = true; });
+    sharded.post(0, 1, 0, 1.5, [&] { delivered = true; });
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -159,12 +157,12 @@ TEST(ShardedSim, CoordinatorPostIntoReceiversPastIsRejected) {
     EXPECT_NE(what.find("1.000000"), std::string::npos) << what;
   }
   // Exactly at the receiver's clock is its past too (it already ran t=5).
-  EXPECT_THROW(sharded.post(0, 1, 5.0, [] {}), std::invalid_argument);
+  EXPECT_THROW(sharded.post(0, 1, 0, 5.0, [] {}), std::invalid_argument);
   EXPECT_EQ(sharded.cross_posts(), 0u);
 
   // A post beyond the receiver's clock is accepted and delivered on time.
   double delivered_at = -1.0;
-  sharded.post(0, 1, 6.0, [&] { delivered_at = sharded.shard(1).now(); });
+  sharded.post(0, 1, 0, 6.0, [&] { delivered_at = sharded.shard(1).now(); });
   sharded.run();
   EXPECT_FALSE(delivered);
   EXPECT_EQ(delivered_at, 6.0);
@@ -181,9 +179,9 @@ TEST(ShardedSim, CallbackExceptionPropagatesFromThreadedRun) {
   EXPECT_THROW(sharded.run(), std::runtime_error);
 }
 
-// The mailbox ordering property of the ISSUE: cross-shard events must be
-// delivered in timestamp order across window boundaries, with ties broken
-// by (source shard, post order) — never by thread timing.
+// The mailbox ordering property: cross-shard events must be delivered in
+// timestamp order across window boundaries, with ties broken by (lane,
+// post order) — never by thread timing.
 TEST(ShardedSim, MailboxDeliversInTimestampOrderAcrossWindows) {
   const std::size_t kShards = 3;
   const double kLookahead = 0.01;
@@ -213,10 +211,11 @@ TEST(ShardedSim, MailboxDeliversInTimestampOrderAcrossWindows) {
       if (remaining == 0) return;
       const double offset = kLookahead + rng->uniform(0.0, 0.2);
       const double t = sharded.shard(s).now() + offset;
-      sharded.post(s, 0, t, [&sharded, &log, t, s] {
-        log.push_back(Delivery{sharded.shard(0).now(), t,
-                               static_cast<int>(s)});
-      });
+      sharded.post(s, 0, static_cast<std::uint32_t>(s), t,
+                   [&sharded, &log, t, s] {
+                     log.push_back(Delivery{sharded.shard(0).now(), t,
+                                            static_cast<int>(s)});
+                   });
       sharded.shard(s).schedule_after(rng->uniform(0.001, 0.05),
                                       [chain, remaining] {
                                         (*chain)(remaining - 1);
@@ -259,13 +258,10 @@ constexpr std::size_t kChurnGroups = 8;
 
 std::vector<std::vector<ChurnStep>> churn_plans() {
   std::vector<std::vector<ChurnStep>> plans(kChurnGroups);
-  // Same-instant deliveries to one group from *different* sources are
-  // tie-broken by (source shard, post seq) — deterministic for a fixed
-  // shard count but legitimately dependent on the group->shard mapping,
-  // so the boundary-hugging schedule must keep (dst, delivery) unique for
-  // the cross-K bitwise claim to be the protocol's own. A one-ulp nudge
-  // keeps colliding posts on (practically) the boundary.
-  std::set<std::pair<int, double>> taken;
+  // Same-instant deliveries to one group from different sources are
+  // tie-broken by (lane, the lane's post order), and each group posts in
+  // its own lane, so colliding deliveries are part of the schedule: their
+  // order must not depend on the group->shard mapping either.
   for (std::size_t g = 0; g < kChurnGroups; ++g) {
     lifl::sim::Rng rng(1000 + g);
     double t = rng.uniform(0.0, 0.02);
@@ -299,10 +295,6 @@ std::vector<std::vector<ChurnStep>> churn_plans() {
           st.delivery = floor_t + kChurnLookahead * 1e-9;  // one tick inside
         } else {
           st.delivery = floor_t + rng.uniform(0.0, 5.0 * kChurnLookahead);
-        }
-        while (!taken.insert({st.dst, st.delivery}).second) {
-          st.delivery = std::nextafter(
-              st.delivery, std::numeric_limits<double>::infinity());
         }
       }
       plans[g].push_back(st);
@@ -341,11 +333,11 @@ std::vector<std::vector<ChurnDelivery>> churn_run(
         if (st.dst >= 0) {
           const std::size_t dg = static_cast<std::size_t>(st.dst);
           const int id = static_cast<int>(g * 10000 + i);
-          sharded.post(s, shard_of(dg), st.delivery, [&sharded, &logs,
-                                                      &shard_of, dg, id] {
-            logs[dg].push_back(
-                ChurnDelivery{sharded.shard(shard_of(dg)).now(), id});
-          });
+          sharded.post(s, shard_of(dg), static_cast<std::uint32_t>(g),
+                       st.delivery, [&sharded, &logs, &shard_of, dg, id] {
+                         logs[dg].push_back(ChurnDelivery{
+                             sharded.shard(shard_of(dg)).now(), id});
+                       });
         }
       });
     }

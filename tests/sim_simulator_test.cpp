@@ -43,6 +43,23 @@ TEST(Simulator, SameTimestampIsFifo) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
+TEST(Simulator, KeyedDeliveriesRunFirstAtTheirInstantInKeyOrder) {
+  // Deliveries scheduled after ordinary events of the same instant still
+  // run before them, in key order rather than scheduling order, and a
+  // zero-delay follow-up of a delivery runs after everything already due.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(5.0, [&] { order.push_back(3); });
+  sim.schedule_delivery(5.0, 7, [&] { order.push_back(2); });
+  sim.schedule_delivery(5.0, 4, [&] {
+    order.push_back(1);
+    sim.schedule_now([&] { order.push_back(4); });
+  });
+  sim.schedule_delivery(2.0, 9, [&] { order.push_back(0); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
 TEST(Simulator, ScheduleAfterIsRelative) {
   Simulator sim;
   double fired_at = -1;

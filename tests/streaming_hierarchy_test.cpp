@@ -17,6 +17,7 @@
 #include "src/dataplane/config.hpp"
 #include "src/dataplane/dataplane.hpp"
 #include "src/fl/fedavg.hpp"
+#include "src/sim/fault_plan.hpp"
 #include "src/sim/node.hpp"
 #include "src/sim/random.hpp"
 #include "src/sim/simulator.hpp"
@@ -337,6 +338,114 @@ TEST(StreamingHierarchy, EmitFloorHoldsThroughFlushRemainderTail) {
   EXPECT_EQ(w.hier.forwarded(), n);
   EXPECT_LT(w.relay_out.updates_folded, 15u);  // the tail flushed short
   EXPECT_GT(tr.ahead, tr.evaluated / 2);
+}
+
+// ---------------------------------------------------------------------------
+// Floor values on hand-built states: an async stream of 200-update leaves
+// with 50 ms seal deadlines and no arrivals, read at t = 20 ms. Folding the
+// 199 remaining units takes longer than any deadline here, so each leaf's
+// first-seal floor is its armed deadline and the floor is exactly known.
+
+struct FloorSteps {
+  double leaf = 0.0;   ///< the least fold: one Agg step of a zero-byte update
+  double relay = 0.0;  ///< the relay's Agg step over one leaf partial
+};
+
+FloorSteps floor_steps(GroupWorld& w) {
+  const double hz = w.cluster.node(0).config().cpu_hz;
+  return {fl::AggregatorRuntime::agg_cycles(0) / hz,
+          fl::AggregatorRuntime::agg_cycles(small_hier().result_bytes) / hz};
+}
+
+sys::StreamingHierarchy::Config deadline_leaves(std::uint32_t flush) {
+  sys::StreamingHierarchy::Config h = async_hier();
+  h.updates_per_leaf = 200;
+  h.seal_deadline_secs = 0.05;
+  h.flush_updates = flush;
+  return h;
+}
+
+/// Arm the stream with one leaf at t = 0 (deadline 50 ms), optionally grow
+/// a second at t = 10 ms (deadline 60 ms), and return the floor at 20 ms.
+double floor_at_20ms(GroupWorld& w, bool second_leaf) {
+  ctrl::GroupPlan plan;
+  plan.leaves = 1;
+  w.hier.begin_stream(1000, plan);
+  if (second_leaf) {
+    w.sim.schedule_at(0.01, [&w] { w.hier.apply_leaf_target(2); });
+  }
+  w.sim.run_window(0.02);
+  EXPECT_EQ(w.hier.active_leaves(), second_leaf ? 2u : 1u);
+  const FloorSteps st = floor_steps(w);
+  // The count seals lie beyond both deadlines.
+  EXPECT_GT(0.02 + 199 * st.leaf, 0.06);
+  return w.hier.relay_emit_floor();
+}
+
+TEST(StreamingHierarchy, EmitFloorIsTheSingleSealFloorWhenOneSealSuffices) {
+  // A deficit of at most one leaf's goal: the earliest seal can carry it.
+  for (const std::uint32_t flush : {150u, 200u}) {
+    GroupWorld w(small_planner(), deadline_leaves(flush));
+    const double floor = floor_at_20ms(w, /*second_leaf=*/true);
+    EXPECT_DOUBLE_EQ(floor, 0.05 + floor_steps(w).relay) << "flush " << flush;
+  }
+}
+
+TEST(StreamingHierarchy, EmitFloorWaitsForTheSecondSealBeyondOneBatch) {
+  // 300 units: the first leaf's 200 at 50 ms plus one unit per fold after
+  // it (100 folds, far past 60 ms) cannot beat the second leaf's seal.
+  GroupWorld w(small_planner(), deadline_leaves(300));
+  const double floor = floor_at_20ms(w, /*second_leaf=*/true);
+  EXPECT_DOUBLE_EQ(floor, 0.01 + 0.05 + floor_steps(w).relay);
+}
+
+TEST(StreamingHierarchy, EmitFloorCountsFoldsAfterALeafsFirstSeal) {
+  // One leaf, 220 units: its seal at 50 ms carries 200, and the remaining
+  // 20 need 20 more folds of the re-armed leaf.
+  GroupWorld w(small_planner(), deadline_leaves(220));
+  const double floor = floor_at_20ms(w, /*second_leaf=*/false);
+  const FloorSteps st = floor_steps(w);
+  EXPECT_DOUBLE_EQ(floor, 0.05 + 20 * st.leaf + st.relay);
+}
+
+TEST(StreamingHierarchy, EmitFloorGuards) {
+  // Stream over (here: nothing to stream): no emission ever follows.
+  {
+    GroupWorld w(small_planner(), deadline_leaves(300));
+    w.hier.begin_stream(0, ctrl::GroupPlan{});
+    EXPECT_EQ(w.hier.relay_emit_floor(),
+              std::numeric_limits<double>::infinity());
+  }
+  // A middle level adds a hop the floor does not model.
+  {
+    GroupWorld w(small_planner(), deadline_leaves(300));
+    ctrl::GroupPlan plan;
+    plan.leaves = 2;
+    plan.middles = 2;
+    w.hier.begin_round(1, 1000, plan);
+    EXPECT_EQ(w.hier.relay_emit_floor(), 0.0);
+  }
+  // Under faults a crashed leaf re-folds through the pool.
+  {
+    sim::FaultPlan::Config fc;
+    fc.upload_drop_rate = 0.1;
+    const sim::FaultPlan faults(fc);
+    sys::StreamingHierarchy::Config h = deadline_leaves(300);
+    h.faults = &faults;
+    GroupWorld w(small_planner(), h);
+    ctrl::GroupPlan plan;
+    plan.leaves = 2;
+    w.hier.begin_stream(1000, plan);
+    EXPECT_EQ(w.hier.relay_emit_floor(), 0.0);
+  }
+  // Outside async streams.
+  {
+    GroupWorld w(small_planner(), small_hier());
+    ctrl::GroupPlan plan;
+    plan.leaves = 2;
+    w.hier.begin_round(1, 100, plan);
+    EXPECT_EQ(w.hier.relay_emit_floor(), 0.0);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -112,7 +112,8 @@ void arm(ShardedSimulator& sharded, std::vector<ShardPlan>& plans,
             if (st.dst >= 0) {
               const int id = static_cast<int>(s * 1000 + i);
               sharded.post(
-                  s, static_cast<std::size_t>(st.dst), st.delivery,
+                  s, static_cast<std::size_t>(st.dst),
+                  static_cast<std::uint32_t>(s), st.delivery,
                   [&sharded, logs, st, id] {
                     (*logs)[static_cast<std::size_t>(st.dst)].push_back(
                         Delivery{sharded.shard(st.dst).now(), st.delivery,

@@ -4,17 +4,22 @@
 // edge-client async cell, x shards {1,2,4}) is checked bitwise against the
 // 1-shard oracle, and checkpointed runs at K > 1 must emit the 1-shard
 // run's checkpoint cut sequence, match it bitwise up to the per-shard
-// snapshot marshal cost, and resume bitwise from a middle blob.
+// snapshot marshal cost, and resume bitwise from a middle blob. Twenty
+// async configs sampled from a fixed seed extend the bitwise check past
+// the matrix's hand-picked shapes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <initializer_list>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/control/selection.hpp"
 #include "src/fl/checkpoint.hpp"
+#include "src/sim/random.hpp"
 #include "src/systems/sharded_campaign.hpp"
 #include "src/workload/device_tier.hpp"
 
@@ -263,6 +268,9 @@ TEST(SyncEquivalence, AsyncSealFloorsOpenATenthOfConservativeWindows) {
   const auto promised = sys::run_sharded_campaign(campaign(4));
   expect_bitwise(oracle, promised, "seal regime");
   EXPECT_LE(promised.windows * 10, kPromiseFreeWindowsSealRegime);
+  // Window counts are deterministic, so pin this one exactly: a floor that
+  // loosens, or any barrier the floors stop skipping, changes it.
+  EXPECT_EQ(promised.windows, 675u);
 }
 
 // ---------------------------------------------------------------------------
@@ -348,6 +356,80 @@ TEST(SyncEquivalence, CheckpointCutsMatchOneShardAndResume) {
       rcfg.resume_blob = &blobs[blobs.size() / 2];
       const auto resumed = sys::run_sharded_campaign(rcfg);
       expect_bitwise(multi, resumed, label + " resume from mid-campaign blob");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Sampled async shapes. The matrix pins a handful of configs; this draws
+// twenty more from a fixed seed, over shapes it does not cover: group
+// counts that are no multiple of the shard count, one-update leaves, fixed
+// and adaptive seal deadlines, stragglers, and the tier and lifecycle
+// layers on and off. Each must run at every shard count without an unsound
+// promise (a post below one throws `std::logic_error`) and bitwise equal to
+// its 1-shard run.
+
+sys::ShardedCampaignConfig sampled_async_campaign(lifl::sim::Rng& rng) {
+  const auto pick = [&rng](std::initializer_list<double> xs) {
+    return *(xs.begin() + rng.uniform_index(xs.size()));
+  };
+  const auto coin = [&rng] { return rng.uniform() < 0.5; };
+  sys::ShardedCampaignConfig cfg;
+  cfg.hierarchy = sys::HierarchyMode::kAsync;
+  cfg.groups = static_cast<std::size_t>(pick({2, 3, 4, 5, 6, 7}));
+  cfg.rounds = static_cast<std::size_t>(pick({2, 3}));
+  cfg.leaves_per_group = static_cast<std::size_t>(pick({2, 4, 8}));
+  cfg.updates_per_leaf = static_cast<std::uint32_t>(pick({1, 3, 10, 25}));
+  cfg.middle_fanin = static_cast<std::uint32_t>(pick({1, 2, 4}));
+  cfg.model_bytes = static_cast<std::size_t>(pick({2'000, 50'000}));
+  cfg.population = 20'000;
+  cfg.peak_per_sec = pick({100.0, 300.0, 800.0});
+  cfg.ramp_secs = pick({0.2, 1.0});
+  cfg.diurnal_amplitude = pick({0.0, 0.4});
+  cfg.diurnal_period_secs = 4.0;
+  cfg.seed = rng.next_u64();
+  cfg.replan_interval_secs = pick({0.0, 0.25, 0.5});
+  cfg.async_deadline_secs = pick({0.0, 0.05, 0.2, 1.0});
+  cfg.async_adaptive_deadline = cfg.async_deadline_secs > 0.0 &&
+                                cfg.replan_interval_secs > 0.0 && coin();
+  cfg.async_auto_quota = coin();
+  if (coin()) {
+    cfg.straggler_fraction = pick({0.1, 0.3});
+    cfg.straggler_delay_secs = pick({0.3, 2.0});
+  }
+  if (coin()) {
+    cfg.device_tiers = wl::TierMix{0.4, 0.3, 0.3};
+    if (coin()) cfg.selector = lifl::ctrl::SelectorPolicy::kScored;
+  }
+  if (coin()) {
+    cfg.lifecycle.disconnect_rate = 0.2;
+    cfg.lifecycle.chunk_bytes = 10'000;
+    cfg.lifecycle.offline_base_secs = 0.05;
+    cfg.lifecycle.offline_cap_secs = 1.0;
+  }
+  return cfg;
+}
+
+TEST(SyncEquivalence, SampledAsyncConfigsBitwiseAcrossShards) {
+  lifl::sim::Rng rng(20261018);
+  for (int i = 0; i < 20; ++i) {
+    sys::ShardedCampaignConfig cfg = sampled_async_campaign(rng);
+    const std::string label =
+        "sample " + std::to_string(i) + " (groups=" +
+        std::to_string(cfg.groups) + " leaf=" +
+        std::to_string(cfg.updates_per_leaf) + " deadline=" +
+        std::to_string(cfg.async_deadline_secs) +
+        (cfg.async_adaptive_deadline ? " adaptive" : "") + ")";
+    cfg.shards = 1;
+    const auto oracle = sys::run_sharded_campaign(cfg);
+    for (const std::size_t shards : {2u, 4u}) {
+      cfg.shards = shards;
+      try {
+        const auto r = sys::run_sharded_campaign(cfg);
+        expect_bitwise(oracle, r, label + " K=" + std::to_string(shards));
+      } catch (const std::logic_error& e) {
+        ADD_FAILURE() << label << " K=" << shards << ": " << e.what();
+      }
     }
   }
 }
