@@ -67,12 +67,14 @@
 //               ./build/examples/mega_campaign --selector=scored  # tiers
 //               ./build/examples/mega_campaign --disconnect-rate=0.2
 
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
+#include "src/systems/campaign_config.hpp"
 #include "src/systems/sharded_campaign.hpp"
 #include "src/systems/table.hpp"
 
@@ -123,21 +125,6 @@ bool flag(const char* arg, const char* prefix, const char** value) {
   if (std::strncmp(arg, prefix, n) != 0) return false;
   *value = arg + n;
   return true;
-}
-
-/// Parse all of `s` as a finite double.
-bool to_double(const char* s, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(s, &end);
-  return end != s && *end == '\0' && std::isfinite(*out);
-}
-
-/// Parse all of `s` as an unsigned integer.
-template <typename T>
-bool to_uint(const char* s, T* out) {
-  char* end = nullptr;
-  *out = static_cast<T>(std::strtoull(s, &end, 10));
-  return end != s && *end == '\0';
 }
 
 /// Print the per-round table and the campaign summary lines.
@@ -264,70 +251,24 @@ int main(int argc, char** argv) {
   sys::ShardedCampaignConfig cfg = mega_campaign_config();
   bool hierarchy_flag = false;
   bool fault_flag = false;
-  double leaf_crash_rate = 0.1;
+  bool leaf_crash_flag = false;
   std::string trace;
   std::string metrics;
   const auto usage = [&argv] {
     std::fprintf(stderr,
-                 "usage: %s [population >= 1000] [--shards=K] "
-                 "[--hierarchy=fixed|planned|async] [--replan-interval=SECS] "
-                 "[--reuse=0|1] [--checkpoint=PATH] [--resume=PATH] "
-                 "[--checkpoint-every=SECS] [--async-deadline=SECS] "
-                 "[--stragglers=FRACTION] [--straggler-delay=SECS] "
-                 "[--fault-plan=SEED] [--leaf-crash-rate=F] [--quorum=F] "
-                 "[--device-tiers=F,M,I] [--disconnect-rate=F] "
-                 "[--selector=random|scored|cluster] [--trace=FILE.json] "
-                 "[--metrics=FILE.jsonl] [--trace-ring-kb=N]\n",
-                 argv[0]);
+                 "usage: %s [population >= 1000] %s "
+                 "[--checkpoint-every=SECS] [--device-tiers=F,M,I] "
+                 "[--trace=FILE.json] [--metrics=FILE.jsonl]\n",
+                 argv[0], sys::campaign_flag_usage().c_str());
     return 2;
   };
   for (int a = 1; a < argc; ++a) {
     const char* arg = argv[a];
     const char* v = nullptr;
     bool ok = true;
-    if (flag(arg, "--shards=", &v)) {
-      ok = to_uint(v, &cfg.shards) && cfg.shards > 0;
-    } else if (flag(arg, "--hierarchy=", &v)) {
-      hierarchy_flag = true;
-      if (std::strcmp(v, "planned") == 0) {
-        cfg.hierarchy = sys::HierarchyMode::kPlanned;
-      } else if (std::strcmp(v, "fixed") == 0) {
-        cfg.hierarchy = sys::HierarchyMode::kFixed;
-      } else if (std::strcmp(v, "async") == 0) {
-        cfg.hierarchy = sys::HierarchyMode::kAsync;
-      } else {
-        ok = false;
-      }
-    } else if (flag(arg, "--async-deadline=", &v)) {
-      ok = to_double(v, &cfg.async_deadline_secs) &&
-           cfg.async_deadline_secs >= 0.0;
-    } else if (flag(arg, "--stragglers=", &v)) {
-      ok = to_double(v, &cfg.straggler_fraction) &&
-           cfg.straggler_fraction >= 0.0 && cfg.straggler_fraction <= 1.0;
-    } else if (flag(arg, "--straggler-delay=", &v)) {
-      ok = to_double(v, &cfg.straggler_delay_secs) &&
-           cfg.straggler_delay_secs >= 0.0;
-    } else if (flag(arg, "--replan-interval=", &v)) {
-      ok = to_double(v, &cfg.replan_interval_secs) &&
-           cfg.replan_interval_secs >= 0.0;
-    } else if (flag(arg, "--checkpoint-every=", &v)) {
-      ok = to_double(v, &cfg.checkpoint_every_secs) &&
+    if (flag(arg, "--checkpoint-every=", &v)) {
+      ok = sys::parse_finite(v, cfg.checkpoint_every_secs) &&
            cfg.checkpoint_every_secs > 0.0;
-    } else if (flag(arg, "--checkpoint=", &v)) {
-      cfg.checkpoint_path = v;
-      ok = !cfg.checkpoint_path.empty();
-    } else if (flag(arg, "--resume=", &v)) {
-      cfg.resume_path = v;
-      ok = !cfg.resume_path.empty();
-    } else if (flag(arg, "--fault-plan=", &v)) {
-      ok = to_uint(v, &cfg.fault.seed);
-      fault_flag = true;
-    } else if (flag(arg, "--leaf-crash-rate=", &v)) {
-      ok = to_double(v, &leaf_crash_rate) && leaf_crash_rate >= 0.0 &&
-           leaf_crash_rate <= 1.0;
-      fault_flag = true;
-    } else if (flag(arg, "--quorum=", &v)) {
-      ok = to_double(v, &cfg.quorum) && cfg.quorum > 0.0 && cfg.quorum <= 1.0;
     } else if (flag(arg, "--device-tiers=", &v)) {
       char* end = nullptr;
       cfg.device_tiers.flagship = std::strtod(v, &end);
@@ -342,25 +283,22 @@ int main(int argc, char** argv) {
         cfg.device_tiers.iot = std::strtod(v, &end);
         ok = end != v && *end == '\0' && cfg.device_tiers.enabled();
       }
-    } else if (flag(arg, "--disconnect-rate=", &v)) {
-      ok = to_double(v, &cfg.lifecycle.disconnect_rate) &&
-           cfg.lifecycle.disconnect_rate >= 0.0 &&
-           cfg.lifecycle.disconnect_rate < 1.0;
-    } else if (flag(arg, "--selector=", &v)) {
-      ok = ctrl::parse_selector_policy(v, cfg.selector);
     } else if (flag(arg, "--trace=", &v)) {
       trace = v;
       ok = !trace.empty();
     } else if (flag(arg, "--metrics=", &v)) {
       metrics = v;
       ok = !metrics.empty();
-    } else if (flag(arg, "--trace-ring-kb=", &v)) {
-      ok = to_uint(v, &cfg.obs.trace_ring_kb) && cfg.obs.trace_ring_kb > 0;
-    } else if (flag(arg, "--reuse=", &v)) {
-      ok = std::strcmp(v, "0") == 0 || std::strcmp(v, "1") == 0;
-      cfg.reuse = std::strcmp(v, "0") != 0;
+    } else if (flag(arg, "--", &v)) {
+      // Every other flag sets one config field through its table row.
+      ok = sys::parse_campaign_flag(arg, cfg);
+      hierarchy_flag |= flag(arg, "--hierarchy=", &v);
+      leaf_crash_flag |= flag(arg, "--leaf-crash-rate=", &v);
+      fault_flag |= leaf_crash_flag || flag(arg, "--fault-plan=", &v);
     } else {
-      ok = to_uint(arg, &cfg.population) && cfg.population >= 1000;
+      std::uint64_t population = 0;
+      ok = sys::parse_unsigned(arg, population) && population >= 1000;
+      cfg.population = population;
       // Keep the hierarchy shape; scale the per-round fan-in to the slice.
       while (cfg.uploads_per_round() * cfg.rounds > cfg.population &&
              cfg.leaves_per_group > 1) {
@@ -375,7 +313,7 @@ int main(int argc, char** argv) {
       cfg.checkpoint_every_secs <= 0.0) {
     cfg.checkpoint_every_secs = 20.0;
   }
-  if (fault_flag) cfg.fault.leaf_crash_rate = leaf_crash_rate;
+  if (fault_flag && !leaf_crash_flag) cfg.fault.leaf_crash_rate = 0.1;
   if (cfg.quorum < 1.0) cfg.round_deadline_secs = 60.0;
   // Faults require an orchestrated hierarchy (leases live in the group
   // pool) and quorum sealing is a planned-mode feature; default to planned
@@ -395,6 +333,15 @@ int main(int argc, char** argv) {
   }
   cfg.obs.trace = !trace.empty();
   cfg.obs.metrics = !metrics.empty();
+  // Flags that are each in range can still combine into a config the
+  // campaign rejects (tier shares that miss 1, quorum outside planned
+  // mode, faults on the fixed hierarchy).
+  try {
+    sys::validate_config(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return usage();
+  }
 
   const bool is_async = cfg.hierarchy == sys::HierarchyMode::kAsync;
   const bool planned = cfg.hierarchy == sys::HierarchyMode::kPlanned;

@@ -70,6 +70,15 @@ class SelectionStrategy {
     double straggler_factor = 2.5;
   };
 
+/// Field-table rows (src/systems/campaign_config.hpp).
+#define LIFL_SELECTION_FIELDS(X)              \
+  X(seed, nullptr, kAny, true)                \
+  X(alpha, nullptr, kUnit, true)              \
+  X(score_gamma, nullptr, kNonNeg, true)      \
+  X(exclude_below, nullptr, kUnitOpen, true)  \
+  X(scan_weight, nullptr, kNonNeg, true)      \
+  X(straggler_factor, nullptr, kAbove1, true)
+
   /// Snapshot of the learned state (per-tier scores).
   struct State {
     std::array<TierScore, wl::kTierCount> scores{};

@@ -22,6 +22,12 @@ struct Config {
   bool enabled() const { return trace || metrics; }
 };
 
+/// Field-table rows (src/systems/campaign_config.hpp).
+#define LIFL_OBS_FIELDS(X)                         \
+  X(trace, nullptr, kAny, false)                   \
+  X(metrics, nullptr, kAny, false)                 \
+  X(trace_ring_kb, "trace-ring-kb=N", kPos, false)
+
 /// Every histogram the campaign stack emits, interned once at setup.
 struct Ids {
   HistId round_secs;                      // campaign slot

@@ -79,6 +79,22 @@ class FaultPlan {
     }
   };
 
+/// Field-table rows (src/systems/campaign_config.hpp).
+#define LIFL_FAULT_PLAN_FIELDS(X)                      \
+  X(seed, "fault-plan=SEED", kAny, true)               \
+  X(leaf_crash_rate, "leaf-crash-rate=F", kUnit, true) \
+  X(middle_crash_rate, nullptr, kUnit, true)           \
+  X(top_crash_rate, nullptr, kUnit, true)              \
+  X(upload_drop_rate, nullptr, kUnitOpen, true)        \
+  X(upload_corrupt_rate, nullptr, kUnitOpen, true)     \
+  X(outage_rate, nullptr, kUnit, true)                 \
+  X(outage_secs, nullptr, kAny, true)                  \
+  X(outage_start_max_secs, nullptr, kAny, true)        \
+  X(gateway_overflow_depth, nullptr, kAny, true)       \
+  X(retry_base_secs, nullptr, kAny, true)              \
+  X(retry_cap_secs, nullptr, kAny, true)               \
+  X(retry_jitter, nullptr, kAny, true)
+
   FaultPlan() = default;
   explicit FaultPlan(Config cfg) : cfg_(cfg) {}
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -14,6 +15,7 @@
 
 #include "src/sim/cpu_accounting.hpp"
 #include "src/sim/snapshot.hpp"
+#include "src/systems/campaign_config.hpp"
 
 namespace lifl::sys {
 
@@ -110,73 +112,14 @@ void load_tier_counts(sim::Deserializer& d,
 std::uint64_t CampaignCheckpoint::config_digest(
     const ShardedCampaignConfig& cfg) {
   Digest d;
-  d.mix(static_cast<std::uint64_t>(cfg.shards));
-  d.mix(static_cast<std::uint64_t>(cfg.groups));
-  d.mix(static_cast<std::uint64_t>(cfg.rounds));
-  d.mix(static_cast<std::uint64_t>(cfg.updates_per_leaf));
-  d.mix(static_cast<std::uint64_t>(cfg.leaves_per_group));
-  d.mix(static_cast<std::uint64_t>(cfg.model_bytes));
-  d.mix(static_cast<std::uint64_t>(cfg.population));
-  d.mix(cfg.peak_per_sec);
-  d.mix(cfg.ramp_secs);
-  d.mix(cfg.diurnal_amplitude);
-  d.mix(cfg.diurnal_period_secs);
-  d.mix(cfg.seed);
-  d.mix(static_cast<std::uint64_t>(cfg.timing));
-  d.mix(static_cast<std::uint64_t>(cfg.gateway_cores));
-  d.mix(static_cast<std::uint64_t>(cfg.gateway_queues));
-  d.mix(static_cast<std::uint64_t>(cfg.hierarchy));
-  d.mix(static_cast<std::uint64_t>(cfg.reuse));
-  d.mix(cfg.replan_interval_secs);
-  d.mix(static_cast<std::uint64_t>(cfg.middle_fanin));
-  d.mix(cfg.async_deadline_secs);
-  d.mix(cfg.straggler_fraction);
-  d.mix(cfg.straggler_delay_secs);
-  // The fault schedule and degradation knobs shape every event time, so a
-  // blob only replays under the identical plan.
-  d.mix(cfg.fault.seed);
-  d.mix(cfg.fault.leaf_crash_rate);
-  d.mix(cfg.fault.middle_crash_rate);
-  d.mix(cfg.fault.top_crash_rate);
-  d.mix(cfg.fault.upload_drop_rate);
-  d.mix(cfg.fault.upload_corrupt_rate);
-  d.mix(cfg.fault.outage_rate);
-  d.mix(cfg.fault.outage_secs);
-  d.mix(cfg.fault.outage_start_max_secs);
-  d.mix(static_cast<std::uint64_t>(cfg.fault.gateway_overflow_depth));
-  d.mix(cfg.fault.retry_base_secs);
-  d.mix(cfg.fault.retry_cap_secs);
-  d.mix(cfg.fault.retry_jitter);
-  d.mix(cfg.quorum);
-  d.mix(cfg.round_deadline_secs);
-  d.mix(static_cast<std::uint64_t>(cfg.async_adaptive_deadline));
-  // The mark grid shapes simulated time, so a blob only resumes under the
-  // identical checkpointing regime.
-  d.mix(cfg.checkpoint_every_secs);
-  // v4: tier mix, client-lifecycle plan, selector policy and auto-quota all
-  // shape selection draws and session event times.
-  d.mix(cfg.device_tiers.flagship);
-  d.mix(cfg.device_tiers.mid);
-  d.mix(cfg.device_tiers.iot);
-  d.mix(cfg.lifecycle.seed);
-  d.mix(cfg.lifecycle.disconnect_rate);
-  d.mix(static_cast<std::uint64_t>(cfg.lifecycle.chunk_bytes));
-  d.mix(static_cast<std::uint64_t>(cfg.lifecycle.offline_queue_cap));
-  d.mix(cfg.lifecycle.offline_base_secs);
-  d.mix(cfg.lifecycle.offline_cap_secs);
-  d.mix(cfg.lifecycle.offline_jitter);
-  d.mix(static_cast<std::uint64_t>(cfg.lifecycle.session_gates));
-  d.mix(cfg.lifecycle.connect_period_secs);
-  d.mix(cfg.lifecycle.charge_period_secs);
-  d.mix(static_cast<std::uint64_t>(cfg.selector));
-  d.mix(cfg.selection.seed);
-  d.mix(cfg.selection.alpha);
-  d.mix(cfg.selection.score_gamma);
-  d.mix(cfg.selection.exclude_below);
-  d.mix(cfg.selection.scan_weight);
-  d.mix(cfg.selection.straggler_factor);
-  d.mix(static_cast<std::uint64_t>(cfg.async_auto_quota));
-  d.mix(static_cast<std::uint64_t>(cfg.async_min_quota));
+  for_each_field(cfg, [&d](const Field& f, const auto& m) {
+    using M = std::decay_t<decltype(m)>;
+    if constexpr (std::is_floating_point_v<M>) {
+      if (f.digest) d.mix(m);
+    } else if constexpr (std::is_integral_v<M> || std::is_enum_v<M>) {
+      if (f.digest) d.mix(static_cast<std::uint64_t>(m));
+    }
+  });
   return d.h;
 }
 

@@ -75,9 +75,10 @@ void write_campaign_metrics_jsonl(const ShardedCampaignResult& result,
                  result.shard_idle_secs[s]);
   }
 
-  // Summary row: every campaign count once, under its result field name,
-  // then ring accounting when the run was traced and the registry's
-  // histograms when it was metered.
+  // Summary row: every deterministic campaign count once, under its result
+  // field name (the process-local checkpoints_written / checkpoint_bytes
+  // stay out, like wall time), then ring accounting when the run was
+  // traced and the registry's histograms when it was metered.
   const std::pair<const char*, std::uint64_t> counts[] = {
       {"rounds", result.round_started_at.size()},
       {"events", result.events},
@@ -88,14 +89,29 @@ void write_campaign_metrics_jsonl(const ShardedCampaignResult& result,
       {"reused_total", result.reused_total},
       {"replans", result.replans},
       {"leaf_drains", result.leaf_drains},
+      {"peak_leaves", result.peak_leaves},
+      {"checkpoint_marks", result.checkpoint_marks},
+      {"faults_injected", result.faults_injected},
       {"leaf_crashes", result.leaf_crashes},
       {"middle_crashes", result.middle_crashes},
+      {"top_crashes", result.top_crashes},
       {"refolded_updates", result.refolded_updates},
-      {"quorum_seals", result.quorum_seals},
+      {"reinjected_partials", result.reinjected_partials},
       {"upload_retries", result.upload_retries},
+      {"upload_drops", result.upload_drops},
+      {"upload_corruptions", result.upload_corruptions},
+      {"overflow_rejects", result.overflow_rejects},
+      {"outage_rejects", result.outage_rejects},
+      {"quorum_seals", result.quorum_seals},
+      {"quorum_abandoned", result.quorum_abandoned},
       {"disconnects", result.disconnects},
       {"resumed_uploads", result.resumed_uploads},
-      {"checkpoint_marks", result.checkpoint_marks},
+      {"chunks_sent", result.chunks_sent},
+      {"chunks_resent", result.chunks_resent},
+      {"selection_redraws", result.selection_redraws},
+      {"offline_queue_peak", result.offline_queue_peak},
+      {"quota_adjustments", result.quota_adjustments},
+      {"async_quota_final", result.async_quota_final},
   };
   std::fprintf(f, "{\"type\": \"summary\"");
   for (const auto& [key, value] : counts) {

@@ -18,6 +18,7 @@
 #include "src/sim/random.hpp"
 #include "src/sim/sharded_simulator.hpp"
 #include "src/systems/campaign_checkpoint.hpp"
+#include "src/systems/campaign_config.hpp"
 #include "src/systems/campaign_state.hpp"
 #include "src/systems/streaming_hierarchy.hpp"
 #include "src/workload/population.hpp"
@@ -548,176 +549,6 @@ std::uint64_t arm_fixed_round(CampaignState& st, std::uint32_t round) {
 double wall_since(const std::chrono::steady_clock::time_point& t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-/// Config validation (bad configs must throw before the observability
-/// bundle or any side effects exist).
-void validate_config(const ShardedCampaignConfig& cfg) {
-  if (cfg.groups == 0) {
-    throw std::invalid_argument("sharded campaign: groups must be >= 1");
-  }
-  if (cfg.shards == 0) {
-    throw std::invalid_argument("sharded campaign: shards must be >= 1");
-  }
-  const bool planned = cfg.hierarchy == HierarchyMode::kPlanned;
-  const bool async = cfg.hierarchy == HierarchyMode::kAsync;
-  const bool orchestrated = planned || async;  // has planner + hierarchies
-  if (cfg.straggler_fraction < 0.0 || cfg.straggler_fraction > 1.0 ||
-      !std::isfinite(cfg.straggler_fraction)) {
-    throw std::invalid_argument(
-        "sharded campaign: straggler_fraction must be in [0, 1]");
-  }
-  const bool ck = cfg.checkpoint_every_secs > 0.0;
-  const bool resume = cfg.resume_blob != nullptr || !cfg.resume_path.empty();
-  if (resume && !ck) {
-    throw std::invalid_argument(
-        "sharded campaign: resume requires the checkpoint_every_secs the "
-        "blob was cut under (the config digest enforces equality)");
-  }
-  if (!ck && (!cfg.checkpoint_path.empty() || cfg.on_checkpoint)) {
-    throw std::invalid_argument(
-        "sharded campaign: checkpoint_path/on_checkpoint need "
-        "checkpoint_every_secs > 0 — no blobs would ever be emitted");
-  }
-  if (ck && !std::isfinite(cfg.checkpoint_every_secs)) {
-    throw std::invalid_argument(
-        "sharded campaign: checkpoint_every_secs must be finite");
-  }
-  const auto rate_ok = [](double r) {
-    return std::isfinite(r) && r >= 0.0 && r <= 1.0;
-  };
-  if (!rate_ok(cfg.fault.leaf_crash_rate) ||
-      !rate_ok(cfg.fault.middle_crash_rate) ||
-      !rate_ok(cfg.fault.top_crash_rate) || !rate_ok(cfg.fault.outage_rate)) {
-    throw std::invalid_argument(
-        "sharded campaign: fault crash/outage rates must be in [0, 1]");
-  }
-  if (!rate_ok(cfg.fault.upload_drop_rate) ||
-      cfg.fault.upload_drop_rate >= 1.0 ||
-      !rate_ok(cfg.fault.upload_corrupt_rate) ||
-      cfg.fault.upload_corrupt_rate >= 1.0) {
-    throw std::invalid_argument(
-        "sharded campaign: upload drop/corrupt rates must be in [0, 1) — at "
-        "1 every retry fails too and no upload can ever deliver");
-  }
-  if (sim::FaultPlan(cfg.fault).enabled() && !orchestrated) {
-    throw std::invalid_argument(
-        "sharded campaign: fault injection requires the streaming hierarchy "
-        "(planned or async mode) — recovery runs through its warm pools");
-  }
-  if (!std::isfinite(cfg.quorum) || cfg.quorum <= 0.0 || cfg.quorum > 1.0) {
-    throw std::invalid_argument(
-        "sharded campaign: quorum must be in (0, 1]");
-  }
-  if (cfg.quorum < 1.0) {
-    if (!planned) {
-      throw std::invalid_argument(
-          "sharded campaign: quorum sealing is a synchronous-round "
-          "mechanism — it requires planned mode");
-    }
-    if (!(cfg.round_deadline_secs > 0.0) ||
-        !std::isfinite(cfg.round_deadline_secs)) {
-      throw std::invalid_argument(
-          "sharded campaign: quorum < 1 needs a finite positive "
-          "round_deadline_secs to probe at");
-    }
-    if (ck) {
-      throw std::invalid_argument(
-          "sharded campaign: quorum sealing abandons in-flight uploads, "
-          "which violates the checkpoint quiescence invariant — disable "
-          "checkpoint_every_secs");
-    }
-  }
-
-  // ---- edge-realistic clients: tier mix, lifecycle, selection ----------
-  const bool tiered = cfg.device_tiers.enabled();
-  if (tiered) {
-    const auto share_ok = [](double s) {
-      return std::isfinite(s) && s >= 0.0;
-    };
-    if (!share_ok(cfg.device_tiers.flagship) ||
-        !share_ok(cfg.device_tiers.mid) || !share_ok(cfg.device_tiers.iot)) {
-      throw std::invalid_argument(
-          "sharded campaign: device tier shares must be finite and >= 0");
-    }
-    const double sum = cfg.device_tiers.flagship + cfg.device_tiers.mid +
-                       cfg.device_tiers.iot;
-    if (std::abs(sum - 1.0) > 1e-6) {
-      throw std::invalid_argument(
-          "sharded campaign: device tier shares must sum to 1 (or all be 0 "
-          "for the untiered legacy population)");
-    }
-  }
-  const bool lc_on = cfg.lifecycle.enabled();
-  if (lc_on) {
-    const auto& l = cfg.lifecycle;
-    if (!std::isfinite(l.disconnect_rate) || l.disconnect_rate < 0.0 ||
-        l.disconnect_rate >= 1.0) {
-      throw std::invalid_argument(
-          "sharded campaign: lifecycle disconnect_rate must be in [0, 1) — "
-          "at 1 every attempt drops and no session can ever finish");
-    }
-    if (l.chunk_bytes == 0 || l.offline_queue_cap == 0) {
-      throw std::invalid_argument(
-          "sharded campaign: lifecycle chunk_bytes and offline_queue_cap "
-          "must be >= 1");
-    }
-    const auto secs_ok = [](double s) {
-      return std::isfinite(s) && s >= 0.0;
-    };
-    if (!secs_ok(l.offline_base_secs) || !secs_ok(l.offline_cap_secs) ||
-        !secs_ok(l.offline_jitter)) {
-      throw std::invalid_argument(
-          "sharded campaign: lifecycle offline backoff fields must be "
-          "finite and >= 0");
-    }
-    if (l.session_gates &&
-        (!std::isfinite(l.connect_period_secs) ||
-         l.connect_period_secs <= 0.0 ||
-         !std::isfinite(l.charge_period_secs) ||
-         l.charge_period_secs <= 0.0)) {
-      throw std::invalid_argument(
-          "sharded campaign: lifecycle session gates need positive finite "
-          "connect/charge periods");
-    }
-    if (cfg.fault.upload_drop_rate > 0.0 ||
-        cfg.fault.upload_corrupt_rate > 0.0 || cfg.fault.outage_rate > 0.0 ||
-        cfg.fault.gateway_overflow_depth > 0) {
-      throw std::invalid_argument(
-          "sharded campaign: the client lifecycle supersedes wire-level "
-          "upload faults (drop/corruption/outage/overflow) — the chunked "
-          "session layer owns the client connection; crash faults compose");
-    }
-  }
-  if (cfg.selector != ctrl::SelectorPolicy::kRandom && !tiered) {
-    throw std::invalid_argument(
-        "sharded campaign: scored/cluster-scan selection learns per-tier "
-        "telemetry — it requires a tiered device population");
-  }
-  if (tiered || lc_on || cfg.selector != ctrl::SelectorPolicy::kRandom) {
-    const auto& s = cfg.selection;
-    if (!std::isfinite(s.alpha) || s.alpha < 0.0 || s.alpha > 1.0 ||
-        !std::isfinite(s.score_gamma) || s.score_gamma < 0.0 ||
-        !std::isfinite(s.exclude_below) || s.exclude_below < 0.0 ||
-        s.exclude_below >= 1.0 || !std::isfinite(s.scan_weight) ||
-        s.scan_weight < 0.0 || !std::isfinite(s.straggler_factor) ||
-        s.straggler_factor <= 1.0) {
-      throw std::invalid_argument(
-          "sharded campaign: selection config out of range (alpha in "
-          "[0, 1], score_gamma >= 0, exclude_below in [0, 1), scan_weight "
-          ">= 0, straggler_factor > 1)");
-    }
-  }
-  if (cfg.async_auto_quota && !async) {
-    throw std::invalid_argument(
-        "sharded campaign: async_auto_quota tunes the FedBuff version "
-        "quota — it requires async mode");
-  }
-  if (cfg.async_min_quota >
-      static_cast<std::uint64_t>(cfg.uploads_per_round())) {
-    throw std::invalid_argument(
-        "sharded campaign: async_min_quota exceeds uploads_per_round()");
-  }
 }
 
 /// Lower bound on the delivery time of group `g`'s next cross-shard post —

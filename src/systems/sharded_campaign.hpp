@@ -207,6 +207,49 @@ struct ShardedCampaignConfig {
   }
 };
 
+/// Field-table rows (src/systems/campaign_config.hpp), digest rows in the
+/// frozen v5 digest order: a new one goes after them, with a version bump.
+#define LIFL_CAMPAIGN_FIELDS(X)                                  \
+  X(shards, "shards=K", kPos, true)                              \
+  X(groups, nullptr, kPos, true)                                 \
+  X(rounds, nullptr, kAny, true)                                 \
+  X(updates_per_leaf, nullptr, kAny, true)                       \
+  X(leaves_per_group, nullptr, kAny, true)                       \
+  X(model_bytes, nullptr, kAny, true)                            \
+  X(population, nullptr, kAny, true)                             \
+  X(peak_per_sec, nullptr, kAny, true)                           \
+  X(ramp_secs, nullptr, kAny, true)                              \
+  X(diurnal_amplitude, nullptr, kAny, true)                      \
+  X(diurnal_period_secs, nullptr, kAny, true)                    \
+  X(seed, nullptr, kAny, true)                                   \
+  X(timing, nullptr, kAny, true)                                 \
+  X(gateway_cores, nullptr, kAny, true)                          \
+  X(gateway_queues, nullptr, kAny, true)                         \
+  X(hierarchy, "hierarchy=fixed|planned|async", kAny, true)      \
+  X(reuse, "reuse=0|1", kAny, true)                              \
+  X(replan_interval_secs, "replan-interval=SECS", kNonNeg, true) \
+  X(middle_fanin, nullptr, kAny, true)                           \
+  X(async_deadline_secs, "async-deadline=SECS", kNonNeg, true)   \
+  X(straggler_fraction, "stragglers=FRACTION", kUnit, true)      \
+  X(straggler_delay_secs, "straggler-delay=SECS", kNonNeg, true) \
+  X(fault, nullptr, kAny, true)                                  \
+  X(quorum, "quorum=F", kUnitPos, true)                          \
+  X(round_deadline_secs, nullptr, kAny, true)                    \
+  X(async_adaptive_deadline, nullptr, kAny, true)                \
+  X(checkpoint_every_secs, nullptr, kNonNeg, true)               \
+  X(device_tiers, nullptr, kAny, true)                           \
+  X(lifecycle, nullptr, kAny, true)                              \
+  X(selector, "selector=random|scored|cluster", kAny, true)      \
+  X(selection, nullptr, kAny, true)                              \
+  X(async_auto_quota, nullptr, kAny, true)                       \
+  X(async_min_quota, nullptr, kAny, true)                        \
+  X(checkpoint_path, "checkpoint=PATH", kAny, false)             \
+  X(on_checkpoint, nullptr, kAny, false)                         \
+  X(resume_path, "resume=PATH", kAny, false)                     \
+  X(resume_blob, nullptr, kAny, false)                           \
+  X(sync_mode, nullptr, kAny, false)                             \
+  X(obs, nullptr, kAny, false)
+
 /// Per-group aggregates used by the shard-equivalence test: every value is
 /// produced by group-local event order only, so it must be *identical*
 /// (bitwise, not approximately) across shard counts.
@@ -341,9 +384,11 @@ void write_campaign_trace(const ShardedCampaignResult& result,
                           const std::string& path);
 
 /// Write the per-round/per-version timeseries, per-shard window stats and a
-/// final summary row as JSON lines. The summary row writes every campaign
-/// count once, under its field name above; registry histograms appear only
-/// when metrics were on, ring accounting only when the run was traced.
+/// final summary row as JSON lines. The summary row writes every
+/// deterministic campaign count once, under its field name above (not the
+/// process-local checkpoints_written / checkpoint_bytes); registry
+/// histograms appear only when metrics were on, ring accounting only when
+/// the run was traced.
 void write_campaign_metrics_jsonl(const ShardedCampaignResult& result,
                                   const std::string& path);
 

@@ -57,6 +57,12 @@ struct TierMix {
   }
 };
 
+/// Field-table rows (src/systems/campaign_config.hpp).
+#define LIFL_TIER_MIX_FIELDS(X)       \
+  X(flagship, nullptr, kNonNeg, true) \
+  X(mid, nullptr, kNonNeg, true)      \
+  X(iot, nullptr, kNonNeg, true)
+
 /// Per-tier profile distributions and session behavior. Speeds and dataset
 /// sizes are lognormal like the legacy synthetic profiles; uplinks and
 /// duty cycles separate the tiers: a flagship phone uploads a 100 KB

@@ -120,6 +120,19 @@ class LifecyclePlan {
     }
   };
 
+/// Field-table rows (src/systems/campaign_config.hpp).
+#define LIFL_LIFECYCLE_FIELDS(X)                           \
+  X(seed, nullptr, kAny, true)                             \
+  X(disconnect_rate, "disconnect-rate=F", kUnitOpen, true) \
+  X(chunk_bytes, nullptr, kPos, true)                      \
+  X(offline_queue_cap, nullptr, kPos, true)                \
+  X(offline_base_secs, nullptr, kNonNeg, true)             \
+  X(offline_cap_secs, nullptr, kNonNeg, true)              \
+  X(offline_jitter, nullptr, kNonNeg, true)                \
+  X(session_gates, nullptr, kAny, true)                    \
+  X(connect_period_secs, nullptr, kPos, true)              \
+  X(charge_period_secs, nullptr, kPos, true)
+
   LifecyclePlan() = default;
   explicit LifecyclePlan(Config cfg) : cfg_(cfg) {}
 

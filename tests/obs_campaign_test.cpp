@@ -273,9 +273,13 @@ TEST(ObsCampaign, TracedResumeMatchesUninterrupted) {
   for (const char* k :
        {"events", "cross_posts", "windows", "windows_skipped",
         "spawned_total", "reused_total", "replans", "leaf_drains",
-        "leaf_crashes", "middle_crashes", "refolded_updates", "quorum_seals",
-        "upload_retries", "disconnects", "resumed_uploads",
-        "checkpoint_marks"}) {
+        "peak_leaves", "checkpoint_marks", "faults_injected", "leaf_crashes",
+        "middle_crashes", "top_crashes", "refolded_updates",
+        "reinjected_partials", "upload_retries", "upload_drops",
+        "upload_corruptions", "overflow_rejects", "outage_rejects",
+        "quorum_seals", "quorum_abandoned", "disconnects", "resumed_uploads",
+        "chunks_sent", "chunks_resent", "selection_redraws",
+        "offline_queue_peak", "quota_adjustments", "async_quota_final"}) {
     ASSERT_EQ(want.count(k), 1u) << "summary row lacks " << k;
   }
   EXPECT_NE(want["checkpoint_marks"], "0");

@@ -1,5 +1,6 @@
-// Unit tests for the in-place message queue (§4.2), the node update pool,
-// and the allocation-free containers under them (ring FIFO, count map).
+// Unit tests for the node update pool (dp::UpdatePool, the §4.2 in-place
+// queue) and the allocation-free containers under it (ring FIFO, count
+// map).
 
 #include <gtest/gtest.h>
 
@@ -7,7 +8,6 @@
 #include <unordered_map>
 
 #include "src/dataplane/update_pool.hpp"
-#include "src/shm/inplace_queue.hpp"
 #include "src/shm/object_store.hpp"
 #include "src/sim/count_map.hpp"
 #include "src/sim/fifo.hpp"
@@ -15,93 +15,6 @@
 
 namespace lifl {
 namespace {
-
-using shm::InPlaceQueue;
-using shm::ObjectKey;
-
-ObjectKey make_key(std::uint64_t seed) {
-  sim::Rng rng(seed);
-  return ObjectKey::generate(rng);
-}
-
-TEST(InPlaceQueue, TryPopEmptyFails) {
-  sim::Simulator sim;
-  InPlaceQueue q(sim);
-  ObjectKey k;
-  EXPECT_FALSE(q.try_pop(k));
-}
-
-TEST(InPlaceQueue, PushThenTryPopIsFifo) {
-  sim::Simulator sim;
-  InPlaceQueue q(sim);
-  const ObjectKey a = make_key(1), b = make_key(2);
-  q.push(a);
-  q.push(b);
-  ObjectKey out;
-  ASSERT_TRUE(q.try_pop(out));
-  EXPECT_EQ(out, a);
-  ASSERT_TRUE(q.try_pop(out));
-  EXPECT_EQ(out, b);
-}
-
-TEST(InPlaceQueue, WaiterWokenOnPush) {
-  sim::Simulator sim;
-  InPlaceQueue q(sim);
-  ObjectKey got;
-  q.pop_async([&](ObjectKey k) { got = k; });
-  EXPECT_EQ(q.waiter_count(), 1u);
-  const ObjectKey a = make_key(3);
-  q.push(a);
-  sim.run();
-  EXPECT_EQ(got, a);
-  EXPECT_EQ(q.waiter_count(), 0u);
-}
-
-TEST(InPlaceQueue, BufferedKeyServesWaiterImmediately) {
-  sim::Simulator sim;
-  InPlaceQueue q(sim);
-  const ObjectKey a = make_key(4);
-  q.push(a);
-  ObjectKey got;
-  q.pop_async([&](ObjectKey k) { got = k; });
-  sim.run();
-  EXPECT_EQ(got, a);
-}
-
-TEST(InPlaceQueue, WaitersServedFifo) {
-  sim::Simulator sim;
-  InPlaceQueue q(sim);
-  std::vector<int> order;
-  q.pop_async([&](ObjectKey) { order.push_back(0); });
-  q.pop_async([&](ObjectKey) { order.push_back(1); });
-  q.push(make_key(5));
-  q.push(make_key(6));
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-}
-
-TEST(InPlaceQueue, QueueingDelayTracked) {
-  sim::Simulator sim;
-  InPlaceQueue q(sim);
-  q.push(make_key(7));
-  sim.run_until(5.0);
-  ObjectKey out;
-  ASSERT_TRUE(q.try_pop(out));
-  EXPECT_DOUBLE_EQ(q.total_queueing_delay(), 5.0);
-}
-
-TEST(InPlaceQueue, DepthStats) {
-  sim::Simulator sim;
-  InPlaceQueue q(sim);
-  for (int i = 0; i < 5; ++i) q.push(make_key(10 + i));
-  EXPECT_EQ(q.depth(), 5u);
-  EXPECT_EQ(q.max_depth(), 5u);
-  EXPECT_EQ(q.total_pushed(), 5u);
-  ObjectKey out;
-  q.try_pop(out);
-  EXPECT_EQ(q.depth(), 4u);
-  EXPECT_EQ(q.max_depth(), 5u);
-}
 
 // ---------------------------------------------------------------- pool
 

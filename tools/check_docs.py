@@ -7,8 +7,9 @@
    so the bench catalogue cannot silently drift from the tree.
 3. Every `--flag` that README.md, docs/*.md or the verify skill quotes
    after `mega_campaign` (in an inline code span or a fenced command line)
-   appears in mega_campaign's usage string, so a removed flag cannot
-   linger in the docs.
+   is one mega_campaign parses: a config field-table row's flag (the
+   `X(member, "flag=METAVAR", ...)` rows under src/) or one of the flags
+   its main() matches by hand. So a removed flag cannot linger in the docs.
 
 Exits non-zero with one line per violation.
 """
@@ -31,10 +32,15 @@ FLAG_DOCS = [
     REPO / ".claude" / "skills" / "verify" / "SKILL.md",
 ]
 MEGA_CAMPAIGN = REPO / "examples" / "mega_campaign.cpp"
+SRC = REPO / "src"
 
 # [text](target) — excluding images and in-page/external targets.
 LINK_RE = re.compile(r"(?<!!)\[[^\]]+\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
+# A field-table row with a flag: X(member, "flag=METAVAR", range, digest).
+ROW_FLAG_RE = re.compile(r'^\s*X\(\w+,\s*"([a-z][a-z0-9-]*)=', re.M)
+# A flag mega_campaign's main() matches by hand: flag(arg, "--name=", &v).
+HAND_FLAG_RE = re.compile(r'flag\(arg,\s*"(--[a-z][a-z0-9-]*)=')
 FENCE_RE = re.compile(r"^\s*```")
 SPAN_RE = re.compile(r"`([^`]+)`")
 
@@ -69,15 +75,13 @@ def check_bench_catalogue() -> list[str]:
     return errors
 
 
-def usage_flags() -> set[str]:
-    """The flags named in mega_campaign's usage string literal."""
-    src = MEGA_CAMPAIGN.read_text()
-    start = src.find('"usage: ')
-    end = src.find("argv[0]", start)
-    if start < 0 or end < 0:
-        return set()
-    literal = "".join(re.findall(r'"((?:[^"\\]|\\.)*)"', src[start:end]))
-    return set(FLAG_RE.findall(literal))
+def known_flags() -> set[str]:
+    """The flags mega_campaign parses: field-table rows plus hand-parsed."""
+    flags = set()
+    for header in SRC.rglob("*.hpp"):
+        flags.update("--" + f for f in ROW_FLAG_RE.findall(header.read_text()))
+    flags.update(HAND_FLAG_RE.findall(MEGA_CAMPAIGN.read_text()))
+    return flags
 
 
 def quoted_commands(doc: pathlib.Path):
@@ -112,7 +116,7 @@ def quoted_commands(doc: pathlib.Path):
 def check_mega_campaign_flags(known: set[str]) -> list[str]:
     errors = []
     if not known:
-        return [f"{MEGA_CAMPAIGN.relative_to(REPO)}: no usage string found"]
+        return [f"{MEGA_CAMPAIGN.relative_to(REPO)}: no flags found"]
     for doc in FLAG_DOCS:
         if not doc.exists():
             continue
@@ -124,7 +128,7 @@ def check_mega_campaign_flags(known: set[str]) -> list[str]:
                 if flag not in known:
                     errors.append(
                         f"{doc.relative_to(REPO)}:{lineno}: mega_campaign "
-                        f"flag '{flag}' is not in its usage string"
+                        f"flag '{flag}' is not a flag it parses"
                     )
     return errors
 
@@ -137,7 +141,7 @@ def main() -> int:
             continue
         errors.extend(check_links(doc))
     errors.extend(check_bench_catalogue())
-    errors.extend(check_mega_campaign_flags(usage_flags()))
+    errors.extend(check_mega_campaign_flags(known_flags()))
     for err in errors:
         print(err, file=sys.stderr)
     if not errors:
