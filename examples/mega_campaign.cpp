@@ -19,12 +19,14 @@
 // peak RSS as evidence of the O(active) memory claim. Eager vs lazy timing
 // (Fig. 1) is reproduced by bench/fig1_eager_lazy.
 //
-// With `--shards=K` the 8 groups are dealt onto K worker threads of the
-// sharded simulator core; leaf aggregates cross groups through window
-// mailboxes, widened by per-shard outbound promises, and the results are
-// identical for every K (the group wiring, not the thread count, defines
-// the model). The summary reports windows, cross-shard posts and the
-// lookaheads the promises skipped (`windows_skipped`).
+// With `--shards=K` the 8 groups are dealt onto K threads of the sharded
+// simulator core, which run barrier-free: each shard runs ahead to the
+// horizon its senders' published outbound bounds allow, and leaf
+// aggregates cross groups through single-producer mailboxes. The results
+// are identical for every K (the group wiring, not the thread count,
+// defines the model). The summary adds the cross-shard posts, and the
+// horizon refreshes, the ones outbound promises raised and the wall the
+// shards spent waiting (process-local: they vary run to run).
 //
 // With `--hierarchy=planned` the campaign runs the streaming hierarchy
 // orchestrator (src/systems/streaming_hierarchy): planner-driven
@@ -52,7 +54,7 @@
 // straggler tiers). The summary then adds a per-tier participation table.
 //
 // With `--trace=FILE.json` the run records a sim-time trace (round spans,
-// aggregator lifecycle, upload sessions, barrier windows) into per-shard
+// aggregator lifecycle, upload sessions, checkpoint marks) into per-shard
 // ring buffers (`--trace-ring-kb=N` caps each ring) and exports Chrome
 // trace-event JSON loadable at https://ui.perfetto.dev; `--metrics=F.jsonl`
 // writes per-round rows plus a registry summary. Recording is passive:
@@ -153,14 +155,18 @@ void report(const sys::ShardedCampaignConfig& cfg,
                            "baseline)"));
   std::printf(
       "%llu events in %.2f s wall (%.2fM events/s aggregate), "
-      "%llu windows, %llu cross-shard posts\n",
+      "%llu cross-shard posts\n",
       static_cast<unsigned long long>(r.events), r.wall_secs,
       r.events / r.wall_secs / 1e6,
-      static_cast<unsigned long long>(r.windows),
       static_cast<unsigned long long>(r.cross_posts));
   if (cfg.shards > 1) {
-    std::printf("outbound promises widened the windows by %llu lookaheads\n",
-                static_cast<unsigned long long>(r.windows_skipped));
+    double waited = 0.0;
+    for (double s : r.shard_idle_secs) waited += s;
+    std::printf(
+        "%llu horizon refreshes (%llu raised by outbound promises), "
+        "%.3f s waiting for horizons, summed over shards\n",
+        static_cast<unsigned long long>(r.windows),
+        static_cast<unsigned long long>(r.windows_skipped), waited);
   }
   if (planned || is_async) {
     std::printf(

@@ -2,51 +2,20 @@
 
 #include <algorithm>
 #include <atomic>
-#include <climits>
 #include <cstdint>
 #include <system_error>
 #include <thread>
 #include <vector>
 
-#if defined(__linux__)
-#include <linux/futex.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-#define LIFL_SWEEP_FUTEX 1
-#else
-#define LIFL_SWEEP_FUTEX 0
-#endif
+#include "src/sim/futex.hpp"
 
 namespace lifl::ml {
 
 namespace {
 
-void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#endif
-}
-
-#if LIFL_SWEEP_FUTEX
-static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t),
-              "the futex word must be a plain 32-bit integer");
-
-std::uint32_t* futex_word(std::atomic<std::uint32_t>& a) noexcept {
-  return reinterpret_cast<std::uint32_t*>(&a);
-}
-
-/// Sleep while `a` still holds `expected` (returns at once otherwise).
-void futex_wait(std::atomic<std::uint32_t>& a,
-                std::uint32_t expected) noexcept {
-  syscall(SYS_futex, futex_word(a), FUTEX_WAIT_PRIVATE, expected, nullptr,
-          nullptr, 0);
-}
-
-void futex_wake_all(std::atomic<std::uint32_t>& a) noexcept {
-  syscall(SYS_futex, futex_word(a), FUTEX_WAKE_PRIVATE, INT_MAX, nullptr,
-          nullptr, 0);
-}
-#endif
+using sim::cpu_relax;
+using sim::futex_wait;
+using sim::futex_wake_all;
 
 /// The process-wide sweep pool.
 ///
@@ -67,7 +36,7 @@ class SweepPool {
   ~SweepPool() {
     stop_.store(true, std::memory_order_seq_cst);
     gen_.fetch_add(1, std::memory_order_seq_cst);
-#if LIFL_SWEEP_FUTEX
+#if LIFL_HAVE_FUTEX
     futex_wake_all(gen_);
 #endif
     for (auto& t : workers_) t.join();
@@ -87,7 +56,7 @@ class SweepPool {
     done_.store(0, std::memory_order_relaxed);
     ticket_.store(chunks << 32, std::memory_order_release);
     gen_.fetch_add(1, std::memory_order_seq_cst);
-#if LIFL_SWEEP_FUTEX
+#if LIFL_HAVE_FUTEX
     if (sleepers_.load(std::memory_order_seq_cst) > 0) futex_wake_all(gen_);
 #endif
     drain();
@@ -112,7 +81,7 @@ class SweepPool {
   /// a one-thread host or without futexes: the sweep then runs inline.
   bool start_workers() {
     if (!workers_.empty()) return true;
-#if LIFL_SWEEP_FUTEX
+#if LIFL_HAVE_FUTEX
     const unsigned hw = std::thread::hardware_concurrency();
     const std::size_t want =
         std::min<std::size_t>(hw > 1 ? hw - 1 : 0, kSweepMaxWorkers);
@@ -147,7 +116,7 @@ class SweepPool {
   }
 
   void work() {
-#if LIFL_SWEEP_FUTEX
+#if LIFL_HAVE_FUTEX
     // Read the generation before draining: a sweep published after the
     // read bumps `gen_` past `seen`, so the wait below never sleeps
     // through it.

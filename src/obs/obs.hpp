@@ -117,7 +117,7 @@ class CampaignObs {
     return o;
   }
 
-  /// Handle for the coordinator thread (between-window emits only).
+  /// Handle for the coordinator thread (between-run emits only).
   GroupObs coordinator_obs() {
     GroupObs o;
     o.ring = trace_.coordinator();

@@ -44,8 +44,6 @@ const char* ev_name(Ev kind) {
       return "upload_disconnect";
     case Ev::kUploadResume:
       return "upload_resume";
-    case Ev::kWindow:
-      return "window";
     case Ev::kCount_:
       break;
   }

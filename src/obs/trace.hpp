@@ -9,7 +9,7 @@
 //   - recording never schedules sim events or touches sim state — an
 //     emit is a null-check plus a ring store;
 //   - each ring has exactly one writer (the worker thread that owns the
-//     shard; the coordinator ring is written only between windows), so
+//     shard; the coordinator ring is written only between runs), so
 //     recording needs no synchronization and cannot perturb the
 //     1-vs-K-shard event order;
 //   - event payloads carry only sim-deterministic values (sim times,
@@ -48,18 +48,11 @@ enum class Ev : std::uint8_t {
   kUploadRetry,     ///< instant: upload retry scheduled; a=client, b=attempt
   kUploadDisconnect,///< instant: mid-upload disconnect; a=client
   kUploadResume,    ///< instant: session resumed; a=client
-  // Shard tracks.
-  kWindow,          ///< instant: barrier window opened; a=window, b=drained
   kCount_           ///< number of kinds (not an event)
 };
 
 /// Human-readable name of an event kind (stable across runs).
 const char* ev_name(Ev kind);
-
-/// Event flag bits. `kFlagEmpty` marks a barrier window in which the
-/// emitting shard ran no events (shard tracks) or the mailbox exchange
-/// drained nothing (campaign track).
-inline constexpr std::uint8_t kFlagEmpty = 1u << 0;
 
 /// Track ids: groups use their group id directly; shards and the
 /// campaign use reserved ranges so one uint16 addresses every track.
@@ -212,7 +205,7 @@ class ScopedSpan {
 #endif
 
 /// Per-shard rings plus one coordinator ring (index = shard count),
-/// written only between windows when the workers are parked.
+/// written only between runs when the workers are parked.
 class TraceRecorder {
  public:
   TraceRecorder() = default;

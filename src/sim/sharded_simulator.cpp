@@ -1,30 +1,28 @@
 #include "src/sim/sharded_simulator.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
+
+#include "src/sim/futex.hpp"
 
 namespace lifl::sim {
 
 namespace {
-/// Barrier spin budget before falling back to the condition variable. Spins
-/// cover the common case (all shards busy, windows microseconds apart);
-/// the blocking fallback keeps oversubscribed machines (fewer cores than
-/// shards) from melting down.
-constexpr int kSpinIters = 4096;
-/// Cap on promise-widened horizons, in lookaheads past the conservative
-/// horizon (2.05 s of simulated time at the campaign's 0.5 ms lookahead).
-/// It keeps every window finite (idle tails and daemon chains would
-/// otherwise run unbounded) and bounds how far a window can straddle a
-/// `run_to` mark: a window opens only while t_min < mark, so its horizon
-/// stays below mark + (kMaxWidenLookaheads + 1) lookaheads. It is sized so
-/// that async emission floors, which often promise seconds ahead, rarely
-/// hit it. The cap never reads the mark, which keeps pausing
-/// bit-transparent.
-constexpr double kMaxWidenLookaheads = 4096.0;
+
+constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
+
+/// Horizon polls a blocked shard spins through before it futex-waits. A
+/// busy sender usually republishes within microseconds; past that the
+/// waiter sleeps instead of burning a core another shard could use.
+constexpr int kSpinPolls = 512;
+
+/// Events a shard runs between two publications of its bound.
+constexpr std::size_t kSliceEvents = 2048;
+
 }  // namespace
 
 ShardedSimulator::ShardedSimulator(Config cfg)
@@ -37,20 +35,68 @@ ShardedSimulator::ShardedSimulator(Config cfg)
   }
   shards_.resize(cfg.shards);
   for (auto& cell : shards_) cell.sim = std::make_unique<Simulator>();
+  links_ = std::make_unique<Link[]>(cfg.shards);
   mail_.resize(cfg.shards * cfg.shards);
-  promises_.resize(cfg.shards);
-  promised_.assign(cfg.shards, 0.0);
-  next_at_.resize(cfg.shards);
+  for (auto& box : mail_) box.head = box.tail = new MailNode{};
+  // Every shard may post to every other one until told otherwise.
+  may_post_.assign(cfg.shards * cfg.shards, 1);
+  for (std::size_t s = 0; s < cfg.shards; ++s) {
+    may_post_[s * cfg.shards + s] = 0;
+  }
+  relink();
+}
+
+void ShardedSimulator::set_receivers(std::size_t s,
+                                     const std::vector<std::size_t>& to) {
+  const std::size_t k = shards_.size();
+  for (std::size_t r : to) {
+    if (r >= k || r == s) {
+      throw std::invalid_argument("ShardedSimulator: bad receiver " +
+                                  std::to_string(r) + " for shard " +
+                                  std::to_string(s));
+    }
+  }
+  std::fill_n(may_post_.begin() + static_cast<std::ptrdiff_t>(s * k), k, 0);
+  for (std::size_t r : to) may_post_[s * k + r] = 1;
+  relink();
+}
+
+void ShardedSimulator::relink() {
+  const std::size_t k = shards_.size();
+  for (std::size_t r = 0; r < k; ++r) {
+    ShardCell& cell = shards_[r];
+    cell.senders.clear();
+    cell.receivers.clear();
+    for (std::size_t j = 0; j < k; ++j) {
+      if (may_post_[j * k + r] != 0) cell.senders.push_back(j);
+      if (may_post_[r * k + j] != 0) cell.receivers.push_back(j);
+    }
+  }
+}
+
+ShardedSimulator::~ShardedSimulator() {
+  if (!workers_.empty()) {
+    shutdown_.store(true, std::memory_order_release);
+    run_epoch_.fetch_add(1, std::memory_order_acq_rel);
+    futex_wake_all(run_epoch_);
+    for (auto& w : workers_) w.join();
+  }
+  for (auto& box : mail_) {
+    for (MailNode* n = box.head; n != nullptr;) {
+      MailNode* next = n->next.load(std::memory_order_relaxed);
+      delete n;
+      n = next;
+    }
+  }
 }
 
 void ShardedSimulator::post(std::size_t from, std::size_t to,
                             std::uint32_t lane, SimTime t, Task cb) {
   ShardCell& cell = shards_[from];
   Simulator& src = *cell.sim;
-  // Conservative-window invariant: a cross-shard delivery can never land
-  // closer than `lookahead` ahead of the sender's clock. The clamp applies
-  // to same-shard posts too, so timing is independent of the group->shard
-  // mapping.
+  // A cross-shard delivery can never land closer than `lookahead` ahead of
+  // the sender's clock. The clamp applies to same-shard posts too, so
+  // timing is independent of the group->shard mapping.
   const SimTime tmin = src.now() + lookahead_;
   if (t < tmin) t = tmin;
   if (lane >= kMaxLanes) {
@@ -65,13 +111,17 @@ void ShardedSimulator::post(std::size_t from, std::size_t to,
     src.schedule_delivery(t, key, std::move(cb));
     return;
   }
-  // A coordinator-side post between runs (workers parked, so the
-  // receiver's clock is safe to read) can name a receiver that already ran
-  // past `t`; the sender clamp above cannot catch that. Inside a window the
-  // receiver's clock belongs to its worker, and the window protocol
-  // guarantees `t` clears it (audited at the next drain).
-  if (!in_window_) {
-    const SimTime receiver_now = shards_[to].sim->now();
+  if (may_post_[from * shards_.size() + to] == 0) {
+    throw std::logic_error("ShardedSimulator: shard " + std::to_string(from) +
+                           " posted to undeclared receiver shard " +
+                           std::to_string(to));
+  }
+  if (!running_) {
+    // Between runs every core is idle on the calling thread, so the
+    // delivery goes straight in; the sender clamp above cannot catch a
+    // receiver that already ran past `t`.
+    Simulator& dst = *shards_[to].sim;
+    const SimTime receiver_now = dst.now();
     if (t <= receiver_now) {
       throw std::invalid_argument(
           "ShardedSimulator: cross-shard post at t=" + std::to_string(t) +
@@ -80,19 +130,60 @@ void ShardedSimulator::post(std::size_t from, std::size_t to,
           std::to_string(from) + " is at " + std::to_string(src.now()) +
           ")");
     }
+    ++cell.posted;
+    dst.schedule_delivery(t, key, std::move(cb));
+    return;
   }
-  // Promise enforcement: the widened horizon trusted this shard not to
-  // deliver before `promised_[from]`. A post below that bound means the
-  // installed promise was unsound — a model bug — so fail loudly
-  // (worker-thread throws ride the record_error path).
-  if (t < promised_[from]) {
+  // The receivers trusted this shard not to deliver before its published
+  // bound. A post below it means the installed promise was unsound — a
+  // model bug — so fail loudly (the shard loop rethrows on the caller).
+  if (t < cell.eot) {
     throw std::logic_error(
-        "ShardedSimulator: cross-shard post below the shard's outbound "
-        "promise (unsound promise function)");
+        "ShardedSimulator: cross-shard post below the shard's published "
+        "outbound bound (unsound promise function)");
   }
   ++cell.posted;
-  mailbox(from, to).events.push_back(
-      CrossEvent{t, key, static_cast<std::uint32_t>(to), std::move(cb)});
+  // Count the mail before it becomes visible, so the run cannot look
+  // quiescent while it is in flight.
+  active_.fetch_add(1, std::memory_order_relaxed);
+  auto* node = new MailNode{CrossEvent{t, key, std::move(cb)}};
+  Mailbox& box = mailbox(from, to);
+  box.tail->next.store(node, std::memory_order_release);
+  box.tail = node;
+}
+
+std::size_t ShardedSimulator::drain_inbound(std::size_t s) {
+  ShardCell& cell = shards_[s];
+  Simulator& dst = *cell.sim;
+  // Injection order is free: each delivery carries its lane key, which
+  // fixes its place among the receiver's events of its instant.
+  std::size_t drained = 0;
+  for (std::size_t j : cell.senders) {
+    Mailbox& box = mailbox(j, s);
+    while (MailNode* next = box.head->next.load(std::memory_order_acquire)) {
+      CrossEvent& e = next->ev;
+      // Causality audit (`schedule_delivery` requires a future instant):
+      // the shard ran strictly below a horizon no delivery undercuts.
+      if (e.t <= dst.now()) {
+        throw std::logic_error(
+            "ShardedSimulator: horizon protocol admitted a cross-shard post "
+            "into a receiver's past");
+      }
+      dst.schedule_delivery(e.t, e.key, std::move(e.cb));
+      delete box.head;
+      box.head = next;
+      ++drained;
+    }
+  }
+  if (drained > 0 && running_) {
+    if (!cell.active) {
+      cell.active = true;
+      active_.fetch_add(1, std::memory_order_relaxed);
+    }
+    active_.fetch_sub(static_cast<std::int64_t>(drained),
+                      std::memory_order_relaxed);
+  }
+  return drained;
 }
 
 std::uint64_t ShardedSimulator::cross_posts() const noexcept {
@@ -101,33 +192,15 @@ std::uint64_t ShardedSimulator::cross_posts() const noexcept {
   return n;
 }
 
-std::size_t ShardedSimulator::drain_mailboxes() {
-  // Injection order is free: each delivery carries its lane key, which
-  // fixes its place among the receiver's events of its instant.
-  std::size_t drained = 0;
-  for (auto& box : mail_) {
-    for (CrossEvent& e : box.events) {
-      // Causality audit (`schedule_delivery` requires a future instant).
-      // Every shard ran strictly below a horizon no delivery undercuts, so
-      // a delivery at or below the receiver's clock is an internal
-      // invariant failure of the window protocol.
-      Simulator& dst = *shards_[e.dst].sim;
-      if (e.t <= dst.now()) {
-        throw std::logic_error(
-            "ShardedSimulator: window protocol admitted a cross-shard post "
-            "into a receiver's past");
-      }
-      dst.schedule_delivery(e.t, e.key, std::move(e.cb));
-    }
-    drained += box.events.size();
-    box.events.clear();
-  }
-  return drained;
+std::uint64_t ShardedSimulator::windows() const noexcept {
+  std::uint64_t n = 0;
+  for (const auto& cell : shards_) n += cell.stats.windows;
+  return n;
 }
 
-std::size_t ShardedSimulator::mail_pending() const {
-  std::size_t n = 0;
-  for (const auto& box : mail_) n += box.events.size();
+std::uint64_t ShardedSimulator::windows_skipped() const noexcept {
+  std::uint64_t n = 0;
+  for (const auto& cell : shards_) n += cell.skipped;
   return n;
 }
 
@@ -138,139 +211,196 @@ std::uint64_t ShardedSimulator::dispatched() const {
 }
 
 std::size_t ShardedSimulator::pending_regular() const {
-  std::size_t n = mail_pending();
+  std::size_t n = 0;
+  for (const auto& box : mail_) {
+    for (const MailNode* m = box.head->next.load(std::memory_order_acquire);
+         m != nullptr; m = m->next.load(std::memory_order_acquire)) {
+      ++n;
+    }
+  }
   for (const auto& cell : shards_) n += cell.sim->pending_regular();
   return n;
 }
 
-void ShardedSimulator::record_error() noexcept {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!error_) error_ = std::current_exception();
-  failed_.store(true, std::memory_order_release);
+SimTime ShardedSimulator::horizon(std::size_t s) const {
+  SimTime h = kInf;
+  for (std::size_t j : shards_[s].senders) {
+    h = std::min(h, links_[j].eot.load(std::memory_order_seq_cst));
+  }
+  return h;
 }
 
-void ShardedSimulator::run_shard_window(std::size_t s) {
+void ShardedSimulator::publish(std::size_t s, SimTime v) {
   ShardCell& cell = shards_[s];
-  const std::uint64_t before = cell.sim->dispatched();
-  try {
-    cell.sim->run_window(window_end_);
-  } catch (...) {
-    // The shard's state is torn mid-callback; remember the first error and
-    // let the barrier complete so the coordinator can shut down and
-    // rethrow (matching the 1-shard mode, where this would propagate).
-    record_error();
-  }
-  // Passive per-window accounting, written only by the owning thread.
-  // Dispatch counts are deterministic, so the trace event is too.
-  const std::uint64_t ran = cell.sim->dispatched() - before;
-  ++cell.stats.windows;
-  if (ran == 0) ++cell.stats.empty_windows;
-  cell.done_at = std::chrono::steady_clock::now();
-  if (trace_ != nullptr) {
-    obs::ShardTrace* ring = trace_->shard(s);
-    if (ring != nullptr) {
-      ring->instant(window_end_, obs::Ev::kWindow, obs::shard_track(s),
-                    static_cast<std::uint32_t>(windows_ - 1), ran,
-                    ran == 0 ? obs::kFlagEmpty : 0);
+  if (!(v > cell.eot)) return;  // bounds only grow
+  const SimTime prev = cell.eot;
+  cell.eot = v;
+  // Release (seq_cst) after the posts it covers were linked into their
+  // mailboxes. The waiter check below pairs with `wait_for_horizon`: either
+  // the waiter's re-check sees this bound, or this load sees its need.
+  links_[s].eot.store(v, std::memory_order_seq_cst);
+  for (std::size_t r : cell.receivers) {
+    Link& l = links_[r];
+    // Wake only a receiver this shard was holding back: it waits for a
+    // horizon above `need`, and this bound just crossed it.
+    const SimTime need = l.need.load(std::memory_order_seq_cst);
+    if (prev <= need && need < v) {
+      l.wake.fetch_add(1, std::memory_order_seq_cst);
+      futex_wake_all(l.wake);
     }
   }
 }
 
-ShardedSimulator::~ShardedSimulator() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_.store(true, std::memory_order_release);
+void ShardedSimulator::wait_for_horizon(std::size_t s, SimTime at) {
+  const auto t0 = std::chrono::steady_clock::now();
+  Link& me = links_[s];
+  for (int polls = 0;; ++polls) {
+    if (stop_.load(std::memory_order_acquire) || horizon(s) > at) break;
+    if (polls < kSpinPolls) {
+      cpu_relax();
+      continue;
+    }
+    const std::uint32_t seen = me.wake.load(std::memory_order_seq_cst);
+    me.need.store(at, std::memory_order_seq_cst);
+    if (!stop_.load(std::memory_order_seq_cst) && !(horizon(s) > at)) {
+      futex_wait(me.wake, seen);
+    }
+    me.need.store(kInf, std::memory_order_relaxed);
   }
-  cv_.notify_all();
-  for (auto& w : workers_) w.join();
+  shards_[s].stats.idle_wall_secs +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+}
+
+void ShardedSimulator::end_run() {
+  stop_.store(true, std::memory_order_seq_cst);
+  for (std::size_t r = 0; r < shards_.size(); ++r) {
+    links_[r].wake.fetch_add(1, std::memory_order_seq_cst);
+    futex_wake_all(links_[r].wake);
+  }
+}
+
+void ShardedSimulator::record_error() noexcept {
+  {
+    std::lock_guard<std::mutex> lock(error_mu_);
+    if (!error_) error_ = std::current_exception();
+  }
+  failed_.store(true, std::memory_order_release);
+  end_run();
+}
+
+void ShardedSimulator::shard_loop(std::size_t s) {
+  ShardCell& cell = shards_[s];
+  Simulator& sim = *cell.sim;
+  const SimTime mark = mark_;
+  const bool bounded = mark != kInf;
+  SimTime done_to = -kInf;  // the horizon this shard already ran up to
+  try {
+    while (!stop_.load(std::memory_order_acquire)) {
+      // Load the horizon *before* draining: mail the loaded bounds do not
+      // cover was posted after them, at or beyond the horizon.
+      const SimTime h = horizon(s);
+      if (!(h > done_to)) {
+        wait_for_horizon(s, done_to);
+        continue;
+      }
+      drain_inbound(s);
+      // Work through the stretch below the horizon in slices, republishing
+      // the bound after each: receivers need not wait for the whole stretch.
+      SimTime next;
+      bool sliced;
+      std::size_t ran;
+      if (!bounded && h == kInf) {
+        // No sender will post again: run the regular work out. Daemons past
+        // the last regular event stay queued, and nothing can wake them.
+        ran = sim.run(kSliceEvents);
+        sliced = sim.pending_regular() > 0;
+        next = sliced ? sim.next_event_time() : kInf;
+      } else {
+        const SimTime end = std::min(h, mark);
+        ran = sim.run_window(end, kSliceEvents);
+        next = sim.next_event_time();
+        sliced = next < end;
+      }
+      ++cell.stats.windows;
+      if (ran == 0) ++cell.stats.empty_windows;
+      const bool has_regular = sim.pending_regular() > 0;
+      if (cell.active != has_regular) {
+        cell.active = has_regular;
+        if (has_regular) {
+          active_.fetch_add(1, std::memory_order_relaxed);
+        } else if (active_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          end_run();  // quiescent: no regular work and no mail anywhere
+          break;
+        }
+      }
+      SimTime bound = std::min(next, h) + lookahead_;
+      if (cell.promise) {
+        const SimTime promised = cell.promise();
+        if (promised > bound) {
+          if (promised < kInf) {
+            cell.stats.max_promise_lead =
+                std::max(cell.stats.max_promise_lead, promised - bound);
+          }
+          bound = promised;
+          ++cell.skipped;
+        }
+      }
+      publish(s, bound);
+      if (sliced) continue;
+      done_to = h;
+      // Paused exactly at the mark: every event below it ran, and no
+      // delivery below it can still arrive.
+      if (bounded && h >= mark) break;
+    }
+  } catch (...) {
+    // The shard's state is torn mid-callback; stop every shard and rethrow
+    // on the caller (matching the 1-shard mode, where this propagates).
+    record_error();
+  }
 }
 
 void ShardedSimulator::ensure_workers() {
   if (!workers_.empty()) return;
-  // Workers are spawned once, on the first multi-shard run, and persist
-  // parked on the epoch wait between runs; epoch_ may already be nonzero,
-  // so the coordinator captures the baseline *before* spawning and hands
-  // it over — reading epoch_ in the worker would race with the first
-  // window's bump.
-  const std::uint64_t base_epoch = epoch_.load(std::memory_order_acquire);
-  const std::size_t k = shards_.size();
-  workers_.reserve(k - 1);
-  for (std::size_t s = 1; s < k; ++s) {
-    workers_.emplace_back([this, s, base_epoch] {
-      worker_loop(s, base_epoch);
+  // The baseline epoch is captured before spawning: reading it in the
+  // worker would race with the first run's bump.
+  const std::uint32_t base = run_epoch_.load(std::memory_order_acquire);
+  workers_.reserve(shards_.size() - 1);
+  for (std::size_t s = 1; s < shards_.size(); ++s) {
+    workers_.emplace_back([this, s, base] {
+      std::uint32_t seen = base;
+      for (;;) {
+        std::uint32_t e;
+        while ((e = run_epoch_.load(std::memory_order_acquire)) == seen) {
+          futex_wait(run_epoch_, seen);
+        }
+        seen = e;
+        if (shutdown_.load(std::memory_order_acquire)) return;
+        if (task_ != nullptr) {
+          try {
+            (*task_)(s);
+          } catch (...) {
+            record_error();
+          }
+        } else {
+          shard_loop(s);
+        }
+        const std::uint32_t done =
+            workers_done_.fetch_add(1, std::memory_order_acq_rel) + 1;
+        if (done == shards_.size() - 1) futex_wake_all(workers_done_);
+      }
     });
   }
 }
 
-void ShardedSimulator::worker_loop(std::size_t s, std::uint64_t base_epoch) {
-  std::uint64_t seen = base_epoch;
-  for (;;) {
-    // Wait for the next window (or shutdown).
-    int spins = 0;
-    while (epoch_.load(std::memory_order_acquire) == seen &&
-           !stop_.load(std::memory_order_acquire)) {
-      if (++spins < kSpinIters) {
-        std::this_thread::yield();
-      } else {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] {
-          return epoch_.load(std::memory_order_acquire) != seen ||
-                 stop_.load(std::memory_order_acquire);
-        });
-      }
-    }
-    if (stop_.load(std::memory_order_acquire)) return;
-    seen = epoch_.load(std::memory_order_acquire);
-    run_shard_window(s);
-    if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        shards_.size() - 1) {
-      std::lock_guard<std::mutex> lock(mu_);
-      cv_.notify_all();
-    }
-  }
-}
-
-SimTime ShardedSimulator::plan_window(SimTime t_min,
-                                      const std::vector<SimTime>& next_at) {
-  const SimTime conservative = t_min + lookahead_;
-  // Sound horizon: each shard caps the window at the earliest cross-shard
-  // delivery it may still cause — the conservative `next event + lookahead`
-  // or its installed promise, whichever is later. An empty shard can only
-  // react to future deliveries (themselves at or beyond any horizon we
-  // pick), so it contributes no cap; the promises are cached for `post`
-  // to enforce during the window. With no promise installed anywhere the
-  // minimum is `t_min + lookahead`, the conservative horizon itself.
-  SimTime sound = std::numeric_limits<SimTime>::infinity();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const SimTime next = next_at[s];
-    SimTime bound = next == std::numeric_limits<SimTime>::infinity()
-                        ? next
-                        : next + lookahead_;
-    const SimTime promise = promises_[s] ? promises_[s]() : 0.0;
-    promised_[s] = promise;
-    if (promise > bound) bound = promise;
-    sound = std::min(sound, bound);
-  }
-  // The cap keeps the window finite when every shard promises forever
-  // (the rest of the run is shard-local) and bounds the straddle past a
-  // `run_to` mark.
-  const SimTime cap = conservative + kMaxWidenLookaheads * lookahead_;
-  const SimTime horizon = std::max(conservative, std::min(sound, cap));
-  windows_skipped_ +=
-      static_cast<std::uint64_t>((horizon - conservative) / lookahead_);
-  return horizon;
-}
-
-std::uint64_t ShardedSimulator::run() {
-  return run_impl(std::numeric_limits<SimTime>::infinity());
-}
+std::uint64_t ShardedSimulator::run() { return run_impl(kInf); }
 
 std::uint64_t ShardedSimulator::run_to(SimTime mark) {
   return run_impl(mark);
 }
 
 std::uint64_t ShardedSimulator::run_impl(SimTime mark) {
-  const bool bounded = mark != std::numeric_limits<SimTime>::infinity();
+  const bool bounded = mark != kInf;
   const std::uint64_t before = dispatched();
   const std::size_t k = shards_.size();
   if (k == 1) {
@@ -287,87 +417,82 @@ std::uint64_t ShardedSimulator::run_impl(SimTime mark) {
     return s0.dispatched() - before;
   }
 
+  // ---- start (every core idle on this thread). Mail a paused run left
+  // behind goes in first; every shard then starts from the bound all of
+  // them share: no event anywhere is earlier than `t0`, so no post can
+  // deliver before `t0 + lookahead`.
+  std::int64_t active = 0;
+  SimTime t0 = kInf;
+  for (std::size_t s = 0; s < k; ++s) {
+    drain_inbound(s);
+    ShardCell& cell = shards_[s];
+    cell.active = cell.sim->pending_regular() > 0;
+    active += cell.active ? 1 : 0;
+    t0 = std::min(t0, cell.sim->next_event_time());
+  }
+  if (active == 0 || (bounded && t0 >= mark)) return 0;
+  for (std::size_t s = 0; s < k; ++s) {
+    shards_[s].eot = t0 + lookahead_;
+    links_[s].eot.store(shards_[s].eot, std::memory_order_relaxed);
+    links_[s].need.store(kInf, std::memory_order_relaxed);
+  }
+  active_.store(active, std::memory_order_relaxed);
+  mark_ = mark;
+  running_ = true;
+  start_workers();
+  shard_loop(0);
+  join_workers();
+  return dispatched() - before;
+}
+
+void ShardedSimulator::on_each_shard(
+    const std::function<void(std::size_t)>& fn) {
+  if (shards_.size() == 1) {
+    fn(0);
+    return;
+  }
+  task_ = &fn;
+  start_workers();
+  try {
+    fn(0);
+  } catch (...) {
+    record_error();
+  }
+  join_workers();
+  task_ = nullptr;
+}
+
+void ShardedSimulator::start_workers() {
   ensure_workers();
+  stop_.store(false, std::memory_order_relaxed);
+  failed_.store(false, std::memory_order_relaxed);
+  workers_done_.store(0, std::memory_order_relaxed);
+  run_epoch_.fetch_add(1, std::memory_order_acq_rel);
+  futex_wake_all(run_epoch_);
+}
 
-  for (;;) {
-    if (failed_.load(std::memory_order_acquire)) break;
-    // ---- serial phase (coordinator only): exchange + plan the window.
-    const std::size_t drained = drain_mailboxes();
-    std::size_t regular = 0;
-    for (const auto& cell : shards_) regular += cell.sim->pending_regular();
-    if (regular == 0) break;
-    SimTime t_min = std::numeric_limits<SimTime>::infinity();
-    for (std::size_t s = 0; s < k; ++s) {
-      next_at_[s] = shards_[s].sim->next_event_time();
-      t_min = std::min(t_min, next_at_[s]);
-    }
-    if (t_min == std::numeric_limits<SimTime>::infinity()) break;
-    // Bounded run: pause at the barrier once every pending event sits at or
-    // beyond the mark. The next `run_impl` call recomputes the identical
-    // horizon, so the window sequence — and with it the event order — is
-    // the same whether or not the run was paused here.
-    if (bounded && t_min >= mark) break;
-    window_end_ = plan_window(t_min, next_at_);
-    ++windows_;
-    if (trace_ != nullptr) {
-      obs::ShardTrace* ring = trace_->coordinator();
-      if (ring != nullptr) {
-        ring->instant(t_min, obs::Ev::kWindow, obs::kCampaignTrack,
-                      static_cast<std::uint32_t>(windows_ - 1), drained,
-                      drained == 0 ? obs::kFlagEmpty : 0);
-      }
-    }
-
-    // ---- parallel phase: all shards execute events below the horizon.
-    done_.store(0, std::memory_order_release);
-    in_window_ = true;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    cv_.notify_all();
-    run_shard_window(0);
-    int spins = 0;
-    while (done_.load(std::memory_order_acquire) != k - 1) {
-      if (++spins < kSpinIters) {
-        std::this_thread::yield();
-      } else {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] {
-          return done_.load(std::memory_order_acquire) == k - 1;
-        });
-      }
-    }
-    in_window_ = false;
-    // Barrier-idle accounting (serial phase again; workers parked): each
-    // shard was idle from its own finish until the slowest shard's.
-    std::chrono::steady_clock::time_point last = shards_[0].done_at;
-    for (const auto& cell : shards_) {
-      if (cell.done_at > last) last = cell.done_at;
-    }
-    for (auto& cell : shards_) {
-      cell.stats.idle_wall_secs +=
-          std::chrono::duration<double>(last - cell.done_at).count();
+void ShardedSimulator::join_workers() {
+  const std::uint32_t k = static_cast<std::uint32_t>(shards_.size());
+  for (int polls = 0;; ++polls) {
+    const std::uint32_t done = workers_done_.load(std::memory_order_acquire);
+    if (done == k - 1) break;
+    if (polls < kSpinPolls) {
+      cpu_relax();
+    } else {
+      futex_wait(workers_done_, done);
     }
   }
-
-  // Workers stay parked on the epoch wait for the next run; the
-  // destructor stops and joins them. Cached promise bounds are only
-  // meaningful inside the window that evaluated them — clear them so
-  // coordinator-side posts between runs are not checked against stale
-  // bounds.
-  std::fill(promised_.begin(), promised_.end(), 0.0);
+  running_ = false;
   if (failed_.load(std::memory_order_acquire)) {
     std::exception_ptr err;
     {
-      std::lock_guard<std::mutex> lock(mu_);
+      std::lock_guard<std::mutex> lock(error_mu_);
       err = error_;
       error_ = nullptr;
     }
-    failed_.store(false, std::memory_order_release);
+    failed_.store(false, std::memory_order_relaxed);
     std::rethrow_exception(err);
   }
-  return dispatched() - before;
 }
 
 }  // namespace lifl::sim

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -12,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/obs/trace.hpp"
 #include "src/sim/calibration.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/sim/task.hpp"
@@ -21,67 +18,70 @@
 namespace lifl::sim {
 
 /// A sharded discrete-event simulator: K independent `Simulator` cores, one
-/// per worker thread, synchronized with conservative time windows.
+/// per thread, synchronized without barriers by conservative (Chandy-Misra /
+/// Bryant) horizons.
 ///
 /// The model is partitioned into *shards* (node groups in the cluster): all
-/// state of a shard is touched only by that shard's events, so intra-window
-/// execution is lock-free — each worker thread drains its own slab/calendar
-/// core with zero shared-state traffic. Cross-shard interaction goes
-/// through `post`, which enqueues the event into a single-writer mailbox;
-/// mailboxes are exchanged at window barriers.
+/// state of a shard is touched only by that shard's events, so each thread
+/// drains its own slab/calendar core with zero shared-state traffic.
+/// Cross-shard interaction goes through `post`, which pushes the event into
+/// a single-producer single-consumer mailbox for the (sender, receiver)
+/// pair.
 ///
-/// Window protocol (classic conservative / bounded-lag synchronization):
-/// every cross-shard event carries a delivery time at least `lookahead`
-/// after the sender's clock — `lookahead` is the minimum cross-shard
-/// latency of the model (`calib::kCrossShardLatencySecs`: no network hop
-/// between node groups can complete faster). Each window the coordinator
-///   1. drains all mailboxes into the destination shards,
-///   2. computes the horizon H = min over shards of the next event time,
-///      plus `lookahead`,
-///   3. releases all shards to execute events with t < H in parallel.
-/// Any event posted during the window happens at a time >= the window's
-/// minimum, so its delivery lands at or beyond H — never in a receiver's
-/// past. Events therefore always execute in nondecreasing time order per
-/// shard. Every post names its sender's *lane* (a model partition, e.g. a
-/// node group), and deliveries tied at an instant run in (lane, the lane's
-/// post order) order, ahead of the receiver's other events of that instant
+/// Protocol. Every shard s publishes `eot[s]` (earliest outbound time), a
+/// lower bound on the delivery time of any cross-shard post it can still
+/// make: `max(min(next_s, H_s) + lookahead, promise_s)`, where `next_s` is
+/// its next event time, `H_s` its horizon and `promise_s` its installed
+/// outbound promise (`set_promise`). It stores the value with release only
+/// after the posts it covers sit in their mailboxes. A shard loads
+/// `H_s = min over the other shards j of eot[j]` with acquire, *then* drains
+/// its inbound mailboxes, and runs its events strictly below `H_s`: every
+/// post it has not yet received was made after the loaded bounds were
+/// published, so it lands at or beyond `H_s`, never in the shard's past.
+/// Each shard then re-publishes its own bound and waits (a brief spin, then
+/// a futex) until its horizon rises. Bounds only grow, and each refresh
+/// moves a shard's bound at least one lookahead past its horizon, so the
+/// shards make progress with no global step. The calling thread runs shard
+/// 0; shards 1..K-1 run on persistent worker threads.
+///
+/// Every post names its sender's *lane* (a model partition, e.g. a node
+/// group), and deliveries tied at an instant run in (lane, the lane's post
+/// order) order, ahead of the receiver's other events of that instant
 /// (`Simulator::schedule_delivery`), so no tie resolves differently under
 /// another group->shard mapping.
 ///
-/// Installed per-shard outbound promises (`set_promise`) widen H beyond
-/// that bound — still provably sound, so results stay bitwise equal; a
-/// shard with no promise contributes exactly the bound above (see
-/// docs/ARCHITECTURE.md, "Shard synchronization").
-///
 /// Determinism: with one shard, `run()` degenerates to the plain
-/// single-threaded `Simulator::run()` (no threads, no barriers — bit
-/// identical to the unsharded core). With K > 1, a model partitioned so
-/// that groups share no state produces identical per-group results for any
-/// K: each group's events carry the same timestamps and the same relative
-/// order regardless of which shard executes them (see
-/// tests/sharded_sim_test.cpp for the 2-shard vs 1-shard campaign
-/// equivalence check). One caveat: *daemon* events scheduled between the
-/// last regular event and the final window horizon run at K > 1 but not at
-/// K = 1 (a single-threaded `run()` stops exactly at the last regular
-/// event; windows quantize that cut) — a model that wants cross-K
-/// equivalence must not let daemon tails feed back into measured state.
+/// single-threaded `Simulator::run()` (no threads — bit identical to the
+/// unsharded core). With K > 1, a model partitioned so that groups share no
+/// state produces identical per-group results for any K: each group's
+/// events carry the same timestamps and the same relative order regardless
+/// of which shard executes them or how far its thread ran ahead (see
+/// tests/sharded_sim_test.cpp). One caveat: *daemon* events past a shard's
+/// last regular event run at K > 1 up to wherever that shard's horizon
+/// stood when the run went quiescent, which depends on thread timing (a
+/// single-threaded `run()` stops exactly at the last regular event) — a
+/// model must not let daemon tails feed back into measured state, nor post
+/// or schedule regular work from them.
 class ShardedSimulator {
  public:
   struct Config {
     std::size_t shards = 1;
-    /// Conservative window lookahead — must be a lower bound on the
-    /// delivery delay of every `post` (post clamps to it).
+    /// Conservative lookahead — must be a lower bound on the delivery
+    /// delay of every `post` (post clamps to it).
     SimTime lookahead = calib::kCrossShardLatencySecs;
   };
 
-  /// Always-on per-shard barrier accounting. `idle_wall_secs` is real wall
-  /// time the shard spent finished at a window barrier waiting for the
-  /// slowest shard — it never feeds back into the simulation, so recording
-  /// it keeps results bitwise identical.
+  /// Always-on per-shard synchronization accounting. Process-local: the
+  /// counts depend on thread timing, never feed back into the simulation,
+  /// and recording them keeps results bitwise identical.
   struct WindowStats {
-    std::uint64_t windows = 0;        ///< windows this shard executed
-    std::uint64_t empty_windows = 0;  ///< windows with zero events to run
-    double idle_wall_secs = 0.0;      ///< wall spent waiting on stragglers
+    std::uint64_t windows = 0;        ///< horizon refreshes the shard ran
+    std::uint64_t empty_windows = 0;  ///< refreshes that dispatched nothing
+    double idle_wall_secs = 0.0;      ///< wall spent waiting for a horizon
+    /// Largest finite amount (sim s) by which the installed promise raised
+    /// the published bound over `min(next, H) + lookahead`; 0 if it never
+    /// did (a promise of +inf — no post ever again — is not counted).
+    double max_promise_lead = 0.0;
   };
 
   explicit ShardedSimulator(Config cfg);
@@ -98,18 +98,19 @@ class ShardedSimulator {
 
   /// Schedule `cb` on shard `to` at absolute time `t`, called from shard
   /// `from` (i.e. from within one of its callbacks during `run()`, or from
-  /// the coordinator thread between runs) on behalf of `lane`: the model
+  /// the calling thread between runs) on behalf of `lane`: the model
   /// partition that posts, which lives on shard `from` and makes its posts
   /// in the same order for every shard count (the campaign's node groups,
   /// plus one lane for the top). Lanes are below `kMaxLanes`. `t` is
-  /// clamped up to `shard(from).now() + lookahead()` — the
-  /// conservative-window invariant; the clamp is identical whether or not
-  /// `from == to`, so a model's timing does not depend on how its groups
-  /// map onto shards. Deliveries that land on one shard at one instant run
-  /// before its other events of that instant, ordered by lane and then by
-  /// the lane's post order. Same-shard posts schedule directly; cross-shard
-  /// posts ride the mailbox and are injected at the next window barrier. A
-  /// coordinator-side cross-shard post whose (clamped) time is at or before
+  /// clamped up to `shard(from).now() + lookahead()`; the clamp is
+  /// identical whether or not `from == to`, so a model's timing does not
+  /// depend on how its groups map onto shards. Deliveries that land on one
+  /// shard at one instant run before its other events of that instant,
+  /// ordered by lane and then by the lane's post order. Same-shard posts
+  /// schedule directly; cross-shard posts inside a run ride the mailbox.
+  /// Inside a run, a cross-shard post below the sender's last published
+  /// bound means its promise was unsound and throws `std::logic_error`.
+  /// Between runs, a cross-shard post whose (clamped) time is at or before
   /// `shard(to).now()` would land in the receiver's past and throws
   /// `std::invalid_argument`.
   void post(std::size_t from, std::size_t to, std::uint32_t lane, SimTime t,
@@ -119,181 +120,182 @@ class ShardedSimulator {
   static constexpr unsigned kLaneShift = 40;
   static constexpr std::uint32_t kMaxLanes = 1u << (63 - kLaneShift);
 
-  /// Run until no regular (non-daemon) events remain on any shard and all
-  /// mailboxes are empty. Returns the number of events dispatched across
-  /// all shards during this call. Only the coordinator thread may call it.
+  /// Run until no regular (non-daemon) event remains on any shard and no
+  /// mail is in flight (global quiescence). Returns the number of events
+  /// dispatched across all shards during this call. Only the thread that
+  /// owns shard 0 may call it.
   std::uint64_t run();
 
-  /// Run like `run()` but stop at the first quiescent point — a window
-  /// barrier (K > 1) or the dispatch loop (K = 1) — at which every pending
-  /// event is at or beyond `mark`. Pausing is *bit-transparent*: the window
-  /// horizons depend only on next-event times and promises, never on the
-  /// mark, so interleaving `run_to` calls (and a final `run()`) dispatches
+  /// Run like `run()`, but every shard stops exactly at `mark`: it runs all
+  /// of its events below the mark and none at or beyond it (or stops
+  /// earlier at quiescence). Pausing is *bit-transparent*: horizons bound
+  /// only what may run, never the order in which a shard runs its events,
+  /// so interleaving `run_to` calls (and a final `run()`) dispatches
   /// exactly the event sequence an uninterrupted `run()` would — the
-  /// property campaign checkpointing rests on. Two caveats, both inherited
-  /// from the window protocol: with K > 1 a window whose horizon straddles
-  /// the mark finishes, so events up to the widen cap past it may run
-  /// before the pause (the horizon stays below mark + 4,097 lookaheads,
-  /// 2.05 s of simulated time at the campaign lookahead), and in K = 1 mode
-  /// daemon events below the mark run even past the last regular event
-  /// (plain `run()` would stop at it) — models that keep cross-K
-  /// equivalence must not let daemon tails feed measured state, as already
-  /// required by `run()`.
+  /// property campaign checkpointing rests on. In K = 1 mode daemon events
+  /// below the mark run even past the last regular event (plain `run()`
+  /// would stop at it), as already allowed by the daemon caveat above.
   std::uint64_t run_to(SimTime mark);
 
   /// Total events dispatched across all shards so far.
   std::uint64_t dispatched() const;
   /// Regular (non-daemon) events pending across all shards + mailboxes.
+  /// Between runs only.
   std::size_t pending_regular() const;
-  /// Cross-shard events posted so far (same-shard posts excluded). Only
-  /// meaningful between runs / from the coordinator (per-shard counters are
-  /// owned by their worker threads during a window).
+  /// Cross-shard events posted so far (same-shard posts excluded). Between
+  /// runs only.
   std::uint64_t cross_posts() const noexcept;
-  /// Window barriers executed by multi-shard `run()` calls.
-  std::uint64_t windows() const noexcept { return windows_; }
-  /// Whole lookaheads that promise widening added beyond each opened
-  /// window's conservative horizon `t_min + lookahead`, summed over the
-  /// windows. Not a count of skipped conservative windows: widening moves
-  /// every later window, so `windows() + windows_skipped()` can land far
-  /// above or below the run's promise-free window count. Zero when no
-  /// promise is installed.
-  std::uint64_t windows_skipped() const noexcept { return windows_skipped_; }
+  /// Horizon refreshes run by all shards so far (see `WindowStats`).
+  /// Process-local, like the stats it sums. Zero with one shard.
+  std::uint64_t windows() const noexcept;
+  /// Refreshes whose published bound the shard's promise raised above the
+  /// conservative `min(next, horizon) + lookahead`. Process-local.
+  std::uint64_t windows_skipped() const noexcept;
 
-  /// Install shard `s`'s outbound promise for widened horizons (an empty
-  /// function uninstalls it). The function must return a lower bound on the
-  /// delivery time of any cross-shard `post` shard `s` will make from events it
-  /// has not yet executed — considering the shard's *entire* future behavior
-  /// from its current state, not just its next event. Return 0 for "no promise"
-  /// (the shard contributes its conservative bound only) and +infinity for
-  /// "this shard will never post again this run". The coordinator evaluates
-  /// promises in the serial phase of every opened window, with all workers
-  /// parked at the barrier and every mailbox drained into its receiver, so
-  /// the function may freely read the model state of shard `s` — and of any
-  /// other shard: nothing runs during the serial phase, and the barrier
-  /// orders those reads after every write of the previous window. A
-  /// cross-shard read is only valid there; a promise that chains another
-  /// shard's state (e.g. a top aggregator bounding its next emission by the
-  /// emission floors of the groups feeding it) may rely on that state only
-  /// through what the other shard's own future events can do from it, since
-  /// those events run in the window being planned. Promises must be pure reads:
-  /// evaluating one must not change model state, or `run_to` pausing stops
-  /// being bit-transparent. A promise that is later contradicted by an actual
-  /// post below the promised bound is a model bug and raises `std::logic_error`
-  /// at the offending `post`.
+  /// Install shard `s`'s outbound promise (an empty function uninstalls
+  /// it). The function returns a lower bound on the delivery time of any
+  /// cross-shard `post` shard `s` will make from its current state — 0 for
+  /// "no promise" (the shard publishes its conservative bound only) and
+  /// +infinity for "this shard will never post again". The contract:
+  ///  - it is evaluated on shard `s`'s own thread, after the shard ran
+  ///    every event below its horizon H_s, at every horizon refresh;
+  ///  - it reads only shard `s`'s own model state, immutable setup data, or
+  ///    snapshots other shards publish (with their own synchronization):
+  ///    other shards run concurrently, so their live state is off limits;
+  ///  - it must hold for every future the shard can still have, including
+  ///    any delivery at or beyond H_s reaching it later;
+  ///  - it must not change model state, or pausing stops being
+  ///    bit-transparent.
+  /// A promise contradicted by an actual post below the published bound is
+  /// a model bug and raises `std::logic_error` at the offending `post`.
   void set_promise(std::size_t s, std::function<SimTime()> fn) {
-    promises_[s] = std::move(fn);
+    shards_[s].promise = std::move(fn);
   }
 
-  /// Per-shard barrier stats (zero in 1-shard mode — no barriers run).
-  /// Only meaningful between runs / from the coordinator.
+  /// Declare the shards `s` may post to (by default every other shard). A
+  /// shard's horizon is the least bound over the shards that may post to
+  /// it, so a sparse declaration lets shards that never talk run
+  /// independently. A cross-shard post to an undeclared receiver is a model
+  /// bug and throws `std::logic_error`. Between runs only.
+  void set_receivers(std::size_t s, const std::vector<std::size_t>& to);
+
+  /// Run `fn(s)` once for every shard s on that shard's own thread (shard
+  /// 0 on the calling thread) and return when all have finished,
+  /// rethrowing the first exception any of them threw. Between runs only.
+  /// A model that builds each shard's state this way gets it from that
+  /// thread's allocator arena, away from the other shards' cache lines.
+  void on_each_shard(const std::function<void(std::size_t)>& fn);
+
+  /// Per-shard synchronization stats (zero in 1-shard mode). Between runs.
   const WindowStats& window_stats(std::size_t i) const {
     return shards_[i].stats;
   }
-
-  /// Attach a passive trace recorder (nullptr detaches). Each shard's
-  /// worker emits its window events into its own ring; the coordinator
-  /// emits the mailbox-exchange events into the coordinator ring between
-  /// windows — recording never schedules events or alters the window
-  /// protocol, so traced runs stay bitwise identical to untraced runs.
-  void set_trace(obs::TraceRecorder* trace) noexcept { trace_ = trace; }
 
  private:
   struct CrossEvent {
     SimTime t;
     std::uint64_t key;  ///< delivery key: lane, then the sender's post count
-    std::uint32_t dst;
     Task cb;
   };
 
-  /// Per-shard state, cache-line separated: `sim`, `post_seq` (every post
-  /// the shard made, the low bits of its delivery keys) and `posted` (its
-  /// cross-shard posts) are touched by the owning worker thread during a
-  /// window, by the coordinator only between windows.
-  struct alignas(64) ShardCell {
-    std::unique_ptr<Simulator> sim;
-    std::uint64_t post_seq = 0;
-    std::uint64_t posted = 0;
-    /// `windows`/`empty_windows` are written by the owning thread inside
-    /// `run_shard_window`; `idle_wall_secs` and `done_at` are reconciled
-    /// by the coordinator in the serial phase (workers parked).
-    WindowStats stats;
-    std::chrono::steady_clock::time_point done_at{};
+  /// Unbounded single-producer single-consumer queue (Vyukov's intrusive
+  /// node queue): the sender links a node behind `tail` with release, the
+  /// receiver walks `head` with acquire. `head` is always a consumed stub.
+  struct MailNode {
+    CrossEvent ev;
+    std::atomic<MailNode*> next{nullptr};
+  };
+  struct Mailbox {
+    alignas(64) MailNode* tail = nullptr;  ///< sender-owned
+    alignas(64) MailNode* head = nullptr;  ///< receiver-owned stub
   };
 
-  /// Single-writer mailbox for one (src, dst) pair; the src worker appends
-  /// during its window, the coordinator drains at the barrier.
-  struct alignas(64) Mailbox {
-    std::vector<CrossEvent> events;
+  /// Per-shard state owned by the shard's thread during a run (by the
+  /// calling thread between runs), cache-line separated from its
+  /// neighbours.
+  struct alignas(64) ShardCell {
+    std::unique_ptr<Simulator> sim;
+    std::function<SimTime()> promise;
+    std::uint64_t post_seq = 0;  ///< every post, the low bits of its keys
+    std::uint64_t posted = 0;    ///< cross-shard posts
+    std::uint64_t skipped = 0;   ///< see `windows_skipped`
+    SimTime eot = 0.0;           ///< owner's copy of the published bound
+    bool active = false;         ///< counted in `active_`
+    WindowStats stats;
+    std::vector<std::size_t> senders;    ///< shards that may post here
+    std::vector<std::size_t> receivers;  ///< shards this one may post to
+  };
+
+  /// What a shard shares with the others: its published bound, the horizon
+  /// value it is blocked at (+inf when not waiting) and its futex word.
+  struct alignas(64) Link {
+    std::atomic<SimTime> eot{0.0};
+    std::atomic<SimTime> need{0.0};
+    std::atomic<std::uint32_t> wake{0};
   };
 
   Mailbox& mailbox(std::size_t src, std::size_t dst) {
     return mail_[src * shards_.size() + dst];
   }
-  /// Shared body of `run` / `run_to`: windows stop once the minimum next
-  /// event time reaches `mark` (+infinity for an unbounded run).
   std::uint64_t run_impl(SimTime mark);
-  /// Pick the horizon of the window about to open (serial phase):
-  /// conservative `t_min + lookahead`, widened by installed promises.
-  /// `next_at[s]` is shard `s`'s next event time, already queried for
-  /// `t_min`. Also ticks `windows_skipped_` — called exactly once per
-  /// *opened* window, after the `run_to` mark check, so pausing stays
-  /// bit-transparent.
-  SimTime plan_window(SimTime t_min, const std::vector<SimTime>& next_at);
-  /// Spawn the K-1 worker threads on first multi-shard use; they persist —
-  /// parked on the epoch wait — across run/run_to calls (a mark-sliced
-  /// checkpointed round would otherwise pay a thread create/join per
-  /// slice) and are joined by the destructor.
+  /// Spawn the K-1 worker threads on first multi-shard use; they persist,
+  /// parked on `run_epoch_`, across run/run_to calls and are joined by the
+  /// destructor.
   void ensure_workers();
-  /// Schedule every mailbox event into its target as a keyed delivery.
-  /// Returns the number of cross events delivered.
-  std::size_t drain_mailboxes();
-  std::size_t mail_pending() const;
-  void worker_loop(std::size_t s, std::uint64_t base_epoch);
-  /// Run the shard's window, capturing a model-callback exception so it
-  /// can be rethrown on the coordinator after the barrier (in 1-shard mode
-  /// exceptions propagate natively; the threaded mode must match instead
-  /// of std::terminate-ing).
-  void run_shard_window(std::size_t s);
+  /// One shard's run: refresh, drain, run below the horizon, publish, wait.
+  void shard_loop(std::size_t s);
+  /// Rebuild every shard's sender and receiver lists from `may_post_`.
+  void relink();
+  /// min over the published bounds of the shards that may post to `s`.
+  SimTime horizon(std::size_t s) const;
+  /// Move shard `s`'s inbound mail into its core. Returns the count.
+  std::size_t drain_inbound(std::size_t s);
+  /// Publish `v` as shard `s`'s bound and wake receivers blocked below it.
+  void publish(std::size_t s, SimTime v);
+  /// Block shard `s` until its horizon exceeds `at`, or the run ends.
+  void wait_for_horizon(std::size_t s, SimTime at);
+  /// The run is over (quiescent or failed): release every waiter.
+  void end_run();
   void record_error() noexcept;
+  /// Start the workers on the current epoch's job (a run, or `task_`).
+  void start_workers();
+  /// Wait until every worker finished the current job, end the run
+  /// (`running_`), and rethrow the job's first error.
+  void join_workers();
 
   SimTime lookahead_;
   std::vector<ShardCell> shards_;
+  std::unique_ptr<Link[]> links_;
   std::vector<Mailbox> mail_;
-  /// Per-shard next event times of the window being planned (serial
-  /// phase scratch).
-  std::vector<SimTime> next_at_;
+  /// may_post_[src * K + dst]: `set_receivers` declared the pair.
+  std::vector<char> may_post_;
   std::vector<std::thread> workers_;
-  std::uint64_t windows_ = 0;
-  std::uint64_t windows_skipped_ = 0;
-  obs::TraceRecorder* trace_ = nullptr;  ///< passive; not owned
 
-  // ---- promise-widened horizon state (coordinator-owned) --------------
-  /// Per-shard outbound promise functions (empty = no promise).
-  std::vector<std::function<SimTime()>> promises_;
-  /// Promise bounds cached at window open; `post` enforces them (a post
-  /// below its shard's promised bound is an unsound promise). Written by
-  /// the coordinator in the serial phase, read by workers during the
-  /// window — the barrier orders the accesses. Reset to 0 between runs.
-  std::vector<SimTime> promised_;
-
-  // ---- window barrier (used only when shard_count() > 1) --------------
-  // The coordinator publishes `window_end_` then bumps `epoch_`; workers
-  // run their window and bump `done_`. Waiters spin briefly (windows are
-  // typically microseconds apart under load), then block on the condvar so
-  // oversubscribed machines don't burn whole scheduler quanta.
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint32_t> done_{0};
-  std::atomic<bool> stop_{false};
+  // ---- run control (shard_count() > 1) ---------------------------------
+  /// Bumped by the calling thread to start a run (and at shutdown);
+  /// workers futex-wait on it between runs.
+  alignas(64) std::atomic<std::uint32_t> run_epoch_{0};
+  std::atomic<bool> shutdown_{false};
+  /// Workers that finished the current run; the caller futex-waits on it.
+  alignas(64) std::atomic<std::uint32_t> workers_done_{0};
+  /// Active shards plus cross-shard mail in flight: the run is quiescent
+  /// when it reaches zero.
+  alignas(64) std::atomic<std::int64_t> active_{0};
+  /// Set once the run is quiescent or failed; every shard loop exits.
+  alignas(64) std::atomic<bool> stop_{false};
   std::atomic<bool> failed_{false};
-  std::exception_ptr error_;  ///< first callback exception (guarded by mu_)
-  SimTime window_end_ = 0.0;
-  /// True from the epoch bump to the end of the barrier wait, i.e. while
-  /// shard callbacks may run; `post` checks receiver clocks only outside.
-  /// Written by the coordinator; the epoch/done handshake orders the
-  /// workers' reads.
-  bool in_window_ = false;
+  std::mutex error_mu_;
+  std::exception_ptr error_;  ///< first callback exception
+  /// The current run's mark (+inf for `run()`); written before the epoch
+  /// bump that starts the run.
+  SimTime mark_ = 0.0;
+  /// The `on_each_shard` job the workers run instead of a shard loop
+  /// (null during runs); written before the epoch bump.
+  const std::function<void(std::size_t)>* task_ = nullptr;
+  /// True while a multi-shard run is in progress (set and cleared by the
+  /// calling thread around the epoch handshake): selects mailbox posts and
+  /// the promise check over the between-runs receiver check.
+  bool running_ = false;
 };
 
 }  // namespace lifl::sim

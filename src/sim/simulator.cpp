@@ -299,9 +299,12 @@ bool Simulator::dispatch_next(SimTime limit, bool bounded, bool strict) {
 
 bool Simulator::step() { return dispatch_next(0, /*bounded=*/false); }
 
-std::size_t Simulator::run() {
+std::size_t Simulator::run(std::size_t max_events) {
   std::size_t n = 0;
-  while (regular_pending_ > 0 && dispatch_next(0, /*bounded=*/false)) ++n;
+  while (n < max_events && regular_pending_ > 0 &&
+         dispatch_next(0, /*bounded=*/false)) {
+    ++n;
+  }
   return n;
 }
 
@@ -312,9 +315,12 @@ std::size_t Simulator::run_until(SimTime t) {
   return n;
 }
 
-std::size_t Simulator::run_window(SimTime end) {
+std::size_t Simulator::run_window(SimTime end, std::size_t max_events) {
   std::size_t n = 0;
-  while (dispatch_next(end, /*bounded=*/true, /*strict=*/true)) ++n;
+  while (n < max_events &&
+         dispatch_next(end, /*bounded=*/true, /*strict=*/true)) {
+    ++n;
+  }
   return n;
 }
 

@@ -132,9 +132,10 @@ class alignas(64) Simulator {
   /// Run a single event (daemon or not). Returns false if the queue is empty.
   bool step();
 
-  /// Run until no regular (non-daemon) events remain; returns the number of
-  /// events dispatched (daemons included).
-  std::size_t run();
+  /// Run until no regular (non-daemon) events remain, or until `max_events`
+  /// were dispatched; returns the number of events dispatched (daemons
+  /// included).
+  std::size_t run(std::size_t max_events = SIZE_MAX);
 
   /// Run events with time <= `t` (regular and daemon), then set the clock
   /// to `t`. Returns the number of events dispatched.
@@ -142,11 +143,12 @@ class alignas(64) Simulator {
 
   /// Run events with time strictly < `end` (regular and daemon) and stop.
   /// Unlike `run_until` the clock is left at the last dispatched event, not
-  /// advanced to `end`. This is the per-window body of the sharded
-  /// conservative-time-window protocol: a shard may safely execute
-  /// everything below the window horizon because no cross-shard event can
-  /// land earlier than the horizon.
-  std::size_t run_window(SimTime end);
+  /// advanced to `end`. This is the body of the sharded core's horizon
+  /// protocol: a shard may safely execute everything below its horizon
+  /// because no cross-shard event can land earlier. Stops early once
+  /// `max_events` were dispatched: a shard republishes its own bound
+  /// between such slices.
+  std::size_t run_window(SimTime end, std::size_t max_events = SIZE_MAX);
 
   /// Timestamp of the earliest pending event (daemons included), or
   /// +infinity when the queue is empty. May rotate calendar windows to find

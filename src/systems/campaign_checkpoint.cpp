@@ -159,11 +159,12 @@ std::vector<std::uint8_t> CampaignCheckpoint::encode_boundary(
   s.u64(partial.quorum_seals);
   s.u64(partial.quorum_abandoned);
   s.f64(partial.recovery_secs);
-  // v5: the barrier totals so far (this process's windows and posts on top
-  // of any restored base), so a resumed run reports the uninterrupted
-  // run's totals.
-  s.u64(partial.windows + st.sharded->windows());
-  s.u64(partial.windows_skipped + st.sharded->windows_skipped());
+  // v5: two reserved zero words where the window counts were (they are
+  // process-local now, like the wall time), then the cross-shard posts so
+  // far (this process's on top of any restored base), so a resumed run
+  // reports the uninterrupted run's total.
+  s.u64(0);
+  s.u64(0);
   s.u64(partial.cross_posts + st.sharded->cross_posts());
   s.u64(st.top_crashes);
   s.f64(st.top_recovery_secs);
@@ -359,8 +360,8 @@ CheckpointCut CampaignCheckpoint::restore(
   partial.quorum_seals = d.u64();
   partial.quorum_abandoned = d.u64();
   partial.recovery_secs = d.f64();
-  partial.windows = d.u64();
-  partial.windows_skipped = d.u64();
+  d.u64();  // reserved (window counts of older blobs; process-local)
+  d.u64();
   partial.cross_posts = d.u64();
   st.top_crashes = d.u64();
   st.top_recovery_secs = d.f64();

@@ -66,8 +66,8 @@ class CampaignCheckpoint {
   /// stats and the planner section its per-group re-plan counters (the
   /// result section is the counts' one home); the eBPF metrics map is its
   /// five fixed slots as raw f64s instead of (name, value) pairs; and the
-  /// result section carries the barrier window / skipped-window /
-  /// cross-shard-post totals.
+  /// result section carries the cross-shard-post total (after two
+  /// reserved words, written as zero, where window counts used to be).
   static constexpr std::uint32_t kVersion = 5;
 
   /// Digest of every config field that shapes the simulation (not the

@@ -63,7 +63,7 @@ void write_campaign_metrics_jsonl(const ShardedCampaignResult& result,
             i < result.round_refolded.size() ? result.round_refolded[i] : 0));
   }
 
-  // One row per shard: the barrier-stall report.
+  // One row per shard: the horizon-wait report (process-local).
   for (std::size_t s = 0; s < result.shard_windows.size(); ++s) {
     std::fprintf(f,
                  "{\"type\": \"shard\", \"shard\": %zu, \"windows\": %llu, "

@@ -17,11 +17,28 @@
 #include "src/sim/random.hpp"
 #include "src/sim/sharded_simulator.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/systems/campaign_promises.hpp"
 #include "src/systems/sharded_campaign.hpp"
 #include "src/systems/streaming_hierarchy.hpp"
 #include "src/workload/population.hpp"
 
 namespace lifl::sys::detail {
+
+/// Promise-side state of one group when the campaign runs on K > 1 shards
+/// (sharded_campaign.cpp, `install_promises`). Written by the group's own
+/// shard during a run, and by the calling thread when arrivals are armed.
+struct GroupPromise {
+  /// Clone of the arrival chain taken when arrivals were armed: its RNG
+  /// after the first draw, and that first draw.
+  sim::Rng clone{0};
+  double first_rel = 0.0;
+  /// Replayed from the clone by the owning shard on first use, then
+  /// published by `table_ready` (release) for the top's shard to merge.
+  ArrivalTable table;
+  std::atomic<bool> table_ready{false};
+  /// The relay snapshot the owning shard republishes at each refresh.
+  RelayBoard relay;
+};
 
 /// One node group of the sharded mega-campaign: a single-node cluster with
 /// its own LIFL data plane, arrival process and population slice. All
@@ -46,6 +63,8 @@ struct alignas(64) Group {
   /// Passive observability handle (this group's track + shard ring).
   /// Disabled (all-null) unless the campaign config enabled obs.
   obs::GroupObs obs;
+  /// Outbound-promise state; null with one shard (no promises).
+  std::unique_ptr<GroupPromise> promise;
 
   // Open-loop arrival chain state for the current round (one pending
   // arrival event at a time, profiles derived lazily per index).
@@ -132,13 +151,13 @@ struct CampaignState {
   /// pulses and async version emissions run on that shard's thread.
   obs::GroupObs camp_obs;
   /// Campaign-track handle writing the coordinator ring — only touched
-  /// between windows (round epilogues, checkpoint blob cuts).
+  /// between runs (round epilogues, checkpoint blob cuts).
   obs::GroupObs coord_obs;
 
   // ---- async stream (hierarchy == kAsync) ------------------------------
   // Version-cadence state of the recurring top. Written by group 0's shard
-  // during the stream, read by the coordinator at barriers (the shard
-  // join/barrier orders the accesses).
+  // during the stream, read by the coordinator between runs (the end-of-run
+  // handshake orders the accesses).
   std::uint64_t async_total = 0;   ///< client updates in the whole stream
   std::uint64_t async_quota = 0;   ///< folded updates per model version (K)
   std::uint64_t async_folded = 0;  ///< cumulative folded updates
@@ -154,6 +173,13 @@ struct CampaignState {
   /// Per-version telemetry sink (the result being built): the recurring
   /// top's on_result appends directly from group 0's shard.
   ShardedCampaignResult* out = nullptr;
+
+  // ---- outbound promises (K > 1; the top's shard only) -----------------
+  /// Merged launch bound of the async stream, built once every group's
+  /// arrival table is ready; reset when arrivals are armed.
+  std::unique_ptr<LaunchBound> launches;
+  /// Scratch for the relay snapshots the top's promise reads.
+  std::vector<RelaySnapshot> relay_snapshots;
 
   // ---- checkpointing ---------------------------------------------------
   /// Snapshot persistence cost model, on group 0's node (Appendix B path).

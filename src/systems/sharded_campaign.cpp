@@ -19,6 +19,7 @@
 #include "src/sim/sharded_simulator.hpp"
 #include "src/systems/campaign_checkpoint.hpp"
 #include "src/systems/campaign_config.hpp"
+#include "src/systems/campaign_promises.hpp"
 #include "src/systems/campaign_state.hpp"
 #include "src/systems/streaming_hierarchy.hpp"
 #include "src/workload/population.hpp"
@@ -29,19 +30,9 @@ namespace calib = sim::calib;
 
 using detail::CampaignState;
 using detail::Group;
+using detail::GroupPromise;
 
 namespace {
-
-/// Latency of a relay/leaf-aggregate transfer between node groups: minimum
-/// cross-group latency (propagation + switch + kernel wake-up) plus wire
-/// time plus the fixed kernel receive cost. Always >= the sharded
-/// simulator's lookahead, which is what makes the conservative windows
-/// sound for this workload.
-double cross_latency_secs(std::size_t bytes) {
-  return calib::kCrossShardLatencySecs +
-         static_cast<double>(bytes) / calib::kNicBytesPerSec +
-         calib::kKernelFixedCycles / calib::kCpuHz;
-}
 
 /// Injects one relayed group aggregate into the top aggregator. Runs on the
 /// top's shard; the update was detached from its source group (no lease, no
@@ -409,7 +400,7 @@ void on_version(CampaignState& st, fl::ModelUpdate u) {
 /// k·checkpoint_every_secs grid while the round is active, billing the
 /// CheckpointManager cost model (marshal CPU on group 0's node, storage
 /// latency off it) with the size the blob for this round will have. Riding
-/// the event queue — not the coordinator's pause barriers — makes the
+/// the event queue — not the coordinator's `run_to` pauses — makes the
 /// billing times exact grid points, identical for every shard count and
 /// identical under resume-replay. The chain ends itself once the round
 /// completed (one trailing no-op fire at the next mark).
@@ -493,6 +484,13 @@ void arm_arrivals(CampaignState& st, Group& g, std::uint32_t round,
   g.relays_done = 0;
   g.next_rel = g.arrivals->next_after(0.0, g.rng);
   g.sim->schedule_at(g.epoch + g.next_rel, ArrivalFn{&st, &g});
+  if (g.promise) {
+    // The clone the owning shard replays into the group's arrival table.
+    g.promise->clone = g.rng;
+    g.promise->first_rel = g.next_rel;
+    g.promise->table_ready.store(false, std::memory_order_relaxed);
+    st.launches.reset();
+  }
 }
 
 /// Build the fixed two-level tree of one round (the pre-orchestrator
@@ -551,130 +549,96 @@ double wall_since(const std::chrono::steady_clock::time_point& t0) {
       .count();
 }
 
-/// Lower bound on the delivery time of group `g`'s next cross-shard post —
-/// its relay aggregate into the top's shard, plus (under quorum) a possible
-/// deadline-shortfall shrink — or +inf when the group provably posts no
-/// more this round. 0 = no useful bound (the conservative horizon rules).
-///
-/// The argument: a relay output needs `needed` folded client updates, folds
-/// never exceed launched uploads (leases make refolds exactly-once), and
-/// arrivals launch one at a time — so while `launched < needed` the relay
-/// cannot fire before the next scheduled arrival at `epoch + next_rel`,
-/// and its post delivers a cross-group latency after that. An async relay
-/// additionally waits on leaf seals once its arrivals have landed: its
-/// emission floor (`StreamingHierarchy::relay_emit_floor`) plus the same
-/// latency also bounds the post, and the later of the two bounds holds.
-/// Pure reads of group-local state, evaluated only while the shards are
-/// parked.
-double group_outbound_bound(const CampaignState& st, const Group& g) {
-  const ShardedCampaignConfig& cfg = *st.cfg;
-  const double inf = std::numeric_limits<double>::infinity();
-  std::uint64_t needed = 0;
-  double deadline = inf;  // quorum-shrink probe bound (planned only)
-  switch (cfg.hierarchy) {
-    case HierarchyMode::kFixed:
-      // One-shot leaves relay at updates_per_leaf folds each; the k-th
-      // relay needs at least k * updates_per_leaf folds in the group.
-      if (g.relays_done >= cfg.leaves_per_group) return inf;
-      needed = (g.relays_done + 1) *
-               static_cast<std::uint64_t>(cfg.updates_per_leaf);
-      break;
-    case HierarchyMode::kPlanned:
-      // The group relay fires once, at the full per-group target — or
-      // early at a quorum seal, which cannot land (nor can the shortfall
-      // shrink it posts) before the round-deadline probe.
-      if (cfg.quorum < 1.0) {
-        deadline = g.epoch + cfg.round_deadline_secs + cross_latency_secs(0);
-      }
-      if (g.relays_done >= 1) return deadline;
-      needed = g.target;
-      break;
-    case HierarchyMode::kAsync: {
-      // Recurring relay: flushes every `flush` folded updates, remainder
-      // last; `g.target` is the group's whole-stream upload share.
-      const std::uint64_t flush = g.hier->relay_flush();
-      const std::uint64_t done = g.relays_done * flush;
-      if (done >= g.target) return inf;
-      needed = std::min(done + flush, g.target);
-      break;
-    }
+/// Group `g`'s promise inputs, read on its own shard's thread. The first
+/// call after arrivals were armed replays the arrival clone into the
+/// group's table and publishes it for the top's shard.
+GroupFlow group_flow(const CampaignState& st, Group& g) {
+  GroupPromise& p = *g.promise;
+  if (!p.table_ready.load(std::memory_order_relaxed)) {
+    p.table = ArrivalTable::replay(*g.arrivals, p.clone, g.epoch,
+                                   p.first_rel, g.target);
+    p.table_ready.store(true, std::memory_order_release);
   }
-  const double latency = cross_latency_secs(cfg.model_bytes);
-  double bound = 0.0;
-  if (g.launched < needed) {
-    bound = std::min(g.epoch + g.next_rel + latency, deadline);
+  GroupFlow f;
+  f.relays_done = g.relays_done;
+  f.launched = g.launched;
+  f.target = g.target;
+  f.epoch = g.epoch;
+  f.next_arrival = g.epoch + g.next_rel;
+  f.arrivals = &p.table;
+  if (st.cfg->hierarchy == HierarchyMode::kAsync) {
+    f.relay_flush = g.hier->relay_flush();
+    f.emit_floor = g.hier->relay_emit_floor();
   }
-  if (cfg.hierarchy == HierarchyMode::kAsync) {
-    bound = std::max(bound, g.hier->relay_emit_floor() + latency);
-  }
-  return bound;
+  return f;
 }
 
-/// Lower bound on the next VersionApply broadcast out of the top's shard
-/// (async mode), the later of two bounds:
-///  - arrivals: the next version needs `async_folded + goal` cumulative
-///    folds, folds never exceed launched uploads, so while the fleet has
-///    not launched that many the emission waits for the earliest next
-///    arrival;
-///  - the floor chain: the top holds or has in transit every unit the
-///    relays forwarded minus what it already emitted. While that cannot
-///    meet its goal, the next version needs a new relay emission — no
-///    earlier than the least group emission floor — one cross-group hop
-///    and one top Agg step later, and its broadcast lands one more hop
-///    after that. Under faults every group floor is 0, and so is the
-///    chain's contribution.
-/// Reads every group's hierarchy, so it may only run in the serial phase
-/// (see `ShardedSimulator::set_promise`).
-double async_top_bound(const CampaignState& st) {
-  const double inf = std::numeric_limits<double>::infinity();
-  if (st.round_done) return inf;  // stream over: no more broadcasts
-  const double latency = cross_latency_secs(st.cfg->model_bytes);
-  const std::uint64_t need =
-      st.async_folded +
-      std::min(st.async_quota, st.async_total - st.async_folded);
-  std::uint64_t launched = 0;
-  for (const Group& g : st.groups) launched += g.launched;
-  double bound = 0.0;
-  if (launched < need) {
-    double arrival = inf;
+/// The async top's promise, on the top's shard: merges the groups' arrival
+/// tables once all are published, and reads every group's relay snapshot.
+double top_bound(CampaignState& st, double top_step) {
+  if (!st.launches) {
+    std::vector<const ArrivalTable*> tables;
     for (const Group& g : st.groups) {
-      if (g.launched >= g.target) continue;
-      arrival = std::min(arrival, g.epoch + g.next_rel);
+      if (!g.promise->table_ready.load(std::memory_order_acquire)) break;
+      tables.push_back(&g.promise->table);
     }
-    if (arrival != inf) bound = arrival + latency;
+    if (tables.size() == st.groups.size()) {
+      st.launches = std::make_unique<LaunchBound>(tables);
+    }
   }
-  std::uint64_t forwarded = 0;
-  for (const Group& g : st.groups) forwarded += g.hier->forwarded();
-  if (forwarded - st.async_folded >= st.top->config().goal) return bound;
-  double relay = inf;
+  TopFlow top;
+  top.done = st.round_done;
+  top.folded = st.async_folded;
+  top.quota = st.async_quota;
+  top.total = st.async_total;
+  top.goal = st.top->config().goal;
+  top.top_step = top_step;
+  st.relay_snapshots.clear();
   for (const Group& g : st.groups) {
-    relay = std::min(relay, g.hier->relay_emit_floor());
+    st.relay_snapshots.push_back(g.promise->relay.read());
   }
-  const double top_step =
-      fl::AggregatorRuntime::agg_cycles(st.cfg->model_bytes) /
-      st.groups[0].cluster->node(0).config().cpu_hz;
-  return std::max(bound, relay + latency + top_step + latency);
+  return async_top_bound(*st.cfg, top, st.launches.get(), st.relay_snapshots);
 }
 
-/// Install the per-shard outbound promises that widen the barrier
-/// windows: campaign-level knowledge the sharded core cannot see.
-/// The core only *verifies* (a cross post below its shard's promise throws)
-/// and plans windows with the published bounds. Posts between co-located
-/// groups never cross shards, so a group living on the top's shard
-/// contributes nothing.
+/// Install the per-shard outbound promises: campaign-level knowledge the
+/// sharded core cannot see. Each runs on its own shard's thread at every
+/// horizon refresh (see `ShardedSimulator::set_promise`); the core only
+/// *verifies* (a cross post below its shard's published bound throws).
+/// Relays of groups living on the top's shard never cross shards, so those
+/// groups bound nothing — in async mode their shard still publishes their
+/// relay snapshots and arrival tables for the top's bound.
 void install_promises(CampaignState& st, sim::ShardedSimulator& sharded) {
   const std::size_t top_shard = st.groups[0].shard;
   const bool is_async = st.cfg->hierarchy == HierarchyMode::kAsync;
+  for (Group& g : st.groups) g.promise = std::make_unique<GroupPromise>();
+  st.relay_snapshots.reserve(st.groups.size());
+  const double top_step =
+      fl::AggregatorRuntime::agg_cycles(st.cfg->model_bytes) /
+      st.groups[0].cluster->node(0).config().cpu_hz;
   for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-    sharded.set_promise(s, [&st, s, top_shard, is_async]() {
+    // Group shards post only into the top's shard (relays, quorum
+    // shrinks); the top's shard posts only the async version broadcasts.
+    std::vector<std::size_t> receivers;
+    for (std::size_t r = 0; r < sharded.shard_count(); ++r) {
+      if (r != s && (s == top_shard ? is_async : r == top_shard)) {
+        receivers.push_back(r);
+      }
+    }
+    sharded.set_receivers(s, receivers);
+    sharded.set_promise(s, [&st, s, top_shard, is_async, top_step]() {
       double bound = std::numeric_limits<double>::infinity();
-      for (const Group& g : st.groups) {
-        if (g.shard != s || g.shard == top_shard) continue;
-        bound = std::min(bound, group_outbound_bound(st, g));
-        if (bound <= 0.0) return 0.0;
+      for (Group& g : st.groups) {
+        if (g.shard != s || (s == top_shard && !is_async)) continue;
+        const GroupFlow f = group_flow(st, g);
+        if (is_async) {
+          g.promise->relay.publish({g.hier->forwarded(), f.emit_floor});
+        }
+        if (s != top_shard) {
+          bound = std::min(bound, group_outbound_bound(*st.cfg, f));
+        }
       }
       if (is_async && s == top_shard) {
-        bound = std::min(bound, async_top_bound(st));
+        bound = std::min(bound, top_bound(st, top_step));
       }
       return std::max(bound, 0.0);
     });
@@ -706,9 +670,6 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
   if (cfg.obs.enabled()) {
     campaign_obs =
         std::make_shared<obs::CampaignObs>(cfg.obs, cfg.shards, cfg.groups);
-  }
-  if (campaign_obs && cfg.obs.trace) {
-    sharded.set_trace(&campaign_obs->trace());
   }
 
   CampaignState st;
@@ -747,7 +708,9 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     st.planner = std::make_unique<ctrl::CampaignPlanner>(pcfg, cfg.groups);
   }
 
-  for (std::size_t gi = 0; gi < cfg.groups; ++gi) {
+  // Each group is built on the thread that will run it, so its objects come
+  // from that thread's allocator arena, off other shards' cache lines.
+  const auto build_group = [&](std::size_t gi) {
     Group& g = st.groups[gi];
     g.id = gi;
     g.shard = gi % cfg.shards;
@@ -834,7 +797,12 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
       g.hier = std::make_unique<StreamingHierarchy>(*g.plane, *st.planner,
                                                     hcfg);
     }
-  }
+  };
+  sharded.on_each_shard([&](std::size_t s) {
+    for (std::size_t gi = s; gi < cfg.groups; gi += cfg.shards) {
+      build_group(gi);
+    }
+  });
 
   if (cfg.shards > 1) install_promises(st, sharded);
 
@@ -1160,21 +1128,21 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
                            result.upload_corruptions +
                            result.overflow_rejects + result.outage_rejects;
   result.events = sharded.dispatched();
-  // Barrier totals add to the base a resumed run restored from its blob.
+  // Cross posts add to the base a resumed run restored from its blob.
   result.cross_posts += sharded.cross_posts();
-  result.windows += sharded.windows();
-  // Per-shard barrier report (always on — the core counts windows whether
-  // or not tracing is enabled; zero for the 1-shard fast path, which never
-  // runs the window barrier).
+  // Process-local synchronization report (always on — the core counts
+  // whether or not tracing is enabled; zero for the 1-shard fast path).
+  result.windows = sharded.windows();
+  result.windows_skipped = sharded.windows_skipped();
   for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
     const sim::ShardedSimulator::WindowStats& ws = sharded.window_stats(s);
     result.shard_windows.push_back(ws.windows);
     result.shard_empty_windows.push_back(ws.empty_windows);
     result.shard_idle_secs.push_back(ws.idle_wall_secs);
+    result.shard_promise_lead_secs.push_back(ws.max_promise_lead);
   }
   result.obs = campaign_obs;
   result.checkpoint_marks = st.ckpt_marks;
-  result.windows_skipped += sharded.windows_skipped();
   result.sim_secs = sim_end;
   result.wall_secs = wall_since(wall0);
   return result;

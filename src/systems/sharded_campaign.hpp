@@ -17,8 +17,8 @@
 
 namespace lifl::sim {
 
-/// Inert stub: shard synchronization has one protocol (promise-widened
-/// windows; see ShardedSimulator::set_promise), so this enum has one value.
+/// Inert stub: shard synchronization has one protocol (barrier-free
+/// horizons; see ShardedSimulator), so this enum has one value.
 /// It exists only because the benchmark's workload definitions
 /// (perfbench/workloads.cpp) assign `ShardedCampaignConfig::sync_mode`;
 /// the enum and the field go once that assignment does.
@@ -60,9 +60,9 @@ enum class HierarchyMode : std::uint8_t {
 /// wake-up) — the same path and the same timestamps whether the groups run
 /// on 1 shard or on N worker threads. Everything a group touches is
 /// group-local, which is exactly the property that makes the sharded
-/// execution (a) lock-free within a window and (b) equivalent across shard
+/// execution (a) lock-free within a shard and (b) equivalent across shard
 /// counts: the wiring is fixed by `groups`, and `shards` only chooses how
-/// many worker threads the groups are dealt onto.
+/// many threads the groups are dealt onto.
 struct ShardedCampaignConfig {
   std::size_t shards = 1;        ///< worker threads (1 = plain single core)
   std::size_t groups = 8;        ///< node groups — fixes the wiring, NOT the
@@ -170,8 +170,8 @@ struct ShardedCampaignConfig {
   /// Snapshot cadence on the *global simulated-time grid* k·every (0 =
   /// off). Each crossed mark bills the CheckpointManager cost model in-sim
   /// (marshal CPU on group 0's node + storage latency off it) and emits a
-  /// blob at the next quiescent barrier. Resuming from any emitted blob is
-  /// bitwise identical to the uninterrupted run — see
+  /// blob once every shard paused at the mark. Resuming from any emitted
+  /// blob is bitwise identical to the uninterrupted run — see
   /// tests/campaign_checkpoint_test.cpp.
   double checkpoint_every_secs = 0.0;
   /// When set, the latest blob is kept at this path (atomic replace), so a
@@ -189,7 +189,7 @@ struct ShardedCampaignConfig {
 
   /// Inert: see `sim::SyncMode`. With `shards > 1` the campaign always
   /// installs its outbound promises (each shard publishes a lower bound on
-  /// its next cross-group delivery), which widen the barrier windows.
+  /// its next cross-group delivery), which raise the receivers' horizons.
   sim::SyncMode sync_mode = sim::SyncMode::kAdaptive;
 
   // ---- observability (src/obs) -----------------------------------------
@@ -291,16 +291,15 @@ struct ShardedCampaignResult {
   std::uint64_t replans = 0;      ///< mid-round plan changes applied
   std::uint64_t leaf_drains = 0;  ///< partial accumulators drained on shrink
   std::uint32_t peak_leaves = 0;  ///< max concurrent leaves in any group
-  // Barrier totals (events, cross_posts, windows, windows_skipped) are part
-  // of the snapshot, so a resumed run reports the uninterrupted run's.
+  // `events` and `cross_posts` are part of the snapshot, so a resumed run
+  // reports the uninterrupted run's.
   std::uint64_t events = 0;       ///< dispatched across all shards
   std::uint64_t cross_posts = 0;  ///< cross-shard mailbox traffic
-  std::uint64_t windows = 0;      ///< barrier windows actually run
-  /// Whole lookaheads the outbound promises widened each opened window
-  /// beyond its conservative horizon, summed over the windows (see
-  /// `ShardedSimulator::windows_skipped`). Not a count of conservative
-  /// windows avoided: `windows + windows_skipped` is no estimate of the
-  /// promise-free window count. 0 with one shard.
+  /// Horizon refreshes run by all shards (`ShardedSimulator::windows`),
+  /// and those whose published bound an outbound promise raised
+  /// (`windows_skipped`). Process-local like `wall_secs`: they depend on
+  /// thread timing, and a resumed run reports its own. 0 with one shard.
+  std::uint64_t windows = 0;
   std::uint64_t windows_skipped = 0;
   /// Snapshot marks whose cost model was billed in-sim. Deterministic and
   /// part of the snapshot itself, so a resumed run reports the same total
@@ -358,14 +357,18 @@ struct ShardedCampaignResult {
   std::uint64_t async_quota_final = 0;
 
   // ---- observability ---------------------------------------------------
-  /// Per-shard barrier telemetry, always filled (the sharded core counts
-  /// windows regardless of tracing): conservative windows run, windows in
-  /// which the shard dispatched nothing, and wall seconds the shard spent
-  /// parked at barriers waiting for the slowest shard. Process-local, like
-  /// the idle wall time it reports: a resumed run covers its own windows.
+  /// Per-shard synchronization telemetry, always filled (the sharded core
+  /// counts regardless of tracing): horizon refreshes, refreshes in which
+  /// the shard dispatched nothing, and wall seconds it waited for its
+  /// horizon to rise. Process-local: a resumed run covers its own.
   std::vector<std::uint64_t> shard_windows;
   std::vector<std::uint64_t> shard_empty_windows;
   std::vector<double> shard_idle_secs;
+  /// Per shard, the largest finite sim-time lead its outbound promise gave
+  /// its published bound over the core's own `min(next, horizon) +
+  /// lookahead` (0 = never; `WindowStats::max_promise_lead`).
+  /// Process-local.
+  std::vector<double> shard_promise_lead_secs;
   /// The run's trace rings + histogram registry when `cfg.obs` enabled
   /// them; null otherwise. Shared so the result stays copy/move friendly.
   std::shared_ptr<obs::CampaignObs> obs;
@@ -383,7 +386,7 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg);
 void write_campaign_trace(const ShardedCampaignResult& result,
                           const std::string& path);
 
-/// Write the per-round/per-version timeseries, per-shard window stats and a
+/// Write the per-round/per-version timeseries, per-shard refresh stats and a
 /// final summary row as JSON lines. The summary row writes every
 /// deterministic campaign count once, under its field name above (not the
 /// process-local checkpoints_written / checkpoint_bytes); registry

@@ -283,7 +283,12 @@ TEST(ObsCampaign, TracedResumeMatchesUninterrupted) {
     ASSERT_EQ(want.count(k), 1u) << "summary row lacks " << k;
   }
   EXPECT_NE(want["checkpoint_marks"], "0");
-  EXPECT_NE(want["windows"], "0");  // test_shards() > 1: barriers ran
+  EXPECT_NE(want["windows"], "0");  // test_shards() > 1: horizons refreshed
+  // Horizon refreshes depend on thread timing: process-local, like wall.
+  for (const char* k : {"windows", "windows_skipped"}) {
+    want.erase(k);
+    got.erase(k);
+  }
   for (const auto& [key, value] : want) {
     const auto it = got.find(key);
     ASSERT_NE(it, got.end()) << "resumed summary lacks " << key;
@@ -310,8 +315,8 @@ TEST(ObsCampaign, TinyRingDropsButStaysPassive) {
 }
 
 // ---------------------------------------------------------------------------
-// Barrier-stall report: per-shard window stats are always filled and sum
-// to the coordinator's window count.
+// Horizon-wait report: per-shard refresh stats are always filled and sum
+// to the run's refresh count.
 
 TEST(ObsCampaign, ShardWindowStatsAlwaysFilled) {
   const std::size_t shards = test_shards();
@@ -320,12 +325,15 @@ TEST(ObsCampaign, ShardWindowStatsAlwaysFilled) {
   ASSERT_EQ(r.shard_windows.size(), shards);
   ASSERT_EQ(r.shard_empty_windows.size(), shards);
   ASSERT_EQ(r.shard_idle_secs.size(), shards);
+  std::uint64_t refreshes = 0;
   for (std::size_t s = 0; s < shards; ++s) {
-    EXPECT_EQ(r.shard_windows[s], r.windows) << "shard " << s;
+    EXPECT_GT(r.shard_windows[s], 0u) << "shard " << s;
     EXPECT_LE(r.shard_empty_windows[s], r.shard_windows[s]);
     EXPECT_GE(r.shard_idle_secs[s], 0.0);
+    refreshes += r.shard_windows[s];
   }
-  // The 1-shard fast path never runs the barrier: all zero.
+  EXPECT_EQ(refreshes, r.windows);
+  // The 1-shard fast path never refreshes a horizon: all zero.
   const auto mono = lifl::sys::run_sharded_campaign(
       small_campaign(HierarchyMode::kPlanned, 1));
   ASSERT_EQ(mono.shard_windows.size(), 1u);

@@ -57,7 +57,7 @@ TEST(ShardTraceTest, OverflowDropsOldestAndCounts) {
 
 TEST(ShardTraceTest, ZeroCapacityDisablesStorage) {
   ShardTrace ring;  // never init'd: capacity 0
-  ring.instant(1.0, Ev::kWindow, 0, 0);
+  ring.instant(1.0, Ev::kCkptMark, 0, 0);
   EXPECT_EQ(ring.size(), 0u);
   EXPECT_EQ(ring.dropped_events(), 0u);
 }
@@ -100,7 +100,8 @@ TEST(TraceRecorderTest, ChromeJsonIsStructurallyValid) {
   r.init(2, 1);
   r.shard(0)->instant(1.0, Ev::kAggSpawn, 0, 42);
   r.shard(1)->span(1.0, 2.0, Ev::kAggFold, 1, 7, 3);
-  r.coordinator()->instant(2.0, Ev::kWindow, lifl::obs::shard_track(0), 0, 5);
+  r.coordinator()->instant(2.0, Ev::kCkptMark, lifl::obs::shard_track(0), 0,
+                           5);
 
   std::string path = testing::TempDir() + "obs_trace.json";
   std::FILE* f = std::fopen(path.c_str(), "w");

@@ -1,16 +1,19 @@
-// Sharded simulator core: conservative time windows, cross-shard mailbox
-// ordering, and the shard-count equivalence of a group-partitioned
+// Sharded simulator core: the barrier-free horizon protocol, cross-shard
+// mailbox ordering, and the shard-count equivalence of a group-partitioned
 // campaign.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -40,6 +43,25 @@ TEST(SimWindow, RunWindowIsStrict) {
   EXPECT_EQ(sim.now(), 2.0);  // clock stays at the last dispatched event
   EXPECT_EQ(sim.run_window(4.5), 2u);
   EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
+}
+
+// The slice forms the sharded core runs: the same prefix, cut after a
+// dispatch budget.
+TEST(SimWindow, EventBudgetsCutRunsIntoSlices) {
+  Simulator sim;
+  std::vector<double> fired;
+  for (const double t : {1.0, 2.0, 3.0, 4.0, 5.0}) {
+    sim.schedule_at(t, [&fired, t] { fired.push_back(t); });
+  }
+  sim.schedule_daemon_at(6.0, [&fired] { fired.push_back(6.0); });
+  EXPECT_EQ(sim.run_window(4.5, 2), 2u);
+  EXPECT_EQ(sim.now(), 2.0);
+  EXPECT_EQ(sim.run_window(4.5, 2), 2u);
+  EXPECT_EQ(sim.run_window(4.5, 2), 0u);  // t=5 is not below 4.5
+  // The last regular event runs; the daemon stays.
+  EXPECT_EQ(sim.run(4), 1u);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.0}));
+  EXPECT_EQ(sim.pending(), 1u);
 }
 
 TEST(SimWindow, RunWindowIncludesSameInstantChains) {
@@ -256,16 +278,17 @@ struct ChurnStep {
 constexpr double kChurnLookahead = 0.01;
 constexpr std::size_t kChurnGroups = 8;
 
-std::vector<std::vector<ChurnStep>> churn_plans() {
+std::vector<std::vector<ChurnStep>> churn_plans(std::uint64_t seed = 1000,
+                                                int steps = 4500) {
   std::vector<std::vector<ChurnStep>> plans(kChurnGroups);
   // Same-instant deliveries to one group from different sources are
   // tie-broken by (lane, the lane's post order), and each group posts in
   // its own lane, so colliding deliveries are part of the schedule: their
   // order must not depend on the group->shard mapping either.
   for (std::size_t g = 0; g < kChurnGroups; ++g) {
-    lifl::sim::Rng rng(1000 + g);
+    lifl::sim::Rng rng(seed + g);
     double t = rng.uniform(0.0, 0.02);
-    for (int i = 0; i < 4500; ++i) {
+    for (int i = 0; i < steps; ++i) {
       // Dense bursts on a lookahead-aligned grid, with occasional idle
       // troughs spanning many windows.
       const double u = rng.uniform(0.0, 1.0);
@@ -311,13 +334,33 @@ struct ChurnDelivery {
   }
 };
 
+/// Optional wall-clock stalls inside the churn callbacks: a pure function
+/// of (group, step) decides whether an event spins or sleeps before it
+/// acts, so shard threads fall behind and catch up at random points while
+/// the simulated schedule stays the same.
+struct ChurnStalls {
+  std::uint64_t seed = 0;  ///< 0 = no stalls
+  void operator()(std::size_t g, std::size_t i) const {
+    if (seed == 0) return;
+    std::uint64_t h = (seed ^ (g * 0x9E3779B97F4A7C15ull)) + i;
+    h = (h ^ (h >> 31)) * 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 29;
+    if (h % 997 == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50 + h % 200));
+    } else if (h % 61 == 0) {
+      volatile std::uint64_t sink = 0;
+      for (std::uint64_t k = 0; k < 2000 + h % 8000; ++k) sink = sink + k;
+    }
+  }
+};
+
 /// One full run of the churn model on `shards` shards (groups dealt round
 /// robin). Returns per-group delivery logs; each group's log is written
 /// only by its owning shard's thread, in that shard's deterministic
 /// execution order.
 std::vector<std::vector<ChurnDelivery>> churn_run(
     const std::vector<std::vector<ChurnStep>>& plans, std::size_t shards,
-    std::uint64_t* dispatched) {
+    std::uint64_t* dispatched, ChurnStalls stall = {}) {
   ShardedSimulator::Config cfg;
   cfg.shards = shards;
   cfg.lookahead = kChurnLookahead;
@@ -329,7 +372,8 @@ std::vector<std::vector<ChurnDelivery>> churn_run(
     for (std::size_t i = 0; i < plans[g].size(); ++i) {
       const ChurnStep& st = plans[g][i];
       sharded.shard(s).schedule_at(st.at, [&sharded, &logs, &st, &shard_of,
-                                           s, g, i] {
+                                           stall, s, g, i] {
+        stall(g, i);
         if (st.dst >= 0) {
           const std::size_t dg = static_cast<std::size_t>(st.dst);
           const int id = static_cast<int>(g * 10000 + i);
@@ -378,6 +422,104 @@ TEST(ShardedSim, AdversarialChurnMatchesOneShardOracle) {
                  "K=" + std::to_string(shards));
     EXPECT_EQ(events, oracle_events);
   }
+}
+
+// Free-running shards under adversarial thread timing: the callbacks of
+// the churn model spin or sleep at random (but schedule-independent)
+// points, so shard threads run far ahead of each other, block on their
+// horizons and wake at arbitrary moments. Twenty seeds at K = 2, 3 and 4
+// must reproduce the 1-shard oracle's delivery logs exactly; a horizon
+// protocol that drains mail before loading its senders' bounds, or
+// publishes a bound before its mail is visible, delivers into a
+// receiver's past here (the drain audit throws).
+TEST(ShardedSim, FreeRunningShardsMatchOracleUnderRandomStalls) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto plans = churn_plans(7000 + 100 * seed, 600);
+    std::uint64_t oracle_events = 0;
+    const auto oracle = churn_run(plans, 1, &oracle_events);
+    for (const std::size_t shards : {2, 3, 4}) {
+      const std::string what =
+          "seed " + std::to_string(seed) + " K=" + std::to_string(shards);
+      std::uint64_t events = 0;
+      std::vector<std::vector<ChurnDelivery>> got;
+      try {
+        got = churn_run(plans, shards, &events, ChurnStalls{seed});
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << what << ": " << e.what();
+        continue;
+      }
+      EXPECT_EQ(events, oracle_events) << what;
+      for (std::size_t g = 0; g < kChurnGroups; ++g) {
+        ASSERT_EQ(got[g].size(), oracle[g].size()) << what << " group " << g;
+        for (std::size_t i = 0; i < got[g].size(); ++i) {
+          EXPECT_TRUE(got[g][i] == oracle[g][i])
+              << what << " group " << g << " delivery " << i;
+        }
+      }
+    }
+  }
+}
+
+// A shard's published bound is a promise to its receivers: a post below it
+// means the promise function lied, and the post throws on the caller.
+TEST(ShardedSim, PostBelowThePublishedBoundThrows) {
+  ShardedSimulator sharded(ShardedSimulator::Config{2, 0.5});
+  sharded.shard(0).schedule_at(1.0, [] {});
+  sharded.shard(0).schedule_at(20.0, [] {});
+  sharded.shard(1).schedule_at(1.0, [] {});
+  // Claims "no post before t=10", then posts at 3.5 from its event at 3.
+  sharded.shard(1).schedule_at(3.0, [&sharded] {
+    sharded.post(1, 0, 1, 3.5, [] {});
+  });
+  sharded.set_promise(1, [] { return 10.0; });
+  try {
+    sharded.run();
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("published"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sharded.cross_posts(), 0u);
+}
+
+// A post to a shard the sender did not declare as a receiver would bypass
+// that receiver's horizon, so it throws.
+TEST(ShardedSim, PostToAnUndeclaredReceiverThrows) {
+  ShardedSimulator sharded(ShardedSimulator::Config{3, 0.5});
+  sharded.set_receivers(1, {0});
+  sharded.shard(1).schedule_at(1.0, [&sharded] {
+    sharded.post(1, 2, 1, 2.0, [] {});
+  });
+  sharded.shard(2).schedule_at(5.0, [] {});
+  EXPECT_THROW(sharded.run(), std::logic_error);
+  EXPECT_THROW(sharded.set_receivers(1, {1}), std::invalid_argument);
+}
+
+// `run_to` stops every shard exactly at the mark: all events below it ran,
+// none at or beyond it, whatever the promises let the shards run toward.
+constexpr double kNever = std::numeric_limits<double>::infinity();
+
+TEST(ShardedSim, RunToStopsEveryShardExactlyAtTheMark) {
+  ShardedSimulator sharded(ShardedSimulator::Config{3, 0.01});
+  std::vector<std::vector<double>> ran(3);
+  for (std::size_t s = 0; s < 3; ++s) {
+    for (int i = 1; i <= 400; ++i) {
+      const double t = 0.05 * i + 0.001 * static_cast<double>(s);
+      sharded.shard(s).schedule_at(t, [&ran, s, t] { ran[s].push_back(t); });
+    }
+    // Nobody posts: every shard promises "never", so horizons are open.
+    sharded.set_promise(s, [] { return kNever; });
+  }
+  for (const double mark : {1.0, 4.0, 9.5}) {
+    sharded.run_to(mark);
+    for (std::size_t s = 0; s < 3; ++s) {
+      ASSERT_FALSE(ran[s].empty());
+      EXPECT_LT(ran[s].back(), mark) << "shard " << s;
+      EXPECT_GE(sharded.shard(s).next_event_time(), mark) << "shard " << s;
+    }
+  }
+  sharded.run();
+  for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(ran[s].size(), 400u);
 }
 
 // ---------------------------------------------------------------------------

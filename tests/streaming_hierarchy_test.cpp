@@ -217,8 +217,8 @@ TEST(StreamingHierarchy, GrowActivatesParkedLeavesMidRound) {
 
 // ---------------------------------------------------------------------------
 // Emission floor soundness. A sharded campaign promises no cross-shard post
-// before a group's `relay_emit_floor()`, but `post()` only checks promises
-// at window barriers. Here the floor is recorded before *every* event of a
+// before a group's `relay_emit_floor()`, but `post()` only checks the bound
+// a shard last published. Here the floor is recorded before *every* event of a
 // one-group async stream and checked against the relay emission that
 // actually follows.
 

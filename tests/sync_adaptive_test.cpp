@@ -1,11 +1,10 @@
 // Property tests for promise-widened horizons: under randomized
-// cross-post schedules with honest outbound promises, the widened windows
+// cross-post schedules with honest outbound promises, the widened horizons
 // must never admit a causality violation (every delivery lands exactly at
-// its posted time, in nondecreasing order per receiver), and the
-// empty-window skipping must be idempotent under pausing — slicing a run
-// with `run_to` marks reproduces the unsliced run bit for bit, skipped
-// windows included, which is the property campaign checkpoint/resume
-// rides on.
+// its posted time, in nondecreasing order per receiver), and pausing must
+// be bit-transparent — slicing a run with `run_to` marks reproduces the
+// unsliced run bit for bit, which is the property campaign
+// checkpoint/resume rides on.
 
 #include <gtest/gtest.h>
 
@@ -181,25 +180,23 @@ TEST(SyncAdaptive, RandomSchedulesNeverDeliverIntoAReceiversPast) {
   EXPECT_GT(skipped_total, 0u);
 }
 
-TEST(SyncAdaptive, EmptyWindowSkippingIsIdempotentUnderPausing) {
-  // `run_to` slicing must leave the widened-window trajectory — and with
-  // it every skip decision — exactly where the unsliced run put it: the
-  // delivery log, the dispatch count, and the skipped-window estimate all
-  // match bit for bit. This is the sim-level half of checkpoint/resume
-  // idempotence.
+TEST(SyncAdaptive, PromisedRunIsBitTransparentUnderPausing) {
+  // `run_to` slicing must leave every shard's event sequence exactly where
+  // the unsliced run put it: the delivery log and the dispatch count match
+  // bit for bit. This is the sim-level half of checkpoint/resume
+  // idempotence. (How often the shards refreshed their horizons depends on
+  // thread timing and is not compared.)
   const std::size_t kShards = 3;
   for (std::uint64_t seed = 21; seed <= 25; ++seed) {
     auto plans = make_plans(kShards, seed);
     Logs unsliced_log(kShards);
     std::uint64_t unsliced_events = 0;
-    std::uint64_t unsliced_skipped = 0;
     {
       ShardedSimulator sharded(sharded_cfg(kShards));
       auto p = plans;
       arm(sharded, p, &unsliced_log, /*with_promises=*/true);
       sharded.run();
       unsliced_events = sharded.dispatched();
-      unsliced_skipped = sharded.windows_skipped();
     }
     Logs sliced_log(kShards);
     ShardedSimulator sharded(sharded_cfg(kShards));
@@ -209,7 +206,6 @@ TEST(SyncAdaptive, EmptyWindowSkippingIsIdempotentUnderPausing) {
     }
     sharded.run();
     EXPECT_EQ(sharded.dispatched(), unsliced_events) << "seed " << seed;
-    EXPECT_EQ(sharded.windows_skipped(), unsliced_skipped) << "seed " << seed;
     for (std::size_t dst = 0; dst < kShards; ++dst) {
       ASSERT_EQ(sliced_log[dst].size(), unsliced_log[dst].size())
           << "seed " << seed << " dst " << dst;
@@ -221,10 +217,9 @@ TEST(SyncAdaptive, EmptyWindowSkippingIsIdempotentUnderPausing) {
   }
 }
 
-TEST(SyncAdaptive, CampaignResumeReproducesSkippingBitwise) {
+TEST(SyncAdaptive, CampaignResumeReproducesPromisedRunBitwise) {
   // Campaign-level half: a promise-widened multi-shard run with checkpoints
-  // resumed from a mid-campaign blob reproduces the uninterrupted run —
-  // results AND the window-skipping telemetry the promises drove.
+  // resumed from a mid-campaign blob reproduces the uninterrupted run.
   sys::ShardedCampaignConfig cfg;
   cfg.shards = 2;
   cfg.groups = 4;
