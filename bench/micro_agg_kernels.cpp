@@ -6,8 +6,9 @@
 //              update (two read-modify-write passes over the accumulator).
 //   fused    — the production fold arithmetic on the calling thread:
 //              sum form, an 8-slot ring folded in ONE accumulator sweep
-//              (`axpyn`), pooled zero-alloc buffers, and ONE finalize
-//              divide per aggregation goal, each a direct `ops()` call.
+//              (`axpyn`), one pooled zero-alloc buffer, and ONE in-place
+//              finalize divide per aggregation goal, each a direct `ops()`
+//              call.
 //   pooled   — the production `FedAvgAccumulator` itself, which runs the
 //              same calls through `ml::parallel_sweep` on the sweep pool.
 //              Reported, not gated: its speedup depends on the core count.
@@ -103,7 +104,7 @@ double run_baseline(const std::vector<std::shared_ptr<const ml::Tensor>>& xs,
 }
 
 /// The production fold arithmetic, unsplit: sum form, a k-slot ring folded
-/// by one `axpyn` call, pooled buffers, one `scale_into` finalize.
+/// by one `axpyn` call, one pooled buffer, one in-place `scale` finalize.
 double run_fused(const std::vector<std::shared_ptr<const ml::Tensor>>& xs,
                  std::uint32_t folds) {
   constexpr std::size_t kSlots = fl::FedAvgAccumulator::kFoldSlots;
@@ -132,9 +133,8 @@ double run_fused(const std::vector<std::shared_ptr<const ml::Tensor>>& xs,
     if (++parked == kSlots) flush();
   }
   flush();
-  auto avg = ml::TensorPool::global().acquire(n);
-  ops.scale_into(avg->data(), static_cast<float>(1.0 / total), sum->data(), n);
-  volatile float sink = (*avg)[folds % n];
+  ops.scale(sum->data(), static_cast<float>(1.0 / total), n);
+  volatile float sink = (*sum)[folds % n];
   (void)sink;
   return now_secs() - t0;
 }

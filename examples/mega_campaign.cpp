@@ -69,6 +69,7 @@
 //               ./build/examples/mega_campaign --selector=scored  # tiers
 //               ./build/examples/mega_campaign --disconnect-rate=0.2
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -162,11 +163,15 @@ void report(const sys::ShardedCampaignConfig& cfg,
   if (cfg.shards > 1) {
     double waited = 0.0;
     for (double s : r.shard_idle_secs) waited += s;
+    const auto [cpu_min, cpu_max] =
+        std::minmax_element(r.shard_cpu_secs.begin(), r.shard_cpu_secs.end());
     std::printf(
         "%llu horizon refreshes (%llu raised by outbound promises), "
-        "%.3f s waiting for horizons, summed over shards\n",
+        "%.3f s waiting for horizons, summed over shards; "
+        "shard thread CPU %.3f-%.3f s\n",
         static_cast<unsigned long long>(r.windows),
-        static_cast<unsigned long long>(r.windows_skipped), waited);
+        static_cast<unsigned long long>(r.windows_skipped), waited, *cpu_min,
+        *cpu_max);
   }
   if (planned || is_async) {
     std::printf(

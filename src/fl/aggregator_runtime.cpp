@@ -406,7 +406,7 @@ void AggregatorRuntime::on_agg_done() {
 
 void AggregatorRuntime::do_send() {
   sent_at_ = sim_.now();
-  ModelUpdate result = acc_.make_update(version_, cfg_.id, cfg_.result_bytes);
+  ModelUpdate result = acc_.take_update(version_, cfg_.id, cfg_.result_bytes);
   result.created_at = sim_.now();
   ++emissions_;
   if (cfg_.recurring) {

@@ -14,7 +14,14 @@ namespace k = ml::kernels;
 
 }  // namespace
 
+void FedAvgAccumulator::check_open() const {
+  if (sealed_) {
+    throw std::logic_error("FedAvg: add after finalize; reset() first");
+  }
+}
+
 void FedAvgAccumulator::add(const ModelUpdate& update, double scale) {
+  check_open();
   if (update.sample_count == 0) {
     throw std::invalid_argument("FedAvg: update with zero sample_count");
   }
@@ -29,7 +36,6 @@ void FedAvgAccumulator::add(const ModelUpdate& update, double scale) {
       (update.weight > 0.0 ? update.weight
                            : static_cast<double>(update.sample_count)) *
       scale;
-  finalized_.reset();
   if (update.tensor) {
     add_tensor_weighted(update.tensor, static_cast<float>(eff));
   }
@@ -42,10 +48,10 @@ void FedAvgAccumulator::add(const ModelUpdate& update, double scale) {
 
 void FedAvgAccumulator::add(const std::shared_ptr<const ml::Tensor>& params,
                             std::uint64_t sample_count) {
+  check_open();
   if (sample_count == 0) {
     throw std::invalid_argument("FedAvg: zero sample_count");
   }
-  finalized_.reset();
   if (params) {
     add_tensor_weighted(params, static_cast<float>(sample_count));
   }
@@ -92,33 +98,34 @@ void FedAvgAccumulator::flush_ring() {
   parked_ = 0;
 }
 
-void FedAvgAccumulator::finalize() const {
-  if (finalized_) return;
-  auto* self = const_cast<FedAvgAccumulator*>(this);
-  self->flush_ring();
-  if (!sum_ || total_weight_ <= 0.0) return;
-  // Divide by the *effective* weight total. With unit scales this is the
-  // exact integer sample total (integer sums are exact in double), so the
+void FedAvgAccumulator::finalize() {
+  if (sealed_) return;
+  sealed_ = true;
+  flush_ring();
+  if (!sum_) return;
+  // Divide by the *effective* weight total, in place: `scale` is the same
+  // single multiply per element as dividing into a second buffer, so the
+  // average is bitwise unchanged. With unit scales the divisor is the exact
+  // integer sample total (integer sums are exact in double), so the
   // synchronous path produces bit-identical averages to the historical
   // integer-divisor code.
   const auto inv = static_cast<float>(1.0 / total_weight_);
-  const std::size_t n = sum_->size();
-  auto avg = ml::TensorPool::global().acquire(n);
-  const auto scale_into = k::ops().scale_into;
-  ml::parallel_sweep(n, [&](std::size_t lo, std::size_t hi) {
-    scale_into(avg->data() + lo, inv, sum_->data() + lo, hi - lo);
+  float* avg = sum_->data();
+  const auto scale = k::ops().scale;
+  ml::parallel_sweep(sum_->size(), [&](std::size_t lo, std::size_t hi) {
+    scale(avg + lo, inv, hi - lo);
   });
-  finalized_ = std::move(avg);
 }
 
-std::shared_ptr<const ml::Tensor> FedAvgAccumulator::result() const {
+std::shared_ptr<const ml::Tensor> FedAvgAccumulator::result() {
   finalize();
-  return finalized_;
+  return sum_;
 }
 
-ModelUpdate FedAvgAccumulator::make_update(std::uint32_t model_version,
+ModelUpdate FedAvgAccumulator::take_update(std::uint32_t model_version,
                                            ParticipantId producer,
-                                           std::size_t logical_bytes) const {
+                                           std::size_t logical_bytes) {
+  finalize();
   ModelUpdate u;
   u.model_version = model_version;
   u.producer = producer;
@@ -129,17 +136,18 @@ ModelUpdate FedAvgAccumulator::make_update(std::uint32_t model_version,
   // the unweighted case this equals sample_count exactly — same bits.
   u.weight = total_weight_;
   u.logical_bytes = logical_bytes;
-  u.tensor = result();
+  // The consumer now owns the only buffer: it recycles when they drop it.
+  u.tensor = std::move(sum_);
   return u;
 }
 
 void FedAvgAccumulator::reset() {
-  // Dropping the pooled handles recycles the buffers (unless a consumer
-  // still holds the finalized average — then it recycles when they drop).
+  // Dropping the pooled handles recycles the buffers (unless a caller
+  // still holds what `result()` shared — then it recycles when they drop).
   sum_.reset();
   for (std::size_t j = 0; j < parked_; ++j) ring_[j].reset();
   parked_ = 0;
-  finalized_.reset();
+  sealed_ = false;
   total_samples_ = 0;
   total_weight_ = 0.0;
   updates_folded_ = 0;

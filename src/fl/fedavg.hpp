@@ -58,9 +58,16 @@ namespace lifl::fl {
 /// the synchronous `scale == 1` path is bitwise identical to the historical
 /// integer-divisor behaviour).
 ///
-/// All buffers (the running sum, the finalized average) come from
-/// `ml::TensorPool::global()`: steady-state rounds perform zero tensor heap
-/// allocations.
+/// **One buffer per aggregate.** The running sum is the only tensor the
+/// accumulator owns. Finalizing (`result()` or `take_update()`) flushes
+/// the ring and divides that buffer in place — the same single multiply
+/// per element as dividing into a second buffer, so bitwise the same
+/// average — and seals the accumulator: `add()` throws until `reset()`.
+/// `take_update()` moves the buffer into the outgoing update and keeps no
+/// reference, so it returns to `ml::TensorPool::global()` as soon as the
+/// consumer drops it (a parent's ring sweep, or the round's global
+/// model), not when this accumulator is reset. Steady-state rounds
+/// perform zero tensor heap allocations.
 class FedAvgAccumulator {
  public:
   /// Ring size: updates folded per accumulator sweep.
@@ -68,10 +75,11 @@ class FedAvgAccumulator {
 
   /// Fold one update into the running aggregate. `scale` discounts the
   /// update's effective weight (1 = plain FedAvg; async mode passes the
-  /// FedAsync staleness factor 1/(1+staleness)).
+  /// FedAsync staleness factor 1/(1+staleness)). Throws
+  /// `std::logic_error` once the accumulator is sealed by a finalize.
   void add(const ModelUpdate& update, double scale = 1.0);
 
-  /// Fold a raw (tensor, weight) pair.
+  /// Fold a raw (tensor, weight) pair. Same sealing rule.
   void add(const std::shared_ptr<const ml::Tensor>& params,
            std::uint64_t sample_count);
 
@@ -89,16 +97,20 @@ class FedAvgAccumulator {
   double total_weight() const noexcept { return total_weight_; }
 
   /// The weighted average of everything added so far; null if only logical
-  /// updates were added. Finalizes lazily (flush the parked update, one
-  /// divide pass) and caches until the next add().
-  std::shared_ptr<const ml::Tensor> result() const;
+  /// updates were added, or once `take_update()` handed it over. The first
+  /// call finalizes (flush the parked ring, one in-place divide pass) and
+  /// seals the accumulator; later calls share the same buffer.
+  std::shared_ptr<const ml::Tensor> result();
 
-  /// Produce the intermediate/final ModelUpdate for this aggregate.
-  ModelUpdate make_update(std::uint32_t model_version, ParticipantId producer,
-                          std::size_t logical_bytes) const;
+  /// Finalize and hand this aggregate over as the intermediate/final
+  /// ModelUpdate: its tensor *is* the sum buffer, moved out, so the
+  /// accumulator holds no reference to it afterwards. The counts stay
+  /// readable; the accumulator stays sealed until `reset()`.
+  ModelUpdate take_update(std::uint32_t model_version, ParticipantId producer,
+                          std::size_t logical_bytes);
 
-  /// Clear all state (aggregators are stateless across rounds). Releases
-  /// the pooled buffers back to the pool.
+  /// Clear all state (aggregators are stateless across rounds) and unseal.
+  /// Releases the pooled buffers back to the pool.
   void reset();
 
   /// Reference batch implementation: weighted mean of (tensor, weight)
@@ -111,15 +123,18 @@ class FedAvgAccumulator {
                            float weight);
   /// Fold the parked ring (if any) into the sum in one sweep.
   void flush_ring();
-  /// Compute (and cache) the finalized average.
-  void finalize() const;
+  /// Throw if sealed (the sum already holds the average).
+  void check_open() const;
+  /// Flush the ring, divide the sum in place and seal (idempotent).
+  void finalize();
 
-  std::shared_ptr<ml::Tensor> sum_;  ///< pooled Σ c_i·w_i
+  /// Pooled Σ c_i·w_i; after finalize, the average Σ c_i·w_i / Σ c_i.
+  std::shared_ptr<ml::Tensor> sum_;
   /// Updates parked zero-copy, in arrival order, until the ring fills.
   std::array<std::shared_ptr<const ml::Tensor>, kFoldSlots> ring_;
   std::array<float, kFoldSlots> ring_weights_{};
   std::size_t parked_ = 0;  ///< occupied prefix of `ring_`
-  mutable std::shared_ptr<const ml::Tensor> finalized_;  ///< cached average
+  bool sealed_ = false;  ///< finalized: `sum_` is the average
   std::uint64_t total_samples_ = 0;
   double total_weight_ = 0.0;  ///< Σ effective weights — the divisor
   std::uint32_t updates_folded_ = 0;

@@ -1,5 +1,6 @@
 #include "src/ml/tensor_pool.hpp"
 
+#include <algorithm>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -21,9 +22,17 @@ struct TensorPool::Core {
   std::unordered_map<std::size_t, std::vector<std::unique_ptr<Tensor>>> free;
   TensorPoolStats stats;
 
+  /// Count `bytes` handed out to a client. Caller holds `mu`.
+  void add_live(std::size_t bytes) {
+    stats.live_bytes += bytes;
+    stats.peak_live_bytes = std::max(stats.peak_live_bytes, stats.live_bytes);
+  }
+
+  /// Count an n-element acquire and pop a parked buffer for it, if any.
   std::unique_ptr<Tensor> take(std::size_t n) {
     std::lock_guard<std::mutex> lock(mu);
     ++stats.acquires;
+    add_live(n * sizeof(float));
     auto it = free.find(n);
     if (it == free.end() || it->second.empty()) {
       ++stats.misses;
@@ -37,9 +46,11 @@ struct TensorPool::Core {
     return t;
   }
 
-  void park(std::unique_ptr<Tensor> t) {
-    if (t == nullptr || t->empty()) return;
+  /// Take back a handle's tensor; `live` is what it counted at hand-out.
+  void park(std::unique_ptr<Tensor> t, std::size_t live) {
     std::lock_guard<std::mutex> lock(mu);
+    stats.live_bytes -= live;
+    if (t == nullptr || t->empty()) return;
     if (stats.bytes_pooled + t->bytes() > capacity_bytes) {
       ++stats.dropped;
       return;  // unique_ptr frees it
@@ -57,14 +68,18 @@ struct TensorPool::Core {
 /// shared_ptr deleter: park the whole tensor back into the pool.
 struct TensorPool::Recycler {
   std::shared_ptr<Core> core;
-  void operator()(Tensor* t) const { core->park(std::unique_ptr<Tensor>(t)); }
+  std::size_t live;  ///< the tensor's bytes when handed out
+  void operator()(Tensor* t) const {
+    core->park(std::unique_ptr<Tensor>(t), live);
+  }
 };
 
 TensorPool::TensorPool(std::size_t capacity_bytes)
     : core_(std::make_shared<Core>(capacity_bytes)) {}
 
 std::shared_ptr<Tensor> TensorPool::wrap(std::unique_ptr<Tensor> t) {
-  return std::shared_ptr<Tensor>(t.release(), Recycler{core_});
+  const std::size_t bytes = t->bytes();
+  return std::shared_ptr<Tensor>(t.release(), Recycler{core_, bytes});
 }
 
 std::shared_ptr<Tensor> TensorPool::acquire(std::size_t n) {
@@ -83,6 +98,7 @@ std::shared_ptr<Tensor> TensorPool::adopt(Tensor&& t) {
   {
     std::lock_guard<std::mutex> lock(core_->mu);
     ++core_->stats.adopted;
+    core_->add_live(t.bytes());
   }
   return wrap(std::make_unique<Tensor>(std::move(t)));
 }
@@ -94,12 +110,13 @@ TensorPoolStats TensorPool::stats() const {
 
 void TensorPool::reset_stats() {
   std::lock_guard<std::mutex> lock(core_->mu);
-  const std::size_t bytes = core_->stats.bytes_pooled;
-  const std::size_t buffers = core_->stats.buffers_pooled;
+  const TensorPoolStats was = core_->stats;
   core_->stats = TensorPoolStats{};
-  core_->stats.bytes_pooled = bytes;
-  core_->stats.peak_bytes_pooled = bytes;
-  core_->stats.buffers_pooled = buffers;
+  core_->stats.bytes_pooled = was.bytes_pooled;
+  core_->stats.peak_bytes_pooled = was.bytes_pooled;
+  core_->stats.buffers_pooled = was.buffers_pooled;
+  core_->stats.live_bytes = was.live_bytes;
+  core_->stats.peak_live_bytes = was.live_bytes;
 }
 
 void TensorPool::trim() {

@@ -19,16 +19,21 @@ struct TensorPoolStats {
   std::size_t bytes_pooled = 0;       ///< bytes currently parked, free
   std::size_t peak_bytes_pooled = 0;  ///< high-water mark of bytes_pooled
   std::size_t buffers_pooled = 0;     ///< buffers currently parked, free
+  /// Bytes handed out by `acquire`/`adopt` and not yet returned: what the
+  /// pool's clients hold right now. Exact, unlike process RSS.
+  std::size_t live_bytes = 0;
+  std::size_t peak_live_bytes = 0;  ///< high-water mark of live_bytes
 };
 
 /// Recycling allocator for `ml::Tensor` buffers — the physical counterpart
 /// of the shared-memory store's allocate/recycle/destroy lifecycle (§4.1).
 ///
 /// Model aggregation is a steady-state loop over a handful of equal-sized
-/// parameter buffers: every fold needs an accumulator, every finalize an
-/// output, every local-training step a gradient. Allocating them fresh makes
-/// the FedAvg hot path allocator-bound (and, worse, page-fault-bound: a new
-/// 100 MB buffer is faulted in on first touch). The pool keeps fully
+/// parameter buffers: every aggregate needs an accumulator (divided in
+/// place, it is also the output), every local-training step a gradient.
+/// Allocating them fresh makes the FedAvg hot path allocator-bound (and,
+/// worse, page-fault-bound: a new 100 MB buffer is faulted in on first
+/// touch). The pool keeps fully
 /// released tensors on an exact-size free list, so steady-state rounds
 /// perform **zero tensor heap allocations** — pool hits are counted in
 /// `TensorPoolStats` and asserted by `tests/tensor_pool_test.cpp`.
@@ -42,8 +47,9 @@ struct TensorPoolStats {
 class TensorPool {
  public:
   /// Default free-list capacity: enough for the working set of a 25M-param
-  /// round (accumulator + finalized output + in-flight update) with room
-  /// to spare, small enough to not matter on laptops.
+  /// round (the accumulator, which the average is divided into in place,
+  /// plus the in-flight updates) with room to spare, small enough to not
+  /// matter on laptops.
   static constexpr std::size_t kDefaultCapacityBytes = 1ull << 30;
 
   explicit TensorPool(std::size_t capacity_bytes = kDefaultCapacityBytes);
@@ -61,6 +67,8 @@ class TensorPool {
   std::shared_ptr<Tensor> adopt(Tensor&& t);
 
   TensorPoolStats stats() const;
+  /// Zero the counters. The gauges (`bytes_pooled`, `buffers_pooled`,
+  /// `live_bytes`) keep their values and each peak restarts from its gauge.
   void reset_stats();
 
   /// Free every parked buffer (keeps stats, minus the parked bytes).
@@ -75,6 +83,7 @@ class TensorPool {
   struct Core;
   struct Recycler;
 
+  /// Give `t`, already counted live, the recycling deleter.
   std::shared_ptr<Tensor> wrap(std::unique_ptr<Tensor> t);
 
   /// Shared with every handle's deleter, so handles may outlive the pool.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -22,6 +23,14 @@ constexpr int kSpinPolls = 512;
 
 /// Events a shard runs between two publications of its bound.
 constexpr std::size_t kSliceEvents = 2048;
+
+/// CPU seconds the calling thread has used so far.
+double thread_cpu_secs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
 
 }  // namespace
 
@@ -290,6 +299,7 @@ void ShardedSimulator::record_error() noexcept {
 }
 
 void ShardedSimulator::shard_loop(std::size_t s) {
+  const double cpu0 = thread_cpu_secs();
   ShardCell& cell = shards_[s];
   Simulator& sim = *cell.sim;
   const SimTime mark = mark_;
@@ -358,6 +368,7 @@ void ShardedSimulator::shard_loop(std::size_t s) {
     // on the caller (matching the 1-shard mode, where this propagates).
     record_error();
   }
+  cell.stats.cpu_secs += thread_cpu_secs() - cpu0;
 }
 
 void ShardedSimulator::ensure_workers() {
@@ -409,11 +420,13 @@ std::uint64_t ShardedSimulator::run_impl(SimTime mark) {
     // same-shard posts schedule directly). A bounded run dispatches the
     // strict-< prefix of the same sequence.
     Simulator& s0 = *shards_[0].sim;
+    const double cpu0 = thread_cpu_secs();
     if (!bounded) {
       s0.run();
     } else if (s0.pending_regular() > 0) {
       s0.run_window(mark);
     }
+    shards_[0].stats.cpu_secs += thread_cpu_secs() - cpu0;
     return s0.dispatched() - before;
   }
 

@@ -82,6 +82,10 @@ class ShardedSimulator {
     /// the published bound over `min(next, H) + lookahead`; 0 if it never
     /// did (a promise of +inf — no post ever again — is not counted).
     double max_promise_lead = 0.0;
+    /// CPU seconds the shard's own thread spent running it, waits included
+    /// (`CLOCK_THREAD_CPUTIME_ID`). Unlike the fields above, also filled in
+    /// 1-shard mode, where it is the calling thread's run time.
+    double cpu_secs = 0.0;
   };
 
   explicit ShardedSimulator(Config cfg);
@@ -186,7 +190,8 @@ class ShardedSimulator {
   /// thread's allocator arena, away from the other shards' cache lines.
   void on_each_shard(const std::function<void(std::size_t)>& fn);
 
-  /// Per-shard synchronization stats (zero in 1-shard mode). Between runs.
+  /// Per-shard synchronization stats (zero in 1-shard mode, but for
+  /// `cpu_secs`). Between runs.
   const WindowStats& window_stats(std::size_t i) const {
     return shards_[i].stats;
   }

@@ -63,16 +63,18 @@ void write_campaign_metrics_jsonl(const ShardedCampaignResult& result,
             i < result.round_refolded.size() ? result.round_refolded[i] : 0));
   }
 
-  // One row per shard: the horizon-wait report (process-local).
+  // One row per shard: the horizon-wait and thread-CPU report
+  // (process-local).
   for (std::size_t s = 0; s < result.shard_windows.size(); ++s) {
     std::fprintf(f,
                  "{\"type\": \"shard\", \"shard\": %zu, \"windows\": %llu, "
-                 "\"empty_windows\": %llu, \"idle_wall_secs\": %.6f}\n",
+                 "\"empty_windows\": %llu, \"idle_wall_secs\": %.6f, "
+                 "\"cpu_secs\": %.6f}\n",
                  s,
                  static_cast<unsigned long long>(result.shard_windows[s]),
                  static_cast<unsigned long long>(
                      result.shard_empty_windows[s]),
-                 result.shard_idle_secs[s]);
+                 result.shard_idle_secs[s], result.shard_cpu_secs[s]);
   }
 
   // Summary row: every deterministic campaign count once, under its result

@@ -1140,6 +1140,7 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     result.shard_empty_windows.push_back(ws.empty_windows);
     result.shard_idle_secs.push_back(ws.idle_wall_secs);
     result.shard_promise_lead_secs.push_back(ws.max_promise_lead);
+    result.shard_cpu_secs.push_back(ws.cpu_secs);
   }
   result.obs = campaign_obs;
   result.checkpoint_marks = st.ckpt_marks;

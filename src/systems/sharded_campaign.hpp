@@ -369,6 +369,9 @@ struct ShardedCampaignResult {
   /// lookahead` (0 = never; `WindowStats::max_promise_lead`).
   /// Process-local.
   std::vector<double> shard_promise_lead_secs;
+  /// Per shard, the CPU seconds its own thread spent running it
+  /// (`WindowStats::cpu_secs`; filled at every shard count). Process-local.
+  std::vector<double> shard_cpu_secs;
   /// The run's trace rings + histogram registry when `cfg.obs` enabled
   /// them; null otherwise. Shared so the result stays copy/move friendly.
   std::shared_ptr<obs::CampaignObs> obs;

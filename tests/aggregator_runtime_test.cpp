@@ -10,6 +10,7 @@
 #include "src/dataplane/dataplane.hpp"
 #include "src/fl/aggregator_runtime.hpp"
 #include "src/fl/model_spec.hpp"
+#include "src/ml/tensor_pool.hpp"
 
 namespace lifl::fl {
 namespace {
@@ -599,6 +600,72 @@ TEST(AggregatorRuntime, HierarchicalRealTensorsEqualFlatAverage) {
   for (int i = 0; i < 4; ++i) flat.emplace_back(tensors[i].get(), weights[i]);
   const ml::Tensor reference = FedAvgAccumulator::batch_average(flat);
   EXPECT_LT(ml::Tensor::max_abs_diff(*global.tensor, reference), 1e-4);
+}
+
+TEST(AggregatorRuntime, LeafBuffersReturnToThePoolWhileLeavesLive) {
+  // A two-level tree of real tensors: 2 nodes x 2 leaves x 8 uploads of
+  // 64K floats, one top. Each aggregate is one pooled buffer, handed to the
+  // consumer at send: the leaves keep none, so their buffers recycle as
+  // soon as the top's ring sweep drops them, and the pool's peak is the
+  // four leaf sums parked at the top plus the top's own sum.
+  constexpr std::size_t kNodes = 2;
+  constexpr std::size_t kLeavesPerNode = 2;
+  constexpr std::uint32_t kUploadsPerLeaf = 8;
+  constexpr std::size_t kLen = std::size_t{1} << 16;
+  constexpr std::size_t kBuf = kLen * sizeof(float);
+  World w(dp::lifl_plane(/*real_payloads=*/true), kNodes);
+  sim::Rng rng(5);
+  std::vector<std::shared_ptr<const ml::Tensor>> tensors;
+  for (int i = 0; i < 4; ++i) {
+    tensors.push_back(std::make_shared<const ml::Tensor>(
+        ml::Tensor::randn(rng, kLen, 1.0f)));
+  }
+
+  AggregatorRuntime::Config tc;
+  tc.id = 100;
+  tc.node = 0;
+  tc.role = AggRole::kTop;
+  tc.goal = kNodes * kLeavesPerNode;
+  tc.result_bytes = kBuf;
+  ModelUpdate global;
+  tc.on_result = [&](ModelUpdate u) { global = std::move(u); };
+  AggregatorRuntime top(w.plane, tc);
+  top.start();
+  std::vector<std::unique_ptr<AggregatorRuntime>> leaves;
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    for (std::size_t l = 0; l < kLeavesPerNode; ++l) {
+      AggregatorRuntime::Config lc =
+          leaf_cfg(static_cast<ParticipantId>(200 + leaves.size()),
+                   kUploadsPerLeaf, kBuf);
+      lc.node = static_cast<sim::NodeId>(n);
+      lc.consumer = 100;
+      leaves.push_back(std::make_unique<AggregatorRuntime>(w.plane, lc));
+      leaves.back()->start();
+    }
+    for (std::uint32_t i = 0; i < kLeavesPerNode * kUploadsPerLeaf; ++i) {
+      ModelUpdate u = w.update(1, 10 + i, kBuf);
+      u.tensor = tensors[i % tensors.size()];
+      w.plane.env(static_cast<sim::NodeId>(n)).pool.push(std::move(u));
+    }
+  }
+
+  ml::TensorPool& pool = ml::TensorPool::global();
+  pool.reset_stats();
+  const std::size_t live0 = pool.stats().live_bytes;
+  w.sim.run();
+  ASSERT_TRUE(global.tensor);
+  EXPECT_EQ(global.updates_folded, kNodes * kLeavesPerNode * kUploadsPerLeaf);
+  const ml::TensorPoolStats after = pool.stats();
+  // One buffer per aggregate, each acquired once: 4 leaf sums + 1 top sum.
+  EXPECT_EQ(after.acquires, kNodes * kLeavesPerNode + 1);
+  EXPECT_EQ(after.peak_live_bytes - live0, 5 * kBuf);
+  // Every leaf sent and is still alive, yet the only buffer still out is
+  // the global model the test holds.
+  for (const auto& leaf : leaves) EXPECT_TRUE(leaf->done());
+  EXPECT_EQ(after.live_bytes - live0, kBuf);
+  EXPECT_EQ(after.recycles + after.dropped, kNodes * kLeavesPerNode);
+  global.tensor.reset();
+  EXPECT_EQ(pool.stats().live_bytes, live0);
 }
 
 }  // namespace

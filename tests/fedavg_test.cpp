@@ -11,6 +11,7 @@
 #include "src/fl/fedavg.hpp"
 #include "src/ml/kernels.hpp"
 #include "src/ml/sweep_pool.hpp"
+#include "src/ml/tensor_pool.hpp"
 #include "src/sim/random.hpp"
 
 namespace lifl::fl {
@@ -66,11 +67,11 @@ TEST(FedAvg, LogicalOnlyUpdatesTrackWeightAndCount) {
   EXPECT_FALSE(acc.result());
 }
 
-TEST(FedAvg, MakeUpdateCarriesAggregateMetadata) {
+TEST(FedAvg, TakeUpdateCarriesAggregateMetadata) {
   FedAvgAccumulator acc;
   acc.add(tensor_of({2.0f}), 30);
   acc.add(tensor_of({4.0f}), 10);
-  const ModelUpdate out = acc.make_update(7, 99, 4096);
+  const ModelUpdate out = acc.take_update(7, 99, 4096);
   EXPECT_EQ(out.model_version, 7u);
   EXPECT_EQ(out.producer, 99u);
   EXPECT_EQ(out.sample_count, 40u);
@@ -185,7 +186,7 @@ TEST_P(FedAvgHierarchyProperty, TwoLevelEqualsFlat) {
     }
     // The leaf's intermediate update carries the folded weight, which is
     // exactly what makes the two-level tree equal the flat average.
-    top.add(leaf.make_update(1, g, 0));
+    top.add(leaf.take_update(1, g, 0));
   }
 
   const ml::Tensor reference = FedAvgAccumulator::batch_average(flat);
@@ -408,26 +409,45 @@ TEST(FedAvgRing, EveryCountAcrossRingFillsMatchesBatch) {
   }
 }
 
-TEST(FedAvgRing, ResultMidRingThenMoreAddsStaysCorrect) {
+TEST(FedAvgRing, FinalizeSealsUntilReset) {
   sim::Rng rng(72);
   const auto tensors = random_tensors(rng, 24, 19);
   std::vector<std::uint64_t> weights;
   for (std::size_t i = 0; i < 24; ++i) {
     weights.push_back(1 + rng.uniform_index(500));
   }
+  ModelUpdate logical;
+  logical.sample_count = 40;
   FedAvgAccumulator acc;
-  std::size_t added = 0;
-  // A read flushes the ring. These land with 3 and 5 updates parked, then
-  // right after a full sweep (8 adds since the last read).
-  for (const std::size_t upto : {11u, 16u, 24u}) {
-    for (; added < upto; ++added) acc.add(tensors[added], weights[added]);
-    const auto mid = acc.result();
-    ASSERT_TRUE(mid);
-    EXPECT_LT(ml::Tensor::max_abs_diff(*mid, batch_of(tensors, weights, upto)),
+  // One accumulator reused across resets; each read lands with 3 or 0
+  // updates parked (11 and 16 updates), then with a full ring just swept.
+  for (const std::size_t count : {11u, 16u, 24u}) {
+    for (std::size_t i = 0; i < count; ++i) acc.add(tensors[i], weights[i]);
+    const auto avg = acc.result();
+    ASSERT_TRUE(avg);
+    EXPECT_LT(ml::Tensor::max_abs_diff(*avg, batch_of(tensors, weights, count)),
               1e-4)
-        << upto << " updates";
-    EXPECT_EQ(acc.result(), mid);  // cached until the next add
+        << count << " updates";
+    // The sum now holds the average: every add is refused and changes
+    // nothing, whether it carries a tensor or only a weight.
+    EXPECT_THROW(acc.add(tensors[0], 1), std::logic_error);
+    EXPECT_THROW(acc.add(logical), std::logic_error);
+    EXPECT_EQ(acc.updates_folded(), count);
+    EXPECT_EQ(acc.result(), avg);  // the same buffer, divided once
+    // A hand-over leaves the accumulator sealed, and empty-handed.
+    const ModelUpdate out = acc.take_update(3, 4, 0);
+    EXPECT_EQ(out.tensor, avg);
+    EXPECT_FALSE(acc.result());
+    EXPECT_THROW(acc.add(tensors[0], 1), std::logic_error);
+    acc.reset();
   }
+  // A logical-only aggregate seals too, and reset() opens it again.
+  acc.add(logical);
+  EXPECT_FALSE(acc.result());
+  EXPECT_THROW(acc.add(logical), std::logic_error);
+  acc.reset();
+  acc.add(logical);
+  EXPECT_EQ(acc.total_samples(), 40u);
 }
 
 TEST(FedAvgRing, ResetWithPartialRingDropsEveryParkedHandle) {
@@ -492,10 +512,6 @@ TEST(FedAvgRing, LogicalAndScaledUpdatesInterleaveWithPartialRings) {
                   static_cast<double>((*u.tensor)[j]);
       }
     }
-    // Read at a few points so later folds start from a flushed ring.
-    if (i == 4 || i == 12) {
-      ASSERT_TRUE(acc.result());
-    }
   }
   EXPECT_DOUBLE_EQ(acc.total_weight(), divisor);
   const auto got = acc.result();
@@ -510,37 +526,26 @@ TEST(FedAvgRing, LogicalAndScaledUpdatesInterleaveWithPartialRings) {
 // and finalize on the sweep pool. The result must be bitwise the serial
 // kernel calls, whatever thread ran which chunk.
 
-/// Serial oracle: the average of the first `count` updates when the ring is
-/// additionally flushed after each update count in `reads`, computed by
-/// direct whole-tensor `ops()` calls on the calling thread.
+/// Serial oracle, the two-buffer form: the sum of the first `count` updates
+/// folded ring by ring, then `scale_into` a second buffer, all by direct
+/// whole-tensor `ops()` calls on the calling thread.
 std::vector<float> serial_fedavg(const std::vector<const float*>& xs,
                                  const std::vector<std::uint64_t>& ws,
-                                 std::size_t count, std::size_t n,
-                                 const std::vector<std::size_t>& reads) {
+                                 std::size_t count, std::size_t n) {
   const ml::kernels::Ops& ops = ml::kernels::ops();
   std::vector<float> sum(n), avg(n);
-  bool started = false;
-  std::vector<const float*> ring;
-  std::vector<float> rw;
   double total = 0.0;
-  const auto flush = [&] {
-    if (ring.empty()) return;
-    const auto fold = started ? ops.axpyn : ops.axpyn_into;
-    fold(sum.data(), rw.data(), ring.data(), ring.size(), n);
-    started = true;
-    ring.clear();
-    rw.clear();
-  };
-  for (std::size_t i = 0; i < count; ++i) {
-    ring.push_back(xs[i]);
-    rw.push_back(static_cast<float>(ws[i]));
-    total += static_cast<double>(ws[i]);
-    if (ring.size() == FedAvgAccumulator::kFoldSlots ||
-        std::find(reads.begin(), reads.end(), i + 1) != reads.end()) {
-      flush();
+  for (std::size_t i = 0; i < count; i += FedAvgAccumulator::kFoldSlots) {
+    const std::size_t fan =
+        std::min(FedAvgAccumulator::kFoldSlots, count - i);
+    std::vector<float> rw;
+    for (std::size_t j = 0; j < fan; ++j) {
+      rw.push_back(static_cast<float>(ws[i + j]));
+      total += static_cast<double>(ws[i + j]);
     }
+    const auto fold = i == 0 ? ops.axpyn_into : ops.axpyn;
+    fold(sum.data(), rw.data(), xs.data() + i, fan, n);
   }
-  flush();
   ops.scale_into(avg.data(), static_cast<float>(1.0 / total), sum.data(), n);
   return avg;
 }
@@ -566,17 +571,69 @@ TEST(FedAvgSplit, LargeFoldsAreBitwiseTheSerialKernelsAcrossReset) {
 
   FedAvgAccumulator acc;
   for (int use = 0; use < 2; ++use) {
-    // A read after 20 updates flushes a partial ring of 4.
-    for (std::size_t i = 0; i < 20; ++i) acc.add(tensors[i % 2], ws[i]);
-    ASSERT_TRUE(acc.result());
-    const auto after20 = serial_fedavg(xs, ws, 20, n, {});
-    EXPECT_TRUE(bitwise_equal(*acc.result(), after20)) << "use " << use;
-    for (std::size_t i = 20; i < 32; ++i) acc.add(tensors[i % 2], ws[i]);
-    ASSERT_TRUE(acc.result());
-    const auto after32 = serial_fedavg(xs, ws, 32, n, {20});
-    EXPECT_TRUE(bitwise_equal(*acc.result(), after32)) << "use " << use;
-    acc.reset();
+    // 20 updates end on a partial ring of 4; 32 on a full one.
+    for (const std::size_t count : {20u, 32u}) {
+      for (std::size_t i = 0; i < count; ++i) acc.add(tensors[i % 2], ws[i]);
+      ASSERT_TRUE(acc.result());
+      EXPECT_TRUE(bitwise_equal(*acc.result(), serial_fedavg(xs, ws, count, n)))
+          << count << " updates, use " << use;
+      acc.reset();
+    }
   }
+}
+
+// ---- One buffer per aggregate: finalize divides the sum in place and
+// take_update() hands that buffer over.
+
+TEST(FedAvgInPlace, EveryCountIsBitwiseTheTwoBufferForm) {
+  sim::Rng rng(76);
+  // A small odd width (tails past every vector width) and one past the
+  // split threshold (the divide runs as chunks on the sweep pool).
+  for (const std::size_t n : {std::size_t{37}, ml::kSweepMinSplit + 37}) {
+    const auto tensors = random_tensors(rng, 3, n);
+    std::vector<const float*> xs;
+    std::vector<std::uint64_t> ws;
+    for (std::size_t i = 0; i < 25; ++i) {
+      xs.push_back(tensors[i % 3]->data());
+      ws.push_back(1 + rng.uniform_index(1000));
+    }
+    for (std::size_t count = 1; count <= 25; ++count) {
+      FedAvgAccumulator acc;
+      for (std::size_t i = 0; i < count; ++i) acc.add(tensors[i % 3], ws[i]);
+      const ModelUpdate out = acc.take_update(1, 1, 0);
+      ASSERT_TRUE(out.tensor) << count;
+      EXPECT_TRUE(bitwise_equal(*out.tensor, serial_fedavg(xs, ws, count, n)))
+          << count << " updates of " << n << " floats";
+    }
+  }
+}
+
+TEST(FedAvgInPlace, TakeUpdateHandsOverTheSumBufferWithoutACopy) {
+  auto& pool = ml::TensorPool::global();
+  sim::Rng rng(77);
+  const std::size_t n = 4099;
+  const auto tensors = random_tensors(rng, 11, n);
+  const ml::TensorPoolStats before = pool.stats();
+  FedAvgAccumulator acc;
+  for (std::size_t i = 0; i < tensors.size(); ++i) acc.add(tensors[i], 10 + i);
+  const float* sum_data = nullptr;
+  {
+    const auto avg = acc.result();
+    ASSERT_TRUE(avg);
+    sum_data = avg->data();
+  }
+  ModelUpdate out = acc.take_update(2, 3, 0);
+  ASSERT_TRUE(out.tensor);
+  EXPECT_EQ(out.tensor->data(), sum_data);  // no copy
+  EXPECT_EQ(out.tensor.use_count(), 1);     // the accumulator kept none
+  EXPECT_FALSE(acc.result());
+  EXPECT_EQ(acc.updates_folded(), tensors.size());  // counts stay readable
+  const ml::TensorPoolStats held = pool.stats();
+  EXPECT_EQ(held.acquires - before.acquires, 1u);  // no second buffer
+  EXPECT_EQ(held.live_bytes - before.live_bytes, n * sizeof(float));
+  // The consumer's drop, not a reset, returns the buffer to the pool.
+  out.tensor.reset();
+  EXPECT_EQ(pool.stats().live_bytes, before.live_bytes);
 }
 
 }  // namespace

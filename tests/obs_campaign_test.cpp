@@ -325,19 +325,25 @@ TEST(ObsCampaign, ShardWindowStatsAlwaysFilled) {
   ASSERT_EQ(r.shard_windows.size(), shards);
   ASSERT_EQ(r.shard_empty_windows.size(), shards);
   ASSERT_EQ(r.shard_idle_secs.size(), shards);
+  ASSERT_EQ(r.shard_cpu_secs.size(), shards);
   std::uint64_t refreshes = 0;
   for (std::size_t s = 0; s < shards; ++s) {
     EXPECT_GT(r.shard_windows[s], 0u) << "shard " << s;
     EXPECT_LE(r.shard_empty_windows[s], r.shard_windows[s]);
     EXPECT_GE(r.shard_idle_secs[s], 0.0);
+    // Every shard's thread ran events, so its CPU clock moved.
+    EXPECT_GT(r.shard_cpu_secs[s], 0.0) << "shard " << s;
     refreshes += r.shard_windows[s];
   }
   EXPECT_EQ(refreshes, r.windows);
-  // The 1-shard fast path never refreshes a horizon: all zero.
+  // The 1-shard fast path never refreshes a horizon: all zero. Its thread
+  // CPU is still measured.
   const auto mono = lifl::sys::run_sharded_campaign(
       small_campaign(HierarchyMode::kPlanned, 1));
   ASSERT_EQ(mono.shard_windows.size(), 1u);
   EXPECT_EQ(mono.shard_windows[0], 0u);
+  ASSERT_EQ(mono.shard_cpu_secs.size(), 1u);
+  EXPECT_GT(mono.shard_cpu_secs[0], 0.0);
 }
 
 // ---------------------------------------------------------------------------

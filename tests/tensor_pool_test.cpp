@@ -96,6 +96,32 @@ TEST(TensorPool, TrimFreesParkedBuffers) {
   EXPECT_EQ(pool.stats().bytes_pooled, 0u);
 }
 
+TEST(TensorPool, LiveBytesCountHandlesUntilTheyReturn) {
+  TensorPool pool(/*capacity_bytes=*/128 * sizeof(float));
+  auto a = pool.acquire(100);
+  auto b = pool.adopt(Tensor(50, 1.0f));
+  auto s = pool.stats();
+  EXPECT_EQ(s.live_bytes, 150 * sizeof(float));
+  EXPECT_EQ(s.peak_live_bytes, 150 * sizeof(float));
+  a.reset();  // parked
+  EXPECT_EQ(pool.stats().live_bytes, 50 * sizeof(float));
+  // The peak survives the return; a reset rebases it to what is out now.
+  EXPECT_EQ(pool.stats().peak_live_bytes, 150 * sizeof(float));
+  pool.reset_stats();
+  s = pool.stats();
+  EXPECT_EQ(s.live_bytes, 50 * sizeof(float));
+  EXPECT_EQ(s.peak_live_bytes, 50 * sizeof(float));
+  EXPECT_EQ(s.bytes_pooled, 100 * sizeof(float));
+  // A handle returns what it counted out, even if its tensor was replaced
+  // meanwhile, and a return the full pool drops still ends the count.
+  *b = Tensor(90, 2.0f);
+  b.reset();
+  s = pool.stats();
+  EXPECT_EQ(s.dropped, 1u);
+  EXPECT_EQ(s.live_bytes, 0u);
+  EXPECT_EQ(s.peak_live_bytes, 50 * sizeof(float));
+}
+
 // ---- The acceptance property: steady-state rounds are zero-alloc.
 //
 // Round 1 populates the pool (misses are expected); every later round's
