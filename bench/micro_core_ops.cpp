@@ -64,7 +64,7 @@ void BM_SockmapLookup(benchmark::State& state) {
   dp::Sockmap map;
   for (std::size_t i = 0; i < entries; ++i) {
     map.update_elem(static_cast<fl::ParticipantId>(i + 1),
-                    [](fl::ModelUpdate) {});
+                    [](fl::UpdateDesc) {});
   }
   fl::ParticipantId probe = 1;
   for (auto _ : state) {
@@ -79,11 +79,11 @@ BENCHMARK(BM_SockmapLookup)->Arg(16)->Arg(256)->Arg(4096);
 void BM_UpdatePoolPushPop(benchmark::State& state) {
   sim::Simulator sim;
   dp::UpdatePool pool(sim);
-  fl::ModelUpdate u;
+  fl::UpdateDesc u;
   u.logical_bytes = 1000;
   for (auto _ : state) {
     pool.push(u);
-    fl::ModelUpdate out;
+    fl::UpdateDesc out;
     const bool ok = pool.try_pop(out);
     benchmark::DoNotOptimize(ok);
   }

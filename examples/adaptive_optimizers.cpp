@@ -72,7 +72,7 @@ StudyResult run_study(fl::ServerOptimizerKind kind, int rounds) {
   sim::Simulator sim;
   sim::Cluster cluster(sim, 2);
   sys::SystemConfig lifl = sys::make_lifl();
-  lifl.plane = dp::lifl_plane(/*real_payloads=*/true);
+  lifl.plane = dp::lifl_plane();
   lifl.node_max_capacity = 8;
   dp::DataPlane plane(cluster, lifl.plane, sim::Rng(44));
   sys::AggregationService service(cluster, plane, lifl);

@@ -37,11 +37,13 @@ Measurement measure_transfer(dp::DataPlaneConfig cfg, std::size_t bytes) {
 
   bool delivered = false;
   double delivered_at = -1.0;
-  plane.register_consumer(2, 0, [&](fl::ModelUpdate u) {
-    // The destination still pays its Recv cost to own the payload.
-    const double recv_secs = plane.recv_cycles(u) / sim::calib::kCpuHz;
-    cluster.node(0).cores().acquire(recv_secs, [&, recv_cycles =
-                                                       plane.recv_cycles(u)] {
+  plane.register_consumer(2, 0, [&](fl::UpdateDesc u) {
+    // The destination still pays its Recv cost to own the payload, then
+    // drops its reference on it.
+    const double recv_cycles = plane.recv_cycles(u);
+    plane.release(0, u);
+    const double recv_secs = recv_cycles / sim::calib::kCpuHz;
+    cluster.node(0).cores().acquire(recv_secs, [&, recv_cycles] {
       cluster.node(0).cpu().add(sim::CostTag::kSerialization, recv_cycles);
       delivered = true;
       delivered_at = sim.now();

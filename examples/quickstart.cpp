@@ -54,7 +54,7 @@ int main() {
   // ---- The platform: a 2-node cluster running the LIFL system.
   sim::Simulator sim;
   sim::Cluster cluster(sim, 2);
-  dp::DataPlane plane(cluster, dp::lifl_plane(/*real_payloads=*/true),
+  dp::DataPlane plane(cluster, dp::lifl_plane(),
                       rng.split(4));
   sys::SystemConfig lifl = sys::make_lifl();
   lifl.node_max_capacity = 10;  // pack ~10 updates per node

@@ -27,8 +27,6 @@ struct DataPlaneConfig {
   /// Route traffic through a message broker (always true for the serverless
   /// baseline; true on a serverful plane gives the SF-micro setup of Fig. 5).
   bool use_broker = false;
-  /// Carry real tensors through the store (small models) or logical bytes.
-  bool real_payloads = false;
   /// Node hosting the message broker. Fig. 2(b) shows a *single* stateful
   /// broker service in the cluster datapath: every brokered message transits
   /// this node, so the broker's processing capacity — not the aggregators' —
@@ -51,18 +49,21 @@ struct DataPlaneConfig {
 };
 
 /// Shorthand constructors for the architectures under study (Fig. 5).
-inline DataPlaneConfig lifl_plane(bool real_payloads = false) {
-  return {PlaneKind::kLifl, SidecarKind::kEbpf, false, real_payloads};
+/// Whatever tensor an update carries rides in its shm store entry (LIFL)
+/// or in the plane's payload slab (SF/SL), so no preset needs a
+/// real-payload switch; `lifl_plane` still accepts and ignores the bool
+/// its older callers pass.
+inline DataPlaneConfig lifl_plane(bool /*ignored*/ = false) {
+  return {PlaneKind::kLifl, SidecarKind::kEbpf, false};
 }
-inline DataPlaneConfig serverful_plane(bool real_payloads = false) {
-  return {PlaneKind::kServerful, SidecarKind::kNone, false, real_payloads};
+inline DataPlaneConfig serverful_plane() {
+  return {PlaneKind::kServerful, SidecarKind::kNone, false};
 }
-inline DataPlaneConfig serverful_micro_plane(bool real_payloads = false) {
-  return {PlaneKind::kServerful, SidecarKind::kNone, true, real_payloads};
+inline DataPlaneConfig serverful_micro_plane() {
+  return {PlaneKind::kServerful, SidecarKind::kNone, true};
 }
-inline DataPlaneConfig serverless_plane(bool real_payloads = false) {
-  DataPlaneConfig c{PlaneKind::kServerless, SidecarKind::kContainer, true,
-                    real_payloads};
+inline DataPlaneConfig serverless_plane() {
+  DataPlaneConfig c{PlaneKind::kServerless, SidecarKind::kContainer, true};
   // The baseline's broker is a single stateful service process; its
   // (per-message ordered) delivery loop is what queues under bursts.
   c.broker_cores = 1;

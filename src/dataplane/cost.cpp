@@ -88,7 +88,7 @@ void StepRunner::finish(std::uint32_t slot) {
   --in_flight_;
   if (f.arrive) {
     Arrival arrive = std::move(f.arrive);
-    arrive(std::move(f.cargo));
+    arrive(f.cargo);  // copied into the call before anything reuses the slot
   }
   if (done) done();
 }

@@ -54,10 +54,12 @@ struct Route {
 class StepRunner {
  public:
   /// Completion hook that takes a flight's cargo (Task-inline functors).
-  using Arrival = sim::TaskFn<fl::ModelUpdate>;
+  using Arrival = sim::TaskFn<fl::UpdateDesc>;
 
   /// One transfer. The per-transfer fields — RSS flow, client wire time and
-  /// the carried update — ride on the flight; everything else is the route.
+  /// the carried update's descriptor — ride on the flight; everything else
+  /// is the route. A flight with no `arrive` (a resumable-upload chunk)
+  /// carries no cargo.
   struct Flight {
     Route route;
     /// RSS flow key every kGateway step steers by (client / participant id).
@@ -66,7 +68,7 @@ class StepRunner {
     /// client's uplink, which is not a cluster resource.
     bool wire = false;
     double wire_secs = 0.0;
-    fl::ModelUpdate cargo;  ///< handed to `arrive` at the end
+    fl::UpdateDesc cargo;   ///< handed to `arrive` at the end
     Arrival arrive;         ///< fires first on completion (if set)
     sim::Task done;         ///< fires after `arrive` (if set)
   };

@@ -1,5 +1,6 @@
 #include "src/dataplane/dataplane.hpp"
 
+#include <atomic>
 #include <stdexcept>
 #include <utility>
 
@@ -9,6 +10,29 @@ namespace lifl::dp {
 
 namespace calib = sim::calib;
 using sim::CostTag;
+
+namespace {
+
+// A descriptor's payload handle: 0 for none, else the slot + 1 in its
+// home, with the top bit set when the home is the plane's payload slab
+// rather than the node's shm store.
+constexpr std::uint32_t kInSlab = 1u << 31;
+
+bool in_slab(const fl::UpdateDesc& d) noexcept {
+  return (d.payload & kInSlab) != 0;
+}
+
+shm::ObjectRef store_ref(const fl::UpdateDesc& d) noexcept {
+  return shm::ObjectRef{d.payload - 1, d.payload_gen};
+}
+
+PayloadSlab::Ref slab_ref(const fl::UpdateDesc& d) noexcept {
+  return PayloadSlab::Ref{(d.payload & ~kInSlab) - 1, d.payload_gen};
+}
+
+std::atomic<std::uint64_t> g_route_lookups{0};
+
+}  // namespace
 
 DataPlane::DataPlane(sim::Cluster& cluster, DataPlaneConfig cfg, sim::Rng rng)
     : cluster_(cluster),
@@ -57,7 +81,7 @@ std::optional<sim::NodeId> DataPlane::node_of(fl::ParticipantId id) const {
   return it->second;
 }
 
-double DataPlane::recv_cycles(const fl::ModelUpdate& update) const noexcept {
+double DataPlane::recv_cycles(const fl::UpdateDesc& update) const noexcept {
   const auto bytes = static_cast<double>(update.logical_bytes);
   if (cfg_.plane == PlaneKind::kLifl) {
     // Zero-copy: the consumer maps the shm object and walks it once.
@@ -73,42 +97,79 @@ double DataPlane::recv_cycles(const fl::ModelUpdate& update) const noexcept {
   return cycles;
 }
 
-void DataPlane::attach_shm_lease(sim::NodeId node, fl::ModelUpdate& update) {
-  // RAII recycle: when the last copy of the update drops, the reference is
-  // released and the buffer returns to the store's pool. The lease may
-  // legally outlive the store (closures parked in simulator queues during
-  // teardown); it then releases nothing.
-  auto& store = env(node).store;
-  if (cfg_.real_payloads && update.tensor) {
-    update.lease = store.put_leased<ml::Tensor>(update.tensor,
-                                                update.logical_bytes);
+void DataPlane::land(sim::NodeId node, fl::UpdateDesc& d) {
+  // The payload leaves the slab for shared memory (logical-only updates get
+  // an entry too: the store accounts their bytes).
+  std::shared_ptr<const ml::Tensor> t;
+  if (d.payload != 0) t = slab_.take(slab_ref(d));
+  const shm::ObjectRef r =
+      env(node).store.put_ref<ml::Tensor>(std::move(t), d.logical_bytes);
+  d.payload = r.slot + 1;
+  d.payload_gen = r.gen;
+}
+
+void DataPlane::retain(sim::NodeId node, const fl::UpdateDesc& d) {
+  if (d.payload == 0) return;
+  if (in_slab(d)) {
+    slab_.retain(slab_ref(d));
   } else {
-    update.lease = store.put_leased<int>(nullptr, update.logical_bytes);
+    env(node).store.retain(store_ref(d));
   }
 }
 
-std::size_t DataPlane::RouteKeyHash::operator()(
-    const RouteKey& k) const noexcept {
-  std::uint64_t h = k.bytes * 0x9e3779b97f4a7c15ull;
-  h ^= (static_cast<std::uint64_t>(k.src) << 40) ^
-       (static_cast<std::uint64_t>(k.dst) << 8) ^
-       static_cast<std::uint64_t>(k.kind);
-  return static_cast<std::size_t>(sim::MultiQueueResource::mix(h));
+void DataPlane::release(sim::NodeId node, const fl::UpdateDesc& d) {
+  if (d.payload == 0) return;
+  if (in_slab(d)) {
+    slab_.release(slab_ref(d));
+  } else {
+    env(node).store.release(store_ref(d));
+  }
+}
+
+std::shared_ptr<const ml::Tensor> DataPlane::tensor(sim::NodeId node,
+                                                    const fl::UpdateDesc& d) {
+  if (d.payload == 0) return nullptr;
+  if (in_slab(d)) return slab_.get(slab_ref(d));
+  return env(node).store.data<ml::Tensor>(store_ref(d));
+}
+
+fl::UpdateDesc DataPlane::hold(fl::ModelUpdate u) {
+  fl::UpdateDesc d = fl::describe(u);
+  if (u.tensor) {
+    const PayloadSlab::Ref r = slab_.put(std::move(u.tensor));
+    d.payload = (r.slot + 1) | kInSlab;
+    d.payload_gen = r.gen;
+  }
+  return d;
+}
+
+std::uint64_t DataPlane::route_table_lookups() noexcept {
+  return g_route_lookups.load(std::memory_order_relaxed);
+}
+
+Route DataPlane::memo_route(PathKind kind, sim::NodeId src, sim::NodeId dst,
+                            std::size_t bytes) {
+  const bool sends =
+      kind == PathKind::kIntraNode || kind == PathKind::kInterNode;
+  const sim::NodeId peer = sends ? dst : 0;
+  RouteMemo& m = env(sends ? src : dst).memo[static_cast<std::size_t>(kind)];
+  if (m.e[0].bytes == bytes && m.e[0].peer == peer) return m.e[0].route;
+  if (m.e[1].bytes == bytes && m.e[1].peer == peer) {
+    std::swap(m.e[0], m.e[1]);
+    return m.e[0].route;
+  }
+  m.e[1] = m.e[0];
+  m.e[0] = RouteMemo::Entry{bytes, peer, route(kind, src, dst, bytes)};
+  return m.e[0].route;
 }
 
 Route DataPlane::route(PathKind kind, sim::NodeId src, sim::NodeId dst,
                        std::size_t bytes) {
+  g_route_lookups.fetch_add(1, std::memory_order_relaxed);
   if (kind == PathKind::kIngest || kind == PathKind::kConsume) src = dst;
   const RouteKey key{kind, src, dst, bytes};
-  auto it = routes_.find(key);
-  if (it != routes_.end()) return it->second;
-  // Routes are keyed by payload size, so a caller streaming many distinct
-  // sizes could grow the table without bound: start over once it is large
-  // and no flight holds a route.
-  constexpr std::size_t kMaxRoutes = 4096;
-  if (routes_.size() >= kMaxRoutes && runner_.in_flight() == 0) {
-    routes_.clear();
-    route_steps_.clear();
+  for (const auto& [k, r] : routes_) {
+    if (k == key) return r;
   }
   std::vector<CostStep> steps;
   sim::Node& snode = cluster_.node(src);
@@ -130,7 +191,7 @@ Route DataPlane::route(PathKind kind, sim::NodeId src, sim::NodeId dst,
   route_steps_.push_back(std::move(steps));
   const std::vector<CostStep>& v = route_steps_.back();
   const Route r{v.data(), static_cast<std::uint32_t>(v.size())};
-  routes_.emplace(key, r);
+  routes_.emplace_back(key, r);
   return r;
 }
 
@@ -384,8 +445,8 @@ void DataPlane::send(fl::ParticipantId src, sim::NodeId src_node,
   }
   const sim::NodeId dst_node = it->second;
   const std::size_t bytes = update.logical_bytes;
-  update.hops += 1;
-  update.producer = src;
+  fl::UpdateDesc d = hold(std::move(update));
+  d.producer = src;
 
   NodeEnv& senv = env(src_node);
 
@@ -396,99 +457,102 @@ void DataPlane::send(fl::ParticipantId src, sim::NodeId src_node,
     senv.metrics.add(MetricsMap::kSendBytes, static_cast<double>(bytes));
   }
 
-  StepRunner::Flight f;
+  const bool lifl = cfg_.plane == PlaneKind::kLifl;
+  Route route;
   if (src_node == dst_node) {
-    if (cfg_.plane == PlaneKind::kLifl) {
-      attach_shm_lease(src_node, update);
+    if (lifl) {
+      land(src_node, d);
       ++shm_deliveries_;
     }
-    f.route = route(PathKind::kIntraNode, src_node, dst_node, bytes);
+    route = memo_route(PathKind::kIntraNode, src_node, dst_node, bytes);
   } else {
     inter_node_bytes_ += bytes;
-    if (cfg_.plane == PlaneKind::kLifl) {
-      // The payload is re-materialized in the destination node's store by
-      // the remote gateway (Appendix A).
-      attach_shm_lease(dst_node, update);
-    }
-    f.route = route(PathKind::kInterNode, src_node, dst_node, bytes);
+    // The payload is re-materialized in the destination node's store by
+    // the remote gateway (Appendix A).
+    if (lifl) land(dst_node, d);
+    route = memo_route(PathKind::kInterNode, src_node, dst_node, bytes);
   }
   if (cfg_.use_broker) {
     env(cfg_.broker_node).broker.buffer(bytes);
   }
+  StepRunner::Flight f;
+  f.route = route;
   // Gateway hops steer by the destination participant: one aggregator's
   // inbound transfers stay ordered on one queue.
   f.flow = dst;
-  f.cargo = std::move(update);
+  f.cargo = d;
   f.arrive = DeliverFn{this, dst, dst_node};
   f.done = std::move(on_delivered);
   runner_.run(std::move(f));
 }
 
-void DataPlane::DeliverFn::operator()(fl::ModelUpdate u) const {
+void DataPlane::DeliverFn::operator()(fl::UpdateDesc u) const {
   if (plane->cfg_.use_broker) {
     plane->env(plane->cfg_.broker_node).broker.unbuffer(u.logical_bytes);
   }
-  plane->deliver(dst_node, dst, std::move(u));
+  plane->deliver(dst_node, dst, u);
 }
 
 void DataPlane::deliver(sim::NodeId dst_node, fl::ParticipantId dst,
-                        fl::ModelUpdate update) {
+                        const fl::UpdateDesc& update) {
   Sockmap::DeliverFn* sock = env(dst_node).sockmap.lookup(dst);
   if (sock == nullptr) {
     // Destination disappeared mid-flight (scale-down / failure): the update
     // falls back into the node pool so a successor can aggregate it.
-    env(dst_node).pool.push(std::move(update));
+    env(dst_node).pool.push(update);
     return;
   }
-  (*sock)(std::move(update));
+  (*sock)(update);
 }
 
 void DataPlane::client_upload(sim::NodeId dst_node, fl::ModelUpdate update,
                               double uplink_bytes_per_sec,
                               sim::Task on_enqueued) {
   const std::size_t bytes = update.logical_bytes;
+  // A real payload waits in the slab until the gateway puts it into shm.
+  fl::UpdateDesc d = hold(std::move(update));
   // Gateways and brokers terminate the client stream; on a bare serverful
   // plane the consuming aggregator pays that cost in its Recv step.
-  update.from_client =
-      cfg_.plane != PlaneKind::kLifl && !cfg_.use_broker;
+  d.from_client = cfg_.plane != PlaneKind::kLifl && !cfg_.use_broker;
 
-  // Wire time from the client to the cluster ingress (pure latency: the
-  // client's uplink is not a cluster resource), then the ingest pipeline,
-  // whose gateway step steers by the uploading client.
-  StepRunner::Flight f;
-  f.route = route(PathKind::kIngest, dst_node, dst_node, bytes);
-  f.flow = update.producer;
-  f.wire = true;
-  f.wire_secs = static_cast<double>(bytes) / uplink_bytes_per_sec;
+  const Route route = memo_route(PathKind::kIngest, dst_node, dst_node, bytes);
 
   // A brokered upload rests in the broker's buffers until a consumer drains
   // it (`consume` unbuffers); LIFL/serverful planes buffer nothing here.
   if (cfg_.use_broker) env(cfg_.broker_node).broker.buffer(bytes);
 
-  f.cargo = std::move(update);
+  // Wire time from the client to the cluster ingress (pure latency: the
+  // client's uplink is not a cluster resource), then the ingest pipeline,
+  // whose gateway step steers by the uploading client.
+  StepRunner::Flight f;
+  f.route = route;
+  f.flow = d.producer;
+  f.wire = true;
+  f.wire_secs = static_cast<double>(bytes) / uplink_bytes_per_sec;
+  f.cargo = d;
   f.arrive = EnqueueFn{this, dst_node};
   f.done = std::move(on_enqueued);
   runner_.run(std::move(f));
 }
 
-void DataPlane::EnqueueFn::operator()(fl::ModelUpdate u) const {
+void DataPlane::EnqueueFn::operator()(fl::UpdateDesc u) const {
   NodeEnv& e = plane->env(node);
   if (plane->cfg_.plane == PlaneKind::kLifl) {
-    plane->attach_shm_lease(node, u);
+    plane->land(node, u);
     ++plane->shm_deliveries_;
   }
   // Arrival-rate metric for the control plane (k_{i,t} of §5.1).
   e.metrics.add(MetricsMap::kArrivals);
-  e.pool.push(std::move(u));
+  e.pool.push(u);
 }
 
-void DataPlane::client_upload_chunk(sim::NodeId dst_node, std::uint64_t flow,
+void DataPlane::client_upload_chunk(Route route, std::uint64_t flow,
                                     std::size_t bytes,
                                     double uplink_bytes_per_sec,
                                     sim::Task on_acked) {
   // Wire time, then ingest, as in `client_upload`.
   StepRunner::Flight f;
-  f.route = route(PathKind::kIngest, dst_node, dst_node, bytes);
+  f.route = route;
   f.flow = flow;
   f.wire = true;
   f.wire_secs = static_cast<double>(bytes) / uplink_bytes_per_sec;
@@ -496,19 +560,20 @@ void DataPlane::client_upload_chunk(sim::NodeId dst_node, std::uint64_t flow,
   runner_.run(std::move(f));
 }
 
-void DataPlane::consume(sim::NodeId node, fl::ModelUpdate update,
+void DataPlane::consume(sim::NodeId node, const fl::UpdateDesc& update,
                         StepRunner::Arrival ready) {
   if (!cfg_.use_broker) {
-    // LIFL: the consumer receives the 16-byte key; the payload stays put in
-    // shm. SF monolith: the queue is the aggregator's own in-memory queue.
-    ready(std::move(update));
+    // LIFL: the consumer receives the object handle; the payload stays put
+    // in shm. SF monolith: the queue is the aggregator's own in-memory
+    // queue.
+    ready(update);
     return;
   }
   const std::size_t bytes = update.logical_bytes;
   env(cfg_.broker_node).broker.unbuffer(bytes);
   StepRunner::Flight f;
-  f.route = route(PathKind::kConsume, node, node, bytes);
-  f.cargo = std::move(update);
+  f.route = memo_route(PathKind::kConsume, node, node, bytes);
+  f.cargo = update;
   f.arrive = std::move(ready);
   runner_.run(std::move(f));
 }
@@ -530,14 +595,18 @@ void DataPlane::release_runtime_record(RuntimeRecord* rec) noexcept {
 }
 
 void DataPlane::seed_update(sim::NodeId node, fl::ModelUpdate update) {
+  deposit(node, hold(std::move(update)));
+}
+
+void DataPlane::deposit(sim::NodeId node, fl::UpdateDesc update) {
   update.from_client = false;  // ingest processing already happened
   if (cfg_.plane == PlaneKind::kLifl) {
-    attach_shm_lease(node, update);
+    land(node, update);
     ++shm_deliveries_;
   }
   NodeEnv& e = env(node);
   e.metrics.add(MetricsMap::kArrivals);
-  e.pool.push(std::move(update));
+  e.pool.push(update);
 }
 
 void DataPlane::record_agg_exec(sim::NodeId node, double exec_secs) {

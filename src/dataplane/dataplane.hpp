@@ -1,15 +1,20 @@
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/dataplane/broker.hpp"
 #include "src/dataplane/config.hpp"
 #include "src/dataplane/cost.hpp"
 #include "src/dataplane/metrics_map.hpp"
+#include "src/dataplane/payload_slab.hpp"
 #include "src/dataplane/routing.hpp"
 #include "src/dataplane/update_pool.hpp"
 #include "src/fl/model_update.hpp"
@@ -58,6 +63,20 @@ enum class PathKind : std::uint8_t {
   kConsume,    ///< broker delivery of a queued update (brokered planes)
 };
 
+/// The last two routes one node resolved for one path kind, newest first:
+/// the flat memo every transfer reads before the plane's route table. A
+/// run uses a handful of (peer, bytes) pairs per node and kind — a chunk
+/// size and a full update size at most — so after warm-up no transfer
+/// looks a route up.
+struct RouteMemo {
+  struct Entry {
+    std::size_t bytes = std::numeric_limits<std::size_t>::max();
+    sim::NodeId peer = 0;  ///< the destination node (sends); 0 otherwise
+    Route route;
+  };
+  std::array<Entry, 2> e{};
+};
+
 class ResumableUpload;
 
 namespace detail {
@@ -74,8 +93,8 @@ struct SessionSlabDelete {
 ///
 /// One instance models one of the planes of Fig. 5 end to end:
 ///  - **LIFL**: gateway performs one-time payload processing into the
-///    per-node shm object store; intra-node hand-off passes 16-byte object
-///    keys via the eBPF/SKMSG sidecar and sockmap; inter-node transfers go
+///    per-node shm object store; intra-node hand-off passes object handles
+///    via the eBPF/SKMSG sidecar and sockmap; inter-node transfers go
 ///    gateway-to-gateway (Appendix A); the eBPF sidecar writes metrics at
 ///    event time and costs nothing when idle.
 ///  - **Serverful**: direct gRPC-style kernel channels (serialize / kernel
@@ -88,7 +107,25 @@ struct SessionSlabDelete {
 /// resources, so kernel-stack contention (Fig. 4), gateway saturation and
 /// NIC serialization all emerge from queueing rather than being scripted.
 /// Each pipeline is built once per (path, src node, dst node, bytes) and
-/// interned (`route`); a transfer is a pooled `StepRunner` flight over it.
+/// interned (`route`); a transfer is a pooled `StepRunner` flight over it,
+/// whose route comes from the node's `RouteMemo`.
+///
+/// **Updates inside the plane.** `fl::ModelUpdate` is the value at the
+/// plane's edges (`client_upload`, `seed_update`, `send`, and what a
+/// runtime's `on_result` receives). Inside, an update is an
+/// `fl::UpdateDesc` — flight cargo, pool entry, lease copy, runtime FIFO
+/// entry — whose payload handle names one reference on a payload the plane
+/// holds, as in LIFL §4.2 where the gateway writes the payload into shared
+/// memory once and the function chain passes only its key. On the LIFL
+/// plane the payload is an entry of the node's shm store, put at the
+/// gateway (an upload landing, `seed_update`) and at `send`; on the SF/SL
+/// planes a real tensor sits in the plane's payload slab (and so does one
+/// still on its way to a LIFL gateway). References are explicit: `retain`
+/// for each extra copy kept (a lease), `release` after the fold or a
+/// discard, `take` when the update leaves the plane as a value.
+/// Descriptors hold nothing themselves, so one still parked in the
+/// simulator or a pool when the plane dies releases nothing; the stores
+/// and the slab free every payload with the plane.
 class DataPlane {
  public:
   /// Everything the plane keeps per worker node.
@@ -109,6 +146,9 @@ class DataPlane {
     InterNodeRoutes remote_routes;  ///< gateway's inter-node routing table
     MetricsMap metrics;         ///< eBPF metrics map (§4.3)
     Broker broker;              ///< broker bookkeeping (baseline planes)
+    /// Routes this node resolved, per `PathKind`: ingest and consume
+    /// routes end here, intra- and inter-node sends start here.
+    std::array<RouteMemo, 4> memo;
   };
 
   DataPlane(sim::Cluster& cluster, DataPlaneConfig cfg, sim::Rng rng);
@@ -136,6 +176,9 @@ class DataPlane {
   /// Aggregator-to-aggregator transfer; routed intra-node (sockmap) or
   /// inter-node (gateway to gateway). `on_delivered` fires when the update
   /// reaches the destination runtime's queue (before its Recv processing).
+  /// On the LIFL plane the payload is put into the store the destination
+  /// reads from (the source node's, or the destination's after the remote
+  /// gateway re-materializes it, Appendix A) — the send-side retain.
   void send(fl::ParticipantId src, sim::NodeId src_node, fl::ParticipantId dst,
             fl::ModelUpdate update, sim::Task on_delivered = {});
 
@@ -148,39 +191,66 @@ class DataPlane {
                      sim::Task on_enqueued = {});
 
   /// One chunk of a resumable client upload: client-wire latency plus the
-  /// gateway ingest cost for `bytes`, steered to the RSS queue of `flow`
-  /// like the full-stream path. `on_acked` fires when the gateway has
-  /// processed (acked) the chunk. No update is deposited — the session
-  /// layer assembles acked chunks and deposits the completed update once
-  /// (`seed_update`), so samples are never double-counted.
-  void client_upload_chunk(sim::NodeId dst_node, std::uint64_t flow,
-                           std::size_t bytes, double uplink_bytes_per_sec,
-                           sim::Task on_acked);
+  /// gateway ingest cost for `bytes` along `route` (the chunk size's
+  /// `ingest_route`, which the session resolves once), steered to the RSS
+  /// queue of `flow` like the full-stream path. `on_acked` fires when the
+  /// gateway has processed (acked) the chunk. The flight carries no cargo —
+  /// the session layer assembles acked chunks and deposits the completed
+  /// update once, so samples are never double-counted.
+  void client_upload_chunk(Route route, std::uint64_t flow, std::size_t bytes,
+                           double uplink_bytes_per_sec, sim::Task on_acked);
+
+  /// The ingest pipeline into `node` for `bytes`, through the node's memo.
+  Route ingest_route(sim::NodeId node, std::size_t bytes) {
+    return memo_route(PathKind::kIngest, node, node, bytes);
+  }
 
   /// Deposit an update directly into `node`'s pool as if it had already
   /// been ingested (in-place queued in shm on the LIFL plane), at zero
   /// cost. Used by microbenchmarks that start from a known queue state
   /// (Fig. 8: "the estimated Q equals the actual queue length").
   void seed_update(sim::NodeId node, fl::ModelUpdate update);
+  /// `seed_update` for an update the plane already holds (a `hold`
+  /// descriptor, e.g. a resumable session's): on the LIFL plane this is the
+  /// gateway put of its payload.
+  void deposit(sim::NodeId node, fl::UpdateDesc update);
 
   /// CPU cycles a consumer must spend in its Recv step to take ownership of
   /// a delivered update (shm read for LIFL, deserialization for kernel
   /// planes; plus full client-stream decoding if no gateway/broker
   /// terminated the upload). Paid by the runtime, which is single-threaded.
-  double recv_cycles(const fl::ModelUpdate& update) const noexcept;
+  double recv_cycles(const fl::UpdateDesc& update) const noexcept;
 
   /// A consumer on `node` takes one queued update out of the node's pending
   /// pool; `ready` receives it when the payload is at the consumer (the
-  /// transfer carries the update, so `ready` need not capture it). On the
-  /// LIFL plane this is free — the update already sits in shared memory and
-  /// the consumer holds its key (§4.2 in-place queuing). On a bare serverful
-  /// plane the queue is in the aggregator's own memory (Fig. 5 monolith) —
-  /// also free. On brokered planes the queue lives in the broker, so every
-  /// consumption is a real broker delivery: dequeue processing on the broker
-  /// service plus kernel/wire hops to the consumer — the "inefficient
-  /// message queuing" overhead of §2.3.
-  void consume(sim::NodeId node, fl::ModelUpdate update,
+  /// transfer carries the descriptor, so `ready` need not capture it). On
+  /// the LIFL plane this is free — the update already sits in shared memory
+  /// and the consumer holds its handle (§4.2 in-place queuing). On a bare
+  /// serverful plane the queue is in the aggregator's own memory (Fig. 5
+  /// monolith) — also free. On brokered planes the queue lives in the
+  /// broker, so every consumption is a real broker delivery: dequeue
+  /// processing on the broker service plus kernel/wire hops to the consumer
+  /// — the "inefficient message queuing" overhead of §2.3.
+  void consume(sim::NodeId node, const fl::UpdateDesc& update,
                StepRunner::Arrival ready);
+
+  // ------------------------------------------------------------ payloads
+  /// Add a reference on `d`'s payload, for one more copy of `d` kept (a
+  /// lease). `node` is where `d` is held: its store is the one a LIFL
+  /// handle names.
+  void retain(sim::NodeId node, const fl::UpdateDesc& d);
+  /// Drop the reference `d` holds — after its fold, or when it is
+  /// discarded. The last reference recycles the payload.
+  void release(sim::NodeId node, const fl::UpdateDesc& d);
+  /// The real tensor `d`'s payload carries, or null (logical payloads).
+  std::shared_ptr<const ml::Tensor> tensor(sim::NodeId node,
+                                           const fl::UpdateDesc& d);
+  /// `u` as a descriptor held by the plane without a gateway put (no
+  /// store entry, no transfer): its tensor, if any, goes to the payload
+  /// slab. For a value handed straight to a runtime.
+  fl::UpdateDesc hold(fl::ModelUpdate u);
+  /// Payloads held in the plane's payload slab.
+  std::size_t slab_payloads() const noexcept { return slab_.size(); }
 
   // ------------------------------------------------ aggregator runtimes
   /// A liveness record for a new runtime, recycled from a freed one when
@@ -212,11 +282,16 @@ class DataPlane {
   sim::Resource& broker_service() noexcept { return broker_svc_; }
 
   /// The interned pipeline of `kind` for `bytes` from `src` to `dst`, built
-  /// on first use. `src` is ignored for kIngest (the client) and kConsume
-  /// (the broker). Gateway steps steer by the flight's flow at run time.
-  /// Valid while flights are in the air; an idle plane may re-intern.
+  /// on first use: a lookup in the plane's route table, which transfers
+  /// reach only when their node's `RouteMemo` misses. `src` is ignored for
+  /// kIngest (the client) and kConsume (the broker). Gateway steps steer by
+  /// the flight's flow at run time. Valid for the plane's lifetime.
   Route route(PathKind kind, sim::NodeId src, sim::NodeId dst,
               std::size_t bytes);
+
+  /// Route-table lookups (`route` calls) made by every plane in this
+  /// process so far.
+  static std::uint64_t route_table_lookups() noexcept;
 
   /// Total data moved across nodes (bytes), for locality accounting.
   std::uint64_t inter_node_bytes() const noexcept { return inter_node_bytes_; }
@@ -239,14 +314,17 @@ class DataPlane {
     DataPlane* plane;
     fl::ParticipantId dst;
     sim::NodeId dst_node;
-    void operator()(fl::ModelUpdate u) const;
+    void operator()(fl::UpdateDesc u) const;
   };
-  /// Arrival hook of a `client_upload` flight: deposit into the node pool.
+  /// Arrival hook of a `client_upload` flight: the gateway put, then the
+  /// deposit into the node pool.
   struct EnqueueFn {
     DataPlane* plane;
     sim::NodeId node;
-    void operator()(fl::ModelUpdate u) const;
+    void operator()(fl::UpdateDesc u) const;
   };
+  static_assert(sim::is_hot_callable_v<DeliverFn> &&
+                sim::is_hot_callable_v<EnqueueFn>);
   struct RouteKey {
     PathKind kind;
     sim::NodeId src;
@@ -257,14 +335,17 @@ class DataPlane {
              bytes == o.bytes;
     }
   };
-  struct RouteKeyHash {
-    std::size_t operator()(const RouteKey& k) const noexcept;
-  };
 
+  /// `route` through the memo of the node the path starts (sends) or ends
+  /// (ingest, consume) at.
+  Route memo_route(PathKind kind, sim::NodeId src, sim::NodeId dst,
+                   std::size_t bytes);
   void deliver(sim::NodeId dst_node, fl::ParticipantId dst,
-               fl::ModelUpdate update);
-  /// Put the update payload into `node`'s store and attach a release lease.
-  void attach_shm_lease(sim::NodeId node, fl::ModelUpdate& update);
+               const fl::UpdateDesc& update);
+  /// The gateway put of the LIFL plane: write `d`'s payload (the slab
+  /// tensor `d` names, if any) into `node`'s store; `d` then names the
+  /// store entry.
+  void land(sim::NodeId node, fl::UpdateDesc& d);
 
   std::vector<CostStep> intra_node_steps(sim::Node& node, std::size_t bytes);
   std::vector<CostStep> inter_node_steps(sim::Node& src, sim::Node& dst,
@@ -297,16 +378,19 @@ class DataPlane {
   std::uint64_t inter_node_bytes_ = 0;
   std::uint64_t shm_deliveries_ = 0;
 
-  /// Interned routes. The step vectors never change once built, so their
-  /// buffers stay put while `route_steps_` grows.
-  std::unordered_map<RouteKey, Route, RouteKeyHash> routes_;
+  /// Interned routes: a flat table, searched only when a memo misses, that
+  /// grows by one step list per distinct key (a run uses a handful). Memos
+  /// and sessions keep `Route`s, so nothing is ever dropped; the step
+  /// vectors never change once built, so their buffers stay put while
+  /// `route_steps_` grows.
+  std::vector<std::pair<RouteKey, Route>> routes_;
   std::vector<std::vector<CostStep>> route_steps_;
+  /// Real payloads held outside the shm stores.
+  PayloadSlab slab_;
   /// Runtime liveness records (stable addresses) and the recycled ones.
   std::deque<RuntimeRecord> runtime_records_;
   std::vector<RuntimeRecord*> free_runtime_records_;
-  /// Resumable-upload sessions, created on the first launch. Declared
-  /// last, so live sessions die first, while the stores their updates
-  /// lease from still exist.
+  /// Resumable-upload sessions, created on the first launch.
   std::unique_ptr<detail::SessionSlab, detail::SessionSlabDelete> sessions_;
 };
 

@@ -24,9 +24,10 @@ inline void measure_transfer(DataPlane& plane, sim::NodeId src_node,
 
   plane.register_consumer(
       dst, dst_node,
-      [&plane, dst_node, dst, t0, done = std::move(done)](fl::ModelUpdate u) {
+      [&plane, dst_node, dst, t0, done = std::move(done)](fl::UpdateDesc u) {
         sim::Node& node = plane.cluster().node(dst_node);
         const double recv_cycles = plane.recv_cycles(u);
+        plane.release(dst_node, u);
         node.cores().acquire(
             recv_cycles / node.config().cpu_hz,
             [&plane, &node, dst, t0, recv_cycles, done = std::move(done)]() {
@@ -41,7 +42,6 @@ inline void measure_transfer(DataPlane& plane, sim::NodeId src_node,
   u.producer = src;
   u.sample_count = 1;
   u.logical_bytes = bytes;
-  u.created_at = t0;
   plane.send(src, src_node, dst, std::move(u));
 }
 
@@ -56,18 +56,18 @@ inline void measure_ingest(DataPlane& plane, sim::NodeId node_id,
   fl::ModelUpdate u;
   u.sample_count = 1;
   u.logical_bytes = bytes;
-  u.created_at = t0;
   plane.client_upload(node_id, std::move(u), uplink_bytes_per_sec);
   plane.env(node_id).pool.pop_async(
-      [&plane, node_id, t0, done = std::move(done)](fl::ModelUpdate got) {
+      [&plane, node_id, t0, done = std::move(done)](fl::UpdateDesc got) {
         // Consuming the queued update is a broker delivery on brokered
         // planes (free under in-place queuing) — same path the
         // AggregatorRuntime takes.
-        plane.consume(node_id, std::move(got),
+        plane.consume(node_id, got,
                       [&plane, node_id, t0, done = std::move(done)](
-                          fl::ModelUpdate u) mutable {
+                          fl::UpdateDesc u) mutable {
           sim::Node& node = plane.cluster().node(node_id);
           const double recv_cycles = plane.recv_cycles(u);
+          plane.release(node_id, u);
           node.cores().acquire(
               recv_cycles / node.config().cpu_hz,
               [&plane, &node, t0, recv_cycles, done = std::move(done)]() {

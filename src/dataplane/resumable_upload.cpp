@@ -49,8 +49,12 @@ struct Session {
   SessionSlab* slab;
   std::uint32_t cell;  ///< index of this session's cell in the slab
   DataPlane& plane;
-  fl::ModelUpdate update;
+  fl::UpdateDesc update;  ///< its real payload, if any, waits in the slab
   ResumableUpload::Config cfg;
+  /// Ingest routes of a full chunk and of the last one (equal when the
+  /// update is a whole number of chunks), resolved once at the start.
+  Route chunk_route;
+  Route tail_route;
 
   ClientState state = ClientState::kIdle;
   std::uint64_t total_chunks = 0;
@@ -64,19 +68,19 @@ struct Session {
   std::uint32_t die_at = 0;  ///< 1-based dying chunk of the attempt; 0 = none
   bool chunk_resend = false;  ///< the chunk in flight re-sends a partial one
 
-  Session(SessionSlab* s, std::uint32_t c, DataPlane& p, fl::ModelUpdate&& u,
-          ResumableUpload::Config&& cf)
-      : slab(s), cell(c), plane(p), update(std::move(u)), cfg(std::move(cf)) {}
+  Session(SessionSlab* s, std::uint32_t c, DataPlane& p,
+          const fl::UpdateDesc& u, ResumableUpload::Config&& cf)
+      : slab(s), cell(c), plane(p), update(u), cfg(std::move(cf)) {}
 
   static Session* make(SessionSlab* slab, DataPlane& plane,
-                       fl::ModelUpdate&& u, ResumableUpload::Config&& c) {
+                       const fl::UpdateDesc& u, ResumableUpload::Config&& c) {
     if (slab->free.empty()) {
       slab->free.push_back(static_cast<std::uint32_t>(slab->cells.size()));
       slab->cells.push_back(::operator new(sizeof(Session)));
     }
     const std::uint32_t i = slab->free.back();
     Session* s = new (slab->cells[i])
-        Session(slab, i, plane, std::move(u), std::move(c));
+        Session(slab, i, plane, u, std::move(c));
     slab->free.pop_back();
     return s;
   }
@@ -114,6 +118,8 @@ struct Session {
     const std::uint64_t cb = cfg.plan->config().chunk_bytes;
     total_chunks =
         std::max<std::uint64_t>(1, (update.logical_bytes + cb - 1) / cb);
+    chunk_route = plane.ingest_route(cfg.node, chunk_size(0));
+    tail_route = plane.ingest_route(cfg.node, chunk_size(total_chunks - 1));
     t0 = sim().now();
     // The selection and local-training legs happened upstream (the arrival
     // chain); walk the table through them so the session's lifecycle is the
@@ -150,10 +156,10 @@ struct Session {
     }
     chunk_resend = resend_pending;
     resend_pending = false;
-    plane.client_upload_chunk(cfg.node, update.producer,
-                              static_cast<std::size_t>(bytes),
-                              cfg.uplink_bytes_per_sec,
-                              Call<&Session::on_ack>{this});
+    plane.client_upload_chunk(
+        acked + 1 == total_chunks ? tail_route : chunk_route, update.producer,
+        static_cast<std::size_t>(bytes), cfg.uplink_bytes_per_sec,
+        Call<&Session::on_ack>{this});
   }
 
   void on_ack() {
@@ -207,8 +213,8 @@ struct Session {
     cfg.obs.observe_id(&obs::Ids::upload_session_secs, duration);
     // Deposit the assembled update exactly once: the chunks already paid
     // wire + ingest, so the deposit itself is free (like `seed_update`'s
-    // pre-ingested semantics).
-    plane.seed_update(cfg.node, std::move(update));
+    // pre-ingested semantics) — and it is the gateway put of the payload.
+    plane.deposit(cfg.node, update);
     if (cfg.on_complete) cfg.on_complete(duration, drops);
   }
 };
@@ -246,8 +252,8 @@ void ResumableUpload::launch(DataPlane& plane, fl::ModelUpdate update,
     throw std::invalid_argument("ResumableUpload: cfg.plan is required");
   }
   if (!plane.sessions_) plane.sessions_.reset(new SessionSlab);
-  Session* s = Session::make(plane.sessions_.get(), plane, std::move(update),
-                             std::move(cfg));
+  Session* s = Session::make(plane.sessions_.get(), plane,
+                             plane.hold(std::move(update)), std::move(cfg));
   if (start_after > 0.0) {
     plane.cluster().sim().schedule_after(start_after,
                                          Call<&Session::begin>{s});

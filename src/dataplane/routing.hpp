@@ -19,10 +19,12 @@ namespace lifl::dp {
 /// follow the eBPF helper API the routing manager uses.
 class Sockmap {
  public:
-  /// Delivery callback — a move-only `sim::TaskFn`: registering a consumer
-  /// (`{runtime}` captures, 8-16 bytes) stays inline, so churning millions
-  /// of short-lived leaf aggregators costs no allocator traffic here.
-  using DeliverFn = sim::TaskFn<fl::ModelUpdate>;
+  /// Delivery callback — a move-only `sim::TaskFn` taking the delivered
+  /// update's descriptor (and its payload reference): registering a
+  /// consumer (`{runtime}` captures, 8-16 bytes) stays inline, so churning
+  /// millions of short-lived leaf aggregators costs no allocator traffic
+  /// here.
+  using DeliverFn = sim::TaskFn<fl::UpdateDesc>;
 
   void update_elem(fl::ParticipantId id, DeliverFn sock) {
     map_[id] = std::move(sock);

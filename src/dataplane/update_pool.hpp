@@ -20,15 +20,19 @@ namespace lifl::dp {
 /// the gateway's one-time payload processing (§4.2): leaf aggregators pull
 /// from it (pull model = the "in fact function chains" consumption order of
 /// §5). Under LIFL the payload already sits in shared memory and the entry
-/// is effectively just a key (the update's `lease` holds the shm
-/// reference); under baseline planes it stands in for the broker queue /
-/// aggregator in-memory queue, with costs billed by the plane.
+/// is just a key: the pool holds `fl::UpdateDesc`s, whose payload handles
+/// name shm store entries (LIFL) or plane payload-slab cells (baseline
+/// planes). Under baseline planes it stands in for the broker queue /
+/// aggregator in-memory queue, with costs billed by the plane. A
+/// descriptor's payload reference moves with it: the pool neither retains
+/// nor releases, and dropping a pool with entries releases nothing (the
+/// plane that owns the payloads frees them with itself).
 class UpdatePool {
  public:
   /// Consumer callback. A `sim::TaskFn` (24-byte inline, move-only): the
   /// aggregator's pool waiter is a 16-byte runtime handle, so parking and
   /// waking a consumer never heap-allocates for the callable itself.
-  using Waiter = sim::TaskFn<fl::ModelUpdate>;
+  using Waiter = sim::TaskFn<fl::UpdateDesc>;
 
   explicit UpdatePool(sim::Simulator& sim) : sim_(sim) {}
 
@@ -37,21 +41,21 @@ class UpdatePool {
   /// the (waiter, update) pair parks in the pool's wake slab and the event
   /// is a 12-byte {pool, slot} trampoline, so a wake allocates nothing once
   /// the slab has grown to the pending-wake high-water mark.
-  void push(fl::ModelUpdate u) {
+  void push(const fl::UpdateDesc& u) {
     ++total_pushed_;
     if (!waiters_.empty()) {
       Waiter w = std::move(waiters_.front());
       waiters_.pop_front();
-      wake(std::move(w), std::move(u));
+      wake(std::move(w), u);
       return;
     }
-    entries_.push_back(Entry{std::move(u), sim_.now()});
+    entries_.push_back(Entry{u, sim_.now()});
     max_depth_ = std::max(max_depth_, entries_.size());
     wake_depth_watchers();
   }
 
   /// Synchronous pop; false if empty.
-  bool try_pop(fl::ModelUpdate& out) {
+  bool try_pop(fl::UpdateDesc& out) {
     if (entries_.empty()) return false;
     out = take_front();
     return true;
@@ -60,8 +64,7 @@ class UpdatePool {
   /// Asynchronous pop: fires immediately if buffered, else on next push.
   void pop_async(Waiter w) {
     if (!entries_.empty()) {
-      fl::ModelUpdate u = take_front();
-      wake(std::move(w), std::move(u));
+      wake(std::move(w), take_front());
       return;
     }
     waiters_.push_back(std::move(w));
@@ -88,42 +91,50 @@ class UpdatePool {
   // ---- lease/ack recovery protocol ------------------------------------
   //
   // An aggregator consuming under lease semantics retains a copy of every
-  // update it accepts, keyed by its own ParticipantId. The copy is cheap
-  // (shared tensor + shm lease refcounts) but keeps the backing shm object
-  // alive: the pool is the pool half, the retained lease is the ObjectStore
-  // half of "un-acked claims survive their consumer". On Send the consumer
-  // acks (drops) its leases; on crash the orchestrator aborts them and the
-  // retained copies come back — re-queued to the pool for leaves, or
-  // re-injected into the replacement for middles/top — so no client sample
-  // is ever lost to a crashed runtime.
+  // update it accepts, keyed by its own ParticipantId. The copy is a
+  // descriptor holding one more reference on the payload (the consumer
+  // retains it before handing it here), which keeps the backing shm object
+  // alive: the pool is the pool half, the retained reference is the
+  // ObjectStore half of "un-acked claims survive their consumer". On Send
+  // the consumer acks its leases, releasing those references; on crash the
+  // orchestrator aborts them and the retained copies come back — re-queued
+  // to the pool for leaves, or re-injected into the replacement for
+  // middles/top — so no client sample is ever lost to a crashed runtime.
 
   /// Record a retained copy of an accepted update under `owner`'s lease.
-  void lease_retain(fl::ParticipantId owner, const fl::ModelUpdate& u) {
+  /// The copy owns one payload reference, which the caller has retained.
+  void lease_retain(fl::ParticipantId owner, const fl::UpdateDesc& u) {
     leases_[owner].push_back(u);
     ++total_retained_;
   }
 
-  /// Ack (release) `owner`'s leases, keeping only the `keep_newest` most
-  /// recently retained entries — a recurring consumer acks at each Send but
-  /// must keep updates still buffered for the *next* emission under lease.
-  void lease_ack(fl::ParticipantId owner, std::size_t keep_newest = 0) {
+  /// Ack `owner`'s leases, keeping only the `keep_newest` most recently
+  /// retained entries — a recurring consumer acks at each Send but must
+  /// keep updates still buffered for the *next* emission under lease.
+  /// `release(desc)` drops each acked copy's payload reference, oldest
+  /// first.
+  template <typename Release>
+  void lease_ack(fl::ParticipantId owner, std::size_t keep_newest,
+                 Release&& release) {
     auto it = leases_.find(owner);
     if (it == leases_.end()) return;
     auto& v = it->second;
     if (v.size() > keep_newest) {
+      const auto end = v.end() - static_cast<std::ptrdiff_t>(keep_newest);
+      for (auto i = v.begin(); i != end; ++i) release(*i);
       total_acked_ += v.size() - keep_newest;
-      v.erase(v.begin(),
-              v.end() - static_cast<std::ptrdiff_t>(keep_newest));
+      v.erase(v.begin(), end);
     }
     if (v.empty()) leases_.erase(it);
   }
 
   /// Abort `owner`'s leases (consumer crashed): returns the retained
-  /// copies in retention order for re-fold, clearing the lease.
-  std::vector<fl::ModelUpdate> lease_abort(fl::ParticipantId owner) {
+  /// copies in retention order for re-fold, clearing the lease. Their
+  /// payload references pass to the caller.
+  std::vector<fl::UpdateDesc> lease_abort(fl::ParticipantId owner) {
     auto it = leases_.find(owner);
     if (it == leases_.end()) return {};
-    std::vector<fl::ModelUpdate> v = std::move(it->second);
+    std::vector<fl::UpdateDesc> v = std::move(it->second);
     leases_.erase(it);
     total_aborted_ += v.size();
     return v;
@@ -169,7 +180,7 @@ class UpdatePool {
 
  private:
   struct Entry {
-    fl::ModelUpdate update;
+    fl::UpdateDesc update;
     double enqueued_at;
   };
 
@@ -181,7 +192,7 @@ class UpdatePool {
   /// A consumer wake parked until its zero-delay event runs.
   struct Wake {
     Waiter waiter;
-    fl::ModelUpdate update;
+    fl::UpdateDesc update;
   };
   struct WakeFn {
     UpdatePool* pool;
@@ -189,15 +200,15 @@ class UpdatePool {
     void operator()() const { pool->fire(slot); }
   };
 
-  void wake(Waiter w, fl::ModelUpdate u) {
+  void wake(Waiter w, const fl::UpdateDesc& u) {
     std::uint32_t slot;
     if (!free_wakes_.empty()) {
       slot = free_wakes_.back();
       free_wakes_.pop_back();
-      wakes_[slot] = Wake{std::move(w), std::move(u)};
+      wakes_[slot] = Wake{std::move(w), u};
     } else {
       slot = static_cast<std::uint32_t>(wakes_.size());
-      wakes_.push_back(Wake{std::move(w), std::move(u)});
+      wakes_.push_back(Wake{std::move(w), u});
     }
     sim_.schedule_now(WakeFn{this, slot});
   }
@@ -205,7 +216,7 @@ class UpdatePool {
   void fire(std::uint32_t slot) {
     Wake w = std::move(wakes_[slot]);
     free_wakes_.push_back(slot);
-    w.waiter(std::move(w.update));
+    w.waiter(w.update);
   }
 
   /// Fire every watcher satisfied by the current depth as ONE batched
@@ -231,13 +242,13 @@ class UpdatePool {
     });
   }
 
-  fl::ModelUpdate take_front() {
-    Entry e = std::move(entries_.front());
+  fl::UpdateDesc take_front() {
+    const Entry e = entries_.front();
     entries_.pop_front();
     const double wait = sim_.now() - e.enqueued_at;
     total_delay_ += wait;
     wait_obs_.observe(wait);
-    return std::move(e.update);
+    return e.update;
   }
 
   sim::Simulator& sim_;
@@ -250,7 +261,7 @@ class UpdatePool {
   std::vector<DepthWatcher> depth_watchers_;
   std::vector<Wake> wakes_;  ///< parked wakes, indexed by WakeFn::slot
   std::vector<std::uint32_t> free_wakes_;
-  std::map<fl::ParticipantId, std::vector<fl::ModelUpdate>> leases_;
+  std::map<fl::ParticipantId, std::vector<fl::UpdateDesc>> leases_;
   std::size_t max_depth_ = 0;
   std::uint64_t total_pushed_ = 0;
   std::uint64_t total_retained_ = 0;

@@ -60,30 +60,30 @@ bool AggregatorRuntime::goal_reached() const noexcept {
              : acc_.updates_folded() >= cfg_.goal;
 }
 
-void AggregatorRuntime::PoolWaiter::operator()(ModelUpdate u) const {
+void AggregatorRuntime::PoolWaiter::operator()(UpdateDesc u) const {
   AggregatorRuntime* rt = h.live();
   if (rt == nullptr) {
     // Instance went away; put the update back for a successor.
-    h.plane().env(h.node).pool.push(std::move(u));
+    h.plane().env(h.node).pool.push(u);
     return;
   }
   // Taking the update out of the queue is free under LIFL's in-place
   // queuing (§4.2) and on a serverful monolith: deliver directly.
   if (!h.plane().config().use_broker) {
-    rt->deliver(std::move(u));
+    rt->deliver(u);
     return;
   }
   // On brokered planes it is a broker delivery.
-  h.plane().consume(h.node, std::move(u), ConsumeReady{h});
+  h.plane().consume(h.node, u, ConsumeReady{h});
 }
 
-void AggregatorRuntime::ConsumeReady::operator()(ModelUpdate u) const {
+void AggregatorRuntime::ConsumeReady::operator()(UpdateDesc u) const {
   AggregatorRuntime* rt = h.live();
   if (rt == nullptr) {
-    h.plane().env(h.node).pool.push(std::move(u));
+    h.plane().env(h.node).pool.push(u);
     return;
   }
-  rt->deliver(std::move(u));
+  rt->deliver(u);
 }
 
 void AggregatorRuntime::RecvDone::operator()() const {
@@ -119,7 +119,7 @@ void AggregatorRuntime::start() {
   // updates delivered during cold start buffer in the FIFO, exactly like
   // messages queueing while a function boots.
   plane_.register_consumer(cfg_.id, cfg_.node,
-                           [this](ModelUpdate u) { deliver(std::move(u)); });
+                           [this](UpdateDesc u) { deliver(u); });
   // Pull requests are armed even before the sandbox is ready: an arriving
   // update is what triggers reactive scale-from-zero, and deliveries during
   // cold start simply buffer (messages queue while the function boots).
@@ -160,20 +160,21 @@ void AggregatorRuntime::stop() {
   // Return unprocessed updates to the node pool: the runtime is stateless,
   // so a replacement can pick them up with no state synchronization. An
   // update mid-Recv/Agg is included — its shm object still exists, so a
-  // successor simply re-reads it.
+  // successor simply re-reads it. The descriptors take their payload
+  // references with them.
   if (in_flight_.has_value()) {
-    plane_.env(cfg_.node).pool.push(std::move(*in_flight_));
+    plane_.env(cfg_.node).pool.push(*in_flight_);
     in_flight_.reset();
     processing_ = false;
   }
   while (!fifo_.empty()) {
-    plane_.env(cfg_.node).pool.push(std::move(fifo_.front()));
+    plane_.env(cfg_.node).pool.push(fifo_.front());
     fifo_.pop_front();
   }
   // Everything accepted is accounted for — folded work was (or will be)
   // emitted, the rest just went back to the pool — so the lease clears in
   // full. Leaving it would double-count those updates on a later abort.
-  if (cfg_.leased) plane_.env(cfg_.node).pool.lease_ack(cfg_.id);
+  ack_leases(0);
 }
 
 void AggregatorRuntime::fail() {
@@ -183,11 +184,16 @@ void AggregatorRuntime::fail() {
   ready_ = false;
   rec_->rt = nullptr;  // invalidates in-flight waiters, timers, step events
   plane_.unregister_consumer(cfg_.id);
-  // The sandbox is gone: buffered and mid-step updates die with it — no
-  // pool pushes, no lease acks. The retained lease copies are the single
-  // source of recovery (a stop()-style push-back here would duplicate them
-  // against the abort path).
-  fifo_.clear();
+  // The sandbox is gone: buffered and mid-step updates die with it — their
+  // references are released, with no pool pushes and no lease acks. The
+  // retained lease copies are the single source of recovery (a
+  // stop()-style push-back here would duplicate them against the abort
+  // path).
+  while (!fifo_.empty()) {
+    release(fifo_.front());
+    fifo_.pop_front();
+  }
+  if (in_flight_.has_value()) release(*in_flight_);
   in_flight_.reset();
   processing_ = false;
   acc_.reset();
@@ -222,6 +228,12 @@ std::uint32_t AggregatorRuntime::drain() {
   return have;
 }
 
+void AggregatorRuntime::ack_leases(std::size_t keep_newest) {
+  if (!cfg_.leased) return;
+  plane_.env(cfg_.node).pool.lease_ack(
+      cfg_.id, keep_newest, [this](const UpdateDesc& u) { release(u); });
+}
+
 void AggregatorRuntime::maybe_complete() {
   if (ready_ && !processing_ && !sent_ && goal_reached()) do_send();
 }
@@ -239,10 +251,10 @@ void AggregatorRuntime::rearm(Config cfg) {
   // Stateless: drop all aggregation state; keep the warm sandbox. Updates
   // still buffered (none, if the caller honored idle()) go back to the pool.
   while (!fifo_.empty()) {
-    plane_.env(cfg_.node).pool.push(std::move(fifo_.front()));
+    plane_.env(cfg_.node).pool.push(fifo_.front());
     fifo_.pop_front();
   }
-  if (cfg_.leased) plane_.env(cfg_.node).pool.lease_ack(cfg_.id);
+  ack_leases(0);
   acc_.reset();
   cfg_ = std::move(cfg);
   validate_config();
@@ -282,10 +294,10 @@ void AggregatorRuntime::maybe_pull() {
   }
 }
 
-void AggregatorRuntime::deliver(ModelUpdate u) {
+void AggregatorRuntime::deliver(const UpdateDesc& u) {
   if (!started_) {
     // Late delivery after stop(): recycle into the pool.
-    plane_.env(cfg_.node).pool.push(std::move(u));
+    plane_.env(cfg_.node).pool.push(u);
     return;
   }
   if (u.corrupted) {
@@ -297,6 +309,7 @@ void AggregatorRuntime::deliver(ModelUpdate u) {
       --pulled_;
       maybe_pull();
     }
+    release(u);
     return;
   }
   const bool version_mismatch =
@@ -306,23 +319,27 @@ void AggregatorRuntime::deliver(ModelUpdate u) {
       *cfg_.live_version - u.model_version > cfg_.max_staleness;
   if (version_mismatch || too_stale) {
     // Stale straggler: wrong round under synchronous version gating, or
-    // beyond the staleness bound under asynchronous folding. Drop it (its
-    // shm lease is released as `u` goes out of scope) and keep listening.
+    // beyond the staleness bound under asynchronous folding. Drop it
+    // (releasing its payload) and keep listening.
     ++stale_dropped_;
     if (cfg_.pull_from_pool && pulled_ > 0) {
       --pulled_;
       maybe_pull();
     }
+    release(u);
     return;
   }
-  // Accepting under lease: the retained copy (cheap — shared tensor + shm
-  // lease refcounts) is what survives if this instance crashes before
+  // Accepting under lease: the retained copy (a descriptor plus one more
+  // payload reference) is what survives if this instance crashes before
   // emitting the update's contribution.
-  if (cfg_.leased) plane_.env(cfg_.node).pool.lease_retain(cfg_.id, u);
+  if (cfg_.leased) {
+    plane_.retain(cfg_.node, u);
+    plane_.env(cfg_.node).pool.lease_retain(cfg_.id, u);
+  }
   ++received_;
   if (first_arrival_at_ < 0) first_arrival_at_ = sim_.now();
   version_ = std::max(version_, u.model_version);
-  fifo_.push_back(std::move(u));
+  fifo_.push_back(u);
   if (!ready_ && cfg_.cold_trigger == ColdStartTrigger::kOnFirstUpdate) {
     begin_cold_start();
   }
@@ -336,14 +353,14 @@ void AggregatorRuntime::pump() {
     // Lazy: hold the batch until every expected update has arrived.
     return;
   }
-  ModelUpdate u = std::move(fifo_.front());
+  const UpdateDesc u = fifo_.front();
   fifo_.pop_front();
-  process_one(std::move(u));
+  process_one(u);
 }
 
-void AggregatorRuntime::process_one(ModelUpdate u) {
+void AggregatorRuntime::process_one(const UpdateDesc& u) {
   processing_ = true;
-  in_flight_ = std::move(u);
+  in_flight_ = u;
   sim::Node& node = plane_.cluster().node(cfg_.node);
 
   // ---- Recv step: take ownership of the payload (shm map / deserialize).
@@ -378,11 +395,13 @@ void AggregatorRuntime::on_agg_done() {
     scale = 1.0 / (1.0 + static_cast<double>(*cfg_.live_version -
                                              in_flight_->model_version));
   }
-  acc_.add(*in_flight_, scale);
+  acc_.add(*in_flight_, plane_.tensor(cfg_.node, *in_flight_), scale);
   ++aggregated_;
   // The eBPF sidecar observes the execution and records metrics (§4.3).
   plane_.record_agg_exec(cfg_.node, step_secs_);
-  // Dropping the update releases its shm lease (buffer recycled).
+  // Folded: release the payload (its shm buffer recycles; a real tensor
+  // parked in the fold ring stays alive until the ring sweeps it).
+  release(*in_flight_);
   in_flight_.reset();
   processing_ = false;
   if (cfg_.fail_after_folds > 0 && aggregated_ >= cfg_.fail_after_folds &&
@@ -407,7 +426,6 @@ void AggregatorRuntime::on_agg_done() {
 void AggregatorRuntime::do_send() {
   sent_at_ = sim_.now();
   ModelUpdate result = acc_.take_update(version_, cfg_.id, cfg_.result_bytes);
-  result.created_at = sim_.now();
   ++emissions_;
   if (cfg_.recurring) {
     // FedBuff emit-and-continue: the buffer resets in place and the
@@ -432,9 +450,7 @@ void AggregatorRuntime::do_send() {
   // this emission is now the consumer's responsibility. Updates still
   // buffered for the *next* emission (recurring) or left over past the
   // goal stay retained — they have not been emitted yet.
-  if (cfg_.leased) {
-    plane_.env(cfg_.node).pool.lease_ack(cfg_.id, fifo_.size());
-  }
+  ack_leases(fifo_.size());
   if (cfg_.consumer != 0) {
     plane_.send(cfg_.id, cfg_.node, cfg_.consumer, std::move(result));
   } else if (cfg_.on_result) {

@@ -202,8 +202,12 @@ class AggregatorRuntime {
 
   /// Hand an update to this runtime directly, bypassing the data plane —
   /// used when a converted instance keeps its own previous output (the
-  /// aggregate is already in its memory; no transfer happens).
-  void inject(ModelUpdate u) { deliver(std::move(u)); }
+  /// aggregate is already in its memory; no transfer happens). The plane
+  /// holds its payload (`DataPlane::hold`) until the fold.
+  void inject(ModelUpdate u) { deliver(plane_.hold(std::move(u))); }
+  /// Hand over a descriptor this runtime's node holds (a lease copy
+  /// returned by `UpdatePool::lease_abort`), with its payload reference.
+  void inject(const UpdateDesc& u) { deliver(u); }
 
   const Config& config() const noexcept { return cfg_; }
   bool started() const noexcept { return started_; }
@@ -255,12 +259,12 @@ class AggregatorRuntime {
   /// Pool-waiter callback.
   struct PoolWaiter {
     Handle h;
-    void operator()(ModelUpdate u) const;
+    void operator()(UpdateDesc u) const;
   };
   /// Broker-consume continuation: the consume flight carries the update.
   struct ConsumeReady {
     Handle h;
-    void operator()(ModelUpdate u) const;
+    void operator()(UpdateDesc u) const;
   };
   /// Recv / Agg step completions (ride in the core pool's finish events).
   struct RecvDone {
@@ -293,11 +297,16 @@ class AggregatorRuntime {
   void validate_config() const;
   bool goal_reached() const noexcept;
   void maybe_complete();
-  void deliver(ModelUpdate u);
+  void deliver(const UpdateDesc& u);
+  /// Drop `u`'s payload reference (after its fold, or a discard).
+  void release(const UpdateDesc& u) { plane_.release(cfg_.node, u); }
+  /// Ack this instance's leases (if leased) but the `keep_newest` newest,
+  /// releasing the acked copies' payload references.
+  void ack_leases(std::size_t keep_newest);
   void begin_cold_start();
   void on_ready();
   void pump();
-  void process_one(ModelUpdate u);
+  void process_one(const UpdateDesc& u);
   void on_recv_done();
   void on_agg_done();
   void do_send();
@@ -307,8 +316,8 @@ class AggregatorRuntime {
   sim::Simulator& sim_;
   Config cfg_;
   FedAvgAccumulator acc_;
-  sim::Fifo<ModelUpdate> fifo_;
-  std::optional<ModelUpdate> in_flight_;  ///< update mid-Recv/Agg
+  sim::Fifo<UpdateDesc> fifo_;
+  std::optional<UpdateDesc> in_flight_;  ///< update mid-Recv/Agg
   dp::RuntimeRecord* rec_;  ///< liveness record in the plane's slab
 
   // Cost of the step currently in service on the node cores (the runtime

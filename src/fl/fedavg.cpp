@@ -21,6 +21,12 @@ void FedAvgAccumulator::check_open() const {
 }
 
 void FedAvgAccumulator::add(const ModelUpdate& update, double scale) {
+  add(describe(update), update.tensor, scale);
+}
+
+void FedAvgAccumulator::add(const UpdateDesc& update,
+                            const std::shared_ptr<const ml::Tensor>& tensor,
+                            double scale) {
   check_open();
   if (update.sample_count == 0) {
     throw std::invalid_argument("FedAvg: update with zero sample_count");
@@ -36,9 +42,7 @@ void FedAvgAccumulator::add(const ModelUpdate& update, double scale) {
       (update.weight > 0.0 ? update.weight
                            : static_cast<double>(update.sample_count)) *
       scale;
-  if (update.tensor) {
-    add_tensor_weighted(update.tensor, static_cast<float>(eff));
-  }
+  if (tensor) add_tensor_weighted(tensor, static_cast<float>(eff));
   // Logical-only weight: contributes to the divisor and nothing to the sum
   // (the defined zero tensor) — exact in sum form, no rescaling.
   total_samples_ += update.sample_count;

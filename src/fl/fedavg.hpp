@@ -79,6 +79,12 @@ class FedAvgAccumulator {
   /// `std::logic_error` once the accumulator is sealed by a finalize.
   void add(const ModelUpdate& update, double scale = 1.0);
 
+  /// Fold a data-plane update: `update`'s weights, with `tensor` (null for
+  /// a logical-only payload) as its parameters. Same rules as above.
+  void add(const UpdateDesc& update,
+           const std::shared_ptr<const ml::Tensor>& tensor,
+           double scale = 1.0);
+
   /// Fold a raw (tensor, weight) pair. Same sealing rule.
   void add(const std::shared_ptr<const ml::Tensor>& params,
            std::uint64_t sample_count);

@@ -41,8 +41,8 @@ struct TensorPoolStats {
 /// Handles are `shared_ptr<Tensor>` whose deleter parks the whole tensor
 /// (object + storage) back into the pool when the last reference drops.
 /// This composes with the zero-copy object store: a pooled tensor `put`
-/// into `shm::ObjectStore` recycles automatically when its final shm lease
-/// is released, wherever in the pipeline that happens. The pool is
+/// into `shm::ObjectStore` recycles automatically when its final shm
+/// reference is released, wherever in the pipeline that happens. The pool is
 /// internally synchronized; handles may be dropped on any thread.
 class TensorPool {
  public:

@@ -23,88 +23,17 @@ struct ObjectStoreStats {
   std::size_t pool_bytes = 0;        ///< recycled-buffer pool size
 };
 
-class ObjectStore;
-
-namespace detail {
-
-/// The part of a store its leases touch: per-slot handle counts and
-/// generations. Heap-allocated once per store; it outlives the store while
-/// any lease is still out, so a lease may legally be dropped after its
-/// store is gone (e.g. a closure parked in a simulator queue when the world
-/// is torn down).
-struct LeaseSlab {
-  struct Slot {
-    std::uint32_t gen = 0;      ///< bumped whenever the slot's object dies
-    std::uint32_t handles = 0;  ///< live `Lease` copies on this slot
-  };
-  ObjectStore* store = nullptr;  ///< null once the store is destroyed
-  std::vector<Slot> slots;       ///< parallel to the store's entry slab
-  std::uint64_t handles = 0;     ///< live `Lease` copies, every slot
-};
-
-}  // namespace detail
-
-/// RAII handle on one reference of a stored object: {store, slot,
-/// generation} with an intrusive, non-atomic copy count. Copying a lease
-/// costs an increment; when the last copy drops, the object's reference is
-/// released and its buffer recycles — the store's allocate/recycle/destroy
-/// lifecycle with no heap traffic per object. A lease stays on the thread
-/// of its store: cross-shard hand-offs detach it first.
-class Lease {
- public:
-  Lease() noexcept = default;
-  Lease(const Lease& o) noexcept
-      : slab_(o.slab_), slot_(o.slot_), gen_(o.gen_) {
-    retain();
-  }
-  Lease(Lease&& o) noexcept : slab_(o.slab_), slot_(o.slot_), gen_(o.gen_) {
-    o.slab_ = nullptr;
-  }
-  Lease& operator=(const Lease& o) noexcept {
-    if (this != &o) {
-      reset();
-      slab_ = o.slab_;
-      slot_ = o.slot_;
-      gen_ = o.gen_;
-      retain();
-    }
-    return *this;
-  }
-  Lease& operator=(Lease&& o) noexcept {
-    if (this != &o) {
-      reset();
-      slab_ = o.slab_;
-      slot_ = o.slot_;
-      gen_ = o.gen_;
-      o.slab_ = nullptr;
-    }
-    return *this;
-  }
-  ~Lease() { reset(); }
-
-  /// Drop this copy (releasing the object's reference if it was the last).
-  void reset() noexcept {
-    if (slab_ != nullptr) drop();
-  }
-
-  explicit operator bool() const noexcept { return slab_ != nullptr; }
-
- private:
-  friend class ObjectStore;
-  Lease(detail::LeaseSlab* slab, std::uint32_t slot, std::uint32_t gen) noexcept
-      : slab_(slab), slot_(slot), gen_(gen) {
-    retain();
-  }
-  void retain() noexcept {
-    if (slab_ == nullptr) return;
-    ++slab_->slots[slot_].handles;
-    ++slab_->handles;
-  }
-  void drop() noexcept;
-
-  detail::LeaseSlab* slab_ = nullptr;
-  std::uint32_t slot_ = 0;
-  std::uint32_t gen_ = 0;
+/// One reference on a stored object, by slot: what the data plane's update
+/// descriptors carry instead of a key. `gen` is the slot's generation when
+/// the reference was taken (16 bits, the width a descriptor has room for);
+/// a reference whose object died since reads as stale.
+///
+/// Slot references taken on one object share its single store reference:
+/// `retain` adds a holder, and the last holder's `release` drops the
+/// reference — one release in `stats()`, however many holders there were.
+struct ObjectRef {
+  std::uint32_t slot = 0;
+  std::uint16_t gen = 0;
 };
 
 /// Per-node shared-memory object store (§4.1).
@@ -135,18 +64,10 @@ class ObjectStore {
  public:
   explicit ObjectStore(sim::Rng rng,
                        std::size_t pool_capacity_bytes = 2ull << 30)
-      : rng_(rng), pool_capacity_(pool_capacity_bytes) {
-    slab_->store = this;
-  }
+      : rng_(rng), pool_capacity_(pool_capacity_bytes) {}
 
   ObjectStore(const ObjectStore&) = delete;
   ObjectStore& operator=(const ObjectStore&) = delete;
-
-  /// Outstanding leases keep the lease slab (not the objects) alive.
-  ~ObjectStore() {
-    slab_->store = nullptr;
-    if (slab_->handles == 0) delete slab_;
-  }
 
   /// Store an immutable object; returns its freshly generated key.
   /// `refs` is the number of consumers expected to release it.
@@ -164,14 +85,34 @@ class ObjectStore {
     return put<int>(nullptr, logical_bytes, refs);
   }
 
-  /// Store an object with one reference, owned by the returned lease:
-  /// dropping the lease's last copy releases it.
+  /// Store an object with one reference, held by the returned slot
+  /// reference (no key lookup to retain, read or release it). Draws its key
+  /// exactly like `put`, so the key stream cannot tell the two apart.
   template <typename T>
-  Lease put_leased(std::shared_ptr<const T> value, std::size_t logical_bytes) {
+  ObjectRef put_ref(std::shared_ptr<const T> value,
+                    std::size_t logical_bytes) {
     const std::uint32_t slot = insert(
         std::static_pointer_cast<const void>(std::move(value)), logical_bytes,
         1);
-    return Lease(slab_, slot, slab_->slots[slot].gen);
+    entries_[slot].holders = 1;
+    return ObjectRef{slot, entries_[slot].gen};
+  }
+
+  /// Add a holder of the object's slot reference. Throws if it is stale.
+  void retain(ObjectRef ref) { ++held_entry(ref).holders; }
+
+  /// Drop a holder; the last one releases the object's reference, like
+  /// `release(key)`. Throws if `ref` is stale.
+  void release(ObjectRef ref) {
+    if (--held_entry(ref).holders == 0) release_slot(ref.slot);
+  }
+
+  /// Read an object through a slot reference (zero copy). Throws if stale.
+  /// The holder of a reference needs no key lookup, so unlike `get` this
+  /// is not counted in `stats().gets` (reads by key).
+  template <typename T>
+  std::shared_ptr<const T> data(ObjectRef ref) {
+    return std::static_pointer_cast<const T>(held_entry(ref).data);
   }
 
   /// True if the key addresses a live object.
@@ -227,7 +168,7 @@ class ObjectStore {
   sim::Rng::State rng_state() const noexcept { return rng_.state(); }
 
   /// Restore a checkpointed generator + statistics onto a *quiescent* store
-  /// (no live objects — every lease released); throws std::logic_error
+  /// (no live objects — every reference released); throws std::logic_error
   /// otherwise. Live entries hold process-local shared_ptrs and cannot
   /// survive a process boundary, which is exactly why snapshots are taken
   /// at quiescent points.
@@ -241,16 +182,26 @@ class ObjectStore {
   }
 
  private:
-  friend class Lease;
-
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
   struct Entry {
     ObjectKey key;
     std::shared_ptr<const void> data;
     std::size_t bytes = 0;
-    std::uint32_t refs = 0;  ///< 0 = dead (slot free or awaiting leases)
+    std::uint32_t refs = 0;     ///< 0 = dead (slot free)
+    std::uint32_t holders = 0;  ///< slot-reference holders (`put_ref`)
+    std::uint16_t gen = 0;      ///< bumped whenever the slot's object dies
   };
+
+  /// The entry `ref` names; throws unless its object is still live and
+  /// held through slot references.
+  Entry& held_entry(ObjectRef ref) {
+    if (ref.slot >= entries_.size() || entries_[ref.slot].holders == 0 ||
+        entries_[ref.slot].gen != ref.gen) {
+      throw std::logic_error("ObjectStore: stale object reference");
+    }
+    return entries_[ref.slot];
+  }
 
   /// Create an object in a free slot and index it; returns the slot. Keys
   /// are drawn exactly as before the slab existed (re-drawn on collision),
@@ -268,7 +219,6 @@ class ObjectStore {
     } else {
       slot = static_cast<std::uint32_t>(entries_.size());
       entries_.emplace_back();
-      slab_->slots.emplace_back();
     }
     Entry& e = entries_[slot];
     e.key = key;
@@ -295,21 +245,12 @@ class ObjectStore {
     stats_.pool_bytes = std::min(pool_capacity_, stats_.pool_bytes + e.bytes);
     index_erase(slot);
     e.data.reset();
+    e.holders = 0;
     --live_;
-    // A dead slot is reusable once no lease names it; the generation bump
-    // tells any such lease its object is gone.
-    detail::LeaseSlab::Slot& ls = slab_->slots[slot];
-    ++ls.gen;
-    if (ls.handles == 0) free_.push_back(slot);
-  }
-
-  /// The last copy of a lease on `slot` dropped.
-  void lease_dropped(std::uint32_t slot, std::uint32_t gen) {
-    if (slab_->slots[slot].gen == gen) {
-      release_slot(slot);
-    } else {
-      free_.push_back(slot);  // its object already died by key
-    }
+    // The generation bump tells any reference still naming the slot that
+    // its object is gone.
+    ++e.gen;
+    free_.push_back(slot);
   }
 
   // ---- key index: open addressing, linear probing, backward-shift erase.
@@ -368,19 +309,6 @@ class ObjectStore {
   std::vector<std::uint32_t> index_;  ///< key -> slot + 1
   std::size_t live_ = 0;
   ObjectStoreStats stats_;
-  detail::LeaseSlab* slab_ = new detail::LeaseSlab;
 };
-
-inline void Lease::drop() noexcept {
-  detail::LeaseSlab* s = slab_;
-  slab_ = nullptr;
-  --s->handles;
-  if (--s->slots[slot_].handles != 0) return;
-  if (s->store != nullptr) {
-    s->store->lease_dropped(slot_, gen_);
-  } else if (s->handles == 0) {
-    delete s;  // the store went first; the last lease frees the slab
-  }
-}
 
 }  // namespace lifl::shm

@@ -35,8 +35,8 @@ using detail::GroupPromise;
 namespace {
 
 /// Injects one relayed group aggregate into the top aggregator. Runs on the
-/// top's shard; the update was detached from its source group (no lease, no
-/// tensor) before crossing.
+/// top's shard; the update was detached from its source group (no tensor)
+/// before crossing.
 struct TopInject {
   CampaignState* st;
   fl::ModelUpdate u;
@@ -52,7 +52,6 @@ struct GroupRelay {
   CampaignState* st;
   std::size_t group;
   void operator()(fl::ModelUpdate u) const {
-    u.lease.reset();
     u.tensor.reset();
     Group& g = st->groups[group];
     ++g.relays_done;  // feeds the shard's outbound promise (sync modes)
@@ -460,7 +459,7 @@ fl::AggregatorRuntime::Config planned_top_config(CampaignState& st,
 void recover_top(CampaignState& st, std::uint32_t round) {
   ++st.top_crashes;
   auto& pool = st.groups[0].plane->env(0).pool;
-  std::vector<fl::ModelUpdate> lost = pool.lease_abort(1);
+  const std::vector<fl::UpdateDesc> lost = pool.lease_abort(1);
   st.graveyard.push_back(std::move(st.top_rt));
   fl::AggregatorRuntime::Config tc =
       planned_top_config(st, round, st.top_goal);
@@ -470,7 +469,7 @@ void recover_top(CampaignState& st, std::uint32_t round) {
                                                       std::move(tc));
   st.top_rt->start();
   st.top = st.top_rt.get();
-  for (auto& u : lost) st.top->inject(std::move(u));
+  for (const fl::UpdateDesc& u : lost) st.top->inject(u);
 }
 
 /// Arm an open-loop arrival chain for one group: `target` uploads starting
@@ -1097,6 +1096,9 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     s.gateway_busy_secs = g.plane->env(0).gateway.busy_time();
     s.gateway_wait_secs = g.plane->env(0).gateway.total_wait_time();
     s.cpu_cycles = g.cluster->total_cpu().total_cycles();
+    s.payloads_held = g.plane->env(0).store.size() +
+                      g.plane->slab_payloads() +
+                      g.plane->env(0).pool.leases();
     result.groups.push_back(s);
     result.upload_retries += g.upload_retries;
     result.upload_drops += g.upload_drops;

@@ -259,6 +259,10 @@ struct ShardedGroupStats {
   double gateway_busy_secs = 0.0;   ///< gateway busy integral
   double gateway_wait_secs = 0.0;   ///< gateway queueing
   double cpu_cycles = 0.0;          ///< node CPU ledger total
+  /// Payload references the group's plane still held when the campaign
+  /// ended: live shm store entries, payload-slab cells and lease copies.
+  /// 0 when every retain met its release.
+  std::uint64_t payloads_held = 0;
 };
 
 /// Per-round (sync) or per-model-version (async) and whole-campaign

@@ -438,7 +438,7 @@ void StreamingHierarchy::recover_leaf(LeafSlot* s) {
   auto& pool = plane_.env(cfg_.node).pool;
   // Abort the dead instance's leases: every client update it accepted but
   // never emitted comes back, in acceptance order.
-  std::vector<fl::ModelUpdate> lost = pool.lease_abort(leaf_id(*s));
+  const std::vector<fl::UpdateDesc> lost = pool.lease_abort(leaf_id(*s));
   round_.refolded += lost.size();
   // The corpse cannot be destroyed here — we are inside its crash
   // callback — so it waits in the graveyard until the round ends.
@@ -457,7 +457,7 @@ void StreamingHierarchy::recover_leaf(LeafSlot* s) {
                    static_cast<std::uint32_t>(leaf_id(*s)), lost.size());
   // Re-queue the recovered updates: the replacement's pool pulls (or any
   // other live leaf's) re-claim and re-fold them — zero samples lost.
-  for (auto& u : lost) pool.push(std::move(u));
+  for (const fl::UpdateDesc& u : lost) pool.push(u);
 }
 
 void StreamingHierarchy::recover_middle(std::size_t mi) {
@@ -466,7 +466,7 @@ void StreamingHierarchy::recover_middle(std::size_t mi) {
   cfg_.obs.instant(sim().now(), obs::Ev::kAggCrash,
                    static_cast<std::uint32_t>(m.id));
   auto& pool = plane_.env(cfg_.node).pool;
-  std::vector<fl::ModelUpdate> lost = pool.lease_abort(m.id);
+  const std::vector<fl::UpdateDesc> lost = pool.lease_abort(m.id);
   round_.reinjected += lost.size();
   graveyard_.push_back(std::move(m.rt));
   // Rebuild with the goal state the round has reached: still open while
@@ -486,7 +486,7 @@ void StreamingHierarchy::recover_middle(std::size_t mi) {
   // Re-inject the retained leaf partials directly: they are folded
   // *messages* of this middle, not pool entries — routing them through the
   // group pool would hand whole partials to message-counting leaves.
-  for (auto& u : lost) m.rt->inject(std::move(u));
+  for (const fl::UpdateDesc& u : lost) m.rt->inject(u);
 }
 
 void StreamingHierarchy::quorum_check(std::uint32_t round) {

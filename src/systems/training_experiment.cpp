@@ -163,7 +163,6 @@ TrainingResult TrainingExperiment::run() {
       u.logical_bytes = cfg_.model.bytes();
       const double uplink = profile.uplink_bytes_per_sec;
       st.sim.schedule_after(delay, [&st, dst, u, uplink]() mutable {
-        u.created_at = st.sim.now();
         st.selector->report_done(u.producer);
         st.plane->client_upload(dst, std::move(u), uplink,
                                 [&st]() { st.arrivals.record(st.sim.now()); });
@@ -190,7 +189,6 @@ TrainingResult TrainingExperiment::run() {
           u.logical_bytes = cfg_.model.bytes();
           const double uplink = spare_profile.uplink_bytes_per_sec;
           st.sim.schedule_after(delay, [&st, dst, u, uplink]() mutable {
-            u.created_at = st.sim.now();
             st.plane->client_upload(dst, std::move(u), uplink, [&st]() {
               st.arrivals.record(st.sim.now());
             });

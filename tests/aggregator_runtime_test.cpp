@@ -32,6 +32,11 @@ struct World {
     u.logical_bytes = bytes;
     return u;
   }
+
+  /// Queue `u` in `node`'s pool, its payload held by the plane.
+  void push(ModelUpdate u, sim::NodeId node = 0) {
+    plane.env(node).pool.push(plane.hold(std::move(u)));
+  }
 };
 
 AggregatorRuntime::Config leaf_cfg(ParticipantId id, std::uint32_t goal,
@@ -64,8 +69,8 @@ TEST(AggregatorRuntime, PullsFromPoolAndSendsOnGoal) {
   };
   AggregatorRuntime rt(w.plane, c);
   rt.start();
-  w.plane.env(0).pool.push(w.update(1, 10));
-  w.plane.env(0).pool.push(w.update(1, 30));
+  w.push(w.update(1, 10));
+  w.push(w.update(1, 30));
   w.sim.run();
   EXPECT_TRUE(got);
   EXPECT_TRUE(rt.done());
@@ -81,11 +86,11 @@ TEST(AggregatorRuntime, EagerProcessesBeforeAllArrive) {
   c.timing = AggTiming::kEager;
   AggregatorRuntime rt(w.plane, c);
   rt.start();
-  w.plane.env(0).pool.push(w.update());
+  w.push(w.update());
   w.sim.run();  // drains: first update fully aggregated
   EXPECT_EQ(rt.aggregated(), 1u);
   EXPECT_FALSE(rt.done());
-  w.plane.env(0).pool.push(w.update());
+  w.push(w.update());
   w.sim.run();
   EXPECT_TRUE(rt.done());
 }
@@ -96,7 +101,7 @@ TEST(AggregatorRuntime, LazyWaitsForFullBatch) {
   c.timing = AggTiming::kLazy;
   AggregatorRuntime rt(w.plane, c);
   rt.start();
-  w.plane.env(0).pool.push(w.update());
+  w.push(w.update());
   w.sim.run();
   // Lazy just-in-time consumption (Fig. 1): the early update stays queued
   // in the pool (broker / shm), not even pulled into the runtime, until the
@@ -104,7 +109,7 @@ TEST(AggregatorRuntime, LazyWaitsForFullBatch) {
   EXPECT_EQ(rt.aggregated(), 0u);
   EXPECT_EQ(rt.received(), 0u);
   EXPECT_EQ(w.plane.env(0).pool.depth(), 1u);
-  w.plane.env(0).pool.push(w.update());
+  w.push(w.update());
   w.sim.run();
   EXPECT_TRUE(rt.done());
   EXPECT_EQ(rt.aggregated(), 2u);
@@ -123,7 +128,7 @@ TEST(AggregatorRuntime, EagerFinishesSoonerThanLazyOnSpreadArrivals) {
     rt.start();
     for (int i = 0; i < 4; ++i) {
       w.sim.schedule_at(i * 1.0, [&w, i] {
-        w.plane.env(0).pool.push(w.update(1, 10, 50'000'000));
+        w.push(w.update(1, 10, 50'000'000));
       });
     }
     w.sim.run();
@@ -152,7 +157,7 @@ TEST(AggregatorRuntime, SendsToConsumerThroughDataPlane) {
   AggregatorRuntime leaf(w.plane, lc);
   leaf.start();
 
-  w.plane.env(0).pool.push(w.update());
+  w.push(w.update());
   w.sim.run();
   EXPECT_TRUE(top_got);
   EXPECT_TRUE(leaf.done());
@@ -168,7 +173,7 @@ TEST(AggregatorRuntime, ColdStartOnStartDelaysProcessing) {
   AggregatorRuntime rt(w.plane, c);
   rt.start();
   EXPECT_FALSE(rt.ready());
-  w.plane.env(0).pool.push(w.update());
+  w.push(w.update());
   w.sim.run();
   EXPECT_TRUE(rt.done());
   EXPECT_GE(rt.sent_at(), 2.5);
@@ -186,7 +191,7 @@ TEST(AggregatorRuntime, ReactiveColdStartBeginsAtFirstUpdate) {
   rt.start();
   w.sim.run_until(10.0);
   EXPECT_FALSE(rt.ready());  // nothing arrived: still scaled to zero
-  w.plane.env(0).pool.push(w.update());
+  w.push(w.update());
   w.sim.run();
   EXPECT_TRUE(rt.done());
   EXPECT_GE(rt.sent_at(), 12.0);  // cold start began at t=10
@@ -206,7 +211,7 @@ TEST(AggregatorRuntime, ConvertRoleIsStatelessAndWarm) {
   AggregatorRuntime::Config c = leaf_cfg(1, 1);
   AggregatorRuntime rt(w.plane, c);
   rt.start();
-  w.plane.env(0).pool.push(w.update(1, 25));
+  w.push(w.update(1, 25));
   w.sim.run();
   ASSERT_TRUE(rt.done());
 
@@ -249,11 +254,11 @@ TEST(AggregatorRuntime, StaleVersionsDroppedAndRepulled) {
   c.expected_version = 5;
   AggregatorRuntime rt(w.plane, c);
   rt.start();
-  w.plane.env(0).pool.push(w.update(3));  // stale round-3 straggler
+  w.push(w.update(3));  // stale round-3 straggler
   w.sim.run();
   EXPECT_EQ(rt.stale_dropped(), 1u);
   EXPECT_FALSE(rt.done());
-  w.plane.env(0).pool.push(w.update(5));
+  w.push(w.update(5));
   w.sim.run();
   EXPECT_TRUE(rt.done());
 }
@@ -286,8 +291,8 @@ TEST(AggregatorRuntime, LazyNeverDrainsPoolBeforeBatchReady) {
   c.timing = AggTiming::kLazy;
   AggregatorRuntime rt(w.plane, c);
   rt.start();
-  w.plane.env(0).pool.push(w.update());
-  w.plane.env(0).pool.push(w.update());
+  w.push(w.update());
+  w.push(w.update());
   w.sim.run();
   EXPECT_EQ(rt.received(), 0u);
   rt.stop();
@@ -303,8 +308,8 @@ TEST(AggregatorRuntime, SuccessorCompletesAfterPredecessorFailure) {
   c.timing = AggTiming::kLazy;
   auto failed = std::make_unique<AggregatorRuntime>(w.plane, c);
   failed->start();
-  w.plane.env(0).pool.push(w.update(1, 10));
-  w.plane.env(0).pool.push(w.update(1, 20));
+  w.push(w.update(1, 10));
+  w.push(w.update(1, 20));
   w.sim.run_until(0.0);  // deliveries into the doomed instance's FIFO
   failed->stop();
   failed.reset();
@@ -337,7 +342,7 @@ TEST(AggregatorRuntime, StaleHandlesSkipTheirRecordsNextRuntime) {
   ASSERT_EQ(rec->rt, doomed.get());
   doomed->start();
   auto& pool = w.plane.env(0).pool;
-  pool.push(w.update(1, 10));
+  w.push(w.update(1, 10));
   w.sim.run_until(0.0);  // delivered; its Recv step is now in service
   ASSERT_FALSE(doomed->idle());
   ASSERT_EQ(pool.waiter_count(), 3u);
@@ -355,7 +360,7 @@ TEST(AggregatorRuntime, StaleHandlesSkipTheirRecordsNextRuntime) {
   AggregatorRuntime successor(w.plane, c);
   ASSERT_EQ(rec->rt, &successor);  // the dead leaf's record, recycled
   successor.start();
-  for (int i = 0; i < 3; ++i) pool.push(w.update(1, 20));
+  for (int i = 0; i < 3; ++i) w.push(w.update(1, 20));
   w.sim.run();
 
   EXPECT_EQ(sends, 1);
@@ -365,7 +370,7 @@ TEST(AggregatorRuntime, StaleHandlesSkipTheirRecordsNextRuntime) {
   EXPECT_EQ(pool.waiter_count(), 0u);
   // Folds are conserved: every sample is in the aggregate or still queued.
   ASSERT_EQ(pool.depth(), 1u);
-  ModelUpdate left;
+  UpdateDesc left;
   ASSERT_TRUE(pool.try_pop(left));
   EXPECT_EQ(out.sample_count + left.sample_count, 70u);
 }
@@ -375,7 +380,7 @@ TEST(AggregatorRuntime, RecvAggBillsCpuTags) {
   AggregatorRuntime::Config c = leaf_cfg(1, 1);
   AggregatorRuntime rt(w.plane, c);
   rt.start();
-  w.plane.env(0).pool.push(w.update());
+  w.push(w.update());
   w.sim.run();
   EXPECT_GT(w.cluster.node(0).cpu().cycles(sim::CostTag::kAggregator), 0.0);
   EXPECT_GT(w.cluster.node(0).cpu().cycles(sim::CostTag::kSerialization), 0.0);
@@ -386,8 +391,8 @@ TEST(AggregatorRuntime, SidecarObservesExecutionTimes) {
   AggregatorRuntime::Config c = leaf_cfg(1, 2);
   AggregatorRuntime rt(w.plane, c);
   rt.start();
-  w.plane.env(0).pool.push(w.update());
-  w.plane.env(0).pool.push(w.update());
+  w.push(w.update());
+  w.push(w.update());
   w.sim.run();
   EXPECT_EQ(w.plane.env(0).metrics.get(dp::MetricsMap::kAggExecCount), 2.0);
   EXPECT_GT(w.plane.env(0).metrics.get(dp::MetricsMap::kAggExecSum), 0.0);
@@ -479,8 +484,8 @@ TEST(AggregatorRuntime, SetGoalShrinkTriggersImmediateSend) {
   };
   AggregatorRuntime rt(w.plane, c);
   rt.start();
-  w.plane.env(0).pool.push(w.update(1, 10));
-  w.plane.env(0).pool.push(w.update(1, 30));
+  w.push(w.update(1, 10));
+  w.push(w.update(1, 30));
   w.sim.run();
   EXPECT_FALSE(got);  // 2 of 10 folded, idle
   rt.set_goal(2);
@@ -499,9 +504,9 @@ TEST(AggregatorRuntime, DrainSealsAtReceivedAndSendsPartial) {
   };
   AggregatorRuntime rt(w.plane, c);
   rt.start();
-  w.plane.env(0).pool.push(w.update(1, 5));
-  w.plane.env(0).pool.push(w.update(1, 7));
-  w.plane.env(0).pool.push(w.update(1, 9));
+  w.push(w.update(1, 5));
+  w.push(w.update(1, 7));
+  w.push(w.update(1, 9));
   w.sim.run();
   EXPECT_EQ(rt.drain(), 3u);
   w.sim.run();
@@ -542,7 +547,7 @@ TEST(AggregatorRuntime, RearmFromOnResultStreamsBatches) {
   rt = std::make_unique<AggregatorRuntime>(w.plane, make_cfg());
   rt->start();
   for (int i = 0; i < 6; ++i) {
-    w.plane.env(0).pool.push(w.update(1, 10));
+    w.push(w.update(1, 10));
   }
   w.sim.run();
   EXPECT_EQ(batches, 3);
@@ -552,7 +557,7 @@ TEST(AggregatorRuntime, RearmFromOnResultStreamsBatches) {
 TEST(AggregatorRuntime, HierarchicalRealTensorsEqualFlatAverage) {
   // End-to-end on real payloads: 2 leaves -> top over the data plane must
   // equal the flat weighted mean of the 4 client tensors.
-  World w(dp::lifl_plane(/*real_payloads=*/true));
+  World w(dp::lifl_plane());
   sim::Rng rng(3);
   std::vector<std::shared_ptr<const ml::Tensor>> tensors;
   std::vector<std::uint64_t> weights{5, 10, 15, 20};
@@ -588,7 +593,7 @@ TEST(AggregatorRuntime, HierarchicalRealTensorsEqualFlatAverage) {
     u.sample_count = weights[i];
     u.logical_bytes = 128;
     u.tensor = tensors[i];
-    w.plane.env(0).pool.push(std::move(u));
+    w.push(std::move(u));
   }
   w.sim.run();
   ASSERT_TRUE(got);
@@ -613,7 +618,7 @@ TEST(AggregatorRuntime, LeafBuffersReturnToThePoolWhileLeavesLive) {
   constexpr std::uint32_t kUploadsPerLeaf = 8;
   constexpr std::size_t kLen = std::size_t{1} << 16;
   constexpr std::size_t kBuf = kLen * sizeof(float);
-  World w(dp::lifl_plane(/*real_payloads=*/true), kNodes);
+  World w(dp::lifl_plane(), kNodes);
   sim::Rng rng(5);
   std::vector<std::shared_ptr<const ml::Tensor>> tensors;
   for (int i = 0; i < 4; ++i) {
@@ -645,7 +650,7 @@ TEST(AggregatorRuntime, LeafBuffersReturnToThePoolWhileLeavesLive) {
     for (std::uint32_t i = 0; i < kLeavesPerNode * kUploadsPerLeaf; ++i) {
       ModelUpdate u = w.update(1, 10 + i, kBuf);
       u.tensor = tensors[i % tensors.size()];
-      w.plane.env(static_cast<sim::NodeId>(n)).pool.push(std::move(u));
+      w.push(std::move(u), static_cast<sim::NodeId>(n));
     }
   }
 

@@ -47,11 +47,11 @@ TEST(BrokerPlane, ConsumeIsFreeOnLiflAndServerfulPlanes) {
   for (const auto cfg : {lifl_plane(), serverful_plane()}) {
     World w(cfg);
     w.plane.seed_update(0, update());
-    fl::ModelUpdate got;
+    fl::UpdateDesc got;
     ASSERT_TRUE(w.plane.env(0).pool.try_pop(got));
     bool ready = false;
     const double t0 = w.sim.now();
-    w.plane.consume(0, got, [&](fl::ModelUpdate) { ready = true; });
+    w.plane.consume(0, got, [&](fl::UpdateDesc) { ready = true; });
     w.sim.run();
     EXPECT_TRUE(ready);
     EXPECT_DOUBLE_EQ(w.sim.now(), t0);  // zero simulated time
@@ -61,10 +61,10 @@ TEST(BrokerPlane, ConsumeIsFreeOnLiflAndServerfulPlanes) {
 TEST(BrokerPlane, ConsumeCostsTimeOnBrokeredPlanes) {
   World w(serverless_plane());
   w.plane.seed_update(0, update());
-  fl::ModelUpdate got;
+  fl::UpdateDesc got;
   ASSERT_TRUE(w.plane.env(0).pool.try_pop(got));
   bool ready = false;
-  w.plane.consume(0, got, [&](fl::ModelUpdate) { ready = true; });
+  w.plane.consume(0, got, [&](fl::UpdateDesc) { ready = true; });
   w.sim.run();
   EXPECT_TRUE(ready);
   EXPECT_GT(w.sim.now(), 0.01);  // dequeue + kernel + sidecar legs
@@ -76,10 +76,10 @@ TEST(BrokerPlane, CrossNodeConsumePaysTheWire) {
     DataPlaneConfig cfg = serverless_plane();
     cfg.broker_node = 0;
     World w(cfg);
-    fl::ModelUpdate u = update(100'000'000);
+    const fl::UpdateDesc u = fl::describe(update(100'000'000));
     bool ready = false;
     w.plane.consume(consumer_node, u,
-                    [&](fl::ModelUpdate) { ready = true; });
+                    [&](fl::UpdateDesc) { ready = true; });
     w.sim.run();
     EXPECT_TRUE(ready);
     return w.sim.now();
@@ -92,7 +92,7 @@ TEST(BrokerPlane, InterNodeSendRoutesThroughBroker) {
   cfg.broker_node = 1;
   World w(cfg);
   bool delivered = false;
-  w.plane.register_consumer(42, 2, [&](fl::ModelUpdate) { delivered = true; });
+  w.plane.register_consumer(42, 2, [&](fl::UpdateDesc) { delivered = true; });
   w.plane.send(7, 0, 42, update());
   w.sim.run();
   EXPECT_TRUE(delivered);
@@ -105,7 +105,7 @@ TEST(BrokerPlane, SameNodeSendStillTransitsBroker) {
   // through the broker.
   World w(serverless_plane());
   bool delivered = false;
-  w.plane.register_consumer(42, 0, [&](fl::ModelUpdate) { delivered = true; });
+  w.plane.register_consumer(42, 0, [&](fl::UpdateDesc) { delivered = true; });
   w.plane.send(7, 0, 42, update());
   w.sim.run();
   EXPECT_TRUE(delivered);
@@ -132,10 +132,10 @@ TEST_P(BrokerCapacitySweep, DrainScalesWithWorkerThreads) {
   for (int i = 0; i < kBurst; ++i) {
     w.plane.seed_update(0, update(50'000'000));
   }
-  std::vector<fl::ModelUpdate> popped(kBurst);
+  std::vector<fl::UpdateDesc> popped(kBurst);
   for (int i = 0; i < kBurst; ++i) {
     ASSERT_TRUE(w.plane.env(0).pool.try_pop(popped[i]));
-    w.plane.consume(0, popped[i], [&](fl::ModelUpdate) { ++ready; });
+    w.plane.consume(0, popped[i], [&](fl::UpdateDesc) { ++ready; });
   }
   w.sim.run();
   EXPECT_EQ(ready, kBurst);

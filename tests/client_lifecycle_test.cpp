@@ -247,7 +247,7 @@ dp::ResumableUpload::Counters drive_sessions(double rate, std::size_t n,
   if (pool_depth != nullptr) *pool_depth = env.pool.depth();
   if (pool_samples != nullptr) {
     std::uint64_t samples = 0;
-    fl::ModelUpdate u;
+    fl::UpdateDesc u;
     while (env.pool.try_pop(u)) samples += u.sample_count;
     *pool_samples = samples;
   }

@@ -1,6 +1,6 @@
 // Integration tests for the data plane: transfer latency/CPU ordering across
 // the three architectures (the relations behind Fig. 7 and Fig. 13),
-// routing, gateway behavior, shm leases and idle-cost accounting.
+// routing, gateway behavior, payload references and idle-cost accounting.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "src/dataplane/probe.hpp"
 #include "src/dataplane/resumable_upload.hpp"
 #include "src/fl/model_spec.hpp"
+#include "src/ml/tensor_pool.hpp"
 #include "src/sim/calibration.hpp"
 
 namespace lifl::dp {
@@ -165,7 +166,7 @@ TEST(DataPlaneContention, KernelTransfersContend) {
 TEST(DataPlaneRouting, RegisterLookupUnregister) {
   World w(lifl_plane());
   bool delivered = false;
-  w.plane.register_consumer(5, 1, [&](fl::ModelUpdate) { delivered = true; });
+  w.plane.register_consumer(5, 1, [&](fl::UpdateDesc) { delivered = true; });
   EXPECT_EQ(w.plane.node_of(5), std::make_optional<sim::NodeId>(1));
   // Sockmap on node 1 holds the socket; node 0's gateway table routes to 1.
   EXPECT_NE(w.plane.env(1).sockmap.lookup(5), nullptr);
@@ -194,7 +195,7 @@ TEST(DataPlaneRouting, SendToUnknownConsumerThrows) {
 
 TEST(DataPlaneRouting, MidFlightUnregisterFallsBackToPool) {
   World w(lifl_plane());
-  w.plane.register_consumer(5, 0, [](fl::ModelUpdate) { FAIL(); });
+  w.plane.register_consumer(5, 0, [](fl::UpdateDesc) { FAIL(); });
   fl::ModelUpdate u;
   u.sample_count = 1;
   u.logical_bytes = 50'000'000;
@@ -205,7 +206,7 @@ TEST(DataPlaneRouting, MidFlightUnregisterFallsBackToPool) {
 }
 
 // ---- Shared-memory behavior of the LIFL plane.
-TEST(DataPlaneShm, UploadLandsInStoreAndLeaseReleases) {
+TEST(DataPlaneShm, UploadLandsInStoreAndReleaseRecycles) {
   World w(lifl_plane());
   fl::ModelUpdate u;
   u.sample_count = 1;
@@ -214,13 +215,62 @@ TEST(DataPlaneShm, UploadLandsInStoreAndLeaseReleases) {
   w.sim.run();
   auto& store = w.plane.env(0).store;
   EXPECT_EQ(store.size(), 1u);  // the update sits in shm, queued in place
-  {
-    fl::ModelUpdate got;
-    ASSERT_TRUE(w.plane.env(0).pool.try_pop(got));
-    EXPECT_EQ(store.size(), 1u);
-  }  // consumer dropped the update => lease released => buffer recycled
+  fl::UpdateDesc got;
+  ASSERT_TRUE(w.plane.env(0).pool.try_pop(got));
+  EXPECT_NE(got.payload, 0u);  // a handle on the store entry
+  EXPECT_EQ(store.size(), 1u);
+  w.plane.release(0, got);  // the consumer is done => buffer recycled
   EXPECT_EQ(store.size(), 0u);
   EXPECT_GE(store.stats().pool_bytes, 1000u);
+  EXPECT_THROW(w.plane.release(0, got), std::logic_error);  // stale handle
+}
+
+TEST(DataPlaneShm, RealPayloadRidesTheStoreUntilReleased) {
+  // A real tensor waits in the payload slab during the ingest flight, is
+  // put into shm at the gateway, and stays there until its last reference
+  // is released.
+  World w(lifl_plane());
+  auto t = std::make_shared<const ml::Tensor>(8, 2.0f);
+  fl::ModelUpdate u;
+  u.producer = 3;
+  u.sample_count = 4;
+  u.logical_bytes = 32;
+  u.tensor = t;
+  w.plane.client_upload(0, std::move(u), 1e9);
+  EXPECT_EQ(w.plane.slab_payloads(), 1u);
+  w.sim.run();
+  EXPECT_EQ(w.plane.slab_payloads(), 0u);
+  EXPECT_EQ(w.plane.env(0).store.size(), 1u);
+  fl::UpdateDesc d;
+  ASSERT_TRUE(w.plane.env(0).pool.try_pop(d));
+  EXPECT_EQ(w.plane.tensor(0, d), t);
+  EXPECT_EQ(d.producer, 3u);
+  EXPECT_EQ(d.sample_count, 4u);
+  w.plane.retain(0, d);  // a second holder (a lease copy)
+  w.plane.release(0, d);
+  EXPECT_EQ(w.plane.env(0).store.size(), 1u);
+  EXPECT_EQ(w.plane.tensor(0, d), t);
+  w.plane.release(0, d);
+  EXPECT_EQ(w.plane.env(0).store.size(), 0u);
+  EXPECT_EQ(t.use_count(), 1);
+}
+
+TEST(DataPlaneShm, KernelPlanesHoldRealPayloadsInTheSlab) {
+  World w(serverful_plane());
+  auto t = std::make_shared<const ml::Tensor>(8, 1.0f);
+  fl::ModelUpdate u;
+  u.sample_count = 1;
+  u.logical_bytes = 32;
+  u.tensor = t;
+  w.plane.seed_update(0, std::move(u));
+  EXPECT_EQ(w.plane.env(0).store.size(), 0u);
+  EXPECT_EQ(w.plane.slab_payloads(), 1u);
+  fl::UpdateDesc d;
+  ASSERT_TRUE(w.plane.env(0).pool.try_pop(d));
+  EXPECT_EQ(w.plane.tensor(0, d), t);
+  w.plane.release(0, d);
+  EXPECT_EQ(w.plane.slab_payloads(), 0u);
+  EXPECT_EQ(t.use_count(), 1);
 }
 
 TEST(DataPlaneShm, KernelPlanesDoNotTouchStore) {
@@ -237,9 +287,13 @@ TEST(DataPlaneShm, KernelPlanesDoNotTouchStore) {
 TEST(DataPlaneShm, InterNodeSendRematerializesAtDestination) {
   World w(lifl_plane());
   bool delivered = false;
-  w.plane.register_consumer(5, 1, [&](fl::ModelUpdate got) {
+  w.plane.register_consumer(5, 1, [&](fl::UpdateDesc got) {
     delivered = true;
-    EXPECT_TRUE(got.lease);
+    // The handle names an entry of the destination node's store.
+    EXPECT_NE(got.payload, 0u);
+    EXPECT_EQ(w.plane.env(0).store.size(), 0u);
+    EXPECT_EQ(w.plane.env(1).store.size(), 1u);
+    w.plane.release(1, got);
   });
   fl::ModelUpdate u;
   u.sample_count = 1;
@@ -266,10 +320,10 @@ TEST(DataPlaneBroker, BrokerBuffersWholePayloads) {
   EXPECT_EQ(w.plane.env(0).broker.peak_bytes(), 5000u);
 
   // Consuming the queued update is a broker delivery: it drains the buffer.
-  fl::ModelUpdate queued;
+  fl::UpdateDesc queued;
   ASSERT_TRUE(w.plane.env(0).pool.try_pop(queued));
   bool delivered = false;
-  w.plane.consume(0, queued, [&](fl::ModelUpdate) { delivered = true; });
+  w.plane.consume(0, queued, [&](fl::UpdateDesc) { delivered = true; });
   w.sim.run();
   EXPECT_TRUE(delivered);
   EXPECT_EQ(w.plane.env(0).broker.bytes_buffered(), 0u);
@@ -312,7 +366,7 @@ TEST(DataPlaneIdle, RegisterAndRemoveDrawBillsElapsed) {
 // ---- eBPF sidecar: event-driven metrics, zero idle cost (§4.3).
 TEST(DataPlaneSidecar, EbpfSidecarWritesMetricsOnSend) {
   World w(lifl_plane());
-  w.plane.register_consumer(5, 0, [](fl::ModelUpdate) {});
+  w.plane.register_consumer(5, 0, [](fl::UpdateDesc) {});
   fl::ModelUpdate u;
   u.sample_count = 1;
   u.logical_bytes = 777;
@@ -347,23 +401,27 @@ TEST(DataPlaneGateway, VerticalScalingChangesCapacity) {
   EXPECT_EQ(w.plane.env(0).gateway.capacity(), 6u);
 }
 
-TEST(DataPlaneShm, LeaseOutlivingStoreReleasesSafely) {
-  // Regression: a closure parked in a simulator queue at teardown can hold
-  // a ModelUpdate whose shm lease outlives the DataPlane. The lease must
-  // no-op instead of releasing into a destroyed store.
-  fl::ModelUpdate survivor;
+TEST(DataPlaneShm, DescriptorOutlivingItsPlaneHoldsNothing) {
+  // A descriptor that outlives its DataPlane (parked in a simulator queue
+  // at teardown) is plain data: the plane freed its payload, and dropping
+  // the descriptor afterwards touches nothing.
+  ml::TensorPool& pool = ml::TensorPool::global();
+  const std::size_t live0 = pool.stats().live_bytes;
+  fl::UpdateDesc survivor;
   {
     World w(lifl_plane());
     fl::ModelUpdate u;
     u.sample_count = 1;
     u.logical_bytes = 1000;
-    w.plane.client_upload(0, u, 1e9);
+    u.tensor = pool.acquire(250);
+    w.plane.client_upload(0, std::move(u), 1e9);
     w.sim.run();
     ASSERT_TRUE(w.plane.env(0).pool.try_pop(survivor));
-    ASSERT_TRUE(survivor.lease);
-  }  // plane (and its stores) destroyed here
-  survivor = fl::ModelUpdate{};  // must not crash or throw
-  SUCCEED();
+    ASSERT_NE(survivor.payload, 0u);
+    EXPECT_GT(pool.stats().live_bytes, live0);
+  }  // plane (and its stores) destroyed here, with the reference still out
+  EXPECT_EQ(pool.stats().live_bytes, live0);  // freed, not leaked
+  survivor = fl::UpdateDesc{};
 }
 
 TEST(DataPlaneGateway, MoreGatewayCoresSpeedUpConcurrentIngest) {
@@ -668,30 +726,38 @@ TEST(DataPlaneRoutes, RepeatedLookupsShareOneTable) {
 
 TEST(DataPlaneTeardown, PlaneDiesWithWorkInFlight) {
   // The plane goes first while its simulator still holds flights, a parked
-  // pool wake, resumable sessions and leased updates; the simulator's
-  // queued events are destroyed afterwards, and a lease escapes both.
-  // Under ASan/LSan this must neither touch freed memory nor leak.
+  // pool wake, resumable sessions, queued and lease-retained updates, all
+  // with real payloads; the simulator's queued events are destroyed
+  // afterwards, and a descriptor escapes both. Nothing may release into a
+  // dead store (ASan) and every payload must be freed with the plane: the
+  // tensor pool's live bytes return to where they started.
+  ml::TensorPool& tensors = ml::TensorPool::global();
+  const std::size_t live0 = tensors.stats().live_bytes;
   sim::Simulator sim;
   sim::Cluster cluster(sim, 2);
-  auto plane = std::make_unique<DataPlane>(cluster, lifl_plane(),
-                                           sim::Rng(9));
+  auto plane = std::make_unique<DataPlane>(
+      cluster, lifl_plane(), sim::Rng(9));
   wl::LifecyclePlan::Config pcfg;
   pcfg.disconnect_rate = 0.9;
   pcfg.chunk_bytes = 10'000;
   const wl::LifecyclePlan lifecycle(pcfg);
   bool woke = false;
-  plane->env(0).pool.pop_async([&woke](fl::ModelUpdate) { woke = true; });
-  fl::ModelUpdate escaped;
+  plane->env(0).pool.pop_async([&woke](fl::UpdateDesc) { woke = true; });
+  fl::UpdateDesc escaped;
   int delivered = 0;
-  plane->register_consumer(7, 1, [&escaped, &delivered](fl::ModelUpdate u) {
+  plane->register_consumer(7, 1, [&](fl::UpdateDesc u) {
     ++delivered;
-    escaped = std::move(u);
+    // Keep one reference and lease another copy, as a leased runtime does.
+    plane->retain(1, u);
+    plane->env(1).pool.lease_retain(7, u);
+    escaped = u;
   });
   for (int i = 0; i < 16; ++i) {
     fl::ModelUpdate u;
     u.producer = 100 + static_cast<fl::ParticipantId>(i);
     u.sample_count = 1;
     u.logical_bytes = 40'000;
+    u.tensor = tensors.acquire(64);
     plane->client_upload(0, u, 1e6);
     plane->send(u.producer, 0, 7, u);
     ResumableUpload::Config rc;
@@ -704,14 +770,18 @@ TEST(DataPlaneTeardown, PlaneDiesWithWorkInFlight) {
   // wake is then parked as an event) and a send delivered, but stop well
   // before the sessions finish.
   sim.run_until(0.045);
-  ASSERT_TRUE(escaped.lease);
-  plane->env(0).pool.pop_async([](fl::ModelUpdate) {});
+  ASSERT_NE(escaped.payload, 0u);
+  ASSERT_GT(plane->slab_payloads(), 0u);  // sessions and ingest flights
+  plane->env(0).pool.pop_async([](fl::UpdateDesc) {});
   fl::ModelUpdate pending;
   pending.logical_bytes = 10;
-  plane->seed_update(0, pending);  // parks a wake for the waiter above
+  pending.tensor = tensors.acquire(64);
+  plane->seed_update(0, std::move(pending));  // parks a wake for the waiter
   ASSERT_GT(sim.pending(), 0u);
+  EXPECT_GT(tensors.stats().live_bytes, live0);
   plane.reset();
-  escaped = fl::ModelUpdate{};  // lease outlives its store
+  EXPECT_EQ(tensors.stats().live_bytes, live0);
+  escaped = fl::UpdateDesc{};  // its payload died with the plane
   EXPECT_TRUE(woke);
   EXPECT_GE(delivered, 1);
 }

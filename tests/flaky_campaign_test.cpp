@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/dataplane/dataplane.hpp"
 #include "src/systems/sharded_campaign.hpp"
 
 namespace {
@@ -321,6 +322,33 @@ TEST(FlakyCampaign, AbortMidStreamReleasesEverything) {
 }
 
 // -------------------------------------------------------- validation
+
+TEST(FlakyCampaign, TransfersLookUpNoRouteAfterWarmUp) {
+  // Every transfer takes its route from its node's memo (chunk flights from
+  // their session), so the plane's route table is searched only while the
+  // memos warm up: twice the stream costs no more lookups. The chunk size
+  // leaves a short tail chunk, so each session uses two ingest routes.
+  auto cfg = flaky_campaign(env_shards());
+  cfg.hierarchy = sys::HierarchyMode::kAsync;
+  cfg.lifecycle.chunk_bytes = 15'000;
+  const auto lookups_and_uploads = [&](std::uint32_t rounds) {
+    cfg.rounds = rounds;
+    const std::uint64_t before = lifl::dp::DataPlane::route_table_lookups();
+    const sys::ShardedCampaignResult r = sys::run_sharded_campaign(cfg);
+    std::uint64_t uploads = 0;
+    for (const auto& g : r.groups) uploads += g.uploads;
+    EXPECT_GT(r.disconnects, 0u);
+    return std::make_pair(lifl::dp::DataPlane::route_table_lookups() - before,
+                          uploads);
+  };
+  const auto [short_lookups, short_uploads] = lookups_and_uploads(2);
+  const auto [long_lookups, long_uploads] = lookups_and_uploads(4);
+  EXPECT_GT(long_uploads, short_uploads);
+  EXPECT_GT(short_lookups, 0u);
+  EXPECT_EQ(long_lookups, short_lookups)
+      << (long_lookups - short_lookups) << " lookups for "
+      << (long_uploads - short_uploads) << " more uploads";
+}
 
 TEST(FlakyCampaign, InvalidConfigsAreRejected) {
   // Tier shares must sum to ~1.

@@ -18,8 +18,8 @@ namespace {
 
 // ---------------------------------------------------------------- pool
 
-fl::ModelUpdate update_of(std::uint32_t version) {
-  fl::ModelUpdate u;
+fl::UpdateDesc update_of(std::uint32_t version) {
+  fl::UpdateDesc u;
   u.model_version = version;
   u.logical_bytes = 128;
   u.sample_count = 1;
@@ -31,7 +31,7 @@ TEST(UpdatePool, FifoOrder) {
   dp::UpdatePool pool(sim);
   pool.push(update_of(1));
   pool.push(update_of(2));
-  fl::ModelUpdate u;
+  fl::UpdateDesc u;
   ASSERT_TRUE(pool.try_pop(u));
   EXPECT_EQ(u.model_version, 1u);
   ASSERT_TRUE(pool.try_pop(u));
@@ -43,7 +43,7 @@ TEST(UpdatePool, AsyncPopFiresOnPush) {
   sim::Simulator sim;
   dp::UpdatePool pool(sim);
   std::uint32_t got = 0;
-  pool.pop_async([&](fl::ModelUpdate u) { got = u.model_version; });
+  pool.pop_async([&](fl::UpdateDesc u) { got = u.model_version; });
   pool.push(update_of(9));
   sim.run();
   EXPECT_EQ(got, 9u);
@@ -54,7 +54,7 @@ TEST(UpdatePool, MultipleWaitersMultiplePushes) {
   dp::UpdatePool pool(sim);
   std::vector<std::uint32_t> got;
   for (int i = 0; i < 3; ++i) {
-    pool.pop_async([&](fl::ModelUpdate u) { got.push_back(u.model_version); });
+    pool.pop_async([&](fl::UpdateDesc u) { got.push_back(u.model_version); });
   }
   for (std::uint32_t v = 1; v <= 3; ++v) pool.push(update_of(v));
   sim.run();
@@ -65,7 +65,7 @@ TEST(UpdatePool, ClearWaitersDropsPending) {
   sim::Simulator sim;
   dp::UpdatePool pool(sim);
   bool fired = false;
-  pool.pop_async([&](fl::ModelUpdate) { fired = true; });
+  pool.pop_async([&](fl::UpdateDesc) { fired = true; });
   pool.clear_waiters();
   pool.push(update_of(1));
   sim.run();
@@ -79,7 +79,7 @@ TEST(UpdatePool, StatsTrackDepthAndDelay) {
   pool.push(update_of(1));
   pool.push(update_of(2));
   sim.run_until(3.0);
-  fl::ModelUpdate u;
+  fl::UpdateDesc u;
   pool.try_pop(u);
   pool.try_pop(u);
   EXPECT_EQ(pool.max_depth(), 2u);
@@ -87,29 +87,35 @@ TEST(UpdatePool, StatsTrackDepthAndDelay) {
   EXPECT_DOUBLE_EQ(pool.total_queueing_delay(), 6.0);
 }
 
-TEST(UpdatePool, LeaseReleasedWhenUpdateDropped) {
-  // An update's shm lease must release its store reference when the last
-  // copy of the update disappears (RAII recycle).
+TEST(UpdatePool, LeaseAckReleasesTheAckedCopiesOnly) {
+  // Lease copies hold one store reference each: an ack releases the acked
+  // copies (oldest first) through the caller, an abort hands the rest back
+  // with their references.
   sim::Simulator sim;
   dp::UpdatePool pool(sim);
   shm::ObjectStore store{sim::Rng(42)};
-  {
-    fl::ModelUpdate u = update_of(1);
-    u.lease = store.put_leased<int>(nullptr, 64);
-    fl::ModelUpdate copy = u;  // copies share the one store reference
-    pool.push(std::move(u));
-    EXPECT_EQ(store.size(), 1u);
-    fl::ModelUpdate out;
-    pool.try_pop(out);
-    // `out` and `copy` still hold the lease here.
-    EXPECT_EQ(store.size(), 1u);
-    out = fl::ModelUpdate{};
-    EXPECT_EQ(store.size(), 1u);
+  std::vector<shm::ObjectRef> refs;
+  for (std::uint32_t v = 1; v <= 3; ++v) {
+    refs.push_back(store.put_ref<int>(nullptr, 64));
+    fl::UpdateDesc d = update_of(v);
+    d.payload = refs.back().slot + 1;
+    pool.lease_retain(9, d);
   }
-  // All copies gone => object released.
+  std::vector<std::uint32_t> acked;
+  pool.lease_ack(9, /*keep_newest=*/1, [&](const fl::UpdateDesc& d) {
+    acked.push_back(d.model_version);
+    store.release(refs[d.model_version - 1]);
+  });
+  EXPECT_EQ(acked, (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(pool.leases(), 1u);
+  const std::vector<fl::UpdateDesc> back = pool.lease_abort(9);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].model_version, 3u);
+  EXPECT_EQ(pool.leases(), 0u);
+  store.release(refs[2]);
   EXPECT_EQ(store.size(), 0u);
 }
-
 
 TEST(Fifo, KeepsOrderAcrossWrapAndGrowth) {
   sim::Fifo<std::unique_ptr<int>> q;

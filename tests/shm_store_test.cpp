@@ -173,76 +173,75 @@ TEST(ObjectStore, ManyObjectsIndependentLifetimes) {
 }
 
 
-// ---- leases ------------------------------------------------------------
+// ---- slot references -----------------------------------------------------
 
-TEST(Lease, LastCopyReleasesTheObject) {
+TEST(ObjectRef, LastReferenceReleasesTheObject) {
   auto store = make_store();
   auto t = std::make_shared<const ml::Tensor>(4, 1.0f);
-  Lease a = store.put_leased<ml::Tensor>(t, 64);
+  const ObjectRef a = store.put_ref<ml::Tensor>(t, 64);
   EXPECT_EQ(store.size(), 1u);
   EXPECT_EQ(t.use_count(), 2);  // the store holds the payload
-  Lease b = a;
-  Lease c = std::move(b);
-  EXPECT_FALSE(b);
-  a.reset();
+  EXPECT_EQ(store.data<ml::Tensor>(a), t);
+  EXPECT_EQ(store.stats().gets, 0u);  // a reference read is not a key read
+  store.retain(a);
+  store.release(a);
   EXPECT_EQ(store.size(), 1u);
-  c = Lease{};
+  store.release(a);
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(t.use_count(), 1);
-  EXPECT_EQ(store.stats().releases, 1u);
+  EXPECT_EQ(store.stats().releases, 1u);  // holders share one reference
   EXPECT_EQ(store.stats().bytes_in_use, 0u);
+  EXPECT_THROW(store.release(a), std::logic_error);
 }
 
-TEST(Lease, KeysAndLeasesDrawTheSameKeyStream) {
-  // A leased put consumes the generator exactly like a keyed put, so the
-  // checkpointed rng_state() cannot tell them apart.
+TEST(ObjectRef, KeysAndReferencesDrawTheSameKeyStream) {
+  // A referenced put consumes the generator exactly like a keyed put, so
+  // the checkpointed rng_state() cannot tell them apart.
   auto keyed = make_store();
-  auto leased = make_store();
+  auto by_ref = make_store();
   for (int i = 0; i < 50; ++i) {
     keyed.release(keyed.put_logical(10));
-    Lease l = leased.put_leased<int>(nullptr, 10);
+    by_ref.release(by_ref.put_ref<int>(nullptr, 10));
   }
   const sim::Rng::State a = keyed.rng_state();
-  const sim::Rng::State b = leased.rng_state();
+  const sim::Rng::State b = by_ref.rng_state();
   for (int i = 0; i < 4; ++i) EXPECT_EQ(a.s[i], b.s[i]);
-  EXPECT_EQ(keyed.stats().recycled_buffers, leased.stats().recycled_buffers);
-  EXPECT_EQ(keyed.stats().pool_bytes, leased.stats().pool_bytes);
+  EXPECT_EQ(keyed.stats().recycled_buffers, by_ref.stats().recycled_buffers);
+  EXPECT_EQ(keyed.stats().pool_bytes, by_ref.stats().pool_bytes);
 }
 
-TEST(Lease, SlotsAreRecycledWithoutConfusingOldLeases) {
+TEST(ObjectRef, RecycledSlotsRejectOldReferences) {
   auto store = make_store();
-  std::vector<Lease> live;
+  std::vector<ObjectRef> old;
   for (int round = 0; round < 4; ++round) {
+    std::vector<ObjectRef> live;
     for (int i = 0; i < 64; ++i) {
-      live.push_back(store.put_leased<int>(nullptr, 1));
+      live.push_back(store.put_ref<int>(nullptr, 1));
     }
     EXPECT_EQ(store.size(), 64u);
-    live.clear();
+    for (const ObjectRef& r : old) {
+      EXPECT_THROW(store.retain(r), std::logic_error);
+    }
+    for (const ObjectRef& r : live) store.release(r);
     EXPECT_EQ(store.size(), 0u);
+    old = live;
   }
   EXPECT_EQ(store.stats().puts, 256u);
   EXPECT_EQ(store.stats().releases, 256u);
 }
 
-TEST(Lease, StoreDestroyedBeforeItsLeases) {
-  // A lease parked somewhere at teardown may outlive its store: dropping it
-  // afterwards must neither touch the dead store nor leak (run under ASan).
+TEST(ObjectRef, StoreDestroyedWithReferencesOutFreesItsPayloads) {
+  // References still out at teardown are plain data: the dying store frees
+  // the payloads, and nothing releases into it afterwards.
   auto t = std::make_shared<const ml::Tensor>(4, 1.0f);
-  std::vector<Lease> survivors;
   {
     ObjectStore store{sim::Rng(3)};
-    Lease a = store.put_leased<ml::Tensor>(t, 64);
-    survivors.push_back(a);
-    survivors.push_back(a);
-    survivors.push_back(store.put_leased<int>(nullptr, 8));
-    (void)store.put_leased<int>(nullptr, 8);  // dropped while alive
+    const ObjectRef a = store.put_ref<ml::Tensor>(t, 64);
+    store.retain(a);
+    (void)store.put_ref<int>(nullptr, 8);
+    EXPECT_EQ(t.use_count(), 2);
   }
-  EXPECT_EQ(t.use_count(), 1);  // the dead store released the payload
-  survivors.pop_back();
-  Lease moved = std::move(survivors.front());
-  survivors.clear();
-  moved.reset();
-  SUCCEED();
+  EXPECT_EQ(t.use_count(), 1);
 }
 
 }  // namespace

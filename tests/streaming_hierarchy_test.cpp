@@ -50,9 +50,9 @@ struct GroupWorld {
   std::vector<double> relay_at;  ///< simulated time of every relay emission
 
   GroupWorld(ctrl::CampaignPlanner::Config pcfg,
-             sys::StreamingHierarchy::Config hcfg, bool real_payloads = false)
+             sys::StreamingHierarchy::Config hcfg)
       : cluster(sim, 1),
-        plane(cluster, dp::lifl_plane(real_payloads), sim::Rng(7)),
+        plane(cluster, dp::lifl_plane(), sim::Rng(7)),
         planner(pcfg, 1),
         hier(plane, planner, [&] {
           hcfg.on_relay_result = [this](fl::ModelUpdate u) {
@@ -484,7 +484,7 @@ ReplanOutcome run_tensor_round(
     const std::vector<std::pair<double, int>>& replan_script, bool distinct) {
   const std::uint32_t n = 80;
   const std::size_t dim = 64;
-  GroupWorld w(small_planner(), small_hier(), /*real_payloads=*/true);
+  GroupWorld w(small_planner(), small_hier());
   w.hier.begin_round(1, n, w.planner.plan_round({double(n)}).groups[0]);
   for (std::uint32_t i = 0; i < n; ++i) {
     w.sim.schedule_at(0.015 * i, [&w, i, dim, distinct] {

@@ -163,7 +163,7 @@ TEST(AggregationServiceIntegration, RealPayloadConvParamsAggregateExactly) {
   ncfg.num_classes = 3;
 
   SystemConfig cfg = make_lifl();
-  cfg.plane = dp::lifl_plane(/*real_payloads=*/true);
+  cfg.plane = dp::lifl_plane();
   BatchWorld w(cfg);
 
   const std::uint32_t n = 9;
@@ -214,7 +214,7 @@ TEST(AggregationServiceIntegration, SteadyStateRealPayloadRoundsAreZeroAlloc) {
   // (leaf/middle/top accumulator sums, finalized aggregates) is served
   // entirely from recycled buffers — BatchResult::tensor_allocs == 0.
   SystemConfig cfg = make_lifl();
-  cfg.plane = dp::lifl_plane(/*real_payloads=*/true);
+  cfg.plane = dp::lifl_plane();
   BatchWorld w(cfg);
 
   constexpr std::uint32_t kUpdates = 9;

@@ -18,15 +18,15 @@
 namespace lifl::dp {
 namespace {
 
-/// The seed UpdatePool, verbatim: every delivery and watcher wake-up is its
+/// The seed UpdatePool, verbatim but for the element type: every delivery and watcher wake-up is its
 /// own schedule_after(0.0) event, watchers fire one event each.
 class ReferencePool {
  public:
-  using Waiter = std::function<void(fl::ModelUpdate)>;
+  using Waiter = std::function<void(fl::UpdateDesc)>;
 
   explicit ReferencePool(sim::Simulator& sim) : sim_(sim) {}
 
-  void push(fl::ModelUpdate u) {
+  void push(fl::UpdateDesc u) {
     if (!waiters_.empty()) {
       Waiter w = std::move(waiters_.front());
       waiters_.pop_front();
@@ -47,7 +47,7 @@ class ReferencePool {
     }
   }
 
-  bool try_pop(fl::ModelUpdate& out) {
+  bool try_pop(fl::UpdateDesc& out) {
     if (entries_.empty()) return false;
     out = std::move(entries_.front());
     entries_.pop_front();
@@ -56,7 +56,7 @@ class ReferencePool {
 
   void pop_async(Waiter w) {
     if (!entries_.empty()) {
-      fl::ModelUpdate u = std::move(entries_.front());
+      fl::UpdateDesc u = std::move(entries_.front());
       entries_.pop_front();
       sim_.schedule_after(0.0, [w = std::move(w), u = std::move(u)]() mutable {
         w(std::move(u));
@@ -78,13 +78,13 @@ class ReferencePool {
 
  private:
   sim::Simulator& sim_;
-  std::deque<fl::ModelUpdate> entries_;
+  std::deque<fl::UpdateDesc> entries_;
   std::deque<Waiter> waiters_;
   std::vector<std::pair<std::size_t, std::function<void()>>> depth_watchers_;
 };
 
-fl::ModelUpdate update(fl::ParticipantId producer) {
-  fl::ModelUpdate u;
+fl::UpdateDesc update(fl::ParticipantId producer) {
+  fl::UpdateDesc u;
   u.model_version = 1;
   u.producer = producer;
   u.sample_count = 1;
@@ -115,13 +115,13 @@ std::vector<std::string> drive(std::size_t pushes, std::uint64_t seed) {
       });
     } else if (op < 0.75) {
       sim.schedule_at(t, [&pool, &log] {
-        pool.pop_async([&log](fl::ModelUpdate u) {
+        pool.pop_async([&log](fl::UpdateDesc u) {
           log.push_back("waiter:" + std::to_string(u.producer));
         });
       });
     } else if (op < 0.85) {
       sim.schedule_at(t, [&pool, &log] {
-        fl::ModelUpdate u;
+        fl::UpdateDesc u;
         if (pool.try_pop(u)) {
           log.push_back("pop:" + std::to_string(u.producer));
         }
@@ -137,7 +137,7 @@ std::vector<std::string> drive(std::size_t pushes, std::uint64_t seed) {
   }
   sim.run();
   // Drain what is left so the buffered tail is compared too.
-  fl::ModelUpdate u;
+  fl::UpdateDesc u;
   while (pool.try_pop(u)) log.push_back("drain:" + std::to_string(u.producer));
   return log;
 }

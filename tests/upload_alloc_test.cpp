@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -97,8 +98,9 @@ struct World {
   sim::Simulator sim;
   sim::Cluster cluster;
   dp::DataPlane plane;
-  explicit World(std::size_t nodes = 1)
-      : cluster(sim, nodes), plane(cluster, dp::lifl_plane(), sim::Rng(5)) {}
+  explicit World(std::size_t nodes = 1,
+                 dp::DataPlaneConfig cfg = dp::lifl_plane())
+      : cluster(sim, nodes), plane(cluster, cfg, sim::Rng(5)) {}
 };
 
 /// Allocations made by `op()` after one identical warm-up call.
@@ -119,8 +121,11 @@ TEST(UploadAlloc, LiflClientUploadAllocatesNothing) {
       w.plane.client_upload(0, client_update(1000 + i, 100'000), 1e6);
     }
     w.sim.run();
-    fl::ModelUpdate u;
-    while (w.plane.env(0).pool.try_pop(u)) ++landed;
+    fl::UpdateDesc u;
+    while (w.plane.env(0).pool.try_pop(u)) {
+      w.plane.release(0, u);
+      ++landed;
+    }
   };
   EXPECT_EQ(steady_allocs(batch), 0u);
   EXPECT_EQ(landed, 2u * kBatch);
@@ -131,10 +136,14 @@ TEST(UploadAlloc, IntraAndInterNodeSendsAllocateNothing) {
   if (kSanitized) GTEST_SKIP() << kSkipWhy;
   World w(2);
   std::uint64_t delivered = 0;
-  w.plane.register_consumer(10, 0,
-                            [&delivered](fl::ModelUpdate) { ++delivered; });
-  w.plane.register_consumer(11, 1,
-                            [&delivered](fl::ModelUpdate) { ++delivered; });
+  w.plane.register_consumer(10, 0, [&w, &delivered](fl::UpdateDesc u) {
+    w.plane.release(0, u);
+    ++delivered;
+  });
+  w.plane.register_consumer(11, 1, [&w, &delivered](fl::UpdateDesc u) {
+    w.plane.release(1, u);
+    ++delivered;
+  });
   const auto batch = [&] {
     for (int i = 0; i < kBatch; ++i) {
       w.plane.send(1, 0, i % 2 == 0 ? 10 : 11, client_update(1, 100'000));
@@ -178,14 +187,83 @@ TEST(UploadAlloc, ResumableUploadWithADisconnectAllocatesAtMostOnce) {
                                   std::move(rc));
     }
     w.sim.run();
-    fl::ModelUpdate u;
-    while (w.plane.env(0).pool.try_pop(u)) {
-    }
+    fl::UpdateDesc u;
+    while (w.plane.env(0).pool.try_pop(u)) w.plane.release(0, u);
   };
   EXPECT_LE(steady_allocs(batch), static_cast<std::uint64_t>(kBatch));
   EXPECT_EQ(completed, 2u * kBatch);
   EXPECT_EQ(counters.disconnects, 2u * kBatch);
   EXPECT_EQ(counters.chunks_sent, 2u * 4u * kBatch);
+}
+
+TEST(UploadAlloc, RealPayloadLiflClientUploadAllocatesNothing) {
+  if (kSanitized) GTEST_SKIP() << kSkipWhy;
+  // Real tensors wait in the payload slab during the ingest flight and move
+  // into the shm store at the gateway; once both have grown, a batch of
+  // uploads allocates nothing.
+  World w(1, dp::lifl_plane());
+  std::vector<std::shared_ptr<const ml::Tensor>> tensors;
+  for (int i = 0; i < 4; ++i) {
+    tensors.push_back(std::make_shared<const ml::Tensor>(64, 1.0f));
+  }
+  std::uint64_t landed = 0;
+  const auto batch = [&] {
+    for (int i = 0; i < kBatch; ++i) {
+      fl::ModelUpdate u = client_update(1000 + i, 100'000);
+      u.tensor = tensors[i % tensors.size()];
+      w.plane.client_upload(0, std::move(u), 1e6);
+    }
+    w.sim.run();
+    fl::UpdateDesc d;
+    while (w.plane.env(0).pool.try_pop(d)) {
+      landed += w.plane.tensor(0, d) != nullptr;
+      w.plane.release(0, d);
+    }
+  };
+  EXPECT_EQ(steady_allocs(batch), 0u);
+  EXPECT_EQ(landed, 2u * kBatch);
+  EXPECT_EQ(w.plane.env(0).store.size(), 0u);
+  EXPECT_EQ(w.plane.slab_payloads(), 0u);
+  for (const auto& t : tensors) EXPECT_EQ(t.use_count(), 1);
+}
+
+TEST(UploadAlloc, RealPayloadResumableUploadAllocatesNothing) {
+  if (kSanitized) GTEST_SKIP() << kSkipWhy;
+  // A session holds its update's tensor in the payload slab until the
+  // last chunk is acked; its chunk flights carry no cargo.
+  World w(1, dp::lifl_plane());
+  wl::LifecyclePlan::Config pcfg;
+  pcfg.disconnect_rate = 0.0;
+  pcfg.chunk_bytes = 25'000;
+  const wl::LifecyclePlan plan(pcfg);
+  auto tensor = std::make_shared<const ml::Tensor>(64, 1.0f);
+  dp::ResumableUpload::Counters counters;
+  std::uint64_t next = 0;
+  std::uint64_t landed = 0;
+  const auto batch = [&] {
+    for (int i = 0; i < kBatch; ++i) {
+      dp::ResumableUpload::Config rc;
+      rc.plan = &plan;
+      rc.seq = next++;
+      rc.uplink_bytes_per_sec = 1e6;
+      rc.counters = &counters;
+      fl::ModelUpdate u = client_update(3000 + i, 100'000);
+      u.tensor = tensor;
+      dp::ResumableUpload::launch(w.plane, std::move(u), std::move(rc));
+    }
+    w.sim.run();
+    fl::UpdateDesc d;
+    while (w.plane.env(0).pool.try_pop(d)) {
+      landed += w.plane.tensor(0, d) == tensor;
+      w.plane.release(0, d);
+    }
+  };
+  EXPECT_EQ(steady_allocs(batch), 0u);
+  EXPECT_EQ(landed, 2u * kBatch);
+  EXPECT_EQ(counters.chunks_sent, 2u * 4u * kBatch);
+  EXPECT_EQ(w.plane.env(0).store.size(), 0u);
+  EXPECT_EQ(w.plane.slab_payloads(), 0u);
+  EXPECT_EQ(tensor.use_count(), 1);
 }
 
 TEST(UploadAlloc, FlakyAsyncCampaignStaysUnderFourPerUpload) {
