@@ -49,6 +49,12 @@ class CpuAccountant {
     return cycles_[static_cast<std::size_t>(tag)];
   }
 
+  /// Cycles billed per tag (index = CostTag).
+  const std::array<double, static_cast<std::size_t>(CostTag::kCount)>&
+  tag_cycles() const noexcept {
+    return cycles_;
+  }
+
   /// Total cycles billed.
   double total_cycles() const noexcept { return total_; }
 

@@ -4,7 +4,9 @@
 // an X-macro row list, X(member, mega_campaign flag or nullptr, range, in
 // the digest), expanded here and checked against the struct's member count.
 // The checkpoint digest, validate_config's range checks and mega_campaign's
-// field flags all walk these rows.
+// field flags all walk these rows. The campaign result's structs keep the
+// same kind of list, X(member, kind), for the JSONL summary row and the
+// tests' whole-result comparison.
 
 #include <cstddef>
 #include <cstdint>
@@ -36,7 +38,7 @@ struct Field {
   const char* parent;  ///< enclosing member of a nested row, or nullptr
 };
 
-/// Specialized (by LIFL_FIELD_TABLE below) for every struct with rows.
+/// Specialized (by LIFL_TABLE below) for every config struct with rows.
 template <class T>
 struct FieldTable {
   static constexpr std::size_t kRows = 0;
@@ -65,45 +67,68 @@ inline constexpr bool kArity =
 
 }  // namespace detail
 
-#define LIFL_FIELD_COUNT(member, flag, range, digest) +1
-#define LIFL_FIELD_VISIT(member, flag, range, digest)                    \
+/// Specialized (by LIFL_TABLE below) for every result struct: `visit(v)`
+/// calls `v(name, kind, &T::member)` for each row in order.
+template <class T>
+struct ResultTable {
+  static constexpr std::size_t kRows = 0;
+};
+
+// One expansion for both kinds of table: `visit(v)` calls ROW's `v(...)`
+// once per row, and the arity check ties the rows to the members.
+#define LIFL_ROW_COUNT(...) +1
+#define LIFL_FIELD_ROW(member, flag, range, digest)                      \
   v(::lifl::sys::Field{#member, flag, ::lifl::sys::Range::range, digest, \
                        nullptr},                                         \
-    c.member);
-#define LIFL_FIELD_TABLE(Type, ROWS)                                 \
-  template <>                                                        \
-  struct FieldTable<Type> {                                          \
-    static constexpr std::size_t kRows = 0 ROWS(LIFL_FIELD_COUNT);   \
-    template <class C, class V>                                      \
-    static void visit(C& c, V&& v) { ROWS(LIFL_FIELD_VISIT) }        \
-  };                                                                 \
-  static_assert(detail::kArity<Type, FieldTable<Type>::kRows>,       \
+    &Self::member);
+#define LIFL_RESULT_ROW(member, kind) \
+  v(#member, ::lifl::sys::RowKind::kind, &Self::member);
+#define LIFL_TABLE(Table, Type, ROWS, ROW)                         \
+  template <>                                                      \
+  struct Table<Type> {                                             \
+    using Self = Type;                                             \
+    static constexpr std::size_t kRows = 0 ROWS(LIFL_ROW_COUNT);   \
+    template <class V>                                             \
+    static void visit(V&& v) { ROWS(ROW) }                         \
+  };                                                               \
+  static_assert(detail::kArity<Type, Table<Type>::kRows>,          \
                 #ROWS " needs exactly one row per member of " #Type)
 
-LIFL_FIELD_TABLE(wl::TierMix, LIFL_TIER_MIX_FIELDS);
-LIFL_FIELD_TABLE(sim::FaultPlan::Config, LIFL_FAULT_PLAN_FIELDS);
-LIFL_FIELD_TABLE(wl::LifecyclePlan::Config, LIFL_LIFECYCLE_FIELDS);
-LIFL_FIELD_TABLE(ctrl::SelectionStrategy::Config, LIFL_SELECTION_FIELDS);
-LIFL_FIELD_TABLE(obs::Config, LIFL_OBS_FIELDS);
-LIFL_FIELD_TABLE(ShardedCampaignConfig, LIFL_CAMPAIGN_FIELDS);
+LIFL_TABLE(FieldTable, wl::TierMix, LIFL_TIER_MIX_FIELDS, LIFL_FIELD_ROW);
+LIFL_TABLE(FieldTable, sim::FaultPlan::Config, LIFL_FAULT_PLAN_FIELDS,
+           LIFL_FIELD_ROW);
+LIFL_TABLE(FieldTable, wl::LifecyclePlan::Config, LIFL_LIFECYCLE_FIELDS,
+           LIFL_FIELD_ROW);
+LIFL_TABLE(FieldTable, ctrl::SelectionStrategy::Config, LIFL_SELECTION_FIELDS,
+           LIFL_FIELD_ROW);
+LIFL_TABLE(FieldTable, obs::Config, LIFL_OBS_FIELDS, LIFL_FIELD_ROW);
+LIFL_TABLE(FieldTable, ShardedCampaignConfig, LIFL_CAMPAIGN_FIELDS,
+           LIFL_FIELD_ROW);
+LIFL_TABLE(ResultTable, ShardedGroupStats, LIFL_GROUP_STATS_FIELDS,
+           LIFL_RESULT_ROW);
+LIFL_TABLE(ResultTable, ShardedCampaignResult::TierStats,
+           LIFL_TIER_STATS_FIELDS, LIFL_RESULT_ROW);
+LIFL_TABLE(ResultTable, ShardedCampaignResult, LIFL_RESULT_FIELDS,
+           LIFL_RESULT_ROW);
 
-#undef LIFL_FIELD_TABLE
-#undef LIFL_FIELD_VISIT
-#undef LIFL_FIELD_COUNT
+#undef LIFL_TABLE
+#undef LIFL_RESULT_ROW
+#undef LIFL_FIELD_ROW
+#undef LIFL_ROW_COUNT
 
 /// Call `v(field, member)` for every row of `cfg` (const or not), in row
 /// order. A nested config's row expands its table in place: its rows carry
 /// the enclosing member as `parent` and enter the digest only if it does.
 template <class C, class V>
 void for_each_field(C& cfg, V&& v) {
-  using Table = FieldTable<std::remove_const_t<C>>;
-  Table::visit(cfg, [&](const Field& f, auto& m) {
+  FieldTable<std::remove_const_t<C>>::visit([&](const Field& f, auto p) {
+    auto& m = cfg.*p;
     using M = std::remove_const_t<std::remove_reference_t<decltype(m)>>;
     if constexpr (FieldTable<M>::kRows > 0) {
-      FieldTable<M>::visit(m, [&](Field inner, auto& x) {
+      FieldTable<M>::visit([&](Field inner, auto q) {
         inner.parent = f.name;
         inner.digest = inner.digest && f.digest;
-        v(inner, x);
+        v(inner, m.*q);
       });
     } else {
       v(f, m);

@@ -2,9 +2,10 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
+#include <type_traits>
 
 #include "src/obs/obs.hpp"
+#include "src/systems/campaign_config.hpp"
 #include "src/systems/sharded_campaign.hpp"
 
 namespace lifl::sys {
@@ -77,51 +78,26 @@ void write_campaign_metrics_jsonl(const ShardedCampaignResult& result,
                  result.shard_idle_secs[s], result.shard_cpu_secs[s]);
   }
 
-  // Summary row: every deterministic campaign count once, under its result
-  // field name (the process-local checkpoints_written / checkpoint_bytes
-  // stay out, like wall time), then ring accounting when the run was
-  // traced and the registry's histograms when it was metered.
-  const std::pair<const char*, std::uint64_t> counts[] = {
-      {"rounds", result.round_started_at.size()},
-      {"events", result.events},
-      {"cross_posts", result.cross_posts},
-      {"windows", result.windows},
-      {"windows_skipped", result.windows_skipped},
-      {"spawned_total", result.spawned_total},
-      {"reused_total", result.reused_total},
-      {"replans", result.replans},
-      {"leaf_drains", result.leaf_drains},
-      {"peak_leaves", result.peak_leaves},
-      {"checkpoint_marks", result.checkpoint_marks},
-      {"faults_injected", result.faults_injected},
-      {"leaf_crashes", result.leaf_crashes},
-      {"middle_crashes", result.middle_crashes},
-      {"top_crashes", result.top_crashes},
-      {"refolded_updates", result.refolded_updates},
-      {"reinjected_partials", result.reinjected_partials},
-      {"upload_retries", result.upload_retries},
-      {"upload_drops", result.upload_drops},
-      {"upload_corruptions", result.upload_corruptions},
-      {"overflow_rejects", result.overflow_rejects},
-      {"outage_rejects", result.outage_rejects},
-      {"quorum_seals", result.quorum_seals},
-      {"quorum_abandoned", result.quorum_abandoned},
-      {"disconnects", result.disconnects},
-      {"resumed_uploads", result.resumed_uploads},
-      {"chunks_sent", result.chunks_sent},
-      {"chunks_resent", result.chunks_resent},
-      {"selection_redraws", result.selection_redraws},
-      {"offline_queue_peak", result.offline_queue_peak},
-      {"quota_adjustments", result.quota_adjustments},
-      {"async_quota_final", result.async_quota_final},
-  };
-  std::fprintf(f, "{\"type\": \"summary\"");
-  for (const auto& [key, value] : counts) {
-    std::fprintf(f, ", \"%s\": %llu", key,
-                 static_cast<unsigned long long>(value));
-  }
-  std::fprintf(f, ", \"sim_secs\": %.9f, \"wall_secs\": %.6f",
-               result.sim_secs, result.wall_secs);
+  // Summary row: the round count, then every scalar result row once under
+  // its member name (the row kind marks the process-local ones, and prints
+  // a kLocal double to microseconds); then ring accounting when the run
+  // was traced and the registry's histograms when it was metered.
+  std::fprintf(f, "{\"type\": \"summary\", \"rounds\": %zu",
+               result.round_started_at.size());
+  ResultTable<ShardedCampaignResult>::visit(
+      [&](const char* name, RowKind kind, auto member) {
+        const auto& v = result.*member;
+        using M = std::decay_t<decltype(v)>;
+        if constexpr (std::is_floating_point_v<M>) {
+          std::fprintf(f,
+                       kind == RowKind::kLocal ? ", \"%s\": %.6f"
+                                               : ", \"%s\": %.9f",
+                       name, v);
+        } else if constexpr (std::is_integral_v<M>) {
+          std::fprintf(f, ", \"%s\": %llu", name,
+                       static_cast<unsigned long long>(v));
+        }
+      });
   if (result.obs) {
     const obs::CampaignObs& co = *result.obs;
     if (co.config().trace) {

@@ -116,6 +116,16 @@ struct alignas(64) Group {
 };
 static_assert(alignof(Group) >= 64);
 
+/// The group's plain durable members, in their frozen v5 blob order. The
+/// checkpoint walk (campaign_checkpoint.cpp) writes and reads them in this
+/// order, ahead of the state its components keep behind accessors.
+#define LIFL_GROUP_DURABLE_FIELDS(X)                                   \
+  X(rng) X(participant_counter) X(total_uploads) X(upload_retries)     \
+  X(upload_drops) X(upload_corruptions) X(overflow_rejects)            \
+  X(outage_rejects) X(lifecycle) X(selection_redraws) X(offline_peak)  \
+  X(gate_wait_secs) X(tier_selected) X(tier_completed)                 \
+  X(tier_disconnects) X(tier_stragglers)
+
 /// Whole-campaign runtime state, owned by `run_sharded_campaign` for the
 /// duration of one call.
 struct CampaignState {

@@ -543,6 +543,34 @@ std::uint64_t arm_fixed_round(CampaignState& st, std::uint32_t round) {
   return spawned;
 }
 
+/// Fold every group's hierarchy stats for the round (async: the whole
+/// stream) into the result and park the hierarchies. Adds the churn to
+/// `spawned` / `reused`; returns the client updates re-folded.
+std::uint64_t fold_round_stats(CampaignState& st,
+                               ShardedCampaignResult& result,
+                               std::uint64_t& spawned,
+                               std::uint64_t& reused) {
+  std::uint64_t refolded = 0;
+  for (Group& g : st.groups) {
+    const StreamingHierarchy::Stats& rs = g.hier->round_stats();
+    spawned += rs.spawned;
+    reused += rs.reused;
+    result.replans += rs.replans;
+    result.leaf_drains += rs.drains;
+    result.peak_leaves = std::max(result.peak_leaves, rs.peak_leaves);
+    result.leaf_crashes += rs.leaf_crashes;
+    result.middle_crashes += rs.middle_crashes;
+    result.refolded_updates += rs.refolded;
+    result.reinjected_partials += rs.reinjected;
+    result.quorum_seals += rs.quorum_seals;
+    result.quorum_abandoned += rs.quorum_abandoned;
+    result.recovery_secs += rs.recovery_secs;
+    refolded += rs.refolded;
+    g.hier->end_round();
+  }
+  return refolded;
+}
+
 double wall_since(const std::chrono::steady_clock::time_point& t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -950,22 +978,8 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     // ---- stream epilogue (coordinator, shards idle): park the fleet and
     // attribute the stream's churn to its first version entry — spawns
     // happen only while the initial fleet ramps; steady state is zero.
-    std::uint64_t refolded = 0;
-    for (auto& g : st.groups) {
-      const StreamingHierarchy::Stats& rs = g.hier->round_stats();
-      spawned += rs.spawned;
-      reused += rs.reused;
-      result.replans += rs.replans;
-      result.leaf_drains += rs.drains;
-      result.peak_leaves = std::max(result.peak_leaves, rs.peak_leaves);
-      result.leaf_crashes += rs.leaf_crashes;
-      result.middle_crashes += rs.middle_crashes;
-      result.refolded_updates += rs.refolded;
-      result.reinjected_partials += rs.reinjected;
-      result.recovery_secs += rs.recovery_secs;
-      refolded += rs.refolded;
-      g.hier->end_round();
-    }
+    const std::uint64_t refolded =
+        fold_round_stats(st, result, spawned, reused);
     result.round_spawned.assign(result.round_started_at.size(), 0);
     result.round_reused.assign(result.round_started_at.size(), 0);
     result.round_refolded.assign(result.round_started_at.size(), 0);
@@ -1053,23 +1067,7 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     // Round-boundary bookkeeping (coordinator thread, sims idle).
     std::uint64_t refolded_round = 0;
     if (planned) {
-      for (auto& g : st.groups) {
-        const StreamingHierarchy::Stats& rs = g.hier->round_stats();
-        spawned += rs.spawned;
-        reused += rs.reused;
-        result.replans += rs.replans;
-        result.leaf_drains += rs.drains;
-        result.peak_leaves = std::max(result.peak_leaves, rs.peak_leaves);
-        result.leaf_crashes += rs.leaf_crashes;
-        result.middle_crashes += rs.middle_crashes;
-        result.refolded_updates += rs.refolded;
-        result.reinjected_partials += rs.reinjected;
-        result.quorum_seals += rs.quorum_seals;
-        result.quorum_abandoned += rs.quorum_abandoned;
-        result.recovery_secs += rs.recovery_secs;
-        refolded_round += rs.refolded;
-        g.hier->end_round();
-      }
+      refolded_round = fold_round_stats(st, result, spawned, reused);
       st.graveyard.clear();  // crashed tops parked during this round
       if (!cfg.reuse) {
         st.top = nullptr;

@@ -250,9 +250,19 @@ struct ShardedCampaignConfig {
   X(sync_mode, nullptr, kAny, false)                             \
   X(obs, nullptr, kAny, false)
 
-/// Per-group aggregates used by the shard-equivalence test: every value is
-/// produced by group-local event order only, so it must be *identical*
-/// (bitwise, not approximately) across shard counts.
+/// How a result row behaves across runs of one config: what a test may
+/// demand of it, and how the JSONL summary row prints a double row.
+enum class RowKind : std::uint8_t {
+  kSame,           ///< deterministic: equal (bitwise) at every shard count,
+                   ///< after a resume, traced or untraced
+  kPerShardCount,  ///< deterministic at a fixed shard count only
+  kLocal,          ///< process-local: wall time, thread timing, what this
+                   ///< process itself emitted
+};
+
+/// Per-group aggregates. Every value is produced by group-local event
+/// order only, so it is *identical* (bitwise, not approximately) across
+/// shard counts.
 struct ShardedGroupStats {
   std::uint64_t uploads = 0;        ///< client uploads launched
   std::uint64_t pool_pushed = 0;    ///< updates that landed in the node pool
@@ -265,11 +275,22 @@ struct ShardedGroupStats {
   std::uint64_t payloads_held = 0;
 };
 
+/// Result-table rows (src/systems/campaign_config.hpp): X(member, kind).
+#define LIFL_GROUP_STATS_FIELDS(X) \
+  X(uploads, kSame)                \
+  X(pool_pushed, kSame)            \
+  X(gateway_busy_secs, kSame)      \
+  X(gateway_wait_secs, kSame)      \
+  X(cpu_cycles, kSame)             \
+  X(payloads_held, kSame)
+
 /// Per-round (sync) or per-model-version (async) and whole-campaign
 /// telemetry. In async mode the `round_*` vectors hold one entry per
 /// *emitted model version*; `round_spawned`/`round_reused` attribute the
 /// stream's churn to its first entry (spawns happen while the initial
 /// fleet ramps; steady state spawns zero — the entries after the first).
+/// Each member has one row in LIFL_RESULT_FIELDS below, whose kind says
+/// whether it is deterministic.
 struct ShardedCampaignResult {
   std::vector<double> round_started_at;    ///< round epoch (sim s)
   std::vector<double> round_completed_at;  ///< top aggregate landed (sim s)
@@ -290,11 +311,6 @@ struct ShardedCampaignResult {
   /// the round performed. Zero everywhere in a fault-free run.
   std::vector<std::uint64_t> round_refolded;
   std::vector<ShardedGroupStats> groups;
-  std::uint64_t spawned_total = 0;
-  std::uint64_t reused_total = 0;
-  std::uint64_t replans = 0;      ///< mid-round plan changes applied
-  std::uint64_t leaf_drains = 0;  ///< partial accumulators drained on shrink
-  std::uint32_t peak_leaves = 0;  ///< max concurrent leaves in any group
   // `events` and `cross_posts` are part of the snapshot, so a resumed run
   // reports the uninterrupted run's.
   std::uint64_t events = 0;       ///< dispatched across all shards
@@ -305,6 +321,11 @@ struct ShardedCampaignResult {
   /// thread timing, and a resumed run reports its own. 0 with one shard.
   std::uint64_t windows = 0;
   std::uint64_t windows_skipped = 0;
+  std::uint64_t spawned_total = 0;
+  std::uint64_t reused_total = 0;
+  std::uint64_t replans = 0;      ///< mid-round plan changes applied
+  std::uint64_t leaf_drains = 0;  ///< partial accumulators drained on shrink
+  std::uint32_t peak_leaves = 0;  ///< max concurrent leaves in any group
   /// Snapshot marks whose cost model was billed in-sim. Deterministic and
   /// part of the snapshot itself, so a resumed run reports the same total
   /// as the uninterrupted one.
@@ -380,9 +401,72 @@ struct ShardedCampaignResult {
   /// them; null otherwise. Shared so the result stays copy/move friendly.
   std::shared_ptr<obs::CampaignObs> obs;
 
-  double wall_secs = 0.0;
   double sim_secs = 0.0;          ///< final simulated time (max over groups)
+  double wall_secs = 0.0;
 };
+
+#define LIFL_TIER_STATS_FIELDS(X) \
+  X(selected, kSame)              \
+  X(completed, kSame)             \
+  X(disconnects, kSame)           \
+  X(stragglers, kSame)
+
+/// Result-table rows, in member order (the JSONL summary row's key order).
+/// `cross_posts` depends on how the groups are dealt onto shards.
+#define LIFL_RESULT_FIELDS(X)          \
+  X(round_started_at, kSame)           \
+  X(round_completed_at, kSame)         \
+  X(round_samples, kSame)              \
+  X(round_weight, kSame)               \
+  X(round_spawned, kSame)              \
+  X(round_reused, kSame)               \
+  X(round_refolded, kSame)             \
+  X(groups, kSame)                     \
+  X(events, kSame)                     \
+  X(cross_posts, kPerShardCount)       \
+  X(windows, kLocal)                   \
+  X(windows_skipped, kLocal)           \
+  X(spawned_total, kSame)              \
+  X(reused_total, kSame)               \
+  X(replans, kSame)                    \
+  X(leaf_drains, kSame)                \
+  X(peak_leaves, kSame)                \
+  X(checkpoint_marks, kSame)           \
+  X(checkpoints_written, kLocal)       \
+  X(checkpoint_bytes, kLocal)          \
+  X(checkpoint_encode_secs, kLocal)    \
+  X(faults_injected, kSame)            \
+  X(leaf_crashes, kSame)               \
+  X(middle_crashes, kSame)             \
+  X(top_crashes, kSame)                \
+  X(refolded_updates, kSame)           \
+  X(reinjected_partials, kSame)        \
+  X(upload_retries, kSame)             \
+  X(upload_drops, kSame)               \
+  X(upload_corruptions, kSame)         \
+  X(overflow_rejects, kSame)           \
+  X(outage_rejects, kSame)             \
+  X(quorum_seals, kSame)               \
+  X(quorum_abandoned, kSame)           \
+  X(recovery_secs, kSame)              \
+  X(tiers, kSame)                      \
+  X(disconnects, kSame)                \
+  X(resumed_uploads, kSame)            \
+  X(chunks_sent, kSame)                \
+  X(chunks_resent, kSame)              \
+  X(selection_redraws, kSame)          \
+  X(offline_queue_peak, kSame)         \
+  X(gate_wait_secs, kSame)             \
+  X(quota_adjustments, kSame)          \
+  X(async_quota_final, kSame)          \
+  X(shard_windows, kLocal)             \
+  X(shard_empty_windows, kLocal)       \
+  X(shard_idle_secs, kLocal)           \
+  X(shard_promise_lead_secs, kLocal)   \
+  X(shard_cpu_secs, kLocal)            \
+  X(obs, kLocal)                       \
+  X(sim_secs, kSame)                   \
+  X(wall_secs, kLocal)
 
 /// Run the campaign. Deterministic: same config (including `groups`) =>
 /// same result for any `shards`; see tests/sharded_sim_test.cpp.
@@ -394,9 +478,10 @@ void write_campaign_trace(const ShardedCampaignResult& result,
                           const std::string& path);
 
 /// Write the per-round/per-version timeseries, per-shard refresh stats and a
-/// final summary row as JSON lines. The summary row writes every
-/// deterministic campaign count once, under its field name above (not the
-/// process-local checkpoints_written / checkpoint_bytes); registry
+/// final summary row as JSON lines. The summary row writes `rounds` and
+/// then every scalar result row once, under its member name; the row's
+/// kind says whether the value is deterministic, and prints a kLocal
+/// double to microseconds and any other to nanoseconds. Registry
 /// histograms appear only when metrics were on, ring accounting only when
 /// the run was traced.
 void write_campaign_metrics_jsonl(const ShardedCampaignResult& result,

@@ -16,10 +16,12 @@
 #include <vector>
 
 #include "src/systems/sharded_campaign.hpp"
+#include "tests/campaign_result.hpp"
 
 namespace {
 
 namespace sys = lifl::sys;
+using lifl::test::expect_same_result;
 
 std::size_t env_shards() {
   if (const char* env = std::getenv("LIFL_TEST_SHARDS")) {
@@ -52,47 +54,6 @@ sys::ShardedCampaignConfig async_campaign(std::size_t shards) {
   cfg.straggler_fraction = 0.3;
   cfg.straggler_delay_secs = 10.0;
   return cfg;
-}
-
-void expect_identical(const sys::ShardedCampaignResult& a,
-                      const sys::ShardedCampaignResult& b,
-                      const std::string& what) {
-  ASSERT_EQ(a.round_started_at.size(), b.round_started_at.size()) << what;
-  for (std::size_t v = 0; v < a.round_started_at.size(); ++v) {
-    // EXPECT_EQ on doubles is exact ==: the claim is bitwise, not ULP.
-    EXPECT_EQ(a.round_started_at[v], b.round_started_at[v])
-        << what << " version " << v + 1;
-    EXPECT_EQ(a.round_completed_at[v], b.round_completed_at[v])
-        << what << " version " << v + 1;
-    EXPECT_EQ(a.round_samples[v], b.round_samples[v])
-        << what << " version " << v + 1;
-    EXPECT_EQ(a.round_weight[v], b.round_weight[v])
-        << what << " version " << v + 1;
-    EXPECT_EQ(a.round_spawned[v], b.round_spawned[v])
-        << what << " version " << v + 1;
-    EXPECT_EQ(a.round_reused[v], b.round_reused[v])
-        << what << " version " << v + 1;
-  }
-  EXPECT_EQ(a.spawned_total, b.spawned_total) << what;
-  EXPECT_EQ(a.reused_total, b.reused_total) << what;
-  EXPECT_EQ(a.replans, b.replans) << what;
-  EXPECT_EQ(a.leaf_drains, b.leaf_drains) << what;
-  EXPECT_EQ(a.peak_leaves, b.peak_leaves) << what;
-  EXPECT_EQ(a.checkpoint_marks, b.checkpoint_marks) << what;
-  EXPECT_EQ(a.events, b.events) << what;
-  EXPECT_EQ(a.sim_secs, b.sim_secs) << what;
-  ASSERT_EQ(a.groups.size(), b.groups.size()) << what;
-  for (std::size_t g = 0; g < a.groups.size(); ++g) {
-    EXPECT_EQ(a.groups[g].uploads, b.groups[g].uploads) << what << " g" << g;
-    EXPECT_EQ(a.groups[g].pool_pushed, b.groups[g].pool_pushed)
-        << what << " g" << g;
-    EXPECT_EQ(a.groups[g].gateway_busy_secs, b.groups[g].gateway_busy_secs)
-        << what << " g" << g;
-    EXPECT_EQ(a.groups[g].gateway_wait_secs, b.groups[g].gateway_wait_secs)
-        << what << " g" << g;
-    EXPECT_EQ(a.groups[g].cpu_cycles, b.groups[g].cpu_cycles)
-        << what << " g" << g;
-  }
 }
 
 // ---------------------------------------------------------------- cadence
@@ -178,8 +139,8 @@ TEST(AsyncCampaign, SealsOnDeadlineUnderStragglers) {
 TEST(AsyncCampaign, BitwiseIdenticalAcrossShardCounts) {
   const auto one = sys::run_sharded_campaign(async_campaign(1));
   const auto many = sys::run_sharded_campaign(async_campaign(env_shards()));
-  expect_identical(one, many,
-                   "1 vs " + std::to_string(env_shards()) + " shards");
+  expect_same_result(one, many,
+                     "1 vs " + std::to_string(env_shards()) + " shards");
 }
 
 // ------------------------------------------------- crash-anywhere resume
@@ -215,8 +176,8 @@ TEST(AsyncCampaign, CheckpointResumeMidBufferIsBitwise) {
     auto cfg = base;
     cfg.resume_blob = &blob.bytes;
     const auto resumed = sys::run_sharded_campaign(cfg);
-    expect_identical(reference, resumed,
-                     "cut at mark " + std::to_string(blob.mark));
+    expect_same_result(reference, resumed,
+                       "cut at mark " + std::to_string(blob.mark));
     // A resumed process re-emits only the blobs past its cut.
     std::size_t after = 0;
     for (const Blob& b : blobs) {
@@ -270,11 +231,9 @@ TEST(AsyncCampaign, AutoQuotaIsShardInvariant) {
   multi.shards = env_shards();
   const auto many = sys::run_sharded_campaign(multi);
   EXPECT_GT(one.quota_adjustments, 0u);
-  EXPECT_EQ(one.quota_adjustments, many.quota_adjustments);
-  EXPECT_EQ(one.async_quota_final, many.async_quota_final);
-  expect_identical(one, many,
-                   "auto-quota, 1 vs " + std::to_string(multi.shards) +
-                       " shards");
+  expect_same_result(one, many,
+                     "auto-quota, 1 vs " + std::to_string(multi.shards) +
+                         " shards");
 }
 
 }  // namespace

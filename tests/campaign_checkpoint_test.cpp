@@ -17,15 +17,20 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "src/sim/snapshot.hpp"
 #include "src/systems/campaign_checkpoint.hpp"
 #include "src/systems/sharded_campaign.hpp"
+#include "tests/campaign_matrix.hpp"
+#include "tests/campaign_result.hpp"
 
 namespace {
 
 namespace sys = lifl::sys;
+using lifl::test::expect_same_result;
 
 std::size_t env_shards() {
   if (const char* env = std::getenv("LIFL_TEST_SHARDS")) {
@@ -78,45 +83,6 @@ sys::ShardedCampaignConfig with_sink(sys::ShardedCampaignConfig cfg,
   return cfg;
 }
 
-void expect_identical(const sys::ShardedCampaignResult& a,
-                      const sys::ShardedCampaignResult& b,
-                      const std::string& what) {
-  ASSERT_EQ(a.round_started_at.size(), b.round_started_at.size()) << what;
-  for (std::size_t r = 0; r < a.round_started_at.size(); ++r) {
-    // EXPECT_EQ on doubles is exact ==: the claim is bitwise, not ULP.
-    EXPECT_EQ(a.round_started_at[r], b.round_started_at[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_completed_at[r], b.round_completed_at[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_samples[r], b.round_samples[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_spawned[r], b.round_spawned[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_reused[r], b.round_reused[r])
-        << what << " round " << r + 1;
-  }
-  EXPECT_EQ(a.spawned_total, b.spawned_total) << what;
-  EXPECT_EQ(a.reused_total, b.reused_total) << what;
-  EXPECT_EQ(a.replans, b.replans) << what;
-  EXPECT_EQ(a.leaf_drains, b.leaf_drains) << what;
-  EXPECT_EQ(a.peak_leaves, b.peak_leaves) << what;
-  EXPECT_EQ(a.checkpoint_marks, b.checkpoint_marks) << what;
-  EXPECT_EQ(a.events, b.events) << what;
-  EXPECT_EQ(a.sim_secs, b.sim_secs) << what;
-  ASSERT_EQ(a.groups.size(), b.groups.size()) << what;
-  for (std::size_t g = 0; g < a.groups.size(); ++g) {
-    EXPECT_EQ(a.groups[g].uploads, b.groups[g].uploads) << what << " g" << g;
-    EXPECT_EQ(a.groups[g].pool_pushed, b.groups[g].pool_pushed)
-        << what << " g" << g;
-    EXPECT_EQ(a.groups[g].gateway_busy_secs, b.groups[g].gateway_busy_secs)
-        << what << " g" << g;
-    EXPECT_EQ(a.groups[g].gateway_wait_secs, b.groups[g].gateway_wait_secs)
-        << what << " g" << g;
-    EXPECT_EQ(a.groups[g].cpu_cycles, b.groups[g].cpu_cycles)
-        << what << " g" << g;
-  }
-}
-
 /// The harness: run the reference, then crash+resume at N evenly spaced
 /// blobs and demand bitwise equality.
 void run_differential(const sys::ShardedCampaignConfig& base,
@@ -133,9 +99,9 @@ void run_differential(const sys::ShardedCampaignConfig& base,
     auto cfg = base;
     cfg.resume_blob = &blob.bytes;
     const auto resumed = sys::run_sharded_campaign(cfg);
-    expect_identical(reference, resumed,
-                     "cut at round " + std::to_string(blob.round) +
-                         ", mark " + std::to_string(blob.mark));
+    expect_same_result(reference, resumed,
+                       "cut at round " + std::to_string(blob.round) +
+                           ", mark " + std::to_string(blob.mark));
     // A resumed process re-emits only the blobs past its cut.
     std::size_t after = 0;
     for (const Blob& b : blobs) {
@@ -191,6 +157,59 @@ TEST(CampaignCheckpoint, BlobEncodingIsDeterministic) {
     EXPECT_EQ(a[i].round, b[i].round);
     EXPECT_EQ(a[i].mark, b[i].mark);
     EXPECT_EQ(a[i].bytes, b[i].bytes) << "blob " << i;
+  }
+}
+
+// Every matrix campaign (faults, flaky clients, edge knobs), checkpointed at
+// 1 and at 4 shards. The v5 byte layout is pinned: an FNV-1a hash over
+// every blob each run emits (a blob holds one clock per shard, so the two
+// differ); a codec change that moves a single byte fails here, and the
+// goldens only move with a `kVersion` bump. And each run resumes bitwise
+// from its middle blob, so a durable field the walk leaves out fails in
+// whichever cell makes it nonzero.
+TEST(CampaignCheckpoint, MatrixBlobsMatchV5GoldensAndResume) {
+  struct Golden {
+    const char* name;
+    std::uint64_t one_shard;
+    std::uint64_t four_shards;
+  };
+  const Golden goldens[] = {
+      {"fixed", 0x959d8b6cfe70350full, 0x86d56fedb4dd8397ull},
+      {"fixed+flaky", 0x4212cb0992b1d211ull, 0xbd6274f55bb8bb3dull},
+      {"planned", 0x599832a32aeeb74bull, 0xa5205c7e762e44cfull},
+      {"planned+faults", 0xd9f8327b1c8c1b47ull, 0xe96db3e7d4d8d251ull},
+      {"planned+flaky", 0xf5fdd1cebf6641d1ull, 0x3b8ba7ed51d8f7bbull},
+      {"planned+faults+flaky", 0xe72a63a955116f21ull, 0xa33cdb236c1ae093ull},
+      {"async", 0x82566df2e74e98fbull, 0xa28c03e8a310e1baull},
+      {"async+faults", 0xc8d62fb547c4987cull, 0x7b8b0e69e88b829ull},
+      {"async+flaky", 0x9ec9daf5d3963223ull, 0xea5851be06d66923ull},
+      {"async+faults+flaky", 0xc014846543d6f933ull, 0xb0a903ad190589cbull},
+      {"async+edge", 0x8b4b19b4d60ba7aeull, 0x3799b94afbb5e58ull},
+  };
+  ASSERT_EQ(std::size(goldens), std::size(lifl::matrix::kScenarios));
+  for (std::size_t i = 0; i < std::size(goldens); ++i) {
+    const auto& sc = lifl::matrix::kScenarios[i];
+    ASSERT_STREQ(goldens[i].name, sc.name);
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+      auto cfg = lifl::matrix::matrix_campaign(sc, shards);
+      cfg.checkpoint_every_secs = 0.5;
+      std::vector<Blob> blobs;
+      const auto reference = sys::run_sharded_campaign(with_sink(cfg, &blobs));
+      ASSERT_FALSE(blobs.empty()) << sc.name;
+      std::uint64_t h = 1469598103934665603ull;
+      for (const Blob& b : blobs) {
+        for (const std::uint8_t byte : b.bytes) {
+          h = (h ^ byte) * 1099511628211ull;
+        }
+      }
+      EXPECT_EQ(h, shards == 1 ? goldens[i].one_shard
+                               : goldens[i].four_shards)
+          << sc.name << " at " << shards << " shard(s): 0x" << std::hex << h;
+      cfg.resume_blob = &blobs[blobs.size() / 2].bytes;
+      expect_same_result(reference, sys::run_sharded_campaign(cfg),
+                         std::string(sc.name) + " resumed at " +
+                             std::to_string(shards) + " shard(s)");
+    }
   }
 }
 

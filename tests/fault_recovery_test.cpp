@@ -21,10 +21,12 @@
 
 #include "src/systems/campaign_checkpoint.hpp"
 #include "src/systems/sharded_campaign.hpp"
+#include "tests/campaign_result.hpp"
 
 namespace {
 
 namespace sys = lifl::sys;
+using lifl::test::expect_same_result;
 
 std::size_t env_shards() {
   if (const char* env = std::getenv("LIFL_TEST_SHARDS")) {
@@ -75,56 +77,6 @@ void add_crashes(sys::ShardedCampaignConfig& cfg) {
 std::uint64_t total_samples(const sys::ShardedCampaignResult& r) {
   return std::accumulate(r.round_samples.begin(), r.round_samples.end(),
                          std::uint64_t{0});
-}
-
-void expect_identical(const sys::ShardedCampaignResult& a,
-                      const sys::ShardedCampaignResult& b,
-                      const std::string& what) {
-  ASSERT_EQ(a.round_started_at.size(), b.round_started_at.size()) << what;
-  for (std::size_t r = 0; r < a.round_started_at.size(); ++r) {
-    // EXPECT_EQ on doubles is exact ==: the claim is bitwise, not ULP.
-    EXPECT_EQ(a.round_started_at[r], b.round_started_at[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_completed_at[r], b.round_completed_at[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_samples[r], b.round_samples[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_weight[r], b.round_weight[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_spawned[r], b.round_spawned[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_refolded[r], b.round_refolded[r])
-        << what << " round " << r + 1;
-  }
-  EXPECT_EQ(a.spawned_total, b.spawned_total) << what;
-  EXPECT_EQ(a.reused_total, b.reused_total) << what;
-  EXPECT_EQ(a.replans, b.replans) << what;
-  EXPECT_EQ(a.leaf_drains, b.leaf_drains) << what;
-  EXPECT_EQ(a.peak_leaves, b.peak_leaves) << what;
-  EXPECT_EQ(a.faults_injected, b.faults_injected) << what;
-  EXPECT_EQ(a.leaf_crashes, b.leaf_crashes) << what;
-  EXPECT_EQ(a.middle_crashes, b.middle_crashes) << what;
-  EXPECT_EQ(a.top_crashes, b.top_crashes) << what;
-  EXPECT_EQ(a.refolded_updates, b.refolded_updates) << what;
-  EXPECT_EQ(a.reinjected_partials, b.reinjected_partials) << what;
-  EXPECT_EQ(a.upload_retries, b.upload_retries) << what;
-  EXPECT_EQ(a.upload_drops, b.upload_drops) << what;
-  EXPECT_EQ(a.upload_corruptions, b.upload_corruptions) << what;
-  EXPECT_EQ(a.overflow_rejects, b.overflow_rejects) << what;
-  EXPECT_EQ(a.outage_rejects, b.outage_rejects) << what;
-  EXPECT_EQ(a.quorum_seals, b.quorum_seals) << what;
-  EXPECT_EQ(a.quorum_abandoned, b.quorum_abandoned) << what;
-  EXPECT_EQ(a.recovery_secs, b.recovery_secs) << what;
-  EXPECT_EQ(a.events, b.events) << what;
-  EXPECT_EQ(a.sim_secs, b.sim_secs) << what;
-  ASSERT_EQ(a.groups.size(), b.groups.size()) << what;
-  for (std::size_t g = 0; g < a.groups.size(); ++g) {
-    EXPECT_EQ(a.groups[g].uploads, b.groups[g].uploads) << what << " g" << g;
-    EXPECT_EQ(a.groups[g].pool_pushed, b.groups[g].pool_pushed)
-        << what << " g" << g;
-    EXPECT_EQ(a.groups[g].cpu_cycles, b.groups[g].cpu_cycles)
-        << what << " g" << g;
-  }
 }
 
 // ------------------------------------------------------- conservation
@@ -218,8 +170,8 @@ TEST(FaultRecovery, SyncFaultsAreShardInvariant) {
   multi.shards = env_shards();
   const auto n = sys::run_sharded_campaign(multi);
   EXPECT_GT(one.leaf_crashes, 0u);
-  expect_identical(one, n, "sync faults, 1 vs " +
-                               std::to_string(multi.shards) + " shards");
+  expect_same_result(
+      one, n, "sync faults, 1 vs " + std::to_string(multi.shards) + " shards");
 }
 
 TEST(FaultRecovery, AsyncFaultsAreShardInvariant) {
@@ -232,8 +184,8 @@ TEST(FaultRecovery, AsyncFaultsAreShardInvariant) {
   multi.shards = env_shards();
   const auto n = sys::run_sharded_campaign(multi);
   EXPECT_GT(one.leaf_crashes, 0u);
-  expect_identical(one, n, "async faults, 1 vs " +
-                               std::to_string(multi.shards) + " shards");
+  expect_same_result(
+      one, n, "async faults, 1 vs " + std::to_string(multi.shards) + " shards");
 }
 
 // --------------------------------------------- checkpoint mid-recovery
@@ -266,9 +218,9 @@ TEST(FaultRecovery, CheckpointResumeMidRecoveryIsBitwise) {
     auto cfg = base;
     cfg.resume_blob = &blobs[pick].bytes;
     const auto resumed = sys::run_sharded_campaign(cfg);
-    expect_identical(reference, resumed,
-                     "cut at round " + std::to_string(blobs[pick].round) +
-                         ", mark " + std::to_string(blobs[pick].mark));
+    expect_same_result(reference, resumed,
+                       "cut at round " + std::to_string(blobs[pick].round) +
+                           ", mark " + std::to_string(blobs[pick].mark));
   }
 }
 
@@ -306,8 +258,8 @@ TEST(FaultRecovery, QuorumIsShardInvariant) {
   multi.shards = env_shards();
   const auto n = sys::run_sharded_campaign(multi);
   EXPECT_GT(one.quorum_seals, 0u);
-  expect_identical(one, n, "quorum, 1 vs " +
-                               std::to_string(multi.shards) + " shards");
+  expect_same_result(
+      one, n, "quorum, 1 vs " + std::to_string(multi.shards) + " shards");
 }
 
 // -------------------------------------------------------- validation

@@ -15,10 +15,12 @@
 
 #include "src/dataplane/dataplane.hpp"
 #include "src/systems/sharded_campaign.hpp"
+#include "tests/campaign_result.hpp"
 
 namespace {
 
 namespace sys = lifl::sys;
+using lifl::test::expect_same_result;
 namespace wl = lifl::wl;
 namespace ctrl = lifl::ctrl;
 
@@ -72,51 +74,6 @@ std::uint64_t tier_total(const sys::ShardedCampaignResult& r,
   std::uint64_t n = 0;
   for (const auto& t : r.tiers) n += t.*field;
   return n;
-}
-
-void expect_identical(const sys::ShardedCampaignResult& a,
-                      const sys::ShardedCampaignResult& b,
-                      const std::string& what) {
-  ASSERT_EQ(a.round_started_at.size(), b.round_started_at.size()) << what;
-  for (std::size_t r = 0; r < a.round_started_at.size(); ++r) {
-    // EXPECT_EQ on doubles is exact ==: the claim is bitwise, not ULP.
-    EXPECT_EQ(a.round_started_at[r], b.round_started_at[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_completed_at[r], b.round_completed_at[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_samples[r], b.round_samples[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_weight[r], b.round_weight[r])
-        << what << " round " << r + 1;
-  }
-  for (std::size_t t = 0; t < wl::kTierCount; ++t) {
-    EXPECT_EQ(a.tiers[t].selected, b.tiers[t].selected) << what << " t" << t;
-    EXPECT_EQ(a.tiers[t].completed, b.tiers[t].completed)
-        << what << " t" << t;
-    EXPECT_EQ(a.tiers[t].disconnects, b.tiers[t].disconnects)
-        << what << " t" << t;
-    EXPECT_EQ(a.tiers[t].stragglers, b.tiers[t].stragglers)
-        << what << " t" << t;
-  }
-  EXPECT_EQ(a.disconnects, b.disconnects) << what;
-  EXPECT_EQ(a.resumed_uploads, b.resumed_uploads) << what;
-  EXPECT_EQ(a.chunks_sent, b.chunks_sent) << what;
-  EXPECT_EQ(a.chunks_resent, b.chunks_resent) << what;
-  EXPECT_EQ(a.selection_redraws, b.selection_redraws) << what;
-  EXPECT_EQ(a.offline_queue_peak, b.offline_queue_peak) << what;
-  EXPECT_EQ(a.gate_wait_secs, b.gate_wait_secs) << what;
-  EXPECT_EQ(a.spawned_total, b.spawned_total) << what;
-  EXPECT_EQ(a.reused_total, b.reused_total) << what;
-  EXPECT_EQ(a.events, b.events) << what;
-  EXPECT_EQ(a.sim_secs, b.sim_secs) << what;
-  ASSERT_EQ(a.groups.size(), b.groups.size()) << what;
-  for (std::size_t g = 0; g < a.groups.size(); ++g) {
-    EXPECT_EQ(a.groups[g].uploads, b.groups[g].uploads) << what << " g" << g;
-    EXPECT_EQ(a.groups[g].pool_pushed, b.groups[g].pool_pushed)
-        << what << " g" << g;
-    EXPECT_EQ(a.groups[g].cpu_cycles, b.groups[g].cpu_cycles)
-        << what << " g" << g;
-  }
 }
 
 // ------------------------------------------------------- conservation
@@ -201,10 +158,10 @@ TEST(FlakyCampaign, LifecycleIsShardInvariant) {
     multi.shards = env_shards();
     const auto n = sys::run_sharded_campaign(multi);
     EXPECT_GT(one.disconnects, 0u);
-    expect_identical(one, n,
-                     "mode " + std::to_string(static_cast<int>(mode)) +
-                         ", 1 vs " + std::to_string(multi.shards) +
-                         " shards");
+    expect_same_result(one, n,
+                       "mode " + std::to_string(static_cast<int>(mode)) +
+                           ", 1 vs " + std::to_string(multi.shards) +
+                           " shards");
   }
 }
 
@@ -219,10 +176,10 @@ TEST(FlakyCampaign, SelectorStrategiesAreShardInvariant) {
     auto multi = base;
     multi.shards = env_shards();
     const auto n = sys::run_sharded_campaign(multi);
-    expect_identical(one, n,
-                     std::string(ctrl::selector_policy_name(policy)) +
-                         ", 1 vs " + std::to_string(multi.shards) +
-                         " shards");
+    expect_same_result(one, n,
+                       std::string(ctrl::selector_policy_name(policy)) +
+                           ", 1 vs " + std::to_string(multi.shards) +
+                           " shards");
   }
 }
 
@@ -289,11 +246,11 @@ TEST(FlakyCampaign, CheckpointResumeIsBitwiseInAllModes) {
       auto cfg = base;
       cfg.resume_blob = &blobs[pick].bytes;
       const auto resumed = sys::run_sharded_campaign(cfg);
-      expect_identical(reference, resumed,
-                       "mode " + std::to_string(static_cast<int>(mode)) +
-                           " cut at round " +
-                           std::to_string(blobs[pick].round) + ", mark " +
-                           std::to_string(blobs[pick].mark));
+      expect_same_result(reference, resumed,
+                         "mode " + std::to_string(static_cast<int>(mode)) +
+                             " cut at round " +
+                             std::to_string(blobs[pick].round) + ", mark " +
+                             std::to_string(blobs[pick].mark));
     }
   }
 }

@@ -22,6 +22,7 @@
 #include "src/sim/sharded_simulator.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/systems/sharded_campaign.hpp"
+#include "tests/campaign_result.hpp"
 
 namespace {
 
@@ -550,30 +551,9 @@ TEST(ShardedCampaign, TwoShardsEquivalentToOne) {
   const auto mono = lifl::sys::run_sharded_campaign(small_campaign(1));
   const auto multi = lifl::sys::run_sharded_campaign(small_campaign(shards));
 
-  ASSERT_EQ(mono.round_completed_at.size(), multi.round_completed_at.size());
-  for (std::size_t r = 0; r < mono.round_completed_at.size(); ++r) {
-    EXPECT_DOUBLE_EQ(mono.round_completed_at[r], multi.round_completed_at[r])
-        << "round " << r;
-    EXPECT_EQ(mono.round_samples[r], multi.round_samples[r]) << "round " << r;
-  }
-  ASSERT_EQ(mono.groups.size(), multi.groups.size());
-  for (std::size_t g = 0; g < mono.groups.size(); ++g) {
-    EXPECT_EQ(mono.groups[g].uploads, multi.groups[g].uploads) << "group " << g;
-    EXPECT_EQ(mono.groups[g].pool_pushed, multi.groups[g].pool_pushed)
-        << "group " << g;
-    EXPECT_DOUBLE_EQ(mono.groups[g].gateway_busy_secs,
-                     multi.groups[g].gateway_busy_secs)
-        << "group " << g;
-    EXPECT_DOUBLE_EQ(mono.groups[g].gateway_wait_secs,
-                     multi.groups[g].gateway_wait_secs)
-        << "group " << g;
-    EXPECT_DOUBLE_EQ(mono.groups[g].cpu_cycles, multi.groups[g].cpu_cycles)
-        << "group " << g;
-  }
-  // The same logical events ran on both sides (the multi-shard run adds no
-  // events of its own — cross posts are the same schedule calls).
-  EXPECT_EQ(mono.events, multi.events);
-  EXPECT_DOUBLE_EQ(mono.sim_secs, multi.sim_secs);
+  // Bitwise equal, events included: the multi-shard run adds no events of
+  // its own (cross posts are the same schedule calls).
+  lifl::test::expect_same_result(mono, multi, "1 vs many shards");
   // And the threaded run really was threaded.
   EXPECT_GT(multi.windows, 0u);
   EXPECT_GT(multi.cross_posts, 0u);
@@ -589,14 +569,7 @@ TEST(ShardedCampaign, GatewayRssQueuesPreserveEquivalence) {
   cfg2.shards = 2;
   const auto mono = lifl::sys::run_sharded_campaign(cfg1);
   const auto multi = lifl::sys::run_sharded_campaign(cfg2);
-  ASSERT_EQ(mono.round_completed_at.size(), multi.round_completed_at.size());
-  for (std::size_t r = 0; r < mono.round_completed_at.size(); ++r) {
-    EXPECT_DOUBLE_EQ(mono.round_completed_at[r], multi.round_completed_at[r]);
-  }
-  for (std::size_t g = 0; g < mono.groups.size(); ++g) {
-    EXPECT_DOUBLE_EQ(mono.groups[g].gateway_busy_secs,
-                     multi.groups[g].gateway_busy_secs);
-  }
+  lifl::test::expect_same_result(mono, multi, "RSS queues, 1 vs 2 shards");
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "src/sim/simulator.hpp"
 #include "src/systems/sharded_campaign.hpp"
 #include "src/systems/streaming_hierarchy.hpp"
+#include "tests/campaign_result.hpp"
 
 namespace {
 
@@ -578,21 +579,7 @@ TEST(PlannedCampaign, ShardCountEquivalence) {
   const auto mono = sys::run_sharded_campaign(planned_campaign(1, 1.0));
   const auto multi =
       sys::run_sharded_campaign(planned_campaign(env_shards(), 1.0));
-  ASSERT_EQ(mono.round_completed_at.size(), multi.round_completed_at.size());
-  for (std::size_t r = 0; r < mono.round_completed_at.size(); ++r) {
-    EXPECT_DOUBLE_EQ(mono.round_completed_at[r], multi.round_completed_at[r])
-        << "round " << r;
-    EXPECT_EQ(mono.round_samples[r], multi.round_samples[r]) << "round " << r;
-    EXPECT_EQ(mono.round_spawned[r], multi.round_spawned[r]) << "round " << r;
-    EXPECT_EQ(mono.round_reused[r], multi.round_reused[r]) << "round " << r;
-  }
-  EXPECT_EQ(mono.replans, multi.replans);
-  EXPECT_EQ(mono.leaf_drains, multi.leaf_drains);
-  EXPECT_EQ(mono.events, multi.events);
-  for (std::size_t g = 0; g < mono.groups.size(); ++g) {
-    EXPECT_EQ(mono.groups[g].uploads, multi.groups[g].uploads);
-    EXPECT_DOUBLE_EQ(mono.groups[g].cpu_cycles, multi.groups[g].cpu_cycles);
-  }
+  lifl::test::expect_same_result(mono, multi, "1 vs many shards");
 }
 
 TEST(PlannedCampaign, SteadyStateRoundsSpawnZeroRuntimes) {

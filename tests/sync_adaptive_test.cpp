@@ -17,6 +17,7 @@
 #include "src/sim/random.hpp"
 #include "src/sim/sharded_simulator.hpp"
 #include "src/systems/sharded_campaign.hpp"
+#include "tests/campaign_result.hpp"
 
 namespace {
 
@@ -250,22 +251,7 @@ TEST(SyncAdaptive, CampaignResumeReproducesPromisedRunBitwise) {
   res_cfg.resume_blob = &blobs[blobs.size() / 2];
   const auto resumed = sys::run_sharded_campaign(res_cfg);
 
-  ASSERT_EQ(resumed.round_completed_at.size(),
-            reference.round_completed_at.size());
-  for (std::size_t r = 0; r < reference.round_completed_at.size(); ++r) {
-    EXPECT_EQ(resumed.round_started_at[r], reference.round_started_at[r]);
-    EXPECT_EQ(resumed.round_completed_at[r], reference.round_completed_at[r]);
-    EXPECT_EQ(resumed.round_samples[r], reference.round_samples[r]);
-    EXPECT_EQ(resumed.round_weight[r], reference.round_weight[r]);
-  }
-  for (std::size_t g = 0; g < reference.groups.size(); ++g) {
-    EXPECT_EQ(resumed.groups[g].uploads, reference.groups[g].uploads);
-    EXPECT_EQ(resumed.groups[g].pool_pushed, reference.groups[g].pool_pushed);
-    EXPECT_EQ(resumed.groups[g].cpu_cycles, reference.groups[g].cpu_cycles);
-  }
-  EXPECT_EQ(resumed.events, reference.events);
-  EXPECT_EQ(resumed.sim_secs, reference.sim_secs);
-  EXPECT_EQ(resumed.checkpoint_marks, reference.checkpoint_marks);
+  lifl::test::expect_same_result(reference, resumed, "resume");
 }
 
 }  // namespace

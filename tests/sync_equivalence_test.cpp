@@ -23,10 +23,12 @@
 #include "src/systems/sharded_campaign.hpp"
 #include "src/workload/device_tier.hpp"
 #include "tests/campaign_matrix.hpp"
+#include "tests/campaign_result.hpp"
 
 namespace {
 
 namespace sys = lifl::sys;
+using lifl::test::expect_same_result;
 namespace wl = lifl::wl;
 
 std::size_t env_shards() {
@@ -42,80 +44,6 @@ std::size_t env_shards() {
 using lifl::matrix::kScenarios;
 using lifl::matrix::matrix_campaign;
 using lifl::matrix::Scenario;
-
-/// The full bitwise claim: everything a result reports that is produced by
-/// simulated-event order must be *identical* — exact ==, not ULP — across
-/// shard counts. Process-local wall/horizon-refresh telemetry is the
-/// only thing allowed to differ.
-void expect_bitwise(const sys::ShardedCampaignResult& a,
-                    const sys::ShardedCampaignResult& b,
-                    const std::string& what) {
-  ASSERT_EQ(a.round_started_at.size(), b.round_started_at.size()) << what;
-  for (std::size_t r = 0; r < a.round_started_at.size(); ++r) {
-    EXPECT_EQ(a.round_started_at[r], b.round_started_at[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_completed_at[r], b.round_completed_at[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_samples[r], b.round_samples[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_weight[r], b.round_weight[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_spawned[r], b.round_spawned[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_reused[r], b.round_reused[r])
-        << what << " round " << r + 1;
-    EXPECT_EQ(a.round_refolded[r], b.round_refolded[r])
-        << what << " round " << r + 1;
-  }
-  ASSERT_EQ(a.groups.size(), b.groups.size()) << what;
-  for (std::size_t g = 0; g < a.groups.size(); ++g) {
-    EXPECT_EQ(a.groups[g].uploads, b.groups[g].uploads) << what << " g" << g;
-    EXPECT_EQ(a.groups[g].pool_pushed, b.groups[g].pool_pushed)
-        << what << " g" << g;
-    EXPECT_EQ(a.groups[g].gateway_busy_secs, b.groups[g].gateway_busy_secs)
-        << what << " g" << g;
-    EXPECT_EQ(a.groups[g].gateway_wait_secs, b.groups[g].gateway_wait_secs)
-        << what << " g" << g;
-    EXPECT_EQ(a.groups[g].cpu_cycles, b.groups[g].cpu_cycles)
-        << what << " g" << g;
-  }
-  EXPECT_EQ(a.spawned_total, b.spawned_total) << what;
-  EXPECT_EQ(a.reused_total, b.reused_total) << what;
-  EXPECT_EQ(a.replans, b.replans) << what;
-  EXPECT_EQ(a.leaf_drains, b.leaf_drains) << what;
-  EXPECT_EQ(a.peak_leaves, b.peak_leaves) << what;
-  EXPECT_EQ(a.events, b.events) << what;
-  EXPECT_EQ(a.sim_secs, b.sim_secs) << what;
-  EXPECT_EQ(a.checkpoint_marks, b.checkpoint_marks) << what;
-  // Fault/recovery telemetry.
-  EXPECT_EQ(a.faults_injected, b.faults_injected) << what;
-  EXPECT_EQ(a.leaf_crashes, b.leaf_crashes) << what;
-  EXPECT_EQ(a.middle_crashes, b.middle_crashes) << what;
-  EXPECT_EQ(a.top_crashes, b.top_crashes) << what;
-  EXPECT_EQ(a.refolded_updates, b.refolded_updates) << what;
-  EXPECT_EQ(a.reinjected_partials, b.reinjected_partials) << what;
-  EXPECT_EQ(a.upload_retries, b.upload_retries) << what;
-  EXPECT_EQ(a.upload_drops, b.upload_drops) << what;
-  EXPECT_EQ(a.upload_corruptions, b.upload_corruptions) << what;
-  EXPECT_EQ(a.recovery_secs, b.recovery_secs) << what;
-  // Lifecycle / tier telemetry.
-  for (std::size_t t = 0; t < wl::kTierCount; ++t) {
-    EXPECT_EQ(a.tiers[t].selected, b.tiers[t].selected) << what << " t" << t;
-    EXPECT_EQ(a.tiers[t].completed, b.tiers[t].completed)
-        << what << " t" << t;
-    EXPECT_EQ(a.tiers[t].disconnects, b.tiers[t].disconnects)
-        << what << " t" << t;
-    EXPECT_EQ(a.tiers[t].stragglers, b.tiers[t].stragglers)
-        << what << " t" << t;
-  }
-  EXPECT_EQ(a.disconnects, b.disconnects) << what;
-  EXPECT_EQ(a.resumed_uploads, b.resumed_uploads) << what;
-  EXPECT_EQ(a.chunks_sent, b.chunks_sent) << what;
-  EXPECT_EQ(a.chunks_resent, b.chunks_resent) << what;
-  EXPECT_EQ(a.selection_redraws, b.selection_redraws) << what;
-  EXPECT_EQ(a.offline_queue_peak, b.offline_queue_peak) << what;
-  EXPECT_EQ(a.gate_wait_secs, b.gate_wait_secs) << what;
-}
 
 TEST(SyncEquivalence, MatrixBitwiseEqualToOneShard) {
   const std::size_t env = env_shards();
@@ -134,7 +62,7 @@ TEST(SyncEquivalence, MatrixBitwiseEqualToOneShard) {
       const std::string label =
           std::string(sc.name) + " shards=" + std::to_string(shards);
       const auto r = sys::run_sharded_campaign(matrix_campaign(sc, shards));
-      expect_bitwise(oracle, r, label);
+      expect_same_result(oracle, r, label);
       total_skipped += r.windows_skipped;
     }
   }
@@ -207,7 +135,7 @@ TEST(SyncEquivalence, AsyncSealRegimeBitwiseEqualToOneShard) {
   };
   const auto oracle = sys::run_sharded_campaign(campaign(1));
   const auto promised = sys::run_sharded_campaign(campaign(4));
-  expect_bitwise(oracle, promised, "seal regime");
+  expect_same_result(oracle, promised, "seal regime");
 }
 
 // ---------------------------------------------------------------------------
@@ -269,7 +197,7 @@ TEST(SyncEquivalence, CheckpointCutsMatchOneShardAndResume) {
           static_cast<double>(k - 1) * kShardSnapshotBytes *
           marshal_cycles_per_byte *
           static_cast<double>(mono.checkpoint_marks);
-      expect_bitwise(expected, multi, label);
+      expect_same_result(expected, multi, label);
 
       // Every shard pauses exactly at each mark, and pausing is
       // bit-transparent: the blob stream is exactly the oracle's cut
@@ -292,7 +220,8 @@ TEST(SyncEquivalence, CheckpointCutsMatchOneShardAndResume) {
       auto rcfg = with_ck(k, nullptr, nullptr);
       rcfg.resume_blob = &blobs[blobs.size() / 2];
       const auto resumed = sys::run_sharded_campaign(rcfg);
-      expect_bitwise(multi, resumed, label + " resume from mid-campaign blob");
+      expect_same_result(multi, resumed,
+                         label + " resume from mid-campaign blob");
     }
   }
 }
@@ -363,7 +292,7 @@ TEST(SyncEquivalence, SampledAsyncConfigsBitwiseAcrossShards) {
       cfg.shards = shards;
       try {
         const auto r = sys::run_sharded_campaign(cfg);
-        expect_bitwise(oracle, r, label + " K=" + std::to_string(shards));
+        expect_same_result(oracle, r, label + " K=" + std::to_string(shards));
       } catch (const std::logic_error& e) {
         ADD_FAILURE() << label << " K=" << shards << ": " << e.what();
       }

@@ -10,6 +10,9 @@
    is one mega_campaign parses: a config field-table row's flag (the
    `X(member, "flag=METAVAR", ...)` rows under src/) or one of the flags
    its main() matches by hand. So a removed flag cannot linger in the docs.
+4. Every key README.md's JSONL summary-row paragraph quotes (a snake_case
+   inline code span) is a result-table row (the `X(member, kind)` rows
+   under src/) or `rounds`.
 
 Exits non-zero with one line per violation.
 """
@@ -39,6 +42,15 @@ LINK_RE = re.compile(r"(?<!!)\[[^\]]+\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 # A field-table row with a flag: X(member, "flag=METAVAR", range, digest).
 ROW_FLAG_RE = re.compile(r'^\s*X\(\w+,\s*"([a-z][a-z0-9-]*)=', re.M)
+# A result-table row: X(member, kSame|kPerShardCount|kLocal). Its second
+# argument is a bare kind token, never a quoted flag, so ROW_FLAG_RE cannot
+# match a result row.
+RESULT_ROW_RE = re.compile(
+    r"^\s*X\((\w+),\s*(?:kSame|kPerShardCount|kLocal)\)", re.M)
+# A snake_case inline code span: a summary-row key.
+KEY_SPAN_RE = re.compile(r"`([a-z][a-z0-9_]*)`")
+# The summary row's keys that are not result rows.
+SUMMARY_OWN_KEYS = {"rounds"}
 # A flag mega_campaign's main() matches by hand: flag(arg, "--name=", &v).
 HAND_FLAG_RE = re.compile(r'flag\(arg,\s*"(--[a-z][a-z0-9-]*)=')
 FENCE_RE = re.compile(r"^\s*```")
@@ -133,6 +145,26 @@ def check_mega_campaign_flags(known: set[str]) -> list[str]:
     return errors
 
 
+def check_summary_keys() -> list[str]:
+    """README's summary-row paragraph quotes only keys the row writes."""
+    rows, errors = set(), []
+    for header in SRC.rglob("*.hpp"):
+        rows.update(RESULT_ROW_RE.findall(header.read_text()))
+    if not rows:
+        return ["src/: no result-table rows found"]
+    readme = REPO / "README.md"
+    paragraphs = [p for p in readme.read_text().split("\n\n")
+                  if "summary row" in p]
+    if not paragraphs:
+        return ["README.md: no summary-row paragraph found"]
+    for para in paragraphs:
+        for key in KEY_SPAN_RE.findall(para):
+            if key not in rows | SUMMARY_OWN_KEYS:
+                errors.append(f"README.md: summary-row key '{key}' is not "
+                              "a result-table row")
+    return errors
+
+
 def main() -> int:
     errors = []
     for doc in DOCS:
@@ -142,11 +174,13 @@ def main() -> int:
         errors.extend(check_links(doc))
     errors.extend(check_bench_catalogue())
     errors.extend(check_mega_campaign_flags(known_flags()))
+    errors.extend(check_summary_keys())
     for err in errors:
         print(err, file=sys.stderr)
     if not errors:
         print(f"docs OK: {len(DOCS)} documents, links resolve, "
-              "bench catalogue complete, mega_campaign flags documented")
+              "bench catalogue complete, mega_campaign flags documented, "
+              "summary-row keys are result rows")
     return 1 if errors else 0
 
 
