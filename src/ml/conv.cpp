@@ -71,16 +71,14 @@ void TinyResNet::init(sim::Rng& rng) {
   for (const auto& c : convs_) {
     const auto fan_in = static_cast<double>(c.in_ch * kK * kK);
     const auto stddev = static_cast<float>(std::sqrt(2.0 / fan_in));
-    for (std::size_t i = 0; i < c.out_ch * c.in_ch * kK * kK; ++i) {
-      params_[c.w_off + i] = static_cast<float>(rng.normal(0.0, stddev));
-    }
+    fill_normal(rng, params_.data() + c.w_off, c.out_ch * c.in_ch * kK * kK,
+                stddev);
     for (std::size_t i = 0; i < c.out_ch; ++i) params_[c.b_off + i] = 0.0f;
   }
   const auto stddev =
       static_cast<float>(std::sqrt(2.0 / static_cast<double>(cfg_.filters)));
-  for (std::size_t i = 0; i < cfg_.num_classes * cfg_.filters; ++i) {
-    params_[dense_w_off_ + i] = static_cast<float>(rng.normal(0.0, stddev));
-  }
+  fill_normal(rng, params_.data() + dense_w_off_,
+              cfg_.num_classes * cfg_.filters, stddev);
   for (std::size_t i = 0; i < cfg_.num_classes; ++i) {
     params_[dense_b_off_ + i] = 0.0f;
   }

@@ -1,13 +1,14 @@
 #include "src/ml/dataset.hpp"
 
+#include "src/ml/tensor.hpp"
+
 namespace lifl::ml {
 
 FederatedDataGen::FederatedDataGen(const SyntheticTaskConfig& cfg, sim::Rng rng)
     : cfg_(cfg), rng_(rng) {
   class_means_.resize(cfg_.num_classes * cfg_.feature_dim);
-  for (auto& v : class_means_) {
-    v = static_cast<float>(rng_.normal(0.0, cfg_.class_mean_stddev));
-  }
+  fill_normal(rng_, class_means_.data(), class_means_.size(),
+              cfg_.class_mean_stddev);
 }
 
 void FederatedDataGen::sample_from_class(int cls, sim::Rng& rng,

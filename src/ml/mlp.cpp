@@ -44,9 +44,7 @@ Mlp::Mlp(std::vector<std::size_t> dims) : dims_(std::move(dims)) {
 void Mlp::init(sim::Rng& rng) {
   for (const Layer& l : layers_) {
     const float stddev = std::sqrt(2.0f / static_cast<float>(l.in));
-    for (std::size_t i = 0; i < l.in * l.out; ++i) {
-      params_[l.w_off + i] = static_cast<float>(rng.normal(0.0, stddev));
-    }
+    fill_normal(rng, params_.data() + l.w_off, l.in * l.out, stddev);
     for (std::size_t i = 0; i < l.out; ++i) params_[l.b_off + i] = 0.0f;
   }
 }

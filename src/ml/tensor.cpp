@@ -1,17 +1,54 @@
 #include "src/ml/tensor.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "src/ml/kernels.hpp"
+#include "src/ml/sweep_pool.hpp"
 
 namespace lifl::ml {
 
+void fill_normal(sim::Rng& rng, float* out, std::size_t n, double stddev) {
+  if (n < kSweepMinSplit) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = static_cast<float>(rng.normal(0.0, stddev));
+    }
+    return;
+  }
+  if (rng.state().has_spare) {
+    *out++ = static_cast<float>(rng.normal(0.0, stddev));
+    --n;
+  }
+  // Whole pairs go to the sweep, all but the last one. That last pair (or
+  // odd element) is drawn here, so `rng` ends with the spare the loop
+  // leaves: cached after an odd element, spent but still stored after a
+  // pair.
+  const std::size_t swept = (n - 1) & ~std::size_t{1};
+  std::vector<sim::Rng> starts;
+  starts.reserve((swept + kSweepChunk - 1) / kSweepChunk);
+  for (std::size_t lo = 0; lo < swept; lo += kSweepChunk) {
+    starts.push_back(rng);
+    const std::size_t pairs = (std::min(swept, lo + kSweepChunk) - lo) / 2;
+    double u1 = 0.0;
+    double u2 = 0.0;
+    for (std::size_t p = 0; p < pairs; ++p) rng.box_muller_uniforms(u1, u2);
+  }
+  parallel_sweep(swept, [&](std::size_t lo, std::size_t hi) {
+    sim::Rng chunk_rng = starts[lo / kSweepChunk];
+    for (std::size_t i = lo; i < hi; ++i) {
+      out[i] = static_cast<float>(chunk_rng.normal(0.0, stddev));
+    }
+  });
+  for (std::size_t i = swept; i < n; ++i) {
+    out[i] = static_cast<float>(rng.normal(0.0, stddev));
+  }
+}
+
 Tensor Tensor::randn(sim::Rng& rng, std::size_t n, float stddev) {
   Tensor t(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    t.data_[i] = static_cast<float>(rng.normal(0.0, stddev));
-  }
+  fill_normal(rng, t.data(), n, stddev);
   return t;
 }
 

@@ -19,7 +19,10 @@ class Tensor {
   Tensor() = default;
   explicit Tensor(std::size_t n, float value = 0.0f) : data_(n, value) {}
 
-  /// Gaussian-initialized tensor (e.g. He/Xavier-style scaled by caller).
+  /// Gaussian-initialized tensor (e.g. He/Xavier-style scaled by caller),
+  /// filled by `fill_normal`: bitwise the floats and final `rng` state of
+  /// `n` sequential `rng.normal(0.0, stddev)` draws, with the Box-Muller
+  /// transforms of a large tensor split across the sweep pool.
   static Tensor randn(sim::Rng& rng, std::size_t n, float stddev);
 
   std::size_t size() const noexcept { return data_.size(); }
@@ -59,6 +62,19 @@ class Tensor {
  private:
   std::vector<float> data_;
 };
+
+/// Fill `out[0, n)` with `static_cast<float>(rng.normal(0.0, stddev))`,
+/// bitwise as the sequential loop would, leaving `rng` in the same state
+/// (a spare cached at entry is used first; one is left cached when the
+/// pairs drawn here end on an odd element).
+///
+/// Below `kSweepMinSplit` elements that loop runs as is. Above it, the
+/// calling thread first walks the uniform stream pair by pair without the
+/// transform, copying the generator at each `kSweepChunk` boundary; then
+/// `parallel_sweep` runs each chunk's transforms from its copy on the sweep
+/// pool (inline when the pool is busy). Chunks hold whole pairs, so every
+/// chunk regenerates exactly the draws the sequential loop makes there.
+void fill_normal(sim::Rng& rng, float* out, std::size_t n, double stddev);
 
 /// Bit-exact tensor snapshot: the raw float payload, length-prefixed. Every
 /// IEEE bit pattern (NaNs, signed zeros, denormals) round-trips verbatim —

@@ -85,13 +85,23 @@ class Rng {
       return spare_;
     }
     double u1 = 0.0;
-    while (u1 <= 1e-300) u1 = uniform();
-    const double u2 = uniform();
+    double u2 = 0.0;
+    box_muller_uniforms(u1, u2);
     const double r = std::sqrt(-2.0 * std::log(u1));
     const double theta = 2.0 * M_PI * u2;
     spare_ = r * std::sin(theta);
     has_spare_ = true;
     return r * std::cos(theta);
+  }
+
+  /// Draw the two uniforms of one Box-Muller pair exactly as `normal()`
+  /// does (u1 re-drawn while it is at most 1e-300). Calling it and
+  /// discarding the pair advances the stream past one `normal()` pair, which
+  /// is how `ml::fill_normal` walks ahead without the transform.
+  void box_muller_uniforms(double& u1, double& u2) noexcept {
+    u1 = 0.0;
+    while (u1 <= 1e-300) u1 = uniform();
+    u2 = uniform();
   }
 
   /// Normal with the given mean and standard deviation.

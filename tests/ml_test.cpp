@@ -1,14 +1,20 @@
-// Unit tests for the ML substrate: tensors, MLP (with numerical gradient
-// checks), synthetic non-IID data, local training and the accuracy model.
+// Unit tests for the ML substrate: tensors and the bulk Gaussian fill, MLP
+// (with numerical gradient checks), synthetic non-IID data, local training
+// and the accuracy model.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <thread>
 
 #include "src/ml/accuracy_model.hpp"
+#include "src/ml/conv.hpp"
 #include "src/ml/dataset.hpp"
 #include "src/ml/mlp.hpp"
+#include "src/ml/sweep_pool.hpp"
 #include "src/ml/tensor.hpp"
 #include "src/ml/train.hpp"
 
@@ -76,6 +82,136 @@ TEST(Tensor, RandnMomentsRoughlyGaussian) {
   }
   EXPECT_NEAR(sum / t.size(), 0.0, 0.05);
   EXPECT_NEAR(sq / t.size(), 4.0, 0.1);
+}
+
+// --------------------------------------------------------- Gaussian fill
+// `fill_normal` promises the bits of the per-element loop it replaced, and
+// the generator state that loop leaves (spare included).
+
+std::vector<float> normal_loop(sim::Rng& rng, std::size_t n, double sd) {
+  std::vector<float> v(n);
+  for (auto& x : v) x = static_cast<float>(rng.normal(0.0, sd));
+  return v;
+}
+
+void expect_same_state(const sim::Rng& a, const sim::Rng& b) {
+  const sim::Rng::State x = a.state();
+  const sim::Rng::State y = b.state();
+  EXPECT_EQ(std::memcmp(x.s, y.s, sizeof x.s), 0);
+  EXPECT_EQ(std::memcmp(&x.spare, &y.spare, sizeof x.spare), 0);
+  EXPECT_EQ(x.has_spare, y.has_spare);
+}
+
+bool same_bits(const float* a, const float* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+TEST(GaussianFill, MatchesTheSequentialLoopBitwise) {
+  const std::size_t sizes[] = {0,
+                               1,
+                               2,
+                               3,
+                               2 * kSweepChunk - 1,
+                               2 * kSweepChunk + 1,
+                               kSweepMinSplit - 1,
+                               kSweepMinSplit,
+                               kSweepMinSplit + 1,
+                               kSweepMinSplit + 2,
+                               (std::size_t{1} << 18) + 1};
+  // Draws before the fill: none, one (spare cached), two (spare spent).
+  for (const int warm : {0, 1, 2}) {
+    for (const std::size_t n : sizes) {
+      sim::Rng fill_rng(1000 + n);
+      for (int i = 0; i < warm; ++i) (void)fill_rng.normal();
+      ASSERT_EQ(fill_rng.state().has_spare, warm == 1);
+      sim::Rng loop_rng = fill_rng;
+      std::vector<float> got(n);
+      fill_normal(fill_rng, got.data(), n, 0.05f);
+      const std::vector<float> want = normal_loop(loop_rng, n, 0.05f);
+      EXPECT_TRUE(same_bits(got.data(), want.data(), n))
+          << "n=" << n << " warm=" << warm;
+      expect_same_state(fill_rng, loop_rng);
+    }
+  }
+}
+
+TEST(GaussianFill, RunsInlineWhileAnotherThreadHoldsThePool) {
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    parallel_sweep(4 * kSweepChunk, [&](std::size_t lo, std::size_t) {
+      if (lo != 0) return;
+      held.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (!held.load()) std::this_thread::yield();
+  // The pool is busy until `release`: this fill must run on this thread
+  // alone (it would never return if it waited for the pool).
+  constexpr std::size_t kN = (std::size_t{1} << 18) + 1;
+  sim::Rng fill_rng(99);
+  sim::Rng loop_rng = fill_rng;
+  std::vector<float> got(kN);
+  fill_normal(fill_rng, got.data(), kN, 1.0);
+  release.store(true);
+  holder.join();
+  const std::vector<float> want = normal_loop(loop_rng, kN, 1.0);
+  EXPECT_TRUE(same_bits(got.data(), want.data(), kN));
+  expect_same_state(fill_rng, loop_rng);
+}
+
+TEST(GaussianFill, MlpInitMatchesThePerElementLoop) {
+  // 256 x 300 = 76,800 hidden weights: a split fill.
+  const std::vector<std::size_t> dims = {256, 300, 10};
+  Mlp m(dims);
+  sim::Rng rng(5);
+  sim::Rng ref = rng;
+  m.init(rng);
+  Tensor want(m.param_count());
+  std::size_t off = 0;
+  for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
+    const float stddev = std::sqrt(2.0f / static_cast<float>(dims[l]));
+    for (std::size_t i = 0; i < dims[l] * dims[l + 1]; ++i) {
+      want[off++] = static_cast<float>(ref.normal(0.0, stddev));
+    }
+    off += dims[l + 1];  // biases stay zero
+  }
+  ASSERT_EQ(off, m.param_count());
+  EXPECT_TRUE(same_bits(m.params().data(), want.data(), want.size()));
+  expect_same_state(rng, ref);
+}
+
+TEST(GaussianFill, ConvNetInitMatchesThePerElementLoop) {
+  // 96 -> 96 3x3 convs hold 82,944 weights each: split fills.
+  TinyResNet::Config cfg;
+  cfg.filters = 96;
+  cfg.blocks = 1;
+  TinyResNet net(cfg);
+  sim::Rng rng(6);
+  sim::Rng ref = rng;
+  net.init(rng);
+  Tensor want(net.param_count());
+  std::size_t off = 0;
+  auto conv = [&](std::size_t in_ch, std::size_t out_ch) {
+    const auto fan_in = static_cast<double>(in_ch * 9);
+    const auto stddev = static_cast<float>(std::sqrt(2.0 / fan_in));
+    for (std::size_t i = 0; i < out_ch * in_ch * 9; ++i) {
+      want[off++] = static_cast<float>(ref.normal(0.0, stddev));
+    }
+    off += out_ch;  // biases stay zero
+  };
+  conv(cfg.in_channels, cfg.filters);  // stem
+  conv(cfg.filters, cfg.filters);      // the residual unit's two convs
+  conv(cfg.filters, cfg.filters);
+  const auto stddev =
+      static_cast<float>(std::sqrt(2.0 / static_cast<double>(cfg.filters)));
+  for (std::size_t i = 0; i < cfg.num_classes * cfg.filters; ++i) {
+    want[off++] = static_cast<float>(ref.normal(0.0, stddev));
+  }
+  off += cfg.num_classes;
+  ASSERT_EQ(off, net.param_count());
+  EXPECT_TRUE(same_bits(net.params().data(), want.data(), want.size()));
+  expect_same_state(rng, ref);
 }
 
 // -------------------------------------------------------------------- MLP
