@@ -173,7 +173,7 @@ class Io {
   Buffer& b_;
 };
 
-// One field list per image type, in its v5 byte order.
+// One field list per image type, in its blob byte order.
 template <class IoT>
 void fields(IoT& io, sim::Resource::StatsImage& i) {
   io(i.busy_integral, i.total_wait, i.last_change, i.stats_epoch,
@@ -197,6 +197,16 @@ template <class IoT>
 void fields(IoT& io, dp::ResumableUpload::Counters& c) {
   io(c.sessions, c.completed, c.disconnects, c.resumes, c.chunks_sent,
      c.chunks_resent);
+}
+
+/// A result struct: its rows that are not kLocal, in row order. Rows the
+/// run harvests only at its end are zero at every boundary, and zero
+/// restores exactly.
+template <class IoT, class T>
+std::enable_if_t<(ResultTable<T>::kRows > 0)> fields(IoT& io, T& x) {
+  ResultTable<T>::visit([&](const char*, auto kind, auto m) {
+    if constexpr (decltype(kind)::value != RowKind::kLocal) io(x.*m);
+  });
 }
 
 /// A header word: written as `want`; on restore, read and required equal.
@@ -274,35 +284,14 @@ void walk_boundary(IoT& io, detail::CampaignState& st,
 
   header(io, CampaignCheckpoint::kMagic, "magic (not a LIFL snapshot)");
   header(io, CampaignCheckpoint::kVersion, "version");
+  // The digest also decides the shard count, group count and hierarchy
+  // mode: all three are digest rows.
   header(io, CampaignCheckpoint::config_digest(cfg),
          "config digest (the blob was cut from a different campaign "
          "configuration)");
-  header(io, static_cast<std::uint32_t>(sharded.shard_count()),
-         "shard count");
-  header(io, static_cast<std::uint32_t>(st.groups.size()), "group count");
-  header(io, orchestrated, "hierarchy mode");
   io(round);
 
-  io.section(kSecResult, [&] {
-    io(r.round_started_at, r.round_completed_at, r.round_samples,
-       r.round_weight, r.round_spawned, r.round_reused, r.round_refolded,
-       r.spawned_total, r.reused_total, r.replans, r.leaf_drains,
-       r.peak_leaves, r.leaf_crashes, r.middle_crashes, r.refolded_updates,
-       r.reinjected_partials, r.quorum_seals, r.quorum_abandoned,
-       r.recovery_secs);
-    // Two reserved zero words where the window counts were (they are
-    // process-local now, like the wall time), then the cross-shard posts
-    // so far (this process's on top of any restored base), so a resumed
-    // run reports the uninterrupted run's total.
-    std::array<std::uint64_t, 2> reserved{};
-    io(reserved);
-    io.state([&r](std::uint64_t posts) { r.cross_posts = posts; },
-             r.cross_posts + sharded.cross_posts());
-    io(st.top_crashes, st.top_recovery_secs, st.ckpt_marks);
-    // The auto-quota controller (async mode; inert zeros otherwise).
-    io(st.async_quota, st.quota_ratio, st.quota_ratio_init,
-       st.quota_adjustments);
-  });
+  io.section(kSecResult, [&] { io(r); });
 
   io.section(kSecShards, [&] {
     for (std::size_t i = 0; i < sharded.shard_count(); ++i) {

@@ -68,7 +68,12 @@ class CampaignCheckpoint {
   /// five fixed slots as raw f64s instead of (name, value) pairs; and the
   /// result section carries the cross-shard-post total (after two
   /// reserved words, written as zero, where window counts used to be).
-  static constexpr std::uint32_t kVersion = 5;
+  /// v6: the result section is the result rows that are not kLocal, walked
+  /// in row order (the top crashes and checkpoint marks among them); the
+  /// reserved words, the auto-quota state and the shard/group/hierarchy
+  /// header words (all three digest rows) are gone, and the auto-quota and
+  /// adaptive-deadline config fields left the digest.
+  static constexpr std::uint32_t kVersion = 6;
 
   /// Digest of every config field that shapes the simulation (not the
   /// paths/sinks). A blob only restores under the digest it was cut from.

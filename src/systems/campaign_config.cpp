@@ -169,11 +169,6 @@ void validate_config(const ShardedCampaignConfig& cfg) {
   require(cfg.selector == ctrl::SelectorPolicy::kRandom || tiers.enabled(),
           "scored/cluster-scan selection learns per-tier telemetry — it "
           "requires a tiered device population");
-  require(!cfg.async_auto_quota || async,
-          "async_auto_quota tunes the FedBuff version quota — it requires "
-          "async mode");
-  require(cfg.async_min_quota <= cfg.uploads_per_round(),
-          "async_min_quota exceeds uploads_per_round()");
 }
 
 }  // namespace lifl::sys

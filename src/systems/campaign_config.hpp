@@ -68,7 +68,9 @@ inline constexpr bool kArity =
 }  // namespace detail
 
 /// Specialized (by LIFL_TABLE below) for every result struct: `visit(v)`
-/// calls `v(name, kind, &T::member)` for each row in order.
+/// calls `v(name, kind, &T::member)` for each row in order. `kind` is a
+/// `std::integral_constant<RowKind, ...>`, so a walk can branch on it at
+/// compile time; it converts to a plain RowKind.
 template <class T>
 struct ResultTable {
   static constexpr std::size_t kRows = 0;
@@ -81,8 +83,11 @@ struct ResultTable {
   v(::lifl::sys::Field{#member, flag, ::lifl::sys::Range::range, digest, \
                        nullptr},                                         \
     &Self::member);
-#define LIFL_RESULT_ROW(member, kind) \
-  v(#member, ::lifl::sys::RowKind::kind, &Self::member);
+#define LIFL_RESULT_ROW(member, kind)                                      \
+  v(#member,                                                               \
+    std::integral_constant<::lifl::sys::RowKind,                           \
+                           ::lifl::sys::RowKind::kind>{},                  \
+    &Self::member);
 #define LIFL_TABLE(Table, Type, ROWS, ROW)                         \
   template <>                                                      \
   struct Table<Type> {                                             \

@@ -116,9 +116,10 @@ struct alignas(64) Group {
 };
 static_assert(alignof(Group) >= 64);
 
-/// The group's plain durable members, in their frozen v5 blob order. The
-/// checkpoint walk (campaign_checkpoint.cpp) writes and reads them in this
-/// order, ahead of the state its components keep behind accessors.
+/// The group's plain durable members, in their blob order (a change here
+/// is a `CampaignCheckpoint::kVersion` bump). The checkpoint walk
+/// (campaign_checkpoint.cpp) writes and reads them in this order, ahead of
+/// the state its components keep behind accessors.
 #define LIFL_GROUP_DURABLE_FIELDS(X)                                   \
   X(rng) X(participant_counter) X(total_uploads) X(upload_retries)     \
   X(upload_drops) X(upload_corruptions) X(overflow_rejects)            \
@@ -144,10 +145,6 @@ struct CampaignState {
   /// uploads_per_round() and shrinks as groups report quorum shortfalls;
   /// a crashed top's replacement re-arms at this goal.
   std::uint64_t top_goal = 0;
-  /// Top crashes recovered, cumulative (checkpointed with the result).
-  std::uint64_t top_crashes = 0;
-  /// Replacement cold-start seconds paid for crashed tops, cumulative.
-  double top_recovery_secs = 0.0;
   /// Crashed top sandboxes: a runtime cannot be destroyed from inside its
   /// own crash callback; reclaimed at the round epilogue.
   std::vector<std::unique_ptr<fl::AggregatorRuntime>> graveyard;
@@ -169,19 +166,14 @@ struct CampaignState {
   // during the stream, read by the coordinator between runs (the end-of-run
   // handshake orders the accesses).
   std::uint64_t async_total = 0;   ///< client updates in the whole stream
-  std::uint64_t async_quota = 0;   ///< folded updates per model version (K)
   std::uint64_t async_folded = 0;  ///< cumulative folded updates
   std::uint32_t async_version = 1; ///< current global model version
   double version_started_at = 0.0;
-  /// Auto-quota (cfg->async_auto_quota): EWMA of each version's
-  /// effective/raw weight ratio, and quota changes applied so far. Written
-  /// on group 0's shard at version boundaries; checkpointed (the EWMA is a
-  /// float recurrence, so replay cannot recover it bit-exactly).
-  double quota_ratio = 1.0;
-  bool quota_ratio_init = false;
-  std::uint64_t quota_adjustments = 0;
-  /// Per-version telemetry sink (the result being built): the recurring
-  /// top's on_result appends directly from group 0's shard.
+
+  /// The result being built. Group 0's shard writes it during a run: the
+  /// recurring async top appends per-version telemetry, and crashed-top
+  /// recovery and checkpoint marks count into it. The coordinator reads it
+  /// between runs; the checkpoint blob carries its deterministic rows.
   ShardedCampaignResult* out = nullptr;
 
   // ---- outbound promises (K > 1; the top's shard only) -----------------
@@ -194,9 +186,6 @@ struct CampaignState {
   // ---- checkpointing ---------------------------------------------------
   /// Snapshot persistence cost model, on group 0's node (Appendix B path).
   std::unique_ptr<fl::CheckpointManager> ckpt;
-  /// Marks billed in-sim so far (serialized into every snapshot, so a
-  /// resumed campaign reports the uninterrupted total).
-  std::uint64_t ckpt_marks = 0;
   /// Size the in-sim pulse bills per mark: the current round's boundary
   /// image plus the cut trailer — identical on replay because the boundary
   /// encoding is deterministic.

@@ -348,33 +348,6 @@ void on_version(CampaignState& st, fl::ModelUpdate u) {
                       u.updates_folded);
   st.camp_obs.observe_id(&obs::Ids::round_secs, now - st.version_started_at);
   st.version_started_at = now;
-  if (st.cfg->async_auto_quota) {
-    // FedBuff quota auto-tuning: EWMA of each version's effective/raw
-    // weight ratio (1 = every fold was fresh). A staleness-discounted
-    // stream shrinks the buffer so versions turn over faster (less
-    // staleness next version); a clean stream keeps the full quota.
-    const double raw = static_cast<double>(u.sample_count);
-    const double ratio = raw > 0.0 ? u.weight / raw : 1.0;
-    const double a = calib::kEwmaAlpha;
-    if (!st.quota_ratio_init) {
-      st.quota_ratio = ratio;
-      st.quota_ratio_init = true;
-    } else {
-      st.quota_ratio = a * st.quota_ratio + (1.0 - a) * ratio;
-    }
-    const auto base =
-        static_cast<std::uint64_t>(st.cfg->uploads_per_round());
-    const std::uint64_t lo = st.cfg->async_min_quota > 0
-                                 ? st.cfg->async_min_quota
-                                 : std::max<std::uint64_t>(1, base / 4);
-    const auto tuned = static_cast<std::uint64_t>(
-        std::llround(static_cast<double>(base) * st.quota_ratio));
-    const std::uint64_t next = std::clamp(tuned, lo, base);
-    if (next != st.async_quota) {
-      st.async_quota = next;
-      ++st.quota_adjustments;
-    }
-  }
   if (st.async_folded >= st.async_total) {
     st.round_done = true;  // every update of the stream has been folded
     st.completed_at = now;
@@ -384,7 +357,7 @@ void on_version(CampaignState& st, fl::ModelUpdate u) {
   // The final buffer is the remainder: quotas never overhang the stream,
   // so the last version lands exactly when the last update folds.
   st.top->set_goal(static_cast<std::uint32_t>(std::min<std::uint64_t>(
-      st.async_quota, st.async_total - st.async_folded)));
+      st.cfg->uploads_per_round(), st.async_total - st.async_folded)));
   for (std::size_t gi = 0; gi < st.groups.size(); ++gi) {
     const double t =
         now + cross_latency_secs(st.cfg->model_bytes);
@@ -409,9 +382,9 @@ struct CkptPulse {
   void operator()() const {
     if (st->round_done) return;
     st->ckpt->begin_write(st->groups[0].round, st->ckpt_blob_bytes);
-    ++st->ckpt_marks;
+    const std::uint64_t marks = ++st->out->checkpoint_marks;
     st->camp_obs.instant(at, obs::Ev::kCkptMark,
-                         static_cast<std::uint32_t>(st->ckpt_marks),
+                         static_cast<std::uint32_t>(marks),
                          st->ckpt_blob_bytes);
     const double next = at + st->cfg->checkpoint_every_secs;
     st->groups[0].sim->schedule_at(next, CkptPulse{st, next});
@@ -457,14 +430,13 @@ fl::AggregatorRuntime::Config planned_top_config(CampaignState& st,
 /// replacement gets no fresh crash draw (at most one top crash per round),
 /// so recovery terminates.
 void recover_top(CampaignState& st, std::uint32_t round) {
-  ++st.top_crashes;
+  ++st.out->top_crashes;
   auto& pool = st.groups[0].plane->env(0).pool;
   const std::vector<fl::UpdateDesc> lost = pool.lease_abort(1);
   st.graveyard.push_back(std::move(st.top_rt));
   fl::AggregatorRuntime::Config tc =
       planned_top_config(st, round, st.top_goal);
   apply_lifl_cold_start(tc);
-  st.top_recovery_secs += calib::kLiflColdStartSecs;
   st.top_rt = std::make_unique<fl::AggregatorRuntime>(*st.groups[0].plane,
                                                       std::move(tc));
   st.top_rt->start();
@@ -616,7 +588,7 @@ double top_bound(CampaignState& st, double top_step) {
   TopFlow top;
   top.done = st.round_done;
   top.folded = st.async_folded;
-  top.quota = st.async_quota;
+  top.quota = st.cfg->uploads_per_round();
   top.total = st.async_total;
   top.goal = st.top->config().goal;
   top.top_step = top_step;
@@ -818,7 +790,6 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
       if (async) {
         hcfg.async = true;
         hcfg.seal_deadline_secs = cfg.async_deadline_secs;
-        hcfg.adaptive_deadline = cfg.async_adaptive_deadline;
         hcfg.live_version = st.planner->version_ptr(gi);
       }
       g.hier = std::make_unique<StreamingHierarchy>(*g.plane, *st.planner,
@@ -834,6 +805,7 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
   if (cfg.shards > 1) install_promises(st, sharded);
 
   ShardedCampaignResult result;
+  st.out = &result;
 
   // ---- resume: apply the blob's round-boundary image onto the freshly
   // built world, then deterministically re-execute the in-progress round up
@@ -847,6 +819,8 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
             : CampaignCheckpoint::read_file(cfg.resume_path);
     cut = CampaignCheckpoint::restore(blob, st, result);
   }
+  // Cross posts so far: the restored base plus this process's.
+  const std::uint64_t posts_base = result.cross_posts;
   if (ck) {
     st.ckpt = std::make_unique<fl::CheckpointManager>(
         *st.groups[0].cluster, 0, fl::CheckpointManager::Config{});
@@ -857,6 +831,7 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
   // identical bytes (and billing size).
   const auto encode_round_boundary = [&](std::uint32_t round) {
     const auto enc0 = std::chrono::steady_clock::now();
+    result.cross_posts = posts_base + sharded.cross_posts();
     std::vector<std::uint8_t> boundary =
         CampaignCheckpoint::encode_boundary(st, result, round);
     result.checkpoint_encode_secs += wall_since(enc0);
@@ -917,9 +892,8 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
       epoch = std::max(epoch, sharded.shard(s).now());
     }
     st.round_done = false;
-    st.out = &result;
-    st.async_quota = static_cast<std::uint64_t>(cfg.uploads_per_round());
-    st.async_total = st.async_quota * cfg.rounds;
+    const auto quota = static_cast<std::uint64_t>(cfg.uploads_per_round());
+    st.async_total = quota * cfg.rounds;
     st.async_folded = 0;
     st.async_version = 1;
     st.version_started_at = epoch;
@@ -938,7 +912,7 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     tc.role = fl::AggRole::kTop;
     tc.timing = fl::AggTiming::kEager;
     tc.goal = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(st.async_quota, st.async_total));
+        std::min<std::uint64_t>(quota, st.async_total));
     tc.goal_kind = fl::GoalKind::kFoldedUpdates;
     tc.recurring = true;
     tc.result_bytes = cfg.model_bytes;
@@ -1119,17 +1093,19 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     result.gate_wait_secs += g.gate_wait_secs;
     sim_end = std::max(sim_end, g.sim->now());
   }
-  result.quota_adjustments = st.quota_adjustments;
-  result.async_quota_final = st.async_quota;
-  result.top_crashes = st.top_crashes;
-  result.recovery_secs += st.top_recovery_secs;
+  // Each top crash paid one cold start (recover_top), summed after the
+  // rounds' own recovery time.
+  double top_recovery_secs = 0.0;
+  for (std::uint64_t i = 0; i < result.top_crashes; ++i) {
+    top_recovery_secs += calib::kLiflColdStartSecs;
+  }
+  result.recovery_secs += top_recovery_secs;
   result.faults_injected = result.leaf_crashes + result.middle_crashes +
                            result.top_crashes + result.upload_drops +
                            result.upload_corruptions +
                            result.overflow_rejects + result.outage_rejects;
   result.events = sharded.dispatched();
-  // Cross posts add to the base a resumed run restored from its blob.
-  result.cross_posts += sharded.cross_posts();
+  result.cross_posts = posts_base + sharded.cross_posts();
   // Process-local synchronization report (always on — the core counts
   // whether or not tracing is enabled; zero for the 1-shard fast path).
   result.windows = sharded.windows();
@@ -1143,7 +1119,6 @@ ShardedCampaignResult run_sharded_campaign(const ShardedCampaignConfig& cfg) {
     result.shard_cpu_secs.push_back(ws.cpu_secs);
   }
   result.obs = campaign_obs;
-  result.checkpoint_marks = st.ckpt_marks;
   result.sim_secs = sim_end;
   result.wall_secs = wall_since(wall0);
   return result;

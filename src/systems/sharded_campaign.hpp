@@ -98,9 +98,9 @@ struct ShardedCampaignConfig {
   std::uint32_t middle_fanin = 8;
 
   // ---- asynchronous mode (hierarchy == kAsync) -------------------------
-  /// Leaf-buffer seal deadline in simulated seconds (0 = seal on count
-  /// only): a buffer holding at least one update this long is force-sealed
-  /// so delayed stragglers cannot pin a partial batch.
+  /// Every leaf buffer's seal deadline in simulated seconds (0 = seal on
+  /// count only): a buffer holding at least one update this long is
+  /// force-sealed so delayed stragglers cannot pin a partial batch.
   double async_deadline_secs = 0.0;
 
   // ---- fault domain (orchestrated modes) -------------------------------
@@ -123,19 +123,6 @@ struct ShardedCampaignConfig {
   /// Round deadline (simulated seconds past the round epoch) after which
   /// quorum sealing may fire.
   double round_deadline_secs = 0.0;
-  /// Async mode: size each leaf buffer's seal deadline from the planner's
-  /// arrival EWMA (expected buffer fill time with 2x slack) instead of the
-  /// fixed `async_deadline_secs`, which becomes the upper clamp.
-  bool async_adaptive_deadline = false;
-  /// Async mode: auto-tune the per-version fold quota from the staleness
-  /// telemetry. Each emitted version updates an EWMA of its effective/raw
-  /// weight ratio (1 = no staleness discount); the next version's quota is
-  /// `uploads_per_round() * ratio`, clamped to
-  /// [`async_min_quota`, `uploads_per_round()`] — heavy staleness shrinks
-  /// the buffer (fresher versions), clean streams keep the full quota.
-  bool async_auto_quota = false;
-  /// Lower clamp for the auto-tuned quota (0 = uploads_per_round() / 4).
-  std::uint64_t async_min_quota = 0;
 
   // ---- edge-realistic clients (device tiers + flaky lifecycle) ---------
   /// Tiered device population (flagship / mid-range / IoT compute+uplink
@@ -208,7 +195,7 @@ struct ShardedCampaignConfig {
 };
 
 /// Field-table rows (src/systems/campaign_config.hpp), digest rows in the
-/// frozen v5 digest order: a new one goes after them, with a version bump.
+/// v6 digest order: a new one goes after them, with a version bump.
 #define LIFL_CAMPAIGN_FIELDS(X)                                  \
   X(shards, "shards=K", kPos, true)                              \
   X(groups, nullptr, kPos, true)                                 \
@@ -235,14 +222,11 @@ struct ShardedCampaignConfig {
   X(fault, nullptr, kAny, true)                                  \
   X(quorum, "quorum=F", kUnitPos, true)                          \
   X(round_deadline_secs, nullptr, kAny, true)                    \
-  X(async_adaptive_deadline, nullptr, kAny, true)                \
   X(checkpoint_every_secs, nullptr, kNonNeg, true)               \
   X(device_tiers, nullptr, kAny, true)                           \
   X(lifecycle, nullptr, kAny, true)                              \
   X(selector, "selector=random|scored|cluster", kAny, true)      \
   X(selection, nullptr, kAny, true)                              \
-  X(async_auto_quota, nullptr, kAny, true)                       \
-  X(async_min_quota, nullptr, kAny, true)                        \
   X(checkpoint_path, "checkpoint=PATH", kAny, false)             \
   X(on_checkpoint, nullptr, kAny, false)                         \
   X(resume_path, "resume=PATH", kAny, false)                     \
@@ -290,7 +274,8 @@ struct ShardedGroupStats {
 /// stream's churn to its first entry (spawns happen while the initial
 /// fleet ramps; steady state spawns zero — the entries after the first).
 /// Each member has one row in LIFL_RESULT_FIELDS below, whose kind says
-/// whether it is deterministic.
+/// whether it is deterministic; the checkpoint blob carries every row that
+/// is not kLocal, in row order.
 struct ShardedCampaignResult {
   std::vector<double> round_started_at;    ///< round epoch (sim s)
   std::vector<double> round_completed_at;  ///< top aggregate landed (sim s)
@@ -311,8 +296,9 @@ struct ShardedCampaignResult {
   /// the round performed. Zero everywhere in a fault-free run.
   std::vector<std::uint64_t> round_refolded;
   std::vector<ShardedGroupStats> groups;
-  // `events` and `cross_posts` are part of the snapshot, so a resumed run
-  // reports the uninterrupted run's.
+  // A resumed run reports the uninterrupted run's `events` (the restored
+  // shard clocks carry their dispatch counts) and `cross_posts` (the blob
+  // carries the total so far).
   std::uint64_t events = 0;       ///< dispatched across all shards
   std::uint64_t cross_posts = 0;  ///< cross-shard mailbox traffic
   /// Horizon refreshes run by all shards (`ShardedSimulator::windows`),
@@ -376,10 +362,6 @@ struct ShardedCampaignResult {
   std::uint64_t selection_redraws = 0; ///< picks refused (full offline queue)
   std::uint64_t offline_queue_peak = 0;  ///< max parked updates, any client
   double gate_wait_secs = 0.0;  ///< connectivity/charge gate delay total
-  /// Async auto-quota telemetry: quota changes applied, and the quota in
-  /// force when the stream ended (uploads_per_round() when tuning is off).
-  std::uint64_t quota_adjustments = 0;
-  std::uint64_t async_quota_final = 0;
 
   // ---- observability ---------------------------------------------------
   /// Per-shard synchronization telemetry, always filled (the sharded core
@@ -457,8 +439,6 @@ struct ShardedCampaignResult {
   X(selection_redraws, kSame)          \
   X(offline_queue_peak, kSame)         \
   X(gate_wait_secs, kSame)             \
-  X(quota_adjustments, kSame)          \
-  X(async_quota_final, kSame)          \
   X(shard_windows, kLocal)             \
   X(shard_empty_windows, kLocal)       \
   X(shard_idle_secs, kLocal)           \

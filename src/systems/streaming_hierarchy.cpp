@@ -186,34 +186,13 @@ std::uint32_t StreamingHierarchy::relay_flush() const {
       1, planner_.config().middle_fanin * cfg_.updates_per_leaf);
 }
 
-double StreamingHierarchy::leaf_deadline_secs() const {
-  const double cap = cfg_.seal_deadline_secs;
-  if (!cfg_.adaptive_deadline || cap <= 0.0 || cfg_.replan_interval <= 0.0 ||
-      !planner_.estimate_initialized(cfg_.group)) {
-    return cap;  // fixed deadline until the arrival EWMA has a signal
-  }
-  // Per-group arrival rate from the EWMA the re-plan pulse feeds (updates
-  // per sample window). The expected fill time of one leaf buffer is
-  // batch / (rate / active leaves); give it 2x slack, keep the configured
-  // deadline as the upper clamp (and a tenth of it as the lower), so a hot
-  // stream seals laggard buffers quickly while a trickle still gets the
-  // full window.
-  const double rate = planner_.estimate(cfg_.group) / cfg_.replan_interval;
-  if (rate <= 0.0) return cap;
-  const double leaves = static_cast<double>(std::max<std::uint32_t>(
-      1, active_));
-  const double fill = 2.0 * static_cast<double>(cfg_.updates_per_leaf) *
-                      leaves / rate;
-  return std::clamp(fill, 0.1 * cap, cap);
-}
-
 void StreamingHierarchy::arm_leaf_deadline(LeafSlot& s) {
   ++s.gen;  // invalidates any timer of the previous activation
   s.deadline_at = std::numeric_limits<double>::infinity();
   if (!cfg_.async || cfg_.seal_deadline_secs <= 0.0) return;
   LeafSlot* sp = &s;
   const std::uint64_t gen = s.gen;
-  s.deadline_at = sim().now() + leaf_deadline_secs();
+  s.deadline_at = sim().now() + cfg_.seal_deadline_secs;
   sim().schedule_at(s.deadline_at, [this, sp, gen] { flush_leaf(sp, gen); });
 }
 
@@ -226,7 +205,7 @@ void StreamingHierarchy::flush_leaf(LeafSlot* s, std::uint64_t gen) {
   const std::uint32_t have = s->rt->received();
   if (have == 0) {
     // Empty buffer: nothing to seal; push the deadline back.
-    s->deadline_at = sim().now() + leaf_deadline_secs();
+    s->deadline_at = sim().now() + cfg_.seal_deadline_secs;
     sim().schedule_at(s->deadline_at, [this, s, gen] { flush_leaf(s, gen); });
     return;
   }
@@ -540,11 +519,8 @@ void StreamingHierarchy::seal_quorum() {
   planner_.set_current(cfg_.group, active_);
 }
 
-void StreamingHierarchy::begin_round(std::uint32_t round,
-                                     std::uint64_t target,
-                                     const ctrl::GroupPlan& plan,
-                                     double epoch) {
-  const double anchor = epoch >= 0.0 ? epoch : sim().now();
+bool StreamingHierarchy::reset_round(std::uint32_t round,
+                                     std::uint64_t target) {
   round_num_ = round;
   target_ = target;
   claimed_ = 0;
@@ -555,8 +531,8 @@ void StreamingHierarchy::begin_round(std::uint32_t round,
   quorum_sealed_ = false;
   rr_ = 0;
   round_ = Stats{};
-  // Round-local fault draws: replaying this round from its boundary
-  // re-derives the identical crash schedule.
+  // Round-local fault draws: replaying the round (or stream) from its
+  // boundary re-derives the identical crash schedule.
   fault_seq_ = 0;
   graveyard_.clear();  // last round's corpses are safe to reclaim now
   if (!cfg_.reuse) pool_.clear();  // churn baseline: nothing stays warm
@@ -569,8 +545,17 @@ void StreamingHierarchy::begin_round(std::uint32_t round,
   if (target == 0) {
     relay_done_ = true;  // nothing to aggregate: the group sits the round out
     planner_.set_current(cfg_.group, 0);
-    return;
+    return false;
   }
+  return true;
+}
+
+void StreamingHierarchy::begin_round(std::uint32_t round,
+                                     std::uint64_t target,
+                                     const ctrl::GroupPlan& plan,
+                                     double epoch) {
+  const double anchor = epoch >= 0.0 ? epoch : sim().now();
+  if (!reset_round(round, target)) return;
 
   // ---- relay: one per group, folded-count goal == the round target, so it
   // completes exactly when every client update arrived through any tree.
@@ -623,27 +608,8 @@ void StreamingHierarchy::begin_stream(std::uint64_t target,
                                       const ctrl::GroupPlan& plan,
                                       double epoch) {
   const double anchor = epoch >= 0.0 ? epoch : sim().now();
-  round_num_ = 0;  // async: no round — leaf configs accept any version
-  target_ = target;
-  claimed_ = 0;
-  forwarded_ = 0;
-  sent_up_ = 0;
-  sealed_ = false;
-  relay_done_ = false;
-  quorum_sealed_ = false;
-  rr_ = 0;
-  round_ = Stats{};
-  fault_seq_ = 0;  // stream-local: replay re-derives the crash schedule
-  graveyard_.clear();
-  auto& pool = plane_.env(cfg_.node).pool;
-  pool.clear_waiters();
-  last_pushed_ = pool.total_pushed();
-  round_base_pushed_ = pool.total_pushed();
-  if (target == 0) {
-    relay_done_ = true;
-    planner_.set_current(cfg_.group, 0);
-    return;
-  }
+  // Async: no round — leaf configs accept any version.
+  if (!reset_round(0, target)) return;
 
   // ---- relay: a recurring FedBuff forwarder. It folds leaf partials and
   // flushes upward every relay_flush() folded client updates, re-targeting

@@ -106,13 +106,6 @@ class alignas(64) StreamingHierarchy {
     /// The group's server-version slot (planner `version_ptr`): wired into
     /// leaf configs so folds are discounted by staleness.
     const std::uint32_t* live_version = nullptr;
-    /// Adaptive seal deadlines: size each buffer's deadline from the
-    /// planner's arrival EWMA — the expected time for this leaf to fill its
-    /// batch at the current per-leaf arrival rate, with 2x slack — instead
-    /// of the fixed `seal_deadline_secs`, which then acts as the upper
-    /// clamp (lower clamp: a tenth of it). Until the EWMA initializes the
-    /// fixed deadline applies. Group-local and deterministic.
-    bool adaptive_deadline = false;
 
     // ---- fault domain ----------------------------------------------------
     /// Deterministic fault schedule (null = fault-free). When set, every
@@ -321,9 +314,11 @@ class alignas(64) StreamingHierarchy {
   /// reach quorum * target (or immediately if they already have).
   void quorum_check(std::uint32_t round);
   void seal_quorum();
-  /// Effective seal deadline for the next buffer (fixed, or sized from the
-  /// arrival EWMA under Config::adaptive_deadline).
-  double leaf_deadline_secs() const;
+  /// The per-round (or per-stream) reset `begin_round` and `begin_stream`
+  /// share: counters, stats, fault draws, the graveyard, pool waiters and
+  /// pushed baselines. False, with the group sitting the round out, when
+  /// `target` is 0.
+  bool reset_round(std::uint32_t round, std::uint64_t target);
   /// Bump the slot generation and, in async mode, start its seal deadline.
   void arm_leaf_deadline(LeafSlot& s);
   /// Deadline fire: force-seal the slot's partial buffer (if still on the

@@ -187,53 +187,4 @@ TEST(AsyncCampaign, CheckpointResumeMidBufferIsBitwise) {
   }
 }
 
-// --------------------------------------------------------- auto-quota
-
-TEST(AsyncCampaign, AutoQuotaShrinksUnderStaleness) {
-  // 30% stragglers folding 10 s late drag every version's effective/raw
-  // weight ratio below 1; the auto-tuner must shrink the fold quota
-  // (fresher, smaller versions) while folding the identical sample mass.
-  auto tuned = async_campaign(1);
-  tuned.async_auto_quota = true;
-  const auto a = sys::run_sharded_campaign(tuned);
-  const auto b = sys::run_sharded_campaign(async_campaign(1));
-
-  EXPECT_GT(a.quota_adjustments, 0u);
-  EXPECT_LT(a.async_quota_final, tuned.uploads_per_round());
-  EXPECT_GE(a.async_quota_final, tuned.uploads_per_round() / 4);  // clamp
-  EXPECT_EQ(b.quota_adjustments, 0u);
-  EXPECT_EQ(b.async_quota_final, tuned.uploads_per_round());
-  // Shrinking the quota re-buckets versions, it never drops samples.
-  const auto mass = [](const sys::ShardedCampaignResult& r) {
-    std::uint64_t samples = 0;
-    for (const std::uint64_t s : r.round_samples) samples += s;
-    return samples;
-  };
-  EXPECT_EQ(mass(a), mass(b));
-}
-
-TEST(AsyncCampaign, AutoQuotaRespectsTheMinClamp) {
-  // Pinning the lower clamp at the full quota makes the tuner a no-op even
-  // under heavy staleness.
-  auto pinned = async_campaign(1);
-  pinned.async_auto_quota = true;
-  pinned.async_min_quota = pinned.uploads_per_round();
-  const auto r = sys::run_sharded_campaign(pinned);
-  EXPECT_EQ(r.quota_adjustments, 0u);
-  EXPECT_EQ(r.async_quota_final, pinned.uploads_per_round());
-}
-
-TEST(AsyncCampaign, AutoQuotaIsShardInvariant) {
-  auto base = async_campaign(1);
-  base.async_auto_quota = true;
-  const auto one = sys::run_sharded_campaign(base);
-  auto multi = base;
-  multi.shards = env_shards();
-  const auto many = sys::run_sharded_campaign(multi);
-  EXPECT_GT(one.quota_adjustments, 0u);
-  expect_same_result(one, many,
-                     "auto-quota, 1 vs " + std::to_string(multi.shards) +
-                         " shards");
-}
-
 }  // namespace

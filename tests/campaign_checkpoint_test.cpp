@@ -161,30 +161,30 @@ TEST(CampaignCheckpoint, BlobEncodingIsDeterministic) {
 }
 
 // Every matrix campaign (faults, flaky clients, edge knobs), checkpointed at
-// 1 and at 4 shards. The v5 byte layout is pinned: an FNV-1a hash over
+// 1 and at 4 shards. The v6 byte layout is pinned: an FNV-1a hash over
 // every blob each run emits (a blob holds one clock per shard, so the two
 // differ); a codec change that moves a single byte fails here, and the
 // goldens only move with a `kVersion` bump. And each run resumes bitwise
 // from its middle blob, so a durable field the walk leaves out fails in
 // whichever cell makes it nonzero.
-TEST(CampaignCheckpoint, MatrixBlobsMatchV5GoldensAndResume) {
+TEST(CampaignCheckpoint, MatrixBlobsMatchV6GoldensAndResume) {
   struct Golden {
     const char* name;
     std::uint64_t one_shard;
     std::uint64_t four_shards;
   };
   const Golden goldens[] = {
-      {"fixed", 0x959d8b6cfe70350full, 0x86d56fedb4dd8397ull},
-      {"fixed+flaky", 0x4212cb0992b1d211ull, 0xbd6274f55bb8bb3dull},
-      {"planned", 0x599832a32aeeb74bull, 0xa5205c7e762e44cfull},
-      {"planned+faults", 0xd9f8327b1c8c1b47ull, 0xe96db3e7d4d8d251ull},
-      {"planned+flaky", 0xf5fdd1cebf6641d1ull, 0x3b8ba7ed51d8f7bbull},
-      {"planned+faults+flaky", 0xe72a63a955116f21ull, 0xa33cdb236c1ae093ull},
-      {"async", 0x82566df2e74e98fbull, 0xa28c03e8a310e1baull},
-      {"async+faults", 0xc8d62fb547c4987cull, 0x7b8b0e69e88b829ull},
-      {"async+flaky", 0x9ec9daf5d3963223ull, 0xea5851be06d66923ull},
-      {"async+faults+flaky", 0xc014846543d6f933ull, 0xb0a903ad190589cbull},
-      {"async+edge", 0x8b4b19b4d60ba7aeull, 0x3799b94afbb5e58ull},
+      {"fixed", 0x5281921399c4a1adull, 0xabf29b8b45893f13ull},
+      {"fixed+flaky", 0x11d9d2a9dca5dfa1ull, 0x1b1b384d6b6aea33ull},
+      {"planned", 0x46de9a2d691d3eefull, 0xfc86140c4055062bull},
+      {"planned+faults", 0xde99fb04c797d43full, 0x8a6645704012348dull},
+      {"planned+flaky", 0x102e491d5320cf35ull, 0x64fcfdc2ef7d872dull},
+      {"planned+faults+flaky", 0xb8b4e8b3fb88933ull, 0x6150e19f949c0481ull},
+      {"async", 0x557fab94a10a170eull, 0x862f604542436b76ull},
+      {"async+faults", 0xb2e40b5f88a5b564ull, 0x406e7f81ce450b4full},
+      {"async+flaky", 0xbfc4d8f8fa07e9fdull, 0xd59eb2bb17f186a7ull},
+      {"async+faults+flaky", 0xa0033e04148224b5ull, 0x37a4416bb3884345ull},
+      {"async+edge", 0xb49cade87a9d532aull, 0x18ae975240d29141ull},
   };
   ASSERT_EQ(std::size(goldens), std::size(lifl::matrix::kScenarios));
   for (std::size_t i = 0; i < std::size(goldens); ++i) {
@@ -240,16 +240,24 @@ TEST(CampaignCheckpoint, TruncatedBlobsAreRejected) {
 TEST(CampaignCheckpoint, VersionMismatchIsRejected) {
   const auto base = churny_campaign(1);
   const auto good = one_blob(base);
-  // A garbage version and the previous format (v4) are both refused.
-  for (const std::uint32_t bad : {0xfeedu, 4u}) {
+  // A garbage version and the previous format (v5) are both refused, and
+  // the message names the blob's version and the reader's.
+  for (const std::uint32_t bad : {0xfeedu, 5u}) {
     auto blob = good;
     // The version field sits right after the 8-byte magic.
     std::memcpy(blob.data() + 8, &bad, sizeof bad);
     auto cfg = base;
     cfg.resume_blob = &blob;
-    EXPECT_THROW((void)sys::run_sharded_campaign(cfg),
-                 lifl::sim::SnapshotError)
-        << "version " << bad;
+    try {
+      (void)sys::run_sharded_campaign(cfg);
+      ADD_FAILURE() << "version " << bad << " was accepted";
+    } catch (const lifl::sim::SnapshotError& e) {
+      const std::string want =
+          "(blob " + std::to_string(bad) + ", reader " +
+          std::to_string(sys::CampaignCheckpoint::kVersion) + ")";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -2,7 +2,7 @@
 //
 // - The checkpoint config digest is pinned: golden values for the default
 //   config, every shard-equivalence matrix config and one config with every
-//   digest field off its default, so existing v5 blobs keep resuming.
+//   digest field off its default, so existing v6 blobs keep resuming.
 // - Walking the rows: perturbing any digest row changes the digest;
 //   perturbing any other row leaves it unchanged.
 // - Every flag row parses and is in the usage string; a malformed or
@@ -82,7 +82,6 @@ Config off_default_config() {
   c.fault.retry_jitter = 0.3;
   c.quorum = 0.9;
   c.round_deadline_secs = 61.0;
-  c.async_adaptive_deadline = true;
   c.checkpoint_every_secs = 2.5;
   c.device_tiers = wl::TierMix{0.5, 0.25, 0.25};
   c.lifecycle.seed = 43;
@@ -102,8 +101,6 @@ Config off_default_config() {
   c.selection.exclude_below = 0.06;
   c.selection.scan_weight = 0.03;
   c.selection.straggler_factor = 2.6;
-  c.async_auto_quota = true;
-  c.async_min_quota = 11;
   return c;
 }
 
@@ -237,26 +234,26 @@ std::string text(double v) {
 // Pinned digests: recorded before the digest was generated from the rows.
 
 TEST(CampaignConfig, DigestIsPinnedForDefaultAndOffDefaultConfigs) {
-  EXPECT_EQ(sys::CampaignCheckpoint::kVersion, 5u);
-  EXPECT_EQ(digest(Config{}), 0xf746e2ab2752b5fdull);
-  EXPECT_EQ(digest(off_default_config()), 0x32bb9f24aced30e8ull);
+  EXPECT_EQ(sys::CampaignCheckpoint::kVersion, 6u);
+  EXPECT_EQ(digest(Config{}), 0x2692780c856ded9dull);
+  EXPECT_EQ(digest(off_default_config()), 0x58e799ed3aca01bbull);
 }
 
 TEST(CampaignConfig, DigestIsPinnedForEveryMatrixConfig) {
   using lifl::matrix::kScenarios;
   using lifl::matrix::matrix_campaign;
   const std::uint64_t golden[][2] = {
-      {0xa03be7a887e26ab8ull, 0xad4c330a67c77cc7ull},  // fixed
-      {0x1fc356db551adee5ull, 0x4f88f91161921322ull},  // fixed+flaky
-      {0x9d9e4db1fc22d5c0ull, 0x8035646025764f8bull},  // planned
-      {0xd1a57e8fd5a1bab1ull, 0x63d2cb56d004220eull},  // planned+faults
-      {0xa9b57fe23006f56dull, 0xcc36a6724103e17eull},  // planned+flaky
-      {0x7d10b7c83e6c3f3dull, 0x8cfecb7729e72a76ull},  // planned+faults+flaky
-      {0xe7cb133449148b13ull, 0x9784eebf4e1d6238ull},  // async
-      {0xdf2ee4775585e08full, 0x23af32e9b1969dc4ull},  // async+faults
-      {0x93c961755e6090c6ull, 0x90f45d706b272c65ull},  // async+flaky
-      {0xd2c55c44c88786abull, 0x2d93b8a2d3e8a7ccull},  // async+faults+flaky
-      {0x586fb7834b5c0e58ull, 0x72add8dad11e4c8full},  // async+edge
+      {0xde3fd242dce29e78ull, 0x2e8c961d4abfc6a7ull},  // fixed
+      {0x27210d56b86cc965ull, 0x9775768fc3431d42ull},  // fixed+flaky
+      {0xbab911d7d0405a80ull, 0xb719c6de7759886bull},  // planned
+      {0x2a475700edf7b4d1ull, 0xd0c6faca93fabb0eull},  // planned+faults
+      {0x9e480a889fca0aedull, 0xf82c822ca25f9d1eull},  // planned+flaky
+      {0x2faff3afa15f7ebdull, 0xeb8daaeb3d381516ull},  // planned+faults+flaky
+      {0x5acb97b349f052f3ull, 0xf6684df1ae2e3ff8ull},  // async
+      {0x8ebfdc4edee33d6full, 0x77b0308b4e3a5504ull},  // async+faults
+      {0xa6631d824ff30ae6ull, 0xf32239d6074a96e5ull},  // async+flaky
+      {0xbafa710fc5cba46bull, 0xb3aca3eeb232202cull},  // async+faults+flaky
+      {0xe872da783d49d4e4ull, 0x193130055abd4f4bull},  // async+edge
   };
   ASSERT_EQ(std::size(kScenarios), std::size(golden));
   for (std::size_t i = 0; i < std::size(kScenarios); ++i) {
@@ -285,7 +282,7 @@ TEST(CampaignConfig, EveryDigestRowAndOnlyThoseMoveTheDigest) {
       EXPECT_EQ(digest(cfg), digest(Config{})) << path(all[i]);
     }
   }
-  EXPECT_EQ(digest_rows, 61u);  // the v5 digest's 61 mixed values
+  EXPECT_EQ(digest_rows, 58u);  // the v6 digest's 58 mixed values
 }
 
 TEST(CampaignConfig, DefaultConfigIsInRange) {

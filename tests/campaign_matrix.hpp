@@ -22,8 +22,7 @@ struct Scenario {
   bool faults;
   bool flaky;
   /// The benchmark's async edge-client knobs at test scale: scored
-  /// selection over the tier mix, stragglers, adaptive seal deadlines and
-  /// the auto-tuned version quota.
+  /// selection over the tier mix, stragglers and a fixed seal deadline.
   bool edge = false;
 };
 
@@ -91,8 +90,6 @@ inline sys::ShardedCampaignConfig matrix_campaign(const Scenario& sc,
     cfg.straggler_fraction = 0.1;
     cfg.straggler_delay_secs = 1.0;
     cfg.async_deadline_secs = 0.2;
-    cfg.async_adaptive_deadline = true;
-    cfg.async_auto_quota = true;
   }
   return cfg;
 }

@@ -147,7 +147,6 @@ TEST(FaultRecovery, AsyncCrashesLoseNoSamples) {
   auto faulty = async_campaign(1);
   add_crashes(faulty);
   faulty.fault.top_crash_rate = 0.0;  // top crashes are planned-mode only
-  faulty.async_adaptive_deadline = true;
   const auto with_faults = sys::run_sharded_campaign(faulty);
   const auto fault_free = sys::run_sharded_campaign(async_campaign(1));
 
@@ -178,7 +177,6 @@ TEST(FaultRecovery, AsyncFaultsAreShardInvariant) {
   auto base = async_campaign(1);
   add_crashes(base);
   base.fault.top_crash_rate = 0.0;
-  base.async_adaptive_deadline = true;
   const auto one = sys::run_sharded_campaign(base);
   auto multi = base;
   multi.shards = env_shards();
@@ -193,34 +191,47 @@ TEST(FaultRecovery, AsyncFaultsAreShardInvariant) {
 TEST(FaultRecovery, CheckpointResumeMidRecoveryIsBitwise) {
   // Crash-anywhere under an active fault plan: cuts land while crashed
   // aggregators are being replaced and retries are in flight; the resumed
-  // run must replay the identical fault schedule and recovery.
-  auto base = planned_campaign(1);
-  add_crashes(base);
-  base.checkpoint_every_secs = 1.0;
+  // run must replay the identical fault schedule and recovery. With reuse
+  // off every replacement spawns cold, so the recovery time and middle
+  // crashes of earlier rounds ride the later rounds' blobs.
+  auto warm = planned_campaign(1);
+  add_crashes(warm);
+  warm.checkpoint_every_secs = 1.0;
+  auto cold = warm;
+  cold.reuse = false;
+  cold.fault.middle_crash_rate = 0.2;
 
   struct Blob {
     std::vector<std::uint8_t> bytes;
     std::uint32_t round = 0;
     double mark = 0.0;
   };
-  std::vector<Blob> blobs;
-  auto capture = base;
-  capture.on_checkpoint = [&blobs](const std::vector<std::uint8_t>& bytes,
-                                   std::uint32_t round, double mark) {
-    blobs.push_back(Blob{bytes, round, mark});
-  };
-  const auto reference = sys::run_sharded_campaign(capture);
-  EXPECT_GT(reference.leaf_crashes, 0u);
-  ASSERT_GE(blobs.size(), 3u);
+  for (const sys::ShardedCampaignConfig& base : {warm, cold}) {
+    std::vector<Blob> blobs;
+    auto capture = base;
+    capture.on_checkpoint = [&blobs](const std::vector<std::uint8_t>& bytes,
+                                     std::uint32_t round, double mark) {
+      blobs.push_back(Blob{bytes, round, mark});
+    };
+    const auto reference = sys::run_sharded_campaign(capture);
+    EXPECT_GT(reference.leaf_crashes, 0u);
+    ASSERT_GE(blobs.size(), 3u);
+    if (!base.reuse) {
+      EXPECT_GT(reference.middle_crashes, 0u);
+      EXPECT_GT(reference.recovery_secs, 0.0);
+    }
 
-  const std::size_t picks[] = {0, blobs.size() / 2, blobs.size() - 1};
-  for (const std::size_t pick : picks) {
-    auto cfg = base;
-    cfg.resume_blob = &blobs[pick].bytes;
-    const auto resumed = sys::run_sharded_campaign(cfg);
-    expect_same_result(reference, resumed,
-                       "cut at round " + std::to_string(blobs[pick].round) +
-                           ", mark " + std::to_string(blobs[pick].mark));
+    const std::size_t picks[] = {0, blobs.size() / 2, blobs.size() - 1};
+    for (const std::size_t pick : picks) {
+      auto cfg = base;
+      cfg.resume_blob = &blobs[pick].bytes;
+      const auto resumed = sys::run_sharded_campaign(cfg);
+      expect_same_result(reference, resumed,
+                         std::string(base.reuse ? "warm" : "cold") +
+                             " cut at round " +
+                             std::to_string(blobs[pick].round) + ", mark " +
+                             std::to_string(blobs[pick].mark));
+    }
   }
 }
 

@@ -348,12 +348,6 @@ TEST(FlakyCampaign, InvalidConfigsAreRejected) {
   bad_alpha.selection.alpha = 1.5;
   EXPECT_THROW((void)sys::run_sharded_campaign(bad_alpha),
                std::invalid_argument);
-
-  // Auto-quota is an async-mode control loop.
-  auto sync_quota = tiered_campaign(1);
-  sync_quota.async_auto_quota = true;
-  EXPECT_THROW((void)sys::run_sharded_campaign(sync_quota),
-               std::invalid_argument);
 }
 
 // Crash faults compose with the lifecycle: aggregators die and recover

@@ -277,21 +277,6 @@ TEST(StreamingHierarchy, EmitFloorHoldsUnderFixedSealDeadline) {
   EXPECT_GT(tr.ahead, tr.evaluated / 2);
 }
 
-TEST(StreamingHierarchy, EmitFloorHoldsUnderAdaptiveSealDeadline) {
-  sys::StreamingHierarchy::Config h = async_hier();
-  h.seal_deadline_secs = 0.2;
-  h.adaptive_deadline = true;
-  h.replan_interval = 0.1;
-  GroupWorld w(small_planner(), h);
-  const std::uint32_t n = 300;
-  w.hier.begin_stream(n, w.planner.plan_round({double(n)}).groups[0]);
-  w.seed_arrivals(1, n, 0.004);
-  const FloorTrace tr = step_checking_floor(w);
-  EXPECT_EQ(w.hier.forwarded(), n);
-  EXPECT_GT(w.hier.round_stats().drains, 0u);
-  EXPECT_GT(tr.ahead, tr.evaluated / 2);
-}
-
 TEST(StreamingHierarchy, EmitFloorHoldsAcrossRetireThenGrowReplans) {
   // 30-update batches, so a count seal is up to ~20 ms of folds away and
   // the next re-plan tick is often the binding part of the floor; a
