@@ -8,14 +8,15 @@
 #include <vector>
 
 #include "src/sim/futex.hpp"
+#include "src/sim/thread_placement.hpp"
 
 namespace lifl::ml {
 
 namespace {
 
-using sim::cpu_relax;
 using sim::futex_wait;
 using sim::futex_wake_all;
+using sim::spin_until;
 
 /// The process-wide sweep pool.
 ///
@@ -60,14 +61,7 @@ class SweepPool {
     if (sleepers_.load(std::memory_order_seq_cst) > 0) futex_wake_all(gen_);
 #endif
     drain();
-    for (unsigned spins = 0; done_.load(std::memory_order_acquire) < chunks;
-         ++spins) {
-      if (spins < 4096) {
-        cpu_relax();
-      } else {
-        std::this_thread::yield();
-      }
-    }
+    spin_until([&] { return done_.load(std::memory_order_acquire) >= chunks; });
     busy_.store(false, std::memory_order_release);
     return true;
   }
@@ -77,20 +71,22 @@ class SweepPool {
   }
 
  private:
-  /// Start the workers on first use (the caller owns the pool). False on
-  /// a one-thread host or without futexes: the sweep then runs inline.
+  /// Start the workers on first use (the caller owns the pool), each pinned
+  /// to a CPU of its own. False with one allowed CPU or without futexes:
+  /// the sweep then runs inline.
   bool start_workers() {
     if (!workers_.empty()) return true;
 #if LIFL_HAVE_FUTEX
-    const unsigned hw = std::thread::hardware_concurrency();
     const std::size_t want =
-        std::min<std::size_t>(hw > 1 ? hw - 1 : 0, kSweepMaxWorkers);
+        std::min(sim::allowed_cpu_count() - 1, kSweepMaxWorkers);
+    const sim::ThreadPlacement placement(want);
     for (std::size_t i = 0; i < want; ++i) {
       try {
         workers_.emplace_back([this] { work(); });
       } catch (const std::system_error&) {
         break;  // out of threads: sweep with the workers already running
       }
+      placement.place(workers_.back(), i + 1);
       started_.fetch_add(1, std::memory_order_relaxed);
     }
 #endif

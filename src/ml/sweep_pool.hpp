@@ -26,13 +26,17 @@ void split_sweep(std::size_t n, SweepFn fn, void* ctx);
 /// same bits as one `fn(0, n)` call. `fn` must not throw and must only
 /// touch elements of its own chunk.
 ///
-/// The pool is `hardware_concurrency() - 1` parked worker threads (at most
-/// `kSweepMaxWorkers`), started lazily by the first sweep of at least
-/// `kSweepMinSplit` elements. The caller claims chunks too and returns only
-/// once every chunk is done. The sweep runs inline, as one `fn(0, n)`
-/// call, when it is shorter than `kSweepMinSplit`, on a one-thread host,
-/// on hosts without futexes, and when another sweep already holds the pool
-/// (so concurrent callers never wait on each other).
+/// The pool is one parked worker thread per allowed CPU besides the
+/// caller's (`sim::allowed_cpu_count() - 1`, at most `kSweepMaxWorkers`),
+/// started lazily by the first sweep of at least `kSweepMinSplit` elements.
+/// The starting thread pins worker k to the k-th allowed CPU after its own
+/// (`sim::ThreadPlacement`), so a sweep's threads run in parallel even where
+/// the kernel does not spread a process's threads. The caller claims chunks
+/// too and returns only once every chunk is done. The sweep runs inline, as
+/// one `fn(0, n)` call, when it is shorter than `kSweepMinSplit`, when the
+/// process may use one CPU, on hosts without futexes, and when another
+/// sweep already holds the pool (so concurrent callers never wait on each
+/// other).
 template <class F>
 void parallel_sweep(std::size_t n, F&& fn) {
   if (n < kSweepMinSplit) {

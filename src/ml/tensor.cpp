@@ -1,12 +1,16 @@
 #include "src/ml/tensor.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
 #include "src/ml/kernels.hpp"
 #include "src/ml/sweep_pool.hpp"
+#include "src/sim/futex.hpp"
 
 namespace lifl::ml {
 
@@ -26,24 +30,43 @@ void fill_normal(sim::Rng& rng, float* out, std::size_t n, double stddev) {
   // leaves: cached after an odd element, spent but still stored after a
   // pair.
   const std::size_t swept = (n - 1) & ~std::size_t{1};
-  std::vector<sim::Rng> starts;
-  starts.reserve((swept + kSweepChunk - 1) / kSweepChunk);
-  for (std::size_t lo = 0; lo < swept; lo += kSweepChunk) {
-    starts.push_back(rng);
-    const std::size_t pairs = (std::min(swept, lo + kSweepChunk) - lo) / 2;
-    double u1 = 0.0;
-    double u2 = 0.0;
-    for (std::size_t p = 0; p < pairs; ++p) rng.box_muller_uniforms(u1, u2);
-  }
+  const std::size_t chunks = (swept + kSweepChunk - 1) / kSweepChunk;
+  // starts[c] is the generator at chunk c's first pair. The first
+  // `published` entries are written; the walker of chunk c writes c + 1.
+  std::vector<sim::Rng> starts(chunks + 1);
+  starts[0] = rng;
+  std::atomic<std::size_t> published{1};
   parallel_sweep(swept, [&](std::size_t lo, std::size_t hi) {
-    sim::Rng chunk_rng = starts[lo / kSweepChunk];
-    for (std::size_t i = lo; i < hi; ++i) {
-      out[i] = static_cast<float>(chunk_rng.normal(0.0, stddev));
+    // One chunk per call on the pool; every chunk, in order, inline.
+    for (; lo < hi; lo += kSweepChunk) {
+      const std::size_t c = lo / kSweepChunk;
+      const std::size_t end = std::min(hi, lo + kSweepChunk);
+      sim::spin_until(
+          [&] { return published.load(std::memory_order_acquire) > c; });
+      sim::Rng draw = starts[c];
+      sim::Rng walk = draw;
+      double u1 = 0.0;
+      double u2 = 0.0;
+      for (std::size_t p = lo; p < end; p += 2) {
+        walk.box_muller_uniforms(u1, u2);
+      }
+      starts[c + 1] = walk;
+      published.store(c + 2, std::memory_order_release);
+      for (std::size_t i = lo; i < end; ++i) {
+        out[i] = static_cast<float>(draw.normal(0.0, stddev));
+      }
     }
   });
+  rng = starts[chunks];
   for (std::size_t i = swept; i < n; ++i) {
     out[i] = static_cast<float>(rng.normal(0.0, stddev));
   }
+}
+
+Tensor::Tensor(std::size_t n, float value) : data_(n) {
+  std::uint32_t bits;
+  std::memcpy(&bits, &value, sizeof bits);
+  if (bits != 0) fill(value);
 }
 
 Tensor Tensor::randn(sim::Rng& rng, std::size_t n, float stddev) {

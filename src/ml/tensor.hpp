@@ -1,12 +1,53 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdlib>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "src/sim/random.hpp"
 #include "src/sim/snapshot.hpp"
 
 namespace lifl::ml {
+
+/// `Tensor` storage: blocks come from `calloc`, and an element constructed
+/// without arguments is default-initialised (left as the block holds it,
+/// i.e. zero). So a fresh `Tensor(n)` reads as zero though its creator
+/// stores nothing: a large block is fresh pages the kernel zeroes on first
+/// touch, and the thread that first writes a page (a sweep's chunk writer)
+/// takes its fault. `Tensor` never resizes its storage, so every element
+/// it default-constructs sits in a block `calloc` just zeroed.
+template <class T>
+struct ZeroedAllocator {
+  using value_type = T;
+
+  ZeroedAllocator() noexcept = default;
+  template <class U>
+  ZeroedAllocator(const ZeroedAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    if (void* p = std::calloc(n, sizeof(T))) return static_cast<T*>(p);
+    throw std::bad_alloc();
+  }
+  void deallocate(T* p, std::size_t) noexcept { std::free(p); }
+
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
+  friend bool operator==(ZeroedAllocator, ZeroedAllocator) noexcept {
+    return true;
+  }
+  friend bool operator!=(ZeroedAllocator, ZeroedAllocator) noexcept {
+    return false;
+  }
+};
 
 /// Dense float32 vector — the flat parameter/update representation that
 /// FedAvg aggregates.
@@ -17,7 +58,11 @@ namespace lifl::ml {
 class Tensor {
  public:
   Tensor() = default;
-  explicit Tensor(std::size_t n, float value = 0.0f) : data_(n, value) {}
+  /// n zeros (+0.0f), pages untouched (see `ZeroedAllocator`).
+  explicit Tensor(std::size_t n) : data_(n) {}
+  /// n copies of `value`; stores only when its bits are nonzero, so -0.0f
+  /// keeps its sign bit.
+  explicit Tensor(std::size_t n, float value);
 
   /// Gaussian-initialized tensor (e.g. He/Xavier-style scaled by caller),
   /// filled by `fill_normal`: bitwise the floats and final `rng` state of
@@ -60,7 +105,7 @@ class Tensor {
   bool operator==(const Tensor& o) const noexcept { return data_ == o.data_; }
 
  private:
-  std::vector<float> data_;
+  std::vector<float, ZeroedAllocator<float>> data_;
 };
 
 /// Fill `out[0, n)` with `static_cast<float>(rng.normal(0.0, stddev))`,
@@ -68,12 +113,16 @@ class Tensor {
 /// (a spare cached at entry is used first; one is left cached when the
 /// pairs drawn here end on an odd element).
 ///
-/// Below `kSweepMinSplit` elements that loop runs as is. Above it, the
-/// calling thread first walks the uniform stream pair by pair without the
-/// transform, copying the generator at each `kSweepChunk` boundary; then
-/// `parallel_sweep` runs each chunk's transforms from its copy on the sweep
-/// pool (inline when the pool is busy). Chunks hold whole pairs, so every
-/// chunk regenerates exactly the draws the sequential loop makes there.
+/// Below `kSweepMinSplit` elements that loop runs as is. Above it,
+/// `parallel_sweep` splits the fill into `kSweepChunk` chunks of whole
+/// pairs, and the stream walk is chained through them: the thread that
+/// takes chunk c waits until the generator state at c's start is
+/// published, walks c's uniform pairs on a copy without the transform,
+/// publishes the state at c + 1's start, and only then runs c's transforms
+/// from the state it started with. So the walk moves from chunk to chunk
+/// while the transforms run in parallel, and every chunk regenerates
+/// exactly the draws the sequential loop makes there. When the pool is
+/// busy the chunks run in order on the caller.
 void fill_normal(sim::Rng& rng, float* out, std::size_t n, double stddev);
 
 /// Bit-exact tensor snapshot: the raw float payload, length-prefixed. Every

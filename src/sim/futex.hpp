@@ -28,6 +28,20 @@ inline void cpu_relax() noexcept {
 #endif
 }
 
+/// Wait until `ready()` holds without sleeping: 4,096 polls with
+/// `cpu_relax`, then a yield between polls. For waits of microseconds on a
+/// thread that some running thread will release.
+template <class Ready>
+void spin_until(Ready&& ready) {
+  for (unsigned spins = 0; !ready(); ++spins) {
+    if (spins < 4096) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+}
+
 static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t),
               "the futex word must be a plain 32-bit integer");
 

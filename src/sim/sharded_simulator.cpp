@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "src/sim/futex.hpp"
+#include "src/sim/thread_placement.hpp"
 
 namespace lifl::sim {
 
@@ -377,6 +378,9 @@ void ShardedSimulator::ensure_workers() {
   // worker would race with the first run's bump.
   const std::uint32_t base = run_epoch_.load(std::memory_order_acquire);
   workers_.reserve(shards_.size() - 1);
+  // Shard s runs on the s-th CPU after the creator's (the creator runs
+  // shard 0), when there are CPUs enough.
+  const ThreadPlacement placement(shards_.size() - 1);
   for (std::size_t s = 1; s < shards_.size(); ++s) {
     workers_.emplace_back([this, s, base] {
       std::uint32_t seen = base;
@@ -401,6 +405,7 @@ void ShardedSimulator::ensure_workers() {
         if (done == shards_.size() - 1) futex_wake_all(workers_done_);
       }
     });
+    placement.place(workers_.back(), s);
   }
 }
 

@@ -42,7 +42,8 @@ namespace lifl::sim {
 /// a futex) until its horizon rises. Bounds only grow, and each refresh
 /// moves a shard's bound at least one lookahead past its horizon, so the
 /// shards make progress with no global step. The calling thread runs shard
-/// 0; shards 1..K-1 run on persistent worker threads.
+/// 0; shards 1..K-1 run on persistent worker threads, each pinned to a CPU
+/// of its own when the process may use K CPUs (`ThreadPlacement`).
 ///
 /// Every post names its sender's *lane* (a model partition, e.g. a node
 /// group), and deliveries tied at an instant run in (lane, the lane's post

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <thread>
@@ -27,6 +28,35 @@ TEST(Tensor, ConstructFillAndIndex) {
   EXPECT_EQ(t.size(), 4u);
   EXPECT_FLOAT_EQ(t[3], 2.5f);
   EXPECT_EQ(t.bytes(), 16u);
+}
+
+bool all_bits(const Tensor& t, std::uint32_t bits) {
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    std::uint32_t b;
+    std::memcpy(&b, &t.data()[i], sizeof b);
+    if (b != bits) return false;
+  }
+  return true;
+}
+
+// Storage comes from calloc and `Tensor(n)` stores nothing: a block that
+// reuses a freed tensor's memory must still read as +0.0 everywhere.
+TEST(Tensor, FreshTensorIsZeroWhereAFilledOneWasFreed) {
+  constexpr std::size_t kN = (std::size_t{1} << 20) / sizeof(float);
+  for (int round = 0; round < 3; ++round) {
+    {
+      const Tensor filled(kN, 7.0f);
+      ASSERT_EQ(filled[kN - 1], 7.0f);
+    }
+    const Tensor fresh(kN);
+    EXPECT_TRUE(all_bits(fresh, 0u)) << "round " << round;
+  }
+}
+
+TEST(Tensor, FillValueKeepsItsBits) {
+  EXPECT_TRUE(all_bits(Tensor(1000, -0.0f), 0x80000000u));
+  EXPECT_TRUE(all_bits(Tensor(1000, 1.5f), 0x3fc00000u));
+  EXPECT_TRUE(all_bits(Tensor(1000, 0.0f), 0u));
 }
 
 TEST(Tensor, AxpyComputesThisPlusAX) {

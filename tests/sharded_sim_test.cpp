@@ -3,6 +3,8 @@
 // campaign.
 
 #include <gtest/gtest.h>
+#include <sched.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -21,6 +23,7 @@
 #include "src/sim/random.hpp"
 #include "src/sim/sharded_simulator.hpp"
 #include "src/sim/simulator.hpp"
+#include "src/sim/thread_placement.hpp"
 #include "src/systems/sharded_campaign.hpp"
 #include "tests/campaign_result.hpp"
 
@@ -523,6 +526,37 @@ TEST(ShardedSim, RunToStopsEveryShardExactlyAtTheMark) {
   for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(ran[s].size(), 400u);
 }
 
+TEST(ShardedSim, ShardThreadsRunOnPairwiseDistinctCpus) {
+  constexpr std::size_t kShards = 4;
+  if (lifl::sim::allowed_cpu_count() < kShards) {
+    GTEST_SKIP() << "needs at least 4 allowed CPUs";
+  }
+  ShardedSimulator sharded(ShardedSimulator::Config{kShards, 0.01});
+  std::vector<int> cpu(kShards, -1);
+  std::vector<int> allowed(kShards, -1);  // CPUs in the thread's mask
+  for (std::size_t s = 0; s < kShards; ++s) {
+    sharded.shard(s).schedule_at(1.0, [&cpu, &allowed, s] {
+      cpu[s] = sched_getcpu();
+      cpu_set_t set;
+      CPU_ZERO(&set);
+      if (sched_getaffinity(0, sizeof set, &set) == 0) {
+        allowed[s] = CPU_COUNT(&set);
+      }
+    });
+    sharded.set_promise(s, [] { return kNever; });
+  }
+  sharded.run();
+  // Shard 0 runs on this (unpinned) thread; every worker is pinned.
+  for (std::size_t s = 1; s < kShards; ++s) {
+    EXPECT_EQ(allowed[s], 1) << "shard " << s;
+  }
+  std::vector<int> sorted = cpu;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_GE(sorted.front(), 0);
+  EXPECT_TRUE(std::unique(sorted.begin(), sorted.end()) == sorted.end())
+      << cpu[0] << " " << cpu[1] << " " << cpu[2] << " " << cpu[3];
+}
+
 // ---------------------------------------------------------------------------
 // Shard-count equivalence of the group-partitioned campaign: a seeded
 // 2-shard run must produce identical round-completion times and aggregate
@@ -570,6 +604,30 @@ TEST(ShardedCampaign, GatewayRssQueuesPreserveEquivalence) {
   const auto mono = lifl::sys::run_sharded_campaign(cfg1);
   const auto multi = lifl::sys::run_sharded_campaign(cfg2);
   lifl::test::expect_same_result(mono, multi, "RSS queues, 1 vs 2 shards");
+}
+
+// A process allowed one CPU pins no shard thread; its 4-shard campaign is
+// bitwise the one this process ran on every CPU it may use. (The death-test
+// child re-runs the test body, so it runs the reference before limiting
+// itself.)
+int one_cpu_campaign_child(const lifl::sys::ShardedCampaignResult& want) {
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(sched_getcpu(), &one);
+  if (sched_setaffinity(getpid(), sizeof one, &one) != 0 ||
+      lifl::sim::allowed_cpu_count() != 1) {
+    return 2;
+  }
+  const auto got = lifl::sys::run_sharded_campaign(small_campaign(4));
+  lifl::test::expect_same_result(want, got, "all CPUs vs one CPU");
+  return ::testing::Test::HasFailure() ? 1 : 0;
+}
+
+TEST(ShardedCampaignDeathTest, OneAllowedCpuRunsFourShardsBitwise) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const auto want = lifl::sys::run_sharded_campaign(small_campaign(4));
+  EXPECT_EXIT(std::exit(one_cpu_campaign_child(want)),
+              ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -1,12 +1,18 @@
 // Tests for the chunked sweep splitter (ml::parallel_sweep): a split fold
 // kernel must be bitwise equal to one direct kernel call at every dispatch
 // level, size and alignment; concurrent callers must each get serial
-// results; and runs that fold no large tensor must start no worker thread.
+// results; runs that fold no large tensor must start no worker thread; the
+// workers run on CPUs of their own, and a one-CPU process sweeps inline.
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -17,7 +23,9 @@
 #include "src/fl/fedavg.hpp"
 #include "src/ml/kernels.hpp"
 #include "src/ml/sweep_pool.hpp"
+#include "src/ml/tensor.hpp"
 #include "src/sim/random.hpp"
+#include "src/sim/thread_placement.hpp"
 #include "src/systems/sharded_campaign.hpp"
 
 namespace lifl::ml {
@@ -51,6 +59,11 @@ void split_fold(decltype(k::Ops::axpyn) fold, float* acc, const float* w,
     for (std::size_t j = 0; j < fan; ++j) at[j] = xs[j] + lo;
     fold(acc + lo, w, at.data(), fan, hi - lo);
   });
+}
+
+/// Workers the pool starts in this process.
+std::size_t pool_workers() {
+  return std::min(sim::allowed_cpu_count() - 1, kSweepMaxWorkers);
 }
 
 /// Threshold edges and a long odd tail.
@@ -112,7 +125,8 @@ TEST(SweepPool, ChunksTileTheRangeOnceAtFixedBoundaries) {
       calls.emplace_back(lo, hi);
     });
     std::sort(calls.begin(), calls.end());
-    if (n < kSweepMinSplit) {
+    // A process allowed one CPU has no pool: every sweep is one call.
+    if (n < kSweepMinSplit || pool_workers() == 0) {
       ASSERT_EQ(calls.size(), 1u) << n;
       EXPECT_EQ(calls[0], std::make_pair(std::size_t{0}, n));
       continue;
@@ -123,12 +137,9 @@ TEST(SweepPool, ChunksTileTheRangeOnceAtFixedBoundaries) {
       EXPECT_EQ(calls[i].second, std::min(n, (i + 1) * kSweepChunk)) << n;
     }
   }
-  // The first split sweep started the pool: hardware threads minus the
-  // caller, capped.
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t want =
-      std::min<std::size_t>(hw > 1 ? hw - 1 : 0, kSweepMaxWorkers);
-  EXPECT_EQ(sweep_workers_started(), want);
+  // The first split sweep started the pool: allowed CPUs minus the
+  // caller's, capped.
+  EXPECT_EQ(sweep_workers_started(), pool_workers());
 }
 
 TEST(SweepPool, ConcurrentCallersEachGetSerialResults) {
@@ -206,6 +217,104 @@ int logical_campaign_child() {
   cfg.hierarchy = sys::HierarchyMode::kPlanned;
   const auto r = sys::run_sharded_campaign(cfg);
   return r.events > 0 && sweep_workers_started() == 0 ? 0 : 1;
+}
+
+/// CPUs the calling thread may run on.
+int thread_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  return sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : -1;
+}
+
+struct Seen {
+  std::thread::id id;
+  int cpu;
+  int allowed;  ///< CPUs in the thread's mask: 1 once pinned
+};
+
+// Each chunk records its thread's CPU and mask, then holds the thread until
+// every pool thread has taken a chunk (or 5 s pass), so every worker shows
+// up. The workers must be pinned, and all threads on distinct CPUs.
+int distinct_cpus_child() {
+  const std::size_t threads = pool_workers() + 1;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::vector<Seen> seen;
+  std::atomic<std::size_t> arrived{0};
+  parallel_sweep(2 * threads * kSweepChunk, [&](std::size_t, std::size_t) {
+    const Seen me{std::this_thread::get_id(), sched_getcpu(), thread_cpus()};
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (std::none_of(seen.begin(), seen.end(),
+                       [&](const Seen& e) { return e.id == me.id; })) {
+        seen.push_back(me);
+        arrived.fetch_add(1);
+      }
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (arrived.load() < threads &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  if (seen.size() != threads) return 2;
+  std::vector<int> cpus;
+  for (const Seen& e : seen) {
+    if (e.id != caller && e.allowed != 1) return 3;
+    cpus.push_back(e.cpu);
+  }
+  std::sort(cpus.begin(), cpus.end());
+  return std::unique(cpus.begin(), cpus.end()) == cpus.end() ? 0 : 1;
+}
+
+/// Limit this process (a death-test child: one thread) to the CPU it is on.
+bool limit_to_one_cpu() {
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(sched_getcpu(), &one);
+  return sched_setaffinity(getpid(), sizeof one, &one) == 0 &&
+         sim::allowed_cpu_count() == 1;
+}
+
+// With one allowed CPU the pool starts no worker, and a split fold and a
+// chained Gaussian fill run inline, bitwise as the serial loops.
+int one_cpu_child() {
+  if (!limit_to_one_cpu()) return 2;
+  constexpr std::size_t kN = (std::size_t{1} << 18) + 3;
+  sim::Rng rng(47);
+  const std::vector<float> x = random_vec(rng, kN);
+  std::vector<float> direct(kN), split(kN);
+  k::ops().scale_into(direct.data(), 0.37f, x.data(), kN);
+  parallel_sweep(kN, [&](std::size_t lo, std::size_t hi) {
+    k::ops().scale_into(split.data() + lo, 0.37f, x.data() + lo, hi - lo);
+  });
+  sim::Rng fill_rng(48);
+  sim::Rng loop_rng = fill_rng;
+  std::vector<float> got(kN);
+  fill_normal(fill_rng, got.data(), kN, 1.0);
+  const std::vector<float> want = random_vec(loop_rng, kN);
+  const sim::Rng::State a = fill_rng.state();
+  const sim::Rng::State b = loop_rng.state();
+  const bool same = bitwise_equal(direct.data(), split.data(), kN) &&
+                    bitwise_equal(got.data(), want.data(), kN) &&
+                    std::memcmp(a.s, b.s, sizeof a.s) == 0 &&
+                    a.has_spare == b.has_spare;
+  return same && sweep_workers_started() == 0 ? 0 : 1;
+}
+
+TEST(SweepPoolDeathTest, WorkersRunOnPairwiseDistinctCpus) {
+  if (sim::allowed_cpu_count() < 4) {
+    GTEST_SKIP() << "needs at least 4 allowed CPUs";
+  }
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_EXIT(std::exit(distinct_cpus_child()), ::testing::ExitedWithCode(0),
+              "");
+}
+
+TEST(SweepPoolDeathTest, OneAllowedCpuSweepsInlineBitwise) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_EXIT(std::exit(one_cpu_child()), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(SweepPoolDeathTest, SubThresholdSweepsStartNoWorker) {
