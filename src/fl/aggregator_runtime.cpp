@@ -53,11 +53,15 @@ void AggregatorRuntime::validate_config() const {
   }
 }
 
-bool AggregatorRuntime::goal_reached() const noexcept {
+bool AggregatorRuntime::goal_met(std::uint32_t messages,
+                                 std::uint32_t folded) const noexcept {
   if (cfg_.goal_open || cfg_.goal == 0) return false;
-  return cfg_.goal_kind == GoalKind::kMessages
-             ? aggregated_ >= cfg_.goal
-             : acc_.updates_folded() >= cfg_.goal;
+  return cfg_.goal_kind == GoalKind::kMessages ? messages >= cfg_.goal
+                                               : folded >= cfg_.goal;
+}
+
+bool AggregatorRuntime::goal_reached() const noexcept {
+  return goal_met(aggregated_, acc_.updates_folded());
 }
 
 void AggregatorRuntime::PoolWaiter::operator()(UpdateDesc u) const {
@@ -395,12 +399,19 @@ void AggregatorRuntime::on_agg_done() {
     scale = 1.0 / (1.0 + static_cast<double>(*cfg_.live_version -
                                              in_flight_->model_version));
   }
+  // A fold that meets the goal is followed by the Send's finalize: let it
+  // leave a full ring parked, so one sweep folds it and divides.
+  if (goal_met(aggregated_ + 1,
+               acc_.updates_folded() + in_flight_->updates_folded)) {
+    acc_.mark_closing();
+  }
   acc_.add(*in_flight_, plane_.tensor(cfg_.node, *in_flight_), scale);
   ++aggregated_;
   // The eBPF sidecar observes the execution and records metrics (§4.3).
   plane_.record_agg_exec(cfg_.node, step_secs_);
   // Folded: release the payload (its shm buffer recycles; a real tensor
-  // parked in the fold ring stays alive until the ring sweeps it).
+  // parked in the fold ring stays alive until the ring sweeps it, or until
+  // the finalize of a closing fold).
   release(*in_flight_);
   in_flight_.reset();
   processing_ = false;

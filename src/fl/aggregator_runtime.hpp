@@ -295,6 +295,9 @@ class AggregatorRuntime {
     return Handle{rec_, rec_->gen, cfg_.node};
   }
   void validate_config() const;
+  /// Whether `messages` folded messages / `folded` folded updates meet
+  /// the goal (never for an open or zero goal).
+  bool goal_met(std::uint32_t messages, std::uint32_t folded) const noexcept;
   bool goal_reached() const noexcept;
   void maybe_complete();
   void deliver(const UpdateDesc& u);

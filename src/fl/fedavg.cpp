@@ -76,27 +76,33 @@ void FedAvgAccumulator::add_tensor_weighted(
   if (n != have) {
     throw std::invalid_argument("FedAvg: tensor size mismatch");
   }
+  // A ring left full by a closing add that was not the last one folds now.
+  if (parked_ == kFoldSlots) fold_ring(/*divide=*/false);
   // Park the update zero-copy (a shared_ptr to the shm-resident tensor);
-  // a full ring folds in ONE accumulator sweep.
+  // a full ring folds in ONE accumulator sweep, unless finalize is next.
   ring_[parked_] = params;
   ring_weights_[parked_] = weight;
-  if (++parked_ == kFoldSlots) flush_ring();
+  if (++parked_ == kFoldSlots && !closing_) fold_ring(/*divide=*/false);
 }
 
-void FedAvgAccumulator::flush_ring() {
-  if (parked_ == 0) return;
+void FedAvgAccumulator::fold_ring(bool divide) {
   std::array<const float*, kFoldSlots> xs;
   for (std::size_t j = 0; j < parked_; ++j) xs[j] = ring_[j]->data();
   const std::size_t n = ring_[0]->size();
   const k::Ops& ops = k::ops();
   // The first sweep writes the sum, every later one accumulates into it.
   const auto fold = sum_ ? ops.axpyn : ops.axpyn_into;
+  const auto scale = ops.scale;
   if (!sum_) sum_ = ml::TensorPool::global().acquire(n);
   float* acc = sum_->data();
+  const auto inv = static_cast<float>(1.0 / total_weight_);
   ml::parallel_sweep(n, [&](std::size_t lo, std::size_t hi) {
     std::array<const float*, kFoldSlots> at;
     for (std::size_t j = 0; j < parked_; ++j) at[j] = xs[j] + lo;
     fold(acc + lo, ring_weights_.data(), at.data(), parked_, hi - lo);
+    // The divide of a closing fold, on the chunk just written: the same
+    // two roundings per element, in the same order, as two sweeps.
+    if (divide) scale(acc + lo, inv, hi - lo);
   });
   for (std::size_t j = 0; j < parked_; ++j) ring_[j].reset();
   parked_ = 0;
@@ -105,14 +111,19 @@ void FedAvgAccumulator::flush_ring() {
 void FedAvgAccumulator::finalize() {
   if (sealed_) return;
   sealed_ = true;
-  flush_ring();
-  if (!sum_) return;
+  closing_ = false;
   // Divide by the *effective* weight total, in place: `scale` is the same
   // single multiply per element as dividing into a second buffer, so the
   // average is bitwise unchanged. With unit scales the divisor is the exact
   // integer sample total (integer sums are exact in double), so the
   // synchronous path produces bit-identical averages to the historical
-  // integer-divisor code.
+  // integer-divisor code. A parked ring folds and divides in one sweep;
+  // only a sum with nothing parked needs a divide sweep of its own.
+  if (parked_ > 0) {
+    fold_ring(/*divide=*/true);
+    return;
+  }
+  if (!sum_) return;
   const auto inv = static_cast<float>(1.0 / total_weight_);
   float* avg = sum_->data();
   const auto scale = k::ops().scale;
@@ -152,6 +163,7 @@ void FedAvgAccumulator::reset() {
   for (std::size_t j = 0; j < parked_; ++j) ring_[j].reset();
   parked_ = 0;
   sealed_ = false;
+  closing_ = false;
   total_samples_ = 0;
   total_weight_ = 0.0;
   updates_folded_ = 0;

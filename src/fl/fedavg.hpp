@@ -25,10 +25,19 @@ namespace lifl::fl {
 /// tensor is parked in a ring of `kFoldSlots` (tensor, weight) slots, and
 /// a full ring folds in ONE read-modify-write sweep of the accumulator
 /// (`kernels::axpyn`: 5 bytes per parameter per fold at k = 8, where a
-/// two-update sweep moves 8). `result()` flushes a partial ring. Parking
-/// costs no copy: a slot holds a `shared_ptr` to the shm-resident update,
-/// so the buffer is not recycled while parked. The price is held memory:
-/// between sweeps up to `kFoldSlots - 1` = 7 parked handles stay alive.
+/// two-update sweep moves 8). Parking costs no copy: a slot holds a
+/// `shared_ptr` to the shm-resident update, so the buffer is not recycled
+/// while parked. The price is held memory: between sweeps up to
+/// `kFoldSlots - 1` = 7 parked handles stay alive.
+///
+/// **The closing fold divides in the same sweep.** Finalizing folds the
+/// parked ring and multiplies each chunk by 1 / Σ c_i right after folding
+/// it, so an aggregate pays no second sweep (and no second pool wake) for
+/// its divide. A caller that knows an add meets its goal calls
+/// `mark_closing()` first: that add leaves even a full ring parked for the
+/// finalize to fold. Up to `kFoldSlots` = 8 parked handles are then held
+/// from the closing add to its finalize, which the caller runs at once.
+/// Only a finalize that finds the ring empty sweeps a separate divide.
 ///
 /// Rounding: a sweep sums the k weighted terms in slot (arrival) order
 /// and then adds that sum to the accumulator, so the float grouping
@@ -36,7 +45,7 @@ namespace lifl::fl {
 /// the grouping, is a function of arrival order alone: fixed-order folds
 /// are bitwise deterministic.
 ///
-/// Threads: the ring sweep and the finalize divide run through
+/// Threads: the ring sweeps (and a lone finalize divide) run through
 /// `ml::parallel_sweep`, so a tensor of at least `ml::kSweepMinSplit`
 /// floats is swept in 16K-float chunks by the calling thread and the
 /// parked sweep-pool workers. The kernels are element-wise, so the result
@@ -59,10 +68,10 @@ namespace lifl::fl {
 /// integer-divisor behaviour).
 ///
 /// **One buffer per aggregate.** The running sum is the only tensor the
-/// accumulator owns. Finalizing (`result()` or `take_update()`) flushes
-/// the ring and divides that buffer in place — the same single multiply
-/// per element as dividing into a second buffer, so bitwise the same
-/// average — and seals the accumulator: `add()` throws until `reset()`.
+/// accumulator owns. Finalizing (`result()` or `take_update()`) folds the
+/// ring and divides that buffer in place — the same single multiply per
+/// element as dividing into a second buffer, so bitwise the same average —
+/// and seals the accumulator: `add()` throws until `reset()`.
 /// `take_update()` moves the buffer into the outgoing update and keeps no
 /// reference, so it returns to `ml::TensorPool::global()` as soon as the
 /// consumer drops it (a parent's ring sweep, or the round's global
@@ -89,6 +98,12 @@ class FedAvgAccumulator {
   void add(const std::shared_ptr<const ml::Tensor>& params,
            std::uint64_t sample_count);
 
+  /// The next add meets the caller's goal and finalize follows it: that
+  /// add (and any later one) leaves a full ring parked, so the finalize
+  /// folds it and divides in one sweep. Results are bitwise the same
+  /// either way. `reset()` and finalizing clear the mark.
+  void mark_closing() noexcept { closing_ = true; }
+
   /// Number of updates folded in (counting folded sub-updates).
   std::uint32_t updates_folded() const noexcept { return updates_folded_; }
 
@@ -104,8 +119,8 @@ class FedAvgAccumulator {
 
   /// The weighted average of everything added so far; null if only logical
   /// updates were added, or once `take_update()` handed it over. The first
-  /// call finalizes (flush the parked ring, one in-place divide pass) and
-  /// seals the accumulator; later calls share the same buffer.
+  /// call finalizes (fold the parked ring and divide in place, one sweep)
+  /// and seals the accumulator; later calls share the same buffer.
   std::shared_ptr<const ml::Tensor> result();
 
   /// Finalize and hand this aggregate over as the intermediate/final
@@ -127,11 +142,12 @@ class FedAvgAccumulator {
  private:
   void add_tensor_weighted(const std::shared_ptr<const ml::Tensor>& params,
                            float weight);
-  /// Fold the parked ring (if any) into the sum in one sweep.
-  void flush_ring();
+  /// Fold the parked (non-empty) ring into the sum in one sweep; with
+  /// `divide`, also divide each chunk by the weight total once folded.
+  void fold_ring(bool divide);
   /// Throw if sealed (the sum already holds the average).
   void check_open() const;
-  /// Flush the ring, divide the sum in place and seal (idempotent).
+  /// Fold the ring, divide the sum in place and seal (idempotent).
   void finalize();
 
   /// Pooled Σ c_i·w_i; after finalize, the average Σ c_i·w_i / Σ c_i.
@@ -141,6 +157,7 @@ class FedAvgAccumulator {
   std::array<float, kFoldSlots> ring_weights_{};
   std::size_t parked_ = 0;  ///< occupied prefix of `ring_`
   bool sealed_ = false;  ///< finalized: `sum_` is the average
+  bool closing_ = false;  ///< a full ring waits for finalize to fold it
   std::uint64_t total_samples_ = 0;
   double total_weight_ = 0.0;  ///< Σ effective weights — the divisor
   std::uint32_t updates_folded_ = 0;

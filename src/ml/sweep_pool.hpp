@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <type_traits>
 
@@ -26,9 +27,11 @@ void split_sweep(std::size_t n, SweepFn fn, void* ctx);
 /// same bits as one `fn(0, n)` call. `fn` must not throw and must only
 /// touch elements of its own chunk.
 ///
-/// The pool is one parked worker thread per allowed CPU besides the
-/// caller's (`sim::allowed_cpu_count() - 1`, at most `kSweepMaxWorkers`),
-/// started lazily by the first sweep of at least `kSweepMinSplit` elements.
+/// The pool is one worker thread per allowed CPU besides the caller's
+/// (`sim::allowed_cpu_count() - 1`, at most `kSweepMaxWorkers`), started
+/// lazily by the first sweep of at least `kSweepMinSplit` elements. After a
+/// sweep a worker polls for the next one for about 50 microseconds, holding
+/// its CPU, and only then parks on a futex; the next sweep wakes it.
 /// The starting thread pins worker k to the k-th allowed CPU after its own
 /// (`sim::ThreadPlacement`), so a sweep's threads run in parallel even where
 /// the kernel does not spread a process's threads. The caller claims chunks
@@ -55,5 +58,9 @@ void parallel_sweep(std::size_t n, F&& fn) {
 /// first split sweep; tests use it to prove small and logical-payload runs
 /// start none).
 std::size_t sweep_workers_started() noexcept;
+
+/// Sweeps of at least `kSweepMinSplit` elements run in this process, on the
+/// pool or inline (tests use it to pin how many sweeps a fold costs).
+std::uint64_t split_sweeps() noexcept;
 
 }  // namespace lifl::ml

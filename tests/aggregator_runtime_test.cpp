@@ -10,6 +10,7 @@
 #include "src/dataplane/dataplane.hpp"
 #include "src/fl/aggregator_runtime.hpp"
 #include "src/fl/model_spec.hpp"
+#include "src/ml/sweep_pool.hpp"
 #include "src/ml/tensor_pool.hpp"
 
 namespace lifl::fl {
@@ -657,8 +658,13 @@ TEST(AggregatorRuntime, LeafBuffersReturnToThePoolWhileLeavesLive) {
   ml::TensorPool& pool = ml::TensorPool::global();
   pool.reset_stats();
   const std::size_t live0 = pool.stats().live_bytes;
+  const std::uint64_t sweeps0 = ml::split_sweeps();
   w.sim.run();
   ASSERT_TRUE(global.tensor);
+  // One sweep per aggregate: each leaf's eighth upload fills its ring at
+  // the closing fold, and the top's fourth leaf sum closes its partial
+  // ring; each finalize folds the parked ring and divides in that sweep.
+  EXPECT_EQ(ml::split_sweeps() - sweeps0, kNodes * kLeavesPerNode + 1);
   EXPECT_EQ(global.updates_folded, kNodes * kLeavesPerNode * kUploadsPerLeaf);
   const ml::TensorPoolStats after = pool.stats();
   // One buffer per aggregate, each acquired once: 4 leaf sums + 1 top sum.

@@ -528,13 +528,15 @@ TEST(FedAvgRing, LogicalAndScaledUpdatesInterleaveWithPartialRings) {
 
 /// Serial oracle, the two-buffer form: the sum of the first `count` updates
 /// folded ring by ring, then `scale_into` a second buffer, all by direct
-/// whole-tensor `ops()` calls on the calling thread.
+/// whole-tensor `ops()` calls on the calling thread. `logical_weight` joins
+/// the divisor only (the weight of updates that carry no tensor).
 std::vector<float> serial_fedavg(const std::vector<const float*>& xs,
                                  const std::vector<std::uint64_t>& ws,
-                                 std::size_t count, std::size_t n) {
+                                 std::size_t count, std::size_t n,
+                                 std::uint64_t logical_weight = 0) {
   const ml::kernels::Ops& ops = ml::kernels::ops();
   std::vector<float> sum(n), avg(n);
-  double total = 0.0;
+  double total = static_cast<double>(logical_weight);
   for (std::size_t i = 0; i < count; i += FedAvgAccumulator::kFoldSlots) {
     const std::size_t fan =
         std::min(FedAvgAccumulator::kFoldSlots, count - i);
@@ -597,15 +599,110 @@ TEST(FedAvgInPlace, EveryCountIsBitwiseTheTwoBufferForm) {
       xs.push_back(tensors[i % 3]->data());
       ws.push_back(1 + rng.uniform_index(1000));
     }
+    // Unmarked, and with the last add marked closing: an add that leaves
+    // even a full ring parked, so the finalize folds it and divides.
+    for (const bool closing : {false, true}) {
+      for (std::size_t count = 1; count <= 25; ++count) {
+        const std::uint64_t sweeps0 = ml::split_sweeps();
+        FedAvgAccumulator acc;
+        for (std::size_t i = 0; i < count; ++i) {
+          if (closing && i + 1 == count) acc.mark_closing();
+          acc.add(tensors[i % 3], ws[i]);
+        }
+        const ModelUpdate out = acc.take_update(1, 1, 0);
+        ASSERT_TRUE(out.tensor) << count;
+        EXPECT_TRUE(
+            bitwise_equal(*out.tensor, serial_fedavg(xs, ws, count, n)))
+            << count << " updates of " << n << " floats, closing " << closing;
+        // One sweep per ring, the divide riding the last one, except when
+        // an unmarked add swept a full ring and left none for the divide.
+        const std::uint64_t sweeps =
+            (count + 7) / 8 + (!closing && count % 8 == 0 ? 1 : 0);
+        EXPECT_EQ(ml::split_sweeps() - sweeps0,
+                  n >= ml::kSweepMinSplit ? sweeps : 0u)
+            << count << " updates of " << n << " floats, closing " << closing;
+        EXPECT_THROW(acc.add(tensors[0], 1), std::logic_error);
+      }
+    }
+  }
+}
+
+// ---- The closing fold: an add marked closing leaves even a full ring
+// parked, and the finalize folds it and divides in one sweep.
+
+TEST(FedAvgInPlace, ClosingAddWithoutATensorStillFinalizes) {
+  sim::Rng rng(79);
+  for (const std::size_t n : {std::size_t{37}, ml::kSweepMinSplit + 37}) {
+    const auto tensors = random_tensors(rng, 3, n);
+    std::vector<const float*> xs;
+    std::vector<std::uint64_t> ws;
+    for (std::size_t i = 0; i < 25; ++i) {
+      xs.push_back(tensors[i % 3]->data());
+      ws.push_back(1 + rng.uniform_index(1000));
+    }
+    ModelUpdate logical;
+    logical.sample_count = 321;
     for (std::size_t count = 1; count <= 25; ++count) {
       FedAvgAccumulator acc;
-      for (std::size_t i = 0; i < count; ++i) acc.add(tensors[i % 3], ws[i]);
+      for (std::size_t i = 0; i + 1 < count; ++i) {
+        acc.add(tensors[i % 3], ws[i]);
+      }
+      // The closing add is logical-only: the ring holds 0..7 updates.
+      acc.mark_closing();
+      acc.add(logical);
       const ModelUpdate out = acc.take_update(1, 1, 0);
+      EXPECT_EQ(out.updates_folded, count);
+      if (count == 1) {
+        EXPECT_FALSE(out.tensor);
+        continue;
+      }
       ASSERT_TRUE(out.tensor) << count;
-      EXPECT_TRUE(bitwise_equal(*out.tensor, serial_fedavg(xs, ws, count, n)))
+      EXPECT_TRUE(bitwise_equal(
+          *out.tensor,
+          serial_fedavg(xs, ws, count - 1, n, logical.sample_count)))
           << count << " updates of " << n << " floats";
     }
   }
+}
+
+TEST(FedAvgInPlace, ResetClearsAPendingClosingMark) {
+  sim::Rng rng(80);
+  const auto tensors = random_tensors(rng, 9, 29);
+  std::vector<const float*> xs;
+  std::vector<std::uint64_t> ws;
+  for (std::size_t i = 0; i < tensors.size(); ++i) {
+    xs.push_back(tensors[i]->data());
+    ws.push_back(5 + i);
+  }
+  const auto parked = [&] {
+    std::size_t held = 0;
+    for (const auto& t : tensors) held += t.use_count() > 1 ? 1 : 0;
+    return held;
+  };
+  FedAvgAccumulator acc;
+  // Marked closing: the full ring stays parked until the finalize.
+  acc.mark_closing();
+  for (std::size_t i = 0; i < 8; ++i) acc.add(tensors[i], ws[i]);
+  EXPECT_EQ(parked(), 8u);
+  // A ninth add after all folds the full ring first, and parks itself.
+  acc.add(tensors[8], ws[8]);
+  EXPECT_EQ(parked(), 1u);
+  ModelUpdate out = acc.take_update(1, 1, 0);
+  ASSERT_TRUE(out.tensor);
+  EXPECT_TRUE(bitwise_equal(*out.tensor, serial_fedavg(xs, ws, 9, 29)));
+  EXPECT_EQ(parked(), 0u);
+
+  // A mark that reset() drops: the reused accumulator flushes its next
+  // full ring at the eighth add, as usual.
+  acc.reset();
+  acc.mark_closing();
+  acc.reset();
+  for (std::size_t i = 0; i < 8; ++i) acc.add(tensors[i], ws[i]);
+  EXPECT_EQ(parked(), 0u);
+  out = acc.take_update(1, 1, 0);
+  ASSERT_TRUE(out.tensor);
+  EXPECT_TRUE(bitwise_equal(*out.tensor, serial_fedavg(xs, ws, 8, 29)));
+  EXPECT_THROW(acc.add(tensors[0], 1), std::logic_error);
 }
 
 TEST(FedAvgInPlace, TakeUpdateHandsOverTheSumBufferWithoutACopy) {

@@ -2,11 +2,13 @@
 // kernel must be bitwise equal to one direct kernel call at every dispatch
 // level, size and alignment; concurrent callers must each get serial
 // results; runs that fold no large tensor must start no worker thread; the
-// workers run on CPUs of their own, and a one-CPU process sweeps inline.
+// workers run on CPUs of their own, park once a bounded poll after a sweep
+// ends, and a one-CPU process sweeps inline.
 
 #include <gtest/gtest.h>
 
 #include <sched.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -303,6 +305,32 @@ int one_cpu_child() {
   return same && sweep_workers_started() == 0 ? 0 : 1;
 }
 
+/// User + system CPU seconds this process has used, over all its threads.
+double process_cpu_s() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto secs = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
+// After a sweep the workers poll for the next one for a bounded window,
+// then park: over a later idle stretch the process burns next to no CPU.
+// An unbounded poll would burn one CPU per worker here.
+int idle_workers_park_child() {
+  std::vector<float> acc(4 * kSweepMinSplit, 1.0f);
+  parallel_sweep(acc.size(), [&](std::size_t lo, std::size_t hi) {
+    k::ops().scale(acc.data() + lo, 2.0f, hi - lo);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const double before = process_cpu_s();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double burnt = process_cpu_s() - before;
+  return acc[0] == 2.0f && burnt < 0.010 ? 0 : 1;
+}
+
 TEST(SweepPoolDeathTest, WorkersRunOnPairwiseDistinctCpus) {
   if (sim::allowed_cpu_count() < 4) {
     GTEST_SKIP() << "needs at least 4 allowed CPUs";
@@ -321,6 +349,12 @@ TEST(SweepPoolDeathTest, SubThresholdSweepsStartNoWorker) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   EXPECT_EXIT(std::exit(small_sweeps_child()), ::testing::ExitedWithCode(0),
               "");
+}
+
+TEST(SweepPoolDeathTest, IdleWorkersStopPollingAndPark) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_EXIT(std::exit(idle_workers_park_child()),
+              ::testing::ExitedWithCode(0), "");
 }
 
 TEST(SweepPoolDeathTest, LogicalPayloadShardedCampaignStartsNoWorker) {
