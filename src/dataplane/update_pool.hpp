@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -27,26 +26,37 @@ namespace lifl::dp {
 /// descriptor's payload reference moves with it: the pool neither retains
 /// nor releases, and dropping a pool with entries releases nothing (the
 /// plane that owns the payloads frees them with itself).
+///
+/// A consumer's pull requests park as runs: `pop_async(w, n)` is one
+/// {waiter, requests left} entry however large `n` is, so an idle leaf
+/// fleet holds one entry per leaf, not one callable per unit of its goal.
 class UpdatePool {
  public:
   /// Consumer callback. A `sim::TaskFn` (24-byte inline, move-only): the
   /// aggregator's pool waiter is a 16-byte runtime handle, so parking and
-  /// waking a consumer never heap-allocates for the callable itself.
+  /// waking a consumer never heap-allocates for the callable itself, and
+  /// a run's wakes copy it (`TaskFn::copy`).
   using Waiter = sim::TaskFn<fl::UpdateDesc>;
 
   explicit UpdatePool(sim::Simulator& sim) : sim_(sim) {}
 
-  /// Enqueue; wakes the longest-waiting consumer, if any. Delivery happens
-  /// at the current instant through the simulator's zero-delay fast path:
-  /// the (waiter, update) pair parks in the pool's wake slab and the event
-  /// is a 12-byte {pool, slot} trampoline, so a wake allocates nothing once
-  /// the slab has grown to the pending-wake high-water mark.
+  /// Enqueue; wakes the longest-waiting request, if any: the front run's
+  /// waiter, which leaves the pool with the run's last request. Delivery
+  /// happens at the current instant through the simulator's zero-delay
+  /// fast path: the (waiter, update) pair parks in the pool's wake slab and
+  /// the event is a 12-byte {pool, slot} trampoline, so a wake allocates
+  /// nothing once the slab has grown to the pending-wake high-water mark.
   void push(const fl::UpdateDesc& u) {
     ++total_pushed_;
-    if (!waiters_.empty()) {
-      Waiter w = std::move(waiters_.front());
-      waiters_.pop_front();
-      wake(std::move(w), u);
+    if (!runs_.empty()) {
+      Run& r = runs_.front();
+      --parked_;
+      if (--r.left != 0) {
+        wake(r.waiter.copy(), u);
+      } else {
+        wake(std::move(r.waiter), u);
+        runs_.pop_front();
+      }
       return;
     }
     entries_.push_back(Entry{u, sim_.now()});
@@ -61,18 +71,31 @@ class UpdatePool {
     return true;
   }
 
-  /// Asynchronous pop: fires immediately if buffered, else on next push.
-  void pop_async(Waiter w) {
+  /// Asynchronous pop of `n` updates, as `n` back-to-back single pops: each
+  /// fires immediately if buffered, else on a later push. The requests
+  /// left unserved park as ONE run that the next pushes drain in order.
+  /// Every wake but a run's last gets a copy of `w`, so `n > 1` requires a
+  /// hot callable (`Waiter::hot()`, e.g. a runtime handle); otherwise
+  /// throws std::invalid_argument.
+  void pop_async(Waiter w, std::size_t n = 1) {
+    if (n == 0) return;
+    if (n > 1 && !w.hot()) {
+      throw std::invalid_argument(
+          "UpdatePool::pop_async: a run of requests needs a hot waiter");
+    }
+    for (; n > 1 && !entries_.empty(); --n) wake(w.copy(), take_front());
     if (!entries_.empty()) {
       wake(std::move(w), take_front());
       return;
     }
-    waiters_.push_back(std::move(w));
+    parked_ += n;
+    runs_.push_back(Run{std::move(w), n});
   }
 
   /// Remove all unclaimed waiters (e.g. when aggregators are torn down).
   void clear_waiters() {
-    waiters_.clear();
+    runs_.clear();
+    parked_ = 0;
     depth_watchers_.clear();
   }
 
@@ -151,7 +174,8 @@ class UpdatePool {
   std::uint64_t leases_aborted() const noexcept { return total_aborted_; }
 
   std::size_t depth() const noexcept { return entries_.size(); }
-  std::size_t waiter_count() const noexcept { return waiters_.size(); }
+  /// Parked pull requests: a run of `n` counts `n`, less what it served.
+  std::size_t waiter_count() const noexcept { return parked_; }
   std::size_t depth_watcher_count() const noexcept {
     return depth_watchers_.size();
   }
@@ -170,7 +194,7 @@ class UpdatePool {
   /// verbatim so post-resume accumulation stays bitwise identical.
   void restore_stats(std::size_t max_depth, std::uint64_t total_pushed,
                      double total_delay) {
-    if (!entries_.empty() || !waiters_.empty() || !depth_watchers_.empty()) {
+    if (!entries_.empty() || !runs_.empty() || !depth_watchers_.empty()) {
       throw std::logic_error("UpdatePool::restore_stats: pool is not idle");
     }
     max_depth_ = max_depth;
@@ -182,6 +206,12 @@ class UpdatePool {
   struct Entry {
     fl::UpdateDesc update;
     double enqueued_at;
+  };
+
+  /// `left` back-to-back pull requests of one consumer.
+  struct Run {
+    Waiter waiter;
+    std::size_t left;
   };
 
   struct DepthWatcher {
@@ -253,11 +283,8 @@ class UpdatePool {
 
   sim::Simulator& sim_;
   sim::Fifo<Entry> entries_;
-  /// A leaf fleet parks tens of thousands of pull requests at once, then
-  /// drains them: deque blocks track that swing more tightly than a ring's
-  /// doubling (~1 MB less peak RSS on a 1M-client planned campaign), at one
-  /// allocation per 16 parked waiters.
-  std::deque<Waiter> waiters_;
+  sim::Fifo<Run> runs_;
+  std::size_t parked_ = 0;  ///< requests left over all runs
   std::vector<DepthWatcher> depth_watchers_;
   std::vector<Wake> wakes_;  ///< parked wakes, indexed by WakeFn::slot
   std::vector<std::uint32_t> free_wakes_;

@@ -292,9 +292,9 @@ void AggregatorRuntime::maybe_pull() {
     pool.when_depth(cfg_.goal, DepthReached{handle()});
     return;
   }
-  while (pulled_ < cfg_.goal) {
-    ++pulled_;
-    pool.pop_async(PoolWaiter{handle()});
+  if (pulled_ < cfg_.goal) {
+    pool.pop_async(PoolWaiter{handle()}, cfg_.goal - pulled_);
+    pulled_ = cfg_.goal;
   }
 }
 

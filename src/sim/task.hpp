@@ -23,7 +23,7 @@ inline constexpr std::size_t kTaskInlineBytes = 24;
 /// heap-stored callable relocate by plain copy, and trivially destructible
 /// ones skip the destroy call, so queueing them costs no indirect calls.
 /// `Task` (the nullary alias) is the simulator's event callback;
-/// `TaskFn<fl::ModelUpdate>` is the update-pool waiter.
+/// `TaskFn<fl::UpdateDesc>` is the update-pool waiter.
 template <typename... Args>
 class TaskFn {
  public:
@@ -84,6 +84,24 @@ class TaskFn {
        std::is_constructible_v<std::decay_t<F>, F>);
 
   explicit operator bool() const noexcept { return vt_ != nullptr; }
+
+  /// Whether the held callable is a hot callable (`is_hot_callable_v`,
+  /// below): stored inline, copied by its bytes, nothing to destroy. Only
+  /// such a callable may be `copy`-ed.
+  bool hot() const noexcept {
+    return vt_ != nullptr && vt_->relocate == nullptr &&
+           vt_->destroy == nullptr;
+  }
+
+  /// A second `TaskFn` holding a copy of the held hot callable. Requires
+  /// `hot()`: a heap-stored callable's buffer is an owning pointer, so
+  /// copying it would share (and later double-free) the callable.
+  TaskFn copy() const noexcept {
+    TaskFn t;
+    t.vt_ = vt_;
+    std::memcpy(t.buf_, buf_, kInlineBytes);
+    return t;
+  }
 
   void operator()(Args... args) {
     vt_->invoke(buf_, std::forward<Args>(args)...);

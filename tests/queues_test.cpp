@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "src/dataplane/update_pool.hpp"
@@ -71,6 +73,92 @@ TEST(UpdatePool, ClearWaitersDropsPending) {
   sim.run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(pool.depth(), 1u);
+}
+
+/// A hot pool waiter (`sim::is_hot_callable_v`) that logs the versions it
+/// receives: the only kind a run of requests may park.
+struct VersionLog {
+  std::vector<std::uint32_t>* got;
+  void operator()(fl::UpdateDesc u) const { got->push_back(u.model_version); }
+};
+static_assert(sim::is_hot_callable_v<VersionLog>);
+
+TEST(UpdatePool, WaiterCountCountsRequestsNotRuns) {
+  sim::Simulator sim;
+  dp::UpdatePool pool(sim);
+  std::vector<std::uint32_t> a;
+  std::vector<std::uint32_t> b;
+  pool.pop_async(VersionLog{&a}, 5);
+  pool.pop_async(VersionLog{&b});
+  EXPECT_EQ(pool.waiter_count(), 6u);
+  pool.push(update_of(1));
+  pool.push(update_of(2));
+  EXPECT_EQ(pool.waiter_count(), 4u);  // three left of the half-consumed run
+  sim.run();
+  EXPECT_EQ(a, (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_TRUE(b.empty());
+  pool.clear_waiters();
+  EXPECT_EQ(pool.waiter_count(), 0u);
+  pool.push(update_of(3));
+  sim.run();
+  EXPECT_EQ(a.size(), 2u);
+  EXPECT_EQ(pool.depth(), 1u);
+}
+
+TEST(UpdatePool, RunDrainsInOrderBeforeTheNextRun) {
+  sim::Simulator sim;
+  dp::UpdatePool pool(sim);
+  std::vector<std::uint32_t> a;
+  std::vector<std::uint32_t> b;
+  pool.pop_async(VersionLog{&a}, 2);
+  pool.pop_async(VersionLog{&b}, 2);
+  for (std::uint32_t v = 1; v <= 5; ++v) pool.push(update_of(v));
+  sim.run();
+  EXPECT_EQ(a, (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(b, (std::vector<std::uint32_t>{3, 4}));
+  EXPECT_EQ(pool.waiter_count(), 0u);
+  EXPECT_EQ(pool.depth(), 1u);
+}
+
+TEST(UpdatePool, RunServesBufferedEntriesFirstAtTheCurrentInstant) {
+  sim::Simulator sim;
+  dp::UpdatePool pool(sim);
+  for (std::uint32_t v = 1; v <= 3; ++v) pool.push(update_of(v));
+  sim.run_until(2.0);
+  std::vector<std::uint32_t> got;
+  std::vector<double> at;
+  struct TimedLog {
+    std::vector<std::uint32_t>* got;
+    std::vector<double>* at;
+    sim::Simulator* sim;
+    void operator()(fl::UpdateDesc u) const {
+      got->push_back(u.model_version);
+      at->push_back(sim->now());
+    }
+  };
+  pool.pop_async(TimedLog{&got, &at, &sim}, 5);
+  EXPECT_EQ(pool.depth(), 0u);
+  EXPECT_EQ(pool.waiter_count(), 2u);
+  sim.run_until(2.0);
+  EXPECT_EQ(got, (std::vector<std::uint32_t>{1, 2, 3}));
+  EXPECT_EQ(at, (std::vector<double>{2.0, 2.0, 2.0}));
+  EXPECT_DOUBLE_EQ(pool.total_queueing_delay(), 6.0);
+}
+
+TEST(UpdatePool, RunOfAWaiterThatIsNotHotThrows) {
+  sim::Simulator sim;
+  dp::UpdatePool pool(sim);
+  std::string seen;
+  const auto waiter = [&seen, tag = std::string("consumer")](fl::UpdateDesc) {
+    seen = tag;
+  };
+  EXPECT_THROW(pool.pop_async(waiter, 2), std::invalid_argument);
+  EXPECT_EQ(pool.waiter_count(), 0u);
+  pool.pop_async(waiter, 1);  // one request needs no copy
+  EXPECT_EQ(pool.waiter_count(), 1u);
+  pool.push(update_of(1));
+  sim.run();
+  EXPECT_EQ(seen, "consumer");
 }
 
 TEST(UpdatePool, StatsTrackDepthAndDelay) {

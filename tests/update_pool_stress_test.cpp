@@ -1,8 +1,9 @@
 // Stress test for the UpdatePool fast-path delivery: a 100k-push workload
-// with mixed synchronous pops, async waiters and depth watchers must
-// produce *exactly* the delivery order of the seed implementation (which
-// scheduled one discrete zero-delay event per delivery and one per watcher
-// wake-up).
+// with mixed synchronous pops, async waiters, runs of pull requests, waiter
+// clears and depth watchers must produce *exactly* the delivery order of
+// the seed implementation (which scheduled one discrete zero-delay event
+// per delivery and one per watcher wake-up, and parked a run of n requests
+// as n single waiters).
 
 #include <gtest/gtest.h>
 
@@ -66,6 +67,16 @@ class ReferencePool {
     waiters_.push_back(std::move(w));
   }
 
+  /// A run is n single requests, each with its own copy of the waiter.
+  void pop_async(const Waiter& w, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) pop_async(Waiter(w));
+  }
+
+  void clear_waiters() {
+    waiters_.clear();
+    depth_watchers_.clear();
+  }
+
   void when_depth(std::size_t n, std::function<void()> fn) {
     if (entries_.size() >= n) {
       sim_.schedule_after(0.0, std::move(fn));
@@ -92,6 +103,20 @@ fl::UpdateDesc update(fl::ParticipantId producer) {
   return u;
 }
 
+/// The waiter of a run of requests: hot (copied per wake), tagged with
+/// its consumer and logging the instant of every delivery.
+struct RunWaiter {
+  std::vector<std::string>* log;
+  const sim::Simulator* sim;
+  int consumer;
+  void operator()(fl::UpdateDesc u) const {
+    log->push_back("run" + std::to_string(consumer) + "@" +
+                   std::to_string(sim->now()) + ":" +
+                   std::to_string(u.producer));
+  }
+};
+static_assert(sim::is_hot_callable_v<RunWaiter>);
+
 /// Drives an identical randomized operation schedule against a pool and
 /// records every observable delivery in order.
 template <typename Pool>
@@ -103,6 +128,7 @@ std::vector<std::string> drive(std::size_t pushes, std::uint64_t seed) {
 
   fl::ParticipantId next_producer = 1;
   int watcher_id = 0;
+  int consumer_id = 0;
   double t = 0.0;
   for (std::size_t i = 0; i < pushes; ++i) {
     // Operations land at weakly increasing times with frequent same-instant
@@ -113,19 +139,30 @@ std::vector<std::string> drive(std::size_t pushes, std::uint64_t seed) {
       sim.schedule_at(t, [&pool, id = next_producer++] {
         pool.push(update(id));
       });
-    } else if (op < 0.75) {
+    } else if (op < 0.72) {
       sim.schedule_at(t, [&pool, &log] {
         pool.pop_async([&log](fl::UpdateDesc u) {
           log.push_back("waiter:" + std::to_string(u.producer));
         });
       });
-    } else if (op < 0.85) {
+    } else if (op < 0.722) {
+      // A run of 1..600 requests: about one per 500 draws parks ~0.6
+      // requests a draw, so runs alternate between draining a backlog of
+      // buffered updates and waiting out the next pushes.
+      const std::size_t n = 1 + rng.uniform_index(600);
+      sim.schedule_at(t, [&pool, &log, &sim, n, id = consumer_id++] {
+        pool.pop_async(RunWaiter{&log, &sim, id}, n);
+      });
+    } else if (op < 0.822) {
       sim.schedule_at(t, [&pool, &log] {
         fl::UpdateDesc u;
         if (pool.try_pop(u)) {
           log.push_back("pop:" + std::to_string(u.producer));
         }
       });
+    } else if (op < 0.826) {
+      // Clears cut runs mid-drain, as a torn-down leaf fleet does.
+      sim.schedule_at(t, [&pool] { pool.clear_waiters(); });
     } else {
       const std::size_t depth = 1 + rng.uniform_index(4);
       sim.schedule_at(t, [&pool, &log, depth, id = watcher_id++] {
@@ -150,6 +187,9 @@ TEST(UpdatePoolStress, HundredThousandPushesMatchSeedDeliveryOrder) {
   for (std::size_t i = 0; i < reference.size(); ++i) {
     ASSERT_EQ(reference[i], fast[i]) << "first divergence at index " << i;
   }
+  std::size_t run_deliveries = 0;
+  for (const auto& line : fast) run_deliveries += line.rfind("run", 0) == 0;
+  EXPECT_GT(run_deliveries, fast.size() / 4);
 }
 
 TEST(UpdatePoolStress, SeveralSeedsStayEquivalent) {

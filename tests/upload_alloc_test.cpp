@@ -15,6 +15,7 @@
 
 #include "src/dataplane/dataplane.hpp"
 #include "src/dataplane/resumable_upload.hpp"
+#include "src/fl/aggregator_runtime.hpp"
 #include "src/systems/sharded_campaign.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -264,6 +265,39 @@ TEST(UploadAlloc, RealPayloadResumableUploadAllocatesNothing) {
   EXPECT_EQ(w.plane.env(0).store.size(), 0u);
   EXPECT_EQ(w.plane.slab_payloads(), 0u);
   EXPECT_EQ(tensor.use_count(), 1);
+}
+
+TEST(UploadAlloc, PullingLeafFleetParksItsGoalsAsRuns) {
+  if (kSanitized) GTEST_SKIP() << kSkipWhy;
+  // 62 pulling leaves with goal 500 on one node park 31,000 requests at
+  // start. What starting a leaf allocates for itself (its consumer socket,
+  // the pool's entry for it) a fleet with goal 1 pays too; the requests
+  // past each leaf's first may add at most a few allocations in all.
+  constexpr int kLeaves = 62;
+  std::size_t parked = 0;
+  const auto start_fleet = [&parked](std::uint32_t goal) {
+    World w;
+    std::vector<std::unique_ptr<fl::AggregatorRuntime>> leaves;
+    for (int i = 0; i < kLeaves; ++i) {
+      fl::AggregatorRuntime::Config c;
+      c.id = 1 + static_cast<fl::ParticipantId>(i);
+      c.role = fl::AggRole::kLeaf;
+      c.goal = goal;
+      c.pull_from_pool = true;
+      leaves.push_back(std::make_unique<fl::AggregatorRuntime>(w.plane, c));
+    }
+    const std::uint64_t before = allocs();
+    for (auto& leaf : leaves) leaf->start();
+    const std::uint64_t made = allocs() - before;
+    parked = w.plane.env(0).pool.waiter_count();
+    return made;
+  };
+  (void)start_fleet(1);  // warm-up: lazy statics
+  const std::uint64_t own = start_fleet(1);
+  ASSERT_EQ(parked, static_cast<std::size_t>(kLeaves));
+  const std::uint64_t made = start_fleet(500);
+  ASSERT_EQ(parked, 31'000u);
+  EXPECT_LE(made, own + 4) << "goal 1: " << own << " allocations";
 }
 
 TEST(UploadAlloc, FlakyAsyncCampaignStaysUnderFourPerUpload) {
